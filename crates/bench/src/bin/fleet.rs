@@ -37,12 +37,12 @@ fn telemetry_windows_csv(scenario: &str, engine: &str, report: &TelemetryReport)
         println!(
             "{scenario},{engine},{:.3},{},{},{},{},{},{},{},{:.4},{:.3},{:.3},{:.3}",
             w.start_secs,
-            w.arrivals,
-            w.admitted,
-            w.degraded,
-            w.deferred,
-            w.expired,
-            w.migrations,
+            w.counts.arrivals,
+            w.counts.admitted,
+            w.counts.degraded,
+            w.counts.deferred,
+            w.counts.expired_total(),
+            w.counts.migrations,
             w.queue_depth_peak,
             w.utilization_mean,
             w.wait.p50_ms,

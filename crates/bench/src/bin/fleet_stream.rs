@@ -84,7 +84,7 @@ fn main() {
     let replay = fleet.replay_dispatch(arrivals, horizon);
     let wall = started.elapsed().as_secs_f64();
     let alloc = AllocStats::snapshot().since(&alloc_before);
-    let rate = replay.arrivals as f64 / wall.max(1e-9);
+    let rate = replay.counts.arrivals as f64 / wall.max(1e-9);
 
     assert!(
         replay.id_capacity == replay.peak_active,
@@ -100,15 +100,15 @@ fn main() {
         );
         println!(
             "{NODES},{},{},{},{},{},{},{},{},{},{},{},{},{:.0},{rate:.0}",
-            replay.arrivals,
-            replay.placed,
-            replay.degraded,
-            replay.queued,
-            replay.infeasible,
-            replay.duplicates,
-            replay.departures,
-            replay.expired,
-            replay.admitted_after_wait,
+            replay.counts.arrivals,
+            replay.counts.admitted,
+            replay.counts.degraded,
+            replay.counts.deferred,
+            replay.counts.infeasible,
+            replay.counts.duplicates,
+            replay.counts.departures,
+            replay.counts.expired,
+            replay.counts.admitted_after_wait,
             replay.peak_active,
             replay.id_capacity,
             replay.final_active,
@@ -118,20 +118,24 @@ fn main() {
         println!("== fleet_stream: {NODES} nodes, generator-driven arrivals ==");
         println!(
             "streamed {} arrivals in {:.2}s wall — {:.0} arrivals/sec",
-            replay.arrivals, wall, rate
+            replay.counts.arrivals, wall, rate
         );
         println!(
             "placed {} ({} degraded), queued {}, infeasible {}, duplicates {}",
-            replay.placed, replay.degraded, replay.queued, replay.infeasible, replay.duplicates
+            replay.counts.admitted,
+            replay.counts.degraded,
+            replay.counts.deferred,
+            replay.counts.infeasible,
+            replay.counts.duplicates
         );
         println!(
             "departures {}, expired waiters {}, admitted after wait {}",
-            replay.departures, replay.expired, replay.admitted_after_wait
+            replay.counts.departures, replay.counts.expired, replay.counts.admitted_after_wait
         );
         println!(
             "memory bound: peak_active {} == id_capacity {} (final_active {}) — \
              O(active), independent of the {} tenants streamed",
-            replay.peak_active, replay.id_capacity, replay.final_active, replay.arrivals
+            replay.peak_active, replay.id_capacity, replay.final_active, replay.counts.arrivals
         );
     }
     // The perf sidecar: replay runs with the span profiler armed; the
@@ -145,7 +149,7 @@ fn main() {
         &format!("stream x{NODES} round-robin churn"),
         "dispatch-replay",
         NODES as u64,
-        replay.arrivals,
+        replay.counts.arrivals,
         events,
         wall * 1e3,
         &profile,

@@ -2,7 +2,8 @@
 //! the paper's best configuration (np=3, os=1.5). Prints stage WCETs and,
 //! for each task count around the pivot, FPS / DMR / response tail /
 //! per-context busy fractions under two admission policies — the raw data
-//! behind the calibration choices documented in DESIGN.md §5.
+//! behind the calibrated cost and contention models
+//! (`CostModel::calibrated`, `ContentionModel::calibrated`).
 //!
 //! Usage: `cargo run --release -p sgprs-bench --bin probe`
 

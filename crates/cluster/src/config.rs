@@ -66,7 +66,7 @@ pub struct FleetConfig {
     /// available core. Ignored when `parallel` is off. Results are
     /// bit-identical for every count.
     pub workers: Option<usize>,
-    /// Optional two-level sharded dispatch (see [`crate::ShardedFleet`]).
+    /// Optional two-level sharded dispatch (see [`crate::ShardConfig`]).
     pub sharding: Option<ShardConfig>,
     /// Wait-queue policy and re-pricing knobs (see [`crate::QueuePolicy`]).
     pub queue: QueueConfig,
@@ -152,8 +152,9 @@ impl FleetConfig {
     }
 
     /// Enables two-level sharded dispatch with shards of `shard_size`
-    /// nodes (see [`crate::ShardedFleet`]), routed by the default
-    /// ordered spare-budget scan.
+    /// nodes (see [`crate::ShardConfig`]), routed by the default
+    /// ordered spare-budget scan. Sharding only changes *which*
+    /// admissible node an arrival lands on, never admission itself.
     ///
     /// # Panics
     ///

@@ -27,11 +27,9 @@ use super::exec::{FluidExec, MissWindow};
 use super::{EventKind, EventQueue, NODE_FLEET};
 use crate::fleet::Fleet;
 use crate::interner::TenantId;
-use crate::policy::{self, FleetState};
 use crate::telemetry::Span;
-use crate::{ArrivalStream, ChurnEvent, DispatchOutcome, FleetMetrics, FleetMetricsBuilder};
+use crate::{ArrivalStream, ChurnEvent, DispatchOutcome, FleetMetrics};
 use sgprs_rt::{SimDuration, SimTime};
-use std::collections::HashSet;
 
 /// Persistent per-tenant scheduler state: which node the tenant serves
 /// on, its release/job serials, and the job currently in flight.
@@ -71,12 +69,8 @@ pub(crate) fn run_events(
         !fleet.cfg.epoch.is_zero(),
         "epoch must be positive (it paces utilisation sampling and the DMR window)"
     );
-    let builder = FleetMetricsBuilder::new(
-        fleet.nodes.iter().map(|n| n.spec.name.clone()).collect(),
-        fleet.nodes.iter().map(|n| n.spec.gpu.total_sms).collect(),
-    );
+    fleet.open_run(horizon);
     let n_nodes = fleet.nodes.len();
-    fleet.telemetry.begin_run(n_nodes, horizon);
     let seed = fleet.cfg.seed;
     let mut engine = Engine {
         fleet,
@@ -86,8 +80,6 @@ pub(crate) fn run_events(
         exec: FluidExec::new(n_nodes, seed),
         windows: (0..n_nodes).map(|_| MissWindow::default()).collect(),
         runs: Vec::new(),
-        builder,
-        pre_run_queued: HashSet::new(),
         migration_pending: vec![false; n_nodes],
         sample_cache: vec![None; n_nodes],
         dmr_scratch: Vec::new(),
@@ -117,11 +109,6 @@ struct Engine<'a> {
     /// or never started). Capacity tracks the interner's: peak active
     /// tenants, not trace length.
     runs: Vec<Option<TenantRun>>,
-    builder: FleetMetricsBuilder,
-    /// Tenants already waiting when the run started: their later
-    /// admission must not offset this run's deferral accounting (same
-    /// contract as the epoch path). Lookup/remove only, never iterated.
-    pre_run_queued: HashSet<TenantId>,
     /// One pending `Migrate` event per node at a time.
     migration_pending: Vec<bool>,
     /// Per-node `(node version, (budget, demand))` for utilisation
@@ -148,11 +135,6 @@ impl Engine<'_> {
     /// the watermark captured between the seeds and the first sample
     /// anchors where its events slot into the total order.
     fn seed(&mut self, horizon: SimDuration) {
-        // Every run is its own timeline starting at zero, mirroring
-        // `Fleet::run`: carried-over waiters are re-stamped at the start.
-        self.fleet.now = SimTime::ZERO;
-        self.fleet.queue.rebase(SimTime::ZERO);
-        self.pre_run_queued = self.fleet.queue.ids().collect();
         if horizon.is_zero() {
             return;
         }
@@ -274,21 +256,14 @@ impl Engine<'_> {
         }
     }
 
-    fn finish(mut self, horizon: SimDuration) -> FleetMetrics {
-        self.builder.rejected = self.builder.deferred - self.builder.admitted_after_wait;
+    fn finish(self, horizon: SimDuration) -> FleetMetrics {
         assert_eq!(
             self.in_flight, 0,
             "the event path never truncates: every admitted job ran to completion"
         );
         self.fleet.telemetry.note_event_ops(self.events.ops());
         self.fleet.events_processed = self.processed;
-        let final_tenants: Vec<usize> =
-            self.fleet.nodes.iter().map(|n| n.tenants.len()).collect();
-        let mut metrics =
-            self.builder
-                .finish(horizon, &final_tenants, self.fleet.queue.len() as u64);
-        metrics.attach_telemetry(self.fleet.telemetry.finish_report());
-        metrics
+        self.fleet.close_run(horizon)
     }
 
     fn run_of(&self, id: TenantId) -> Option<&TenantRun> {
@@ -335,9 +310,9 @@ impl Engine<'_> {
 
     fn on_arrival(&mut self, t: SimTime, tenant: crate::TenantSpec) {
         let patience = tenant.max_wait;
-        // The shared kernel + accounting path (identical to the epoch
+        // The shared kernel + recording path (identical to the epoch
         // engine); only the event bookkeeping below is mode-specific.
-        let (outcome, id) = self.fleet.dispatch_accounted(tenant, &mut self.builder);
+        let (outcome, id) = self.fleet.dispatch_accounted(tenant);
         match outcome {
             DispatchOutcome::Placed(idx) => {
                 let id = id.expect("invariant: placed arrivals are interned");
@@ -369,13 +344,8 @@ impl Engine<'_> {
         let Some(id) = self.fleet.tenant_id(name) else {
             return;
         };
-        let was_resident = self.fleet.resident_node_of(id).is_some();
-        // Shared removal accounting (departure count + pre-run hygiene)
-        // — identical to the epoch path by construction.
-        if self
-            .fleet
-            .remove_accounted(id, &mut self.builder, &mut self.pre_run_queued)
-        {
+        // The shared removal path — identical to the epoch engine.
+        if let Some(was_resident) = self.fleet.remove_accounted(id) {
             // Future releases die with the run entry; a job already in
             // flight still completes (its event carries all it needs).
             if let Some(slot) = self.runs.get_mut(id.index()) {
@@ -410,7 +380,7 @@ impl Engine<'_> {
         else {
             return;
         };
-        self.builder.record_released(idx);
+        self.fleet.totals.record_released(idx);
         let period = SimDuration::from_secs_f64(1.0 / fps);
         let next = t + period;
         let end = self.end;
@@ -424,7 +394,7 @@ impl Engine<'_> {
             // estimator has a consumer (the windows grow unboundedly
             // otherwise; pruning happens inside `dmr`, which only the
             // migration trigger calls).
-            self.builder.record_skipped(idx);
+            self.fleet.totals.record_skipped(idx);
             if migration_on {
                 let span = self.fleet.cfg.epoch;
                 self.windows[idx].push(t, true, span);
@@ -506,7 +476,7 @@ impl Engine<'_> {
         // what happened to the tenant since (departure, migration, id
         // recycling) — only the busy flag is incarnation-guarded.
         self.in_flight -= 1;
-        self.builder.record_completed(idx, t > deadline);
+        self.fleet.totals.record_completed(idx, t > deadline);
         if let Some(run) = self.run_mut(id) {
             if run.inc == inc {
                 // Skip-if-busy invariant: a live incarnation has exactly
@@ -560,93 +530,55 @@ impl Engine<'_> {
         if self.windows[idx].dmr(t, span) <= threshold {
             return;
         }
-        // Same victim policy as the epoch path — the shared kernel's
-        // selection, LIFO by default, demand-aware when configured.
-        let Some(slot) = policy::select_migration_victim(
-            &self.fleet.nodes[idx],
-            &self.fleet.admission,
-            self.fleet.cfg.migration.victim,
-        ) else {
-            return;
-        };
-        let (id, victim) = self.fleet.detach_resident(idx, slot);
         self.dmr_scratch.clear();
         for j in 0..self.fleet.nodes.len() {
             let dmr = self.windows[j].dmr(t, span);
             self.dmr_scratch.push(dmr);
         }
-        // Same destination policy as the epoch path, fed the windowed
-        // estimates instead of per-epoch DMRs.
-        let dest = policy::migration_destination(
-            &FleetState::new(&self.fleet.nodes, &self.fleet.admission),
-            idx,
-            &victim,
-            &self.dmr_scratch,
-            threshold,
-        );
-        match dest {
-            Some(j) => {
-                let traced = self.fleet.telemetry.enabled().then(|| victim.name.clone());
-                self.fleet.attach_resident(j, id, victim);
-                self.fleet.planner.invalidate_node(idx);
-                self.fleet.planner.invalidate_node(j);
-                self.fleet.capacity_released = true;
-                self.builder.migrations += 1;
-                // The explicit cost model: a migration is a state
-                // transfer, stalling the migrant for the reconfiguration
-                // window. Re-pricing partition switches never pay this.
-                self.builder.record_migration_stall(cost);
-                if let Some(name) = traced {
-                    self.fleet
-                        .telemetry
-                        .record_migration(t, &name, idx, Some(j), cost);
-                }
-                let gen = self.next_gen;
-                self.next_gen += 1;
-                let resume = if let Some(run) = self.run_mut(id) {
-                    run.node = j;
-                    run.gen = gen;
-                    // The state transfer cannot finish before the
-                    // migrant's in-flight job drains on the source:
-                    // resuming earlier would skip-drop frames on the
-                    // destination and misattribute those misses to a
-                    // healthy node's migration estimator. One extra
-                    // nanosecond breaks the (time, node, seq) tie a
-                    // lower-indexed destination would otherwise win
-                    // against the source-node completion.
-                    let drained = run.in_flight.map_or(SimTime::ZERO, |(_, finish)| {
-                        finish.saturating_add(SimDuration::from_nanos(1))
-                    });
-                    let resume = run
-                        .next_release
-                        .max(t.saturating_add(cost))
-                        .max(drained);
-                    run.next_release = resume;
-                    resume
-                } else {
-                    SimTime::MAX
-                };
-                if resume < self.end {
-                    self.events
-                        .push(resume, j, EventKind::JobRelease { tenant: id, gen });
-                }
-                self.windows[idx].clear();
-                // The source node freed capacity: waiters may fit now.
-                self.drain_and_upgrade(t);
-            }
-            None => {
-                if self.fleet.telemetry.enabled() {
-                    let name = victim.name.clone();
-                    self.fleet
-                        .telemetry
-                        .record_migration(t, &name, idx, None, SimDuration::ZERO);
-                }
-                // Nobody can take it; restore its slot and wait for
-                // fresh evidence before trying again (epoch-path pacing).
-                self.fleet.restore_resident(idx, slot, id, victim);
-                self.windows[idx].clear();
-            }
+        // The shared migration commit (victim, destination, recording),
+        // fed the windowed estimates instead of per-epoch DMRs. The
+        // explicit cost model: a migration is a state transfer, stalling
+        // the migrant for the reconfiguration window. Re-pricing
+        // partition switches never pay this.
+        let Some((id, dest)) = self.fleet.migrate_one(idx, &self.dmr_scratch, cost) else {
+            return;
+        };
+        // Either way the node waits for fresh evidence before it may
+        // shed again (epoch-path pacing).
+        self.windows[idx].clear();
+        let Some(j) = dest else {
+            return;
+        };
+        let gen = self.next_gen;
+        self.next_gen += 1;
+        let resume = if let Some(run) = self.run_mut(id) {
+            run.node = j;
+            run.gen = gen;
+            // The state transfer cannot finish before the migrant's
+            // in-flight job drains on the source: resuming earlier would
+            // skip-drop frames on the destination and misattribute those
+            // misses to a healthy node's migration estimator. One extra
+            // nanosecond breaks the (time, node, seq) tie a lower-indexed
+            // destination would otherwise win against the source-node
+            // completion.
+            let drained = run.in_flight.map_or(SimTime::ZERO, |(_, finish)| {
+                finish.saturating_add(SimDuration::from_nanos(1))
+            });
+            let resume = run
+                .next_release
+                .max(t.saturating_add(cost))
+                .max(drained);
+            run.next_release = resume;
+            resume
+        } else {
+            SimTime::MAX
+        };
+        if resume < self.end {
+            self.events
+                .push(resume, j, EventKind::JobRelease { tenant: id, gen });
         }
+        // The source node freed capacity: waiters may fit now.
+        self.drain_and_upgrade(t);
     }
 
     fn on_queue_expire(&mut self, t: SimTime) {
@@ -654,10 +586,9 @@ impl Engine<'_> {
             return;
         }
         // Patience expiry plus (when armed) the demand-aware
-        // provably-hopeless sweep — the same shared accounting the epoch
-        // path runs at its boundaries.
-        self.fleet
-            .expire_accounted(&mut self.builder, &mut self.pre_run_queued);
+        // provably-hopeless sweep — the same shared path the epoch
+        // engine runs at its boundaries.
+        self.fleet.expire_accounted();
     }
 
     fn on_sample(&mut self, t: SimTime) {
@@ -677,8 +608,7 @@ impl Engine<'_> {
                 }
             };
             let utilization = if budget > 0.0 { demand / budget } else { 0.0 };
-            self.builder.record_utilization(idx, utilization);
-            self.fleet.telemetry.record_utilization(t, utilization);
+            self.fleet.record_utilization(idx, utilization);
         }
         if t < self.end {
             let next = (t + self.fleet.cfg.epoch).min(self.end);
@@ -687,14 +617,12 @@ impl Engine<'_> {
     }
 
     /// Admits waiters freed capacity allows and upgrades degraded
-    /// residents (the shared accounting in
+    /// residents (the shared path in
     /// [`Fleet::drain_and_upgrade_accounted`] — identical to the epoch
-    /// path by construction), then starts a release clock for every
+    /// engine by construction), then starts a release clock for every
     /// admitted waiter.
     fn drain_and_upgrade(&mut self, t: SimTime) {
-        let admissions = self
-            .fleet
-            .drain_and_upgrade_accounted(&mut self.builder, &mut self.pre_run_queued);
+        let admissions = self.fleet.drain_and_upgrade_accounted();
         for adm in admissions {
             if let Some(idx) = self.fleet.resident_node_of(adm.id) {
                 self.start_run(adm.id, idx, t);

@@ -6,12 +6,18 @@
 //! re-pricing ladder walk, queue feasibility and demand-aware expiry,
 //! upgrade candidates, and migration victim/destination choice — lives
 //! in the shared [`crate::policy`] kernel, consumed identically by this
-//! epoch path, the event engine ([`crate::event`]), and the sharded
-//! front door ([`crate::ShardedFleet`]). Configuration lives in
-//! [`crate::config`]. What remains here is the epoch loop, the shared
-//! dispatch/queue/upgrade *orchestration* both engines call, and the
-//! shared accounting helpers that fold outcomes into
-//! [`FleetMetricsBuilder`] so the two engines cannot drift.
+//! epoch path and the event engine ([`crate::event`]). Configuration
+//! lives in [`crate::config`]. What remains here is the epoch loop and
+//! what both engines share:
+//!
+//! * the dispatch, departure, drain/upgrade, expiry, and migration
+//!   paths (the `*_accounted` methods and `migrate_one`);
+//! * the run prologue and epilogue (`open_run` / `close_run`);
+//! * the one recording point, `record`, through which every decision
+//!   reaches the run totals ([`FleetMetricsBuilder`]) and, when armed,
+//!   the telemetry window and trace — one fold of one
+//!   [`crate::DispatchCounts`] block, so no counter can drift between
+//!   engines or between the totals and the time-series.
 //!
 //! # Interned tenant ids
 //!
@@ -71,20 +77,20 @@
 //! changes wall-clock time, never results.
 
 use crate::interner::{TenantId, TenantInterner};
+use crate::metrics::Decision;
 use crate::policy::{self, DispatchPlanner, FleetState, PricedPlan, QueueAdmission};
 use crate::queue::DispatchQueue;
-use crate::shard::ShardDirectory;
 use crate::telemetry::{Span, SpanProfile, Telemetry, PLAN_LATENCY_BINS};
 use crate::{
-    AdmissionController, ArrivalStream, ChurnEvent, FleetConfig, FleetMetrics,
+    AdmissionController, ArrivalStream, ChurnEvent, DispatchCounts, FleetConfig, FleetMetrics,
     FleetMetricsBuilder, FleetNode, TenantSpec,
 };
 use sgprs_core::{CompiledTask, RunMetrics};
 use sgprs_rt::{SimDuration, SimTime};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Where a dispatched tenant ended up.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DispatchOutcome {
     /// Placed on the node with the given index.
     Placed(usize),
@@ -114,27 +120,13 @@ pub enum DispatchOutcome {
 }
 
 /// Counters from a dispatch-only replay ([`Fleet::replay_dispatch`]):
-/// the arrival-path outcomes plus the interner's memory evidence.
+/// the dispatch outcomes plus the interner's memory evidence.
 #[derive(Debug, Default, Clone)]
 pub struct DispatchReplay {
-    /// Arrivals offered to the dispatcher.
-    pub arrivals: u64,
-    /// Arrivals placed (at full or degraded rate).
-    pub placed: u64,
-    /// Placements that landed at a degraded ladder step.
-    pub degraded: u64,
-    /// Arrivals deferred to the wait queue.
-    pub queued: u64,
-    /// Arrivals dropped as latency-infeasible everywhere.
-    pub infeasible: u64,
-    /// Arrivals rejected as duplicate active names.
-    pub duplicates: u64,
-    /// Departures that removed an active tenant.
-    pub departures: u64,
-    /// Waiters expired out of the queue (patience elapsed).
-    pub expired: u64,
-    /// Waiters admitted from the queue by a drain pass.
-    pub admitted_after_wait: u64,
+    /// Arrivals, placements, deferrals, departures, patience expiries,
+    /// and drain admissions. Replay drains without re-pricing upgrades
+    /// or demand-aware expiry, so those counters stay zero.
+    pub counts: DispatchCounts,
     /// High-water mark of concurrently active tenants.
     pub peak_active: usize,
     /// Tenant-id slots ever allocated — with LIFO recycling this equals
@@ -190,8 +182,9 @@ pub struct Fleet {
     /// the last drain pass — when it was not, the queue head still cannot
     /// fit and the whole retry scan is skipped.
     pub(crate) capacity_released: bool,
-    /// Drain passes that actually scanned the queue (skip-scan
-    /// observability for tests).
+    /// Drain passes that actually scanned the queue in the current (or
+    /// last) run: the skip-scan regression tests and the telemetry
+    /// profile block both read it.
     drain_scans: u64,
     /// Requested fps of residents currently serving below it, id-indexed
     /// (`None` = not degraded). Upgrade passes sort by resolved name so
@@ -208,6 +201,18 @@ pub struct Fleet {
     /// single-threaded orchestration path, never inside the parallel
     /// fan-out, so the report is deterministic across worker counts.
     pub(crate) telemetry: Telemetry,
+    /// The current run's totals, rebuilt by [`Self::open_run`] and
+    /// folded into [`FleetMetrics`] by [`Self::close_run`]. Dispatch
+    /// decisions reach it only through [`Self::record`].
+    pub(crate) totals: FleetMetricsBuilder,
+}
+
+/// Who a recorded decision is about: an active tenant's id, or the name
+/// of one that already left the fleet (or never joined it).
+#[derive(Debug, Clone, Copy)]
+enum TenantRef<'a> {
+    Id(TenantId),
+    Name(&'a str),
 }
 
 impl Fleet {
@@ -246,6 +251,7 @@ impl Fleet {
             degraded: Vec::new(),
             hopeless_cache: HashMap::new(),
             telemetry,
+            totals: FleetMetricsBuilder::default(),
         }
     }
 
@@ -302,7 +308,8 @@ impl Fleet {
     }
 
     /// The shard directory, when sharding is configured.
-    pub(crate) fn router(&self) -> Option<&ShardDirectory> {
+    #[cfg(test)]
+    pub(crate) fn router(&self) -> Option<&crate::shard::ShardDirectory> {
         self.planner.router()
     }
 
@@ -429,27 +436,27 @@ impl Fleet {
         self.dispatch_interned(tenant).0
     }
 
-    /// [`Self::dispatch`], also reporting the id assigned to an arrival
-    /// that became active (placed or queued) — the engines' handle for
-    /// all further bookkeeping.
-    pub(crate) fn dispatch_interned(
+    /// [`Self::dispatch`], also handing back the id assigned to an
+    /// arrival that became active (placed or queued) — the engines'
+    /// handle for all further bookkeeping — or the spec it refused.
+    fn dispatch_interned(
         &mut self,
         tenant: TenantSpec,
-    ) -> (DispatchOutcome, Option<TenantId>) {
+    ) -> (DispatchOutcome, Result<TenantId, TenantSpec>) {
         if self.interner.lookup(&tenant.name).is_some() {
-            return (DispatchOutcome::Duplicate, None);
+            return (DispatchOutcome::Duplicate, Err(tenant));
         }
         match self.plan_repriced(&tenant) {
             Some(PricedPlan::Full(idx)) => {
                 let id = self.intern(&tenant.name);
                 self.commit(id, idx, tenant);
-                return (DispatchOutcome::Placed(idx), Some(id));
+                return (DispatchOutcome::Placed(idx), Ok(id));
             }
             Some(PricedPlan::Degraded(idx, fps)) => {
                 let id = self.intern(&tenant.name);
                 self.degraded[id.index()] = Some(tenant.fps);
                 self.commit(id, idx, tenant.at_fps(fps));
-                return (DispatchOutcome::PlacedDegraded { node: idx, fps }, Some(id));
+                return (DispatchOutcome::PlacedDegraded { node: idx, fps }, Ok(id));
             }
             None => {}
         }
@@ -461,42 +468,30 @@ impl Fleet {
         if feasible {
             let id = self.intern(&tenant.name);
             self.queue.push(id, tenant, self.now);
-            (DispatchOutcome::Queued, Some(id))
+            (DispatchOutcome::Queued, Ok(id))
         } else {
-            (DispatchOutcome::Infeasible, None)
+            (DispatchOutcome::Infeasible, Err(tenant))
         }
     }
 
-    /// [`Self::dispatch`] plus the shared arrival accounting: one
-    /// definition of how each [`DispatchOutcome`] maps onto the metrics
-    /// counters, used by both execution engines so the books cannot
-    /// drift.
+    /// [`Self::dispatch`] plus its recording: the arrival path of both
+    /// execution engines. Returns the id of an arrival that became
+    /// active.
     pub(crate) fn dispatch_accounted(
         &mut self,
         tenant: TenantSpec,
-        builder: &mut FleetMetricsBuilder,
     ) -> (DispatchOutcome, Option<TenantId>) {
-        builder.arrivals += 1;
-        let traced_name = self.telemetry.enabled().then(|| tenant.name.clone());
         let probes_before = self.planner.probes();
-        let (outcome, id) = self.dispatch_interned(tenant);
-        match &outcome {
-            DispatchOutcome::Placed(_) => builder.admitted += 1,
-            DispatchOutcome::PlacedDegraded { .. } => {
-                builder.admitted += 1;
-                builder.degraded += 1;
-            }
-            DispatchOutcome::Queued => builder.deferred += 1,
-            DispatchOutcome::Infeasible => builder.infeasible += 1,
-            DispatchOutcome::Duplicate => builder.duplicates += 1,
+        let (outcome, active) = self.dispatch_interned(tenant);
+        let arrival = Decision::Arrival {
+            outcome,
+            probes: self.planner.probes() - probes_before,
+        };
+        match &active {
+            Ok(id) => self.record(TenantRef::Id(*id), arrival),
+            Err(refused) => self.record(TenantRef::Name(&refused.name), arrival),
         }
-        if let Some(name) = traced_name {
-            let probes = self.planner.probes() - probes_before;
-            let depth = self.queue.len();
-            self.telemetry
-                .record_arrival(self.now, &name, &outcome, probes, depth);
-        }
-        (outcome, id)
+        (outcome, active.ok())
     }
 
     /// Removes the named tenant wherever it lives (node or queue).
@@ -505,15 +500,16 @@ impl Fleet {
     /// at most one active tenant can match.
     pub fn remove(&mut self, name: &str) -> bool {
         match self.interner.lookup(name) {
-            Some(id) => self.remove_id(id),
+            Some(id) => self.remove_id(id).is_some(),
             None => false,
         }
     }
 
-    /// [`Self::remove`] by interned id: the engines' departure path.
-    pub(crate) fn remove_id(&mut self, id: TenantId) -> bool {
+    /// [`Self::remove`] by interned id: returns the removed spec and
+    /// whether it was resident (`false`: it was still queued).
+    fn remove_id(&mut self, id: TenantId) -> Option<(TenantSpec, bool)> {
         if let Some((idx, pos)) = self.locate_id(id) {
-            self.nodes[idx].tenants.remove(pos);
+            let tenant = self.nodes[idx].tenants.remove(pos);
             self.node_ids[idx].remove(pos);
             self.node_version[idx] += 1;
             self.release(id);
@@ -521,44 +517,23 @@ impl Fleet {
             // actually scan the queue again.
             self.capacity_released = true;
             self.planner.invalidate_node(idx);
-            return true;
+            return Some((tenant, true));
         }
-        if self.queue.remove_id(id).is_some() {
-            self.release(id);
-            return true;
-        }
-        false
+        let entry = self.queue.remove_id(id)?;
+        self.release(id);
+        Some((entry.tenant, false))
     }
 
-    /// [`Self::remove_id`] plus the shared departure accounting: a
-    /// removed tenant counts as a departure, and a departing pre-run
-    /// waiter must not leave its id behind (a later same-named deferred
-    /// arrival would reuse the slot and be miscounted as rejected). One
-    /// definition for both execution engines.
-    pub(crate) fn remove_accounted(
-        &mut self,
-        id: TenantId,
-        builder: &mut FleetMetricsBuilder,
-        pre_run_queued: &mut HashSet<TenantId>,
-    ) -> bool {
-        // Resolve the render-edge name before the id is released.
-        let traced = self.telemetry.enabled().then(|| {
-            (
-                self.interner.name(id).to_string(),
-                self.resident_node_of(id).is_some(),
-            )
-        });
-        if self.remove_id(id) {
-            builder.departures += 1;
-            pre_run_queued.remove(&id);
-            if let Some((name, resident)) = traced {
-                let depth = self.queue.len();
-                self.telemetry.record_departure(self.now, &name, resident, depth);
-            }
-            true
-        } else {
-            false
-        }
+    /// [`Self::remove_id`] plus its recording: the departure path of
+    /// both execution engines. Returns whether the removed tenant was
+    /// resident, or `None` when nothing was removed.
+    pub(crate) fn remove_accounted(&mut self, id: TenantId) -> Option<bool> {
+        let (tenant, resident) = self.remove_id(id)?;
+        self.record(
+            TenantRef::Name(&tenant.name),
+            Decision::Departure { resident },
+        );
+        Some(resident)
     }
 
     /// Retries queued tenants in policy order; returns how many were
@@ -580,7 +555,6 @@ impl Fleet {
             return admitted;
         }
         self.drain_scans += 1;
-        self.telemetry.note_drain_scan();
         let scan_clock = self.telemetry.prof_clock();
         while let Some(entry) = self.queue.pop_first(self.now) {
             let Some(plan) = self.plan_repriced(&entry.tenant) else {
@@ -603,6 +577,7 @@ impl Fleet {
                 id,
                 degraded: was_degraded,
                 waited,
+                carried_over: entry.carried_over,
             });
             self.commit(id, idx, spec);
         }
@@ -611,63 +586,40 @@ impl Fleet {
         admitted
     }
 
-    /// Drains the wait queue and folds each admission into `builder`
-    /// under the shared accounting contract — admissions of *this run's*
-    /// deferrals (not `pre_run_queued` carry-overs) count toward
-    /// `admitted_after_wait` and the wait statistics, degraded
-    /// admissions are tallied, and (with re-pricing on) leftover
-    /// capacity then upgrades degraded residents. One definition for
-    /// both execution modes, so epoch and event accounting cannot
-    /// silently drift; the admissions are returned for mode-specific
-    /// bookkeeping (the event engine starts release clocks from them).
-    pub(crate) fn drain_and_upgrade_accounted(
-        &mut self,
-        builder: &mut FleetMetricsBuilder,
-        pre_run_queued: &mut HashSet<TenantId>,
-    ) -> Vec<QueueAdmission> {
+    /// Drains the wait queue, recording each admission, and (with
+    /// re-pricing on) lets leftover capacity upgrade degraded residents:
+    /// the drain path of both execution engines. The admissions are
+    /// returned for engine-specific bookkeeping (the event engine starts
+    /// release clocks from them).
+    pub(crate) fn drain_and_upgrade_accounted(&mut self) -> Vec<QueueAdmission> {
         let admissions = self.drain_queue_admissions();
         for adm in &admissions {
-            let counted = !pre_run_queued.remove(&adm.id);
-            if counted {
-                builder.admitted_after_wait += 1;
-                builder.record_wait(adm.waited);
-            }
-            if adm.degraded {
-                builder.degraded += 1;
-            }
-            if self.telemetry.enabled() {
-                let depth = self.queue.len();
-                let name = self.interner.name(adm.id).to_string();
-                self.telemetry.record_queue_admit(
-                    self.now,
-                    &name,
-                    adm.degraded,
-                    adm.waited,
-                    counted,
-                    depth,
-                );
-            }
+            let admit = Decision::QueueAdmit {
+                degraded: adm.degraded,
+                waited: adm.waited,
+                carried_over: adm.carried_over,
+            };
+            self.record(TenantRef::Id(adm.id), admit);
         }
         // Leftover capacity steps degraded residents back up their
         // ladders (an in-place partition switch, not a migration) —
         // after waiting admissions: serving more tenants beats serving
         // fewer faster.
         if self.cfg.queue.repricing {
-            builder.upgrades += self.upgrade_degraded();
+            self.upgrade_degraded();
         }
         admissions
     }
 
     /// Drops queued tenants whose [`TenantSpec::max_wait`] elapsed,
-    /// returning their ids and names (the name is the render-edge
-    /// residue the telemetry path needs after the id is freed).
-    pub(crate) fn expire_queued(&mut self) -> Vec<(TenantId, String)> {
+    /// returning their names.
+    fn expire_queued(&mut self) -> Vec<String> {
         let expired = self.queue.take_expired(self.now);
         expired
             .into_iter()
             .map(|e| {
                 self.release(e.id);
-                (e.id, e.tenant.name)
+                e.tenant.name
             })
             .collect()
     }
@@ -692,11 +644,11 @@ impl Fleet {
     /// Demand-aware expiry sweep ([`crate::QueueConfig::demand_aware_expiry`]):
     /// drops queued tenants that provably can never be admitted — no
     /// node could carry them even fully drained, at any ladder step —
-    /// and returns their ids and names. Waiting longer can never help
+    /// and returns their names. Waiting longer can never help
     /// such a waiter, so expiring it before its patience elapses loses
     /// nothing. Only the price points matter, so the sweep collects
     /// cheap `(id, price…)` keys instead of cloning whole specs.
-    pub(crate) fn expire_hopeless(&mut self) -> Vec<(TenantId, String)> {
+    fn expire_hopeless(&mut self) -> Vec<String> {
         if self.queue.len() == 0 {
             return Vec::new();
         }
@@ -730,35 +682,24 @@ impl Fleet {
                     .remove_id(id)
                     .expect("invariant: hopeless waiters are still queued");
                 self.release(id);
-                (id, entry.tenant.name)
+                entry.tenant.name
             })
             .collect()
     }
 
-    /// The shared expiry accounting both engines run at their expiry
-    /// instants: patience expiry first (counted as
-    /// [`FleetMetrics::expired`]), then — with
-    /// [`crate::QueueConfig::demand_aware_expiry`] on — the provably-hopeless
-    /// sweep (counted separately as
+    /// The expiry path both engines run at their expiry instants:
+    /// patience expiry first (counted as [`FleetMetrics::expired`]),
+    /// then — with [`crate::QueueConfig::demand_aware_expiry`] on — the
+    /// provably-hopeless sweep (counted separately as
     /// [`FleetMetrics::expired_hopeless`]). Expired in-run deferrals
-    /// fall through to the eventual-rejection accounting either way.
-    pub(crate) fn expire_accounted(
-        &mut self,
-        builder: &mut FleetMetricsBuilder,
-        pre_run_queued: &mut HashSet<TenantId>,
-    ) {
-        for (id, name) in self.expire_queued() {
-            builder.expired += 1;
-            pre_run_queued.remove(&id);
-            let depth = self.queue.len();
-            self.telemetry.record_expired(self.now, &name, false, depth);
+    /// fall through to the eventual-rejection count either way.
+    pub(crate) fn expire_accounted(&mut self) {
+        for name in self.expire_queued() {
+            self.record(TenantRef::Name(&name), Decision::Expiry { hopeless: false });
         }
         if self.cfg.queue.demand_aware_expiry {
-            for (id, name) in self.expire_hopeless() {
-                builder.expired_hopeless += 1;
-                pre_run_queued.remove(&id);
-                let depth = self.queue.len();
-                self.telemetry.record_expired(self.now, &name, true, depth);
+            for name in self.expire_hopeless() {
+                self.record(TenantRef::Name(&name), Decision::Expiry { hopeless: true });
             }
         }
     }
@@ -770,8 +711,8 @@ impl Fleet {
     /// resident node (SGPRS's zero-cost reconfiguration), never
     /// migrations, and run in tenant-name order for determinism (the
     /// order the pre-interning `BTreeMap` walked, so output is
-    /// unchanged). Returns the number of upgrade steps taken.
-    pub(crate) fn upgrade_degraded(&mut self) -> u64 {
+    /// unchanged). Each step taken is recorded.
+    fn upgrade_degraded(&mut self) {
         // Collect (name, id, requested) in slot order, then sort by name:
         // slot order is deterministic but recycling-dependent; name order
         // is the documented contract.
@@ -785,10 +726,9 @@ impl Fleet {
             }
         }
         if entries.is_empty() {
-            return 0;
+            return;
         }
         entries.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut upgrades = 0;
         for (name, id, requested) in entries {
             // Find the resident (it may have migrated since it degraded).
             let Some((idx, pos)) = self.locate_id(id) else {
@@ -818,17 +758,15 @@ impl Fleet {
                     // victim choice) is unaffected by the price change —
                     // `node_ids` is untouched for the same reason.
                     self.nodes[idx].tenants.insert(pos, priced);
-                    upgrades += 1;
                     // A price change moves the node's demand: caches
                     // keyed on the node version must resample.
                     self.node_version[idx] += 1;
                     self.planner.invalidate_node(idx);
-                    self.telemetry.record_upgrade(self.now, &name, fps);
+                    self.record(TenantRef::Name(&name), Decision::Upgrade { fps });
                 }
                 None => self.nodes[idx].tenants.insert(pos, resident),
             }
         }
-        upgrades
     }
 
     /// The node index and tenant slot of the resident with this id.
@@ -845,6 +783,101 @@ impl Fleet {
     #[cfg(test)]
     fn drain_scans(&self) -> u64 {
         self.drain_scans
+    }
+
+    /// The run's one recording point: folds `decision` about `tenant`
+    /// into the run totals and, when armed, the telemetry window and
+    /// decision trace — at the current instant and queue depth. Both
+    /// engines and every dispatch path record through here, so a
+    /// counter cannot drift between them.
+    fn record(&mut self, tenant: TenantRef<'_>, decision: Decision) {
+        self.totals.record(&decision);
+        let name = match tenant {
+            TenantRef::Id(id) => self.interner.name(id),
+            TenantRef::Name(name) => name,
+        };
+        self.telemetry
+            .record(self.now, name, &decision, self.queue.len());
+    }
+
+    /// Records one admission-utilisation sample (demand/budget) of node
+    /// `idx` at the current instant.
+    pub(crate) fn record_utilization(&mut self, idx: usize, utilization: f64) {
+        self.totals.record_utilization(idx, utilization);
+        self.telemetry.record_utilization(self.now, utilization);
+    }
+
+    /// The run prologue both engines share: fresh totals and telemetry
+    /// for a run until `horizon`, and a new timeline starting at zero.
+    /// Waiters carried over from before the run are re-stamped as
+    /// enqueued at the start (see [`DispatchQueue::carry_over`]).
+    pub(crate) fn open_run(&mut self, horizon: SimDuration) {
+        self.totals = FleetMetricsBuilder::new(
+            self.nodes.iter().map(|n| n.spec.name.clone()).collect(),
+            self.nodes.iter().map(|n| n.spec.gpu.total_sms).collect(),
+        );
+        self.drain_scans = 0;
+        self.telemetry.begin_run(self.nodes.len(), horizon);
+        self.now = SimTime::ZERO;
+        self.queue.carry_over(SimTime::ZERO);
+    }
+
+    /// The run epilogue both engines share: folds the totals, the end
+    /// state, and the telemetry report into the run's [`FleetMetrics`].
+    pub(crate) fn close_run(&mut self, horizon: SimDuration) -> FleetMetrics {
+        let final_tenants: Vec<usize> = self.nodes.iter().map(|n| n.tenants.len()).collect();
+        let mut metrics = std::mem::take(&mut self.totals).finish(
+            horizon,
+            &final_tenants,
+            self.queue.len() as u64,
+        );
+        metrics.attach_telemetry(self.telemetry.finish_report(self.drain_scans));
+        metrics
+    }
+
+    /// Sheds one tenant off node `idx`, both choices delegated to the
+    /// policy kernel: the victim, then a destination judged by each
+    /// node's miss rate in `dmr`. The move pays `stall` (zero on the
+    /// epoch path); with no destination the victim is restored to its
+    /// slot. Either way the attempt is recorded. Returns the victim and
+    /// where it went, or `None` when the node had no victim to give.
+    pub(crate) fn migrate_one(
+        &mut self,
+        idx: usize,
+        dmr: &[f64],
+        stall: SimDuration,
+    ) -> Option<(TenantId, Option<usize>)> {
+        let slot = policy::select_migration_victim(
+            &self.nodes[idx],
+            &self.admission,
+            self.cfg.migration.victim,
+        )?;
+        let (id, victim) = self.detach_resident(idx, slot);
+        let dest = policy::migration_destination(
+            &FleetState::new(&self.nodes, &self.admission),
+            idx,
+            &victim,
+            dmr,
+            self.cfg.migration.dmr_threshold,
+        );
+        let attempt = Decision::Migration {
+            from: idx,
+            to: dest,
+            stall: dest.map_or(SimDuration::ZERO, |_| stall),
+        };
+        self.record(TenantRef::Name(&victim.name), attempt);
+        match dest {
+            Some(j) => {
+                self.attach_resident(j, id, victim);
+                self.planner.invalidate_node(idx);
+                self.planner.invalidate_node(j);
+                // The source node freed capacity: a waiter that routed
+                // anywhere may now fit there.
+                self.capacity_released = true;
+            }
+            None => self.restore_resident(idx, slot, id, victim),
+        }
+        Some((id, dest))
     }
 
     /// Force-loads a resident onto node `idx`, bypassing admission but
@@ -934,24 +967,8 @@ impl Fleet {
     ) -> FleetMetrics {
         assert!(!self.cfg.epoch.is_zero(), "epoch must be positive");
         let mut arrivals = arrivals.into();
-        let mut builder = FleetMetricsBuilder::new(
-            self.nodes.iter().map(|n| n.spec.name.clone()).collect(),
-            self.nodes.iter().map(|n| n.spec.gpu.total_sms).collect(),
-        );
         let workers = epoch_workers(self.cfg.parallel, self.cfg.workers);
-        self.telemetry.begin_run(self.nodes.len(), horizon);
-        // Tenants already waiting when `run` starts are not this run's
-        // deferrals: their later admission must not offset the eventual-
-        // rejection count of arrivals deferred *by this run*.
-        let mut pre_run_queued: HashSet<TenantId> = self.queue.ids().collect();
-        // Every run is its own timeline starting at zero (matching its
-        // arrivals), so waiters carried over from before this run are
-        // re-stamped as enqueued at the start: their wait is excluded
-        // from this run's statistics anyway (`pre_run_queued`), and
-        // their `max_wait` patience restarts on the new clock rather
-        // than expiring against a stale one.
-        self.now = SimTime::ZERO;
-        self.queue.rebase(SimTime::ZERO);
+        self.open_run(horizon);
         let mut epoch_start = SimTime::ZERO;
         let end = SimTime::ZERO + horizon;
         let mut epoch_index = 0u64;
@@ -966,16 +983,16 @@ impl Fleet {
             self.now = epoch_start;
             for name in deferred_departures.drain(..) {
                 if let Some(id) = self.interner.lookup(&name) {
-                    let _ = self.remove_accounted(id, &mut builder, &mut pre_run_queued);
+                    let _ = self.remove_accounted(id);
                 }
             }
             // Waiters whose queue deadline elapsed give up first; an
-            // expired in-run deferral was never served, so the eventual-
-            // rejection accounting below picks it up.
-            self.expire_accounted(&mut builder, &mut pre_run_queued);
+            // expired in-run deferral was never served, so it counts as
+            // an eventual rejection.
+            self.expire_accounted();
             // The departures may have freed room for queued tenants;
-            // the shared helper folds admissions and upgrades in.
-            let _ = self.drain_and_upgrade_accounted(&mut builder, &mut pre_run_queued);
+            // the shared path records admissions and upgrades.
+            let _ = self.drain_and_upgrade_accounted();
             // 1b. Apply churn falling inside this epoch, pulled lazily
             // from the stream — only the departures of currently-live
             // tenants are ever buffered, never the whole trace.
@@ -992,7 +1009,7 @@ impl Fleet {
                     ChurnEvent::Arrival(tenant) => {
                         let phase = at.duration_since(epoch_start);
                         self.now = at;
-                        let (outcome, id) = self.dispatch_accounted(tenant, &mut builder);
+                        let (outcome, id) = self.dispatch_accounted(tenant);
                         match outcome {
                             DispatchOutcome::Placed(_)
                             | DispatchOutcome::PlacedDegraded { .. } => {
@@ -1021,8 +1038,7 @@ impl Fleet {
                 let budget = self.admission.budget(&self.nodes[idx], None);
                 let demand = self.nodes[idx].total_demand();
                 let utilization = if budget > 0.0 { demand / budget } else { 0.0 };
-                builder.record_utilization(idx, utilization);
-                self.telemetry.record_utilization(self.now, utilization);
+                self.record_utilization(idx, utilization);
                 if self.nodes[idx].tenants.is_empty() {
                     continue;
                 }
@@ -1069,7 +1085,7 @@ impl Fleet {
                 if m.released > 0 {
                     epoch_dmr[idx] = (m.late + m.skipped + m.dropped) as f64 / m.released as f64;
                 }
-                builder.record_epoch(idx, &m);
+                self.totals.record_epoch(idx, &m);
                 // Fold order is ascending node index (sorted above), so
                 // the latency sketches fill deterministically regardless
                 // of the worker count.
@@ -1078,7 +1094,7 @@ impl Fleet {
             }
             // 3. Shed load from nodes that missed too much this epoch.
             if self.cfg.migration.enabled {
-                builder.migrations += self.migrate_overloaded(&epoch_dmr);
+                self.migrate_overloaded(&epoch_dmr);
             }
             epoch_start = epoch_end;
             epoch_index += 1;
@@ -1086,19 +1102,10 @@ impl Fleet {
         // Departures whose boundary is the end of the run still count.
         for name in deferred_departures.drain(..) {
             if let Some(id) = self.interner.lookup(&name) {
-                let _ = self.remove_accounted(id, &mut builder, &mut pre_run_queued);
+                let _ = self.remove_accounted(id);
             }
         }
-        // Rejections are *eventual* outcomes: a deferred arrival that was
-        // never admitted later — still queued at the end, or departed
-        // while waiting — never got served. `admitted_after_wait` counts
-        // only this run's deferrals (pre-run queue admissions are
-        // filtered above), so it never exceeds `deferred`.
-        builder.rejected = builder.deferred - builder.admitted_after_wait;
-        let final_tenants: Vec<usize> = self.nodes.iter().map(|n| n.tenants.len()).collect();
-        let mut metrics = builder.finish(horizon, &final_tenants, self.queue.len() as u64);
-        metrics.attach_telemetry(self.telemetry.finish_report());
-        metrics
+        self.close_run(horizon)
     }
 
     /// Runs the fleet over `arrivals` until `horizon` in **event-driven**
@@ -1185,26 +1192,13 @@ impl Fleet {
                 break;
             }
             self.now = at;
+            let counts = &mut replay.counts;
             match event {
-                ChurnEvent::Arrival(tenant) => {
-                    replay.arrivals += 1;
-                    match self.dispatch(tenant) {
-                        DispatchOutcome::Placed(_) => replay.placed += 1,
-                        DispatchOutcome::PlacedDegraded { .. } => {
-                            replay.placed += 1;
-                            replay.degraded += 1;
-                        }
-                        DispatchOutcome::Queued => replay.queued += 1,
-                        DispatchOutcome::Infeasible => replay.infeasible += 1,
-                        DispatchOutcome::Duplicate => replay.duplicates += 1,
-                    }
-                }
+                ChurnEvent::Arrival(tenant) => counts.record_arrival(&self.dispatch(tenant)),
                 ChurnEvent::Departure(name) => {
-                    if self.remove(&name) {
-                        replay.departures += 1;
-                    }
-                    replay.expired += self.expire_queued().len() as u64;
-                    replay.admitted_after_wait += self.drain_queue();
+                    counts.departures += u64::from(self.remove(&name));
+                    counts.expired += self.expire_queued().len() as u64;
+                    counts.admitted_after_wait += self.drain_queue();
                 }
             }
         }
@@ -1215,57 +1209,16 @@ impl Fleet {
         replay
     }
 
-    /// Moves one tenant (chosen by the configured
-    /// [`crate::MigrationVictimPolicy`]) off every node whose epoch miss
-    /// rate crossed the threshold, if another node admits it — victim
-    /// and destination choice both delegated to the policy kernel.
-    fn migrate_overloaded(&mut self, epoch_dmr: &[f64]) -> u64 {
-        let mut migrations = 0;
-        // Indexing because the body mutates several nodes at once.
-        #[allow(clippy::needless_range_loop)]
-        for idx in 0..self.nodes.len() {
-            if epoch_dmr[idx] <= self.cfg.migration.dmr_threshold
-                || self.nodes[idx].tenants.len() < 2
-            {
-                continue;
-            }
-            let Some(slot) = policy::select_migration_victim(
-                &self.nodes[idx],
-                &self.admission,
-                self.cfg.migration.victim,
-            ) else {
-                continue;
-            };
-            let (id, tenant) = self.detach_resident(idx, slot);
-            let dest = policy::migration_destination(
-                &FleetState::new(&self.nodes, &self.admission),
-                idx,
-                &tenant,
-                epoch_dmr,
-                self.cfg.migration.dmr_threshold,
-            );
-            let victim = self.telemetry.enabled().then(|| tenant.name.clone());
-            match dest {
-                Some(j) => {
-                    self.attach_resident(j, id, tenant);
-                    self.planner.invalidate_node(idx);
-                    self.planner.invalidate_node(j);
-                    // The source node freed capacity: a waiter that
-                    // routed anywhere may now fit there.
-                    self.capacity_released = true;
-                    migrations += 1;
-                }
-                // Nobody can take it; restore it to its original slot.
-                None => self.restore_resident(idx, slot, id, tenant),
-            }
-            if let Some(victim) = victim {
-                // The epoch path models migration as free (its
-                // pre-existing contract): the traced stall is zero.
-                self.telemetry
-                    .record_migration(self.now, &victim, idx, dest, SimDuration::ZERO);
+    /// Moves one tenant off every node whose epoch miss rate crossed
+    /// the threshold, if another node admits it ([`Self::migrate_one`]).
+    /// The epoch path models migration as free (its pre-existing
+    /// contract), so the move stalls nothing.
+    fn migrate_overloaded(&mut self, epoch_dmr: &[f64]) {
+        for (idx, &dmr) in epoch_dmr.iter().enumerate() {
+            if dmr > self.cfg.migration.dmr_threshold && self.nodes[idx].tenants.len() >= 2 {
+                self.migrate_one(idx, epoch_dmr, SimDuration::ZERO);
             }
         }
-        migrations
     }
 }
 

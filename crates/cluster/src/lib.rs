@@ -43,7 +43,8 @@
 //!   fans out over scoped worker threads with bit-identical metrics
 //!   (see the determinism contract in the `fleet` module docs). The
 //!   fleet module itself is orchestration only: every decision routes
-//!   through [`policy`].
+//!   through [`policy`], and every decision's outcome is recorded once,
+//!   through one recording point both engines share.
 //! * [`event`] — the discrete-event core behind [`Fleet::run_events`]:
 //!   a monotonic `(time, node, seq)` event queue carrying scheduler
 //!   state across what used to be epoch boundaries, so no in-flight job
@@ -66,17 +67,21 @@
 //!   [`TenantSpec::fps_ladder`] step instead of rejecting, upgrade back
 //!   in place when capacity frees — both directions are SGPRS partition
 //!   switches, never migrations.
-//! * [`ShardedFleet`] / [`ShardConfig`] / [`ShardRouter`] — two-level
-//!   dispatch: cached per-shard capacity summaries route each arrival
-//!   to a shard, the placement policy runs inside it —
-//!   O(shards + nodes/shard) under the ordered [`ShardRouter::Scan`],
+//! * [`ShardConfig`] / [`ShardRouter`] — two-level dispatch
+//!   ([`FleetConfig::with_sharding`] /
+//!   [`FleetConfig::with_p2c_sharding`]): cached per-shard capacity
+//!   summaries route each arrival to a shard, the placement policy
+//!   runs inside it — O(shards + nodes/shard) under the ordered
+//!   [`ShardRouter::Scan`],
 //!   or O(1) in the shard count under power-of-two-choices
 //!   ([`ShardRouter::P2c`]: probe two seeded shards, take the better,
 //!   sweep exhaustively only when both refuse), the regime
 //!   512–1024-node metro fleets dispatch in.
 //! * [`FleetMetrics`] — per-node and fleet-level FPS, miss rate,
 //!   rejection rate, and a utilisation histogram, aggregated from the
-//!   nodes' [`sgprs_core::RunMetrics`] and rendered as JSON.
+//!   nodes' [`sgprs_core::RunMetrics`] and rendered as JSON. Its
+//!   dispatch counters come from one [`DispatchCounts`] block, the same
+//!   definition each telemetry window and [`DispatchReplay`] carry.
 //! * [`telemetry`] — opt-in observability over both engines: windowed
 //!   time-series of dispatch activity, mergeable deterministic
 //!   [`QuantileSketch`]es for queue-wait and job-latency percentiles
@@ -137,15 +142,15 @@ pub use interner::{TenantId, TenantInterner};
 pub use stream::ArrivalStream;
 pub use policy::{FleetState, MigrationVictimPolicy};
 pub use queue::{QueueConfig, QueuePolicy, AGING_QUANTUM};
-pub use shard::{ShardConfig, ShardRouter, ShardedFleet};
+pub use shard::{ShardConfig, ShardRouter};
 pub use metrics::{
-    FleetMetrics, FleetMetricsBuilder, NodeReport, BASE_SCHEMA_VERSION, METRICS_SCHEMA_VERSION,
-    UTILIZATION_BINS,
+    DispatchCounts, FleetMetrics, FleetMetricsBuilder, NodeReport, BASE_SCHEMA_VERSION,
+    METRICS_SCHEMA_VERSION, UTILIZATION_BINS,
 };
 pub use node::{FleetNode, NodeScheduler, NodeSpec};
 pub use placement::{Placer, PlacementPolicy};
 pub use telemetry::{
-    ArrivalVerdict, ProfileReport, QuantileSketch, SketchSummary, Span, SpanProfile, SpanStats,
+    ProfileReport, QuantileSketch, SketchSummary, Span, SpanProfile, SpanStats,
     TelemetryConfig, TelemetryReport, TraceEvent, WindowReport, DEFAULT_SKETCH_CAPACITY,
     PLAN_LATENCY_BINS, RANK_ERROR_NUMERATOR, SPAN_COUNT,
 };

@@ -7,6 +7,7 @@
 //! renders them as JSON for downstream tooling.
 
 use crate::telemetry::TelemetryReport;
+use crate::DispatchOutcome;
 use serde::{Deserialize, Serialize};
 use sgprs_core::RunMetrics;
 use sgprs_rt::SimDuration;
@@ -276,9 +277,121 @@ pub(crate) fn json_escape(s: &str) -> String {
     out
 }
 
+/// One dispatch decision of a run, as every counter set records it: the
+/// run totals ([`FleetMetricsBuilder`]), the telemetry windows, and the
+/// decision trace all fold the same value, so they cannot disagree.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Decision {
+    /// An arrival was dispatched; `probes` is the shard probes its
+    /// placement planning spent.
+    Arrival {
+        outcome: DispatchOutcome,
+        probes: u64,
+    },
+    /// A waiter was admitted out of the queue. A `carried_over` waiter
+    /// was queued before this run began: it is traced, but its admission
+    /// and wait do not count toward this run's deferrals.
+    QueueAdmit {
+        degraded: bool,
+        waited: SimDuration,
+        carried_over: bool,
+    },
+    /// A waiter left the queue unserved: patience elapsed, or (`hopeless`)
+    /// demand-aware expiry proved it can never fit.
+    Expiry { hopeless: bool },
+    /// A tenant departed, from a node (`resident`) or from the queue.
+    Departure { resident: bool },
+    /// A degraded resident stepped up its re-pricing ladder to `fps`.
+    Upgrade { fps: f64 },
+    /// A migration attempt off node `from`: `to` is `None` when nobody
+    /// could take the victim; `stall` is the state-transfer time paid.
+    Migration {
+        from: usize,
+        to: Option<usize>,
+        stall: SimDuration,
+    },
+}
+
+/// The dispatch counters: the one definition shared by the run totals
+/// ([`FleetMetrics`]), each telemetry window
+/// ([`crate::WindowReport`]), and dispatch-only replay
+/// ([`crate::DispatchReplay`]).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct DispatchCounts {
+    /// Arrivals offered to the dispatcher.
+    pub arrivals: u64,
+    /// Arrivals admitted immediately (full rate or degraded).
+    pub admitted: u64,
+    /// Re-pricing ladder admissions, at arrival or out of the queue.
+    pub degraded: u64,
+    /// Arrivals deferred to the wait queue.
+    pub deferred: u64,
+    /// Arrivals dropped as latency-infeasible everywhere.
+    pub infeasible: u64,
+    /// Arrivals rejected as duplicate active names.
+    pub duplicates: u64,
+    /// This run's deferrals admitted out of the queue.
+    pub admitted_after_wait: u64,
+    /// Waiters whose patience elapsed.
+    pub expired: u64,
+    /// Waiters expired early as provably hopeless.
+    pub expired_hopeless: u64,
+    /// Re-pricing ladder steps back up.
+    pub upgrades: u64,
+    /// Successful migrations.
+    pub migrations: u64,
+    /// Departures that removed an active tenant.
+    pub departures: u64,
+}
+
+impl DispatchCounts {
+    /// Folds one arrival's outcome: the only place a [`DispatchOutcome`]
+    /// becomes counters.
+    pub(crate) fn record_arrival(&mut self, outcome: &DispatchOutcome) {
+        self.arrivals += 1;
+        match outcome {
+            DispatchOutcome::Placed(_) => self.admitted += 1,
+            DispatchOutcome::PlacedDegraded { .. } => {
+                self.admitted += 1;
+                self.degraded += 1;
+            }
+            DispatchOutcome::Queued => self.deferred += 1,
+            DispatchOutcome::Infeasible => self.infeasible += 1,
+            DispatchOutcome::Duplicate => self.duplicates += 1,
+        }
+    }
+
+    /// Folds one decision.
+    pub(crate) fn record(&mut self, decision: &Decision) {
+        match decision {
+            Decision::Arrival { outcome, .. } => self.record_arrival(outcome),
+            Decision::QueueAdmit {
+                degraded,
+                carried_over,
+                ..
+            } => {
+                self.degraded += u64::from(*degraded);
+                self.admitted_after_wait += u64::from(!carried_over);
+            }
+            Decision::Expiry { hopeless: false } => self.expired += 1,
+            Decision::Expiry { hopeless: true } => self.expired_hopeless += 1,
+            Decision::Departure { .. } => self.departures += 1,
+            Decision::Upgrade { .. } => self.upgrades += 1,
+            Decision::Migration { to, .. } => self.migrations += u64::from(to.is_some()),
+        }
+    }
+
+    /// Waiters expired for either reason (the telemetry windows' single
+    /// `expired` column).
+    #[must_use]
+    pub fn expired_total(&self) -> u64 {
+        self.expired + self.expired_hopeless
+    }
+}
+
 /// Streaming accumulator: folds per-epoch [`RunMetrics`] and dispatch
 /// events into a [`FleetMetrics`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FleetMetricsBuilder {
     names: Vec<String>,
     sms: Vec<u32>,
@@ -288,19 +401,7 @@ pub struct FleetMetricsBuilder {
     utilization_sum: Vec<f64>,
     utilization_samples: Vec<u64>,
     histogram: [u64; UTILIZATION_BINS],
-    pub(crate) arrivals: u64,
-    pub(crate) admitted: u64,
-    pub(crate) rejected: u64,
-    pub(crate) infeasible: u64,
-    pub(crate) deferred: u64,
-    pub(crate) duplicates: u64,
-    pub(crate) admitted_after_wait: u64,
-    pub(crate) departures: u64,
-    pub(crate) migrations: u64,
-    pub(crate) degraded: u64,
-    pub(crate) upgrades: u64,
-    pub(crate) expired: u64,
-    pub(crate) expired_hopeless: u64,
+    pub(crate) counts: DispatchCounts,
     truncated: u64,
     migration_stall: SimDuration,
     wait_total: SimDuration,
@@ -322,25 +423,23 @@ impl FleetMetricsBuilder {
             missed: vec![0; n],
             utilization_sum: vec![0.0; n],
             utilization_samples: vec![0; n],
-            histogram: [0; UTILIZATION_BINS],
-            arrivals: 0,
-            admitted: 0,
-            rejected: 0,
-            infeasible: 0,
-            deferred: 0,
-            duplicates: 0,
-            admitted_after_wait: 0,
-            departures: 0,
-            migrations: 0,
-            degraded: 0,
-            upgrades: 0,
-            expired: 0,
-            expired_hopeless: 0,
-            truncated: 0,
-            migration_stall: SimDuration::ZERO,
-            wait_total: SimDuration::ZERO,
-            wait_max: SimDuration::ZERO,
-            wait_samples: 0,
+            ..FleetMetricsBuilder::default()
+        }
+    }
+
+    /// Folds one dispatch decision into the run totals.
+    pub(crate) fn record(&mut self, decision: &Decision) {
+        self.counts.record(decision);
+        match *decision {
+            Decision::QueueAdmit {
+                waited,
+                carried_over: false,
+                ..
+            } => self.record_wait(waited),
+            Decision::Migration {
+                to: Some(_), stall, ..
+            } => self.record_migration_stall(stall),
+            _ => {}
         }
     }
 
@@ -456,6 +555,13 @@ impl FleetMetricsBuilder {
         let released: u64 = nodes.iter().map(|n| n.released).sum();
         let completed: u64 = nodes.iter().map(|n| n.completed).sum();
         let missed: u64 = nodes.iter().map(|n| n.missed).sum();
+        let c = self.counts;
+        // Rejections are *eventual* outcomes: a deferred arrival that was
+        // never admitted later — still queued at the end, expired, or
+        // departed while waiting — never got served. Carried-over
+        // waiters never count toward `admitted_after_wait`, so it never
+        // exceeds `deferred`.
+        let rejected = c.deferred - c.admitted_after_wait;
         FleetMetrics {
             window,
             total_fps: if secs > 0.0 {
@@ -469,20 +575,20 @@ impl FleetMetricsBuilder {
                 0.0
             },
             nodes,
-            arrivals: self.arrivals,
-            admitted: self.admitted,
-            rejected: self.rejected,
-            infeasible: self.infeasible,
-            deferred: self.deferred,
-            duplicates: self.duplicates,
-            admitted_after_wait: self.admitted_after_wait,
+            arrivals: c.arrivals,
+            admitted: c.admitted,
+            rejected,
+            infeasible: c.infeasible,
+            deferred: c.deferred,
+            duplicates: c.duplicates,
+            admitted_after_wait: c.admitted_after_wait,
             still_queued,
-            departures: self.departures,
-            migrations: self.migrations,
-            degraded: self.degraded,
-            upgrades: self.upgrades,
-            expired: self.expired,
-            expired_hopeless: self.expired_hopeless,
+            departures: c.departures,
+            migrations: c.migrations,
+            degraded: c.degraded,
+            upgrades: c.upgrades,
+            expired: c.expired,
+            expired_hopeless: c.expired_hopeless,
             truncated_jobs: self.truncated,
             migration_stall_secs: self.migration_stall.as_secs_f64(),
             // Telemetry attaches afterwards (see `attach_telemetry`);
@@ -495,8 +601,8 @@ impl FleetMetricsBuilder {
                 0.0
             },
             queue_wait_max_secs: self.wait_max.as_secs_f64(),
-            rejection_rate: if self.arrivals > 0 {
-                (self.rejected + self.infeasible) as f64 / self.arrivals as f64
+            rejection_rate: if c.arrivals > 0 {
+                (rejected + c.infeasible) as f64 / c.arrivals as f64
             } else {
                 0.0
             },
@@ -537,8 +643,8 @@ mod tests {
         b.record_epoch(0, &run_metrics(10, 10, 0));
         b.record_epoch(0, &run_metrics(10, 8, 2));
         b.record_epoch(1, &run_metrics(5, 5, 0));
-        b.arrivals = 3;
-        b.admitted = 3;
+        b.counts.arrivals = 3;
+        b.counts.admitted = 3;
         let m = b.finish(SimDuration::from_secs(2), &[2, 1], 0);
         assert_eq!(m.nodes[0].released, 20);
         assert_eq!(m.nodes[0].completed, 18);
@@ -566,13 +672,15 @@ mod tests {
     #[test]
     fn json_is_well_formed_enough() {
         let mut b = FleetMetricsBuilder::new(vec!["gpu\"0\"".into()], vec![68]);
-        b.arrivals = 2;
-        b.rejected = 1;
-        b.deferred = 1;
-        b.duplicates = 3;
-        b.degraded = 2;
-        b.upgrades = 1;
-        b.expired = 1;
+        b.counts = DispatchCounts {
+            arrivals: 2,
+            deferred: 1,
+            duplicates: 3,
+            degraded: 2,
+            upgrades: 1,
+            expired: 1,
+            ..DispatchCounts::default()
+        };
         b.record_wait(SimDuration::from_secs(1));
         b.record_wait(SimDuration::from_secs(3));
         b.record_migration_stall(SimDuration::from_millis(250));
@@ -652,7 +760,7 @@ mod tests {
             "zero stays out of the pinned schema"
         );
         let mut b = FleetMetricsBuilder::new(vec!["a".into()], vec![68]);
-        b.expired_hopeless = 2;
+        b.counts.expired_hopeless = 2;
         let m = b.finish(SimDuration::from_secs(1), &[0], 0);
         assert_eq!(m.expired_hopeless, 2);
         let json = m.to_json();

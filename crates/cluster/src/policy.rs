@@ -2,14 +2,14 @@
 //! every fleet execution engine.
 //!
 //! The fleet simulates time two ways — the epoch grid ([`crate::Fleet::run`])
-//! and the discrete-event engine ([`crate::Fleet::run_events`]) — and a
-//! third front door ([`crate::ShardedFleet`]) wraps whichever is
-//! configured. All three must *decide* identically: who is admitted and
-//! where, in what order the wait queue drains, which ladder step a
-//! re-priced tenant serves at, which tenant a hot node sheds, and where
-//! the migrant lands. This module is the single home of those decisions;
-//! the engines own only *when* a decision instant occurs and how its
-//! outcome is folded into metrics.
+//! and the discrete-event engine ([`crate::Fleet::run_events`]) — flat or
+//! shard-routed ([`crate::FleetConfig::with_sharding`]). Both engines
+//! must *decide* identically: who is admitted and where, in what order
+//! the wait queue drains, which ladder step a re-priced tenant serves at,
+//! which tenant a hot node sheds, and where the migrant lands. This
+//! module is the single home of those decisions; the engines own only
+//! *when* a decision instant occurs, and [`crate::Fleet`] records each
+//! outcome once for both.
 //!
 //! The kernel sees the fleet through a [`FleetState`] view — the nodes
 //! with their residents plus the admission controller — and through the
@@ -42,7 +42,7 @@
 //! methods, so a policy change lands in the epoch path, the event path,
 //! and sharded dispatch at once — the determinism matrices in
 //! `tests/fleet_end_to_end.rs` and the kernel-parity property tests in
-//! `tests/fleet_invariants.rs` pin that the three can no longer drift.
+//! `tests/fleet_invariants.rs` pin that they can no longer drift.
 
 use crate::shard::{ShardConfig, ShardDirectory};
 use crate::{AdmissionController, FleetNode, Placer, PlacementPolicy, TenantSpec};
@@ -51,9 +51,9 @@ use sgprs_rt::SimDuration;
 
 /// A read-only view of the fleet the policy kernel decides over: the
 /// nodes (with their resident tenants) and the admission controller.
-/// Both execution engines and the sharded front door build the same
-/// view, so a decision is a function of fleet *state*, never of the
-/// engine driving it.
+/// Both execution engines build the same view, flat or sharded, so a
+/// decision is a function of fleet *state*, never of the engine driving
+/// it.
 #[derive(Debug, Clone, Copy)]
 pub struct FleetState<'a> {
     /// The nodes, in dispatch order, with their resident tenants.
@@ -80,12 +80,14 @@ pub enum PricedPlan {
 }
 
 /// One admission out of the wait queue: who got in (by interned id), at
-/// what price, and after how long a wait.
+/// what price, after how long a wait, and whether it was queued before
+/// the current run began.
 #[derive(Debug, Clone)]
 pub(crate) struct QueueAdmission {
     pub(crate) id: crate::interner::TenantId,
     pub(crate) degraded: bool,
     pub(crate) waited: SimDuration,
+    pub(crate) carried_over: bool,
 }
 
 /// How a node over the DMR threshold chooses which resident to shed.
@@ -153,6 +155,7 @@ impl DispatchPlanner {
     }
 
     /// The shard directory, when sharding is configured.
+    #[cfg(test)]
     pub(crate) fn router(&self) -> Option<&ShardDirectory> {
         self.router.as_ref()
     }

@@ -105,6 +105,9 @@ pub(crate) struct QueueEntry {
     pub tenant: TenantSpec,
     /// When the tenant entered the queue.
     pub enqueued_at: SimTime,
+    /// Queued before the current run began: its admission does not
+    /// count toward the run's deferrals (see [`DispatchQueue::carry_over`]).
+    pub carried_over: bool,
     /// Arrival serial, the universal tie-break.
     seq: u64,
 }
@@ -169,6 +172,7 @@ impl DispatchQueue {
             id,
             tenant,
             enqueued_at: now,
+            carried_over: false,
             seq: self.next_seq,
         });
         self.next_seq += 1;
@@ -178,11 +182,6 @@ impl DispatchQueue {
     /// not drain order).
     pub fn entries(&self) -> impl Iterator<Item = &QueueEntry> {
         self.entries.iter()
-    }
-
-    /// The waiting tenants' ids in insertion order.
-    pub fn ids(&self) -> impl Iterator<Item = TenantId> + '_ {
-        self.entries.iter().map(|e| e.id)
     }
 
     /// Index of the entry that drains next under the policy at `now`.
@@ -203,13 +202,17 @@ impl DispatchQueue {
         self.entries.push(entry);
     }
 
-    /// Re-stamps every waiting entry as enqueued at `start`: a new
-    /// [`crate::Fleet::run`] starts a fresh timeline, so carried-over
-    /// waiters measure waits (and their `max_wait` patience) on the new
-    /// clock.
-    pub fn rebase(&mut self, start: SimTime) {
+    /// Carries every waiting entry over into a new run starting at
+    /// `start`. Each run is its own timeline, so the entries are
+    /// re-stamped as enqueued at `start` — their `max_wait` patience
+    /// restarts on the new clock — and marked
+    /// [`QueueEntry::carried_over`]: they are not the new run's
+    /// deferrals, so their later admission must not offset its
+    /// eventual-rejection count.
+    pub fn carry_over(&mut self, start: SimTime) {
         for e in &mut self.entries {
             e.enqueued_at = start;
+            e.carried_over = true;
         }
     }
 
@@ -433,7 +436,7 @@ mod tests {
             assert_eq!(removed.map(|e| e.tenant.name), Some("a".into()), "{policy}");
             assert!(q.remove_id(tid(0)).is_none(), "{policy}");
             assert_eq!(q.entries().count(), 1);
-            assert_eq!(q.ids().collect::<Vec<_>>(), vec![tid(1)]);
+            assert_eq!(q.entries().map(|e| e.id).collect::<Vec<_>>(), vec![tid(1)]);
         }
     }
 }

@@ -35,10 +35,8 @@
 //! simply falls through to the next candidate, degrading to the flat
 //! scan in the worst case rather than rejecting wrongly.
 
-use crate::{AdmissionController, ArrivalStream, DispatchOutcome, Fleet, FleetConfig,
-    FleetMetrics, FleetNode, TenantSpec};
+use crate::{AdmissionController, FleetNode, TenantSpec};
 use serde::{Deserialize, Serialize};
-use sgprs_rt::SimDuration;
 use std::ops::Range;
 
 /// The first-level routing strategy of a sharded fleet: how an arrival
@@ -209,6 +207,24 @@ impl ShardDirectory {
         self.summaries[shard].expect("invariant: summary just refreshed above")
     }
 
+    /// The summary of `shard` when its best-case latency lower bound
+    /// admits `tenant` (`None`: no node inside can ever admit it).
+    fn feasible_summary(
+        &mut self,
+        shard: usize,
+        nodes: &[FleetNode],
+        admission: &AdmissionController,
+        tenant: &TenantSpec,
+    ) -> Option<ShardSummary> {
+        let summary = self.summary(shard, nodes, admission);
+        let bound = admission.best_case_latency_at(
+            summary.max_context_sm,
+            summary.min_launch_overhead_ns,
+            tenant,
+        );
+        (bound <= tenant.period()).then_some(summary)
+    }
+
     /// Whether the shard's best-case latency lower bound already rules
     /// `tenant` out (no node inside can ever admit it).
     pub(crate) fn latency_infeasible(
@@ -218,21 +234,15 @@ impl ShardDirectory {
         admission: &AdmissionController,
         tenant: &TenantSpec,
     ) -> bool {
-        let summary = self.summary(shard, nodes, admission);
-        let bound = admission.best_case_latency_at(
-            summary.max_context_sm,
-            summary.min_launch_overhead_ns,
-            tenant,
-        );
-        bound > tenant.period()
+        self.feasible_summary(shard, nodes, admission, tenant)
+            .is_none()
     }
 
     /// The shards to try for `tenant`, in order, under the configured
-    /// strategy. [`ShardRouter::Scan`] returns every feasible shard
-    /// (demand-covering shards first, most spare budget first, shard
-    /// index as the deterministic tie-break); [`ShardRouter::P2c`]
-    /// returns at most two probes — the caller sweeps the rest only if
-    /// both refuse (see [`ShardDirectory::is_exhaustive`]).
+    /// strategy. [`ShardRouter::Scan`] ranks every shard;
+    /// [`ShardRouter::P2c`] ranks at most two probes — the caller sweeps
+    /// the rest only if both refuse (see
+    /// [`ShardDirectory::is_exhaustive`]).
     pub(crate) fn route(
         &mut self,
         nodes: &[FleetNode],
@@ -240,32 +250,27 @@ impl ShardDirectory {
         tenant: &TenantSpec,
     ) -> Vec<usize> {
         match self.router {
-            ShardRouter::Scan => self.route_scan(nodes, admission, tenant),
+            ShardRouter::Scan => self.rank(0..self.shard_count(), nodes, admission, tenant),
             ShardRouter::P2c => self.route_p2c(nodes, admission, tenant),
         }
     }
 
-    /// The ordered exhaustive scan (see [`ShardDirectory::route`]).
-    fn route_scan(
+    /// The ranking both routers share: latency-infeasible `shards` are
+    /// dropped, then demand-covering shards come first, most spare
+    /// budget first, shard index as the deterministic tie-break.
+    fn rank(
         &mut self,
+        shards: impl ExactSizeIterator<Item = usize>,
         nodes: &[FleetNode],
         admission: &AdmissionController,
         tenant: &TenantSpec,
     ) -> Vec<usize> {
         let demand = tenant.demand_sm_equivalents();
-        let period = tenant.period();
-        let mut order: Vec<(usize, f64, bool)> = Vec::with_capacity(self.shard_count());
-        for shard in 0..self.shard_count() {
-            let summary = self.summary(shard, nodes, admission);
-            let bound = admission.best_case_latency_at(
-                summary.max_context_sm,
-                summary.min_launch_overhead_ns,
-                tenant,
-            );
-            if bound > period {
-                continue;
+        let mut order: Vec<(usize, f64, bool)> = Vec::with_capacity(shards.len());
+        for shard in shards {
+            if let Some(summary) = self.feasible_summary(shard, nodes, admission, tenant) {
+                order.push((shard, summary.spare_budget, summary.spare_budget >= demand));
             }
-            order.push((shard, summary.spare_budget, summary.spare_budget >= demand));
         }
         order.sort_by(|a, b| {
             b.2.cmp(&a.2)
@@ -277,10 +282,9 @@ impl ShardDirectory {
 
     /// The power-of-two-choices probe (see [`ShardDirectory::route`]):
     /// two distinct shards drawn from a deterministic hash of the tenant
-    /// name and the routing serial, feasibility-filtered and ordered
-    /// better-probe-first by the same covering-then-spare criterion the
-    /// scan uses. Touches exactly two summaries, so the routing cost is
-    /// independent of how many shards the fleet has.
+    /// name and the routing serial, ranked like the scan. Touches
+    /// exactly two summaries, so the routing cost is independent of how
+    /// many shards the fleet has.
     fn route_p2c(
         &mut self,
         nodes: &[FleetNode],
@@ -298,27 +302,7 @@ impl ShardDirectory {
             let b = ((h >> 32) % (n as u64 - 1)) as usize;
             if b >= a { b + 1 } else { b }
         };
-        let demand = tenant.demand_sm_equivalents();
-        let period = tenant.period();
-        let mut probes: Vec<(usize, f64, bool)> = Vec::with_capacity(2);
-        for shard in [a, b] {
-            let summary = self.summary(shard, nodes, admission);
-            let bound = admission.best_case_latency_at(
-                summary.max_context_sm,
-                summary.min_launch_overhead_ns,
-                tenant,
-            );
-            if bound > period {
-                continue;
-            }
-            probes.push((shard, summary.spare_budget, summary.spare_budget >= demand));
-        }
-        probes.sort_by(|x, y| {
-            y.2.cmp(&x.2)
-                .then(y.1.total_cmp(&x.1))
-                .then(x.0.cmp(&y.0))
-        });
-        probes.into_iter().map(|(shard, _, _)| shard).collect()
+        self.rank([a, b].into_iter(), nodes, admission, tenant)
     }
 }
 
@@ -341,140 +325,12 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// A [`Fleet`] dispatching through the two-level shard router: the
-/// ergonomic front door for 64-node-and-up fleets.
-///
-/// Construction is the only difference from a flat fleet —
-/// `ShardedFleet::new(cfg, 8)` is exactly
-/// `Fleet::new(cfg.with_sharding(8))` — so every behavioural guarantee
-/// (admission, queueing, epoch determinism, metrics) carries over; only
-/// *which* admissible node an arrival lands on may differ from the flat
-/// scan, because placement policies run within the routed shard.
-#[derive(Debug)]
-pub struct ShardedFleet {
-    inner: Fleet,
-}
-
-impl ShardedFleet {
-    /// A sharded fleet over `cfg` with shards of `shard_size` nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard_size` is zero or `cfg.nodes` is empty.
-    #[must_use]
-    pub fn new(cfg: FleetConfig, shard_size: usize) -> Self {
-        ShardedFleet {
-            inner: Fleet::new(cfg.with_sharding(shard_size)),
-        }
-    }
-
-    /// A sharded fleet routed by power-of-two-choices
-    /// ([`ShardRouter::P2c`]): arrival routing cost independent of the
-    /// shard count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard_size` is zero or `cfg.nodes` is empty.
-    #[must_use]
-    pub fn p2c(cfg: FleetConfig, shard_size: usize) -> Self {
-        ShardedFleet {
-            inner: Fleet::new(cfg.with_p2c_sharding(shard_size)),
-        }
-    }
-
-    /// Number of shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.inner
-            .router()
-            .map_or(1, ShardDirectory::shard_count)
-    }
-
-    /// The node-index ranges of every shard, in order.
-    #[must_use]
-    pub fn shard_ranges(&self) -> Vec<Range<usize>> {
-        let router = self
-            .inner
-            .router()
-            .expect("invariant: ShardedFleet always configures a router");
-        (0..router.shard_count()).map(|s| router.range(s)).collect()
-    }
-
-    /// See [`Fleet::dispatch`].
-    pub fn dispatch(&mut self, tenant: TenantSpec) -> DispatchOutcome {
-        self.inner.dispatch(tenant)
-    }
-
-    /// See [`Fleet::plan`].
-    #[must_use]
-    pub fn plan(&mut self, tenant: &TenantSpec) -> Option<usize> {
-        self.inner.plan(tenant)
-    }
-
-    /// See [`Fleet::remove`].
-    pub fn remove(&mut self, name: &str) -> bool {
-        self.inner.remove(name)
-    }
-
-    /// See [`Fleet::drain_queue`].
-    pub fn drain_queue(&mut self) -> u64 {
-        self.inner.drain_queue()
-    }
-
-    /// See [`Fleet::run`]. Accepts a [`crate::ChurnTrace`] or a lazy
-    /// [`ArrivalStream`], like the flat fleet.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configured epoch is zero.
-    #[must_use]
-    pub fn run(
-        &mut self,
-        arrivals: impl Into<ArrivalStream>,
-        horizon: SimDuration,
-    ) -> FleetMetrics {
-        self.inner.run(arrivals, horizon)
-    }
-
-    /// See [`Fleet::nodes`].
-    #[must_use]
-    pub fn nodes(&self) -> &[FleetNode] {
-        self.inner.nodes()
-    }
-
-    /// See [`Fleet::queued`].
-    #[must_use]
-    pub fn queued(&self) -> usize {
-        self.inner.queued()
-    }
-
-    /// See [`Fleet::queued_names`].
-    #[must_use]
-    pub fn queued_names(&self) -> Vec<String> {
-        self.inner.queued_names()
-    }
-
-    /// See [`Fleet::degraded_residents`]. Degrades and upgrades adjust a
-    /// resident's demand in place, so the router's shard summaries are
-    /// invalidated when a price changes — routing stays aware of the
-    /// degraded demand.
-    #[must_use]
-    pub fn degraded_residents(&self) -> usize {
-        self.inner.degraded_residents()
-    }
-
-    /// The underlying flat fleet (sharding only changes routing).
-    #[must_use]
-    pub fn fleet(&self) -> &Fleet {
-        &self.inner
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ModelKind, NodeSpec, PlacementPolicy};
+    use crate::{DispatchOutcome, Fleet, FleetConfig, ModelKind, NodeSpec, PlacementPolicy};
     use sgprs_gpu_sim::GpuSpec;
+    use sgprs_rt::SimDuration;
 
     fn nodes(n: usize) -> Vec<NodeSpec> {
         (0..n)
@@ -486,19 +342,34 @@ mod tests {
         TenantSpec::new(format!("cam-{i}"), ModelKind::ResNet18, 30.0)
     }
 
+    /// A fleet over `specs` in shards of `shard_size`, scan-routed.
+    fn scan_fleet(specs: Vec<NodeSpec>, shard_size: usize) -> Fleet {
+        Fleet::new(FleetConfig::new(specs).with_sharding(shard_size))
+    }
+
+    /// A fleet over `specs` in shards of `shard_size`, p2c-routed.
+    fn p2c_fleet(specs: Vec<NodeSpec>, shard_size: usize) -> Fleet {
+        Fleet::new(FleetConfig::new(specs).with_p2c_sharding(shard_size))
+    }
+
+    /// The node-index ranges of every shard, in order.
+    fn shard_ranges(fleet: &Fleet) -> Vec<Range<usize>> {
+        let router = fleet.router().expect("sharding is configured");
+        (0..router.shard_count()).map(|s| router.range(s)).collect()
+    }
+
     #[test]
     fn shards_partition_the_nodes() {
-        let fleet = ShardedFleet::new(FleetConfig::new(nodes(10)), 4);
-        assert_eq!(fleet.shard_count(), 3);
-        assert_eq!(fleet.shard_ranges(), vec![0..4, 4..8, 8..10]);
-        let covered: usize = fleet.shard_ranges().iter().map(|r| r.len()).sum();
+        let fleet = scan_fleet(nodes(10), 4);
+        assert_eq!(shard_ranges(&fleet), vec![0..4, 4..8, 8..10]);
+        let covered: usize = shard_ranges(&fleet).iter().map(|r| r.len()).sum();
         assert_eq!(covered, 10);
     }
 
     #[test]
     fn sharded_dispatch_places_and_saturates_like_flat() {
         let mut flat = Fleet::new(FleetConfig::new(nodes(8)));
-        let mut sharded = ShardedFleet::new(FleetConfig::new(nodes(8)), 4);
+        let mut sharded = scan_fleet(nodes(8), 4);
         let mut flat_placed = 0;
         let mut sharded_placed = 0;
         for i in 0..300 {
@@ -518,7 +389,7 @@ mod tests {
     #[test]
     fn p2c_dispatch_saturates_at_the_same_population_as_flat() {
         let mut flat = Fleet::new(FleetConfig::new(nodes(8)));
-        let mut p2c = ShardedFleet::p2c(FleetConfig::new(nodes(8)), 2);
+        let mut p2c = p2c_fleet(nodes(8), 2);
         let mut flat_placed = 0;
         let mut p2c_placed = 0;
         for i in 0..300 {
@@ -537,14 +408,14 @@ mod tests {
 
     #[test]
     fn p2c_spreads_load_across_every_shard() {
-        let mut fleet = ShardedFleet::p2c(FleetConfig::new(nodes(8)), 2);
+        let mut fleet = p2c_fleet(nodes(8), 2);
         for i in 0..32 {
             assert!(matches!(
                 fleet.dispatch(tenant(i)),
                 DispatchOutcome::Placed(_)
             ));
         }
-        for range in fleet.shard_ranges() {
+        for range in shard_ranges(&fleet) {
             let resident: usize = fleet.nodes()[range.clone()]
                 .iter()
                 .map(|n| n.tenants.len())
@@ -556,7 +427,7 @@ mod tests {
     #[test]
     fn p2c_routing_is_deterministic() {
         let run_once = || {
-            let mut fleet = ShardedFleet::p2c(FleetConfig::new(nodes(12)), 3);
+            let mut fleet = p2c_fleet(nodes(12), 3);
             (0..24)
                 .map(|i| match fleet.dispatch(tenant(i)) {
                     DispatchOutcome::Placed(idx) => idx,
@@ -569,9 +440,10 @@ mod tests {
 
     #[test]
     fn routing_spreads_load_across_shards() {
-        let mut fleet = ShardedFleet::new(
-            FleetConfig::new(nodes(8)).with_placement(PlacementPolicy::LeastUtilization),
-            2,
+        let mut fleet = Fleet::new(
+            FleetConfig::new(nodes(8))
+                .with_placement(PlacementPolicy::LeastUtilization)
+                .with_sharding(2),
         );
         for i in 0..16 {
             assert!(matches!(
@@ -581,7 +453,7 @@ mod tests {
         }
         // Spare-budget routing must not dogpile one shard: every shard
         // carries something.
-        for range in fleet.shard_ranges() {
+        for range in shard_ranges(&fleet) {
             let resident: usize = fleet.nodes()[range.clone()]
                 .iter()
                 .map(|n| n.tenants.len())
@@ -601,7 +473,7 @@ mod tests {
             NodeSpec::sgprs("tiny1", GpuSpec::synthetic(12)),
         ];
         specs.extend(nodes(2));
-        let mut fleet = ShardedFleet::new(FleetConfig::new(specs), 2);
+        let mut fleet = scan_fleet(specs, 2);
         let heavy = TenantSpec::new("r34", ModelKind::ResNet34, 60.0);
         match fleet.dispatch(heavy) {
             DispatchOutcome::Placed(idx) => assert!(idx >= 2, "placed on a full device"),
@@ -618,7 +490,7 @@ mod tests {
             .map(|i| NodeSpec::sgprs(format!("tiny{i}"), GpuSpec::synthetic(12)))
             .collect();
         specs.extend(nodes(2));
-        let mut fleet = ShardedFleet::p2c(FleetConfig::new(specs), 2);
+        let mut fleet = p2c_fleet(specs, 2);
         for k in 0..8 {
             let heavy = TenantSpec::new(format!("r34-{k}"), ModelKind::ResNet34, 60.0);
             match fleet.dispatch(heavy) {
@@ -631,7 +503,7 @@ mod tests {
 
     #[test]
     fn summaries_survive_remove_and_requeue_cycles() {
-        let mut fleet = ShardedFleet::new(FleetConfig::new(nodes(4)), 2);
+        let mut fleet = scan_fleet(nodes(4), 2);
         let mut names = Vec::new();
         let mut i = 0;
         loop {
@@ -655,8 +527,7 @@ mod tests {
     #[test]
     fn sharded_run_is_deterministic() {
         let run_once = || {
-            let cfg = FleetConfig::new(nodes(6)).with_seed(11);
-            let mut fleet = ShardedFleet::new(cfg, 2);
+            let mut fleet = Fleet::new(FleetConfig::new(nodes(6)).with_seed(11).with_sharding(2));
             let trace = crate::ChurnTrace::generate(
                 &crate::ChurnConfig::default(),
                 SimDuration::from_secs(3),

@@ -49,9 +49,10 @@ mod window;
 
 pub use prof::{Span, SpanProfile, SpanStats, PLAN_LATENCY_BINS, SPAN_COUNT};
 pub use sketch::{QuantileSketch, DEFAULT_SKETCH_CAPACITY, RANK_ERROR_NUMERATOR};
-pub use trace::{ArrivalVerdict, TraceEvent};
+pub use trace::TraceEvent;
 
-use crate::DispatchOutcome;
+use crate::metrics::Decision;
+use crate::DispatchCounts;
 use prof::SpanProfiler;
 use serde::{Deserialize, Serialize};
 use sgprs_rt::{SimDuration, SimTime};
@@ -185,28 +186,9 @@ impl SketchSummary {
 pub struct WindowReport {
     /// Window start, seconds from the run origin.
     pub start_secs: f64,
-    /// Arrivals dispatched inside the window.
-    pub arrivals: u64,
-    /// Arrivals admitted immediately (full rate or degraded).
-    pub admitted: u64,
-    /// Re-pricing ladder admissions (at arrival or out of the queue).
-    pub degraded: u64,
-    /// Arrivals deferred to the wait queue.
-    pub deferred: u64,
-    /// Arrivals dropped as latency-infeasible.
-    pub infeasible: u64,
-    /// Arrivals rejected as duplicate names.
-    pub duplicates: u64,
-    /// This run's deferrals admitted out of the queue.
-    pub admitted_after_wait: u64,
-    /// Waiters expired (patience and demand-aware together).
-    pub expired: u64,
-    /// Re-pricing ladder steps back up.
-    pub upgrades: u64,
-    /// Successful migrations.
-    pub migrations: u64,
-    /// Departures applied.
-    pub departures: u64,
+    /// The dispatch decisions that fell inside the window (the export's
+    /// single `expired` column is [`DispatchCounts::expired_total`]).
+    pub counts: DispatchCounts,
     /// Peak wait-queue depth observed after any queue mutation.
     pub queue_depth_peak: u64,
     /// Mean of the utilisation samples that landed in the window.
@@ -223,7 +205,8 @@ pub struct ProfileReport {
     /// Placement-scan probes spent across all plans: one per probed
     /// shard, one per flat whole-fleet scan.
     pub shard_probes: u64,
-    /// Drain passes that actually scanned the queue.
+    /// Drain passes that actually scanned the queue (the fleet's own
+    /// always-on count).
     pub drain_scans: u64,
     /// Event-queue pushes + pops (0 on the epoch path).
     pub event_queue_ops: u64,
@@ -297,20 +280,21 @@ impl TelemetryReport {
         ));
         out.push_str("    \"windows\": [\n");
         for (i, w) in self.windows.iter().enumerate() {
+            let c = &w.counts;
             out.push_str(&format!(
                 "      {{\"start_secs\": {:.3}, \"arrivals\": {}, \"admitted\": {}, \"degraded\": {}, \"deferred\": {}, \"infeasible\": {}, \"duplicates\": {}, \"admitted_after_wait\": {}, \"expired\": {}, \"upgrades\": {}, \"migrations\": {}, \"departures\": {}, \"queue_depth_peak\": {}, \"utilization_mean\": {:.4}, \"wait_ms\": {}}}",
                 w.start_secs,
-                w.arrivals,
-                w.admitted,
-                w.degraded,
-                w.deferred,
-                w.infeasible,
-                w.duplicates,
-                w.admitted_after_wait,
-                w.expired,
-                w.upgrades,
-                w.migrations,
-                w.departures,
+                c.arrivals,
+                c.admitted,
+                c.degraded,
+                c.deferred,
+                c.infeasible,
+                c.duplicates,
+                c.admitted_after_wait,
+                c.expired_total(),
+                c.upgrades,
+                c.migrations,
+                c.departures,
                 w.queue_depth_peak,
                 w.utilization_mean,
                 w.wait.render_json()
@@ -369,12 +353,6 @@ impl Telemetry {
             prof: None,
             last_profile: None,
         }
-    }
-
-    /// Whether telemetry is configured on (hooks may still no-op before
-    /// `begin_run`).
-    pub(crate) fn enabled(&self) -> bool {
-        self.cfg.enabled
     }
 
     /// Arms the recorder for a run over `n_nodes` nodes until `horizon`.
@@ -436,13 +414,6 @@ impl Telemetry {
         self.prof_record(Span::Plan, clock);
     }
 
-    /// Accounts one drain pass that actually scanned the queue.
-    pub(crate) fn note_drain_scan(&mut self) {
-        if let Some(state) = self.state.as_mut() {
-            state.profile.drain_scans += 1;
-        }
-    }
-
     /// Accounts the event queue's push+pop total (event engine only).
     pub(crate) fn note_event_ops(&mut self, ops: u64) {
         if let Some(state) = self.state.as_mut() {
@@ -450,172 +421,34 @@ impl Telemetry {
         }
     }
 
-    /// Records a dispatched arrival: verdict counters, queue depth, and
-    /// (when tracing) the decision with its cause and probe count.
-    pub(crate) fn record_arrival(
+    /// Records one dispatch decision about `tenant` at `at`: the
+    /// window's counters (the same fold as the run totals), its wait
+    /// sketch, the queue depth the decision left behind (re-pricing
+    /// steps and migrations leave the queue alone), and — when tracing —
+    /// the trace event.
+    pub(crate) fn record(
         &mut self,
         at: SimTime,
-        name: &str,
-        outcome: &DispatchOutcome,
-        probes: u64,
+        tenant: &str,
+        decision: &Decision,
         queue_depth: usize,
     ) {
         let Some(state) = self.state.as_mut() else {
             return;
         };
         let w = state.series.at(at);
-        w.arrivals += 1;
-        match outcome {
-            DispatchOutcome::Placed(_) => w.admitted += 1,
-            DispatchOutcome::PlacedDegraded { .. } => {
-                w.admitted += 1;
-                w.degraded += 1;
-            }
-            DispatchOutcome::Queued => w.deferred += 1,
-            DispatchOutcome::Infeasible => w.infeasible += 1,
-            DispatchOutcome::Duplicate => w.duplicates += 1,
-        }
-        w.note_queue_depth(queue_depth as u64);
-        if state.trace.enabled() {
-            let verdict = match outcome {
-                DispatchOutcome::Placed(node) => ArrivalVerdict::Placed { node: *node },
-                DispatchOutcome::PlacedDegraded { node, fps } => {
-                    ArrivalVerdict::PlacedDegraded {
-                        node: *node,
-                        fps: *fps,
-                    }
-                }
-                DispatchOutcome::Queued => ArrivalVerdict::Queued,
-                DispatchOutcome::Infeasible => ArrivalVerdict::Infeasible,
-                DispatchOutcome::Duplicate => ArrivalVerdict::Duplicate,
-            };
-            state.trace.push(TraceEvent::Arrival {
-                at,
-                tenant: name.to_string(),
-                verdict,
-                probes,
-            });
-        }
-    }
-
-    /// Records one admission out of the wait queue. `counted` mirrors the
-    /// builder's contract: only this run's deferrals feed the wait
-    /// statistics (pre-run carry-overs are traced but not counted).
-    pub(crate) fn record_queue_admit(
-        &mut self,
-        at: SimTime,
-        name: &str,
-        degraded: bool,
-        waited: SimDuration,
-        counted: bool,
-        queue_depth: usize,
-    ) {
-        let Some(state) = self.state.as_mut() else {
-            return;
-        };
-        let w = state.series.at(at);
-        if degraded {
-            w.degraded += 1;
-        }
-        if counted {
-            w.admitted_after_wait += 1;
-            w.wait.add(waited.as_nanos());
-        }
-        w.note_queue_depth(queue_depth as u64);
-        if state.trace.enabled() {
-            state.trace.push(TraceEvent::QueueAdmit {
-                at,
-                tenant: name.to_string(),
-                degraded,
+        w.counts.record(decision);
+        match *decision {
+            Decision::QueueAdmit {
                 waited,
-            });
-        }
-    }
-
-    /// Records one waiter expiry (patience or demand-aware hopeless).
-    pub(crate) fn record_expired(
-        &mut self,
-        at: SimTime,
-        name: &str,
-        hopeless: bool,
-        queue_depth: usize,
-    ) {
-        let Some(state) = self.state.as_mut() else {
-            return;
-        };
-        let w = state.series.at(at);
-        w.expired += 1;
-        w.note_queue_depth(queue_depth as u64);
-        if state.trace.enabled() {
-            state.trace.push(TraceEvent::QueueExpire {
-                at,
-                tenant: name.to_string(),
-                hopeless,
-            });
-        }
-    }
-
-    /// Records one re-pricing upgrade step.
-    pub(crate) fn record_upgrade(&mut self, at: SimTime, name: &str, fps: f64) {
-        let Some(state) = self.state.as_mut() else {
-            return;
-        };
-        state.series.at(at).upgrades += 1;
-        if state.trace.enabled() {
-            state.trace.push(TraceEvent::Upgrade {
-                at,
-                tenant: name.to_string(),
-                fps,
-            });
-        }
-    }
-
-    /// Records one migration attempt (successful when `to` is set).
-    pub(crate) fn record_migration(
-        &mut self,
-        at: SimTime,
-        name: &str,
-        from: usize,
-        to: Option<usize>,
-        stall: SimDuration,
-    ) {
-        let Some(state) = self.state.as_mut() else {
-            return;
-        };
-        if to.is_some() {
-            state.series.at(at).migrations += 1;
+                carried_over: false,
+                ..
+            } => w.wait.add(waited.as_nanos()),
+            Decision::Upgrade { .. } | Decision::Migration { .. } => {}
+            _ => w.note_queue_depth(queue_depth as u64),
         }
         if state.trace.enabled() {
-            state.trace.push(TraceEvent::Migration {
-                at,
-                tenant: name.to_string(),
-                from,
-                to,
-                stall,
-            });
-        }
-    }
-
-    /// Records one departure.
-    pub(crate) fn record_departure(
-        &mut self,
-        at: SimTime,
-        name: &str,
-        resident: bool,
-        queue_depth: usize,
-    ) {
-        let Some(state) = self.state.as_mut() else {
-            return;
-        };
-        let w = state.series.at(at);
-        w.departures += 1;
-        w.note_queue_depth(queue_depth as u64);
-        if state.trace.enabled() {
-            state.trace.push(TraceEvent::Departure {
-                at,
-                tenant: name.to_string(),
-                resident,
-            });
+            state.trace.push(TraceEvent::of(at, tenant, decision));
         }
     }
 
@@ -660,11 +493,11 @@ impl Telemetry {
             .unwrap_or([0; PLAN_LATENCY_BINS])
     }
 
-    /// Finalises the run: folds the telemetry into a [`TelemetryReport`]
-    /// (or `None` when telemetry was off) and snapshots the span
-    /// profile.
-    pub(crate) fn finish_report(&mut self) -> Option<TelemetryReport> {
-        let report = self.fold_report();
+    /// Finalises the run: folds the telemetry, with the run's
+    /// `drain_scans`, into a [`TelemetryReport`] (or `None` when
+    /// telemetry was off) and snapshots the span profile.
+    pub(crate) fn finish_report(&mut self, drain_scans: u64) -> Option<TelemetryReport> {
+        let report = self.fold_report(drain_scans);
         self.finish_profile();
         report
     }
@@ -673,7 +506,7 @@ impl Telemetry {
     /// span: merges the per-window wait sketches in window order and the
     /// per-node latency sketches in ascending node index — the
     /// deterministic fold.
-    fn fold_report(&mut self) -> Option<TelemetryReport> {
+    fn fold_report(&mut self, drain_scans: u64) -> Option<TelemetryReport> {
         let state = self.state.take()?;
         let fold_clock = self.prof_clock();
         let window = state.series.window();
@@ -702,7 +535,7 @@ impl Telemetry {
             profile: ProfileReport {
                 plans: state.profile.plans,
                 shard_probes: state.profile.shard_probes,
-                drain_scans: state.profile.drain_scans,
+                drain_scans,
                 event_queue_ops: state.profile.event_queue_ops,
                 trace_recorded: state.trace.recorded(),
                 trace_dropped: state.trace.dropped(),
@@ -718,17 +551,7 @@ impl Telemetry {
 fn window_report(index: usize, window: SimDuration, w: &WindowStats) -> WindowReport {
     WindowReport {
         start_secs: window.as_secs_f64() * index as f64,
-        arrivals: w.arrivals,
-        admitted: w.admitted,
-        degraded: w.degraded,
-        deferred: w.deferred,
-        infeasible: w.infeasible,
-        duplicates: w.duplicates,
-        admitted_after_wait: w.admitted_after_wait,
-        expired: w.expired,
-        upgrades: w.upgrades,
-        migrations: w.migrations,
-        departures: w.departures,
+        counts: w.counts,
         queue_depth_peak: w.queue_depth_peak,
         utilization_mean: w.utilization_mean(),
         wait: SketchSummary::from_sketch(&w.wait),
@@ -738,18 +561,23 @@ fn window_report(index: usize, window: SimDuration, w: &WindowStats) -> WindowRe
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DispatchOutcome;
 
     fn at(ms: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_millis(ms)
+    }
+
+    fn arrival(outcome: DispatchOutcome, probes: u64) -> Decision {
+        Decision::Arrival { outcome, probes }
     }
 
     #[test]
     fn disabled_telemetry_records_and_reports_nothing() {
         let mut t = Telemetry::new(TelemetryConfig::disabled());
         t.begin_run(4, SimDuration::from_secs(1));
-        t.record_arrival(at(10), "a", &DispatchOutcome::Placed(0), 0, 0);
+        t.record(at(10), "a", &arrival(DispatchOutcome::Placed(0), 0), 0);
         t.record_utilization(at(100), 0.5);
-        assert!(t.finish_report().is_none());
+        assert!(t.finish_report(0).is_none());
     }
 
     #[test]
@@ -757,25 +585,23 @@ mod tests {
         let cfg = TelemetryConfig::windowed(SimDuration::from_millis(250)).with_trace(8);
         let mut t = Telemetry::new(cfg);
         t.begin_run(2, SimDuration::from_secs(1));
-        t.record_arrival(at(10), "a", &DispatchOutcome::Placed(0), 2, 0);
-        t.record_arrival(at(300), "b", &DispatchOutcome::Queued, 1, 1);
-        t.record_queue_admit(
-            at(600),
-            "b",
-            false,
-            SimDuration::from_millis(300),
-            true,
-            0,
-        );
+        t.record(at(10), "a", &arrival(DispatchOutcome::Placed(0), 2), 0);
+        t.record(at(300), "b", &arrival(DispatchOutcome::Queued, 1), 1);
+        let admit = Decision::QueueAdmit {
+            degraded: false,
+            waited: SimDuration::from_millis(300),
+            carried_over: false,
+        };
+        t.record(at(600), "b", &admit, 0);
         t.record_latency(0, 5_000_000);
         t.record_latency(1, 9_000_000);
         t.record_utilization(at(999), 0.75);
-        let r = t.finish_report().expect("enabled run reports");
+        let r = t.finish_report(0).expect("enabled run reports");
         assert_eq!(r.windows.len(), 4, "activity reached the 0.75s window");
-        assert_eq!(r.windows[0].arrivals, 1);
-        assert_eq!(r.windows[1].deferred, 1);
+        assert_eq!(r.windows[0].counts.arrivals, 1);
+        assert_eq!(r.windows[1].counts.deferred, 1);
         assert_eq!(r.windows[1].queue_depth_peak, 1);
-        assert_eq!(r.windows[2].admitted_after_wait, 1);
+        assert_eq!(r.windows[2].counts.admitted_after_wait, 1);
         assert_eq!(r.queue_wait.count, 1);
         assert!((r.queue_wait.p50_ms - 300.0).abs() < 1e-9);
         assert_eq!(r.job_latency.count, 2, "both nodes' sketches merged");
@@ -792,8 +618,13 @@ mod tests {
         let cfg = TelemetryConfig::windowed(SimDuration::from_millis(500)).with_trace(4);
         let mut t = Telemetry::new(cfg);
         t.begin_run(1, SimDuration::from_secs(1));
-        t.record_arrival(at(1), "a\"quote", &DispatchOutcome::Infeasible, 0, 0);
-        let r = t.finish_report().expect("report");
+        t.record(
+            at(1),
+            "a\"quote",
+            &arrival(DispatchOutcome::Infeasible, 0),
+            0,
+        );
+        let r = t.finish_report(0).expect("report");
         let json = r.render_json();
         assert!(json.starts_with("  \"telemetry\": {"));
         assert!(json.ends_with("},\n"), "trailing comma chains into the next field");
@@ -808,8 +639,8 @@ mod tests {
         let cfg = TelemetryConfig::windowed(SimDuration::from_millis(500));
         let mut t = Telemetry::new(cfg);
         t.begin_run(1, SimDuration::from_secs(1));
-        t.record_arrival(at(1), "a", &DispatchOutcome::Placed(0), 0, 0);
-        let r = t.finish_report().expect("report");
+        t.record(at(1), "a", &arrival(DispatchOutcome::Placed(0), 0), 0);
+        let r = t.finish_report(0).expect("report");
         assert!(!r.trace_enabled);
         assert!(!r.render_json().contains("\"trace\""));
     }
@@ -823,7 +654,7 @@ mod tests {
         assert!(clock.is_some());
         t.note_plan(3, clock);
         t.note_plan(2, None);
-        let r = t.finish_report().expect("report");
+        let r = t.finish_report(0).expect("report");
         assert_eq!(r.profile.plans, 2);
         assert_eq!(r.profile.shard_probes, 5);
         let hist = t.plan_latency_histogram();
@@ -846,7 +677,7 @@ mod tests {
         assert!(clock.is_some(), "profiler armed without telemetry");
         t.prof_record(Span::EventPop, clock);
         t.note_plan(7, t.prof_clock());
-        assert!(t.finish_report().is_none(), "telemetry stays off");
+        assert!(t.finish_report(0).is_none(), "telemetry stays off");
         let profile = t.span_profile().expect("profile survives a report-less run");
         assert_eq!(profile.calls(Span::EventPop), 1);
         assert_eq!(profile.calls(Span::Plan), 1);
@@ -856,7 +687,7 @@ mod tests {
         let mut off = Telemetry::new(TelemetryConfig::windowed(SimDuration::from_millis(250)));
         off.begin_run(1, SimDuration::from_secs(1));
         assert!(off.prof_clock().is_none(), "no clock without profiling");
-        assert!(off.finish_report().is_some());
+        assert!(off.finish_report(0).is_some());
         assert!(off.span_profile().is_none(), "profiler never constructed");
         assert_eq!(off.plan_latency_histogram(), [0; PLAN_LATENCY_BINS]);
     }

@@ -11,39 +11,17 @@
 //! orchestration path, so the trace is deterministic.
 //!
 //! The profile counters here are the *deterministic* ones (plan
-//! invocations, shard probes, drain scans, event-queue operations, trace
-//! drops); they go into the JSON export. Wall-clock measurement lives in
+//! invocations, shard probes, event-queue operations, trace drops); they
+//! go into the JSON export beside the fleet's drain-scan count.
+//! Wall-clock measurement lives in
 //! the sibling [`super::prof`] module — real time is not a function of
 //! `(config, trace, horizon)` and is exposed separately through
 //! [`crate::Fleet::span_profile`].
 
+use crate::metrics::Decision;
+use crate::DispatchOutcome;
 use sgprs_rt::{SimDuration, SimTime};
 use std::collections::VecDeque;
-
-/// Why (and where) an arrival ended up — the dispatch verdict with its
-/// cause, mirroring [`crate::DispatchOutcome`] in a form the trace can
-/// render without holding node references.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ArrivalVerdict {
-    /// Admitted at its requested rate onto the node.
-    Placed {
-        /// Destination node index.
-        node: usize,
-    },
-    /// Admitted at a degraded re-pricing ladder step.
-    PlacedDegraded {
-        /// Destination node index.
-        node: usize,
-        /// The degraded rate it serves at.
-        fps: f64,
-    },
-    /// Over capacity everywhere: entered the wait queue.
-    Queued,
-    /// Latency-infeasible on every node at every admissible price.
-    Infeasible,
-    /// The name was already active (resident or queued).
-    Duplicate,
-}
 
 /// One traced dispatch decision.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,8 +33,8 @@ pub enum TraceEvent {
         at: SimTime,
         /// Tenant name.
         tenant: String,
-        /// The dispatch verdict.
-        verdict: ArrivalVerdict,
+        /// The dispatch outcome.
+        outcome: DispatchOutcome,
         /// Shard probes spent planning this arrival.
         probes: u64,
     },
@@ -118,6 +96,45 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
+    /// The trace event of one recorded decision.
+    pub(crate) fn of(at: SimTime, tenant: &str, decision: &Decision) -> Self {
+        let tenant = tenant.to_string();
+        match *decision {
+            Decision::Arrival { outcome, probes } => TraceEvent::Arrival {
+                at,
+                tenant,
+                outcome,
+                probes,
+            },
+            Decision::QueueAdmit {
+                degraded, waited, ..
+            } => TraceEvent::QueueAdmit {
+                at,
+                tenant,
+                degraded,
+                waited,
+            },
+            Decision::Expiry { hopeless } => TraceEvent::QueueExpire {
+                at,
+                tenant,
+                hopeless,
+            },
+            Decision::Departure { resident } => TraceEvent::Departure {
+                at,
+                tenant,
+                resident,
+            },
+            Decision::Upgrade { fps } => TraceEvent::Upgrade { at, tenant, fps },
+            Decision::Migration { from, to, stall } => TraceEvent::Migration {
+                at,
+                tenant,
+                from,
+                to,
+                stall,
+            },
+        }
+    }
+
     /// Renders the event as one compact, stable line (used by the JSON
     /// trace block and the example output).
     #[must_use]
@@ -127,17 +144,17 @@ impl TraceEvent {
             TraceEvent::Arrival {
                 at,
                 tenant,
-                verdict,
+                outcome,
                 probes,
             } => {
-                let verdict = match verdict {
-                    ArrivalVerdict::Placed { node } => format!("placed node={node}"),
-                    ArrivalVerdict::PlacedDegraded { node, fps } => {
+                let verdict = match outcome {
+                    DispatchOutcome::Placed(node) => format!("placed node={node}"),
+                    DispatchOutcome::PlacedDegraded { node, fps } => {
                         format!("placed-degraded node={node} fps={fps:.1}")
                     }
-                    ArrivalVerdict::Queued => "queued".to_string(),
-                    ArrivalVerdict::Infeasible => "infeasible".to_string(),
-                    ArrivalVerdict::Duplicate => "duplicate".to_string(),
+                    DispatchOutcome::Queued => "queued".to_string(),
+                    DispatchOutcome::Infeasible => "infeasible".to_string(),
+                    DispatchOutcome::Duplicate => "duplicate".to_string(),
                 };
                 format!(
                     "{:.3}s arrival {tenant}: {verdict} probes={probes}",
@@ -255,8 +272,6 @@ pub(crate) struct ProfileCounters {
     /// Placement-scan probes spent across all plans: one per probed
     /// shard, one per flat whole-fleet scan.
     pub(crate) shard_probes: u64,
-    /// Drain passes that actually scanned the queue.
-    pub(crate) drain_scans: u64,
     /// Event-queue pushes + pops (event engine only).
     pub(crate) event_queue_ops: u64,
 }
@@ -305,7 +320,7 @@ mod tests {
         let e = TraceEvent::Arrival {
             at: SimTime::ZERO + SimDuration::from_millis(1_500),
             tenant: "cam-3".into(),
-            verdict: ArrivalVerdict::PlacedDegraded { node: 2, fps: 15.0 },
+            outcome: DispatchOutcome::PlacedDegraded { node: 2, fps: 15.0 },
             probes: 2,
         };
         assert_eq!(

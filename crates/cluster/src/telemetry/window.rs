@@ -11,25 +11,14 @@
 //! across worker counts.
 
 use super::sketch::QuantileSketch;
+use crate::DispatchCounts;
 use sgprs_rt::{SimDuration, SimTime};
 
 /// One window's accumulated activity.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct WindowStats {
-    pub(crate) arrivals: u64,
-    pub(crate) admitted: u64,
-    /// Re-pricing ladder admissions (at arrival or out of the queue).
-    pub(crate) degraded: u64,
-    pub(crate) deferred: u64,
-    pub(crate) infeasible: u64,
-    pub(crate) duplicates: u64,
-    pub(crate) admitted_after_wait: u64,
-    /// Patience and demand-aware expiries together.
-    pub(crate) expired: u64,
-    /// Re-pricing ladder steps back up.
-    pub(crate) upgrades: u64,
-    pub(crate) migrations: u64,
-    pub(crate) departures: u64,
+    /// The dispatch decisions that fell inside this window.
+    pub(crate) counts: DispatchCounts,
     /// Largest wait-queue depth observed after any queue mutation.
     pub(crate) queue_depth_peak: u64,
     utilization_sum: f64,
@@ -41,17 +30,7 @@ pub(crate) struct WindowStats {
 impl WindowStats {
     fn new(sketch_capacity: usize) -> Self {
         WindowStats {
-            arrivals: 0,
-            admitted: 0,
-            degraded: 0,
-            deferred: 0,
-            infeasible: 0,
-            duplicates: 0,
-            admitted_after_wait: 0,
-            expired: 0,
-            upgrades: 0,
-            migrations: 0,
-            departures: 0,
+            counts: DispatchCounts::default(),
             queue_depth_peak: 0,
             utilization_sum: 0.0,
             utilization_samples: 0,
@@ -151,15 +130,19 @@ mod tests {
             SimDuration::from_secs(1),
             16,
         );
-        s.at(at(0)).arrivals += 1;
-        s.at(at(249)).arrivals += 1;
-        s.at(at(250)).arrivals += 1;
-        s.at(at(900)).arrivals += 1;
+        s.at(at(0)).counts.arrivals += 1;
+        s.at(at(249)).counts.arrivals += 1;
+        s.at(at(250)).counts.arrivals += 1;
+        s.at(at(900)).counts.arrivals += 1;
         assert_eq!(s.windows().len(), 4);
-        assert_eq!(s.windows()[0].arrivals, 2);
-        assert_eq!(s.windows()[1].arrivals, 1);
-        assert_eq!(s.windows()[2].arrivals, 0, "gap windows materialise empty");
-        assert_eq!(s.windows()[3].arrivals, 1);
+        assert_eq!(s.windows()[0].counts.arrivals, 2);
+        assert_eq!(s.windows()[1].counts.arrivals, 1);
+        assert_eq!(
+            s.windows()[2].counts.arrivals,
+            0,
+            "gap windows materialise empty"
+        );
+        assert_eq!(s.windows()[3].counts.arrivals, 1);
     }
 
     #[test]
@@ -196,7 +179,7 @@ mod tests {
             SimDuration::from_millis(100),
             16,
         );
-        s.at(at(99)).arrivals += 1;
+        s.at(at(99)).counts.arrivals += 1;
         assert_eq!(s.windows().len(), 1);
     }
 }

@@ -143,7 +143,8 @@ mod tests {
 
     #[test]
     fn sgprs_prediction_brackets_the_measured_pivot() {
-        // Measured Scenario-2 pivot (EXPERIMENTS.md): 24 tasks.
+        // Measured Scenario-2 pivot (the `fig4_scenario2` bench bin): 24
+        // tasks.
         let pool = ContextPoolSpec::new(3, 1.5);
         let est = estimate_capacity(&task_for(&pool), &pool, 30.0, 4.0);
         assert!(
@@ -183,7 +184,8 @@ mod tests {
 
     #[test]
     fn naive_prediction_matches_measured_ballpark() {
-        // Measured naive Scenario-2 plateau ≈ 434 fps (EXPERIMENTS.md).
+        // Measured naive Scenario-2 plateau ≈ 434 fps (the
+        // `fig4_scenario2` bench bin).
         let pool = ContextPoolSpec::new(3, 1.0);
         let task = task_for(&pool);
         let naive = estimate_naive_capacity(&task, 3, 450_000.0, 30.0);

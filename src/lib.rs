@@ -19,7 +19,7 @@
 //!   streams (`cluster::ArrivalStream`, lazy pull in O(active-tenants)
 //!   memory, byte-identical to the materialised trace) feeding
 //!   dispatching (flat, or two-level
-//!   sharded via `cluster::ShardedFleet`, with `cluster::ShardRouter`
+//!   sharded via `FleetConfig::with_sharding`, with `cluster::ShardRouter`
 //!   choosing the ordered shard scan or O(1) power-of-two-choices
 //!   routing for 512–1024-node fleets), utilisation-bound admission
 //!   control, placement policies, policy-ordered wait queueing
@@ -35,8 +35,10 @@
 //!   victim selection), parallel per-epoch node execution with deterministic
 //!   metrics, and fleet-level metrics with a golden-pinned,
 //!   schema-versioned JSON export. Every dispatch decision lives in the
-//!   shared `cluster::policy` kernel, consumed identically by both
-//!   execution modes: the classic epoch grid, and the `cluster::event`
+//!   shared `cluster::policy` kernel and is recorded once, into one
+//!   `cluster::DispatchCounts` block shared by the run totals and the
+//!   telemetry windows, by both execution modes: the classic epoch
+//!   grid, and the `cluster::event`
 //!   discrete-event core (`Fleet::run_events`) — exact
 //!   release/departure boundaries, zero epoch truncation, and mid-epoch
 //!   migration paying an explicit state-transfer stall while re-pricing

@@ -6,14 +6,14 @@
 //! FIFO-reject on the overload burst.
 
 use sgprs_suite::cluster::{
-    AdmissionController, ArrivalStream, ChurnConfig, ChurnTrace, Fleet, FleetConfig,
-    FleetMetricsBuilder, FleetNode, ModelKind, NodeSpec, QueuePolicy, ShardedFleet, Span,
-    TelemetryConfig, TenantSpec, BASE_SCHEMA_VERSION, METRICS_SCHEMA_VERSION,
+    AdmissionController, ArrivalStream, ChurnConfig, ChurnTrace, DispatchCounts, Fleet,
+    FleetConfig, FleetMetrics, FleetMetricsBuilder, FleetNode, ModelKind, NodeSpec, QueuePolicy,
+    Span, TelemetryConfig, TenantSpec, BASE_SCHEMA_VERSION, METRICS_SCHEMA_VERSION,
 };
 use sgprs_suite::core::MetricsCollector;
 use sgprs_suite::gpu_sim::GpuSpec;
 use sgprs_suite::rt::{SimDuration, SimTime};
-use sgprs_suite::workload::{FleetScenario, SchedulerKind, ScenarioSpec};
+use sgprs_suite::workload::{FleetScenario, SchedulerKind, ScenarioSpec, TenantLoad};
 
 /// A 3-node fleet under the paper's ResNet18@30fps workload must achieve
 /// a total FPS at least as high as the best single-node Scenario-2
@@ -207,10 +207,10 @@ fn id_table_is_bounded_by_active_tenants_not_trace_length() {
     let short = replay_for(5);
     let long = replay_for(20);
     assert!(
-        long.arrivals >= short.arrivals * 3,
+        long.counts.arrivals >= short.counts.arrivals * 3,
         "the long run must stream several times more tenants: {} vs {}",
-        long.arrivals,
-        short.arrivals
+        long.counts.arrivals,
+        short.counts.arrivals
     );
     for replay in [&short, &long] {
         assert_eq!(
@@ -223,12 +223,12 @@ fn id_table_is_bounded_by_active_tenants_not_trace_length() {
         "id capacity tracks the (unchanged) active steady state, not the \
          trace length: {} after {} arrivals vs {} after {}",
         long.id_capacity,
-        long.arrivals,
+        long.counts.arrivals,
         short.id_capacity,
-        short.arrivals
+        short.counts.arrivals
     );
     assert!(
-        long.id_capacity < usize::try_from(long.arrivals).expect("fits") / 4,
+        long.id_capacity < usize::try_from(long.counts.arrivals).expect("fits") / 4,
         "the table must stay far below one slot per streamed tenant: {long:?}"
     );
 }
@@ -573,11 +573,11 @@ fn metro_scale_serves_in_both_engines() {
 #[test]
 fn sharded_scale_out_serves_without_overcommitting() {
     let scenario = FleetScenario::scale_out(64, 3);
-    let mut fleet = ShardedFleet::new(
-        FleetConfig::new(scenario.nodes.clone()).with_seed(scenario.seed),
-        8,
+    let mut fleet = Fleet::new(
+        FleetConfig::new(scenario.nodes.clone())
+            .with_seed(scenario.seed)
+            .with_sharding(8),
     );
-    assert_eq!(fleet.shard_count(), 8);
     let m = fleet.run(scenario.trace(), scenario.sim);
     assert!(m.total_fps > 0.0);
     assert!(m.arrivals > 100, "{m:?}");
@@ -710,7 +710,7 @@ fn metro_telemetry_is_byte_identical_across_workers_in_both_engines() {
     assert_eq!(report.window_secs, 0.25);
     assert!(report.windows.len() >= 16, "4 s / 250 ms windows");
     assert!(
-        report.windows.iter().any(|w| w.arrivals > 0),
+        report.windows.iter().any(|w| w.counts.arrivals > 0),
         "metro churn lands in the series"
     );
     assert!(report.job_latency.count > 0, "completions fed the sketches");
@@ -842,4 +842,94 @@ fn profiled_matrix_is_byte_identical_across_workers_parallelism_and_dispatch() {
             }
         }
     }
+}
+
+/// Asserts that every dispatch counter summed over the telemetry
+/// windows equals the run total (the windows' single `expired` column
+/// covers both expiry kinds).
+fn assert_windows_sum_to_totals(label: &str, m: &FleetMetrics) {
+    let report = m.telemetry.as_ref().expect("telemetry attached");
+    let sum = |f: fn(&DispatchCounts) -> u64| -> u64 {
+        report.windows.iter().map(|w| f(&w.counts)).sum()
+    };
+    let pairs = [
+        ("arrivals", sum(|c| c.arrivals), m.arrivals),
+        ("admitted", sum(|c| c.admitted), m.admitted),
+        ("degraded", sum(|c| c.degraded), m.degraded),
+        ("deferred", sum(|c| c.deferred), m.deferred),
+        ("infeasible", sum(|c| c.infeasible), m.infeasible),
+        ("duplicates", sum(|c| c.duplicates), m.duplicates),
+        (
+            "admitted_after_wait",
+            sum(|c| c.admitted_after_wait),
+            m.admitted_after_wait,
+        ),
+        (
+            "expired",
+            sum(DispatchCounts::expired_total),
+            m.expired + m.expired_hopeless,
+        ),
+        ("upgrades", sum(|c| c.upgrades), m.upgrades),
+        ("migrations", sum(|c| c.migrations), m.migrations),
+        ("departures", sum(|c| c.departures), m.departures),
+    ];
+    for (name, windows, total) in pairs {
+        assert_eq!(
+            windows, total,
+            "{label}: windowed {name} must sum to the run total"
+        );
+    }
+}
+
+/// The telemetry windows and the run totals fold the same decisions, so
+/// each windowed counter sums to its `FleetMetrics` total, in both
+/// engines. The scenarios between them defer, re-price, upgrade,
+/// migrate, and expire waiters both ways: an overloaded metro fleet, the
+/// re-priced overload burst, and a burst onto one small node where
+/// 60 fps feeds queue but can never fit, so patience and demand-aware
+/// expiry both fire.
+#[test]
+fn window_counters_sum_to_run_totals_in_both_engines() {
+    let mut overload = FleetScenario::metro_scale(8, 8).with_migration(0.1);
+    if let TenantLoad::Metro { base, .. } = &mut overload.load {
+        base.mean_interarrival = SimDuration::from_nanos(base.mean_interarrival.as_nanos() / 8);
+    }
+    overload.admission_bound = Some(1.0);
+    let repriced = FleetScenario::overload_burst(6).with_queue(QueuePolicy::EarliestDeadline, true);
+    let mut doomed = FleetScenario::overload_burst(6);
+    doomed.nodes = vec![NodeSpec::sgprs("small", GpuSpec::synthetic(16))];
+    doomed.admission_bound = Some(0.3);
+    if let TenantLoad::Churn(churn) = &mut doomed.load {
+        churn.fps = 60.0;
+    }
+    let mut seen = DispatchCounts::default();
+    for (label, scenario) in [
+        ("metro overload", &overload),
+        ("repriced burst", &repriced),
+        ("doomed burst", &doomed),
+    ] {
+        for event_driven in [false, true] {
+            let mut cfg = scenario
+                .config()
+                .with_demand_aware_expiry()
+                .with_telemetry(TelemetryConfig::windowed(SimDuration::from_millis(250)));
+            cfg.event_driven = event_driven;
+            let m = Fleet::new(cfg).run_configured(scenario.arrivals(), scenario.sim);
+            let label = format!("{label} event_driven={event_driven}");
+            assert_windows_sum_to_totals(&label, &m);
+            seen.deferred += m.deferred;
+            seen.degraded += m.degraded;
+            seen.upgrades += m.upgrades;
+            seen.migrations += m.migrations;
+            seen.expired += m.expired;
+            seen.expired_hopeless += m.expired_hopeless;
+            seen.departures += m.departures;
+        }
+    }
+    assert!(
+        seen.deferred > 0 && seen.degraded > 0 && seen.upgrades > 0,
+        "{seen:?}"
+    );
+    assert!(seen.migrations > 0 && seen.departures > 0, "{seen:?}");
+    assert!(seen.expired > 0 && seen.expired_hopeless > 0, "{seen:?}");
 }

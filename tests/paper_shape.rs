@@ -1,6 +1,6 @@
 //! End-to-end shape tests: the paper's qualitative claims must hold on
 //! short simulations. (The full quantitative sweeps live in the
-//! `sgprs-bench` binaries; see EXPERIMENTS.md.)
+//! `sgprs-bench` binaries `fig3_scenario1` and `fig4_scenario2`.)
 
 use sgprs_suite::core::{NaiveConfig, NaiveScheduler, SgprsConfig, SgprsScheduler};
 use sgprs_suite::rt::{SimDuration, SimTime};
