@@ -21,8 +21,13 @@
 //!   sequential FIFO execution of whole networks, and a partition
 //!   reconfiguration cost whenever a context switches tenants (the cost
 //!   SGPRS's seamless switching eliminates).
+//! * [`ReconfigScheduler`] — right-sized partitions rebuilt, with a
+//!   device-wide stall, whenever the tenant population changes.
+//! * The release driver (crate-private) — the periodic release loop,
+//!   [`Admission`] rule and job-completion bookkeeping all three
+//!   schedulers share; each supplies only its queueing and dispatch.
 //! * [`RunMetrics`] — total-FPS / deadline-miss-rate accounting shared by
-//!   both schedulers (the paper's two evaluation metrics).
+//!   all three schedulers (the paper's two evaluation metrics).
 //!
 //! # Example
 //!
@@ -58,6 +63,7 @@ mod metrics;
 mod naive;
 pub mod offline;
 mod reconfig;
+mod release;
 mod sgprs;
 
 pub use compiled::CompiledTask;

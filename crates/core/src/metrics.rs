@@ -77,9 +77,10 @@ pub struct TaskMetrics {
 
 /// Streaming collector turning per-job outcomes into [`RunMetrics`].
 ///
-/// Both schedulers feed it the same three event kinds (release, skip,
-/// completion), so the paper's metrics are computed identically for SGPRS
-/// and the naive baseline.
+/// All three schedulers (SGPRS, the naive baseline and the reconfiguring
+/// partitioner) feed it the same four event kinds — release, skip, drop,
+/// completion — through the shared release driver, so the paper's metrics
+/// are computed identically for each.
 #[derive(Debug, Clone)]
 pub struct MetricsCollector {
     warmup_end: SimTime,
@@ -165,6 +166,13 @@ impl MetricsCollector {
     /// Finalises the metrics for a run that ended at `end`.
     #[must_use]
     pub fn finish(mut self, end: SimTime) -> RunMetrics {
+        self.take(end)
+    }
+
+    /// Finalises the metrics for a run that ended at `end` and clears the
+    /// counters, so the collector measures the next run afresh with the
+    /// same task names and warm-up.
+    pub(crate) fn take(&mut self, end: SimTime) -> RunMetrics {
         let window = end.duration_since(self.warmup_end);
         let window_s = window.as_secs_f64();
         let released: u64 = self.released.iter().sum();
@@ -173,13 +181,14 @@ impl MetricsCollector {
         let late: u64 = self.late.iter().sum();
         let skipped: u64 = self.skipped.iter().sum();
         let dropped: u64 = self.dropped.iter().sum();
-        self.responses_ns.sort_unstable();
+        let mut responses_ns = std::mem::take(&mut self.responses_ns);
+        responses_ns.sort_unstable();
         let pct = |p: f64| -> SimDuration {
-            if self.responses_ns.is_empty() {
+            if responses_ns.is_empty() {
                 return SimDuration::ZERO;
             }
-            let idx = ((self.responses_ns.len() as f64 - 1.0) * p).round() as usize;
-            SimDuration::from_nanos(self.responses_ns[idx])
+            let idx = ((responses_ns.len() as f64 - 1.0) * p).round() as usize;
+            SimDuration::from_nanos(responses_ns[idx])
         };
         let per_task = self
             .task_names
@@ -197,6 +206,7 @@ impl MetricsCollector {
                 },
             })
             .collect();
+        *self = Self::new(std::mem::take(&mut self.task_names), self.warmup_end);
         RunMetrics {
             window,
             released,
@@ -218,7 +228,7 @@ impl MetricsCollector {
             response_p50: pct(0.50),
             response_p95: pct(0.95),
             response_max: pct(1.0),
-            response_samples_ns: self.responses_ns,
+            response_samples_ns: responses_ns,
             per_task,
         }
     }
@@ -342,6 +352,18 @@ mod tests {
         let m = c.finish(t(1_100));
         assert_eq!(m.dropped, 0);
         assert!(m.is_miss_free());
+    }
+
+    #[test]
+    fn take_restarts_the_window_with_the_same_names() {
+        let mut c = collector();
+        c.record_release(0, t(200));
+        c.record_completion(0, t(200), t(210), t(233));
+        assert_eq!(c.take(t(1_100)).completed, 1);
+        let m = c.take(t(1_100));
+        assert_eq!((m.released, m.completed), (0, 0));
+        assert!(m.response_samples_ns.is_empty());
+        assert_eq!(m.per_task[1].name, "b");
     }
 
     #[test]

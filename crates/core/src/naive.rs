@@ -18,42 +18,87 @@
 //! below SGPRS while the deadline-miss rate explodes (the domino effect of
 //! §V).
 
-use crate::{Admission, CompiledTask, MetricsCollector, NaiveConfig, RunMetrics};
-use sgprs_gpu_sim::{
-    ContextConfig, ContextId, DeviceEvent, GpuEngine, KernelDesc, KernelHandle, StreamClass,
-};
-use sgprs_rt::{ReleaseGenerator, SimTime};
+use crate::release::{build_engine, Driver, Policy};
+use crate::{CompiledTask, NaiveConfig, RunMetrics};
+use sgprs_gpu_sim::{ContextId, DeviceEvent, GpuEngine, KernelDesc, KernelHandle, StreamClass};
+use sgprs_rt::SimTime;
 use std::collections::{HashMap, VecDeque};
 
-/// One whole-network job waiting in a partition's FIFO queue.
+/// One whole-network job of the naive or reconfiguring partitioner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct JobRef {
-    task: usize,
+pub(crate) struct JobRef {
+    pub(crate) task: usize,
     release_index: u64,
-    release: SimTime,
-    deadline: SimTime,
+    pub(crate) release: SimTime,
+    pub(crate) deadline: SimTime,
+}
+
+/// Whole-network execution shared by the naive and reconfiguring
+/// partitioners: each job runs as one kernel on an otherwise idle
+/// one-stream partition.
+#[derive(Debug)]
+pub(crate) struct WholeNetworks {
+    pub(crate) engine: GpuEngine,
+    tasks: Vec<CompiledTask>,
+    pub(crate) running: HashMap<KernelHandle, JobRef>,
+}
+
+impl WholeNetworks {
+    pub(crate) fn new(engine: GpuEngine, tasks: Vec<CompiledTask>) -> Self {
+        WholeNetworks {
+            engine,
+            tasks,
+            running: HashMap::new(),
+        }
+    }
+
+    /// Job `index` of `task`, released (or grabbed) at `release`.
+    pub(crate) fn job(&self, task: usize, index: u64, release: SimTime) -> JobRef {
+        JobRef {
+            task,
+            release_index: index,
+            release,
+            deadline: release + self.tasks[task].spec.deadline,
+        }
+    }
+
+    /// `true` when partition `ctx` has nothing resident.
+    pub(crate) fn idle(&self, ctx: usize) -> bool {
+        self.engine.snapshot(ContextId(ctx)).resident == 0
+    }
+
+    /// Runs `job` on the idle partition `ctx`, after `extra_ns` of serial
+    /// set-up.
+    pub(crate) fn submit(&mut self, ctx: usize, job: JobRef, extra_ns: f64) {
+        let label = format!("τ{}#{}", job.task, job.release_index);
+        let desc = KernelDesc::new(label, self.tasks[job.task].whole_profile.clone())
+            .with_extra_ns(extra_ns);
+        let handle = self
+            .engine
+            .submit(ContextId(ctx), StreamClass::High, desc)
+            .expect("partition was idle");
+        self.running.insert(handle, job);
+    }
 }
 
 /// The naive spatial-partitioning scheduler. See the module documentation for the algorithm details.
 #[derive(Debug)]
 pub struct NaiveScheduler {
+    driver: Driver,
+    policy: Naive,
+}
+
+/// The naive policy: static partitions, FIFO per partition, switch tax.
+#[derive(Debug)]
+struct Naive {
     config: NaiveConfig,
-    engine: GpuEngine,
-    tasks: Vec<CompiledTask>,
-    gens: Vec<ReleaseGenerator>,
-    outstanding: Vec<u64>,
-    /// Frame buffer per task ([`Admission::FrameBuffer`]).
-    buffered: Vec<Option<SimTime>>,
-    /// Per-task monotone admission counter.
-    admit_seq: Vec<u64>,
+    whole: WholeNetworks,
     /// Static task → partition assignment (round robin).
     ctx_of_task: Vec<usize>,
     /// Tenants (distinct tasks) per partition, fixed at construction.
     tenants: Vec<usize>,
     fifo: Vec<VecDeque<JobRef>>,
-    running: HashMap<KernelHandle, JobRef>,
     last_tenant: Vec<Option<usize>>,
-    collector: MetricsCollector,
 }
 
 impl NaiveScheduler {
@@ -64,150 +109,67 @@ impl NaiveScheduler {
     /// Panics if `tasks` is empty.
     #[must_use]
     pub fn new(config: NaiveConfig, tasks: Vec<CompiledTask>) -> Self {
-        assert!(!tasks.is_empty(), "need at least one task");
-        let sm_allocs = config.sm_allocations();
-        let mut builder = GpuEngine::builder(config.gpu.clone())
-            .contention_model(config.contention)
-            .seed(config.seed)
-            .tracing(config.tracing);
-        for &sm in &sm_allocs {
-            // One stream, sequential execution: no temporal partitioning.
-            builder = builder.context(ContextConfig::new(sm).with_streams(1, 0));
-        }
-        let engine = builder.build();
-        let n_ctx = sm_allocs.len();
+        let driver = Driver::new(&tasks, config.admission, config.warmup);
+        // One stream, sequential execution: no temporal partitioning.
+        let engine = build_engine(
+            &config.gpu,
+            config.contention,
+            config.seed,
+            config.tracing,
+            &config.sm_allocations(),
+            (1, 0),
+        );
+        let n_ctx = engine.context_count();
         let ctx_of_task: Vec<usize> = (0..tasks.len()).map(|i| i % n_ctx).collect();
-        let mut tenants = vec![0usize; n_ctx];
-        for &c in &ctx_of_task {
-            tenants[c] += 1;
-        }
-        let gens = tasks
-            .iter()
-            .map(|t| ReleaseGenerator::new(SimTime::ZERO + t.spec.phase, t.spec.period))
+        let tenants = (0..n_ctx)
+            .map(|c| ctx_of_task.iter().filter(|&&t| t == c).count())
             .collect();
-        let names = tasks.iter().map(|t| t.spec.name.clone()).collect();
-        let collector = MetricsCollector::new(names, SimTime::ZERO + config.warmup);
-        let n_tasks = tasks.len();
         NaiveScheduler {
-            config,
-            engine,
-            tasks,
-            gens,
-            outstanding: vec![0; n_tasks],
-            buffered: vec![None; n_tasks],
-            admit_seq: vec![0; n_tasks],
-            ctx_of_task,
-            tenants,
-            fifo: (0..n_ctx).map(|_| VecDeque::new()).collect(),
-            running: HashMap::new(),
-            last_tenant: vec![None; n_ctx],
-            collector,
+            driver,
+            policy: Naive {
+                config,
+                whole: WholeNetworks::new(engine, tasks),
+                ctx_of_task,
+                tenants,
+                fifo: (0..n_ctx).map(|_| VecDeque::new()).collect(),
+                last_tenant: vec![None; n_ctx],
+            },
         }
     }
 
     /// The underlying device engine (for traces and occupancy stats).
     #[must_use]
     pub fn engine(&self) -> &GpuEngine {
-        &self.engine
+        &self.policy.whole.engine
     }
 
     /// Runs the simulation until `end`, returning metrics over
     /// `warmup..end`.
     pub fn run(&mut self, end: SimTime) -> RunMetrics {
-        loop {
-            let next_release = self
-                .gens
-                .iter()
-                .map(ReleaseGenerator::next_release)
-                .min()
-                .expect("at least one task");
-            let next_device = self.engine.next_event_time();
-            let next = match next_device {
-                Some(d) if d < next_release => d,
-                _ => next_release,
-            };
-            if next > end {
-                break;
-            }
-            let events = self.engine.advance_to(next);
-            self.handle_events(&events);
-            if next_release == next {
-                self.do_releases(next);
-            }
-            self.dispatch();
-        }
-        let events = self.engine.advance_to(end);
-        self.handle_events(&events);
-        let names = self.tasks.iter().map(|t| t.spec.name.clone()).collect();
-        let fresh = MetricsCollector::new(names, SimTime::ZERO + self.config.warmup);
-        std::mem::replace(&mut self.collector, fresh).finish(end)
+        self.driver.run(&mut self.policy, end)
+    }
+}
+
+impl Policy for Naive {
+    fn engine(&mut self) -> &mut GpuEngine {
+        &mut self.whole.engine
     }
 
-    fn admit(&mut self, task_idx: usize, release: SimTime) {
-        let index = self.admit_seq[task_idx];
-        self.admit_seq[task_idx] += 1;
-        self.outstanding[task_idx] += 1;
-        let job = JobRef {
-            task: task_idx,
-            release_index: index,
-            release,
-            deadline: release + self.tasks[task_idx].spec.deadline,
-        };
-        self.fifo[self.ctx_of_task[task_idx]].push_back(job);
+    fn admit(&mut self, task: usize, index: u64, release: SimTime) {
+        let job = self.whole.job(task, index, release);
+        self.fifo[self.ctx_of_task[task]].push_back(job);
     }
 
-    fn do_releases(&mut self, now: SimTime) {
-        for task_idx in 0..self.tasks.len() {
-            while self.gens[task_idx].next_release() <= now {
-                let release = self.gens[task_idx].next_release();
-                self.gens[task_idx].advance();
-                self.collector.record_release(task_idx, release);
-                let busy = self.outstanding[task_idx] > 0;
-                if busy {
-                    match self.config.admission {
-                        Admission::SkipIfBusy => {
-                            self.collector.record_skip(task_idx, release);
-                            continue;
-                        }
-                        Admission::FrameBuffer => {
-                            if let Some(stale) = self.buffered[task_idx].replace(release)
-                            {
-                                self.collector.record_skip(task_idx, stale);
-                            }
-                            continue;
-                        }
-                        Admission::QueueAll => {}
-                    }
-                }
-                self.admit(task_idx, release);
-            }
+    fn on_event(&mut self, driver: &mut Driver, ev: &DeviceEvent) {
+        if let Some(job) = self.whole.running.remove(&ev.kernel) {
+            driver.complete(self, job.task, job.release, ev.finished_at, job.deadline);
         }
     }
 
-    fn handle_events(&mut self, events: &[DeviceEvent]) {
-        for ev in events {
-            let Some(job) = self.running.remove(&ev.kernel) else {
-                continue;
-            };
-            self.collector.record_completion(
-                job.task,
-                job.release,
-                ev.finished_at,
-                job.deadline,
-            );
-            self.outstanding[job.task] = self.outstanding[job.task].saturating_sub(1);
-            if self.config.admission == Admission::FrameBuffer {
-                if let Some(_boundary) = self.buffered[job.task].take() {
-                    self.admit(job.task, ev.finished_at);
-                }
-            }
-        }
-    }
-
-    fn dispatch(&mut self) {
+    fn dispatch(&mut self, _driver: &mut Driver, _now: SimTime) {
         for ctx in 0..self.fifo.len() {
             // Sequential: dispatch only when the partition is idle.
-            if self.engine.snapshot(ContextId(ctx)).resident > 0 {
+            if !self.whole.idle(ctx) {
                 continue;
             }
             let Some(job) = self.fifo[ctx].pop_front() else {
@@ -221,14 +183,7 @@ impl NaiveScheduler {
                 self.config.switch_cost_ns(self.tenants[ctx])
             };
             self.last_tenant[ctx] = Some(job.task);
-            let label = format!("τ{}#{}", job.task, job.release_index);
-            let desc = KernelDesc::new(label, self.tasks[job.task].whole_profile.clone())
-                .with_extra_ns(switch_ns);
-            let handle = self
-                .engine
-                .submit(ContextId(ctx), StreamClass::High, desc)
-                .expect("partition was idle");
-            self.running.insert(handle, job);
+            self.whole.submit(ctx, job, switch_ns);
         }
     }
 }

@@ -14,12 +14,12 @@
 //! to the reconfiguration stalls alone — direct evidence for the value of
 //! seamless switching.
 
-use crate::{Admission, CompiledTask, MetricsCollector, NaiveConfig, RunMetrics};
-use sgprs_gpu_sim::{
-    ContextConfig, ContextId, DeviceEvent, GpuEngine, KernelDesc, KernelHandle, StreamClass,
-};
-use sgprs_rt::{ReleaseGenerator, SimDuration, SimTime};
-use std::collections::{HashMap, VecDeque};
+use crate::naive::{JobRef, WholeNetworks};
+use crate::release::{build_engine, Driver, Policy};
+use crate::{CompiledTask, NaiveConfig, RunMetrics};
+use sgprs_gpu_sim::{DeviceEvent, GpuEngine};
+use sgprs_rt::{SimDuration, SimTime};
+use std::collections::VecDeque;
 
 /// Configuration of the reconfiguring partitioner.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,34 +58,21 @@ impl Default for ReconfigConfig {
 /// The reconfiguring spatial partitioner. See the module documentation for the algorithm details.
 #[derive(Debug)]
 pub struct ReconfigScheduler {
-    config: ReconfigConfig,
-    engine: GpuEngine,
-    tasks: Vec<CompiledTask>,
-    gens: Vec<ReleaseGenerator>,
-    outstanding: Vec<u64>,
-    buffered: Vec<Option<SimTime>>,
-    /// Whole-network jobs waiting for a partition, FIFO across the device.
-    queue: VecDeque<QueuedJob>,
-    running: HashMap<KernelHandle, QueuedJob>,
-    collector: MetricsCollector,
-    /// Number of partitions the engine is currently built for.
-    current_partitions: usize,
-    /// The device is stalled (repartitioning) until this instant.
-    stalled_until: SimTime,
-    /// Distinct tasks that had work in the recent window (drives sizing).
-    admit_seq: Vec<u64>,
-    /// Tasks that have released at least one job (the tenant population
-    /// the layout is sized for).
-    seen: Vec<bool>,
-    repartitions: u64,
+    driver: Driver,
+    policy: Reconfig,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct QueuedJob {
-    task: usize,
-    release_index: u64,
-    release: SimTime,
-    deadline: SimTime,
+/// The reconfiguring policy: one device-wide FIFO over right-sized
+/// partitions, rebuilt whenever the tenant population changes.
+#[derive(Debug)]
+struct Reconfig {
+    config: ReconfigConfig,
+    whole: WholeNetworks,
+    /// Whole-network jobs waiting for a partition, FIFO across the device.
+    queue: VecDeque<JobRef>,
+    /// Number of partitions the engine is currently built for.
+    current_partitions: usize,
+    repartitions: u64,
 }
 
 impl ReconfigScheduler {
@@ -96,196 +83,101 @@ impl ReconfigScheduler {
     /// Panics if `tasks` is empty or `max_partitions` is zero.
     #[must_use]
     pub fn new(config: ReconfigConfig, tasks: Vec<CompiledTask>) -> Self {
-        assert!(!tasks.is_empty(), "need at least one task");
+        let driver = Driver::new(&tasks, config.base.admission, config.base.warmup);
         assert!(config.max_partitions > 0, "need at least one partition");
-        let engine = Self::build_engine(&config, 1);
-        let gens = tasks
-            .iter()
-            .map(|t| ReleaseGenerator::new(SimTime::ZERO + t.spec.phase, t.spec.period))
-            .collect();
-        let names = tasks.iter().map(|t| t.spec.name.clone()).collect();
-        let collector = MetricsCollector::new(names, SimTime::ZERO + config.base.warmup);
-        let n_tasks = tasks.len();
         ReconfigScheduler {
-            config,
-            engine,
-            tasks,
-            gens,
-            outstanding: vec![0; n_tasks],
-            buffered: vec![None; n_tasks],
-            queue: VecDeque::new(),
-            running: HashMap::new(),
-            collector,
-            current_partitions: 1,
-            stalled_until: SimTime::ZERO,
-            admit_seq: vec![0; n_tasks],
-            seen: vec![false; n_tasks],
-            repartitions: 0,
+            driver,
+            policy: Reconfig {
+                whole: WholeNetworks::new(Reconfig::build_engine(&config, 1), tasks),
+                config,
+                queue: VecDeque::new(),
+                current_partitions: 1,
+                repartitions: 0,
+            },
         }
-    }
-
-    fn build_engine(config: &ReconfigConfig, partitions: usize) -> GpuEngine {
-        let total = config.base.gpu.total_sms;
-        let base = total / partitions as u32;
-        let remainder = (total % partitions as u32) as usize;
-        let mut builder = GpuEngine::builder(config.base.gpu.clone())
-            .contention_model(config.base.contention)
-            .seed(config.base.seed);
-        for i in 0..partitions {
-            let sm = base + u32::from(i < remainder);
-            builder = builder.context(ContextConfig::new(sm.max(1)).with_streams(1, 0));
-        }
-        builder.build()
     }
 
     /// Number of repartitioning stalls incurred so far.
     #[must_use]
     pub fn repartition_count(&self) -> u64 {
-        self.repartitions
+        self.policy.repartitions
     }
 
     /// Runs until `end`, returning the metrics over `warmup..end`.
     pub fn run(&mut self, end: SimTime) -> RunMetrics {
-        loop {
-            let next_release = self
-                .gens
-                .iter()
-                .map(ReleaseGenerator::next_release)
-                .min()
-                .expect("at least one task");
-            let next_device = self.engine.next_event_time();
-            let mut next = match next_device {
-                Some(d) if d < next_release => d,
-                _ => next_release,
-            };
-            if self.stalled_until > self.engine.now() && self.stalled_until < next {
-                next = self.stalled_until;
-            }
-            if next > end {
-                break;
-            }
-            let events = self.engine.advance_to(next);
-            self.handle_events(&events);
-            if next_release <= next {
-                self.do_releases(next);
-            }
-            self.maybe_repartition(next);
-            self.dispatch();
+        self.driver.run(&mut self.policy, end)
+    }
+}
+
+impl Reconfig {
+    /// An equal split of the device into `partitions` one-stream
+    /// partitions of at least one SM each.
+    fn build_engine(config: &ReconfigConfig, partitions: usize) -> GpuEngine {
+        let base = &config.base;
+        let sm_allocs: Vec<u32> = NaiveConfig {
+            contexts: partitions,
+            ..base.clone()
         }
-        let events = self.engine.advance_to(end);
-        self.handle_events(&events);
-        let names = self.tasks.iter().map(|t| t.spec.name.clone()).collect();
-        let fresh = MetricsCollector::new(names, SimTime::ZERO + self.config.base.warmup);
-        std::mem::replace(&mut self.collector, fresh).finish(end)
+        .sm_allocations()
+        .into_iter()
+        .map(|sm| sm.max(1))
+        .collect();
+        build_engine(
+            &base.gpu,
+            base.contention,
+            base.seed,
+            base.tracing,
+            &sm_allocs,
+            (1, 0),
+        )
     }
 
-    /// The partition count the current tenant population wants: one
-    /// partition per tenant that has ever released work, capped.
-    fn desired_partitions(&self) -> usize {
-        let tenants = self.seen.iter().filter(|&&s| s).count().max(1);
-        tenants.min(self.config.max_partitions)
-    }
-
-    /// Rebuilds the context layout when the desired partition count
-    /// changed, charging the device-wide stall. Only possible when the
-    /// device is idle (in-flight kernels cannot survive a repartition);
-    /// otherwise the repartition is deferred to the next idle instant.
-    fn maybe_repartition(&mut self, now: SimTime) {
-        let desired = self.desired_partitions();
-        if desired == self.current_partitions {
+    /// Rebuilds the context layout when the desired partition count — one
+    /// partition per tenant that has ever released work, capped — changed,
+    /// charging the device-wide stall. Only possible when the device is
+    /// idle (in-flight kernels cannot survive a repartition); otherwise
+    /// the repartition is deferred to the next idle instant. The rebuilt
+    /// engine's clock starts at the end of the stall, so nothing is
+    /// dispatched before it.
+    fn maybe_repartition(&mut self, driver: &Driver, now: SimTime) {
+        let desired = driver.released_tasks().clamp(1, self.config.max_partitions);
+        if desired == self.current_partitions || !self.whole.running.is_empty() {
             return;
         }
-        if !self.running.is_empty() {
-            return; // defer until the device drains
-        }
-        self.engine = Self::build_engine(&self.config, desired);
-        // The fresh engine starts at t=0; bring it to `now` plus the stall.
+        self.whole.engine = Self::build_engine(&self.config, desired);
         let stall = SimDuration::from_nanos(self.config.repartition_stall_ns);
-        self.stalled_until = now + stall;
-        self.engine.advance_to(self.stalled_until);
+        self.whole.engine.advance_to(now + stall);
         self.current_partitions = desired;
         self.repartitions += 1;
     }
+}
 
-    fn do_releases(&mut self, now: SimTime) {
-        for task_idx in 0..self.tasks.len() {
-            while self.gens[task_idx].next_release() <= now {
-                let release = self.gens[task_idx].next_release();
-                self.gens[task_idx].advance();
-                self.seen[task_idx] = true;
-                self.collector.record_release(task_idx, release);
-                let busy = self.outstanding[task_idx] > 0;
-                if busy {
-                    match self.config.base.admission {
-                        Admission::SkipIfBusy => {
-                            self.collector.record_skip(task_idx, release);
-                            continue;
-                        }
-                        Admission::FrameBuffer => {
-                            if let Some(stale) = self.buffered[task_idx].replace(release)
-                            {
-                                self.collector.record_skip(task_idx, stale);
-                            }
-                            continue;
-                        }
-                        Admission::QueueAll => {}
-                    }
-                }
-                self.admit(task_idx, release);
-            }
+impl Policy for Reconfig {
+    fn engine(&mut self) -> &mut GpuEngine {
+        &mut self.whole.engine
+    }
+
+    fn admit(&mut self, task: usize, index: u64, release: SimTime) {
+        let job = self.whole.job(task, index, release);
+        self.queue.push_back(job);
+    }
+
+    fn on_event(&mut self, driver: &mut Driver, ev: &DeviceEvent) {
+        if let Some(job) = self.whole.running.remove(&ev.kernel) {
+            driver.complete(self, job.task, job.release, ev.finished_at, job.deadline);
         }
     }
 
-    fn admit(&mut self, task_idx: usize, release: SimTime) {
-        let index = self.admit_seq[task_idx];
-        self.admit_seq[task_idx] += 1;
-        self.outstanding[task_idx] += 1;
-        self.queue.push_back(QueuedJob {
-            task: task_idx,
-            release_index: index,
-            release,
-            deadline: release + self.tasks[task_idx].spec.deadline,
-        });
-    }
-
-    fn handle_events(&mut self, events: &[DeviceEvent]) {
-        for ev in events {
-            let Some(job) = self.running.remove(&ev.kernel) else {
-                continue;
-            };
-            self.collector.record_completion(
-                job.task,
-                job.release,
-                ev.finished_at,
-                job.deadline,
-            );
-            self.outstanding[job.task] = self.outstanding[job.task].saturating_sub(1);
-            if self.config.base.admission == Admission::FrameBuffer {
-                if let Some(_boundary) = self.buffered[job.task].take() {
-                    self.admit(job.task, ev.finished_at);
-                }
-            }
-        }
-    }
-
-    fn dispatch(&mut self) {
-        if self.engine.now() < self.stalled_until {
-            return; // repartition in progress
-        }
-        for ctx in 0..self.engine.context_count() {
-            if self.engine.snapshot(ContextId(ctx)).resident > 0 {
+    fn dispatch(&mut self, driver: &mut Driver, now: SimTime) {
+        self.maybe_repartition(driver, now);
+        for ctx in 0..self.whole.engine.context_count() {
+            if !self.whole.idle(ctx) {
                 continue;
             }
             let Some(job) = self.queue.pop_front() else {
                 return;
             };
-            let label = format!("τ{}#{}", job.task, job.release_index);
-            let desc = KernelDesc::new(label, self.tasks[job.task].whole_profile.clone());
-            let handle = self
-                .engine
-                .submit(ContextId(ctx), StreamClass::High, desc)
-                .expect("partition was idle");
-            self.running.insert(handle, job);
+            self.whole.submit(ctx, job, 0.0);
         }
     }
 }
@@ -368,7 +260,7 @@ mod tests {
         cfg.max_partitions = 2;
         let mut s = ReconfigScheduler::new(cfg, compile(10));
         let _ = s.run(SimTime::ZERO + SimDuration::from_secs(1));
-        assert!(s.current_partitions <= 2);
+        assert!(s.policy.current_partitions <= 2);
     }
 
     #[test]

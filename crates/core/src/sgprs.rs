@@ -20,11 +20,10 @@
 //! (compare [`crate::NaiveScheduler`], which pays for every tenant
 //! switch).
 
-use crate::{Admission, CompiledTask, MetricsCollector, QueueOrder, RunMetrics, SgprsConfig};
-use sgprs_gpu_sim::{
-    ContextConfig, ContextId, DeviceEvent, GpuEngine, KernelDesc, KernelHandle, StreamClass,
-};
-use sgprs_rt::{Job, PriorityBands, PriorityLevel, ReleaseGenerator, SimTime, TaskId};
+use crate::release::{build_engine, Driver, Policy};
+use crate::{Admission, CompiledTask, QueueOrder, RunMetrics, SgprsConfig};
+use sgprs_gpu_sim::{ContextId, DeviceEvent, GpuEngine, KernelDesc, KernelHandle, StreamClass};
+use sgprs_rt::{Job, PriorityBands, PriorityLevel, SimTime, TaskId};
 use std::collections::HashMap;
 
 /// Identifies one stage instance of one released job.
@@ -44,23 +43,25 @@ enum PopBand {
     AtMostMedium,
 }
 
+/// High and low priority streams per context (§IV-B3).
+const STREAMS: (usize, usize) = (2, 2);
+
 /// The SGPRS online scheduler. See the module documentation for the algorithm details.
 #[derive(Debug)]
 pub struct SgprsScheduler {
+    driver: Driver,
+    policy: Sgprs,
+}
+
+/// The SGPRS policy: admission test, §IV-B2 context assignment, band
+/// dispatch and abort.
+#[derive(Debug)]
+struct Sgprs {
     config: SgprsConfig,
     engine: GpuEngine,
     tasks: Vec<CompiledTask>,
-    gens: Vec<ReleaseGenerator>,
     /// Released, not-yet-finished jobs keyed by (task, release index).
     active: HashMap<(usize, u64), Job>,
-    /// Jobs in flight per task (admission control).
-    outstanding: Vec<u64>,
-    /// Frame buffer per task: the release boundary of the freshest frame
-    /// waiting while a job is in flight ([`Admission::FrameBuffer`]).
-    buffered: Vec<Option<SimTime>>,
-    /// Per-task monotone admission counter (job ids stay unique even when
-    /// grabbed frames are admitted off the period grid).
-    admit_seq: Vec<u64>,
     /// Exponential moving average of observed job response times (ns),
     /// driving admission control.
     response_ema_ns: f64,
@@ -73,7 +74,6 @@ pub struct SgprsScheduler {
     /// Outstanding-work estimate per context in nanoseconds (queued +
     /// running stages at their isolated estimates).
     pending_ns: Vec<f64>,
-    collector: MetricsCollector,
     sm_allocs: Vec<u32>,
     /// Monotone counter providing FIFO pseudo-deadlines for the ablation
     /// queue order.
@@ -91,138 +91,56 @@ impl SgprsScheduler {
     /// Panics if `tasks` is empty or any task has no stages.
     #[must_use]
     pub fn new(config: SgprsConfig, tasks: Vec<CompiledTask>) -> Self {
-        assert!(!tasks.is_empty(), "need at least one task");
         assert!(
             tasks.iter().all(|t| t.stage_count() > 0),
             "SGPRS schedules staged tasks; use the offline phase to compile them"
         );
+        let driver = Driver::new(&tasks, config.admission, config.warmup);
         let sm_allocs = config.pool.sm_allocations();
-        let mut builder = GpuEngine::builder(config.pool.gpu.clone())
-            .contention_model(config.contention)
-            .seed(config.seed)
-            .tracing(config.tracing);
-        for &sm in &sm_allocs {
-            builder = builder.context(ContextConfig::new(sm));
-        }
-        let engine = builder.build();
-        let gens = tasks
-            .iter()
-            .map(|t| ReleaseGenerator::new(SimTime::ZERO + t.spec.phase, t.spec.period))
-            .collect();
-        let names = tasks.iter().map(|t| t.spec.name.clone()).collect();
-        let collector = MetricsCollector::new(names, SimTime::ZERO + config.warmup);
+        let engine = build_engine(
+            &config.pool.gpu,
+            config.contention,
+            config.seed,
+            config.tracing,
+            &sm_allocs,
+            STREAMS,
+        );
         let n_ctx = sm_allocs.len();
-        let n_tasks = tasks.len();
         SgprsScheduler {
-            config,
-            engine,
-            tasks,
-            gens,
-            active: HashMap::new(),
-            outstanding: vec![0; n_tasks],
-            buffered: vec![None; n_tasks],
-            admit_seq: vec![0; n_tasks],
-            response_ema_ns: 0.0,
-            completions_seen: 0,
-            queues: (0..n_ctx).map(|_| PriorityBands::new()).collect(),
-            running: HashMap::new(),
-            pending_ns: vec![0.0; n_ctx],
-            collector,
-            sm_allocs,
-            fifo_seq: 0,
-            slot_count: n_ctx * ContextConfig::new(1).total_streams(),
+            driver,
+            policy: Sgprs {
+                config,
+                engine,
+                tasks,
+                active: HashMap::new(),
+                response_ema_ns: 0.0,
+                completions_seen: 0,
+                queues: (0..n_ctx).map(|_| PriorityBands::new()).collect(),
+                running: HashMap::new(),
+                pending_ns: vec![0.0; n_ctx],
+                sm_allocs,
+                fifo_seq: 0,
+                slot_count: n_ctx * (STREAMS.0 + STREAMS.1),
+            },
         }
     }
 
     /// The underlying device engine (for traces and occupancy stats).
     #[must_use]
     pub fn engine(&self) -> &GpuEngine {
-        &self.engine
+        &self.policy.engine
     }
 
     /// Runs the simulation until `end` and returns the metrics over the
     /// measurement window (`warmup..end`).
     pub fn run(&mut self, end: SimTime) -> RunMetrics {
-        loop {
-            let next_release = self
-                .gens
-                .iter()
-                .map(ReleaseGenerator::next_release)
-                .min()
-                .expect("at least one task");
-            let next_device = self.engine.next_event_time();
-            let next = match next_device {
-                Some(d) if d < next_release => d,
-                _ => next_release,
-            };
-            if next > end {
-                break;
-            }
-            let events = self.engine.advance_to(next);
-            self.handle_events(&events);
-            if next_release == next {
-                self.do_releases(next);
-            }
-            self.dispatch();
-        }
-        let events = self.engine.advance_to(end);
-        self.handle_events(&events);
-        let names = self.tasks.iter().map(|t| t.spec.name.clone()).collect();
-        let fresh = MetricsCollector::new(names, SimTime::ZERO + self.config.warmup);
-        std::mem::replace(&mut self.collector, fresh).finish(end)
+        self.driver.run(&mut self.policy, end)
     }
+}
 
-    /// Releases every job due at `now` (§IV-B1: absolute stage deadlines
-    /// are stamped at release).
-    fn do_releases(&mut self, now: SimTime) {
-        for task_idx in 0..self.tasks.len() {
-            while self.gens[task_idx].next_release() <= now {
-                let release = self.gens[task_idx].next_release();
-                self.gens[task_idx].advance();
-                self.collector.record_release(task_idx, release);
-                let busy = self.outstanding[task_idx] > 0;
-                if busy {
-                    match self.config.admission {
-                        Admission::SkipIfBusy => {
-                            self.collector.record_skip(task_idx, release);
-                            continue;
-                        }
-                        Admission::FrameBuffer => {
-                            // Newest frame wins: replacing a staler
-                            // buffered frame drops it (a miss).
-                            if let Some(stale) = self.buffered[task_idx].replace(release)
-                            {
-                                self.collector.record_skip(task_idx, stale);
-                            }
-                            continue;
-                        }
-                        Admission::QueueAll => {}
-                    }
-                }
-                if !self.admission_ok(task_idx, release) {
-                    // Declined up front: the frame is dropped before any
-                    // GPU time is spent on it.
-                    self.collector.record_skip(task_idx, release);
-                    continue;
-                }
-                let index = self.next_admit_index(task_idx);
-                self.admit(task_idx, index, release);
-            }
-        }
-    }
-
-    /// EMA smoothing factor for the response-time estimate.
-    const RESPONSE_EMA_ALPHA: f64 = 0.05;
-
-    /// Feeds one observed job response into the admission estimator.
-    fn note_completion(&mut self, response_ns: f64) {
-        self.completions_seen += 1;
-        if self.completions_seen == 1 {
-            self.response_ema_ns = response_ns;
-        } else {
-            self.response_ema_ns = (1.0 - Self::RESPONSE_EMA_ALPHA) * self.response_ema_ns
-                + Self::RESPONSE_EMA_ALPHA * response_ns;
-        }
+impl Policy for Sgprs {
+    fn engine(&mut self) -> &mut GpuEngine {
+        &mut self.engine
     }
 
     /// Feedback admission test: a new frame is declined while the
@@ -232,7 +150,7 @@ impl SgprsScheduler {
     /// that admitted jobs finish roughly on time, which is what lets
     /// SGPRS sustain total FPS with a moderate miss-rate slope past the
     /// pivot (§V). Self-calibrating: no capacity model needed.
-    fn admission_ok(&self, task: usize, _now: SimTime) -> bool {
+    fn accept(&self, task: usize) -> bool {
         if !self.config.admission_control || self.config.admission == Admission::QueueAll {
             return true;
         }
@@ -248,16 +166,10 @@ impl SgprsScheduler {
         self.response_ema_ns <= self.tasks[task].spec.deadline.as_nanos() as f64
     }
 
-    fn next_admit_index(&mut self, task: usize) -> u64 {
-        let i = self.admit_seq[task];
-        self.admit_seq[task] += 1;
-        i
-    }
-
-    /// Admits a job of `task_idx` released (or grabbed) at `release`.
+    /// Admits a job of `task_idx` released (or grabbed) at `release`
+    /// (§IV-B1: absolute stage deadlines are stamped at release).
     fn admit(&mut self, task_idx: usize, index: u64, release: SimTime) {
         let job = Job::release(TaskId(task_idx), index, &self.tasks[task_idx].spec, release);
-        self.outstanding[task_idx] += 1;
         // Source stages are immediately ready: assign contexts now.
         let sources = self.tasks[task_idx].spec.source_stages();
         self.active.insert((task_idx, index), job);
@@ -272,57 +184,95 @@ impl SgprsScheduler {
         }
     }
 
-    /// Handles kernel completions: stage bookkeeping, promotion rule, job
+    /// Handles a kernel completion: stage bookkeeping, promotion rule, job
     /// completion accounting.
-    fn handle_events(&mut self, events: &[DeviceEvent]) {
-        for ev in events {
-            let Some((sref, est)) = self.running.remove(&ev.kernel) else {
-                continue;
+    fn on_event(&mut self, driver: &mut Driver, ev: &DeviceEvent) {
+        let Some((sref, est)) = self.running.remove(&ev.kernel) else {
+            return;
+        };
+        self.pending_ns[ev.context.0] = (self.pending_ns[ev.context.0] - est).max(0.0);
+        let key = (sref.task, sref.release_index);
+        let Some(job) = self.active.get_mut(&key) else {
+            return;
+        };
+        let missed_virtual = ev.finished_at > job.stages[sref.stage].absolute_deadline;
+        let (ready, completed, release, deadline) = {
+            let spec = &self.tasks[sref.task].spec;
+            let newly_ready = job.complete_stage(sref.stage, ev.finished_at, spec);
+            let ready: Vec<(usize, PriorityLevel)> = newly_ready
+                .into_iter()
+                .map(|stage| {
+                    let mut priority = spec.stages[stage].priority;
+                    // §IV-B3: a low stage whose predecessor missed its
+                    // virtual deadline is promoted to medium.
+                    if missed_virtual && self.config.medium_promotion {
+                        priority = priority.promoted();
+                    }
+                    (stage, priority)
+                })
+                .collect();
+            (ready, job.completed_at, job.release, job.absolute_deadline)
+        };
+        for (stage, priority) in ready {
+            let sref = StageRef {
+                task: sref.task,
+                release_index: sref.release_index,
+                stage,
             };
-            self.pending_ns[ev.context.0] = (self.pending_ns[ev.context.0] - est).max(0.0);
-            let key = (sref.task, sref.release_index);
-            let Some(job) = self.active.get_mut(&key) else {
-                continue;
-            };
-            let missed_virtual =
-                ev.finished_at > job.stages[sref.stage].absolute_deadline;
-            let (ready, completed, release, deadline) = {
-                let spec = &self.tasks[sref.task].spec;
-                let newly_ready = job.complete_stage(sref.stage, ev.finished_at, spec);
-                let ready: Vec<(usize, PriorityLevel)> = newly_ready
-                    .into_iter()
-                    .map(|stage| {
-                        let mut priority = spec.stages[stage].priority;
-                        // §IV-B3: a low stage whose predecessor missed its
-                        // virtual deadline is promoted to medium.
-                        if missed_virtual && self.config.medium_promotion {
-                            priority = priority.promoted();
+            self.enqueue_stage(sref, priority);
+        }
+        if let Some(done) = completed {
+            self.note_completion(done.duration_since(release).as_nanos() as f64);
+            self.active.remove(&key);
+            driver.complete(self, sref.task, release, done, deadline);
+        }
+    }
+
+    /// Dispatches queued stages onto idle stream slots (§IV-B3): high
+    /// band → high streams; medium and low bands → low streams.
+    fn dispatch(&mut self, driver: &mut Driver, _now: SimTime) {
+        for ctx in 0..self.queues.len() {
+            loop {
+                let snap = self.engine.snapshot(ContextId(ctx));
+                let mut dispatched = false;
+                if snap.idle_high > 0 {
+                    if let Some(sref) = self.pop_live(driver, ctx, PopBand::ExactHigh) {
+                        self.submit(ctx, StreamClass::High, sref);
+                        dispatched = true;
+                    }
+                }
+                let snap = self.engine.snapshot(ContextId(ctx));
+                if snap.idle_low > 0 {
+                    if let Some(sref) = self.pop_live(driver, ctx, PopBand::AtMostMedium) {
+                        self.submit(ctx, StreamClass::Low, sref);
+                        dispatched = true;
+                    } else if self.config.high_overflow_to_low {
+                        if let Some(sref) = self.pop_live(driver, ctx, PopBand::ExactHigh) {
+                            self.submit(ctx, StreamClass::Low, sref);
+                            dispatched = true;
                         }
-                        (stage, priority)
-                    })
-                    .collect();
-                (ready, job.completed_at, job.release, job.absolute_deadline)
-            };
-            for (stage, priority) in ready {
-                let sref = StageRef {
-                    task: sref.task,
-                    release_index: sref.release_index,
-                    stage,
-                };
-                self.enqueue_stage(sref, priority);
+                    }
+                }
+                if !dispatched {
+                    break;
+                }
             }
-            if let Some(done) = completed {
-                self.note_completion(done.duration_since(release).as_nanos() as f64);
-                self.collector
-                    .record_completion(sref.task, release, done, deadline);
-                self.outstanding[sref.task] =
-                    self.outstanding[sref.task].saturating_sub(1);
-                self.active.remove(&key);
-                // Frame-buffer admission: grab the freshest buffered frame
-                // right away (its deadline starts at the grab), keeping
-                // the device work-conserving under overload.
-                self.grab_buffered(sref.task, done);
-            }
+        }
+    }
+}
+
+impl Sgprs {
+    /// EMA smoothing factor for the response-time estimate.
+    const RESPONSE_EMA_ALPHA: f64 = 0.05;
+
+    /// Feeds one observed job response into the admission estimator.
+    fn note_completion(&mut self, response_ns: f64) {
+        self.completions_seen += 1;
+        if self.completions_seen == 1 {
+            self.response_ema_ns = response_ns;
+        } else {
+            self.response_ema_ns = (1.0 - Self::RESPONSE_EMA_ALPHA) * self.response_ema_ns
+                + Self::RESPONSE_EMA_ALPHA * response_ns;
         }
     }
 
@@ -404,44 +354,12 @@ impl SgprsScheduler {
         now_ns + backlog + self.isolated_estimate_ns(ctx, sref)
     }
 
-    /// Dispatches queued stages onto idle stream slots (§IV-B3): high
-    /// band → high streams; medium and low bands → low streams.
-    fn dispatch(&mut self) {
-        for ctx in 0..self.queues.len() {
-            loop {
-                let snap = self.engine.snapshot(ContextId(ctx));
-                let mut dispatched = false;
-                if snap.idle_high > 0 {
-                    if let Some(sref) = self.pop_live(ctx, PopBand::ExactHigh) {
-                        self.submit(ctx, StreamClass::High, sref);
-                        dispatched = true;
-                    }
-                }
-                let snap = self.engine.snapshot(ContextId(ctx));
-                if snap.idle_low > 0 {
-                    if let Some(sref) = self.pop_live(ctx, PopBand::AtMostMedium) {
-                        self.submit(ctx, StreamClass::Low, sref);
-                        dispatched = true;
-                    } else if self.config.high_overflow_to_low {
-                        if let Some(sref) = self.pop_live(ctx, PopBand::ExactHigh) {
-                            self.submit(ctx, StreamClass::Low, sref);
-                            dispatched = true;
-                        }
-                    }
-                }
-                if !dispatched {
-                    break;
-                }
-            }
-        }
-    }
-
     /// Pops the next dispatchable stage from a context queue, discarding
     /// stale entries (jobs already aborted) and — when
     /// [`SgprsConfig::abort_hopeless`] is set — aborting jobs whose
     /// absolute deadline has already passed rather than serving stale
     /// frames.
-    fn pop_live(&mut self, ctx: usize, band: PopBand) -> Option<StageRef> {
+    fn pop_live(&mut self, driver: &mut Driver, ctx: usize, band: PopBand) -> Option<StageRef> {
         loop {
             let entry = match band {
                 PopBand::ExactHigh => self.queues[ctx].pop_exact(PriorityLevel::High),
@@ -451,50 +369,26 @@ impl SgprsScheduler {
             }?;
             let sref = entry.item;
             let key = (sref.task, sref.release_index);
-            let Some(job) = self.active.get(&key) else {
+            let hopeless = match self.active.get(&key) {
                 // The job was aborted while this stage sat in the queue.
-                let est = self.isolated_estimate_ns(ctx, sref);
-                self.pending_ns[ctx] = (self.pending_ns[ctx] - est).max(0.0);
-                continue;
+                None => None,
+                Some(job)
+                    if self.config.abort_hopeless && self.engine.now() > job.absolute_deadline =>
+                {
+                    Some(job.release)
+                }
+                Some(_) => return Some(sref),
             };
-            if self.config.abort_hopeless && self.engine.now() > job.absolute_deadline {
-                let est = self.isolated_estimate_ns(ctx, sref);
-                self.pending_ns[ctx] = (self.pending_ns[ctx] - est).max(0.0);
-                self.abort_job(sref.task, sref.release_index);
-                continue;
+            let est = self.isolated_estimate_ns(ctx, sref);
+            self.pending_ns[ctx] = (self.pending_ns[ctx] - est).max(0.0);
+            if let Some(release) = hopeless {
+                // The frame is dropped; the task is free to take its
+                // freshest buffered frame right away.
+                self.active.remove(&key);
+                let now = self.engine.now();
+                driver.abort(self, sref.task, release, now);
             }
-            return Some(sref);
         }
-    }
-
-    /// Aborts a hopeless job: the frame is dropped, the task becomes free
-    /// to take the freshest buffered frame immediately.
-    fn abort_job(&mut self, task: usize, release_index: u64) {
-        let Some(job) = self.active.remove(&(task, release_index)) else {
-            return;
-        };
-        self.collector.record_drop(task, job.release);
-        self.outstanding[task] = self.outstanding[task].saturating_sub(1);
-        let now = self.engine.now();
-        self.grab_buffered(task, now);
-    }
-
-    /// Admits the freshest buffered frame of `task` at instant `grab`, if
-    /// one is waiting and the admission test passes (declined frames are
-    /// dropped without consuming GPU time).
-    fn grab_buffered(&mut self, task: usize, grab: SimTime) {
-        if self.config.admission != Admission::FrameBuffer {
-            return;
-        }
-        let Some(boundary) = self.buffered[task].take() else {
-            return;
-        };
-        if !self.admission_ok(task, grab) {
-            self.collector.record_skip(task, boundary);
-            return;
-        }
-        let index = self.next_admit_index(task);
-        self.admit(task, index, grab);
     }
 
     fn submit(&mut self, ctx: usize, class: StreamClass, sref: StageRef) {
