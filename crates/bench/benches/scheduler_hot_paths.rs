@@ -9,7 +9,9 @@ use sgprs_gpu_sim::{
     ContentionModel, ContextConfig, ContextId, GpuEngine, GpuSpec, KernelDesc, OpClass,
     StreamClass, WorkProfile,
 };
-use sgprs_rt::{EdfQueue, Job, PriorityBands, PriorityLevel, SimDuration, SimTime, TaskId};
+use sgprs_rt::{
+    EdfQueue, PriorityBands, PriorityLevel, ReleaseTemplate, SimDuration, SimTime, TaskId,
+};
 use std::hint::black_box;
 
 fn bench_queues(c: &mut Criterion) {
@@ -58,8 +60,9 @@ fn bench_release(c: &mut Criterion) {
         &pool,
     )
     .expect("six stages");
+    let template = ReleaseTemplate::new(TaskId(0), &task.spec);
     c.bench_function("hot/job_release_with_deadlines", |b| {
-        b.iter(|| black_box(Job::release(TaskId(0), 0, &task.spec, SimTime::from_nanos(12345))))
+        b.iter(|| black_box(template.release(0, SimTime::from_nanos(12345), Vec::new())))
     });
     c.bench_function("hot/offline_compile_resnet18_6_stages", |b| {
         b.iter(|| {

@@ -22,7 +22,7 @@ use crate::release::{build_engine, Driver, Policy};
 use crate::{CompiledTask, NaiveConfig, RunMetrics};
 use sgprs_gpu_sim::{ContextId, DeviceEvent, GpuEngine, KernelDesc, KernelHandle, StreamClass};
 use sgprs_rt::SimTime;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// One whole-network job of the naive or reconfiguring partitioner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,18 +38,47 @@ pub(crate) struct JobRef {
 /// one-stream partition.
 #[derive(Debug)]
 pub(crate) struct WholeNetworks {
+    /// The device; replace it only through [`WholeNetworks::set_engine`].
     pub(crate) engine: GpuEngine,
     tasks: Vec<CompiledTask>,
-    pub(crate) running: HashMap<KernelHandle, JobRef>,
+    /// The kernel and job each partition runs, indexed by context (a
+    /// partition has one stream).
+    running: Vec<Option<(KernelHandle, JobRef)>>,
 }
 
 impl WholeNetworks {
     pub(crate) fn new(engine: GpuEngine, tasks: Vec<CompiledTask>) -> Self {
         WholeNetworks {
+            running: vec![None; engine.context_count()],
             engine,
             tasks,
-            running: HashMap::new(),
         }
+    }
+
+    /// Replaces the device with `engine`, a new partition layout.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a job is still running.
+    pub(crate) fn set_engine(&mut self, engine: GpuEngine) {
+        assert!(
+            !self.busy(),
+            "in-flight kernels cannot survive a repartition"
+        );
+        self.running = vec![None; engine.context_count()];
+        self.engine = engine;
+    }
+
+    /// `true` while any partition runs a job.
+    pub(crate) fn busy(&self) -> bool {
+        self.running.iter().any(Option::is_some)
+    }
+
+    /// The job whose kernel completed in `ev`, now off the device.
+    pub(crate) fn finish(&mut self, ev: &DeviceEvent) -> Option<JobRef> {
+        self.running[ev.context.0]
+            .take_if(|(kernel, _)| *kernel == ev.kernel)
+            .map(|(_, job)| job)
     }
 
     /// Job `index` of `task`, released (or grabbed) at `release`.
@@ -70,14 +99,19 @@ impl WholeNetworks {
     /// Runs `job` on the idle partition `ctx`, after `extra_ns` of serial
     /// set-up.
     pub(crate) fn submit(&mut self, ctx: usize, job: JobRef, extra_ns: f64) {
-        let label = format!("τ{}#{}", job.task, job.release_index);
-        let desc = KernelDesc::new(label, self.tasks[job.task].whole_profile.clone())
-            .with_extra_ns(extra_ns);
+        // Labels only matter to the trace; untraced runs skip formatting.
+        let label = if self.engine.trace().is_some() {
+            format!("τ{}#{}", job.task, job.release_index)
+        } else {
+            String::new()
+        };
+        let desc =
+            KernelDesc::new(label, self.tasks[job.task].whole_profile).with_extra_ns(extra_ns);
         let handle = self
             .engine
             .submit(ContextId(ctx), StreamClass::High, desc)
             .expect("partition was idle");
-        self.running.insert(handle, job);
+        self.running[ctx] = Some((handle, job));
     }
 }
 
@@ -161,7 +195,7 @@ impl Policy for Naive {
     }
 
     fn on_event(&mut self, driver: &mut Driver, ev: &DeviceEvent) {
-        if let Some(job) = self.whole.running.remove(&ev.kernel) {
+        if let Some(job) = self.whole.finish(ev) {
             driver.complete(self, job.task, job.release, ev.finished_at, job.deadline);
         }
     }

@@ -96,7 +96,7 @@ pub fn compile_stages(
     PriorityAssignment::assign(&mut spec);
     CompiledTask {
         spec,
-        stage_profiles: stages.iter().map(|s| s.profile.clone()).collect(),
+        stage_profiles: stages.iter().map(|s| s.profile).collect(),
         whole_profile,
     }
 }
@@ -135,7 +135,7 @@ pub fn whole_task_duration(
     launch_overhead_ns: u64,
     sm_alloc: u32,
 ) -> SimDuration {
-    let desc = KernelDesc::new(task.name(), task.whole_profile.clone());
+    let desc = KernelDesc::new(task.name(), task.whole_profile);
     let ns = launch_overhead_ns as f64
         + desc.work.duration_ns_at(speedup, f64::from(sm_alloc));
     SimDuration::from_nanos(ns.round() as u64)

@@ -141,12 +141,13 @@ impl Reconfig {
     /// dispatched before it.
     fn maybe_repartition(&mut self, driver: &Driver, now: SimTime) {
         let desired = driver.released_tasks().clamp(1, self.config.max_partitions);
-        if desired == self.current_partitions || !self.whole.running.is_empty() {
+        if desired == self.current_partitions || self.whole.busy() {
             return;
         }
-        self.whole.engine = Self::build_engine(&self.config, desired);
+        let mut engine = Self::build_engine(&self.config, desired);
         let stall = SimDuration::from_nanos(self.config.repartition_stall_ns);
-        self.whole.engine.advance_to(now + stall);
+        engine.advance_to(now + stall);
+        self.whole.set_engine(engine);
         self.current_partitions = desired;
         self.repartitions += 1;
     }
@@ -163,7 +164,7 @@ impl Policy for Reconfig {
     }
 
     fn on_event(&mut self, driver: &mut Driver, ev: &DeviceEvent) {
-        if let Some(job) = self.whole.running.remove(&ev.kernel) {
+        if let Some(job) = self.whole.finish(ev) {
             driver.complete(self, job.task, job.release, ev.finished_at, job.deadline);
         }
     }

@@ -51,6 +51,8 @@ pub(crate) struct Driver {
     /// grabbed frames are admitted off the period grid).
     admit_seq: Vec<u64>,
     collector: MetricsCollector,
+    /// Completions of the current step (reused across steps).
+    events: Vec<DeviceEvent>,
 }
 
 impl Driver {
@@ -76,6 +78,7 @@ impl Driver {
                 tasks.iter().map(|t| t.spec.name.clone()).collect(),
                 SimTime::ZERO + warmup,
             ),
+            events: Vec::new(),
         }
     }
 
@@ -114,10 +117,13 @@ impl Driver {
     }
 
     fn advance<P: Policy>(&mut self, policy: &mut P, to: SimTime) {
-        let events = policy.engine().advance_to(to);
+        let mut events = std::mem::take(&mut self.events);
+        policy.engine().advance_into(to, &mut events);
         for ev in &events {
             policy.on_event(self, ev);
         }
+        events.clear();
+        self.events = events;
     }
 
     /// Releases every frame due at `now` under the [`Admission`] rule.

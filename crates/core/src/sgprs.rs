@@ -22,9 +22,13 @@
 
 use crate::release::{build_engine, Driver, Policy};
 use crate::{Admission, CompiledTask, QueueOrder, RunMetrics, SgprsConfig};
-use sgprs_gpu_sim::{ContextId, DeviceEvent, GpuEngine, KernelDesc, KernelHandle, StreamClass};
-use sgprs_rt::{Job, PriorityBands, PriorityLevel, SimTime, TaskId};
-use std::collections::HashMap;
+use sgprs_gpu_sim::{
+    ContextId, DeviceEvent, GpuEngine, KernelDesc, KernelHandle, StreamClass, StreamId,
+};
+use sgprs_rt::{
+    Job, PriorityBands, PriorityLevel, ReleaseTemplate, SimTime, StageInstance, TaskId,
+};
+use std::collections::VecDeque;
 
 /// Identifies one stage instance of one released job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -32,6 +36,56 @@ struct StageRef {
     task: usize,
     release_index: u64,
     stage: usize,
+}
+
+/// A stage running on the device.
+#[derive(Debug, Clone, Copy)]
+struct InFlight {
+    kernel: KernelHandle,
+    stage: StageRef,
+    /// Isolated-duration estimate charged to the context's backlog.
+    est_ns: f64,
+}
+
+/// One task's released jobs, plus the stage storage of finished ones.
+#[derive(Debug)]
+struct TaskJobs {
+    template: ReleaseTemplate,
+    /// Released, not-yet-finished jobs in admission (release index) order.
+    live: VecDeque<Job>,
+    /// Stage storage of finished jobs, reused by the next release.
+    spare: Vec<Vec<StageInstance>>,
+}
+
+impl TaskJobs {
+    fn position(&self, index: u64) -> Option<usize> {
+        self.live
+            .binary_search_by_key(&index, |j| j.id.release_index)
+            .ok()
+    }
+
+    fn get(&self, index: u64) -> Option<&Job> {
+        self.position(index).map(|i| &self.live[i])
+    }
+
+    fn get_mut(&mut self, index: u64) -> Option<&mut Job> {
+        self.position(index).map(|i| &mut self.live[i])
+    }
+
+    /// Releases job `index` at `release`; indices grow per task, so the
+    /// new job goes last.
+    fn release(&mut self, index: u64, release: SimTime) {
+        let storage = self.spare.pop().unwrap_or_default();
+        self.live
+            .push_back(self.template.release(index, release, storage));
+    }
+
+    /// Drops finished job `index`, keeping its stage storage.
+    fn retire(&mut self, index: u64) {
+        if let Some(job) = self.position(index).and_then(|i| self.live.remove(i)) {
+            self.spare.push(job.stages);
+        }
+    }
 }
 
 /// Which band(s) a dispatch pop may take from.
@@ -45,6 +99,11 @@ enum PopBand {
 
 /// High and low priority streams per context (§IV-B3).
 const STREAMS: (usize, usize) = (2, 2);
+
+/// Index of `stream` in the pool-wide table of stream slots.
+fn slot_of(stream: StreamId) -> usize {
+    stream.context.0 * (STREAMS.0 + STREAMS.1) + stream.index
+}
 
 /// The SGPRS online scheduler. See the module documentation for the algorithm details.
 #[derive(Debug)]
@@ -60,8 +119,8 @@ struct Sgprs {
     config: SgprsConfig,
     engine: GpuEngine,
     tasks: Vec<CompiledTask>,
-    /// Released, not-yet-finished jobs keyed by (task, release index).
-    active: HashMap<(usize, u64), Job>,
+    /// Released, not-yet-finished jobs, per task.
+    jobs: Vec<TaskJobs>,
     /// Exponential moving average of observed job response times (ns),
     /// driving admission control.
     response_ema_ns: f64,
@@ -69,8 +128,11 @@ struct Sgprs {
     completions_seen: u64,
     /// Per-context three-band EDF ready queues.
     queues: Vec<PriorityBands<StageRef>>,
-    /// Kernels in flight: handle → (stage, isolated-duration estimate).
-    running: HashMap<KernelHandle, (StageRef, f64)>,
+    /// Kernels in flight, indexed by [`slot_of`] their stream (a stream
+    /// holds at most one kernel).
+    running: Vec<Option<InFlight>>,
+    /// Scratch for the stages a completion makes ready.
+    ready: Vec<usize>,
     /// Outstanding-work estimate per context in nanoseconds (queued +
     /// running stages at their isolated estimates).
     pending_ns: Vec<f64>,
@@ -106,21 +168,32 @@ impl SgprsScheduler {
             STREAMS,
         );
         let n_ctx = sm_allocs.len();
+        let slot_count = n_ctx * (STREAMS.0 + STREAMS.1);
+        let jobs = tasks
+            .iter()
+            .enumerate()
+            .map(|(i, t)| TaskJobs {
+                template: ReleaseTemplate::new(TaskId(i), &t.spec),
+                live: VecDeque::new(),
+                spare: Vec::new(),
+            })
+            .collect();
         SgprsScheduler {
             driver,
             policy: Sgprs {
                 config,
                 engine,
                 tasks,
-                active: HashMap::new(),
+                jobs,
                 response_ema_ns: 0.0,
                 completions_seen: 0,
                 queues: (0..n_ctx).map(|_| PriorityBands::new()).collect(),
-                running: HashMap::new(),
+                running: vec![None; slot_count],
+                ready: Vec::new(),
                 pending_ns: vec![0.0; n_ctx],
                 sm_allocs,
                 fifo_seq: 0,
-                slot_count: n_ctx * (STREAMS.0 + STREAMS.1),
+                slot_count,
             },
         }
     }
@@ -160,7 +233,8 @@ impl Policy for Sgprs {
         // Below the device's own concurrency there is no queueing — a new
         // job cannot make anyone late, and admitting keeps the response
         // estimator fed (no shed-forever deadlock).
-        if self.active.len() < self.slot_count + self.slot_count / 2 {
+        let live_jobs: usize = self.jobs.iter().map(|j| j.live.len()).sum();
+        if live_jobs < self.slot_count + self.slot_count / 2 {
             return true;
         }
         self.response_ema_ns <= self.tasks[task].spec.deadline.as_nanos() as f64
@@ -169,11 +243,10 @@ impl Policy for Sgprs {
     /// Admits a job of `task_idx` released (or grabbed) at `release`
     /// (§IV-B1: absolute stage deadlines are stamped at release).
     fn admit(&mut self, task_idx: usize, index: u64, release: SimTime) {
-        let job = Job::release(TaskId(task_idx), index, &self.tasks[task_idx].spec, release);
+        self.jobs[task_idx].release(index, release);
         // Source stages are immediately ready: assign contexts now.
-        let sources = self.tasks[task_idx].spec.source_stages();
-        self.active.insert((task_idx, index), job);
-        for stage in sources {
+        for i in 0..self.jobs[task_idx].template.sources().len() {
+            let stage = self.jobs[task_idx].template.sources()[i];
             let sref = StageRef {
                 task: task_idx,
                 release_index: index,
@@ -187,43 +260,36 @@ impl Policy for Sgprs {
     /// Handles a kernel completion: stage bookkeeping, promotion rule, job
     /// completion accounting.
     fn on_event(&mut self, driver: &mut Driver, ev: &DeviceEvent) {
-        let Some((sref, est)) = self.running.remove(&ev.kernel) else {
+        let Some(InFlight {
+            stage: sref,
+            est_ns,
+            ..
+        }) = self.running[slot_of(ev.stream)].take_if(|f| f.kernel == ev.kernel)
+        else {
             return;
         };
-        self.pending_ns[ev.context.0] = (self.pending_ns[ev.context.0] - est).max(0.0);
-        let key = (sref.task, sref.release_index);
-        let Some(job) = self.active.get_mut(&key) else {
+        self.pending_ns[ev.context.0] = (self.pending_ns[ev.context.0] - est_ns).max(0.0);
+        let Some(job) = self.jobs[sref.task].get_mut(sref.release_index) else {
             return;
         };
         let missed_virtual = ev.finished_at > job.stages[sref.stage].absolute_deadline;
-        let (ready, completed, release, deadline) = {
-            let spec = &self.tasks[sref.task].spec;
-            let newly_ready = job.complete_stage(sref.stage, ev.finished_at, spec);
-            let ready: Vec<(usize, PriorityLevel)> = newly_ready
-                .into_iter()
-                .map(|stage| {
-                    let mut priority = spec.stages[stage].priority;
-                    // §IV-B3: a low stage whose predecessor missed its
-                    // virtual deadline is promoted to medium.
-                    if missed_virtual && self.config.medium_promotion {
-                        priority = priority.promoted();
-                    }
-                    (stage, priority)
-                })
-                .collect();
-            (ready, job.completed_at, job.release, job.absolute_deadline)
-        };
-        for (stage, priority) in ready {
-            let sref = StageRef {
-                task: sref.task,
-                release_index: sref.release_index,
-                stage,
-            };
-            self.enqueue_stage(sref, priority);
+        let spec = &self.tasks[sref.task].spec;
+        let mut ready = std::mem::take(&mut self.ready);
+        job.complete_stage(sref.stage, ev.finished_at, spec, &mut ready);
+        let (completed, release, deadline) = (job.completed_at, job.release, job.absolute_deadline);
+        for &stage in &ready {
+            let mut priority = self.tasks[sref.task].spec.stages[stage].priority;
+            // §IV-B3: a low stage whose predecessor missed its virtual
+            // deadline is promoted to medium.
+            if missed_virtual && self.config.medium_promotion {
+                priority = priority.promoted();
+            }
+            self.enqueue_stage(StageRef { stage, ..sref }, priority);
         }
+        self.ready = ready;
         if let Some(done) = completed {
             self.note_completion(done.duration_since(release).as_nanos() as f64);
-            self.active.remove(&key);
+            self.jobs[sref.task].retire(sref.release_index);
             driver.complete(self, sref.task, release, done, deadline);
         }
     }
@@ -280,7 +346,10 @@ impl Sgprs {
     /// deadline-meeting context with the shortest queue, else earliest
     /// estimated finish time.
     fn enqueue_stage(&mut self, sref: StageRef, priority: PriorityLevel) {
-        let deadline = self.active[&(sref.task, sref.release_index)].stages[sref.stage]
+        let deadline = self.jobs[sref.task]
+            .get(sref.release_index)
+            .expect("queued stages belong to live jobs")
+            .stages[sref.stage]
             .absolute_deadline;
         let now_ns = self.engine.now().as_nanos() as f64;
         let n_ctx = self.queues.len();
@@ -368,8 +437,7 @@ impl Sgprs {
                     .map(|(_, e)| e),
             }?;
             let sref = entry.item;
-            let key = (sref.task, sref.release_index);
-            let hopeless = match self.active.get(&key) {
+            let hopeless = match self.jobs[sref.task].get(sref.release_index) {
                 // The job was aborted while this stage sat in the queue.
                 None => None,
                 Some(job)
@@ -384,7 +452,7 @@ impl Sgprs {
             if let Some(release) = hopeless {
                 // The frame is dropped; the task is free to take its
                 // freshest buffered frame right away.
-                self.active.remove(&key);
+                self.jobs[sref.task].retire(sref.release_index);
                 let now = self.engine.now();
                 driver.abort(self, sref.task, release, now);
             }
@@ -392,17 +460,24 @@ impl Sgprs {
     }
 
     fn submit(&mut self, ctx: usize, class: StreamClass, sref: StageRef) {
-        let label = format!(
-            "τ{}#{}/s{}",
-            sref.task, sref.release_index, sref.stage
-        );
-        let profile = self.tasks[sref.task].stage_profiles[sref.stage].clone();
-        let est = self.isolated_estimate_ns(ctx, sref);
-        let handle = self
+        // Labels only matter to the trace; untraced runs skip formatting.
+        let label = if self.engine.trace().is_some() {
+            format!("τ{}#{}/s{}", sref.task, sref.release_index, sref.stage)
+        } else {
+            String::new()
+        };
+        let profile = self.tasks[sref.task].stage_profiles[sref.stage];
+        let est_ns = self.isolated_estimate_ns(ctx, sref);
+        let kernel = self
             .engine
             .submit(ContextId(ctx), class, KernelDesc::new(label, profile))
             .expect("dispatch checked an idle stream existed");
-        self.running.insert(handle, (sref, est));
+        let stream = self.engine.stream_of(kernel).expect("just submitted");
+        self.running[slot_of(stream)] = Some(InFlight {
+            kernel,
+            stage: sref,
+            est_ns,
+        });
     }
 }
 

@@ -15,12 +15,20 @@
 //! passive: schedulers drive it by submitting kernels and asking it to
 //! advance to the next completion or to a chosen instant (e.g. the next
 //! job release).
+//!
+//! The re-flow also caches the resident set's total occupancy, which
+//! [`GpuEngine::submit`] reads to size the new kernel's jitter. The cache
+//! is exact because the resident set changes only in `submit` and in
+//! retirement, and both re-flow before returning. Steady-state stepping
+//! allocates nothing: re-flow and retirement reuse scratch buffers the
+//! engine owns, and [`GpuEngine::advance_into`] fills the caller's buffer.
 
-use crate::{ContentionModel, GpuSimError, KernelDesc, SpeedupModel, TraceRecorder};
+use crate::{ContentionModel, GpuSimError, KernelDesc, SpeedupModel, TraceRecorder, WorkProfile};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use sgprs_rt::{SimDuration, SimTime};
+use std::collections::VecDeque;
 
 /// Identifier of a context in the engine's context pool.
 #[derive(
@@ -125,7 +133,7 @@ impl ContextConfig {
 pub struct KernelHandle(pub u64);
 
 /// A kernel-completion event produced by the engine.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeviceEvent {
     /// The completed kernel.
     pub kernel: KernelHandle,
@@ -133,8 +141,6 @@ pub struct DeviceEvent {
     pub context: ContextId,
     /// Stream it occupied.
     pub stream: StreamId,
-    /// Trace label of the kernel.
-    pub label: String,
     /// Submission instant.
     pub submitted_at: SimTime,
     /// Completion instant.
@@ -168,7 +174,9 @@ struct RunningKernel {
     context: ContextId,
     stream: StreamId,
     class: StreamClass,
-    desc: KernelDesc,
+    work: WorkProfile,
+    /// Fixed serial overhead (see [`KernelDesc::extra_ns`]).
+    extra_ns: f64,
     /// Multiplicative execution-time jitter sampled at submit.
     jitter: f64,
     /// Fraction of the kernel still to execute, in [0, 1].
@@ -186,6 +194,26 @@ struct ContextState {
 }
 
 impl ContextState {
+    /// Processor-sharing weight of a kernel on a stream of `class`.
+    fn weight(&self, class: StreamClass) -> f64 {
+        match class {
+            StreamClass::High => self.config.high_weight,
+            StreamClass::Low => self.config.low_weight,
+        }
+    }
+
+    /// The effective SM share of a kernel on a stream of `class`: the
+    /// allocation split among resident kernels by stream-priority weight,
+    /// `weight_sum` being the context's total.
+    fn m_eff(&self, class: StreamClass, weight_sum: f64) -> f64 {
+        let share = if weight_sum > 0.0 {
+            self.weight(class) / weight_sum
+        } else {
+            1.0
+        };
+        f64::from(self.config.sm_alloc) * share
+    }
+
     fn idle_slot(&self, class: StreamClass) -> Option<usize> {
         let range = match class {
             StreamClass::High => 0..self.config.high_streams,
@@ -228,8 +256,20 @@ pub struct GpuEngine {
     busy_ns: Vec<f64>,
     completed_count: u64,
     /// Events already produced but not yet returned (simultaneous
-    /// completions split by [`GpuEngine::run_next`]).
-    pending: Vec<DeviceEvent>,
+    /// completions split by [`GpuEngine::run_next`]), oldest first.
+    pending: VecDeque<DeviceEvent>,
+    /// Total occupancy demanded by the resident kernels, in
+    /// SM-equivalents, as of the last re-flow (a kernel at speedup `s`
+    /// keeps `s` SMs' worth of throughput busy — the rest of its
+    /// allocation idles and is up for grabs, which is what makes
+    /// over-subscription profitable; see [`ContentionModel`]).
+    occupancy: f64,
+    /// Re-flow scratch: per-context total stream weight.
+    weight_sum: Vec<f64>,
+    /// Re-flow scratch: each running kernel's effective SM share.
+    m_effs: Vec<f64>,
+    /// Retirement scratch: kernels finishing at the current instant.
+    retired: Vec<RunningKernel>,
 }
 
 /// Builder for [`GpuEngine`] (see `C-BUILDER`).
@@ -299,8 +339,8 @@ impl GpuEngineBuilder {
                 config,
             })
             .collect();
-        let busy_ns = vec![0.0; contexts.len()];
-        GpuEngine {
+        let n_ctx = contexts.len();
+        let mut engine = GpuEngine {
             spec: self.spec,
             speedup: self.speedup,
             contention: self.contention,
@@ -315,10 +355,16 @@ impl GpuEngineBuilder {
             } else {
                 None
             },
-            busy_ns,
+            busy_ns: vec![0.0; n_ctx],
             completed_count: 0,
-            pending: Vec::new(),
-        }
+            pending: VecDeque::new(),
+            occupancy: 0.0,
+            weight_sum: vec![0.0; n_ctx],
+            m_effs: Vec::new(),
+            retired: Vec::new(),
+        };
+        engine.recompute_rates();
+        engine
     }
 }
 
@@ -382,6 +428,17 @@ impl GpuEngine {
         }
     }
 
+    /// The stream a running kernel occupies, or `None` once it finished.
+    #[must_use]
+    pub fn stream_of(&self, kernel: KernelHandle) -> Option<StreamId> {
+        // Most lookups are for the kernel just submitted, at the back.
+        self.running
+            .iter()
+            .rev()
+            .find(|k| k.handle == kernel)
+            .map(|k| k.stream)
+    }
+
     /// Estimated isolated duration of `desc` in context `ctx`: the time the
     /// kernel would take if it were the only resident kernel device-wide.
     /// Schedulers use this for finish-time estimation and offline WCET
@@ -431,10 +488,14 @@ impl GpuEngine {
         self.next_handle += 1;
 
         // Jitter depends on the overcommit level at submit time.
-        let occupancy = self.current_occupancy();
+        debug_assert_eq!(
+            self.occupancy.to_bits(),
+            self.fresh_occupancy().to_bits(),
+            "cached occupancy went stale"
+        );
         let half = self
             .contention
-            .jitter_halfwidth(occupancy, f64::from(self.spec.total_sms));
+            .jitter_halfwidth(self.occupancy, f64::from(self.spec.total_sms));
         let jitter = if half > 0.0 {
             (1.0 + self.rng.random_range(-1.0..1.0) * half).max(0.5)
         } else {
@@ -454,7 +515,8 @@ impl GpuEngine {
             context: ctx,
             stream,
             class,
-            desc,
+            work: desc.work,
+            extra_ns: desc.extra_ns,
             jitter,
             remaining: 1.0,
             rate: 0.0,
@@ -482,82 +544,39 @@ impl GpuEngine {
     /// Runs until the next completion and returns it, or `None` if the
     /// device is idle.
     pub fn run_next(&mut self) -> Option<DeviceEvent> {
-        if !self.pending.is_empty() {
-            return Some(self.pending.remove(0));
+        if self.pending.is_empty() {
+            let t = self.next_event_time()?;
+            let mut pending = std::mem::take(&mut self.pending);
+            self.complete_until(t, &mut pending);
+            self.pending = pending;
+            debug_assert!(!self.pending.is_empty(), "a completion was due at {t}");
         }
-        let t = self.next_event_time()?;
-        let mut events = self.advance_to(t);
-        debug_assert!(!events.is_empty(), "a completion was due at {t}");
-        if events.len() > 1 {
-            // Re-queue the extras by rolling time back is impossible;
-            // instead we return the first and keep the rest pending.
-            let rest = events.split_off(1);
-            self.pending.extend(rest);
-        }
-        Some(events.remove(0))
+        self.pending.pop_front()
     }
 
     /// Advances simulated time to `t`, returning every completion event in
     /// chronological order. `t` earlier than [`GpuEngine::now`] is a no-op
     /// that returns only pending events.
     pub fn advance_to(&mut self, t: SimTime) -> Vec<DeviceEvent> {
-        let mut events: Vec<DeviceEvent> = std::mem::take(&mut self.pending);
-        if t <= self.now {
-            return events;
-        }
-        loop {
-            let next = self
-                .running
-                .iter()
-                .map(|k| self.completion_time_of(k))
-                .fold(f64::INFINITY, f64::min);
-            let target_ns = t.as_nanos() as f64;
-            if next.is_finite() && next <= target_ns {
-                let next_t = SimTime::from_nanos(next.ceil() as u64).max(self.now);
-                self.progress_to(next_t);
-                // Retire every kernel whose remaining work reached zero.
-                let mut retired = Vec::new();
-                let mut i = 0;
-                while i < self.running.len() {
-                    if self.running[i].remaining <= Self::EPSILON {
-                        retired.push(self.running.swap_remove(i));
-                    } else {
-                        i += 1;
-                    }
-                }
-                // Deterministic ordering for simultaneous completions.
-                retired.sort_by_key(|k| k.handle);
-                for k in retired {
-                    self.contexts[k.context.0].slots[k.stream.index] = None;
-                    self.completed_count += 1;
-                    if let Some(trace) = &mut self.trace {
-                        trace.end(k.handle, self.now);
-                    }
-                    events.push(DeviceEvent {
-                        kernel: k.handle,
-                        context: k.context,
-                        stream: k.stream,
-                        label: k.desc.label,
-                        submitted_at: k.submitted_at,
-                        finished_at: self.now,
-                    });
-                }
-                self.recompute_rates();
-            } else {
-                self.progress_to(t);
-                break;
-            }
-        }
+        let mut events = Vec::new();
+        self.advance_into(t, &mut events);
         events
+    }
+
+    /// [`GpuEngine::advance_to`] appending to a caller-owned buffer, so a
+    /// driver that reuses one buffer steps without allocating.
+    pub fn advance_into(&mut self, t: SimTime, events: &mut Vec<DeviceEvent>) {
+        events.extend(self.pending.drain(..));
+        self.complete_until(t, events);
     }
 
     /// Runs the device until it is completely idle, returning all events.
     pub fn drain(&mut self) -> Vec<DeviceEvent> {
         let mut events = Vec::new();
         while let Some(t) = self.next_event_time() {
-            events.extend(self.advance_to(t));
+            self.advance_into(t, &mut events);
         }
-        events.extend(std::mem::take(&mut self.pending));
+        events.extend(self.pending.drain(..));
         events
     }
 
@@ -584,45 +603,70 @@ impl GpuEngine {
 
     const EPSILON: f64 = 1e-9;
 
-    /// The effective SM share of a running kernel: its context's
-    /// allocation split among resident kernels by stream-priority weight.
-    fn m_eff_of(&self, k: &RunningKernel, weight_sum: &[f64]) -> f64 {
-        let cfg = &self.contexts[k.context.0].config;
-        let w = match k.class {
-            StreamClass::High => cfg.high_weight,
-            StreamClass::Low => cfg.low_weight,
-        };
-        let share = if weight_sum[k.context.0] > 0.0 {
-            w / weight_sum[k.context.0]
-        } else {
-            1.0
-        };
-        f64::from(cfg.sm_alloc) * share
-    }
-
-    fn weight_sums(&self) -> Vec<f64> {
-        let mut weight_sum = vec![0.0f64; self.contexts.len()];
-        for k in &self.running {
-            let cfg = &self.contexts[k.context.0].config;
-            weight_sum[k.context.0] += match k.class {
-                StreamClass::High => cfg.high_weight,
-                StreamClass::Low => cfg.low_weight,
-            };
+    /// Advances to `t` (no-op unless `t` is later than now), retiring
+    /// kernels as they finish and appending their events to `out`.
+    /// Simultaneous completions come out in handle order.
+    fn complete_until<E: Extend<DeviceEvent>>(&mut self, t: SimTime, out: &mut E) {
+        if t <= self.now {
+            return;
         }
-        weight_sum
+        let target_ns = t.as_nanos() as f64;
+        loop {
+            let next = self
+                .running
+                .iter()
+                .map(|k| self.completion_time_of(k))
+                .fold(f64::INFINITY, f64::min);
+            if !(next.is_finite() && next <= target_ns) {
+                self.progress_to(t);
+                return;
+            }
+            let next_t = SimTime::from_nanos(next.ceil() as u64).max(self.now);
+            self.progress_to(next_t);
+            // Retire every kernel whose remaining work reached zero.
+            let mut i = 0;
+            while i < self.running.len() {
+                if self.running[i].remaining <= Self::EPSILON {
+                    self.retired.push(self.running.swap_remove(i));
+                } else {
+                    i += 1;
+                }
+            }
+            // Handles are unique, so the unstable sort is deterministic.
+            self.retired.sort_unstable_by_key(|k| k.handle);
+            for k in self.retired.drain(..) {
+                self.contexts[k.context.0].slots[k.stream.index] = None;
+                self.completed_count += 1;
+                if let Some(trace) = &mut self.trace {
+                    trace.end(k.handle, self.now);
+                }
+                out.extend(Some(DeviceEvent {
+                    kernel: k.handle,
+                    context: k.context,
+                    stream: k.stream,
+                    submitted_at: k.submitted_at,
+                    finished_at: self.now,
+                }));
+            }
+            self.recompute_rates();
+        }
     }
 
-    /// Total occupancy demanded by the resident kernels, in SM-equivalents
-    /// (a kernel at speedup `s` keeps `s` SMs' worth of throughput busy —
-    /// the rest of its allocation idles and is up for grabs, which is what
-    /// makes over-subscription profitable; see [`ContentionModel`]).
-    fn current_occupancy(&self) -> f64 {
-        let weight_sum = self.weight_sums();
+    /// The resident set's occupancy recomputed from scratch, without the
+    /// re-flow's scratch buffers: the cached `occupancy` must equal it bit
+    /// for bit.
+    fn fresh_occupancy(&self) -> f64 {
         self.running
             .iter()
             .map(|k| {
-                let m_eff = self.m_eff_of(k, &weight_sum);
-                k.desc.work.effective_speedup(&self.speedup, m_eff)
+                let ctx = &self.contexts[k.context.0];
+                let weight_sum = self
+                    .running
+                    .iter()
+                    .filter(|j| j.context == k.context)
+                    .fold(0.0, |sum, j| sum + ctx.weight(j.class));
+                k.work
+                    .effective_speedup(&self.speedup, ctx.m_eff(k.class, weight_sum))
             })
             .sum()
     }
@@ -652,25 +696,35 @@ impl GpuEngine {
     /// set. Must be called after any submit/retire.
     fn recompute_rates(&mut self) {
         let total = f64::from(self.spec.total_sms);
-        let weight_sum = self.weight_sums();
-        let m_effs: Vec<f64> = self
-            .running
+        let Self {
+            contexts,
+            running,
+            weight_sum,
+            m_effs,
+            speedup,
+            ..
+        } = self;
+        weight_sum.fill(0.0);
+        for k in running.iter() {
+            weight_sum[k.context.0] += contexts[k.context.0].weight(k.class);
+        }
+        m_effs.clear();
+        m_effs.extend(
+            running
+                .iter()
+                .map(|k| contexts[k.context.0].m_eff(k.class, weight_sum[k.context.0])),
+        );
+        let occupancy: f64 = running
             .iter()
-            .map(|k| self.m_eff_of(k, &weight_sum))
-            .collect();
-        let occupancy: f64 = self
-            .running
-            .iter()
-            .zip(&m_effs)
-            .map(|(k, &m)| k.desc.work.effective_speedup(&self.speedup, m))
+            .zip(m_effs.iter())
+            .map(|(k, &m)| k.work.effective_speedup(speedup, m))
             .sum();
         let factor = self.contention.rate_factor(occupancy, total);
+        self.occupancy = occupancy;
         let launch_ns = self.spec.launch_overhead_ns as f64;
-        let speedup = &self.speedup;
-        for (k, &m_eff) in self.running.iter_mut().zip(&m_effs) {
-            let duration_ns = launch_ns
-                + k.desc.extra_ns
-                + k.desc.work.duration_ns_at(speedup, m_eff) * k.jitter;
+        for (k, &m_eff) in self.running.iter_mut().zip(&self.m_effs) {
+            let duration_ns =
+                launch_ns + k.extra_ns + k.work.duration_ns_at(&self.speedup, m_eff) * k.jitter;
             k.rate = if duration_ns > 0.0 {
                 factor / duration_ns
             } else {
@@ -974,6 +1028,31 @@ mod tests {
         let diff = taxed_done.duration_since(plain_done);
         let err = diff.as_nanos().abs_diff(500_000);
         assert!(err <= 2, "extra 0.5ms expected, got {diff}");
+    }
+
+    #[test]
+    fn cached_occupancy_matches_a_fresh_recompute_after_every_step() {
+        let mut e = GpuEngine::builder(quiet_spec())
+            .context(ContextConfig::new(68))
+            .context(ContextConfig::new(34))
+            .build();
+        let check = |e: &GpuEngine| {
+            assert_eq!(e.occupancy.to_bits(), e.fresh_occupancy().to_bits());
+        };
+        check(&e);
+        let classes = [StreamClass::High, StreamClass::Low, StreamClass::High];
+        for (i, class) in classes.into_iter().enumerate() {
+            for ctx in 0..2 {
+                let work = 1e5 * (1 + i + ctx) as f64;
+                e.submit(ContextId(ctx), class, conv_kernel(work)).unwrap();
+                check(&e);
+            }
+        }
+        assert!(e.occupancy > 0.0);
+        while e.run_next().is_some() {
+            check(&e);
+        }
+        assert_eq!(e.occupancy, 0.0, "an idle device demands nothing");
     }
 
     #[test]

@@ -21,6 +21,11 @@ pub struct WorkSegment {
 
 /// The operation-class mix of a kernel.
 ///
+/// A profile holds at most one segment per [`OpClass`], so the segments
+/// live inline and the profile is `Copy`. Segments keep their insertion
+/// order: every sum over them runs in that order, which fixes the
+/// floating-point result.
+///
 /// # Example
 ///
 /// ```
@@ -34,17 +39,24 @@ pub struct WorkSegment {
 /// let t1 = profile.duration_at(&model, 1.0);
 /// assert!(t68 < t1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct WorkProfile {
-    segments: Vec<WorkSegment>,
+    /// `segments[..len]` are in use; the rest are unused filler.
+    segments: [WorkSegment; OpClass::ALL.len()],
+    len: usize,
 }
 
 impl WorkProfile {
     /// Creates an empty profile.
     #[must_use]
     pub fn new() -> Self {
+        const UNUSED: WorkSegment = WorkSegment {
+            op: OpClass::Convolution,
+            single_sm_ns: 0.0,
+        };
         WorkProfile {
-            segments: Vec::new(),
+            segments: [UNUSED; OpClass::ALL.len()],
+            len: 0,
         }
     }
 
@@ -63,36 +75,38 @@ impl WorkProfile {
         if !single_sm_ns.is_finite() || single_sm_ns <= 0.0 {
             return;
         }
-        if let Some(seg) = self.segments.iter_mut().find(|s| s.op == op) {
+        if let Some(seg) = self.segments[..self.len].iter_mut().find(|s| s.op == op) {
             seg.single_sm_ns += single_sm_ns;
         } else {
-            self.segments.push(WorkSegment { op, single_sm_ns });
+            // One segment per class, so there is always a free slot.
+            self.segments[self.len] = WorkSegment { op, single_sm_ns };
+            self.len += 1;
         }
     }
 
     /// Merges another profile into this one.
     pub fn merge(&mut self, other: &WorkProfile) {
-        for seg in &other.segments {
+        for seg in other.segments() {
             self.add(seg.op, seg.single_sm_ns);
         }
     }
 
-    /// The segments of this profile.
+    /// The segments of this profile, in insertion order.
     #[must_use]
     pub fn segments(&self) -> &[WorkSegment] {
-        &self.segments
+        &self.segments[..self.len]
     }
 
     /// Total single-SM execution time in nanoseconds.
     #[must_use]
     pub fn total_single_sm_ns(&self) -> f64 {
-        self.segments.iter().map(|s| s.single_sm_ns).sum()
+        self.segments().iter().map(|s| s.single_sm_ns).sum()
     }
 
     /// `true` when the profile carries no work.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.segments.is_empty() || self.total_single_sm_ns() <= 0.0
+        self.len == 0 || self.total_single_sm_ns() <= 0.0
     }
 
     /// Execution time of the whole profile at `m` SMs:
@@ -113,7 +127,7 @@ impl WorkProfile {
         if m <= 0.0 {
             return f64::INFINITY;
         }
-        self.segments
+        self.segments()
             .iter()
             .map(|s| s.single_sm_ns / model.speedup(s.op, m))
             .sum()
@@ -138,12 +152,26 @@ impl WorkProfile {
         if total <= 0.0 {
             return 0.0;
         }
-        self.segments
+        self.segments()
             .iter()
             .filter(|s| s.op == op)
             .map(|s| s.single_sm_ns)
             .sum::<f64>()
             / total
+    }
+}
+
+impl Default for WorkProfile {
+    fn default() -> Self {
+        WorkProfile::new()
+    }
+}
+
+/// Profiles are equal when their used segments are, in the same order;
+/// the unused filler slots never count.
+impl PartialEq for WorkProfile {
+    fn eq(&self, other: &Self) -> bool {
+        self.segments() == other.segments()
     }
 }
 
@@ -160,7 +188,9 @@ impl FromIterator<WorkSegment> for WorkProfile {
 /// Description of a kernel submitted to the device.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelDesc {
-    /// Label shown in traces (e.g. `"τ3#12/s4"`).
+    /// Label shown in traces (e.g. `"τ3#12/s4"`). The engine reads it
+    /// only when tracing is on, so schedulers may leave it empty on
+    /// untraced runs.
     pub label: String,
     /// The work the kernel performs.
     pub work: WorkProfile,
@@ -269,6 +299,61 @@ mod tests {
         let b = WorkProfile::single(OpClass::Convolution, 5.0);
         a.merge(&b);
         assert!((a.total_single_sm_ns() - 15.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn add_and_merge_keep_insertion_order() {
+        let mut p = WorkProfile::new();
+        p.add(OpClass::Activation, 1.0);
+        p.add(OpClass::Convolution, 2.0);
+        p.add(OpClass::Activation, 3.0);
+        let mut other = WorkProfile::single(OpClass::Linear, 4.0);
+        other.add(OpClass::Convolution, 5.0);
+        p.merge(&other);
+        let got: Vec<(OpClass, f64)> = p
+            .segments()
+            .iter()
+            .map(|s| (s.op, s.single_sm_ns))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (OpClass::Activation, 4.0),
+                (OpClass::Convolution, 7.0),
+                (OpClass::Linear, 4.0),
+            ]
+        );
+    }
+
+    #[test]
+    fn every_op_class_fits() {
+        let mut p = WorkProfile::new();
+        for round in 0..2 {
+            for (i, &op) in OpClass::ALL.iter().rev().enumerate() {
+                p.add(op, (i + 1 + round) as f64);
+            }
+        }
+        let order: Vec<OpClass> = p.segments().iter().map(|s| s.op).collect();
+        let mut expected = OpClass::ALL.to_vec();
+        expected.reverse();
+        assert_eq!(order, expected, "one segment per class, first-seen order");
+        assert!((p.total_single_sm_ns() - 80.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn equality_ignores_unused_slots_but_not_order() {
+        let mut a = WorkProfile::single(OpClass::Convolution, 1.0);
+        a.add(OpClass::Linear, 2.0);
+        let mut b = a;
+        b.segments[OpClass::ALL.len() - 1] = WorkSegment {
+            op: OpClass::Softmax,
+            single_sm_ns: 9.0,
+        };
+        assert_eq!(a, b, "filler beyond the used segments never counts");
+        let mut swapped = WorkProfile::single(OpClass::Linear, 2.0);
+        swapped.add(OpClass::Convolution, 1.0);
+        assert_ne!(a, swapped, "segment order is part of the value");
+        assert_eq!(WorkProfile::new(), WorkProfile::default());
     }
 
     #[test]

@@ -49,6 +49,11 @@ impl OpClass {
         OpClass::Softmax,
     ];
 
+    /// Position of the class in [`OpClass::ALL`].
+    pub(crate) const fn index(self) -> usize {
+        self as usize
+    }
+
     /// Short lowercase label used in reports.
     #[must_use]
     pub fn label(self) -> &'static str {
@@ -162,6 +167,10 @@ impl SpeedupCurve {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpeedupModel {
     curves: Vec<(OpClass, SpeedupCurve)>,
+    /// [`SpeedupModel::curve`] of every class, indexed by
+    /// [`OpClass::index`]: built once so [`SpeedupModel::speedup`] needs
+    /// no search.
+    table: [SpeedupCurve; OpClass::ALL.len()],
     /// Reference SM count the calibration targets refer to.
     pub m_ref: f64,
 }
@@ -197,11 +206,16 @@ impl SpeedupModel {
     /// Panics if any target is infeasible (see [`SpeedupCurve::fitted`]).
     #[must_use]
     pub fn from_targets(targets: &[(OpClass, f64)], m_ref: f64) -> Self {
-        let curves = targets
-            .iter()
-            .map(|&(op, s)| (op, SpeedupCurve::fitted(s, m_ref)))
-            .collect();
-        SpeedupModel { curves, m_ref }
+        let mut model = SpeedupModel {
+            curves: targets
+                .iter()
+                .map(|&(op, s)| (op, SpeedupCurve::fitted(s, m_ref)))
+                .collect(),
+            table: [SpeedupCurve::from_parallel_fraction(0.0); OpClass::ALL.len()],
+            m_ref,
+        };
+        model.table = OpClass::ALL.map(|op| model.curve(op));
+        model
     }
 
     /// The curve for `op`; falls back to the slowest-scaling curve in the
@@ -228,7 +242,7 @@ impl SpeedupModel {
     /// Speedup of `op` at `m` SMs.
     #[must_use]
     pub fn speedup(&self, op: OpClass, m: f64) -> f64 {
-        self.curve(op).speedup(m)
+        self.table[op.index()].speedup(m)
     }
 
     /// Iterates over the calibrated `(op, curve)` pairs.
@@ -338,5 +352,27 @@ mod tests {
         // (softmax) curve, not the conv curve.
         let got = model.speedup(OpClass::Linear, 68.0);
         assert!((got - 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn speedup_table_agrees_with_curve_lookup() {
+        // Full calibration and a subset model whose missing classes take
+        // the fallback curve.
+        let subset = SpeedupModel::from_targets(
+            &[(OpClass::Convolution, 32.0), (OpClass::Softmax, 3.0)],
+            68.0,
+        );
+        for model in [SpeedupModel::calibrated_rtx_2080_ti(), subset] {
+            for op in OpClass::ALL {
+                assert_eq!(OpClass::ALL[op.index()], op);
+                for m in [-1.0, 0.0, 0.5, 1.0, 2.5, 17.0, 34.0, 68.0, 136.0] {
+                    assert_eq!(
+                        model.speedup(op, m).to_bits(),
+                        model.curve(op).speedup(m).to_bits(),
+                        "{op} at {m} SMs"
+                    );
+                }
+            }
+        }
     }
 }

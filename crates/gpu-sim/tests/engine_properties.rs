@@ -1,12 +1,13 @@
 //! Property-based tests of the device engine: conservation, determinism,
-//! and monotonicity under randomised workloads.
+//! monotonicity, and agreement of its stepping calls under randomised
+//! workloads.
 
 use proptest::prelude::*;
 use sgprs_gpu_sim::{
-    ContentionModel, ContextConfig, ContextId, GpuEngine, GpuSpec, KernelDesc, OpClass,
-    StreamClass, WorkProfile,
+    ContentionModel, ContextConfig, ContextId, DeviceEvent, GpuEngine, GpuSpec, KernelDesc,
+    OpClass, StreamClass, WorkProfile,
 };
-use sgprs_rt::SimTime;
+use sgprs_rt::{SimDuration, SimTime};
 
 fn engine(contexts: &[u32], seed: u64) -> GpuEngine {
     let mut b = GpuEngine::builder(GpuSpec::rtx_2080_ti().with_launch_overhead_ns(1_000))
@@ -146,6 +147,117 @@ proptest! {
             let f = e.busy_fraction(ContextId(c));
             prop_assert!((0.0..=1.0).contains(&f), "ctx {c}: {f}");
         }
+    }
+}
+
+/// One step of a random engine workload.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Submit a kernel of `op_of(tag)` with `work` single-SM ns.
+    Submit {
+        ctx: usize,
+        high: bool,
+        tag: u8,
+        work: f64,
+    },
+    /// Advance the clock by `dt` ns.
+    Advance { dt: u64 },
+}
+
+/// A raw draw for one [`Step`]: `kind` 0 advances, 1 and 2 submit.
+type RawStep = ((u8, usize, bool), (u8, f64, u64));
+
+fn raw_step() -> impl Strategy<Value = RawStep> {
+    (
+        (0u8..3, 0usize..2, any::<bool>()),
+        (0u8..8, 1_000.0f64..3e6, 1u64..2_000_000),
+    )
+}
+
+fn decode(((kind, ctx, high), (tag, work, dt)): RawStep) -> Step {
+    if kind == 0 {
+        Step::Advance { dt }
+    } else {
+        Step::Submit {
+            ctx,
+            high,
+            tag,
+            work,
+        }
+    }
+}
+
+/// How a driver collects the completions up to an instant.
+#[derive(Debug, Clone, Copy)]
+enum Collect {
+    AdvanceInto,
+    AdvanceTo,
+    RunNext,
+}
+
+/// Replays `steps` on a fresh engine, collecting completions the given
+/// way; returns every event plus the clock and completion count after
+/// each step. Every submit also runs the engine's debug check that the
+/// cached occupancy equals a fresh recompute (tests build with debug
+/// assertions on).
+fn replay(steps: &[RawStep], seed: u64, how: Collect) -> (Vec<DeviceEvent>, Vec<(SimTime, u64)>) {
+    let mut e = engine(&[34, 68], seed);
+    let mut events = Vec::new();
+    let mut states = Vec::new();
+    let mut buf = Vec::new();
+    for &raw in steps {
+        match decode(raw) {
+            Step::Submit {
+                ctx,
+                high,
+                tag,
+                work,
+            } => {
+                let class = if high {
+                    StreamClass::High
+                } else {
+                    StreamClass::Low
+                };
+                let desc = KernelDesc::new("k", WorkProfile::single(op_of(tag), work));
+                let _ = e.submit(ContextId(ctx), class, desc);
+            }
+            Step::Advance { dt } => {
+                let t = e.now() + SimDuration::from_nanos(dt);
+                match how {
+                    Collect::AdvanceInto => {
+                        buf.clear();
+                        e.advance_into(t, &mut buf);
+                        events.extend_from_slice(&buf);
+                    }
+                    Collect::AdvanceTo => events.extend(e.advance_to(t)),
+                    Collect::RunNext => {
+                        while e.next_event_time().is_some_and(|n| n <= t) {
+                            events.push(e.run_next().expect("a completion is due"));
+                        }
+                        events.extend(e.advance_to(t));
+                    }
+                }
+            }
+        }
+        states.push((e.now(), e.completed_count()));
+    }
+    events.extend(e.drain());
+    (events, states)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `advance_into`, `advance_to` and repeated `run_next` are three
+    /// views of one engine: identical events, clocks and counts.
+    #[test]
+    fn advance_into_advance_to_and_run_next_agree(
+        steps in prop::collection::vec(raw_step(), 1..60),
+        seed in any::<u64>(),
+    ) {
+        let into = replay(&steps, seed, Collect::AdvanceInto);
+        prop_assert_eq!(&replay(&steps, seed, Collect::AdvanceTo), &into);
+        prop_assert_eq!(&replay(&steps, seed, Collect::RunNext), &into);
     }
 }
 

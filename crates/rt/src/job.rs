@@ -3,7 +3,8 @@
 //! Every period, a task releases a [`Job`]; the job carries one
 //! [`StageInstance`] per stage of the task's DAG. The online phase of SGPRS
 //! assigns each released stage an absolute deadline derived from the
-//! offline virtual relative deadlines (§IV-B1).
+//! offline virtual relative deadlines (§IV-B1); a task's
+//! [`ReleaseTemplate`] works out the offsets once and stamps each release.
 
 use crate::{PeriodicTaskSpec, PriorityLevel, SimDuration, SimTime, StageId, TaskId};
 use serde::{Deserialize, Serialize};
@@ -108,23 +109,28 @@ pub struct Job {
     pub completed_at: Option<SimTime>,
 }
 
-impl Job {
-    /// Releases a job of `task` at `release`, computing every stage's
-    /// absolute deadline from the offline virtual relative deadlines:
-    /// stage `j`'s deadline is `release + Σ_{k ≤ j along its chain} D^k`.
-    ///
-    /// For general DAGs, the cumulative offset of a stage is the maximum
-    /// over its predecessors' offsets plus its own virtual deadline, which
-    /// reduces to the paper's prefix sums for chain tasks.
+/// What every release of one task shares (§IV-B1): each stage's deadline
+/// offset from the release, its offline priority, and whether it is a DAG
+/// source. Built once per task, so a release only stamps times.
+///
+/// Stage `j`'s offset is `Σ_{k ≤ j along its chain} D^k`. For general DAGs
+/// it is the maximum over its predecessors' offsets plus its own virtual
+/// deadline, which reduces to the paper's prefix sums for chain tasks.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReleaseTemplate {
+    task: TaskId,
+    deadline: SimDuration,
+    /// Per stage: (deadline offset, offline priority).
+    stages: Vec<(SimDuration, PriorityLevel)>,
+    sources: Vec<usize>,
+}
+
+impl ReleaseTemplate {
+    /// The template of task `task_id` with specification `task`.
     #[must_use]
-    pub fn release(task_id: TaskId, release_index: u64, task: &PeriodicTaskSpec, release: SimTime) -> Job {
-        let order = if task.stages.is_empty() {
-            Vec::new()
-        } else {
-            task.topological_order()
-        };
-        let mut offsets: Vec<SimDuration> = vec![SimDuration::ZERO; task.stages.len()];
-        for &i in &order {
+    pub fn new(task_id: TaskId, task: &PeriodicTaskSpec) -> Self {
+        let mut offsets = vec![SimDuration::ZERO; task.stages.len()];
+        for i in task.topological_order() {
             let pred_max = task.stages[i]
                 .predecessors
                 .iter()
@@ -133,32 +139,62 @@ impl Job {
                 .unwrap_or(SimDuration::ZERO);
             offsets[i] = pred_max + task.stages[i].virtual_deadline;
         }
-        let stages = task
-            .stages
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let mut inst =
-                    StageInstance::new(StageId(i), release + offsets[i], s.priority);
-                if s.predecessors.is_empty() {
-                    inst.state = StageState::Ready;
-                    inst.ready_at = Some(release);
-                }
-                inst
-            })
-            .collect();
-        Job {
-            id: JobId {
-                task: task_id,
-                release_index,
-            },
-            release,
-            absolute_deadline: release + task.deadline,
-            stages,
-            completed_at: None,
+        ReleaseTemplate {
+            task: task_id,
+            deadline: task.deadline,
+            stages: offsets
+                .into_iter()
+                .zip(&task.stages)
+                .map(|(offset, s)| (offset, s.priority))
+                .collect(),
+            sources: task.source_stages(),
         }
     }
 
+    /// Indices of the stages with no predecessors: ready at release.
+    #[must_use]
+    pub fn sources(&self) -> &[usize] {
+        &self.sources
+    }
+
+    /// Releases job `release_index` at `release`, stamping every stage's
+    /// absolute deadline. The job's stages are built in `storage`, whose
+    /// contents are discarded: pass a finished job's `stages` to reuse
+    /// its allocation, or `Vec::new()`.
+    #[must_use]
+    pub fn release(
+        &self,
+        release_index: u64,
+        release: SimTime,
+        mut storage: Vec<StageInstance>,
+    ) -> Job {
+        storage.clear();
+        storage.extend(
+            self.stages
+                .iter()
+                .enumerate()
+                .map(|(i, &(offset, priority))| {
+                    StageInstance::new(StageId(i), release + offset, priority)
+                }),
+        );
+        for &i in &self.sources {
+            storage[i].state = StageState::Ready;
+            storage[i].ready_at = Some(release);
+        }
+        Job {
+            id: JobId {
+                task: self.task,
+                release_index,
+            },
+            release,
+            absolute_deadline: release + self.deadline,
+            stages: storage,
+            completed_at: None,
+        }
+    }
+}
+
+impl Job {
     /// `true` once every stage (or the monolithic job) has completed.
     #[must_use]
     pub fn is_completed(&self) -> bool {
@@ -183,17 +219,18 @@ impl Job {
     }
 
     /// Marks stage `index` complete at `now` and unblocks any successors
-    /// whose predecessors are now all complete, returning the indices of
-    /// newly ready stages.
+    /// whose predecessors are now all complete, replacing the contents of
+    /// `newly_ready` with their indices.
     pub fn complete_stage(
         &mut self,
         index: usize,
         now: SimTime,
         task: &PeriodicTaskSpec,
-    ) -> Vec<usize> {
+        newly_ready: &mut Vec<usize>,
+    ) {
         self.stages[index].state = StageState::Completed;
         self.stages[index].completed_at = Some(now);
-        let mut newly_ready = Vec::new();
+        newly_ready.clear();
         for (i, spec) in task.stages.iter().enumerate() {
             if self.stages[i].state == StageState::Blocked
                 && spec.predecessors.contains(&index)
@@ -210,7 +247,6 @@ impl Job {
         if self.stages.iter().all(StageInstance::is_completed) {
             self.completed_at = Some(now);
         }
-        newly_ready
     }
 }
 
@@ -308,6 +344,17 @@ mod tests {
         SimDuration::from_millis(v)
     }
 
+    fn release(t: &PeriodicTaskSpec, at: SimTime) -> Job {
+        ReleaseTemplate::new(TaskId(0), t).release(0, at, Vec::new())
+    }
+
+    /// Completes stage `index`, returning the newly ready stages.
+    fn complete(job: &mut Job, index: usize, at: SimTime, t: &PeriodicTaskSpec) -> Vec<usize> {
+        let mut ready = vec![usize::MAX]; // stale contents must be replaced
+        job.complete_stage(index, at, t, &mut ready);
+        ready
+    }
+
     fn chain_task() -> PeriodicTaskSpec {
         let mut t = PeriodicTaskSpec::builder("t")
             .period(ms(30))
@@ -325,7 +372,7 @@ mod tests {
     #[test]
     fn release_assigns_cumulative_absolute_deadlines() {
         let t = chain_task();
-        let job = Job::release(TaskId(0), 0, &t, SimTime::from_nanos(0));
+        let job = release(&t, SimTime::from_nanos(0));
         assert_eq!(job.stages[0].absolute_deadline, SimTime::ZERO + ms(10));
         assert_eq!(job.stages[1].absolute_deadline, SimTime::ZERO + ms(20));
         assert_eq!(job.stages[2].absolute_deadline, SimTime::ZERO + ms(30));
@@ -335,7 +382,7 @@ mod tests {
     #[test]
     fn only_sources_start_ready() {
         let t = chain_task();
-        let job = Job::release(TaskId(0), 0, &t, SimTime::ZERO);
+        let job = release(&t, SimTime::ZERO);
         assert_eq!(job.stages[0].state, StageState::Ready);
         assert_eq!(job.stages[1].state, StageState::Blocked);
         assert_eq!(job.stages[2].state, StageState::Blocked);
@@ -344,16 +391,40 @@ mod tests {
     #[test]
     fn completing_stages_unblocks_successors_and_finishes_job() {
         let t = chain_task();
-        let mut job = Job::release(TaskId(0), 0, &t, SimTime::ZERO);
-        let ready = job.complete_stage(0, SimTime::ZERO + ms(5), &t);
+        let mut job = release(&t, SimTime::ZERO);
+        let ready = complete(&mut job, 0, SimTime::ZERO + ms(5), &t);
         assert_eq!(ready, vec![1]);
-        let ready = job.complete_stage(1, SimTime::ZERO + ms(12), &t);
+        let ready = complete(&mut job, 1, SimTime::ZERO + ms(12), &t);
         assert_eq!(ready, vec![2]);
         assert!(!job.is_completed());
-        let ready = job.complete_stage(2, SimTime::ZERO + ms(20), &t);
+        let ready = complete(&mut job, 2, SimTime::ZERO + ms(20), &t);
         assert!(ready.is_empty());
         assert!(job.is_completed());
         assert!(job.outcome().unwrap().met());
+    }
+
+    #[test]
+    fn release_reuses_storage_and_restamps_every_stage() {
+        let t = chain_task();
+        let template = ReleaseTemplate::new(TaskId(3), &t);
+        assert_eq!(template.sources(), &[0]);
+        let mut first = template.release(0, SimTime::ZERO, Vec::new());
+        for i in 0..3 {
+            complete(&mut first, i, SimTime::ZERO + ms(5), &t);
+        }
+        let storage = first.stages;
+        let ptr = storage.as_ptr();
+        let at = SimTime::ZERO + ms(30);
+        let second = template.release(1, at, storage);
+        assert_eq!(second.stages.as_ptr(), ptr, "stage storage is reused");
+        let id = JobId {
+            task: TaskId(3),
+            release_index: 1,
+        };
+        assert_eq!(second.id, id);
+        let fresh = template.release(1, at, Vec::new());
+        assert_eq!(second, fresh, "a reused job equals a fresh one");
+        assert_eq!(second.stages[2].absolute_deadline, at + ms(30));
     }
 
     #[test]
@@ -369,12 +440,12 @@ mod tests {
         for s in &mut t.stages {
             s.virtual_deadline = ms(10);
         }
-        let mut job = Job::release(TaskId(0), 0, &t, SimTime::ZERO);
-        let r = job.complete_stage(0, SimTime::ZERO + ms(1), &t);
+        let mut job = release(&t, SimTime::ZERO);
+        let r = complete(&mut job, 0, SimTime::ZERO + ms(1), &t);
         assert_eq!(r, vec![1, 2]);
-        let r = job.complete_stage(1, SimTime::ZERO + ms(2), &t);
+        let r = complete(&mut job, 1, SimTime::ZERO + ms(2), &t);
         assert!(r.is_empty(), "sink still blocked on the right branch");
-        let r = job.complete_stage(2, SimTime::ZERO + ms(3), &t);
+        let r = complete(&mut job, 2, SimTime::ZERO + ms(3), &t);
         assert_eq!(r, vec![3]);
         // Diamond deadline: max(pred offsets) + own virtual deadline = 30 ms.
         assert_eq!(job.stages[3].absolute_deadline, SimTime::ZERO + ms(30));
@@ -383,10 +454,10 @@ mod tests {
     #[test]
     fn missed_outcome_reports_tardiness() {
         let t = chain_task();
-        let mut job = Job::release(TaskId(0), 0, &t, SimTime::ZERO);
-        job.complete_stage(0, SimTime::ZERO + ms(10), &t);
-        job.complete_stage(1, SimTime::ZERO + ms(20), &t);
-        job.complete_stage(2, SimTime::ZERO + ms(35), &t);
+        let mut job = release(&t, SimTime::ZERO);
+        complete(&mut job, 0, SimTime::ZERO + ms(10), &t);
+        complete(&mut job, 1, SimTime::ZERO + ms(20), &t);
+        complete(&mut job, 2, SimTime::ZERO + ms(35), &t);
         match job.outcome().unwrap() {
             JobOutcome::MissedDeadline { tardiness, .. } => assert_eq!(tardiness, ms(5)),
             other => panic!("expected a miss, got {other:?}"),
@@ -396,7 +467,7 @@ mod tests {
     #[test]
     fn stage_miss_detection_uses_now_for_unfinished_stages() {
         let t = chain_task();
-        let job = Job::release(TaskId(0), 0, &t, SimTime::ZERO);
+        let job = release(&t, SimTime::ZERO);
         assert!(!job.stages[0].missed_deadline(SimTime::ZERO + ms(9)));
         assert!(job.stages[0].missed_deadline(SimTime::ZERO + ms(11)));
     }

@@ -47,7 +47,9 @@ mod task;
 mod time;
 
 pub use error::RtError;
-pub use job::{Job, JobId, JobOutcome, ReleaseGenerator, StageInstance, StageState};
+pub use job::{
+    Job, JobId, JobOutcome, ReleaseGenerator, ReleaseTemplate, StageInstance, StageState,
+};
 pub use priority::{PriorityAssignment, PriorityLevel};
 pub use queue::{EdfEntry, EdfQueue, PriorityBands};
 pub use task::{
