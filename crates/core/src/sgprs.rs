@@ -55,6 +55,8 @@ struct TaskJobs {
     live: VecDeque<Job>,
     /// Stage storage of finished jobs, reused by the next release.
     spare: Vec<Vec<StageInstance>>,
+    /// Start of this task's row in [`Sgprs::isolated_ns`].
+    isolated_base: usize,
 }
 
 impl TaskJobs {
@@ -136,7 +138,9 @@ struct Sgprs {
     /// Outstanding-work estimate per context in nanoseconds (queued +
     /// running stages at their isolated estimates).
     pending_ns: Vec<f64>,
-    sm_allocs: Vec<u32>,
+    /// Isolated estimate of every (task, stage, context), flat: task
+    /// rows start at [`TaskJobs::isolated_base`], then stage-major.
+    isolated_ns: Vec<f64>,
     /// Monotone counter providing FIFO pseudo-deadlines for the ablation
     /// queue order.
     fifo_seq: u64,
@@ -169,13 +173,26 @@ impl SgprsScheduler {
         );
         let n_ctx = sm_allocs.len();
         let slot_count = n_ctx * (STREAMS.0 + STREAMS.1);
+        // Tasks may differ in stage count, so each keeps its row base.
+        let stages: usize = tasks.iter().map(CompiledTask::stage_count).sum();
+        let mut isolated_ns = Vec::with_capacity(stages * n_ctx);
+        let launch_ns = config.pool.gpu.launch_overhead_ns as f64;
         let jobs = tasks
             .iter()
             .enumerate()
-            .map(|(i, t)| TaskJobs {
-                template: ReleaseTemplate::new(TaskId(i), &t.spec),
-                live: VecDeque::new(),
-                spare: Vec::new(),
+            .map(|(i, t)| {
+                let isolated_base = isolated_ns.len();
+                for profile in &t.stage_profiles {
+                    isolated_ns.extend(sm_allocs.iter().map(|&sm| {
+                        launch_ns + profile.duration_ns_at(engine.speedup_model(), f64::from(sm))
+                    }));
+                }
+                TaskJobs {
+                    template: ReleaseTemplate::new(TaskId(i), &t.spec),
+                    live: VecDeque::new(),
+                    spare: Vec::new(),
+                    isolated_base,
+                }
             })
             .collect();
         SgprsScheduler {
@@ -191,7 +208,7 @@ impl SgprsScheduler {
                 running: vec![None; slot_count],
                 ready: Vec::new(),
                 pending_ns: vec![0.0; n_ctx],
-                sm_allocs,
+                isolated_ns,
                 fifo_seq: 0,
                 slot_count,
             },
@@ -405,14 +422,11 @@ impl Sgprs {
     }
 
     /// Isolated-duration estimate of a stage on a context's full SM
-    /// allocation (the scheduler's cheap WCET-like estimate).
+    /// allocation (the scheduler's cheap WCET-like estimate), tabulated
+    /// at construction.
     fn isolated_estimate_ns(&self, ctx: usize, sref: StageRef) -> f64 {
-        let profile = &self.tasks[sref.task].stage_profiles[sref.stage];
-        self.config.pool.gpu.launch_overhead_ns as f64
-            + profile.duration_ns_at(
-                self.engine.speedup_model(),
-                f64::from(self.sm_allocs[ctx]),
-            )
+        let n_ctx = self.queues.len();
+        self.isolated_ns[self.jobs[sref.task].isolated_base + sref.stage * n_ctx + ctx]
     }
 
     /// Estimated absolute finish instant (ns) if the stage were appended
@@ -492,18 +506,21 @@ mod tests {
         SimDuration::from_micros(33_333)
     }
 
-    fn compile(pool: &ContextPoolSpec, n: usize) -> Vec<CompiledTask> {
+    fn compile_staged(pool: &ContextPoolSpec, stages: usize) -> CompiledTask {
         let net = models::resnet18(1, 224);
-        let task = offline::compile_network_task(
+        offline::compile_network_task(
             "cam",
             &net,
             &CostModel::calibrated(),
-            6,
+            stages,
             thirty_fps(),
             pool,
         )
-        .unwrap();
-        vec![task; n]
+        .unwrap()
+    }
+
+    fn compile(pool: &ContextPoolSpec, n: usize) -> Vec<CompiledTask> {
+        vec![compile_staged(pool, 6); n]
     }
 
     fn run_sgprs(pool: ContextPoolSpec, n: usize, secs: u64) -> RunMetrics {
@@ -532,6 +549,41 @@ mod tests {
         assert!(m.total_fps > 300.0, "saturated fps {:.0}", m.total_fps);
         assert!(m.dmr > 0.0, "30 tasks must overload the pool");
         assert!(m.dmr < 0.9, "SGPRS must degrade gracefully, dmr {:.2}", m.dmr);
+    }
+
+    #[test]
+    fn isolated_estimate_table_matches_a_fresh_compute() {
+        // Unequal allocations (2× over-subscription splits 136 SMs as
+        // 46/45/45) and unequal stage counts: a mis-indexed lookup reads
+        // a neighbour's estimate.
+        let pool = ContextPoolSpec::new(3, 2.0);
+        let allocs = pool.sm_allocations();
+        assert!(allocs.windows(2).any(|w| w[0] != w[1]), "{allocs:?}");
+        let tasks: Vec<CompiledTask> = [3, 6, 3]
+            .into_iter()
+            .map(|stages| compile_staged(&pool, stages))
+            .collect();
+        let s = SgprsScheduler::new(SgprsConfig::new(pool.clone()), tasks.clone());
+        let launch = pool.gpu.launch_overhead_ns as f64;
+        let model = s.engine().speedup_model();
+        assert_eq!(s.policy.isolated_ns.len(), (3 + 6 + 3) * allocs.len());
+        for (task, t) in tasks.iter().enumerate() {
+            for (stage, profile) in t.stage_profiles.iter().enumerate() {
+                for (ctx, &sm) in allocs.iter().enumerate() {
+                    let sref = StageRef {
+                        task,
+                        release_index: 0,
+                        stage,
+                    };
+                    let fresh = launch + profile.duration_ns_at(model, f64::from(sm));
+                    assert_eq!(
+                        s.policy.isolated_estimate_ns(ctx, sref).to_bits(),
+                        fresh.to_bits(),
+                        "task {task} stage {stage} ctx {ctx}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -22,6 +22,14 @@
 //! retirement, and both re-flow before returning. Steady-state stepping
 //! allocates nothing: re-flow and retirement reuse scratch buffers the
 //! engine owns, and [`GpuEngine::advance_into`] fills the caller's buffer.
+//!
+//! The re-flow is memoised per kernel. A kernel's work, jitter, stream
+//! class and the speedup model are fixed from submit to retirement, so its
+//! duration at its effective SM share (`m_eff`) and the speedup that
+//! duration implies are pure functions of `m_eff`. Each running kernel
+//! keeps both, keyed by `m_eff`'s bits, and a re-flow recomputes them only
+//! for kernels whose key changed: those whose own context's resident set
+//! changed. A hit therefore equals a fresh compute bit for bit.
 
 use crate::{ContentionModel, GpuSimError, KernelDesc, SpeedupModel, TraceRecorder, WorkProfile};
 use rand::rngs::SmallRng;
@@ -184,6 +192,30 @@ struct RunningKernel {
     /// Current progress rate in fraction per nanosecond.
     rate: f64,
     submitted_at: SimTime,
+    /// Memo key: the bits of the effective SM share that `duration_ns`
+    /// and `eff_speedup` were derived at (see the module docs).
+    m_eff_bits: u64,
+    /// `work.duration_ns_at(model, m_eff)`, before jitter and overheads.
+    /// Work and model are fixed per kernel, so the key determines it.
+    duration_ns: f64,
+    /// The effective speedup `duration_ns` implies: the SM-equivalents
+    /// the kernel keeps busy, its term of the engine's occupancy.
+    eff_speedup: f64,
+}
+
+impl RunningKernel {
+    /// Re-derives the memo at effective SM share `m_eff`, with
+    /// [`WorkProfile::effective_speedup`]'s guard on the speedup.
+    fn reshare(&mut self, model: &SpeedupModel, m_eff: f64) {
+        let t = self.work.duration_ns_at(model, m_eff);
+        self.m_eff_bits = m_eff.to_bits();
+        self.duration_ns = t;
+        self.eff_speedup = if t <= 0.0 || !t.is_finite() {
+            0.0
+        } else {
+            self.work.total_single_sm_ns() / t
+        };
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -266,8 +298,6 @@ pub struct GpuEngine {
     occupancy: f64,
     /// Re-flow scratch: per-context total stream weight.
     weight_sum: Vec<f64>,
-    /// Re-flow scratch: each running kernel's effective SM share.
-    m_effs: Vec<f64>,
     /// Retirement scratch: kernels finishing at the current instant.
     retired: Vec<RunningKernel>,
 }
@@ -360,7 +390,6 @@ impl GpuEngineBuilder {
             pending: VecDeque::new(),
             occupancy: 0.0,
             weight_sum: vec![0.0; n_ctx],
-            m_effs: Vec::new(),
             retired: Vec::new(),
         };
         engine.recompute_rates();
@@ -510,7 +539,7 @@ impl GpuEngine {
         if let Some(trace) = &mut self.trace {
             trace.begin(handle, &desc.label, ctx, stream, self.now);
         }
-        self.running.push(RunningKernel {
+        let mut kernel = RunningKernel {
             handle,
             context: ctx,
             stream,
@@ -521,7 +550,14 @@ impl GpuEngine {
             remaining: 1.0,
             rate: 0.0,
             submitted_at: self.now,
-        });
+            m_eff_bits: 0,
+            duration_ns: 0.0,
+            eff_speedup: 0.0,
+        };
+        // A valid memo entry for a zero share; the re-flow below moves it
+        // to the kernel's real share.
+        kernel.reshare(&self.speedup, 0.0);
+        self.running.push(kernel);
         self.recompute_rates();
         Ok(handle)
     }
@@ -693,14 +729,14 @@ impl GpuEngine {
     }
 
     /// Recomputes every running kernel's rate from the current resident
-    /// set. Must be called after any submit/retire.
+    /// set. Must be called after any submit/retire. Only kernels whose
+    /// effective SM share moved re-derive their duration (module docs).
     fn recompute_rates(&mut self) {
         let total = f64::from(self.spec.total_sms);
         let Self {
             contexts,
             running,
             weight_sum,
-            m_effs,
             speedup,
             ..
         } = self;
@@ -708,23 +744,24 @@ impl GpuEngine {
         for k in running.iter() {
             weight_sum[k.context.0] += contexts[k.context.0].weight(k.class);
         }
-        m_effs.clear();
-        m_effs.extend(
-            running
-                .iter()
-                .map(|k| contexts[k.context.0].m_eff(k.class, weight_sum[k.context.0])),
-        );
-        let occupancy: f64 = running
-            .iter()
-            .zip(m_effs.iter())
-            .map(|(k, &m)| k.work.effective_speedup(speedup, m))
-            .sum();
+        for k in running.iter_mut() {
+            let m_eff = contexts[k.context.0].m_eff(k.class, weight_sum[k.context.0]);
+            if k.m_eff_bits != m_eff.to_bits() {
+                k.reshare(speedup, m_eff);
+            } else {
+                debug_assert_eq!(
+                    k.duration_ns.to_bits(),
+                    k.work.duration_ns_at(speedup, m_eff).to_bits(),
+                    "memoised duration went stale"
+                );
+            }
+        }
+        let occupancy: f64 = running.iter().map(|k| k.eff_speedup).sum();
         let factor = self.contention.rate_factor(occupancy, total);
         self.occupancy = occupancy;
         let launch_ns = self.spec.launch_overhead_ns as f64;
-        for (k, &m_eff) in self.running.iter_mut().zip(&self.m_effs) {
-            let duration_ns =
-                launch_ns + k.extra_ns + k.work.duration_ns_at(&self.speedup, m_eff) * k.jitter;
+        for k in &mut self.running {
+            let duration_ns = launch_ns + k.extra_ns + k.duration_ns * k.jitter;
             k.rate = if duration_ns > 0.0 {
                 factor / duration_ns
             } else {
@@ -1053,6 +1090,35 @@ mod tests {
             check(&e);
         }
         assert_eq!(e.occupancy, 0.0, "an idle device demands nothing");
+    }
+
+    #[test]
+    fn a_submit_reshares_only_its_own_context() {
+        let mut e = GpuEngine::builder(quiet_spec())
+            .context(ContextConfig::new(68))
+            .context(ContextConfig::new(34))
+            .build();
+        e.submit(ContextId(0), StreamClass::High, conv_kernel(1e6))
+            .unwrap();
+        e.submit(ContextId(0), StreamClass::Low, conv_kernel(2e6))
+            .unwrap();
+        e.submit(ContextId(1), StreamClass::High, conv_kernel(3e6))
+            .unwrap();
+        let keys = |e: &GpuEngine, ctx: usize| -> Vec<u64> {
+            e.running
+                .iter()
+                .filter(|k| k.context == ContextId(ctx))
+                .map(|k| k.m_eff_bits)
+                .collect()
+        };
+        let (ctx0, ctx1) = (keys(&e, 0), keys(&e, 1));
+        e.submit(ContextId(1), StreamClass::High, conv_kernel(4e6))
+            .unwrap();
+        // The context-0 kernels kept their keys, so the re-flow skipped
+        // their durations; the resident context-1 kernel's share halved.
+        assert_eq!(keys(&e, 0), ctx0);
+        assert_eq!(f64::from_bits(ctx1[0]), 34.0);
+        assert_eq!(f64::from_bits(keys(&e, 1)[0]), 17.0);
     }
 
     #[test]

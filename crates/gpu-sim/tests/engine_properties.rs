@@ -150,10 +150,23 @@ proptest! {
     }
 }
 
+/// A profile of one to three operation classes led by `op_of(tag)`,
+/// so a kernel's duration sums over several speedup curves.
+fn mixed_profile(tag: u8, work: f64) -> WorkProfile {
+    let mut p = WorkProfile::single(op_of(tag), work);
+    if tag % 3 >= 1 {
+        p.add(op_of(tag + 3), work / 2.0);
+    }
+    if tag % 3 == 2 {
+        p.add(op_of(tag + 5), work / 3.0);
+    }
+    p
+}
+
 /// One step of a random engine workload.
 #[derive(Debug, Clone, Copy)]
 enum Step {
-    /// Submit a kernel of `op_of(tag)` with `work` single-SM ns.
+    /// Submit a kernel of `mixed_profile(tag, work)`.
     Submit {
         ctx: usize,
         high: bool,
@@ -197,9 +210,11 @@ enum Collect {
 
 /// Replays `steps` on a fresh engine, collecting completions the given
 /// way; returns every event plus the clock and completion count after
-/// each step. Every submit also runs the engine's debug check that the
-/// cached occupancy equals a fresh recompute (tests build with debug
-/// assertions on).
+/// each step. Submits go to both contexts on both stream classes, so
+/// contexts are shared, and every submit and retirement runs the
+/// engine's debug checks: the cached occupancy and every memoised
+/// duration equal a fresh recompute (tests build with debug assertions
+/// on).
 fn replay(steps: &[RawStep], seed: u64, how: Collect) -> (Vec<DeviceEvent>, Vec<(SimTime, u64)>) {
     let mut e = engine(&[34, 68], seed);
     let mut events = Vec::new();
@@ -218,7 +233,7 @@ fn replay(steps: &[RawStep], seed: u64, how: Collect) -> (Vec<DeviceEvent>, Vec<
                 } else {
                     StreamClass::Low
                 };
-                let desc = KernelDesc::new("k", WorkProfile::single(op_of(tag), work));
+                let desc = KernelDesc::new("k", mixed_profile(tag, work));
                 let _ = e.submit(ContextId(ctx), class, desc);
             }
             Step::Advance { dt } => {
