@@ -83,7 +83,7 @@ fn bench_epoch_execution(c: &mut Criterion) {
     for (label, parallel) in [("sequential", false), ("parallel", true)] {
         let mut cfg = FleetConfig::new(node_specs(16));
         if !parallel {
-            cfg = cfg.sequential();
+            cfg = cfg.with_workers(1);
         }
         let mut fleet = Fleet::new(cfg);
         for i in 0..16 * 8 {

@@ -19,14 +19,9 @@
 //! Usage: `cargo run --release -p sgprs-bench --bin fleet \
 //!     [--sim-secs N] [--csv] [--telemetry-csv]`
 
-use sgprs_bench::report::{AllocStats, BenchReport, CountingAlloc};
-use sgprs_cluster::{Fleet, FleetMetrics, PlacementPolicy, QueuePolicy, Span, TelemetryReport};
+use sgprs_cluster::{FleetMetrics, PlacementPolicy, QueuePolicy, TelemetryReport};
 use sgprs_rt::SimDuration;
 use sgprs_workload::FleetScenario;
-
-/// Count heap traffic so the perf sidecar can report allocs/event.
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Window used for every telemetry-armed row in this binary.
 const TELEMETRY_WINDOW: SimDuration = SimDuration::from_millis(250);
@@ -213,15 +208,7 @@ fn main() {
         .with_event_driven()
         .with_telemetry(TELEMETRY_WINDOW);
     let (metro_epoch_m, metro_epoch_ms) = timed_run(&metro_epoch);
-    // The metro event run keeps its `Fleet` handle: it runs with the
-    // span profiler armed and feeds the BENCH_fleet.json perf sidecar.
-    // The deterministic metrics are byte-identical with profiling on.
-    let mut metro_event_fleet = Fleet::new(metro_event.config().with_profiling());
-    let metro_alloc_before = AllocStats::snapshot();
-    let metro_started = std::time::Instant::now();
-    let metro_event_m = metro_event_fleet.run_configured(metro_event.arrivals(), metro_event.sim);
-    let metro_event_ms = metro_started.elapsed().as_secs_f64() * 1e3;
-    let metro_alloc = AllocStats::snapshot().since(&metro_alloc_before);
+    let (metro_event_m, metro_event_ms) = timed_run(&metro_event);
     report(&metro_epoch.label, "epoch-grid", &metro_epoch_m, metro_epoch_ms, csv);
     report(&metro_event.label, "event-driven", &metro_event_m, metro_event_ms, csv);
     if !csv {
@@ -267,37 +254,5 @@ fn main() {
                 telemetry_windows_csv(scenario, engine, report);
             }
         }
-    }
-    // The perf sidecar: span histograms + allocation stats of the metro
-    // event run. Wall-clock only — the deterministic exports above stay
-    // byte-identical whether or not this file exists.
-    let profile = metro_event_fleet
-        .span_profile()
-        .expect("the metro event run ran with profiling armed");
-    let events = profile.calls(Span::EventPop) + profile.calls(Span::ArrivalPull);
-    let bench = BenchReport::new(
-        "fleet",
-        &metro_event.label,
-        "event",
-        512,
-        metro_event_m.arrivals,
-        events,
-        metro_event_ms,
-        &profile,
-        metro_alloc,
-    );
-    match bench.write_sidecar() {
-        Ok(name) => {
-            if !csv {
-                println!();
-                println!(
-                    "perf sidecar {name}: {} events, {:.2} allocs/event, {:.0}k events/sec",
-                    bench.events,
-                    bench.allocs_per_event(),
-                    bench.events_per_sec / 1e3
-                );
-            }
-        }
-        Err(e) => eprintln!("perf sidecar write failed: {e}"),
     }
 }

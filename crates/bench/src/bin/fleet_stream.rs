@@ -11,16 +11,9 @@
 //! Usage: `cargo run --release -p sgprs-bench --bin fleet_stream \
 //!     [--tenants N] [--csv]`
 
-use sgprs_bench::report::{AllocStats, BenchReport, CountingAlloc};
-use sgprs_cluster::{
-    ArrivalStream, ChurnConfig, Fleet, FleetConfig, NodeSpec, PlacementPolicy, Span,
-};
+use sgprs_cluster::{ArrivalStream, ChurnConfig, Fleet, FleetConfig, NodeSpec, PlacementPolicy};
 use sgprs_gpu_sim::GpuSpec;
 use sgprs_rt::SimDuration;
-
-/// Count heap traffic so the perf sidecar can report allocs/event.
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Nodes in the fleet under test.
 const NODES: usize = 1000;
@@ -72,18 +65,16 @@ fn main() {
     // Round-robin keeps dispatch O(1) per arrival while capacity is
     // free, so the bench measures the stream + interner + admission
     // path rather than a full least-utilisation scan of 1000 nodes.
-    let mut cfg = FleetConfig::new(nodes).with_profiling();
+    let mut cfg = FleetConfig::new(nodes);
     cfg.placement = PlacementPolicy::RoundRobin;
     let mut fleet = Fleet::new(cfg);
 
     let arrivals = ArrivalStream::generate(&churn, horizon, 0x51_7265_414d);
     assert!(arrivals.is_streaming(), "bench must exercise the lazy path");
 
-    let alloc_before = AllocStats::snapshot();
     let started = std::time::Instant::now();
     let replay = fleet.replay_dispatch(arrivals, horizon);
     let wall = started.elapsed().as_secs_f64();
-    let alloc = AllocStats::snapshot().since(&alloc_before);
     let rate = replay.counts.arrivals as f64 / wall.max(1e-9);
 
     assert!(
@@ -137,34 +128,5 @@ fn main() {
              O(active), independent of the {} tenants streamed",
             replay.peak_active, replay.id_capacity, replay.final_active, replay.counts.arrivals
         );
-    }
-    // The perf sidecar: replay runs with the span profiler armed; the
-    // events here are the stream pulls the dispatch replay consumed.
-    let profile = fleet
-        .span_profile()
-        .expect("the replay ran with profiling armed");
-    let events = profile.calls(Span::ArrivalPull);
-    let bench = BenchReport::new(
-        "fleet_stream",
-        &format!("stream x{NODES} round-robin churn"),
-        "dispatch-replay",
-        NODES as u64,
-        replay.counts.arrivals,
-        events,
-        wall * 1e3,
-        &profile,
-        alloc,
-    );
-    match bench.write_sidecar() {
-        Ok(name) => {
-            if !csv {
-                println!(
-                    "perf sidecar {name}: {} pulls, {:.2} allocs/pull",
-                    bench.events,
-                    bench.allocs_per_event()
-                );
-            }
-        }
-        Err(e) => eprintln!("perf sidecar write failed: {e}"),
     }
 }

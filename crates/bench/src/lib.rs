@@ -9,10 +9,11 @@
 //!   FPS-drop percentages).
 //! * `ablation` — design-choice ablations beyond the paper.
 //!
-//! The fleet-scale bins (`fleet`, `fleet_stream`, `fleet_events_perf`)
-//! additionally emit machine-readable `BENCH_<bin>.json` perf sidecars
-//! through the shared [`report`] module — see its docs for the schema
-//! and the regression gate.
+//! The fleet-scale bins (`fleet`, `fleet_stream`) print each run's
+//! wall-clock next to its deterministic results. The [`report`] module
+//! holds the counting allocator that the pinned-counter tests
+//! (`tests/paper_layer_allocs.rs`, `tests/event_engine_counters.rs`)
+//! and the repository benchmark install.
 
 // `deny`, not `forbid`: the counting global allocator in [`report`]
 // carries the one justified `#[allow(unsafe_code)]` in this crate.

@@ -59,12 +59,10 @@ pub struct FleetConfig {
     pub migration: MigrationConfig,
     /// Base seed for the nodes' execution jitter.
     pub seed: u64,
-    /// Fan per-epoch node execution out over worker threads (results are
-    /// bit-identical either way; see the fleet module docs).
-    pub parallel: bool,
-    /// Worker-thread count for the parallel fan-out; `None` uses every
-    /// available core. Ignored when `parallel` is off. Results are
-    /// bit-identical for every count.
+    /// Worker-thread count for the per-epoch node fan-out; `None` uses
+    /// every available core and `Some(1)` runs the nodes one after
+    /// another on the calling thread. Results are bit-identical for
+    /// every count (see the fleet module docs).
     pub workers: Option<usize>,
     /// Optional two-level sharded dispatch (see [`crate::ShardConfig`]).
     pub sharding: Option<ShardConfig>,
@@ -100,7 +98,6 @@ impl FleetConfig {
             epoch: SimDuration::from_secs(1),
             migration: MigrationConfig::default(),
             seed: 0x5672_5053,
-            parallel: true,
             workers: None,
             sharding: None,
             queue: QueueConfig::default(),
@@ -139,15 +136,6 @@ impl FleetConfig {
     #[must_use]
     pub fn with_profiling(mut self) -> Self {
         self.telemetry.profiling = true;
-        self
-    }
-
-    /// Disables the parallel per-epoch fan-out: nodes run one after
-    /// another on the calling thread. The escape hatch for debugging and
-    /// for determinism tests — metrics are bit-identical either way.
-    #[must_use]
-    pub fn sequential(mut self) -> Self {
-        self.parallel = false;
         self
     }
 
@@ -228,9 +216,10 @@ impl FleetConfig {
         self
     }
 
-    /// Forces the parallel fan-out onto exactly `workers` threads
-    /// (metrics are bit-identical for every count; the knob exists for
-    /// determinism tests and for capping thread pressure).
+    /// Forces the per-epoch fan-out onto exactly `workers` threads; one
+    /// worker is the sequential path (metrics are bit-identical for
+    /// every count; the knob exists for determinism tests and for
+    /// capping thread pressure).
     ///
     /// # Panics
     ///

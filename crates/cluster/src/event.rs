@@ -35,8 +35,8 @@
 //! run is a deterministic function of `(config, trace, horizon)`:
 //! rerunning the same configuration yields byte-identical
 //! [`crate::FleetMetrics::to_json`], and the
-//! [`crate::FleetConfig::with_workers`] / parallel knobs are inert here
-//! (they only affect the epoch path's fan-out). Sharding changes
+//! [`crate::FleetConfig::with_workers`] knob is inert here (it only
+//! affects the epoch path's fan-out). Sharding changes
 //! *placement* exactly as it does on the epoch path — a multi-node
 //! shard may route an arrival differently from the flat scan — but any
 //! fixed dispatch configuration stays fully deterministic; a single

@@ -85,7 +85,6 @@ pub(crate) fn run_events(
         dmr_scratch: Vec::new(),
         in_flight: 0,
         next_gen: 0,
-        processed: 0,
         end: SimTime::ZERO + horizon,
     };
     engine.seed(horizon);
@@ -121,10 +120,6 @@ struct Engine<'a> {
     /// the event path never truncates.
     in_flight: u64,
     next_gen: u64,
-    /// Events handled by the merge loop (queue pops + stream pulls) —
-    /// the run-length figure raw-mode benches read back through
-    /// [`Fleet::events_processed`] when profiling is off.
-    processed: u64,
     end: SimTime,
 }
 
@@ -185,11 +180,11 @@ impl Engine<'_> {
             // `needs_prepare` pre-check keeps the common already-prepared
             // iteration free of the clock read and the prepare call.
             if self.events.needs_prepare() {
-                let cascade_clock = self.fleet.telemetry.prof_clock();
+                let cascade_clock = self.fleet.telemetry.span_clock();
                 if self.events.prepare() {
                     self.fleet
                         .telemetry
-                        .prof_record(Span::WheelCascade, cascade_clock);
+                        .span_end(Span::WheelCascade, cascade_clock);
                 }
             }
             let heap_wins = match (self.events.peek_key(), stream_t) {
@@ -203,18 +198,17 @@ impl Engine<'_> {
                 (None, Some(_)) => false,
                 (None, None) => break,
             };
-            self.processed += 1;
             if heap_wins {
-                let pop_clock = self.fleet.telemetry.prof_clock();
+                let pop_clock = self.fleet.telemetry.span_clock();
                 let ev = self
                     .events
                     .pop()
                     .expect("invariant: a peeked heap event exists");
                 self.fleet
                     .telemetry
-                    .prof_record(Span::EventPop, pop_clock);
+                    .span_end(Span::EventPop, pop_clock);
                 self.fleet.now = ev.time;
-                let exec_clock = self.fleet.telemetry.prof_clock();
+                let exec_clock = self.fleet.telemetry.span_clock();
                 match ev.kind {
                     EventKind::Arrival(tenant) => self.on_arrival(ev.time, *tenant),
                     EventKind::Departure(name) => self.on_departure(ev.time, &name),
@@ -236,16 +230,16 @@ impl Engine<'_> {
                 }
                 self.fleet
                     .telemetry
-                    .prof_record(Span::EventExec, exec_clock);
+                    .span_end(Span::EventExec, exec_clock);
             } else {
-                let pull_clock = self.fleet.telemetry.prof_clock();
+                let pull_clock = self.fleet.telemetry.span_clock();
                 let (t, event) = self
                     .arrivals
                     .next_event()
                     .expect("invariant: a peeked stream event exists");
                 self.fleet
                     .telemetry
-                    .prof_record(Span::ArrivalPull, pull_clock);
+                    .span_end(Span::ArrivalPull, pull_clock);
                 self.events.note_stream_event();
                 self.fleet.now = t;
                 match event {
@@ -262,7 +256,6 @@ impl Engine<'_> {
             "the event path never truncates: every admitted job ran to completion"
         );
         self.fleet.telemetry.note_event_ops(self.events.ops());
-        self.fleet.events_processed = self.processed;
         self.fleet.close_run(horizon)
     }
 

@@ -73,14 +73,14 @@
 //! therefore fans the per-node `run_epoch` calls out over scoped worker
 //! threads and folds the results back in ascending node index, so the
 //! resulting [`FleetMetrics`] is bit-identical to sequential execution
-//! ([`crate::FleetConfig::sequential`] is the escape hatch): parallelism
+//! (`with_workers(1)` is the escape hatch): parallelism
 //! changes wall-clock time, never results.
 
 use crate::interner::{TenantId, TenantInterner};
 use crate::metrics::Decision;
 use crate::policy::{self, DispatchPlanner, FleetState, PricedPlan, QueueAdmission};
 use crate::queue::DispatchQueue;
-use crate::telemetry::{Span, SpanProfile, Telemetry, PLAN_LATENCY_BINS};
+use crate::telemetry::{Span, SpanProfile, Telemetry};
 use crate::{
     AdmissionController, ArrivalStream, ChurnEvent, DispatchCounts, FleetConfig, FleetMetrics,
     FleetMetricsBuilder, FleetNode, TenantSpec,
@@ -170,11 +170,6 @@ pub struct Fleet {
     /// recomputation — bit-identical values, since an unchanged version
     /// pins unchanged inputs.
     pub(crate) node_version: Vec<u64>,
-    /// Events handled by the last `run_events` merge loop — the
-    /// run-length figure perf benches read when profiling is off (the
-    /// profiler's `event_pop`/`arrival_pull` calls measure the same
-    /// thing, at the price of clock reads the raw mode exists to avoid).
-    pub(crate) events_processed: u64,
     /// The dispatcher's clock: advanced by `run`/`run_events`, stamps
     /// queue entries so waits and queue deadlines are measurable.
     pub(crate) now: SimTime,
@@ -182,10 +177,6 @@ pub struct Fleet {
     /// the last drain pass — when it was not, the queue head still cannot
     /// fit and the whole retry scan is skipped.
     pub(crate) capacity_released: bool,
-    /// Drain passes that actually scanned the queue in the current (or
-    /// last) run: the skip-scan regression tests and the telemetry
-    /// profile block both read it.
-    drain_scans: u64,
     /// Requested fps of residents currently serving below it, id-indexed
     /// (`None` = not degraded). Upgrade passes sort by resolved name so
     /// their order matches the pre-interning contract.
@@ -244,10 +235,8 @@ impl Fleet {
             resident_node: Vec::new(),
             node_ids,
             node_version,
-            events_processed: 0,
             now: SimTime::ZERO,
             capacity_released: true,
-            drain_scans: 0,
             degraded: Vec::new(),
             hopeless_cache: HashMap::new(),
             telemetry,
@@ -277,12 +266,6 @@ impl Fleet {
     #[must_use]
     pub fn degraded_residents(&self) -> usize {
         self.degraded.iter().flatten().count()
-    }
-
-    /// Number of currently active tenants (resident or queued).
-    #[must_use]
-    pub fn active_tenants(&self) -> usize {
-        self.interner.live()
     }
 
     /// High-water mark of concurrently active tenants across the fleet's
@@ -343,7 +326,7 @@ impl Fleet {
     /// [`DispatchPlanner::plan_repriced`], honouring
     /// [`crate::QueueConfig::repricing`]).
     fn plan_repriced(&mut self, tenant: &TenantSpec) -> Option<PricedPlan> {
-        let clock = self.telemetry.prof_clock();
+        let clock = self.telemetry.span_clock();
         let before = self.planner.probes();
         let plan = self.planner.plan_repriced(
             &FleetState::new(&self.nodes, &self.admission),
@@ -554,8 +537,7 @@ impl Fleet {
         if !self.capacity_released {
             return admitted;
         }
-        self.drain_scans += 1;
-        let scan_clock = self.telemetry.prof_clock();
+        let scan_clock = self.telemetry.span_clock();
         while let Some(entry) = self.queue.pop_first(self.now) {
             let Some(plan) = self.plan_repriced(&entry.tenant) else {
                 // The head fits at no price: stop (no overtaking) and put
@@ -581,7 +563,7 @@ impl Fleet {
             });
             self.commit(id, idx, spec);
         }
-        self.telemetry.prof_record(Span::DrainScan, scan_clock);
+        self.telemetry.span_end(Span::DrainScan, scan_clock);
         self.capacity_released = false;
         admitted
     }
@@ -778,13 +760,6 @@ impl Fleet {
         Some((idx, pos))
     }
 
-    /// Drain passes that actually scanned the queue (the skip-scan
-    /// fast path does not count).
-    #[cfg(test)]
-    fn drain_scans(&self) -> u64 {
-        self.drain_scans
-    }
-
     /// The run's one recording point: folds `decision` about `tenant`
     /// into the run totals and, when armed, the telemetry window and
     /// decision trace — at the current instant and queue depth. Both
@@ -816,7 +791,6 @@ impl Fleet {
             self.nodes.iter().map(|n| n.spec.name.clone()).collect(),
             self.nodes.iter().map(|n| n.spec.gpu.total_sms).collect(),
         );
-        self.drain_scans = 0;
         self.telemetry.begin_run(self.nodes.len(), horizon);
         self.now = SimTime::ZERO;
         self.queue.carry_over(SimTime::ZERO);
@@ -831,7 +805,7 @@ impl Fleet {
             &final_tenants,
             self.queue.len() as u64,
         );
-        metrics.attach_telemetry(self.telemetry.finish_report(self.drain_scans));
+        metrics.attach_telemetry(self.telemetry.finish_report());
         metrics
     }
 
@@ -889,40 +863,34 @@ impl Fleet {
         self.attach_resident(idx, id, tenant);
     }
 
-    /// The wall-clock plan-latency histogram of the last finished run
-    /// (log2 nanosecond buckets: bucket `i` counts plans that took
-    /// `[2^i, 2^(i+1))` ns, the last catching everything above) — the
-    /// [`Span::Plan`] row of [`Fleet::span_profile`]. All zeros when
-    /// profiling was off. Wall-clock is not deterministic, so this lives
-    /// outside [`FleetMetrics`] and its JSON export — see
-    /// [`crate::telemetry`].
-    #[must_use]
-    pub fn plan_latency_histogram(&self) -> [u64; PLAN_LATENCY_BINS] {
-        self.telemetry.plan_latency_histogram()
-    }
-
     /// The span profile of the last finished run: per-span call counts
-    /// and wall-clock latency histograms over the simulator's own hot
-    /// paths. `None` unless the run was armed with
-    /// [`FleetConfig::with_profiling`] — the profiler is never even
-    /// constructed on the disabled path, which is the zero-cost
-    /// contract the end-to-end tests pin. Wall-clock is not
-    /// deterministic, so the profile lives outside [`FleetMetrics`] and
-    /// its JSON export; it feeds only the `BENCH_*.json` perf sidecars.
+    /// and wall-clock latency histograms (log2 nanosecond buckets) over
+    /// the simulator's own hot paths. `None` unless the run was armed
+    /// with [`FleetConfig::with_profiling`] — the profiler is never even
+    /// constructed on the unarmed path, which is the zero-cost contract
+    /// the end-to-end tests pin. Wall-clock is not deterministic, so the
+    /// profile lives outside [`FleetMetrics`] and its JSON export.
     #[must_use]
     pub fn span_profile(&self) -> Option<SpanProfile> {
         self.telemetry.span_profile().cloned()
     }
 
-    /// Events handled by the last [`Self::run_events`] merge loop
-    /// (queue pops + stream pulls). Deterministic — a pure function of
-    /// `(config, trace, horizon)` — and maintained unconditionally, so
-    /// raw-mode perf benches get an events/sec denominator without
-    /// arming the profiler (whose per-event clock reads are exactly the
-    /// overhead such runs exist to exclude).
+    /// How many times `span` ran in the current (or last) run — or
+    /// dispatch replay — counting any direct dispatch calls since.
+    /// Always on, whether or not the run was profiled, and
+    /// deterministic: a pure function of `(config, trace, horizon)`.
+    #[must_use]
+    pub fn span_calls(&self, span: Span) -> u64 {
+        self.telemetry.span_calls(span)
+    }
+
+    /// Events handled by the last run: event-queue pops plus
+    /// arrival-stream pulls ([`Span::EventPop`] + [`Span::ArrivalPull`]
+    /// calls). Deterministic and always on, so perf benches get an
+    /// events/sec denominator without arming the profiler.
     #[must_use]
     pub fn events_processed(&self) -> u64 {
-        self.events_processed
+        self.span_calls(Span::EventPop) + self.span_calls(Span::ArrivalPull)
     }
 
     /// Cache key of one resident's compiled task on node `node_idx`.
@@ -967,7 +935,7 @@ impl Fleet {
     ) -> FleetMetrics {
         assert!(!self.cfg.epoch.is_zero(), "epoch must be positive");
         let mut arrivals = arrivals.into();
-        let workers = epoch_workers(self.cfg.parallel, self.cfg.workers);
+        let workers = epoch_workers(self.cfg.workers);
         self.open_run(horizon);
         let mut epoch_start = SimTime::ZERO;
         let end = SimTime::ZERO + horizon;
@@ -1000,11 +968,11 @@ impl Fleet {
                 if at >= epoch_end {
                     break;
                 }
-                let pull_clock = self.telemetry.prof_clock();
+                let pull_clock = self.telemetry.span_clock();
                 let (at, event) = arrivals
                     .next_event()
                     .expect("invariant: a peeked stream event exists");
-                self.telemetry.prof_record(Span::ArrivalPull, pull_clock);
+                self.telemetry.span_end(Span::ArrivalPull, pull_clock);
                 match event {
                     ChurnEvent::Arrival(tenant) => {
                         let phase = at.duration_since(epoch_start);
@@ -1030,7 +998,7 @@ impl Fleet {
             // `&self.nodes`.
             let mut epoch_dmr: Vec<f64> = vec![0.0; self.nodes.len()];
             let mut jobs: Vec<NodeEpochJob> = Vec::new();
-            let compile_clock = self.telemetry.prof_clock();
+            let compile_clock = self.telemetry.span_clock();
             // Indexing (not iterating `self.nodes`) because the cache
             // warm-up needs `&mut self` for the compiled-task cache.
             #[allow(clippy::needless_range_loop)]
@@ -1077,7 +1045,7 @@ impl Fleet {
                 jobs.push(NodeEpochJob { idx, tasks, seed });
             }
             self.pending_phase.fill(None);
-            self.telemetry.prof_record(Span::EpochCompile, compile_clock);
+            self.telemetry.span_end(Span::EpochCompile, compile_clock);
             // Nodes are independent within an epoch: fan out, then fold
             // in ascending node index so the metrics are bit-identical
             // to the sequential path.
@@ -1122,8 +1090,8 @@ impl Fleet {
     /// re-pricing degrade/upgrade switches stay free partition switches.
     /// Churn is merged lazily from the stream, never materialised into
     /// the heap. The run is single-threaded and deterministic:
-    /// [`FleetConfig::workers`] / [`FleetConfig::parallel`] have no
-    /// effect, so the metrics are byte-identical across those knobs;
+    /// [`FleetConfig::workers`] has no effect, so the metrics are
+    /// byte-identical across worker counts;
     /// sharding steers placement exactly as on the epoch path
     /// (deterministic per configuration, identical to flat only for a
     /// whole-fleet shard).
@@ -1183,11 +1151,11 @@ impl Fleet {
         self.telemetry.begin_profile();
         let mut replay = DispatchReplay::default();
         loop {
-            let pull_clock = self.telemetry.prof_clock();
+            let pull_clock = self.telemetry.span_clock();
             let Some((at, event)) = arrivals.next_event() else {
                 break;
             };
-            self.telemetry.prof_record(Span::ArrivalPull, pull_clock);
+            self.telemetry.span_end(Span::ArrivalPull, pull_clock);
             if at >= end {
                 break;
             }
@@ -1237,18 +1205,14 @@ impl NodeEpochJob {
     }
 }
 
-/// Worker-thread count for the per-epoch fan-out: the override (or every
-/// available core) when `parallel`, one otherwise.
-fn epoch_workers(parallel: bool, over: Option<usize>) -> usize {
-    if parallel {
-        over.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
-    } else {
-        1
-    }
+/// Worker-thread count for the per-epoch fan-out: the override, or
+/// every available core.
+fn epoch_workers(over: Option<usize>) -> usize {
+    over.unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// Runs the prepared per-node epoch jobs — over `workers` scoped worker

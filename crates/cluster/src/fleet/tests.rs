@@ -301,7 +301,7 @@ fn parallel_and_sequential_epochs_are_bit_identical() {
         Fleet::new(cfg).run(trace, horizon)
     };
     let par = run_with(FleetConfig::new(nodes()).with_migration(0.1));
-    let seq = run_with(FleetConfig::new(nodes()).with_migration(0.1).sequential());
+    let seq = run_with(FleetConfig::new(nodes()).with_migration(0.1).with_workers(1));
     assert_eq!(par, seq, "parallelism must never change results");
     assert_eq!(par.to_json(), seq.to_json());
 }
@@ -475,14 +475,14 @@ fn drain_skips_the_scan_until_capacity_is_released() {
     }
     // Queue one more waiter behind the first.
     assert_eq!(fleet.dispatch(tenant(i + 1)), DispatchOutcome::Queued);
-    let before = fleet.drain_scans();
+    let before = fleet.span_calls(Span::DrainScan);
     assert_eq!(fleet.drain_queue(), 0, "nothing departed yet");
-    assert_eq!(fleet.drain_scans(), before + 1, "first pass scans");
+    assert_eq!(fleet.span_calls(Span::DrainScan), before + 1, "first pass scans");
     for _ in 0..5 {
         assert_eq!(fleet.drain_queue(), 0);
     }
     assert_eq!(
-        fleet.drain_scans(),
+        fleet.span_calls(Span::DrainScan),
         before + 1,
         "no release, no further scans"
     );
@@ -494,7 +494,7 @@ fn drain_skips_the_scan_until_capacity_is_released() {
     );
     assert!(fleet.remove(&names[0]));
     assert_eq!(fleet.drain_queue(), 1);
-    assert_eq!(fleet.drain_scans(), before + 2, "release re-arms the scan");
+    assert_eq!(fleet.span_calls(Span::DrainScan), before + 2, "release re-arms the scan");
     assert_eq!(fleet.queued_names(), vec![tenant(i + 1).name]);
 }
 
@@ -516,7 +516,7 @@ fn queued_departure_releases_no_capacity() {
     assert_eq!(fleet.dispatch(tenant(i + 1)), DispatchOutcome::Queued);
     assert_eq!(fleet.drain_queue(), 0, "fleet is full");
     assert!(!fleet.capacity_released, "the failed pass disarms the scan");
-    let scans = fleet.drain_scans();
+    let scans = fleet.span_calls(Span::DrainScan);
     // The first waiter gives up: removed from the queue, nothing freed.
     assert!(fleet.remove(&tenant(i).name));
     assert!(
@@ -524,7 +524,7 @@ fn queued_departure_releases_no_capacity() {
         "a queued departure must not report released node capacity"
     );
     assert_eq!(fleet.drain_queue(), 0);
-    assert_eq!(fleet.drain_scans(), scans, "no release, no scan");
+    assert_eq!(fleet.span_calls(Span::DrainScan), scans, "no release, no scan");
     assert_eq!(fleet.queued_names(), vec![tenant(i + 1).name]);
     // A *resident* departure, by contrast, re-arms it.
     assert!(fleet.remove(&tenant(0).name));

@@ -87,7 +87,8 @@
 //!   [`QuantileSketch`]es for queue-wait and job-latency percentiles
 //!   (folded in node-index order, byte-identical across worker counts),
 //!   and a ring-buffered decision trace ([`TraceEvent`]) with hot-path
-//!   profile counters. Off by default ([`TelemetryConfig::disabled`])
+//!   profile counters. Span call counts ([`Fleet::span_calls`]) are
+//!   always on. Off by default ([`TelemetryConfig::disabled`])
 //!   with a byte-identical schema-v2 export; enabling bumps the export
 //!   to schema v3 with a `telemetry` block.
 //!

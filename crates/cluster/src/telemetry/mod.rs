@@ -20,16 +20,15 @@
 //! * **Decision trace** ([`trace`]) — an opt-in ring buffer of
 //!   [`TraceEvent`]s (dispatch verdict with cause and shard-probe
 //!   count, queue admission/expiry, re-pricing ladder steps, migration
-//!   victim/destination/stall, departures) plus hot-path profiling
-//!   counters. Deterministic counters land in the JSON profile block;
-//!   wall-clock histograms stay out of the export and are read through
-//!   [`crate::Fleet::span_profile`] /
-//!   [`crate::Fleet::plan_latency_histogram`].
-//! * **Span profiler** ([`prof`]) — an independently armed
-//!   ([`crate::FleetConfig::with_profiling`]) wall-clock profiler over
-//!   the simulator's *own* hot paths ([`Span`]): per-span call counts
-//!   and log2 latency histograms, zero-cost when off, exported only via
-//!   the `BENCH_*.json` perf sidecars.
+//!   victim/destination/stall, departures). The JSON profile block
+//!   carries the trace's record/drop counts next to deterministic
+//!   hot-path counters read from the span call counts.
+//! * **Span counts and profiler** ([`prof`]) — every run counts the
+//!   calls of the simulator's *own* hot paths ([`Span`]) in one
+//!   always-on block ([`crate::Fleet::span_calls`]); an independently
+//!   armed ([`crate::FleetConfig::with_profiling`]) wall-clock profiler
+//!   adds log2 latency histograms, zero-cost when off and never
+//!   exported ([`crate::Fleet::span_profile`]).
 //!
 //! Everything records on the single-threaded orchestration path of both
 //! engines (the epoch path's accounting helpers and fold loop, the
@@ -53,10 +52,10 @@ pub use trace::TraceEvent;
 
 use crate::metrics::Decision;
 use crate::DispatchCounts;
-use prof::SpanProfiler;
+use prof::{SpanCalls, SpanProfiler};
 use serde::{Deserialize, Serialize};
 use sgprs_rt::{SimDuration, SimTime};
-use trace::{ProfileCounters, TraceRing};
+use trace::TraceRing;
 use window::{WindowSeries, WindowStats};
 
 /// Telemetry knobs on [`crate::FleetConfig`]. Disabled by default; see
@@ -68,19 +67,18 @@ pub struct TelemetryConfig {
     /// and the JSON export is byte-identical to the pre-telemetry
     /// schema.
     pub enabled: bool,
-    /// Time-series window length (250 ms by default).
+    /// Time-series window length (250 ms by default). Every quantile
+    /// sketch holds [`DEFAULT_SKETCH_CAPACITY`] centroids; see
+    /// [`QuantileSketch`] for the rank-error bound that buys.
     pub window: SimDuration,
-    /// Centroid budget of every quantile sketch (per-window wait and
-    /// per-node latency); see [`QuantileSketch`] for the rank-error
-    /// bound it buys.
-    pub sketch_capacity: usize,
     /// Decision-trace ring capacity; 0 (the default) keeps the trace
     /// off even when telemetry is enabled.
     pub trace_capacity: usize,
-    /// Arms the span-scoped hot-path profiler ([`SpanProfile`]) for the
-    /// run. Independent of `enabled` — profiling works with the
+    /// Arms the span-scoped wall-clock profiler ([`SpanProfile`]) for
+    /// the run. Independent of `enabled` — profiling works with the
     /// simulated-fleet telemetry fully off — and off by default: the
-    /// profiler is never even constructed unless this is set.
+    /// profiler is never even constructed unless this is set. Span call
+    /// counts are kept either way.
     pub profiling: bool,
 }
 
@@ -97,7 +95,6 @@ impl TelemetryConfig {
         TelemetryConfig {
             enabled: false,
             window: SimDuration::from_millis(250),
-            sketch_capacity: DEFAULT_SKETCH_CAPACITY,
             trace_capacity: 0,
             profiling: false,
         }
@@ -130,18 +127,6 @@ impl TelemetryConfig {
     #[must_use]
     pub fn with_profiling(mut self) -> Self {
         self.profiling = true;
-        self
-    }
-
-    /// Replaces the sketch centroid budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity < 4` (see [`QuantileSketch::new`]).
-    #[must_use]
-    pub fn with_sketch_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity >= 4, "a sketch needs at least 4 centroids");
-        self.sketch_capacity = capacity;
         self
     }
 }
@@ -200,13 +185,14 @@ pub struct WindowReport {
 /// Deterministic hot-path profile counters of the finished report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProfileReport {
-    /// Placement plans evaluated (arrival dispatch + queue drains).
+    /// Placement plans evaluated (arrival dispatch + queue drains): the
+    /// [`Span::Plan`] call count.
     pub plans: u64,
     /// Placement-scan probes spent across all plans: one per probed
     /// shard, one per flat whole-fleet scan.
     pub shard_probes: u64,
-    /// Drain passes that actually scanned the queue (the fleet's own
-    /// always-on count).
+    /// Drain passes that actually scanned the queue: the
+    /// [`Span::DrainScan`] call count.
     pub drain_scans: u64,
     /// Event-queue pushes + pops (0 on the epoch path).
     pub event_queue_ops: u64,
@@ -321,13 +307,16 @@ impl TelemetryReport {
     }
 }
 
-/// The live telemetry recorder owned by [`crate::Fleet`]: every hook is
-/// a no-op until a run begins with telemetry enabled, which is what
-/// keeps the disabled path zero-cost.
+/// The live telemetry recorder owned by [`crate::Fleet`]: apart from the
+/// span call counts, every hook is a no-op until a run begins with
+/// telemetry enabled, which is what keeps the disabled path zero-cost.
 #[derive(Debug)]
 pub(crate) struct Telemetry {
     cfg: TelemetryConfig,
     state: Option<State>,
+    /// Always-on per-span call counts of the current (or last) run,
+    /// reset by `begin_profile`.
+    calls: SpanCalls,
     /// The span profiler of the *current* run; `Some` only between
     /// `begin_run`/`begin_profile` and `finish_profile` of a
     /// profiling-armed run — never constructed otherwise.
@@ -342,7 +331,10 @@ struct State {
     series: WindowSeries,
     node_latency: Vec<QuantileSketch>,
     trace: TraceRing,
-    profile: ProfileCounters,
+    /// Placement-scan probes spent across the run's plans.
+    shard_probes: u64,
+    /// Event-queue pushes + pops (event engine only).
+    event_queue_ops: u64,
 }
 
 impl Telemetry {
@@ -350,6 +342,7 @@ impl Telemetry {
         Telemetry {
             cfg,
             state: None,
+            calls: [0; SPAN_COUNT],
             prof: None,
             last_profile: None,
         }
@@ -364,60 +357,66 @@ impl Telemetry {
             return;
         }
         self.state = Some(State {
-            series: WindowSeries::new(self.cfg.window, horizon, self.cfg.sketch_capacity),
+            series: WindowSeries::new(self.cfg.window, horizon),
             node_latency: (0..n_nodes)
-                .map(|_| QuantileSketch::new(self.cfg.sketch_capacity))
+                .map(|_| QuantileSketch::new(DEFAULT_SKETCH_CAPACITY))
                 .collect(),
             trace: TraceRing::new(self.cfg.trace_capacity),
-            profile: ProfileCounters::default(),
+            shard_probes: 0,
+            event_queue_ops: 0,
         });
     }
 
-    /// Arms the span profiler alone (the non-`run` surfaces —
-    /// `replay_dispatch` — call this instead of `begin_run`). The
-    /// profiler is constructed *only* here and *only* when configured
-    /// on; the zero-cost-off contract hangs on that.
+    /// Zeroes the span call counts and arms the span profiler (the
+    /// non-`run` surfaces — `replay_dispatch` — call this instead of
+    /// `begin_run`). The profiler is constructed *only* here and *only*
+    /// when configured on; the zero-cost-off contract hangs on that.
     pub(crate) fn begin_profile(&mut self) {
+        self.calls = [0; SPAN_COUNT];
         self.prof = self.cfg.profiling.then(SpanProfiler::new);
     }
 
     /// A wall clock for timing one span: `Some` iff the profiler is
-    /// armed, so the disabled path never reads the clock.
-    pub(crate) fn prof_clock(&self) -> Option<std::time::Instant> {
+    /// armed, so the unarmed path never reads the clock.
+    pub(crate) fn span_clock(&self) -> Option<std::time::Instant> {
         self.prof.as_ref().map(|_| SpanProfiler::clock())
     }
 
-    /// Ends one span measurement started at `clock` (a no-op whenever
-    /// either side is disarmed).
-    pub(crate) fn prof_record(&mut self, span: Span, clock: Option<std::time::Instant>) {
+    /// Ends one span call: counts it and, when both the profiler and
+    /// `clock` are armed, times it.
+    pub(crate) fn span_end(&mut self, span: Span, clock: Option<std::time::Instant>) {
+        self.calls[span.index()] += 1;
         if let (Some(prof), Some(started)) = (self.prof.as_mut(), clock) {
             prof.record(span, started);
         }
+    }
+
+    /// How many times `span` ran since the last `begin_profile`.
+    pub(crate) fn span_calls(&self, span: Span) -> u64 {
+        self.calls[span.index()]
     }
 
     /// Snapshots the current run's profile into [`Self::span_profile`].
     /// `finish_report` calls it; `replay_dispatch` calls it directly.
     pub(crate) fn finish_profile(&mut self) {
         if let Some(prof) = self.prof.take() {
-            self.last_profile = Some(prof.into_profile());
+            self.last_profile = Some(prof.into_profile(&self.calls));
         }
     }
 
-    /// Accounts one `plan_repriced` invocation: the shard probes it
-    /// spent (telemetry) and, when `clock` was armed, its wall-clock
-    /// latency (the [`Span::Plan`] span).
+    /// Ends one `plan_repriced` invocation (the [`Span::Plan`] span),
+    /// adding the shard probes it spent to the telemetry.
     pub(crate) fn note_plan(&mut self, probes: u64, clock: Option<std::time::Instant>) {
         if let Some(state) = self.state.as_mut() {
-            state.profile.plans += 1;
-            state.profile.shard_probes += probes;
+            state.shard_probes += probes;
         }
-        self.prof_record(Span::Plan, clock);
+        self.span_end(Span::Plan, clock);
     }
 
     /// Accounts the event queue's push+pop total (event engine only).
     pub(crate) fn note_event_ops(&mut self, ops: u64) {
         if let Some(state) = self.state.as_mut() {
-            state.profile.event_queue_ops += ops;
+            state.event_queue_ops += ops;
         }
     }
 
@@ -483,21 +482,11 @@ impl Telemetry {
         self.last_profile.as_ref()
     }
 
-    /// The wall-clock plan-latency histogram of the last finished run —
-    /// the [`Span::Plan`] row of [`Self::span_profile`] (all zeros when
-    /// profiling was off).
-    pub(crate) fn plan_latency_histogram(&self) -> [u64; PLAN_LATENCY_BINS] {
-        self.last_profile
-            .as_ref()
-            .map(|p| *p.wall_hist(Span::Plan))
-            .unwrap_or([0; PLAN_LATENCY_BINS])
-    }
-
-    /// Finalises the run: folds the telemetry, with the run's
-    /// `drain_scans`, into a [`TelemetryReport`] (or `None` when
-    /// telemetry was off) and snapshots the span profile.
-    pub(crate) fn finish_report(&mut self, drain_scans: u64) -> Option<TelemetryReport> {
-        let report = self.fold_report(drain_scans);
+    /// Finalises the run: folds the telemetry into a [`TelemetryReport`]
+    /// (or `None` when telemetry was off) and snapshots the span
+    /// profile.
+    pub(crate) fn finish_report(&mut self) -> Option<TelemetryReport> {
+        let report = self.fold_report();
         self.finish_profile();
         report
     }
@@ -506,16 +495,16 @@ impl Telemetry {
     /// span: merges the per-window wait sketches in window order and the
     /// per-node latency sketches in ascending node index — the
     /// deterministic fold.
-    fn fold_report(&mut self, drain_scans: u64) -> Option<TelemetryReport> {
+    fn fold_report(&mut self) -> Option<TelemetryReport> {
         let state = self.state.take()?;
-        let fold_clock = self.prof_clock();
+        let fold_clock = self.span_clock();
         let window = state.series.window();
-        let mut queue_wait = QuantileSketch::new(self.cfg.sketch_capacity);
+        let mut queue_wait = QuantileSketch::new(DEFAULT_SKETCH_CAPACITY);
         // Window order — the deterministic fold.
         for w in state.series.windows() {
             queue_wait.merge(&w.wait);
         }
-        let mut job_latency = QuantileSketch::new(self.cfg.sketch_capacity);
+        let mut job_latency = QuantileSketch::new(DEFAULT_SKETCH_CAPACITY);
         // Ascending node-index order — the deterministic fold.
         for s in &state.node_latency {
             job_latency.merge(s);
@@ -533,17 +522,17 @@ impl Telemetry {
             queue_wait: SketchSummary::from_sketch(&queue_wait),
             job_latency: SketchSummary::from_sketch(&job_latency),
             profile: ProfileReport {
-                plans: state.profile.plans,
-                shard_probes: state.profile.shard_probes,
-                drain_scans,
-                event_queue_ops: state.profile.event_queue_ops,
+                plans: self.span_calls(Span::Plan),
+                shard_probes: state.shard_probes,
+                drain_scans: self.span_calls(Span::DrainScan),
+                event_queue_ops: state.event_queue_ops,
                 trace_recorded: state.trace.recorded(),
                 trace_dropped: state.trace.dropped(),
             },
             trace_enabled: self.cfg.trace_capacity > 0,
             trace: state.trace.events().map(TraceEvent::render).collect(),
         };
-        self.prof_record(Span::TelemetryFold, fold_clock);
+        self.span_end(Span::TelemetryFold, fold_clock);
         Some(report)
     }
 }
@@ -577,7 +566,7 @@ mod tests {
         t.begin_run(4, SimDuration::from_secs(1));
         t.record(at(10), "a", &arrival(DispatchOutcome::Placed(0), 0), 0);
         t.record_utilization(at(100), 0.5);
-        assert!(t.finish_report(0).is_none());
+        assert!(t.finish_report().is_none());
     }
 
     #[test]
@@ -596,7 +585,7 @@ mod tests {
         t.record_latency(0, 5_000_000);
         t.record_latency(1, 9_000_000);
         t.record_utilization(at(999), 0.75);
-        let r = t.finish_report(0).expect("enabled run reports");
+        let r = t.finish_report().expect("enabled run reports");
         assert_eq!(r.windows.len(), 4, "activity reached the 0.75s window");
         assert_eq!(r.windows[0].counts.arrivals, 1);
         assert_eq!(r.windows[1].counts.deferred, 1);
@@ -624,7 +613,7 @@ mod tests {
             &arrival(DispatchOutcome::Infeasible, 0),
             0,
         );
-        let r = t.finish_report(0).expect("report");
+        let r = t.finish_report().expect("report");
         let json = r.render_json();
         assert!(json.starts_with("  \"telemetry\": {"));
         assert!(json.ends_with("},\n"), "trailing comma chains into the next field");
@@ -640,7 +629,7 @@ mod tests {
         let mut t = Telemetry::new(cfg);
         t.begin_run(1, SimDuration::from_secs(1));
         t.record(at(1), "a", &arrival(DispatchOutcome::Placed(0), 0), 0);
-        let r = t.finish_report(0).expect("report");
+        let r = t.finish_report().expect("report");
         assert!(!r.trace_enabled);
         assert!(!r.render_json().contains("\"trace\""));
     }
@@ -650,17 +639,20 @@ mod tests {
         let cfg = TelemetryConfig::windowed(SimDuration::from_millis(250)).with_profiling();
         let mut t = Telemetry::new(cfg);
         t.begin_run(1, SimDuration::from_secs(1));
-        let clock = t.prof_clock();
+        let clock = t.span_clock();
         assert!(clock.is_some());
         t.note_plan(3, clock);
         t.note_plan(2, None);
-        let r = t.finish_report(0).expect("report");
+        let r = t.finish_report().expect("report");
         assert_eq!(r.profile.plans, 2);
         assert_eq!(r.profile.shard_probes, 5);
-        let hist = t.plan_latency_histogram();
-        assert_eq!(hist.iter().sum::<u64>(), 1, "one timed plan landed");
         let profile = t.span_profile().expect("profiling was armed");
-        assert_eq!(profile.calls(Span::Plan), 1, "only the clocked plan spans");
+        assert_eq!(profile.calls(Span::Plan), 2, "every plan is counted");
+        assert_eq!(
+            profile.wall_hist(Span::Plan).iter().sum::<u64>(),
+            1,
+            "only the clocked plan is timed"
+        );
         assert_eq!(
             profile.calls(Span::TelemetryFold),
             1,
@@ -673,22 +665,25 @@ mod tests {
         // Profiling alone: no telemetry state, no report — but spans land.
         let mut t = Telemetry::new(TelemetryConfig::disabled().with_profiling());
         t.begin_run(1, SimDuration::from_secs(1));
-        let clock = t.prof_clock();
+        let clock = t.span_clock();
         assert!(clock.is_some(), "profiler armed without telemetry");
-        t.prof_record(Span::EventPop, clock);
-        t.note_plan(7, t.prof_clock());
-        assert!(t.finish_report(0).is_none(), "telemetry stays off");
+        t.span_end(Span::EventPop, clock);
+        t.note_plan(7, t.span_clock());
+        assert!(t.finish_report().is_none(), "telemetry stays off");
         let profile = t.span_profile().expect("profile survives a report-less run");
         assert_eq!(profile.calls(Span::EventPop), 1);
         assert_eq!(profile.calls(Span::Plan), 1);
         assert_eq!(profile.calls(Span::TelemetryFold), 0, "no fold ran");
 
-        // Fully off: the profiler is never constructed and no clock is read.
+        // Fully off: the profiler is never constructed and no clock is
+        // read, but calls are still counted.
         let mut off = Telemetry::new(TelemetryConfig::windowed(SimDuration::from_millis(250)));
         off.begin_run(1, SimDuration::from_secs(1));
-        assert!(off.prof_clock().is_none(), "no clock without profiling");
-        assert!(off.finish_report(0).is_some());
+        assert!(off.span_clock().is_none(), "no clock without profiling");
+        off.note_plan(1, off.span_clock());
+        assert_eq!(off.finish_report().expect("report").profile.plans, 1);
         assert!(off.span_profile().is_none(), "profiler never constructed");
-        assert_eq!(off.plan_latency_histogram(), [0; PLAN_LATENCY_BINS]);
+        assert_eq!(off.span_calls(Span::Plan), 1);
+        assert_eq!(off.span_calls(Span::TelemetryFold), 1);
     }
 }

@@ -4,21 +4,23 @@
 //! this module measures the simulator's own hot paths: a fixed set of
 //! [`Span`]s (placement planning, queue drains, event-queue pops, event
 //! execution, epoch task compilation, the telemetry fold, stream pulls,
-//! and timing-wheel cascades), each accumulating a call count and a
-//! log2-bucket wall-clock latency histogram.
+//! and timing-wheel cascades). Every run counts each span's calls in
+//! one always-on [`SpanCalls`] block; an armed run also accumulates a
+//! log2-bucket wall-clock latency histogram per span.
 //!
 //! Two properties keep it inside the determinism contract
 //! (DETERMINISM.md, "wall-clock surfaces"):
 //!
-//! * **Zero-cost when off.** The [`SpanProfiler`] is constructed only
-//!   when [`crate::FleetConfig::with_profiling`] armed it for the run;
-//!   every hook threads an `Option` that is `None` otherwise, so the
-//!   disabled path does no clock reads and allocates nothing.
-//! * **Sidecar-only export.** Span call counts are deterministic (they
-//!   count deterministic code paths), but the histograms are real time.
-//!   Neither ever enters [`crate::FleetMetrics::to_json`]; they are read
-//!   through [`crate::Fleet::span_profile`] and land only in the
-//!   `BENCH_*.json` perf sidecars.
+//! * **Counts are deterministic, histograms are opt-in.** Call counts
+//!   count deterministic code paths, so they are always on and read
+//!   through [`crate::Fleet::span_calls`]. The [`SpanProfiler`], which
+//!   holds the histograms, is constructed only when
+//!   [`crate::FleetConfig::with_profiling`] armed it for the run; every
+//!   hook threads an `Option` clock that is `None` otherwise, so the
+//!   unarmed path reads no clock and allocates nothing.
+//! * **Wall clock stays out of the export.** The histograms are real
+//!   time and never enter [`crate::FleetMetrics::to_json`]; they are
+//!   read through [`crate::Fleet::span_profile`].
 //!
 //! This file is one of the two cluster-side entries on the sgprs-lint
 //! D002 wall-clock allowlist — the only place outside
@@ -91,18 +93,21 @@ impl Span {
         }
     }
 
-    fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self as usize
     }
 }
+
+/// Per-span call counts, indexed by [`Span`] discriminant.
+pub(crate) type SpanCalls = [u64; SPAN_COUNT];
 
 /// One span's accumulated stats: how often it ran and where its
 /// wall-clock latencies landed (log2 nanosecond buckets).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SpanStats {
     /// Times the span executed. Deterministic: a pure function of
-    /// `(config, trace, horizon)`, which is what lets bench baselines
-    /// gate on it exactly.
+    /// `(config, trace, horizon)`, which is what lets tests pin it
+    /// exactly.
     pub calls: u64,
     /// Wall-clock latency histogram, log2 nanosecond buckets. *Not*
     /// deterministic — never exported on a deterministic surface.
@@ -114,7 +119,8 @@ pub struct SpanStats {
 /// Obtained from [`crate::Fleet::span_profile`] after a run that was
 /// armed with [`crate::FleetConfig::with_profiling`]; `None` otherwise —
 /// which is also the test hook proving the profiler was never
-/// constructed on the disabled path.
+/// constructed on the unarmed path. Its call counts are the run's
+/// always-on call counts ([`crate::Fleet::span_calls`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SpanProfile {
     spans: [SpanStats; SPAN_COUNT],
@@ -138,19 +144,13 @@ impl SpanProfile {
     pub fn wall_hist(&self, span: Span) -> &[u64; PLAN_LATENCY_BINS] {
         &self.spans[span.index()].wall_hist
     }
-
-    /// Total calls across all spans.
-    #[must_use]
-    pub fn total_calls(&self) -> u64 {
-        self.spans.iter().map(|s| s.calls).sum()
-    }
 }
 
-/// The live recorder. Constructed **only** when a run is armed with
-/// profiling; the disabled path never instantiates it.
+/// The live wall-clock recorder. Constructed **only** when a run is
+/// armed with profiling; the unarmed path never instantiates it.
 #[derive(Debug, Default)]
 pub(crate) struct SpanProfiler {
-    profile: SpanProfile,
+    wall_hists: [[u64; PLAN_LATENCY_BINS]; SPAN_COUNT],
 }
 
 impl SpanProfiler {
@@ -167,14 +167,18 @@ impl SpanProfiler {
     /// Ends one span measurement started at `started`.
     pub(crate) fn record(&mut self, span: Span, started: std::time::Instant) {
         let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let stats = &mut self.profile.spans[span.index()];
-        stats.calls += 1;
-        stats.wall_hist[log2_bin(nanos)] += 1;
+        self.wall_hists[span.index()][log2_bin(nanos)] += 1;
     }
 
-    /// Finalises the run into its immutable [`SpanProfile`].
-    pub(crate) fn into_profile(self) -> SpanProfile {
-        self.profile
+    /// Finalises the run into its immutable [`SpanProfile`], pairing
+    /// each histogram with the run's call count.
+    pub(crate) fn into_profile(self, calls: &SpanCalls) -> SpanProfile {
+        SpanProfile {
+            spans: std::array::from_fn(|i| SpanStats {
+                calls: calls[i],
+                wall_hist: self.wall_hists[i],
+            }),
+        }
     }
 }
 
@@ -195,11 +199,13 @@ mod tests {
         let mut p = SpanProfiler::new();
         let clock = SpanProfiler::clock();
         p.record(Span::Plan, clock);
-        let profile = p.into_profile();
+        let mut calls = [0; SPAN_COUNT];
+        calls[Span::Plan.index()] = 1;
+        let profile = p.into_profile(&calls);
         assert_eq!(profile.calls(Span::Plan), 1);
         assert_eq!(profile.wall_hist(Span::Plan).iter().sum::<u64>(), 1);
         assert_eq!(profile.calls(Span::EventPop), 0);
-        assert_eq!(profile.total_calls(), 1);
+        assert_eq!(profile.wall_hist(Span::EventPop).iter().sum::<u64>(), 0);
     }
 
     #[test]

@@ -263,19 +263,6 @@ impl TraceRing {
     }
 }
 
-/// Deterministic hot-path profiling counters; they land in the JSON
-/// profile block. Wall-clock span histograms live in [`super::prof`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub(crate) struct ProfileCounters {
-    /// `plan_repriced` invocations (arrival dispatch + queue drains).
-    pub(crate) plans: u64,
-    /// Placement-scan probes spent across all plans: one per probed
-    /// shard, one per flat whole-fleet scan.
-    pub(crate) shard_probes: u64,
-    /// Event-queue pushes + pops (event engine only).
-    pub(crate) event_queue_ops: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

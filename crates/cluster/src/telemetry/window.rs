@@ -10,7 +10,7 @@
 //! deterministic function of `(config, trace, horizon)` — byte-identical
 //! across worker counts.
 
-use super::sketch::QuantileSketch;
+use super::sketch::{QuantileSketch, DEFAULT_SKETCH_CAPACITY};
 use crate::DispatchCounts;
 use sgprs_rt::{SimDuration, SimTime};
 
@@ -28,13 +28,13 @@ pub(crate) struct WindowStats {
 }
 
 impl WindowStats {
-    fn new(sketch_capacity: usize) -> Self {
+    fn new() -> Self {
         WindowStats {
             counts: DispatchCounts::default(),
             queue_depth_peak: 0,
             utilization_sum: 0.0,
             utilization_samples: 0,
-            wait: QuantileSketch::new(sketch_capacity),
+            wait: QuantileSketch::new(DEFAULT_SKETCH_CAPACITY),
         }
     }
 
@@ -67,7 +67,6 @@ pub(crate) struct WindowSeries {
     window_ns: u64,
     /// Highest admissible window index (`ceil(horizon/window) - 1`).
     last_index: u64,
-    sketch_capacity: usize,
     windows: Vec<WindowStats>,
 }
 
@@ -77,18 +76,13 @@ impl WindowSeries {
     /// # Panics
     ///
     /// Panics if `window` is zero.
-    pub(crate) fn new(
-        window: SimDuration,
-        horizon: SimDuration,
-        sketch_capacity: usize,
-    ) -> Self {
+    pub(crate) fn new(window: SimDuration, horizon: SimDuration) -> Self {
         assert!(!window.is_zero(), "telemetry window must be positive");
         let window_ns = window.as_nanos();
         let last_index = horizon.as_nanos().div_ceil(window_ns).saturating_sub(1);
         WindowSeries {
             window_ns,
             last_index,
-            sketch_capacity,
             windows: Vec::new(),
         }
     }
@@ -104,7 +98,7 @@ impl WindowSeries {
         let index = (at.duration_since(SimTime::ZERO).as_nanos() / self.window_ns)
             .min(self.last_index) as usize;
         while self.windows.len() <= index {
-            self.windows.push(WindowStats::new(self.sketch_capacity));
+            self.windows.push(WindowStats::new());
         }
         &mut self.windows[index]
     }
@@ -125,11 +119,7 @@ mod tests {
 
     #[test]
     fn instants_land_in_their_windows() {
-        let mut s = WindowSeries::new(
-            SimDuration::from_millis(250),
-            SimDuration::from_secs(1),
-            16,
-        );
+        let mut s = WindowSeries::new(SimDuration::from_millis(250), SimDuration::from_secs(1));
         s.at(at(0)).counts.arrivals += 1;
         s.at(at(249)).counts.arrivals += 1;
         s.at(at(250)).counts.arrivals += 1;
@@ -147,11 +137,7 @@ mod tests {
 
     #[test]
     fn horizon_instants_clamp_into_the_last_window() {
-        let mut s = WindowSeries::new(
-            SimDuration::from_millis(250),
-            SimDuration::from_secs(1),
-            16,
-        );
+        let mut s = WindowSeries::new(SimDuration::from_millis(250), SimDuration::from_secs(1));
         // An end-of-run sample at exactly t = horizon belongs to the
         // final window, not a phantom fifth one.
         s.at(at(1_000)).record_utilization(0.5);
@@ -161,11 +147,7 @@ mod tests {
 
     #[test]
     fn peak_depth_is_a_running_max() {
-        let mut s = WindowSeries::new(
-            SimDuration::from_millis(250),
-            SimDuration::from_secs(1),
-            16,
-        );
+        let mut s = WindowSeries::new(SimDuration::from_millis(250), SimDuration::from_secs(1));
         s.at(at(10)).note_queue_depth(3);
         s.at(at(20)).note_queue_depth(7);
         s.at(at(30)).note_queue_depth(2);
@@ -174,11 +156,7 @@ mod tests {
 
     #[test]
     fn short_horizons_still_have_one_window() {
-        let mut s = WindowSeries::new(
-            SimDuration::from_millis(250),
-            SimDuration::from_millis(100),
-            16,
-        );
+        let mut s = WindowSeries::new(SimDuration::from_millis(250), SimDuration::from_millis(100));
         s.at(at(99)).counts.arrivals += 1;
         assert_eq!(s.windows().len(), 1);
     }

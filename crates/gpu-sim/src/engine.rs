@@ -119,14 +119,6 @@ impl ContextConfig {
         self
     }
 
-    /// Overrides the priority weights.
-    #[must_use]
-    pub fn with_weights(mut self, high: f64, low: f64) -> Self {
-        self.high_weight = high;
-        self.low_weight = low;
-        self
-    }
-
     /// Total stream slots (max concurrent kernels) in this context.
     #[must_use]
     pub fn total_streams(&self) -> usize {

@@ -15,7 +15,7 @@
 //! | ID   | Rule |
 //! |------|------|
 //! | D001 | No `HashMap`/`HashSet` *iteration* in deterministic modules (`cluster::{fleet, policy, event, shard, queue, telemetry}`). Keyed lookup is fine; `.iter()`/`.keys()`/`for` over them is not — hash order is seeded per process. |
-//! | D002 | No wall-clock reads (`Instant::now`, `SystemTime`) outside the allowlisted profiling surfaces (the telemetry clock hooks, the span profiler, the bench bins and their report module). |
+//! | D002 | No wall-clock reads (`Instant::now`, `SystemTime`) outside the allowlisted profiling surfaces (the telemetry clock hooks, the span profiler, the bench bins). |
 //! | D003 | No ambient randomness (`thread_rng`, `OsRng`, `from_entropy`): randomness flows from explicit seeds. |
 //! | D004 | Parallel folds (`run_node_epochs`-style reduces, telemetry sketch merges) must state their fold order in a nearby comment (`node-index order`, `window order`, ...). |
 //! | H001 | No bare `unwrap()` — and only `expect("invariant: ...")` — on the dispatch hot path (`fleet`, `policy`, `shard`, `queue`, the event engine). |
@@ -147,13 +147,10 @@ impl Config {
                 "crates/cluster/src/telemetry/mod.rs",
                 // The span-scoped hot-path profiler — the one other
                 // cluster surface allowed to read `Instant::now`; its
-                // histograms feed only the BENCH_*.json sidecars.
+                // histograms never reach the deterministic export.
                 "crates/cluster/src/telemetry/prof.rs",
                 // Bench bins measure wall time; that is their job.
                 "crates/bench/src/bin/",
-                // The shared bench-report module: wall_ms/throughput
-                // fields are wall-clock by definition.
-                "crates/bench/src/report.rs",
             ]),
             hot_path_files: own(&[
                 "crates/cluster/src/fleet.rs",

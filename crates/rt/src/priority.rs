@@ -32,12 +32,6 @@ impl PriorityLevel {
         PriorityLevel::Low,
     ];
 
-    /// `true` for the offline-assigned high level.
-    #[must_use]
-    pub fn is_high(self) -> bool {
-        matches!(self, PriorityLevel::High)
-    }
-
     /// The level a low stage is promoted to after an upstream miss; high
     /// and medium stages keep their level.
     #[must_use]

@@ -213,23 +213,6 @@ impl<T: Eq> PriorityBands<T> {
             .min()
     }
 
-    /// Moves every entry matching `pred` from the low band into the medium
-    /// band (the run-time promotion rule), returning how many moved.
-    pub fn promote_low_matching<F: FnMut(&T) -> bool>(&mut self, pred: F) -> usize {
-        let moved = self.low.drain_matching(pred);
-        let n = moved.len();
-        for _item in &moved {}
-        for item in moved {
-            // Promotion keeps the original deadline semantics: the caller
-            // re-supplies deadlines via push when it needs different ones;
-            // here we preserve FIFO order at the medium level with the
-            // entry's deadline unknown, so this helper is only usable when
-            // T itself carries the deadline. Prefer `promote_low_with`.
-            self.medium.push(item, SimTime::MAX);
-        }
-        n
-    }
-
     /// Moves entries matching `pred` from low to medium, computing each
     /// promoted entry's deadline with `deadline_of`.
     pub fn promote_low_with<F, D>(&mut self, pred: F, mut deadline_of: D) -> usize

@@ -160,12 +160,6 @@ impl SimDuration {
         self.0
     }
 
-    /// The span in microseconds, truncating.
-    #[must_use]
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// The span in milliseconds, truncating.
     #[must_use]
     pub const fn as_millis(self) -> u64 {

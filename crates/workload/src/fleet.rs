@@ -386,16 +386,6 @@ impl FleetScenario {
         self
     }
 
-    /// Replaces the shard routing strategy (for routing comparisons;
-    /// only meaningful with [`FleetScenario::sharding`] set) and
-    /// relabels like [`FleetScenario::with_placement`].
-    #[must_use]
-    pub fn with_shard_router(mut self, router: ShardRouter) -> Self {
-        self.shard_router = router;
-        self.label = format!("{} [router={router}]", self.label);
-        self
-    }
-
     /// Replaces the placement policy (for policy comparisons).
     #[must_use]
     pub fn with_placement(mut self, placement: PlacementPolicy) -> Self {
@@ -482,8 +472,9 @@ impl FleetScenario {
 
     /// The scenario lowered to its [`FleetConfig`] — what
     /// [`FleetScenario::run`] constructs internally, exposed so callers
-    /// that need the [`Fleet`] handle afterwards (the bench bins read
-    /// [`Fleet::span_profile`] post-run) can build it themselves,
+    /// that need the [`Fleet`] handle afterwards (to read
+    /// [`Fleet::span_calls`] or [`Fleet::span_profile`] post-run) can
+    /// build it themselves,
     /// optionally arming knobs the scenario does not model
     /// (e.g. [`FleetConfig::with_profiling`]).
     #[must_use]

@@ -13,7 +13,7 @@
 //!
 //! Run with: `cargo run --release --example fleet_serving`
 
-use sgprs_suite::cluster::{Fleet, FleetConfig, QueuePolicy, TelemetryConfig};
+use sgprs_suite::cluster::{Fleet, FleetConfig, QueuePolicy, Span, TelemetryConfig};
 use sgprs_suite::rt::SimDuration;
 use sgprs_suite::workload::FleetScenario;
 
@@ -82,7 +82,7 @@ fn main() {
             .with_telemetry(
                 TelemetryConfig::windowed(SimDuration::from_millis(250))
                     .with_trace(6)
-                    // Profiling feeds the plan-latency histogram below.
+                    // Profiling feeds the plan-span histogram below.
                     .with_profiling(),
             ),
     );
@@ -97,7 +97,10 @@ fn main() {
     for line in &traced.trace {
         eprintln!("  {line}");
     }
-    let hist = traced_fleet.plan_latency_histogram();
+    let profile = traced_fleet
+        .span_profile()
+        .expect("the traced run was profiled");
+    let hist = profile.wall_hist(Span::Plan);
     let planned: u64 = hist.iter().sum();
     let modal_bin = hist
         .iter()

@@ -110,7 +110,7 @@ fn fleet_metrics_identical_across_workers_parallelism_and_dispatch() {
             .with_seed(scenario.seed)
             .with_workers(workers);
         if !parallel {
-            cfg = cfg.sequential();
+            cfg = cfg.with_workers(1);
         }
         if sharded {
             cfg = cfg.with_sharding(scenario.nodes.len());
@@ -151,8 +151,7 @@ fn streamed_arrivals_are_byte_identical_to_the_materialised_trace() {
     let reference = Fleet::new(
         FleetConfig::new(scenario.nodes.clone())
             .with_seed(scenario.seed)
-            .with_workers(1)
-            .sequential(),
+            .with_workers(1),
     )
     .run(scenario.trace(), scenario.sim)
     .to_json();
@@ -163,7 +162,7 @@ fn streamed_arrivals_are_byte_identical_to_the_materialised_trace() {
                     .with_seed(scenario.seed)
                     .with_workers(workers);
                 if !parallel {
-                    cfg = cfg.sequential();
+                    cfg = cfg.with_workers(1);
                 }
                 if sharded {
                     cfg = cfg.with_sharding(scenario.nodes.len());
@@ -245,7 +244,7 @@ fn multi_shard_dispatch_is_deterministic_across_workers() {
             .with_workers(workers)
             .with_sharding(2);
         if !parallel {
-            cfg = cfg.sequential();
+            cfg = cfg.with_workers(1);
         }
         Fleet::new(cfg).run(scenario.trace(), scenario.sim).to_json()
     };
@@ -496,7 +495,7 @@ fn p2c_dispatch_is_deterministic_across_workers_and_engines() {
             .with_workers(workers)
             .with_p2c_sharding(2);
         if !parallel {
-            cfg = cfg.sequential();
+            cfg = cfg.with_workers(1);
         }
         Fleet::new(cfg).run(scenario.trace(), scenario.sim).to_json()
     };
@@ -663,7 +662,7 @@ fn telemetry_matrix_is_byte_identical_across_workers_parallelism_and_dispatch() 
             .with_workers(workers)
             .with_telemetry(TelemetryConfig::windowed(SimDuration::from_millis(250)));
         if !parallel {
-            cfg = cfg.sequential();
+            cfg = cfg.with_workers(1);
         }
         if sharded {
             cfg = cfg.with_sharding(scenario.nodes.len());
@@ -751,14 +750,15 @@ fn metro_telemetry_is_byte_identical_across_workers_in_both_engines() {
 /// without [`FleetConfig::with_profiling`] never constructs the
 /// profiler, observable as `span_profile() == None` — and **inert on** —
 /// arming it changes no deterministic byte, while the captured profile
-/// shows exactly the spans the chosen engine executes.
+/// shows exactly the spans the chosen engine executes. On both engines
+/// the unprofiled run's always-on call counts equal the profile's.
 #[test]
 fn span_profiler_is_zero_cost_off_and_inert_on() {
     let scenario = FleetScenario::heterogeneous_churn(4);
     let cfg = || {
         FleetConfig::new(scenario.nodes.clone())
             .with_seed(scenario.seed)
-            .sequential()
+            .with_workers(1)
     };
 
     // Off: the profiler is never constructed — not "constructed but
@@ -776,6 +776,14 @@ fn span_profiler_is_zero_cost_off_and_inert_on() {
     let profiled_json = profiled.run(scenario.trace(), scenario.sim).to_json();
     assert_eq!(profiled_json, plain_json, "profiling must not steer the simulation");
     let profile = profiled.span_profile().expect("armed run captures a profile");
+    for span in Span::ALL {
+        assert_eq!(
+            plain.span_calls(span),
+            profile.calls(span),
+            "epoch engine: unprofiled {} count",
+            span.name()
+        );
+    }
     assert!(profile.calls(Span::Plan) > 0, "placements were planned");
     assert!(profile.calls(Span::EpochCompile) > 0, "epochs were compiled");
     assert_eq!(profile.calls(Span::EventPop), 0, "no event queue on the epoch engine");
@@ -786,15 +794,25 @@ fn span_profiler_is_zero_cost_off_and_inert_on() {
     );
 
     // On, event engine: same story with the event spans populated.
-    let plain_event = Fleet::new(cfg())
+    let mut plain_event_fleet = Fleet::new(cfg());
+    let plain_event = plain_event_fleet
         .run_events(scenario.trace(), scenario.sim)
         .to_json();
+    assert!(plain_event_fleet.span_profile().is_none());
     let mut profiled_event_fleet = Fleet::new(cfg().with_profiling());
     let profiled_event = profiled_event_fleet
         .run_events(scenario.trace(), scenario.sim)
         .to_json();
     assert_eq!(profiled_event, plain_event);
     let event_profile = profiled_event_fleet.span_profile().expect("profile captured");
+    for span in Span::ALL {
+        assert_eq!(
+            plain_event_fleet.span_calls(span),
+            event_profile.calls(span),
+            "event engine: unprofiled {} count",
+            span.name()
+        );
+    }
     assert!(event_profile.calls(Span::EventPop) > 0, "events were popped");
     assert_eq!(
         event_profile.calls(Span::EventExec),
@@ -820,7 +838,7 @@ fn profiled_matrix_is_byte_identical_across_workers_parallelism_and_dispatch() {
             cfg = cfg.with_profiling();
         }
         if !parallel {
-            cfg = cfg.sequential();
+            cfg = cfg.with_workers(1);
         }
         if sharded {
             cfg = cfg.with_sharding(scenario.nodes.len());
