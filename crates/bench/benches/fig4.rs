@@ -4,7 +4,7 @@
 //! regenerates the full figure.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sgprs_workload::{SchedulerKind, ScenarioSpec};
+use sgprs_workload::{ScenarioSpec, SchedulerKind};
 use std::hint::black_box;
 
 fn bench_fig4(c: &mut Criterion) {

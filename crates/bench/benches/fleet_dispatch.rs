@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sgprs_cluster::{
-    AdmissionController, FleetNode, ModelKind, NodeSpec, Placer, PlacementPolicy, TenantSpec,
+    AdmissionController, FleetNode, ModelKind, NodeSpec, PlacementPolicy, Placer, TenantSpec,
 };
 use sgprs_gpu_sim::GpuSpec;
 use std::hint::black_box;

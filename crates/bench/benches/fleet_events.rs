@@ -7,7 +7,9 @@
 //! both on the same trace so the trade is visible.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sgprs_cluster::{ChurnTrace, DispatchOutcome, Fleet, FleetConfig, ModelKind, NodeSpec, TenantSpec};
+use sgprs_cluster::{
+    ChurnTrace, DispatchOutcome, Fleet, FleetConfig, ModelKind, NodeSpec, TenantSpec,
+};
 use sgprs_gpu_sim::GpuSpec;
 use sgprs_rt::SimDuration;
 use std::hint::black_box;
@@ -20,8 +22,7 @@ fn loaded_fleet() -> Fleet {
     );
     let mut fleet = Fleet::new(cfg);
     for i in 0..4 * 8 {
-        let outcome =
-            fleet.dispatch(TenantSpec::new(format!("t-{i}"), ModelKind::ResNet18, 30.0));
+        let outcome = fleet.dispatch(TenantSpec::new(format!("t-{i}"), ModelKind::ResNet18, 30.0));
         assert!(matches!(outcome, DispatchOutcome::Placed(_)));
     }
     fleet

@@ -8,8 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sgprs_cluster::{
-    ChurnTrace, DispatchOutcome, Fleet, FleetConfig, ModelKind, NodeSpec, ShardRouter,
-    TenantSpec,
+    ChurnTrace, DispatchOutcome, Fleet, FleetConfig, ModelKind, NodeSpec, ShardRouter, TenantSpec,
 };
 use sgprs_gpu_sim::GpuSpec;
 use sgprs_rt::SimDuration;
@@ -39,11 +38,7 @@ fn loaded_fleet(n_nodes: usize, resident_per_node: usize, dispatch: Dispatch) ->
     };
     let mut fleet = Fleet::new(cfg);
     for i in 0..n_nodes * resident_per_node {
-        let outcome = fleet.dispatch(TenantSpec::new(
-            format!("t-{i}"),
-            ModelKind::ResNet18,
-            30.0,
-        ));
+        let outcome = fleet.dispatch(TenantSpec::new(format!("t-{i}"), ModelKind::ResNet18, 30.0));
         assert!(
             matches!(outcome, DispatchOutcome::Placed(_)),
             "pre-load stays under admission capacity"

@@ -12,7 +12,7 @@
 use sgprs_core::{offline, QueueOrder, RunMetrics, SgprsConfig, SgprsScheduler};
 use sgprs_dnn::{models, CostModel};
 use sgprs_rt::{SimDuration, SimTime};
-use sgprs_workload::{SchedulerKind, ScenarioSpec};
+use sgprs_workload::{ScenarioSpec, SchedulerKind};
 
 fn run_with(
     label: &str,
@@ -59,7 +59,13 @@ fn main() {
         run_with("no-medium", 6, |c| c.medium_promotion = false, n, sim_secs),
         run_with("fifo", 6, |c| c.queue_order = QueueOrder::Fifo, n, sim_secs),
         run_with("1-stage", 1, |_| {}, n, sim_secs),
-        run_with("overflow", 6, |c| c.high_overflow_to_low = true, n, sim_secs),
+        run_with(
+            "overflow",
+            6,
+            |c| c.high_overflow_to_low = true,
+            n,
+            sim_secs,
+        ),
     ];
     for (label, m) in &variants {
         println!(

@@ -209,8 +209,20 @@ fn main() {
         .with_telemetry(TELEMETRY_WINDOW);
     let (metro_epoch_m, metro_epoch_ms) = timed_run(&metro_epoch);
     let (metro_event_m, metro_event_ms) = timed_run(&metro_event);
-    report(&metro_epoch.label, "epoch-grid", &metro_epoch_m, metro_epoch_ms, csv);
-    report(&metro_event.label, "event-driven", &metro_event_m, metro_event_ms, csv);
+    report(
+        &metro_epoch.label,
+        "epoch-grid",
+        &metro_epoch_m,
+        metro_epoch_ms,
+        csv,
+    );
+    report(
+        &metro_event.label,
+        "event-driven",
+        &metro_event_m,
+        metro_event_ms,
+        csv,
+    );
     if !csv {
         println!();
         println!(

@@ -19,8 +19,20 @@ fn main() {
     let counts = paper_task_counts();
 
     for (name, variants, paper_pivot, paper_naive, paper_drop) in [
-        ("Scenario 1 (np=2)", scenario1_variants(sim_secs), 23, 468.0, 38.0),
-        ("Scenario 2 (np=3)", scenario2_variants(sim_secs), 24, 459.0, 36.0),
+        (
+            "Scenario 1 (np=2)",
+            scenario1_variants(sim_secs),
+            23,
+            468.0,
+            38.0,
+        ),
+        (
+            "Scenario 2 (np=3)",
+            scenario2_variants(sim_secs),
+            24,
+            459.0,
+            36.0,
+        ),
     ] {
         println!("== {name} ==");
         let series = sweep::run_sweeps(&variants, &counts);

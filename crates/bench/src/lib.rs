@@ -66,7 +66,10 @@ pub fn print_sweep(series: &[SweepSeries], csv: bool, figure: &str) {
         return;
     }
     println!("== {figure}a: total FPS ==");
-    println!("{}", report::sweep_table(series, report::SweepMetric::TotalFps));
+    println!(
+        "{}",
+        report::sweep_table(series, report::SweepMetric::TotalFps)
+    );
     println!("== {figure}b: deadline miss rate ==");
     println!("{}", report::sweep_table(series, report::SweepMetric::Dmr));
     println!("== summary ==");
@@ -93,7 +96,10 @@ mod tests {
             .map(|s| s.to_string())
             .collect();
         assert_eq!(parse_args(&args), (3, true));
-        let junk: Vec<String> = ["--sim-secs", "abc"].iter().map(|s| s.to_string()).collect();
+        let junk: Vec<String> = ["--sim-secs", "abc"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
         assert_eq!(parse_args(&junk), (DEFAULT_SIM_SECS, false));
     }
 }

@@ -15,7 +15,11 @@ fn counting_allocator_tracks_heap_traffic() {
     // A no-op window allocates nothing: adjacent snapshots are equal.
     let a = AllocStats::snapshot();
     let b = AllocStats::snapshot();
-    assert_eq!(b.since(&a), AllocStats::default(), "no-op window must be a zero delta");
+    assert_eq!(
+        b.since(&a),
+        AllocStats::default(),
+        "no-op window must be a zero delta"
+    );
 
     // Heap traffic moves allocs and bytes by at least what we asked for.
     let before = AllocStats::snapshot();
@@ -26,7 +30,10 @@ fn counting_allocator_tracks_heap_traffic() {
     assert!(delta.bytes >= 4096, "at least the vec's bytes: {delta:?}");
     drop(v);
     let freed = AllocStats::snapshot().since(&after);
-    assert!(freed.deallocs >= 1, "dropping the vec must deallocate: {freed:?}");
+    assert!(
+        freed.deallocs >= 1,
+        "dropping the vec must deallocate: {freed:?}"
+    );
 
     // Growing a vec in place or by move goes through realloc.
     let before = AllocStats::snapshot();

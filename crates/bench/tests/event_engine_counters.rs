@@ -61,7 +61,11 @@ fn run(nodes: usize, instrumented: bool, cache_fill: u64) -> Counters {
         scenario = scenario.with_telemetry(TELEMETRY_WINDOW);
     }
     let cfg = scenario.config();
-    let mut fleet = Fleet::new(if instrumented { cfg.with_profiling() } else { cfg });
+    let mut fleet = Fleet::new(if instrumented {
+        cfg.with_profiling()
+    } else {
+        cfg
+    });
     let (metrics, allocs) = counted(|| fleet.run_configured(scenario.arrivals(), scenario.sim));
     let spans = Span::ALL.map(|s| fleet.span_calls(s));
     match fleet.span_profile() {

@@ -231,7 +231,9 @@ impl AdmissionController {
             return 0.0;
         }
         self.cfg.utilization_bound
-            * node.spec.capacity_sm_equivalents(&mix, self.cfg.concurrency)
+            * node
+                .spec
+                .capacity_sm_equivalents(&mix, self.cfg.concurrency)
             / reference
     }
 }

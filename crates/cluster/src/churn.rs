@@ -275,8 +275,14 @@ mod tests {
     fn generation_is_deterministic_per_seed() {
         let cfg = ChurnConfig::default();
         let h = SimDuration::from_secs(5);
-        assert_eq!(ChurnTrace::generate(&cfg, h, 1), ChurnTrace::generate(&cfg, h, 1));
-        assert_ne!(ChurnTrace::generate(&cfg, h, 1), ChurnTrace::generate(&cfg, h, 2));
+        assert_eq!(
+            ChurnTrace::generate(&cfg, h, 1),
+            ChurnTrace::generate(&cfg, h, 1)
+        );
+        assert_ne!(
+            ChurnTrace::generate(&cfg, h, 1),
+            ChurnTrace::generate(&cfg, h, 2)
+        );
     }
 
     #[test]
@@ -387,8 +393,7 @@ mod tests {
 
     #[test]
     fn static_population_arrives_at_zero() {
-        let tenants =
-            (0..4).map(|i| TenantSpec::new(format!("t{i}"), ModelKind::ResNet18, 30.0));
+        let tenants = (0..4).map(|i| TenantSpec::new(format!("t{i}"), ModelKind::ResNet18, 30.0));
         let events = ChurnTrace::static_population(tenants).into_sorted();
         assert_eq!(events.len(), 4);
         assert!(events.iter().all(|(t, _)| *t == SimTime::ZERO));

@@ -276,7 +276,10 @@ mod tests {
             .with_migration(0.1)
             .with_migration_cost(cost);
         assert_eq!(early.migration.cost, cost, "cost set before with_migration");
-        assert_eq!(early.migration, late.migration, "builder order is irrelevant");
+        assert_eq!(
+            early.migration, late.migration,
+            "builder order is irrelevant"
+        );
         assert!(early.migration.enabled);
     }
 
@@ -307,8 +310,8 @@ mod tests {
         assert_eq!(shard.shard_size, 4);
         assert_eq!(shard.router, ShardRouter::P2c);
         // The classic builder keeps the ordered scan.
-        let scan = FleetConfig::new(vec![NodeSpec::sgprs("g", GpuSpec::rtx_2080_ti())])
-            .with_sharding(4);
+        let scan =
+            FleetConfig::new(vec![NodeSpec::sgprs("g", GpuSpec::rtx_2080_ti())]).with_sharding(4);
         assert_eq!(scan.sharding.expect("sharding").router, ShardRouter::Scan);
     }
 }

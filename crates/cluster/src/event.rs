@@ -290,8 +290,9 @@ mod tests {
         q.push(at(5), 2, EventKind::Sample);
         q.push(at(5), 0, EventKind::Sample);
         q.push(at(5), 0, EventKind::Migrate);
-        let order: Vec<(usize, u64)> =
-            std::iter::from_fn(|| q.pop()).map(|e| (e.node, e.seq)).collect();
+        let order: Vec<(usize, u64)> = std::iter::from_fn(|| q.pop())
+            .map(|e| (e.node, e.seq))
+            .collect();
         assert_eq!(
             order,
             vec![(0, 2), (0, 3), (2, 1), (NODE_FLEET, 0)],

@@ -155,14 +155,16 @@ impl Engine<'_> {
         // pre-run waiter must not sit in the queue forever just because
         // it arrived before this run.
         if self.fleet.cfg.queue.demand_aware_expiry && self.fleet.queue.len() > 0 {
-            self.events.push(SimTime::ZERO, NODE_FLEET, EventKind::QueueExpire);
+            self.events
+                .push(SimTime::ZERO, NODE_FLEET, EventKind::QueueExpire);
         }
         // The materialised path enqueued the whole trace exactly here;
         // lazily delivered stream events inherit this slot in the total
         // order via the watermark.
         self.stream_watermark = self.events.next_seq();
         let first_sample = (SimTime::ZERO + self.fleet.cfg.epoch).min(self.end);
-        self.events.push(first_sample, NODE_FLEET, EventKind::Sample);
+        self.events
+            .push(first_sample, NODE_FLEET, EventKind::Sample);
     }
 
     /// Merges the heap and the churn stream until both run dry.
@@ -204,9 +206,7 @@ impl Engine<'_> {
                     .events
                     .pop()
                     .expect("invariant: a peeked heap event exists");
-                self.fleet
-                    .telemetry
-                    .span_end(Span::EventPop, pop_clock);
+                self.fleet.telemetry.span_end(Span::EventPop, pop_clock);
                 self.fleet.now = ev.time;
                 let exec_clock = self.fleet.telemetry.span_clock();
                 match ev.kind {
@@ -228,18 +228,14 @@ impl Engine<'_> {
                     EventKind::QueueExpire => self.on_queue_expire(ev.time),
                     EventKind::Sample => self.on_sample(ev.time),
                 }
-                self.fleet
-                    .telemetry
-                    .span_end(Span::EventExec, exec_clock);
+                self.fleet.telemetry.span_end(Span::EventExec, exec_clock);
             } else {
                 let pull_clock = self.fleet.telemetry.span_clock();
                 let (t, event) = self
                     .arrivals
                     .next_event()
                     .expect("invariant: a peeked stream event exists");
-                self.fleet
-                    .telemetry
-                    .span_end(Span::ArrivalPull, pull_clock);
+                self.fleet.telemetry.span_end(Span::ArrivalPull, pull_clock);
                 self.events.note_stream_event();
                 self.fleet.now = t;
                 match event {
@@ -351,7 +347,10 @@ impl Engine<'_> {
     }
 
     fn on_release(&mut self, t: SimTime, idx: usize, id: TenantId, gen: u64) {
-        debug_assert!(t < self.end, "releases are never scheduled past the horizon");
+        debug_assert!(
+            t < self.end,
+            "releases are never scheduled past the horizon"
+        );
         let (busy, job, inc, name_hash) = match self.run_of(id) {
             Some(run) if run.gen == gen => {
                 (run.in_flight.is_some(), run.job_seq, run.inc, run.name_hash)
@@ -363,14 +362,10 @@ impl Engine<'_> {
         // Copy the few price-dependent fields instead of cloning the
         // whole spec: this is the engine's hottest path. The id resolves
         // to the node slot by integer compare, no string hashing.
-        let Some((model, stages, fps)) = self
-            .fleet
-            .node_slot(idx, id)
-            .map(|pos| {
-                let t = &self.fleet.nodes[idx].tenants[pos];
-                (t.model, t.stages, t.fps)
-            })
-        else {
+        let Some((model, stages, fps)) = self.fleet.node_slot(idx, id).map(|pos| {
+            let t = &self.fleet.nodes[idx].tenants[pos];
+            (t.model, t.stages, t.fps)
+        }) else {
             return;
         };
         self.fleet.totals.record_released(idx);
@@ -557,10 +552,7 @@ impl Engine<'_> {
             let drained = run.in_flight.map_or(SimTime::ZERO, |(_, finish)| {
                 finish.saturating_add(SimDuration::from_nanos(1))
             });
-            let resume = run
-                .next_release
-                .max(t.saturating_add(cost))
-                .max(drained);
+            let resume = run.next_release.max(t.saturating_add(cost)).max(drained);
             run.next_release = resume;
             resume
         } else {

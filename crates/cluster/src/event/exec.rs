@@ -298,7 +298,10 @@ mod tests {
         let mut node = FleetNode::new(NodeSpec::sgprs("g", GpuSpec::rtx_2080_ti()));
         let admission = AdmissionController::default();
         // Fill to the admission bound, no further.
-        while admission.evaluate(&node, &tenant(node.tenants.len())).is_admit() {
+        while admission
+            .evaluate(&node, &tenant(node.tenants.len()))
+            .is_admit()
+        {
             let i = node.tenants.len();
             node.tenants.push(tenant(i));
         }
@@ -358,11 +361,14 @@ mod tests {
         // The epoch path's "hot naive node" trap, reproduced by the fluid
         // model: a naive node filled to its own admission budget still
         // has demand above its sequential-execution capacity.
-        let spec = NodeSpec::sgprs("naive", GpuSpec::rtx_2080_ti())
-            .with_scheduler(NodeScheduler::Naive);
+        let spec =
+            NodeSpec::sgprs("naive", GpuSpec::rtx_2080_ti()).with_scheduler(NodeScheduler::Naive);
         let mut node = FleetNode::new(spec);
         let admission = AdmissionController::default();
-        while admission.evaluate(&node, &tenant(node.tenants.len())).is_admit() {
+        while admission
+            .evaluate(&node, &tenant(node.tenants.len()))
+            .is_admit()
+        {
             let i = node.tenants.len();
             node.tenants.push(tenant(i));
         }

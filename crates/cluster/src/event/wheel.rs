@@ -227,9 +227,7 @@ impl TimingWheel {
     /// the engine attributes to the `wheel_cascade` span. Idempotent
     /// and O(1) when already prepared.
     pub(crate) fn prepare(&mut self) -> bool {
-        if self.len == 0
-            || !self.l0[(self.cursor as usize) & (L0_SLOTS - 1)].is_empty()
-        {
+        if self.len == 0 || !self.l0[(self.cursor as usize) & (L0_SLOTS - 1)].is_empty() {
             return false;
         }
         // Cheap path: a later slot inside the current L0 window.

@@ -617,8 +617,7 @@ impl Fleet {
             return known;
         }
         let probe = TenantSpec::new("hopeless-probe", model, fps).with_stages(stages);
-        let fits =
-            policy::can_ever_fit(&FleetState::new(&self.nodes, &self.admission), &probe);
+        let fits = policy::can_ever_fit(&FleetState::new(&self.nodes, &self.admission), &probe);
         self.hopeless_cache.insert(key, fits);
         fits
     }
@@ -725,7 +724,11 @@ impl Fleet {
             let mut upgraded = None;
             for fps in candidates {
                 let priced = resident.at_fps(fps);
-                if self.admission.evaluate(&self.nodes[idx], &priced).is_admit() {
+                if self
+                    .admission
+                    .evaluate(&self.nodes[idx], &priced)
+                    .is_admit()
+                {
                     upgraded = Some(priced);
                     break;
                 }
@@ -894,10 +897,7 @@ impl Fleet {
     }
 
     /// Cache key of one resident's compiled task on node `node_idx`.
-    fn compile_key(
-        tenant: &TenantSpec,
-        node_idx: usize,
-    ) -> (crate::ModelKind, usize, u64, usize) {
+    fn compile_key(tenant: &TenantSpec, node_idx: usize) -> (crate::ModelKind, usize, u64, usize) {
         (
             tenant.model,
             tenant.stages,
@@ -979,10 +979,8 @@ impl Fleet {
                         self.now = at;
                         let (outcome, id) = self.dispatch_accounted(tenant);
                         match outcome {
-                            DispatchOutcome::Placed(_)
-                            | DispatchOutcome::PlacedDegraded { .. } => {
-                                let id =
-                                    id.expect("invariant: placed arrivals are interned");
+                            DispatchOutcome::Placed(_) | DispatchOutcome::PlacedDegraded { .. } => {
+                                let id = id.expect("invariant: placed arrivals are interned");
                                 self.pending_phase[id.index()] = Some(phase);
                             }
                             _ => {}
@@ -1200,7 +1198,9 @@ struct NodeEpochJob {
 
 impl NodeEpochJob {
     fn run(self, nodes: &[FleetNode], epoch_len: SimDuration) -> (usize, RunMetrics) {
-        let m = nodes[self.idx].spec.run_epoch(self.tasks, epoch_len, self.seed);
+        let m = nodes[self.idx]
+            .spec
+            .run_epoch(self.tasks, epoch_len, self.seed);
         (self.idx, m)
     }
 }
@@ -1227,7 +1227,9 @@ fn run_node_epochs(
 ) -> Vec<(usize, RunMetrics)> {
     let workers = workers.min(jobs.len());
     let mut results: Vec<(usize, RunMetrics)> = if workers <= 1 {
-        jobs.into_iter().map(|job| job.run(nodes, epoch_len)).collect()
+        jobs.into_iter()
+            .map(|job| job.run(nodes, epoch_len))
+            .collect()
     } else {
         // Partition the node indices round-robin across the workers; each
         // worker hands its (idx, metrics) pairs back through its join

@@ -167,7 +167,10 @@ fn queued_then_admitted_tenants_are_not_rejections() {
     assert!(fit >= 2, "a 23-SM node takes a few tenants");
     let mut trace = ChurnTrace::new();
     for i in 0..=fit {
-        trace.push(sgprs_rt::SimTime::ZERO, crate::ChurnEvent::Arrival(tenant(i)));
+        trace.push(
+            sgprs_rt::SimTime::ZERO,
+            crate::ChurnEvent::Arrival(tenant(i)),
+        );
     }
     trace.push(
         sgprs_rt::SimTime::ZERO + SimDuration::from_millis(500),
@@ -178,7 +181,10 @@ fn queued_then_admitted_tenants_are_not_rejections() {
     assert_eq!(m.arrivals as usize, fit + 1);
     assert_eq!(m.deferred, 1, "one arrival had to wait");
     assert_eq!(m.admitted_after_wait, 1, "and got in after the departure");
-    assert_eq!(m.rejected, 0, "eventual admission is not a rejection: {m:?}");
+    assert_eq!(
+        m.rejected, 0,
+        "eventual admission is not a rejection: {m:?}"
+    );
     assert_eq!(m.rejection_rate, 0.0);
     assert_eq!(m.still_queued, 0);
 }
@@ -244,13 +250,19 @@ fn still_waiting_arrivals_do_count_as_rejections() {
 #[test]
 fn duplicate_active_names_are_rejected() {
     let mut fleet = Fleet::new(three_node_fleet());
-    assert!(matches!(fleet.dispatch(tenant(0)), DispatchOutcome::Placed(_)));
+    assert!(matches!(
+        fleet.dispatch(tenant(0)),
+        DispatchOutcome::Placed(_)
+    ));
     assert_eq!(fleet.dispatch(tenant(0)), DispatchOutcome::Duplicate);
     let resident: usize = fleet.nodes().iter().map(|n| n.tenants.len()).sum();
     assert_eq!(resident, 1, "no ghost twin was placed");
     // Departure frees the name for reuse.
     assert!(fleet.remove(&tenant(0).name));
-    assert!(matches!(fleet.dispatch(tenant(0)), DispatchOutcome::Placed(_)));
+    assert!(matches!(
+        fleet.dispatch(tenant(0)),
+        DispatchOutcome::Placed(_)
+    ));
     // Queued names are active too: a duplicate of a waiting tenant
     // would equally confuse removal.
     let mut small = Fleet::new(FleetConfig::new(vec![NodeSpec::sgprs(
@@ -269,13 +281,22 @@ fn duplicate_active_names_are_rejected() {
 fn duplicate_arrivals_in_a_trace_are_counted_not_served() {
     let mut fleet = Fleet::new(three_node_fleet());
     let mut trace = ChurnTrace::new();
-    trace.push(sgprs_rt::SimTime::ZERO, crate::ChurnEvent::Arrival(tenant(1)));
-    trace.push(sgprs_rt::SimTime::ZERO, crate::ChurnEvent::Arrival(tenant(1)));
+    trace.push(
+        sgprs_rt::SimTime::ZERO,
+        crate::ChurnEvent::Arrival(tenant(1)),
+    );
+    trace.push(
+        sgprs_rt::SimTime::ZERO,
+        crate::ChurnEvent::Arrival(tenant(1)),
+    );
     let m = fleet.run(trace, SimDuration::from_secs(1));
     assert_eq!(m.arrivals, 2);
     assert_eq!(m.admitted, 1);
     assert_eq!(m.duplicates, 1);
-    assert_eq!(m.rejection_rate, 0.0, "duplicates are not capacity rejections");
+    assert_eq!(
+        m.rejection_rate, 0.0,
+        "duplicates are not capacity rejections"
+    );
     let resident: usize = fleet.nodes().iter().map(|n| n.tenants.len()).sum();
     assert_eq!(resident, 1);
 }
@@ -301,7 +322,11 @@ fn parallel_and_sequential_epochs_are_bit_identical() {
         Fleet::new(cfg).run(trace, horizon)
     };
     let par = run_with(FleetConfig::new(nodes()).with_migration(0.1));
-    let seq = run_with(FleetConfig::new(nodes()).with_migration(0.1).with_workers(1));
+    let seq = run_with(
+        FleetConfig::new(nodes())
+            .with_migration(0.1)
+            .with_workers(1),
+    );
     assert_eq!(par, seq, "parallelism must never change results");
     assert_eq!(par.to_json(), seq.to_json());
 }
@@ -366,14 +391,25 @@ fn demand_aware_victim_sheds_the_most_relieving_tenant() {
     // LIFO moved the most recent (light) tenant; demand-aware moved the
     // heavy one — observable as who ended up on the big node first.
     assert!(
-        lifo.nodes()[1].tenants.iter().any(|t| t.name.starts_with("light")),
+        lifo.nodes()[1]
+            .tenants
+            .iter()
+            .any(|t| t.name.starts_with("light")),
         "LIFO sheds the last-placed light tenant: {:?}",
-        lifo.nodes()[1].tenants.iter().map(|t| &t.name).collect::<Vec<_>>()
+        lifo.nodes()[1]
+            .tenants
+            .iter()
+            .map(|t| &t.name)
+            .collect::<Vec<_>>()
     );
     assert!(
         aware.nodes()[1].tenants.iter().any(|t| t.name == "heavy"),
         "demand-aware sheds the overload's cause: {:?}",
-        aware.nodes()[1].tenants.iter().map(|t| &t.name).collect::<Vec<_>>()
+        aware.nodes()[1]
+            .tenants
+            .iter()
+            .map(|t| &t.name)
+            .collect::<Vec<_>>()
     );
 }
 
@@ -417,8 +453,7 @@ fn migration_never_targets_a_node_over_the_dmr_threshold() {
     // now excluded.
     let cfg = FleetConfig::new(vec![
         NodeSpec::sgprs("src", GpuSpec::synthetic(16)),
-        NodeSpec::sgprs("hot-dest", GpuSpec::rtx_2080_ti())
-            .with_scheduler(NodeScheduler::Naive),
+        NodeSpec::sgprs("hot-dest", GpuSpec::rtx_2080_ti()).with_scheduler(NodeScheduler::Naive),
     ])
     .with_migration(0.05);
     let mut fleet = Fleet::new(cfg);
@@ -448,7 +483,11 @@ fn migration_never_targets_a_node_over_the_dmr_threshold() {
         m.migrations, 0,
         "no tenant may migrate onto a node over the DMR threshold: {m:?}"
     );
-    assert_eq!(fleet.nodes()[0].tenants.len(), 6, "source population intact");
+    assert_eq!(
+        fleet.nodes()[0].tenants.len(),
+        6,
+        "source population intact"
+    );
     assert_eq!(fleet.nodes()[1].tenants.len(), 18, "destination untouched");
 }
 
@@ -477,7 +516,11 @@ fn drain_skips_the_scan_until_capacity_is_released() {
     assert_eq!(fleet.dispatch(tenant(i + 1)), DispatchOutcome::Queued);
     let before = fleet.span_calls(Span::DrainScan);
     assert_eq!(fleet.drain_queue(), 0, "nothing departed yet");
-    assert_eq!(fleet.span_calls(Span::DrainScan), before + 1, "first pass scans");
+    assert_eq!(
+        fleet.span_calls(Span::DrainScan),
+        before + 1,
+        "first pass scans"
+    );
     for _ in 0..5 {
         assert_eq!(fleet.drain_queue(), 0);
     }
@@ -494,7 +537,11 @@ fn drain_skips_the_scan_until_capacity_is_released() {
     );
     assert!(fleet.remove(&names[0]));
     assert_eq!(fleet.drain_queue(), 1);
-    assert_eq!(fleet.span_calls(Span::DrainScan), before + 2, "release re-arms the scan");
+    assert_eq!(
+        fleet.span_calls(Span::DrainScan),
+        before + 2,
+        "release re-arms the scan"
+    );
     assert_eq!(fleet.queued_names(), vec![tenant(i + 1).name]);
 }
 
@@ -524,7 +571,11 @@ fn queued_departure_releases_no_capacity() {
         "a queued departure must not report released node capacity"
     );
     assert_eq!(fleet.drain_queue(), 0);
-    assert_eq!(fleet.span_calls(Span::DrainScan), scans, "no release, no scan");
+    assert_eq!(
+        fleet.span_calls(Span::DrainScan),
+        scans,
+        "no release, no scan"
+    );
     assert_eq!(fleet.queued_names(), vec![tenant(i + 1).name]);
     // A *resident* departure, by contrast, re-arms it.
     assert!(fleet.remove(&tenant(0).name));
@@ -564,8 +615,8 @@ fn priority_policy_admits_heavier_waiters_first() {
 
 #[test]
 fn repricing_admits_degraded_then_upgrades_after_departures() {
-    let cfg = FleetConfig::new(vec![NodeSpec::sgprs("gpu", GpuSpec::rtx_2080_ti())])
-        .with_repricing();
+    let cfg =
+        FleetConfig::new(vec![NodeSpec::sgprs("gpu", GpuSpec::rtx_2080_ti())]).with_repricing();
     let mut fleet = Fleet::new(cfg);
     // Saturate at 30 fps with no-ladder fillers: leftover headroom is
     // strictly below one filler demand `d`.
@@ -588,8 +639,8 @@ fn repricing_admits_degraded_then_upgrades_after_departures() {
     // (demand exactly 2d) cannot fit, its 30 fps ladder step (demand
     // exactly d) must.
     assert!(fleet.remove(&fillers[0]));
-    let priced = TenantSpec::new("elastic", ModelKind::ResNet18, 60.0)
-        .with_fps_ladder([30.0, 24.0, 15.0]);
+    let priced =
+        TenantSpec::new("elastic", ModelKind::ResNet18, 60.0).with_fps_ladder([30.0, 24.0, 15.0]);
     let outcome = fleet.dispatch(priced);
     let DispatchOutcome::PlacedDegraded { fps, .. } = outcome else {
         panic!("expected a degraded admission, got {outcome:?}");
@@ -619,8 +670,7 @@ fn repricing_keeps_infeasible_models_out_unless_a_step_fits() {
     // step at 15 fps (feasible on a full device) re-pricing admits it
     // degraded instead of dropping it.
     let mut fleet = Fleet::new(
-        FleetConfig::new(vec![NodeSpec::sgprs("gpu", GpuSpec::rtx_2080_ti())])
-            .with_repricing(),
+        FleetConfig::new(vec![NodeSpec::sgprs("gpu", GpuSpec::rtx_2080_ti())]).with_repricing(),
     );
     let vgg = TenantSpec::new("vgg", ModelKind::Vgg16, 30.0).with_fps_ladder([15.0]);
     match fleet.dispatch(vgg) {
@@ -646,7 +696,10 @@ fn expired_waiters_count_as_rejections() {
     }
     let mut trace = ChurnTrace::new();
     for i in 0..fit {
-        trace.push(sgprs_rt::SimTime::ZERO, crate::ChurnEvent::Arrival(tenant(i)));
+        trace.push(
+            sgprs_rt::SimTime::ZERO,
+            crate::ChurnEvent::Arrival(tenant(i)),
+        );
     }
     trace.push(
         sgprs_rt::SimTime::ZERO,
@@ -659,7 +712,10 @@ fn expired_waiters_count_as_rejections() {
     let m = fleet.run(trace, SimDuration::from_secs(4));
     assert_eq!(m.deferred, 1);
     assert_eq!(m.expired, 1, "{m:?}");
-    assert_eq!(m.expired_hopeless, 0, "demand-aware expiry is off by default");
+    assert_eq!(
+        m.expired_hopeless, 0,
+        "demand-aware expiry is off by default"
+    );
     assert_eq!(m.rejected, 1, "an expired waiter was never served");
     assert_eq!(m.still_queued, 0, "it left the queue");
     assert_eq!(fleet.queued(), 0);
@@ -885,8 +941,14 @@ fn event_migration_pays_the_configured_stall() {
         (m.migration_stall_secs - 0.1 * m.migrations as f64).abs() < 1e-9,
         "each migration stalls for exactly the configured cost: {m:?}"
     );
-    assert!(fleet.nodes()[0].tenants.len() < 6, "the small node shed load");
-    assert!(!fleet.nodes()[1].tenants.is_empty(), "the big node absorbed it");
+    assert!(
+        fleet.nodes()[0].tenants.len() < 6,
+        "the small node shed load"
+    );
+    assert!(
+        !fleet.nodes()[1].tenants.is_empty(),
+        "the big node absorbed it"
+    );
     assert_eq!(m.truncated_jobs, 0);
 }
 
@@ -907,7 +969,10 @@ fn reused_tenant_name_is_immune_to_its_predecessors_stale_events() {
     let trace = || {
         let mut trace = ChurnTrace::new();
         for i in 0..16 {
-            trace.push(sgprs_rt::SimTime::ZERO, crate::ChurnEvent::Arrival(tenant(i)));
+            trace.push(
+                sgprs_rt::SimTime::ZERO,
+                crate::ChurnEvent::Arrival(tenant(i)),
+            );
         }
         // Depart while cam-15's stretched first job is still
         // running (arrivals interleave with releases, so the LAST
@@ -1004,10 +1069,8 @@ fn departed_pre_run_waiter_does_not_shadow_a_reused_name() {
 fn run_configured_dispatches_on_the_event_flag() {
     let trace = || ChurnTrace::static_population((0..3).map(tenant));
     let horizon = SimDuration::from_secs(2);
-    let epoch = Fleet::new(three_node_fleet())
-        .run_configured(trace(), horizon);
-    let event = Fleet::new(three_node_fleet().with_event_driven())
-        .run_configured(trace(), horizon);
+    let epoch = Fleet::new(three_node_fleet()).run_configured(trace(), horizon);
+    let event = Fleet::new(three_node_fleet().with_event_driven()).run_configured(trace(), horizon);
     // The epoch path truncates the final in-flight job per tenant
     // per epoch; the event path never does — the flag observably
     // switched modes.
@@ -1024,8 +1087,7 @@ fn run_configured_dispatches_on_the_event_flag() {
 fn heterogeneous_nodes_and_schedulers_coexist() {
     let cfg = FleetConfig::new(vec![
         NodeSpec::sgprs("sgprs", GpuSpec::rtx_2080_ti()),
-        NodeSpec::sgprs("naive", GpuSpec::synthetic(34))
-            .with_scheduler(NodeScheduler::Naive),
+        NodeSpec::sgprs("naive", GpuSpec::synthetic(34)).with_scheduler(NodeScheduler::Naive),
     ]);
     let mut fleet = Fleet::new(cfg);
     let trace = ChurnTrace::static_population((0..4).map(tenant));

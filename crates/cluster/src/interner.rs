@@ -174,7 +174,11 @@ mod tests {
         assert_eq!(i.intern("c"), b);
         assert_eq!(i.intern("d"), a);
         assert_eq!(i.lookup("a"), None, "released names are forgotten");
-        assert_eq!(i.capacity(), 2, "capacity tracks peak live, not total interned");
+        assert_eq!(
+            i.capacity(),
+            2,
+            "capacity tracks peak live, not total interned"
+        );
         assert_eq!(i.peak_live(), 2);
         assert_eq!(i.live(), 2);
     }

@@ -140,19 +140,19 @@ pub use churn::{ChurnConfig, ChurnEvent, ChurnTrace};
 pub use config::{FleetConfig, MigrationConfig};
 pub use fleet::{DispatchOutcome, DispatchReplay, Fleet};
 pub use interner::{TenantId, TenantInterner};
-pub use stream::ArrivalStream;
-pub use policy::{FleetState, MigrationVictimPolicy};
-pub use queue::{QueueConfig, QueuePolicy, AGING_QUANTUM};
-pub use shard::{ShardConfig, ShardRouter};
 pub use metrics::{
     DispatchCounts, FleetMetrics, FleetMetricsBuilder, NodeReport, BASE_SCHEMA_VERSION,
     METRICS_SCHEMA_VERSION, UTILIZATION_BINS,
 };
 pub use node::{FleetNode, NodeScheduler, NodeSpec};
-pub use placement::{Placer, PlacementPolicy};
+pub use placement::{PlacementPolicy, Placer};
+pub use policy::{FleetState, MigrationVictimPolicy};
+pub use queue::{QueueConfig, QueuePolicy, AGING_QUANTUM};
+pub use shard::{ShardConfig, ShardRouter};
+pub use stream::ArrivalStream;
 pub use telemetry::{
-    ProfileReport, QuantileSketch, SketchSummary, Span, SpanProfile, SpanStats,
-    TelemetryConfig, TelemetryReport, TraceEvent, WindowReport, DEFAULT_SKETCH_CAPACITY,
-    PLAN_LATENCY_BINS, RANK_ERROR_NUMERATOR, SPAN_COUNT,
+    ProfileReport, QuantileSketch, SketchSummary, Span, SpanProfile, SpanStats, TelemetryConfig,
+    TelemetryReport, TraceEvent, WindowReport, DEFAULT_SKETCH_CAPACITY, PLAN_LATENCY_BINS,
+    RANK_ERROR_NUMERATOR, SPAN_COUNT,
 };
 pub use tenant::{ModelKind, TenantSpec};

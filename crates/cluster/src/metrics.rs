@@ -159,10 +159,7 @@ impl FleetMetrics {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);
         out.push_str("{\n");
-        out.push_str(&format!(
-            "  \"schema_version\": {},\n",
-            self.schema_version
-        ));
+        out.push_str(&format!("  \"schema_version\": {},\n", self.schema_version));
         out.push_str(&format!(
             "  \"window_secs\": {:.3},\n",
             self.window.as_secs_f64()
@@ -182,10 +179,7 @@ impl FleetMetrics {
         out.push_str(&format!("  \"still_queued\": {},\n", self.still_queued));
         out.push_str(&format!("  \"departures\": {},\n", self.departures));
         out.push_str(&format!("  \"migrations\": {},\n", self.migrations));
-        out.push_str(&format!(
-            "  \"truncated_jobs\": {},\n",
-            self.truncated_jobs
-        ));
+        out.push_str(&format!("  \"truncated_jobs\": {},\n", self.truncated_jobs));
         out.push_str(&format!(
             "  \"migration_stall_secs\": {:.4},\n",
             self.migration_stall_secs
@@ -505,7 +499,11 @@ impl FleetMetricsBuilder {
             utilization.is_finite(),
             "utilization sample must be finite, got {utilization}"
         );
-        let sample = if utilization.is_finite() { utilization } else { 0.0 };
+        let sample = if utilization.is_finite() {
+            utilization
+        } else {
+            0.0
+        };
         self.utilization_sum[node] += sample;
         self.utilization_samples[node] += 1;
         let clamped = sample.clamp(0.0, 1.0);
@@ -665,7 +663,10 @@ mod tests {
         let m = b.finish(SimDuration::from_secs(1), &[0], 0);
         assert_eq!(m.utilization_histogram[0], 2);
         assert_eq!(m.utilization_histogram[5], 1);
-        assert_eq!(m.utilization_histogram[9], 2, "overload lands in the top bin");
+        assert_eq!(
+            m.utilization_histogram[9], 2,
+            "overload lands in the top bin"
+        );
         assert!((m.nodes[0].mean_utilization - 0.59).abs() < 1e-9);
     }
 
@@ -775,7 +776,12 @@ mod tests {
         let mut c = sgprs_core::MetricsCollector::new(vec!["t".into()], SimTime::ZERO);
         let t0 = SimTime::ZERO + SimDuration::from_millis(33);
         c.record_release(0, t0);
-        c.record_completion(0, t0, t0 + SimDuration::from_millis(10), t0 + SimDuration::from_millis(33));
+        c.record_completion(
+            0,
+            t0,
+            t0 + SimDuration::from_millis(10),
+            t0 + SimDuration::from_millis(33),
+        );
         let t1 = t0 + SimDuration::from_millis(33);
         c.record_release(0, t1);
         c.record_skip(0, t1);

@@ -246,7 +246,10 @@ mod tests {
     #[test]
     fn capacity_is_bounded_by_physical_sms() {
         let tenant = TenantSpec::new("t", ModelKind::ResNet18, 30.0);
-        let profile = tenant.model.network().work_profile(&sgprs_dnn::CostModel::calibrated());
+        let profile = tenant
+            .model
+            .network()
+            .work_profile(&sgprs_dnn::CostModel::calibrated());
         for sms in [16u32, 34, 68] {
             let node = NodeSpec::sgprs("g", GpuSpec::synthetic(sms));
             let cap = node.capacity_sm_equivalents(&profile, 4.0);

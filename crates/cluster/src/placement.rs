@@ -80,16 +80,18 @@ impl Placer {
                 }
                 None
             }
-            PlacementPolicy::LeastUtilization => self.pick_by(nodes, tenant, admission, |node, d| {
-                // Lowest demand/budget ratio wins.
-                match d {
-                    AdmissionDecision::Admit { demand, budget } if *budget > 0.0 => {
-                        Some(demand / budget)
+            PlacementPolicy::LeastUtilization => {
+                self.pick_by(nodes, tenant, admission, |node, d| {
+                    // Lowest demand/budget ratio wins.
+                    match d {
+                        AdmissionDecision::Admit { demand, budget } if *budget > 0.0 => {
+                            Some(demand / budget)
+                        }
+                        _ => None,
                     }
-                    _ => None,
-                }
-                .map(|score| (score, node.tenants.len()))
-            }),
+                    .map(|score| (score, node.tenants.len()))
+                })
+            }
             PlacementPolicy::BestFit => self.pick_by(nodes, tenant, admission, |node, d| {
                 // Smallest headroom that still fits wins.
                 d.is_admit().then(|| (d.headroom(), node.tenants.len()))
@@ -136,7 +138,9 @@ mod tests {
     fn fleet(sms: &[u32]) -> Vec<FleetNode> {
         sms.iter()
             .enumerate()
-            .map(|(i, &sm)| FleetNode::new(NodeSpec::sgprs(format!("gpu{i}"), GpuSpec::synthetic(sm))))
+            .map(|(i, &sm)| {
+                FleetNode::new(NodeSpec::sgprs(format!("gpu{i}"), GpuSpec::synthetic(sm)))
+            })
             .collect()
     }
 
@@ -187,7 +191,10 @@ mod tests {
         let ctl = AdmissionController::default();
         let mut nodes = fleet(&[23]);
         // Saturate the single small node.
-        while ctl.evaluate(&nodes[0], &tenant(nodes[0].tenants.len())).is_admit() {
+        while ctl
+            .evaluate(&nodes[0], &tenant(nodes[0].tenants.len()))
+            .is_admit()
+        {
             let i = nodes[0].tenants.len();
             nodes[0].tenants.push(tenant(i));
         }
@@ -197,7 +204,10 @@ mod tests {
             PlacementPolicy::BestFit,
         ] {
             let mut placer = Placer::new(policy);
-            assert!(placer.place(&nodes, &tenant(99), &ctl).is_none(), "{policy}");
+            assert!(
+                placer.place(&nodes, &tenant(99), &ctl).is_none(),
+                "{policy}"
+            );
         }
     }
 

@@ -45,7 +45,7 @@
 //! `tests/fleet_invariants.rs` pin that they can no longer drift.
 
 use crate::shard::{ShardConfig, ShardDirectory};
-use crate::{AdmissionController, FleetNode, Placer, PlacementPolicy, TenantSpec};
+use crate::{AdmissionController, FleetNode, PlacementPolicy, Placer, TenantSpec};
 use serde::{Deserialize, Serialize};
 use sgprs_rt::SimDuration;
 
@@ -184,11 +184,7 @@ impl DispatchPlanner {
     /// deterministically chosen shards are probed — O(1) in the shard
     /// count — with the exhaustive sweep reserved for the rare case
     /// where both probes refuse, so routing never destroys feasibility.
-    pub(crate) fn plan(
-        &mut self,
-        state: &FleetState<'_>,
-        tenant: &TenantSpec,
-    ) -> Option<usize> {
+    pub(crate) fn plan(&mut self, state: &FleetState<'_>, tenant: &TenantSpec) -> Option<usize> {
         let Some(router) = self.router.as_mut() else {
             self.probes += 1;
             return self.placer.place(state.nodes, tenant, state.admission);
@@ -299,7 +295,10 @@ pub fn provably_hopeless(state: &FleetState<'_>, tenant: &TenantSpec, repricing:
     }
     if repricing {
         let steps: Vec<f64> = tenant.degrade_steps().collect();
-        if steps.iter().any(|&fps| can_ever_fit(state, &tenant.at_fps(fps))) {
+        if steps
+            .iter()
+            .any(|&fps| can_ever_fit(state, &tenant.at_fps(fps)))
+        {
             return false;
         }
     }
@@ -375,12 +374,7 @@ pub fn migration_destination(
     (0..state.nodes.len())
         .filter(|&j| j != src)
         .filter(|&j| node_dmr[j] <= threshold)
-        .filter(|&j| {
-            state
-                .admission
-                .evaluate(&state.nodes[j], victim)
-                .is_admit()
-        })
+        .filter(|&j| state.admission.evaluate(&state.nodes[j], victim).is_admit())
         .min_by(|&a, &b| {
             let load = |j: usize| {
                 let budget = state.admission.budget(&state.nodes[j], None);
@@ -405,7 +399,10 @@ mod tests {
     }
 
     fn node(sms: u32) -> FleetNode {
-        FleetNode::new(NodeSpec::sgprs(format!("gpu-{sms}"), GpuSpec::synthetic(sms)))
+        FleetNode::new(NodeSpec::sgprs(
+            format!("gpu-{sms}"),
+            GpuSpec::synthetic(sms),
+        ))
     }
 
     #[test]

@@ -273,7 +273,10 @@ mod tests {
             q.push(tid(i as u32), tenant(name), SimTime::ZERO);
         }
         assert_eq!(q.names_in_order(SimTime::ZERO), vec!["a", "b", "c"]);
-        assert_eq!(q.pop_first(SimTime::ZERO).expect("non-empty").tenant.name, "a");
+        assert_eq!(
+            q.pop_first(SimTime::ZERO).expect("non-empty").tenant.name,
+            "a"
+        );
         assert_eq!(q.len(), 2);
         // A popped-then-reinserted head keeps its drain position.
         let head = q.pop_first(SimTime::ZERO).expect("non-empty");
@@ -288,7 +291,10 @@ mod tests {
         q.push(tid(0), tenant("light-0"), SimTime::ZERO);
         q.push(tid(1), tenant("heavy").with_weight(5), SimTime::ZERO);
         q.push(tid(2), tenant("light-1"), SimTime::ZERO);
-        assert_eq!(q.names_in_order(SimTime::ZERO), vec!["heavy", "light-0", "light-1"]);
+        assert_eq!(
+            q.names_in_order(SimTime::ZERO),
+            vec!["heavy", "light-0", "light-1"]
+        );
     }
 
     #[test]
@@ -296,17 +302,33 @@ mod tests {
         let mut q = DispatchQueue::new(QueuePolicy::EarliestDeadline);
         // Enqueued later but tighter deadline: drains first.
         q.push(tid(0), tenant("patient"), at(0));
-        q.push(tid(1), tenant("loose").with_max_wait(SimDuration::from_secs(9)), at(1));
-        q.push(tid(2), tenant("tight").with_max_wait(SimDuration::from_secs(2)), at(2));
+        q.push(
+            tid(1),
+            tenant("loose").with_max_wait(SimDuration::from_secs(9)),
+            at(1),
+        );
+        q.push(
+            tid(2),
+            tenant("tight").with_max_wait(SimDuration::from_secs(2)),
+            at(2),
+        );
         assert_eq!(q.names_in_order(at(2)), vec!["tight", "loose", "patient"]);
     }
 
     #[test]
     fn expiry_removes_only_past_deadline_entries() {
         let mut q = DispatchQueue::new(QueuePolicy::Fifo);
-        q.push(tid(0), tenant("gives-up").with_max_wait(SimDuration::from_secs(1)), at(0));
+        q.push(
+            tid(0),
+            tenant("gives-up").with_max_wait(SimDuration::from_secs(1)),
+            at(0),
+        );
         q.push(tid(1), tenant("waits"), at(0));
-        q.push(tid(2), tenant("later").with_max_wait(SimDuration::from_secs(1)), at(3));
+        q.push(
+            tid(2),
+            tenant("later").with_max_wait(SimDuration::from_secs(1)),
+            at(3),
+        );
         // At t = 1 the first deadline is exactly due, not yet past.
         assert!(q.take_expired(at(1)).is_empty());
         let expired = q.take_expired(at(2));

@@ -188,8 +188,7 @@ impl ShardDirectory {
             let mut max_context_sm = 0u32;
             let mut min_launch_overhead_ns = u64::MAX;
             for node in &nodes[self.range(shard)] {
-                spare_budget +=
-                    (admission.budget(node, None) - node.total_demand()).max(0.0);
+                spare_budget += (admission.budget(node, None) - node.total_demand()).max(0.0);
                 max_context_sm = max_context_sm.max(node.max_context_sm());
                 min_launch_overhead_ns =
                     min_launch_overhead_ns.min(node.spec.gpu.launch_overhead_ns);
@@ -272,11 +271,7 @@ impl ShardDirectory {
                 order.push((shard, summary.spare_budget, summary.spare_budget >= demand));
             }
         }
-        order.sort_by(|a, b| {
-            b.2.cmp(&a.2)
-                .then(b.1.total_cmp(&a.1))
-                .then(a.0.cmp(&b.0))
-        });
+        order.sort_by(|a, b| b.2.cmp(&a.2).then(b.1.total_cmp(&a.1)).then(a.0.cmp(&b.0)));
         order.into_iter().map(|(shard, _, _)| shard).collect()
     }
 
@@ -300,7 +295,11 @@ impl ShardDirectory {
         let a = (h % n as u64) as usize;
         let b = {
             let b = ((h >> 32) % (n as u64 - 1)) as usize;
-            if b >= a { b + 1 } else { b }
+            if b >= a {
+                b + 1
+            } else {
+                b
+            }
         };
         self.rank([a, b].into_iter(), nodes, admission, tenant)
     }

@@ -90,8 +90,11 @@ impl ChurnGen {
         }
         let arrival = self.next_arrival.take()?;
         if let Some(departure) = arrival.departure {
-            self.pending
-                .push(Reverse((departure, self.emitted, arrival.tenant.name.clone())));
+            self.pending.push(Reverse((
+                departure,
+                self.emitted,
+                arrival.tenant.name.clone(),
+            )));
         }
         self.emitted += 1;
         Some((arrival.at, ChurnEvent::Arrival(arrival.tenant)))

@@ -595,7 +595,10 @@ mod tests {
         assert!((r.queue_wait.p50_ms - 300.0).abs() < 1e-9);
         assert_eq!(r.job_latency.count, 2, "both nodes' sketches merged");
         assert!(r.job_latency.max_ms > 8.9);
-        assert_eq!(r.profile.shard_probes, 0, "probes are planner-fed, not arrival-fed");
+        assert_eq!(
+            r.profile.shard_probes, 0,
+            "probes are planner-fed, not arrival-fed"
+        );
         assert_eq!(r.profile.trace_recorded, 3);
         assert_eq!(r.peak_queue_depth(), 1);
         assert_eq!(r.trace.len(), 3);
@@ -616,7 +619,10 @@ mod tests {
         let r = t.finish_report().expect("report");
         let json = r.render_json();
         assert!(json.starts_with("  \"telemetry\": {"));
-        assert!(json.ends_with("},\n"), "trailing comma chains into the next field");
+        assert!(
+            json.ends_with("},\n"),
+            "trailing comma chains into the next field"
+        );
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(json.contains("\"window_secs\": 0.500"));
         assert!(json.contains("\"infeasible\": 1"));
@@ -670,7 +676,9 @@ mod tests {
         t.span_end(Span::EventPop, clock);
         t.note_plan(7, t.span_clock());
         assert!(t.finish_report().is_none(), "telemetry stays off");
-        let profile = t.span_profile().expect("profile survives a report-less run");
+        let profile = t
+            .span_profile()
+            .expect("profile survives a report-less run");
         assert_eq!(profile.calls(Span::EventPop), 1);
         assert_eq!(profile.calls(Span::Plan), 1);
         assert_eq!(profile.calls(Span::TelemetryFold), 0, "no fold ran");

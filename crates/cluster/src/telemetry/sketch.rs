@@ -104,7 +104,11 @@ impl QuantileSketch {
     /// The smallest observed sample (0 when empty).
     #[must_use]
     pub fn min(&self) -> u64 {
-        if self.count == 0 { 0 } else { self.min }
+        if self.count == 0 {
+            0
+        } else {
+            self.min
+        }
     }
 
     /// The largest observed sample (0 when empty).

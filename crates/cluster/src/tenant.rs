@@ -144,7 +144,10 @@ impl TenantSpec {
     /// Panics if `fps` is not a positive finite number.
     #[must_use]
     pub fn new(name: impl Into<String>, model: ModelKind, fps: f64) -> Self {
-        assert!(fps.is_finite() && fps > 0.0, "fps must be positive, got {fps}");
+        assert!(
+            fps.is_finite() && fps > 0.0,
+            "fps must be positive, got {fps}"
+        );
         TenantSpec {
             name: name.into(),
             model,
@@ -196,7 +199,10 @@ impl TenantSpec {
             assert!(pair[1] < pair[0], "ladder steps must strictly descend");
         }
         for &s in &steps {
-            assert!(s.is_finite() && s > 0.0, "ladder steps must be positive, got {s}");
+            assert!(
+                s.is_finite() && s > 0.0,
+                "ladder steps must be positive, got {s}"
+            );
         }
         self.fps_ladder = steps;
         self
@@ -212,7 +218,10 @@ impl TenantSpec {
     /// Panics if `fps` is not a positive finite number.
     #[must_use]
     pub fn at_fps(&self, fps: f64) -> Self {
-        assert!(fps.is_finite() && fps > 0.0, "fps must be positive, got {fps}");
+        assert!(
+            fps.is_finite() && fps > 0.0,
+            "fps must be positive, got {fps}"
+        );
         let mut spec = self.clone();
         spec.fps = fps;
         spec
@@ -277,7 +286,10 @@ mod tests {
         assert!(heavy.demand_sm_equivalents() > light.demand_sm_equivalents());
         let faster = TenantSpec::new("c", ModelKind::MobileNet, 60.0);
         let ratio = faster.demand_sm_equivalents() / light.demand_sm_equivalents();
-        assert!((ratio - 2.0).abs() < 1e-9, "demand is linear in fps: {ratio}");
+        assert!(
+            (ratio - 2.0).abs() < 1e-9,
+            "demand is linear in fps: {ratio}"
+        );
     }
 
     #[test]
@@ -329,7 +341,10 @@ mod tests {
         // Degrade options are the ladder steps below the served rate.
         assert_eq!(t.degrade_steps().collect::<Vec<_>>(), vec![24.0, 15.0]);
         assert_eq!(degraded.degrade_steps().count(), 0, "already at the bottom");
-        assert_eq!(t.at_fps(24.0).degrade_steps().collect::<Vec<_>>(), vec![15.0]);
+        assert_eq!(
+            t.at_fps(24.0).degrade_steps().collect::<Vec<_>>(),
+            vec![15.0]
+        );
     }
 
     #[test]

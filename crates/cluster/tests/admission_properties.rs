@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use sgprs_cluster::{
-    AdmissionController, FleetNode, ModelKind, NodeSpec, Placer, PlacementPolicy, TenantSpec,
+    AdmissionController, FleetNode, ModelKind, NodeSpec, PlacementPolicy, Placer, TenantSpec,
 };
 use sgprs_gpu_sim::GpuSpec;
 

@@ -100,10 +100,7 @@ pub fn estimate_naive_capacity(
     let mut total_fps = 0.0;
     let mut delivered = 0.0;
     for &sm in &allocations {
-        let t_ns = task
-            .whole_profile
-            .duration_ns_at(&speedup, f64::from(sm))
-            + switch_ns;
+        let t_ns = task.whole_profile.duration_ns_at(&speedup, f64::from(sm)) + switch_ns;
         if t_ns > 0.0 {
             total_fps += 1e9 / t_ns;
         }

@@ -40,10 +40,7 @@ impl CompiledTask {
     pub fn is_consistent(&self) -> bool {
         self.spec.stages.len() == self.stage_profiles.len()
             && !self.whole_profile.is_empty()
-            && self
-                .stage_profiles
-                .iter()
-                .all(|p| !p.is_empty())
+            && self.stage_profiles.iter().all(|p| !p.is_empty())
     }
 }
 

@@ -267,9 +267,18 @@ mod tests {
         assert_eq!(ContextPoolSpec::new(2, 1.5).sm_allocations(), vec![51, 51]);
         assert_eq!(ContextPoolSpec::new(2, 2.0).sm_allocations(), vec![68, 68]);
         // Scenario 2: np=3.
-        assert_eq!(ContextPoolSpec::new(3, 1.0).sm_allocations(), vec![23, 23, 22]);
-        assert_eq!(ContextPoolSpec::new(3, 1.5).sm_allocations(), vec![34, 34, 34]);
-        assert_eq!(ContextPoolSpec::new(3, 2.0).sm_allocations(), vec![46, 45, 45]);
+        assert_eq!(
+            ContextPoolSpec::new(3, 1.0).sm_allocations(),
+            vec![23, 23, 22]
+        );
+        assert_eq!(
+            ContextPoolSpec::new(3, 1.5).sm_allocations(),
+            vec![34, 34, 34]
+        );
+        assert_eq!(
+            ContextPoolSpec::new(3, 2.0).sm_allocations(),
+            vec![46, 45, 45]
+        );
     }
 
     #[test]

@@ -300,7 +300,12 @@ mod tests {
         for i in 1..=100u64 {
             let rel = t(100);
             c.record_release(0, rel);
-            c.record_completion(0, rel, rel + SimDuration::from_millis(i), rel + SimDuration::from_secs(1));
+            c.record_completion(
+                0,
+                rel,
+                rel + SimDuration::from_millis(i),
+                rel + SimDuration::from_secs(1),
+            );
         }
         let m = c.finish(t(1_100));
         // Nearest-rank convention: index = round((n-1)·p).
@@ -373,7 +378,12 @@ mod tests {
             for i in 0..5 {
                 let rel = t(100 + i * 100);
                 c.record_release(task, rel);
-                c.record_completion(task, rel, rel + SimDuration::from_millis(10), rel + SimDuration::from_millis(33));
+                c.record_completion(
+                    task,
+                    rel,
+                    rel + SimDuration::from_millis(10),
+                    rel + SimDuration::from_millis(33),
+                );
             }
         }
         let m = c.finish(t(1_100));

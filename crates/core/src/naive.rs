@@ -265,8 +265,16 @@ mod tests {
     #[test]
     fn overload_degrades_hard() {
         let m = run_naive(2, 30, 3);
-        assert!(m.dmr > 0.3, "naive must collapse under 30 tasks, dmr {:.2}", m.dmr);
-        assert!(m.total_fps > 100.0, "but it still serves: {:.0}", m.total_fps);
+        assert!(
+            m.dmr > 0.3,
+            "naive must collapse under 30 tasks, dmr {:.2}",
+            m.dmr
+        );
+        assert!(
+            m.total_fps > 100.0,
+            "but it still serves: {:.0}",
+            m.total_fps
+        );
     }
 
     #[test]
@@ -286,10 +294,7 @@ mod tests {
             &pool,
         )
         .unwrap();
-        let mut s = crate::SgprsScheduler::new(
-            crate::SgprsConfig::new(pool),
-            vec![task; 16],
-        );
+        let mut s = crate::SgprsScheduler::new(crate::SgprsConfig::new(pool), vec![task; 16]);
         let sgprs = s.run(SimTime::ZERO + SimDuration::from_secs(2));
         assert!(
             sgprs.is_miss_free(),

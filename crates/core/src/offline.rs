@@ -76,11 +76,20 @@ pub fn compile_stages(
     let reference_sm = pool.min_sm_allocation();
     let wcets: Vec<SimDuration> = stages
         .iter()
-        .map(|s| profile_wcet(&s.profile, &speedup, pool.gpu.launch_overhead_ns, reference_sm))
+        .map(|s| {
+            profile_wcet(
+                &s.profile,
+                &speedup,
+                pool.gpu.launch_overhead_ns,
+                reference_sm,
+            )
+        })
         .collect();
     let virtual_deadlines = assign_virtual_deadlines(&wcets, period);
 
-    let mut builder = PeriodicTaskSpec::builder(name).period(period).deadline(period);
+    let mut builder = PeriodicTaskSpec::builder(name)
+        .period(period)
+        .deadline(period);
     for (j, stage) in stages.iter().enumerate() {
         let mut spec = StageSpec::new(stage.name.clone(), wcets[j])
             .with_work(stage.profile.total_single_sm_ns());
@@ -136,8 +145,7 @@ pub fn whole_task_duration(
     sm_alloc: u32,
 ) -> SimDuration {
     let desc = KernelDesc::new(task.name(), task.whole_profile);
-    let ns = launch_overhead_ns as f64
-        + desc.work.duration_ns_at(speedup, f64::from(sm_alloc));
+    let ns = launch_overhead_ns as f64 + desc.work.duration_ns_at(speedup, f64::from(sm_alloc));
     SimDuration::from_nanos(ns.round() as u64)
 }
 

@@ -532,7 +532,10 @@ mod tests {
     #[test]
     fn single_task_meets_every_deadline() {
         let m = run_sgprs(ContextPoolSpec::new(2, 1.0), 1, 2);
-        assert!(m.is_miss_free(), "one 30-fps task must be trivially schedulable: {m:?}");
+        assert!(
+            m.is_miss_free(),
+            "one 30-fps task must be trivially schedulable: {m:?}"
+        );
         assert!((m.total_fps - 30.0).abs() < 1.5, "fps {:.1}", m.total_fps);
     }
 
@@ -540,7 +543,11 @@ mod tests {
     fn light_load_scales_fps_linearly() {
         let m4 = run_sgprs(ContextPoolSpec::new(2, 1.5), 4, 2);
         assert!(m4.is_miss_free(), "{m4:?}");
-        assert!((m4.total_fps - 120.0).abs() < 4.0, "fps {:.1}", m4.total_fps);
+        assert!(
+            (m4.total_fps - 120.0).abs() < 4.0,
+            "fps {:.1}",
+            m4.total_fps
+        );
     }
 
     #[test]
@@ -548,7 +555,11 @@ mod tests {
         let m = run_sgprs(ContextPoolSpec::new(3, 1.5), 30, 3);
         assert!(m.total_fps > 300.0, "saturated fps {:.0}", m.total_fps);
         assert!(m.dmr > 0.0, "30 tasks must overload the pool");
-        assert!(m.dmr < 0.9, "SGPRS must degrade gracefully, dmr {:.2}", m.dmr);
+        assert!(
+            m.dmr < 0.9,
+            "SGPRS must degrade gracefully, dmr {:.2}",
+            m.dmr
+        );
     }
 
     #[test]

@@ -137,7 +137,11 @@ mod tests {
             let memory = layer.bytes as f64 * cost.ns_per_byte;
             match layer.op_class() {
                 OpClass::Convolution => {
-                    assert!(compute > memory, "conv `{}` must be compute-bound", layer.name);
+                    assert!(
+                        compute > memory,
+                        "conv `{}` must be compute-bound",
+                        layer.name
+                    );
                 }
                 OpClass::Activation | OpClass::BatchNorm | OpClass::ElementwiseAdd => {
                     assert!(memory > compute, "`{}` must be memory-bound", layer.name);

@@ -48,14 +48,10 @@ impl fmt::Display for DnnError {
                 layer,
                 expected,
                 got,
-            } => write!(
-                f,
-                "layer `{layer}` expects {expected} input(s), got {got}"
-            ),
-            DnnError::InvalidPartition { stages, layers } => write!(
-                f,
-                "cannot split {layers} layer(s) into {stages} stage(s)"
-            ),
+            } => write!(f, "layer `{layer}` expects {expected} input(s), got {got}"),
+            DnnError::InvalidPartition { stages, layers } => {
+                write!(f, "cannot split {layers} layer(s) into {stages} stage(s)")
+            }
         }
     }
 }

@@ -5,9 +5,7 @@ use serde::{Deserialize, Serialize};
 use sgprs_gpu_sim::WorkProfile;
 
 /// Index of a layer node within a [`Network`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct NodeId(pub usize);
 
 /// A DAG of layers with resolved shapes, built via [`NetworkBuilder`].

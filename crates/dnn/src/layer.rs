@@ -78,11 +78,7 @@ impl LayerKind {
     ///
     /// [`DnnError::ArityMismatch`] or [`DnnError::ShapeMismatch`] when the
     /// inputs do not fit the operator.
-    pub fn infer_shape(
-        &self,
-        name: &str,
-        inputs: &[TensorShape],
-    ) -> Result<TensorShape, DnnError> {
+    pub fn infer_shape(&self, name: &str, inputs: &[TensorShape]) -> Result<TensorShape, DnnError> {
         if inputs.len() != self.arity() {
             return Err(DnnError::ArityMismatch {
                 layer: name.to_owned(),
@@ -154,9 +150,7 @@ impl LayerKind {
                 }
                 Ok(x)
             }
-            LayerKind::Linear { out_features } => {
-                Ok(TensorShape::flat(x.n, out_features))
-            }
+            LayerKind::Linear { out_features } => Ok(TensorShape::flat(x.n, out_features)),
         }
     }
 
@@ -167,10 +161,7 @@ impl LayerKind {
         match *self {
             LayerKind::Conv2d { kernel, groups, .. } => {
                 // 2 · k² · (Cin/groups) · Cout · Hout · Wout · N
-                2 * kernel * kernel * (input.c / groups) * output.c
-                    * output.h
-                    * output.w
-                    * output.n
+                2 * kernel * kernel * (input.c / groups) * output.c * output.h * output.w * output.n
             }
             LayerKind::MaxPool { kernel, .. } => kernel * kernel * output.elements(),
             LayerKind::GlobalAvgPool => input.elements() + output.elements(),
@@ -274,10 +265,7 @@ mod tests {
             groups: 32,
         };
         let out = dense.infer_shape("d", &[input]).unwrap();
-        assert_eq!(
-            dense.flops(input, out) / depthwise.flops(input, out),
-            32
-        );
+        assert_eq!(dense.flops(input, out) / depthwise.flops(input, out), 32);
     }
 
     #[test]
@@ -384,8 +372,11 @@ mod tests {
             LayerKind::Linear { out_features: 10 },
             LayerKind::Softmax,
         ];
-        let classes: std::collections::HashSet<_> =
-            kinds.iter().map(|k| k.op_class()).collect();
-        assert_eq!(classes.len(), kinds.len(), "each kind maps to its own class");
+        let classes: std::collections::HashSet<_> = kinds.iter().map(|k| k.op_class()).collect();
+        assert_eq!(
+            classes.len(),
+            kinds.len(),
+            "each kind maps to its own class"
+        );
     }
 }

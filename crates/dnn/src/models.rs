@@ -54,7 +54,11 @@ fn basic_block(
     stride: u64,
 ) -> NodeId {
     let c1 = b
-        .layer_on(format!("{name}.conv1"), conv(out_channels, 3, stride, 1), input)
+        .layer_on(
+            format!("{name}.conv1"),
+            conv(out_channels, 3, stride, 1),
+            input,
+        )
         .expect("block conv1");
     let n1 = b
         .layer_on(format!("{name}.bn1"), LayerKind::BatchNorm, c1)
@@ -115,9 +119,7 @@ fn resnet(name: &str, batch: u64, resolution: u64, blocks_per_stage: [usize; 4])
             );
         }
     }
-    let gap = b
-        .layer_on("gap", LayerKind::GlobalAvgPool, x)
-        .expect("gap");
+    let gap = b.layer_on("gap", LayerKind::GlobalAvgPool, x).expect("gap");
     let fc = b
         .layer_on("fc", LayerKind::Linear { out_features: 1000 }, gap)
         .expect("fc");
@@ -145,8 +147,7 @@ pub fn resnet34(batch: u64, resolution: u64) -> Network {
 #[must_use]
 pub fn vgg16(batch: u64, resolution: u64) -> Network {
     let mut b = NetworkBuilder::new("vgg16", TensorShape::new(batch, 3, resolution, resolution));
-    let stage_widths: [(u64, usize); 5] =
-        [(64, 2), (128, 2), (256, 3), (512, 3), (512, 3)];
+    let stage_widths: [(u64, usize); 5] = [(64, 2), (128, 2), (256, 3), (512, 3), (512, 3)];
     let mut x: Option<NodeId> = None;
     for (stage, &(width, convs)) in stage_widths.iter().enumerate() {
         for i in 0..convs {
@@ -176,7 +177,13 @@ pub fn vgg16(batch: u64, resolution: u64) -> Network {
     let mut x = x.expect("stages built");
     for (i, width) in [4096u64, 4096].into_iter().enumerate() {
         let fc = b
-            .layer_on(format!("fc{}", i + 1), LayerKind::Linear { out_features: width }, x)
+            .layer_on(
+                format!("fc{}", i + 1),
+                LayerKind::Linear {
+                    out_features: width,
+                },
+                x,
+            )
             .expect("vgg fc");
         x = b
             .layer_on(format!("fc{}.relu", i + 1), LayerKind::Relu, fc)
@@ -193,7 +200,10 @@ pub fn vgg16(batch: u64, resolution: u64) -> Network {
 /// An AlexNet-style network: large early kernels, light total cost.
 #[must_use]
 pub fn alexnet(batch: u64, resolution: u64) -> Network {
-    let mut b = NetworkBuilder::new("alexnet", TensorShape::new(batch, 3, resolution, resolution));
+    let mut b = NetworkBuilder::new(
+        "alexnet",
+        TensorShape::new(batch, 3, resolution, resolution),
+    );
     let c1 = b.layer("conv1", conv(96, 11, 4, 2), &[]).expect("conv1");
     let r1 = b.layer_on("relu1", LayerKind::Relu, c1).expect("relu1");
     let p1 = b
@@ -240,7 +250,13 @@ pub fn alexnet(batch: u64, resolution: u64) -> Network {
     let mut x = p5;
     for (i, width) in [4096u64, 4096].into_iter().enumerate() {
         let fc = b
-            .layer_on(format!("fc{}", i + 6), LayerKind::Linear { out_features: width }, x)
+            .layer_on(
+                format!("fc{}", i + 6),
+                LayerKind::Linear {
+                    out_features: width,
+                },
+                x,
+            )
             .expect("alexnet fc");
         x = b
             .layer_on(format!("relu{}", i + 6), LayerKind::Relu, fc)
@@ -258,8 +274,10 @@ pub fn alexnet(batch: u64, resolution: u64) -> Network {
 /// memory-bound and poorly scaling, a stress test for the speedup model.
 #[must_use]
 pub fn mobilenet(batch: u64, resolution: u64) -> Network {
-    let mut b =
-        NetworkBuilder::new("mobilenet", TensorShape::new(batch, 3, resolution, resolution));
+    let mut b = NetworkBuilder::new(
+        "mobilenet",
+        TensorShape::new(batch, 3, resolution, resolution),
+    );
     let mut x = conv_bn_relu(&mut b, "stem", conv(32, 3, 2, 1), None);
     // (output channels of the pointwise conv, stride of the depthwise conv)
     let blocks: [(u64, u64); 13] = [
@@ -288,9 +306,7 @@ pub fn mobilenet(batch: u64, resolution: u64) -> Network {
         x = conv_bn_relu(&mut b, &format!("pw{i}"), conv(out, 1, 1, 0), Some(dw));
         channels = out;
     }
-    let gap = b
-        .layer_on("gap", LayerKind::GlobalAvgPool, x)
-        .expect("gap");
+    let gap = b.layer_on("gap", LayerKind::GlobalAvgPool, x).expect("gap");
     let fc = b
         .layer_on("fc", LayerKind::Linear { out_features: 1000 }, gap)
         .expect("fc");
@@ -375,7 +391,10 @@ mod tests {
         let net = alexnet(1, 224);
         assert_eq!(net.output_shape().unwrap().elements(), 1000);
         let gflops = net.total_flops() as f64 / 1e9;
-        assert!((1.0..=2.5).contains(&gflops), "alexnet ~1.4 GFLOPs, got {gflops:.2}");
+        assert!(
+            (1.0..=2.5).contains(&gflops),
+            "alexnet ~1.4 GFLOPs, got {gflops:.2}"
+        );
     }
 
     #[test]

@@ -63,7 +63,12 @@ pub fn by_count(net: &Network, cost: &CostModel, k: usize) -> Result<Vec<Stage>,
         let target = remaining_work / remaining_stages as f64;
         let reached = current_work >= target && remaining_stages > 1;
         if must_close || (reached && layers_left >= remaining_stages - 1) {
-            stages.push(make_stage(net, cost, stages.len(), std::mem::take(&mut current)));
+            stages.push(make_stage(
+                net,
+                cost,
+                stages.len(),
+                std::mem::take(&mut current),
+            ));
             remaining_work -= current_work;
             current_work = 0.0;
             remaining_stages -= 1;
@@ -218,10 +223,7 @@ mod tests {
         let (net, cost) = setup();
         let stages = by_count(&net, &cost, 1).unwrap();
         let whole = net.work_profile(&cost);
-        assert!(
-            (stages[0].profile.total_single_sm_ns() - whole.total_single_sm_ns()).abs()
-                < 1e-6
-        );
+        assert!((stages[0].profile.total_single_sm_ns() - whole.total_single_sm_ns()).abs() < 1e-6);
     }
 
     #[test]

@@ -64,7 +64,13 @@ pub fn render(net: &Network, cost: &CostModel) -> String {
     for r in &rows {
         out.push_str(&format!(
             "{:<22} {:>12} {:>14} {:>9.1} {:>8.2} {:>9.1} {:>6.1}%\n",
-            r.name, r.op.label(), r.output, r.mflops, r.mbytes, r.t1_us, r.share_pct
+            r.name,
+            r.op.label(),
+            r.output,
+            r.mflops,
+            r.mbytes,
+            r.t1_us,
+            r.share_pct
         ));
     }
     let speedup = SpeedupModel::calibrated_rtx_2080_ti();

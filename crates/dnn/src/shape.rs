@@ -15,9 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(input.elements(), 3 * 224 * 224);
 /// assert_eq!(input.bytes(), input.elements() * 4);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct TensorShape {
     /// Batch size.
     pub n: u64,

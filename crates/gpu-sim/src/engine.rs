@@ -39,9 +39,7 @@ use sgprs_rt::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
 /// Identifier of a context in the engine's context pool.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct ContextId(pub usize);
 
 impl core::fmt::Display for ContextId {
@@ -51,9 +49,7 @@ impl core::fmt::Display for ContextId {
 }
 
 /// Identifier of a stream within a context.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct StreamId {
     /// Owning context.
     pub context: ContextId,
@@ -64,9 +60,7 @@ pub struct StreamId {
 /// CUDA stream priority class. SGPRS provisions two streams of each class
 /// per context (§IV-B3), so at most four stages run concurrently per
 /// context.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum StreamClass {
     /// Low-priority hardware stream.
     Low,
@@ -127,9 +121,7 @@ impl ContextConfig {
 }
 
 /// Unique handle of a submitted kernel.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct KernelHandle(pub u64);
 
 /// A kernel-completion event produced by the engine.
@@ -255,7 +247,10 @@ impl ContextState {
                 self.config.high_streams..self.config.high_streams + self.config.low_streams
             }
         };
-        range.into_iter().filter(|&i| self.slots[i].is_none()).count()
+        range
+            .into_iter()
+            .filter(|&i| self.slots[i].is_none())
+            .count()
     }
 
     fn resident(&self) -> usize {
@@ -494,12 +489,10 @@ impl GpuEngine {
             .contexts
             .get(ctx.0)
             .ok_or(GpuSimError::UnknownContext { context: ctx.0 })?;
-        let slot = state
-            .idle_slot(class)
-            .ok_or(GpuSimError::NoIdleStream {
-                context: ctx.0,
-                class,
-            })?;
+        let slot = state.idle_slot(class).ok_or(GpuSimError::NoIdleStream {
+            context: ctx.0,
+            class,
+        })?;
 
         // Progress everyone to `now` under the old rates before the
         // resident set changes.
@@ -786,8 +779,7 @@ mod tests {
     }
 
     fn ideal_engine(contexts: &[u32]) -> GpuEngine {
-        let mut b = GpuEngine::builder(quiet_spec())
-            .contention_model(ContentionModel::ideal());
+        let mut b = GpuEngine::builder(quiet_spec()).contention_model(ContentionModel::ideal());
         for &sm in contexts {
             b = b.context(ContextConfig::new(sm));
         }
@@ -923,7 +915,12 @@ mod tests {
                 .context(ContextConfig::new(68))
                 .build();
             for ctx in 0..2 {
-                for class in [StreamClass::High, StreamClass::High, StreamClass::Low, StreamClass::Low] {
+                for class in [
+                    StreamClass::High,
+                    StreamClass::High,
+                    StreamClass::Low,
+                    StreamClass::Low,
+                ] {
                     e.submit(ContextId(ctx), class, conv_kernel(1e7)).unwrap();
                 }
             }
@@ -935,7 +932,10 @@ mod tests {
             base_jitter: 0.0,
             contention_jitter: 0.0,
         });
-        assert!(lossy > ideal, "efficiency loss must slow the saturated pool");
+        assert!(
+            lossy > ideal,
+            "efficiency loss must slow the saturated pool"
+        );
     }
 
     #[test]

@@ -28,10 +28,7 @@ impl fmt::Display for GpuSimError {
                 write!(f, "unknown context index {context}")
             }
             GpuSimError::NoIdleStream { context, class } => {
-                write!(
-                    f,
-                    "no idle {class}-priority stream in context {context}"
-                )
+                write!(f, "no idle {class}-priority stream in context {context}")
             }
         }
     }

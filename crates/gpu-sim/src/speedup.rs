@@ -13,9 +13,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Operation classes distinguished by the speedup analysis (Fig. 1).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum OpClass {
     /// 2-D convolution — the dominant, best-scaling ResNet18 operation.

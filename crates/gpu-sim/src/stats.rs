@@ -132,7 +132,9 @@ impl UtilizationRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ContentionModel, ContextConfig, GpuSpec, KernelDesc, OpClass, StreamClass, WorkProfile};
+    use crate::{
+        ContentionModel, ContextConfig, GpuSpec, KernelDesc, OpClass, StreamClass, WorkProfile,
+    };
 
     fn engine() -> GpuEngine {
         GpuEngine::builder(GpuSpec::rtx_2080_ti().with_launch_overhead_ns(0))

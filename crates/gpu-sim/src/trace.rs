@@ -154,7 +154,13 @@ mod tests {
     #[test]
     fn begin_end_produces_closed_span() {
         let mut t = TraceRecorder::new();
-        t.begin(KernelHandle(1), "k", ContextId(0), sid(0, 1), SimTime::from_nanos(100));
+        t.begin(
+            KernelHandle(1),
+            "k",
+            ContextId(0),
+            sid(0, 1),
+            SimTime::from_nanos(100),
+        );
         assert!(t.spans()[0].end.is_none());
         t.end(KernelHandle(1), SimTime::from_nanos(400));
         let span = &t.spans()[0];
@@ -175,9 +181,21 @@ mod tests {
     #[test]
     fn chrome_export_emits_complete_events_only() {
         let mut t = TraceRecorder::new();
-        t.begin(KernelHandle(1), "done", ContextId(0), sid(0, 0), SimTime::from_nanos(1_000));
+        t.begin(
+            KernelHandle(1),
+            "done",
+            ContextId(0),
+            sid(0, 0),
+            SimTime::from_nanos(1_000),
+        );
         t.end(KernelHandle(1), SimTime::from_nanos(3_000));
-        t.begin(KernelHandle(2), "open", ContextId(1), sid(1, 2), SimTime::from_nanos(2_000));
+        t.begin(
+            KernelHandle(2),
+            "open",
+            ContextId(1),
+            sid(1, 2),
+            SimTime::from_nanos(2_000),
+        );
         let json = t.to_chrome_trace_json();
         assert!(json.starts_with('[') && json.ends_with(']'));
         assert!(json.contains("\"name\":\"done\""));

@@ -10,8 +10,8 @@ use sgprs_gpu_sim::{
 use sgprs_rt::{SimDuration, SimTime};
 
 fn engine(contexts: &[u32], seed: u64) -> GpuEngine {
-    let mut b = GpuEngine::builder(GpuSpec::rtx_2080_ti().with_launch_overhead_ns(1_000))
-        .seed(seed);
+    let mut b =
+        GpuEngine::builder(GpuSpec::rtx_2080_ti().with_launch_overhead_ns(1_000)).seed(seed);
     for &sm in contexts {
         b = b.context(ContextConfig::new(sm));
     }

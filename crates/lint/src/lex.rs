@@ -77,7 +77,10 @@ impl ScannedFile {
     fn mark_test_regions(&mut self) {
         self.test_lines = vec![false; self.code.len()];
         for start in 0..self.code.len() {
-            let compact: String = self.code[start].chars().filter(|c| !c.is_whitespace()).collect();
+            let compact: String = self.code[start]
+                .chars()
+                .filter(|c| !c.is_whitespace())
+                .collect();
             if !compact.contains("#[cfg(test)]") {
                 continue;
             }
@@ -197,7 +200,9 @@ impl Lexer {
 
     fn newline_flush(&mut self) {
         self.out.code.push(std::mem::take(&mut self.code_line));
-        self.out.comments.push(std::mem::take(&mut self.comment_line));
+        self.out
+            .comments
+            .push(std::mem::take(&mut self.comment_line));
     }
 
     fn line_comment(&mut self) {
@@ -390,7 +395,10 @@ mod tests {
     fn raw_strings_and_char_literals_do_not_derail_the_scan() {
         let src = "let a = r#\"no \" end // not a comment\"#;\nlet b = '\"';\nlet c = '{';\nlet real = 1; // tail\n";
         let s = ScannedFile::scan(src);
-        assert!(s.comments[0].is_empty(), "raw string content is not a comment");
+        assert!(
+            s.comments[0].is_empty(),
+            "raw string content is not a comment"
+        );
         assert_eq!(s.strings[0].text, "no \" end // not a comment");
         assert!(!s.code[1].contains('"'), "char-literal quote is masked");
         assert!(!s.code[2].contains('{'), "char-literal brace is masked");

@@ -89,13 +89,21 @@ pub struct Diagnostic {
 
 impl Diagnostic {
     pub(crate) fn new(rule: &'static str, file: &str, line: usize, message: String) -> Self {
-        Diagnostic { rule, file: file.to_string(), line, message }
+        Diagnostic {
+            rule,
+            file: file.to_string(),
+            line,
+            message,
+        }
     }
 
     /// Renders as `file:line: RULE: message`.
     #[must_use]
     pub fn render(&self) -> String {
-        format!("{}:{}: {}: {}", self.file, self.line, self.rule, self.message)
+        format!(
+            "{}:{}: {}: {}",
+            self.file, self.line, self.rule, self.message
+        )
     }
 }
 
@@ -165,7 +173,10 @@ impl Config {
                 "crates/cluster/src/interner.rs",
             ]),
             fold_fns: vec![
-                FoldFn { name: "run_node_epochs".to_string(), prefix: None },
+                FoldFn {
+                    name: "run_node_epochs".to_string(),
+                    prefix: None,
+                },
                 FoldFn {
                     name: "merge".to_string(),
                     prefix: Some("crates/cluster/src/telemetry/".to_string()),
@@ -187,8 +198,8 @@ pub fn scan_source(path: &str, source: &str, cfg: &Config) -> Vec<Diagnostic> {
             return true;
         }
         let line0 = d.line - 1;
-        let covered = allowed(&allows, line0, d.rule)
-            || (line0 > 0 && allowed(&allows, line0 - 1, d.rule));
+        let covered =
+            allowed(&allows, line0, d.rule) || (line0 > 0 && allowed(&allows, line0 - 1, d.rule));
         !covered
     });
     diags.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
@@ -196,7 +207,9 @@ pub fn scan_source(path: &str, source: &str, cfg: &Config) -> Vec<Diagnostic> {
 }
 
 fn allowed(allows: &BTreeMap<usize, Vec<String>>, line0: usize, rule: &str) -> bool {
-    allows.get(&line0).is_some_and(|rs| rs.iter().any(|r| r == rule))
+    allows
+        .get(&line0)
+        .is_some_and(|rs| rs.iter().any(|r| r == rule))
 }
 
 /// Parses justified allow comments — `allow(D001, D002) -- why` after
@@ -210,7 +223,9 @@ fn parse_allow_directives(
     let mut allows: BTreeMap<usize, Vec<String>> = BTreeMap::new();
     let mut diags = Vec::new();
     for (line_no, comment) in scanned.comments.iter().enumerate() {
-        let Some(at) = comment.find("sgprs-lint:") else { continue };
+        let Some(at) = comment.find("sgprs-lint:") else {
+            continue;
+        };
         let directive = comment[at + "sgprs-lint:".len()..].trim();
         match parse_allow(directive) {
             Ok(rule_ids) => allows.entry(line_no).or_default().extend(rule_ids),
@@ -229,7 +244,9 @@ fn parse_allow(directive: &str) -> Result<Vec<String>, String> {
     let rest = directive
         .strip_prefix("allow(")
         .ok_or_else(|| "expected `allow(<rule>, ...) -- <justification>`".to_string())?;
-    let close = rest.find(')').ok_or_else(|| "unclosed `allow(`".to_string())?;
+    let close = rest
+        .find(')')
+        .ok_or_else(|| "unclosed `allow(`".to_string())?;
     let mut rule_ids = Vec::new();
     for raw in rest[..close].split(',') {
         let id = raw.trim();
@@ -289,8 +306,7 @@ pub fn scan_workspace(root: &Path, cfg: &Config) -> io::Result<Vec<Diagnostic>> 
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
-    let mut entries: Vec<_> =
-        fs::read_dir(dir)?.collect::<Result<Vec<_>, _>>()?;
+    let mut entries: Vec<_> = fs::read_dir(dir)?.collect::<Result<Vec<_>, _>>()?;
     entries.sort_by_key(std::fs::DirEntry::file_name);
     for entry in entries {
         let path = entry.path();

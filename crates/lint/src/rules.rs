@@ -42,10 +42,18 @@ const AMBIENT_RANDOM: &[&str] = &["thread_rng", "OsRng", "from_entropy"];
 /// Runs every applicable rule over one scanned file.
 pub(crate) fn check_file(path: &str, scanned: &ScannedFile, cfg: &Config) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    if cfg.deterministic_prefixes.iter().any(|p| path.starts_with(p.as_str())) {
+    if cfg
+        .deterministic_prefixes
+        .iter()
+        .any(|p| path.starts_with(p.as_str()))
+    {
         d001(path, scanned, &mut diags);
     }
-    if !cfg.wall_clock_allow.iter().any(|p| path.starts_with(p.as_str())) {
+    if !cfg
+        .wall_clock_allow
+        .iter()
+        .any(|p| path.starts_with(p.as_str()))
+    {
         d002(path, scanned, &mut diags);
     }
     d003(path, scanned, &mut diags);
@@ -71,11 +79,15 @@ fn d001(path: &str, s: &ScannedFile, diags: &mut Vec<Diagnostic>) {
         for name in &names {
             for pos in token_positions(line, name) {
                 let mut cur = Cursor::new(&s.code, line_no, pos + name.len());
-                let Some((_, _, c)) = cur.next_nonspace() else { continue };
+                let Some((_, _, c)) = cur.next_nonspace() else {
+                    continue;
+                };
                 if c != '.' {
                     continue;
                 }
-                let Some((mline, _, method)) = cur.next_token() else { continue };
+                let Some((mline, _, method)) = cur.next_token() else {
+                    continue;
+                };
                 if ITER_METHODS.contains(&method.as_str())
                     && cur.next_nonspace().map(|(_, _, c)| c) == Some('(')
                 {
@@ -250,7 +262,9 @@ fn h001(path: &str, s: &ScannedFile, diags: &mut Vec<Diagnostic>) {
                 continue;
             }
             let mut cur = Cursor::new(&s.code, line_no, pos + "expect".len());
-            let Some((pline, pcol, c)) = cur.next_nonspace() else { continue };
+            let Some((pline, pcol, c)) = cur.next_nonspace() else {
+                continue;
+            };
             if c != '(' {
                 continue;
             }
@@ -334,8 +348,7 @@ fn decl_name_before(line: &str, type_pos: usize) -> Option<String> {
             }
             return Some(chars[start..end].iter().collect());
         }
-        let type_ish =
-            c.is_whitespace() || c.is_alphanumeric() || "&<(,_".contains(c);
+        let type_ish = c.is_whitespace() || c.is_alphanumeric() || "&<(,_".contains(c);
         if !type_ish {
             return None;
         }

@@ -18,7 +18,11 @@ fn fixture(rule_dir: &str, which: &str) -> String {
 /// Scans a fixture as if it lived at `virtual_path`, so path-scoped
 /// rules bind exactly the way they do in the real tree.
 fn scan_fixture(rule_dir: &str, which: &str, virtual_path: &str) -> Vec<Diagnostic> {
-    scan_source(virtual_path, &fixture(rule_dir, which), &Config::workspace_default())
+    scan_source(
+        virtual_path,
+        &fixture(rule_dir, which),
+        &Config::workspace_default(),
+    )
 }
 
 /// A hot-path deterministic-module path: every rule binds here.
@@ -39,7 +43,10 @@ fn assert_fires(rule_dir: &str, virtual_path: &str, rule: &str, at_least: usize)
 
 fn assert_silent(rule_dir: &str, virtual_path: &str) {
     let diags = scan_fixture(rule_dir, "good", virtual_path);
-    assert!(diags.is_empty(), "{rule_dir}/good.rs must be clean: {diags:?}");
+    assert!(
+        diags.is_empty(),
+        "{rule_dir}/good.rs must be clean: {diags:?}"
+    );
 }
 
 #[test]
@@ -127,7 +134,10 @@ fn h001_fires_on_hot_path_unwrap_and_unnamed_expect() {
 #[test]
 fn h001_is_scoped_to_the_hot_path_file_set() {
     let diags = scan_fixture("h001", "bad", "crates/cluster/src/metrics.rs");
-    assert!(diags.is_empty(), "H001 binds only to the hot-path files: {diags:?}");
+    assert!(
+        diags.is_empty(),
+        "H001 binds only to the hot-path files: {diags:?}"
+    );
 }
 
 #[test]
@@ -159,10 +169,10 @@ pub fn f() -> u128 {
 #[test]
 fn malformed_allows_are_their_own_error() {
     for bad in [
-        "// sgprs-lint: allow(D002)",        // missing justification
-        "// sgprs-lint: allow(D002) -- ",    // empty justification
-        "// sgprs-lint: allow(D9999) -- x",  // unknown rule
-        "// sgprs-lint: allow(D002 -- x",    // unclosed
+        "// sgprs-lint: allow(D002)",         // missing justification
+        "// sgprs-lint: allow(D002) -- ",     // empty justification
+        "// sgprs-lint: allow(D9999) -- x",   // unknown rule
+        "// sgprs-lint: allow(D002 -- x",     // unclosed
         "// sgprs-lint: disallow(D002) -- x", // unknown verb
     ] {
         let src = format!("{bad}\npub fn f() {{}}\n");
@@ -194,7 +204,10 @@ mod tests {
 }
 ";
     let diags = scan_source(DET_HOT, src, &Config::workspace_default());
-    assert!(diags.is_empty(), "test-only code is out of scope: {diags:?}");
+    assert!(
+        diags.is_empty(),
+        "test-only code is out of scope: {diags:?}"
+    );
 }
 
 #[test]

@@ -10,9 +10,7 @@ use std::path::Path;
 
 #[test]
 fn the_workspace_is_determinism_clean() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..");
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..");
     let diags = match scan_workspace(&root, &Config::workspace_default()) {
         Ok(d) => d,
         Err(e) => panic!("workspace walk failed: {e}"),

@@ -108,9 +108,9 @@ pub fn edf_processor_demand_ok(set: &TaskSet, horizon: SimDuration) -> bool {
     }
     checkpoints.sort_unstable();
     checkpoints.dedup();
-    checkpoints.into_iter().all(|t| {
-        demand_bound(set, SimDuration::from_nanos(t)).as_nanos() <= t
-    })
+    checkpoints
+        .into_iter()
+        .all(|t| demand_bound(set, SimDuration::from_nanos(t)).as_nanos() <= t)
 }
 
 /// Exact response-time analysis for fixed-priority preemptive scheduling

@@ -67,9 +67,7 @@ mod tests {
 
     #[test]
     fn display_messages_are_lowercase_and_informative() {
-        let e = RtError::ZeroPeriod {
-            task: "cam".into(),
-        };
+        let e = RtError::ZeroPeriod { task: "cam".into() };
         let msg = e.to_string();
         assert!(msg.contains("cam"));
         assert!(msg.starts_with(char::is_lowercase) || msg.starts_with("task"));

@@ -11,9 +11,7 @@ use serde::{Deserialize, Serialize};
 
 /// Globally unique job identifier: the releasing task plus the release
 /// index (0-based).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct JobId {
     /// The releasing task.
     pub task: TaskId,

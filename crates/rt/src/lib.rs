@@ -52,7 +52,5 @@ pub use job::{
 };
 pub use priority::{PriorityAssignment, PriorityLevel};
 pub use queue::{EdfEntry, EdfQueue, PriorityBands};
-pub use task::{
-    PeriodicTaskSpec, PeriodicTaskSpecBuilder, StageId, StageSpec, TaskId, TaskSet,
-};
+pub use task::{PeriodicTaskSpec, PeriodicTaskSpecBuilder, StageId, StageSpec, TaskId, TaskSet};
 pub use time::{SimDuration, SimTime};

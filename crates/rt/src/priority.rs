@@ -11,9 +11,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// `High > Medium > Low` in scheduling order; [`Ord`] reflects that, so
 /// `PriorityLevel::High` compares greatest.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum PriorityLevel {
     /// Default level of every non-final stage (offline assignment).
     Low,

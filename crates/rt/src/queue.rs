@@ -169,7 +169,10 @@ impl<T: Eq> PriorityBands<T> {
 
     /// Pops from a band no higher than `max_level` (used for slots reserved
     /// to low/medium work).
-    pub fn pop_at_most(&mut self, max_level: PriorityLevel) -> Option<(PriorityLevel, EdfEntry<T>)> {
+    pub fn pop_at_most(
+        &mut self,
+        max_level: PriorityLevel,
+    ) -> Option<(PriorityLevel, EdfEntry<T>)> {
         for level in PriorityLevel::DESCENDING {
             if level > max_level {
                 continue;

@@ -10,15 +10,11 @@ use crate::{PriorityLevel, RtError, SimDuration};
 use serde::{Deserialize, Serialize};
 
 /// Identifier of a task within a [`TaskSet`] (dense, assigned on insert).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct TaskId(pub usize);
 
 /// Identifier of a stage within its task (index into the stage list).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct StageId(pub usize);
 
 impl core::fmt::Display for TaskId {
@@ -319,9 +315,9 @@ impl PeriodicTaskSpecBuilder {
     /// stage edge dangles, or if the stage graph is cyclic.
     pub fn build(self) -> Result<PeriodicTaskSpec, RtError> {
         let name = self.name;
-        let period = self.period.ok_or_else(|| RtError::ZeroPeriod {
-            task: name.clone(),
-        })?;
+        let period = self
+            .period
+            .ok_or_else(|| RtError::ZeroPeriod { task: name.clone() })?;
         if period.is_zero() {
             return Err(RtError::ZeroPeriod { task: name });
         }
@@ -477,7 +473,10 @@ mod tests {
 
     #[test]
     fn builder_rejects_missing_period() {
-        let err = PeriodicTaskSpec::builder("t").wcet(ms(1)).build().unwrap_err();
+        let err = PeriodicTaskSpec::builder("t")
+            .wcet(ms(1))
+            .build()
+            .unwrap_err();
         assert!(matches!(err, RtError::ZeroPeriod { .. }));
     }
 

@@ -372,8 +372,14 @@ mod tests {
 
     #[test]
     fn div_ceil_rounds_up_and_handles_zero() {
-        assert_eq!(SimDuration::from_nanos(10).div_ceil(3), SimDuration::from_nanos(4));
-        assert_eq!(SimDuration::from_nanos(9).div_ceil(3), SimDuration::from_nanos(3));
+        assert_eq!(
+            SimDuration::from_nanos(10).div_ceil(3),
+            SimDuration::from_nanos(4)
+        );
+        assert_eq!(
+            SimDuration::from_nanos(9).div_ceil(3),
+            SimDuration::from_nanos(3)
+        );
         assert_eq!(SimDuration::from_nanos(9).div_ceil(0), SimDuration::MAX);
     }
 

@@ -62,7 +62,10 @@ mod tests {
     use super::*;
 
     fn curve<'a>(curves: &'a [SpeedupCurvePoints], label: &str) -> &'a SpeedupCurvePoints {
-        curves.iter().find(|c| c.label == label).expect("curve exists")
+        curves
+            .iter()
+            .find(|c| c.label == label)
+            .expect("curve exists")
     }
 
     #[test]
@@ -81,9 +84,7 @@ mod tests {
     fn non_conv_non_pool_ops_stay_below_seven_x() {
         let curves = generate();
         for c in &curves {
-            if c.label == "convolution"
-                || c.label == "max_pool"
-                || c.label.starts_with("resnet18")
+            if c.label == "convolution" || c.label == "max_pool" || c.label.starts_with("resnet18")
             {
                 continue;
             }
@@ -126,7 +127,12 @@ mod tests {
             if c.label == "convolution" {
                 continue;
             }
-            assert!(conv.peak() >= c.peak(), "conv must lead: {} at {:.1}", c.label, c.peak());
+            assert!(
+                conv.peak() >= c.peak(),
+                "conv must lead: {} at {:.1}",
+                c.label,
+                c.peak()
+            );
         }
     }
 }

@@ -428,13 +428,10 @@ impl FleetScenario {
                         break;
                     }
                     for i in 0..*burst_size {
-                        let mut tenant = TenantSpec::new(
-                            format!("burst-{wave}-{i}"),
-                            model,
-                            base.fps,
-                        )
-                        .with_stages(base.stages)
-                        .with_fps_ladder(base.fps_ladder.clone());
+                        let mut tenant =
+                            TenantSpec::new(format!("burst-{wave}-{i}"), model, base.fps)
+                                .with_stages(base.stages)
+                                .with_fps_ladder(base.fps_ladder.clone());
                         tenant.max_wait = base.max_wait;
                         let name = tenant.name.clone();
                         trace.push(at, ChurnEvent::Arrival(tenant));
@@ -538,7 +535,10 @@ mod tests {
     fn homogeneous_fleet_scales_single_node_throughput() {
         let one = FleetScenario::homogeneous(1, 6, 2).run();
         let three = FleetScenario::homogeneous(3, 18, 2).run();
-        assert!(three.total_fps > one.total_fps * 2.0, "one {one:?} three {three:?}");
+        assert!(
+            three.total_fps > one.total_fps * 2.0,
+            "one {one:?} three {three:?}"
+        );
     }
 
     #[test]
@@ -591,15 +591,18 @@ mod tests {
     #[test]
     fn overload_burst_repricing_contrast_shares_the_trace() {
         let fifo = FleetScenario::overload_burst(3);
-        let smart = FleetScenario::overload_burst(3)
-            .with_queue(QueuePolicy::EarliestDeadline, true);
+        let smart =
+            FleetScenario::overload_burst(3).with_queue(QueuePolicy::EarliestDeadline, true);
         assert_eq!(fifo.trace(), smart.trace(), "same offered load");
         assert!(smart.label.contains("earliest-deadline+repricing"));
         let fifo_m = fifo.run();
         let smart_m = smart.run();
         assert!(fifo_m.rejected > 0, "the burst must overload: {fifo_m:?}");
         assert_eq!(fifo_m.degraded, 0, "baseline never re-prices");
-        assert!(smart_m.degraded > 0, "the ladder absorbs overload: {smart_m:?}");
+        assert!(
+            smart_m.degraded > 0,
+            "the ladder absorbs overload: {smart_m:?}"
+        );
     }
 
     #[test]

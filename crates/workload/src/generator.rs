@@ -56,7 +56,12 @@ pub fn compile_model_task(
 /// A heterogeneous task set cycling through ResNet18, MobileNet, and
 /// AlexNet at a common frame rate.
 #[must_use]
-pub fn mixed_model_tasks(n: usize, fps: f64, stages: usize, pool: &ContextPoolSpec) -> Vec<CompiledTask> {
+pub fn mixed_model_tasks(
+    n: usize,
+    fps: f64,
+    stages: usize,
+    pool: &ContextPoolSpec,
+) -> Vec<CompiledTask> {
     let nets = [
         models::resnet18(1, 224),
         models::mobilenet(1, 224),

@@ -41,6 +41,5 @@ pub mod sweep;
 
 pub use fleet::{FleetScenario, TenantLoad};
 pub use scenario::{
-    scenario1_variants, scenario2_variants, SchedulerKind, ScenarioSpec, PAPER_FPS,
-    PAPER_STAGES,
+    scenario1_variants, scenario2_variants, ScenarioSpec, SchedulerKind, PAPER_FPS, PAPER_STAGES,
 };

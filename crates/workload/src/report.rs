@@ -158,10 +158,7 @@ mod tests {
         let csv = fig1_csv(&curves);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[0], "sms,operation,speedup");
-        assert_eq!(
-            lines.len(),
-            1 + curves.len() * crate::fig1::SM_POINTS.len()
-        );
+        assert_eq!(lines.len(), 1 + curves.len() * crate::fig1::SM_POINTS.len());
         assert!(lines[1..].iter().all(|l| l.split(',').count() == 3));
     }
 
@@ -182,8 +179,14 @@ mod tests {
             series("SGPRS 1.5 (np=2)", &[30.0, 60.0, 100.0], &[0, 0, 3]),
         ];
         let text = headline_summary(&s);
-        assert!(text.contains("pivot point =  1"), "naive pivots at 1:\n{text}");
-        assert!(text.contains("pivot point =  2"), "sgprs pivots at 2:\n{text}");
+        assert!(
+            text.contains("pivot point =  1"),
+            "naive pivots at 1:\n{text}"
+        );
+        assert!(
+            text.contains("pivot point =  2"),
+            "sgprs pivots at 2:\n{text}"
+        );
         assert!(text.contains("38%"), "62 vs 100 fps is a 38% drop:\n{text}");
     }
 

@@ -8,8 +8,8 @@
 
 use serde::{Deserialize, Serialize};
 use sgprs_core::{
-    offline, CompiledTask, ContextPoolSpec, NaiveConfig, NaiveScheduler, RunMetrics,
-    SgprsConfig, SgprsScheduler,
+    offline, CompiledTask, ContextPoolSpec, NaiveConfig, NaiveScheduler, RunMetrics, SgprsConfig,
+    SgprsScheduler,
 };
 use sgprs_dnn::{models, CostModel};
 use sgprs_rt::{SimDuration, SimTime};

@@ -9,7 +9,7 @@
 //! 1. every SGPRS variant pivots later than the naive baseline, and
 //! 2. SGPRS's saturated FPS stays above the naive plateau.
 
-use crate::{SchedulerKind, ScenarioSpec};
+use crate::{ScenarioSpec, SchedulerKind};
 use serde::{Deserialize, Serialize};
 use sgprs_core::{NaiveConfig, NaiveScheduler, SgprsConfig, SgprsScheduler};
 use sgprs_gpu_sim::ContentionModel;

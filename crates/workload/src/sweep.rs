@@ -155,7 +155,7 @@ pub fn run_sweeps(scenarios: &[ScenarioSpec], task_counts: &[usize]) -> Vec<Swee
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{scenario1_variants, SchedulerKind, ScenarioSpec};
+    use crate::{scenario1_variants, ScenarioSpec, SchedulerKind};
 
     #[test]
     fn pivot_point_is_last_clean_count() {

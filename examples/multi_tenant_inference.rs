@@ -4,8 +4,8 @@
 //!
 //! Run with: `cargo run --release --example multi_tenant_inference`
 
-use sgprs_suite::core::{NaiveConfig, NaiveScheduler, SgprsConfig, SgprsScheduler};
 use sgprs_suite::core::{ContextPoolSpec, RunMetrics};
+use sgprs_suite::core::{NaiveConfig, NaiveScheduler, SgprsConfig, SgprsScheduler};
 use sgprs_suite::rt::{SimDuration, SimTime};
 use sgprs_suite::workload::generator;
 

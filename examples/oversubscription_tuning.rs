@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release --example oversubscription_tuning`
 
-use sgprs_suite::workload::{SchedulerKind, ScenarioSpec};
+use sgprs_suite::workload::{ScenarioSpec, SchedulerKind};
 
 fn main() {
     let n_tasks = 26; // just past the paper's Scenario-2 pivot point

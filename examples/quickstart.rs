@@ -25,7 +25,11 @@ fn main() {
         &pool,
     )
     .expect("resnet18 splits into six stages");
-    println!("task WCET: {} over {} stages", task.spec.total_stage_wcet(), task.stage_count());
+    println!(
+        "task WCET: {} over {} stages",
+        task.spec.total_stage_wcet(),
+        task.stage_count()
+    );
     for (j, s) in task.spec.stages.iter().enumerate() {
         println!(
             "  stage {j}: wcet={} virtual-deadline={} priority={}",
@@ -44,6 +48,9 @@ fn main() {
     println!("deadline miss rate: {:.2}%", metrics.dmr * 100.0);
     println!("median response:    {}", metrics.response_p50);
     println!("p95 response:       {}", metrics.response_p95);
-    assert!(metrics.is_miss_free(), "8 cameras fit comfortably at np=2, os=1.5");
+    assert!(
+        metrics.is_miss_free(),
+        "8 cameras fit comfortably at np=2, os=1.5"
+    );
     println!("all deadlines met");
 }

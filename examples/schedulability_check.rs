@@ -13,7 +13,14 @@ fn main() {
         "{:>4} {:>5} {:>14} {:>12} {:>16}",
         "np", "os", "capacity(fps)", "fluid bound", "bound holds?"
     );
-    for (np, os) in [(2usize, 1.0f64), (2, 1.5), (2, 2.0), (3, 1.0), (3, 1.5), (3, 2.0)] {
+    for (np, os) in [
+        (2usize, 1.0f64),
+        (2, 1.5),
+        (2, 2.0),
+        (3, 1.0),
+        (3, 1.5),
+        (3, 2.0),
+    ] {
         let pool = ContextPoolSpec::new(np, os);
         let task = offline::compile_network_task(
             "t",

@@ -2,8 +2,7 @@
 //! holds its internal invariants end to end.
 
 use sgprs_suite::core::{
-    offline, Admission, ContextPoolSpec, NaiveConfig, NaiveScheduler, SgprsConfig,
-    SgprsScheduler,
+    offline, Admission, ContextPoolSpec, NaiveConfig, NaiveScheduler, SgprsConfig, SgprsScheduler,
 };
 use sgprs_suite::dnn::{models, partition, CostModel};
 use sgprs_suite::gpu_sim::SpeedupModel;
@@ -62,8 +61,10 @@ fn metrics_counters_are_consistent() {
     let mut s = SgprsScheduler::new(SgprsConfig::new(pool), tasks);
     let m = s.run(SimTime::ZERO + SimDuration::from_secs(2));
     assert_eq!(m.completed, m.met + m.late, "completed = met + late");
-    assert!(m.completed + m.skipped + m.dropped <= m.released + 40,
-        "conservations up to in-flight jobs: {m:?}");
+    assert!(
+        m.completed + m.skipped + m.dropped <= m.released + 40,
+        "conservations up to in-flight jobs: {m:?}"
+    );
     assert!(m.dmr >= 0.0 && m.dmr <= 1.0);
     let fps_check = m.completed as f64 / m.window.as_secs_f64();
     assert!((fps_check - m.total_fps).abs() < 1e-6);

@@ -13,7 +13,7 @@ use sgprs_suite::cluster::{
 use sgprs_suite::core::MetricsCollector;
 use sgprs_suite::gpu_sim::GpuSpec;
 use sgprs_suite::rt::{SimDuration, SimTime};
-use sgprs_suite::workload::{FleetScenario, SchedulerKind, ScenarioSpec, TenantLoad};
+use sgprs_suite::workload::{FleetScenario, ScenarioSpec, SchedulerKind, TenantLoad};
 
 /// A 3-node fleet under the paper's ResNet18@30fps workload must achieve
 /// a total FPS at least as high as the best single-node Scenario-2
@@ -115,7 +115,9 @@ fn fleet_metrics_identical_across_workers_parallelism_and_dispatch() {
         if sharded {
             cfg = cfg.with_sharding(scenario.nodes.len());
         }
-        Fleet::new(cfg).run(scenario.trace(), scenario.sim).to_json()
+        Fleet::new(cfg)
+            .run(scenario.trace(), scenario.sim)
+            .to_json()
     };
     let reference = run(false, 1, false);
     for workers in [1usize, 2, 4, 8] {
@@ -246,7 +248,9 @@ fn multi_shard_dispatch_is_deterministic_across_workers() {
         if !parallel {
             cfg = cfg.with_workers(1);
         }
-        Fleet::new(cfg).run(scenario.trace(), scenario.sim).to_json()
+        Fleet::new(cfg)
+            .run(scenario.trace(), scenario.sim)
+            .to_json()
     };
     let reference = run(false, 1);
     for workers in [1usize, 2, 4, 8] {
@@ -284,8 +288,14 @@ fn deadline_repricing_beats_fifo_reject_on_the_overload_burst() {
         smart_m.dmr,
         fifo_m.dmr
     );
-    assert!(smart_m.degraded > 0, "the ladder was exercised: {smart_m:?}");
-    assert!(smart_m.upgrades > 0, "and capacity freed for upgrades: {smart_m:?}");
+    assert!(
+        smart_m.degraded > 0,
+        "the ladder was exercised: {smart_m:?}"
+    );
+    assert!(
+        smart_m.upgrades > 0,
+        "and capacity freed for upgrades: {smart_m:?}"
+    );
     assert!(
         smart_m.queue_wait_max_secs <= 2.0 + 1e-9,
         "queue deadlines cap the wait: {smart_m:?}"
@@ -325,7 +335,10 @@ fn event_driven_metrics_identical_across_workers_and_dispatch() {
         Fleet::new(cfg).run_events(scenario.trace(), scenario.sim)
     };
     let reference = run(1, false);
-    assert_eq!(reference.truncated_jobs, 0, "the event path never truncates");
+    assert_eq!(
+        reference.truncated_jobs, 0,
+        "the event path never truncates"
+    );
     let reference_json = reference.to_json();
     for workers in [1usize, 4] {
         for sharded in [false, true] {
@@ -339,10 +352,8 @@ fn event_driven_metrics_identical_across_workers_and_dispatch() {
     }
     // The same trace on the epoch grid shows the truncation artifact the
     // event path removes.
-    let epoch = Fleet::new(
-        FleetConfig::new(scenario.nodes.clone()).with_seed(scenario.seed),
-    )
-    .run(scenario.trace(), scenario.sim);
+    let epoch = Fleet::new(FleetConfig::new(scenario.nodes.clone()).with_seed(scenario.seed))
+        .run(scenario.trace(), scenario.sim);
     assert!(
         epoch.truncated_jobs > 0,
         "the epoch path truncates in-flight jobs at boundaries: {epoch:?}"
@@ -497,7 +508,9 @@ fn p2c_dispatch_is_deterministic_across_workers_and_engines() {
         if !parallel {
             cfg = cfg.with_workers(1);
         }
-        Fleet::new(cfg).run(scenario.trace(), scenario.sim).to_json()
+        Fleet::new(cfg)
+            .run(scenario.trace(), scenario.sim)
+            .to_json()
     };
     let reference = epoch_run(false, 1);
     for workers in [1usize, 2, 4, 8] {
@@ -520,7 +533,11 @@ fn p2c_dispatch_is_deterministic_across_workers_and_engines() {
             .to_json()
     };
     let event_reference = event_run(1);
-    assert_eq!(event_run(4), event_reference, "event p2c run is worker-inert");
+    assert_eq!(
+        event_run(4),
+        event_reference,
+        "event p2c run is worker-inert"
+    );
 }
 
 /// The metro-scale scenario end-to-end in both engines: 512
@@ -537,11 +554,18 @@ fn metro_scale_serves_in_both_engines() {
         "same offered load"
     );
     let epoch_m = epoch_scenario.run();
-    assert!(epoch_m.arrivals > 512, "brisk metro churn: {}", epoch_m.arrivals);
+    assert!(
+        epoch_m.arrivals > 512,
+        "brisk metro churn: {}",
+        epoch_m.arrivals
+    );
     assert!(epoch_m.admitted > 0 && epoch_m.total_fps > 0.0);
     assert_eq!(epoch_m.nodes.len(), 512);
     let event_m = event_scenario.run();
-    assert_eq!(event_m.arrivals, epoch_m.arrivals, "same trace, same offers");
+    assert_eq!(
+        event_m.arrivals, epoch_m.arrivals,
+        "same trace, same offers"
+    );
     assert_eq!(event_m.truncated_jobs, 0, "{event_m:?}");
     assert!(event_m.total_fps > 0.0);
     // Routing through p2c summaries must never bypass per-node
@@ -602,8 +626,7 @@ fn bigger_nodes_carry_more_of_the_fleet_load() {
         NodeSpec::sgprs("big", GpuSpec::rtx_2080_ti()),
         NodeSpec::sgprs("small", GpuSpec::synthetic(23)).with_contexts(2),
     ]));
-    let tenants =
-        (0..20).map(|i| TenantSpec::new(format!("cam-{i}"), ModelKind::ResNet18, 30.0));
+    let tenants = (0..20).map(|i| TenantSpec::new(format!("cam-{i}"), ModelKind::ResNet18, 30.0));
     let m = fleet.run(
         ChurnTrace::static_population(tenants),
         SimDuration::from_secs(2),
@@ -617,8 +640,7 @@ fn bigger_nodes_carry_more_of_the_fleet_load() {
     assert!(by_name("big").completed >= by_name("small").completed);
     let ctl = AdmissionController::default();
     let big = FleetNode::new(NodeSpec::sgprs("big", GpuSpec::rtx_2080_ti()));
-    let small =
-        FleetNode::new(NodeSpec::sgprs("small", GpuSpec::synthetic(23)).with_contexts(2));
+    let small = FleetNode::new(NodeSpec::sgprs("small", GpuSpec::synthetic(23)).with_contexts(2));
     assert!(ctl.budget(&big, None) > ctl.budget(&small, None));
 }
 
@@ -667,7 +689,9 @@ fn telemetry_matrix_is_byte_identical_across_workers_parallelism_and_dispatch() 
         if sharded {
             cfg = cfg.with_sharding(scenario.nodes.len());
         }
-        Fleet::new(cfg).run(scenario.trace(), scenario.sim).to_json()
+        Fleet::new(cfg)
+            .run(scenario.trace(), scenario.sim)
+            .to_json()
     };
     let reference = run(false, 1, false);
     assert!(reference.contains("\"schema_version\": 3"));
@@ -774,8 +798,13 @@ fn span_profiler_is_zero_cost_off_and_inert_on() {
     // spans (plan, epoch_compile) but no event-engine spans.
     let mut profiled = Fleet::new(cfg().with_profiling());
     let profiled_json = profiled.run(scenario.trace(), scenario.sim).to_json();
-    assert_eq!(profiled_json, plain_json, "profiling must not steer the simulation");
-    let profile = profiled.span_profile().expect("armed run captures a profile");
+    assert_eq!(
+        profiled_json, plain_json,
+        "profiling must not steer the simulation"
+    );
+    let profile = profiled
+        .span_profile()
+        .expect("armed run captures a profile");
     for span in Span::ALL {
         assert_eq!(
             plain.span_calls(span),
@@ -785,8 +814,15 @@ fn span_profiler_is_zero_cost_off_and_inert_on() {
         );
     }
     assert!(profile.calls(Span::Plan) > 0, "placements were planned");
-    assert!(profile.calls(Span::EpochCompile) > 0, "epochs were compiled");
-    assert_eq!(profile.calls(Span::EventPop), 0, "no event queue on the epoch engine");
+    assert!(
+        profile.calls(Span::EpochCompile) > 0,
+        "epochs were compiled"
+    );
+    assert_eq!(
+        profile.calls(Span::EventPop),
+        0,
+        "no event queue on the epoch engine"
+    );
     assert_eq!(
         profile.stats(Span::Plan).wall_hist.iter().sum::<u64>(),
         profile.calls(Span::Plan),
@@ -804,7 +840,9 @@ fn span_profiler_is_zero_cost_off_and_inert_on() {
         .run_events(scenario.trace(), scenario.sim)
         .to_json();
     assert_eq!(profiled_event, plain_event);
-    let event_profile = profiled_event_fleet.span_profile().expect("profile captured");
+    let event_profile = profiled_event_fleet
+        .span_profile()
+        .expect("profile captured");
     for span in Span::ALL {
         assert_eq!(
             plain_event_fleet.span_calls(span),
@@ -813,13 +851,19 @@ fn span_profiler_is_zero_cost_off_and_inert_on() {
             span.name()
         );
     }
-    assert!(event_profile.calls(Span::EventPop) > 0, "events were popped");
+    assert!(
+        event_profile.calls(Span::EventPop) > 0,
+        "events were popped"
+    );
     assert_eq!(
         event_profile.calls(Span::EventExec),
         event_profile.calls(Span::EventPop),
         "every popped event was executed"
     );
-    assert!(event_profile.calls(Span::ArrivalPull) > 0, "arrivals were pulled");
+    assert!(
+        event_profile.calls(Span::ArrivalPull) > 0,
+        "arrivals were pulled"
+    );
 }
 
 /// The profiling-armed determinism matrix: with the span profiler on,
@@ -843,7 +887,9 @@ fn profiled_matrix_is_byte_identical_across_workers_parallelism_and_dispatch() {
         if sharded {
             cfg = cfg.with_sharding(scenario.nodes.len());
         }
-        Fleet::new(cfg).run(scenario.trace(), scenario.sim).to_json()
+        Fleet::new(cfg)
+            .run(scenario.trace(), scenario.sim)
+            .to_json()
     };
     // The reference runs with profiling OFF: every profiled leg below
     // must match it exactly.

@@ -12,8 +12,8 @@
 
 use proptest::prelude::*;
 use sgprs_suite::cluster::{
-    ChurnEvent, ChurnTrace, DispatchOutcome, Fleet, FleetConfig, ModelKind, NodeSpec, Placer,
-    PlacementPolicy, QueuePolicy, TenantSpec,
+    ChurnEvent, ChurnTrace, DispatchOutcome, Fleet, FleetConfig, ModelKind, NodeSpec,
+    PlacementPolicy, Placer, QueuePolicy, TenantSpec,
 };
 use sgprs_suite::gpu_sim::GpuSpec;
 use sgprs_suite::rt::{SimDuration, SimTime};

@@ -163,8 +163,14 @@ const SGPRS_DEFAULT: &[(&str, Pin)] = &[
     ("under/frame-buffer", [90, 84, 84, 0, 0, 0, 688084528, 0]),
     ("under/skip-if-busy", [90, 84, 84, 0, 0, 0, 688084528, 0]),
     ("under/queue-all", [90, 84, 84, 0, 0, 0, 688084528, 0]),
-    ("over/frame-buffer", [450, 290, 134, 156, 130, 0, 9228305245, 0]),
-    ("over/skip-if-busy", [450, 271, 122, 149, 149, 0, 9039717750, 0]),
+    (
+        "over/frame-buffer",
+        [450, 290, 134, 156, 130, 0, 9228305245, 0],
+    ),
+    (
+        "over/skip-if-busy",
+        [450, 271, 122, 149, 149, 0, 9039717750, 0],
+    ),
     ("over/queue-all", [450, 224, 0, 224, 0, 0, 44833229582, 0]),
 ];
 
@@ -172,8 +178,14 @@ const SGPRS_ABORT: &[(&str, Pin)] = &[
     ("under/frame-buffer", [90, 84, 84, 0, 0, 0, 688084528, 0]),
     ("under/skip-if-busy", [90, 84, 84, 0, 0, 0, 688084528, 0]),
     ("under/queue-all", [90, 84, 84, 0, 0, 0, 688084528, 0]),
-    ("over/frame-buffer", [450, 108, 62, 46, 0, 308, 3467580202, 0]),
-    ("over/skip-if-busy", [450, 131, 124, 7, 148, 141, 2876633632, 0]),
+    (
+        "over/frame-buffer",
+        [450, 108, 62, 46, 0, 308, 3467580202, 0],
+    ),
+    (
+        "over/skip-if-busy",
+        [450, 131, 124, 7, 148, 141, 2876633632, 0],
+    ),
     ("over/queue-all", [450, 138, 118, 20, 0, 261, 4147795495, 0]),
 ];
 
@@ -181,8 +193,14 @@ const SGPRS_FIFO_OVERFLOW: &[(&str, Pin)] = &[
     ("under/frame-buffer", [90, 84, 84, 0, 0, 0, 682102109, 0]),
     ("under/skip-if-busy", [90, 84, 84, 0, 0, 0, 682102109, 0]),
     ("under/queue-all", [90, 84, 84, 0, 0, 0, 682102109, 0]),
-    ("over/frame-buffer", [450, 290, 130, 160, 130, 0, 9232776209, 0]),
-    ("over/skip-if-busy", [450, 271, 122, 149, 149, 0, 9028050065, 0]),
+    (
+        "over/frame-buffer",
+        [450, 290, 130, 160, 130, 0, 9232776209, 0],
+    ),
+    (
+        "over/skip-if-busy",
+        [450, 271, 122, 149, 149, 0, 9028050065, 0],
+    ),
     ("over/queue-all", [450, 224, 0, 224, 0, 0, 44833229582, 0]),
 ];
 
@@ -190,8 +208,14 @@ const NAIVE: &[(&str, Pin)] = &[
     ("under/frame-buffer", [90, 84, 84, 0, 0, 0, 880315151, 0]),
     ("under/skip-if-busy", [90, 84, 84, 0, 0, 0, 880315151, 0]),
     ("under/queue-all", [90, 84, 84, 0, 0, 0, 880315151, 0]),
-    ("over/frame-buffer", [450, 156, 0, 156, 246, 0, 12535765018, 0]),
-    ("over/skip-if-busy", [450, 156, 0, 156, 264, 0, 9851179836, 0]),
+    (
+        "over/frame-buffer",
+        [450, 156, 0, 156, 246, 0, 12535765018, 0],
+    ),
+    (
+        "over/skip-if-busy",
+        [450, 156, 0, 156, 264, 0, 9851179836, 0],
+    ),
     ("over/queue-all", [450, 0, 0, 0, 0, 0, 0, 0]),
 ];
 
@@ -199,7 +223,13 @@ const RECONFIG: &[(&str, Pin)] = &[
     ("under/frame-buffer", [90, 87, 87, 0, 0, 0, 752204035, 3]),
     ("under/skip-if-busy", [90, 87, 87, 0, 0, 0, 656142644, 2]),
     ("under/queue-all", [90, 87, 87, 0, 0, 0, 752149989, 2]),
-    ("over/frame-buffer", [297, 257, 218, 39, 0, 0, 4739603966, 3]),
-    ("over/skip-if-busy", [297, 248, 226, 22, 23, 0, 4341228093, 2]),
+    (
+        "over/frame-buffer",
+        [297, 257, 218, 39, 0, 0, 4739603966, 3],
+    ),
+    (
+        "over/skip-if-busy",
+        [297, 248, 226, 22, 23, 0, 4341228093, 2],
+    ),
     ("over/queue-all", [297, 257, 218, 39, 0, 0, 4776052367, 2]),
 ];

@@ -4,9 +4,14 @@
 
 use sgprs_suite::core::{NaiveConfig, NaiveScheduler, SgprsConfig, SgprsScheduler};
 use sgprs_suite::rt::{SimDuration, SimTime};
-use sgprs_suite::workload::{fig1, SchedulerKind, ScenarioSpec};
+use sgprs_suite::workload::{fig1, ScenarioSpec, SchedulerKind};
 
-fn run_scenario(contexts: usize, kind: SchedulerKind, n: usize, secs: u64) -> sgprs_suite::core::RunMetrics {
+fn run_scenario(
+    contexts: usize,
+    kind: SchedulerKind,
+    n: usize,
+    secs: u64,
+) -> sgprs_suite::core::RunMetrics {
     ScenarioSpec::new(contexts, kind, secs).run(n)
 }
 
@@ -127,7 +132,11 @@ fn sgprs_sustains_fps_past_the_pivot() {
         at_25.total_fps,
         at_30.total_fps
     );
-    assert!(at_30.dmr < 0.75, "moderate DMR at 30 tasks: {:.2}", at_30.dmr);
+    assert!(
+        at_30.dmr < 0.75,
+        "moderate DMR at 30 tasks: {:.2}",
+        at_30.dmr
+    );
 }
 
 #[test]
