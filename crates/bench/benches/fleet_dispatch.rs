@@ -15,7 +15,7 @@ fn fleet(n_nodes: usize, resident_per_node: usize) -> Vec<FleetNode> {
             let mut node =
                 FleetNode::new(NodeSpec::sgprs(format!("gpu{i}"), GpuSpec::rtx_2080_ti()));
             for j in 0..resident_per_node {
-                node.tenants.push(TenantSpec::new(
+                node.push_tenant(TenantSpec::new(
                     format!("t-{i}-{j}"),
                     ModelKind::ResNet18,
                     30.0,

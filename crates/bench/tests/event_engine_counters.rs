@@ -4,28 +4,40 @@
 //! more work per event, a new allocation on the hot path, an extra wheel
 //! cascade — must fail here and re-pin on purpose.
 //!
-//! Two rows: 256 nodes with telemetry and the span profiler armed, so
-//! every span fires, and 10,000 nodes with no instrumentation. Both
-//! carry the event engine's real timing-wheel cascades.
+//! Three rows: 256 nodes with telemetry and the span profiler armed, so
+//! every span fires; 10,000 nodes with no instrumentation; and the
+//! overloaded 8-node fleet of perfbench's `fleet-event-overload`
+//! workload (8× the base arrival rate, migration and re-pricing on),
+//! whose admission probes, queue drains, upgrades and migration attempts
+//! dominate its cost. The first two carry the event engine's real
+//! timing-wheel cascades.
 //!
 //! [`CountingAlloc`] is this test process's global allocator. One test
 //! function on purpose — the counters are process-global, so concurrent
 //! test threads would smear each other's deltas. The first fleet run in
-//! a process also fills the process-wide model work-profile cache
-//! ([`ModelKind::work_profile`]); the test fills it up front and adds
-//! its allocations to every row, so each row pins what a run costs in a
-//! fresh process, whatever order the rows run in.
+//! a process also fills two process-wide caches: the model work profiles
+//! ([`ModelKind::work_profile`]) and the calibrated speedup model
+//! ([`SpeedupModel::rtx_2080_ti`]). The test fills both up front and
+//! adds their allocations to every row, so each row pins what a run
+//! costs in a fresh process, whatever order the rows run in.
 
 use sgprs_bench::report::{AllocStats, CountingAlloc};
-use sgprs_cluster::{Fleet, ModelKind, Span, SPAN_COUNT};
+use sgprs_cluster::{Fleet, FleetMetrics, ModelKind, Span, SPAN_COUNT};
+use sgprs_gpu_sim::SpeedupModel;
 use sgprs_rt::SimDuration;
-use sgprs_workload::FleetScenario;
+use sgprs_workload::{FleetScenario, TenantLoad};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Simulated horizon of both rows, seconds.
+/// Simulated horizon of the metro rows, seconds.
 const SIM_SECS: u64 = 4;
+
+/// The repository's reference seed (`"VrPS"`), perfbench's default.
+const REFERENCE_SEED: u64 = 0x5672_5053;
+
+/// Arrival-rate multiple of the overloaded row over the metro base.
+const OVERLOAD: u64 = 8;
 
 /// Telemetry window of the instrumented row.
 const TELEMETRY_WINDOW: SimDuration = SimDuration::from_millis(250);
@@ -37,7 +49,7 @@ struct Counters {
     /// Event-queue pops plus arrival-stream pulls.
     events: u64,
     /// Heap allocations of the run in a fresh process: the run's own
-    /// plus the work-profile cache fill.
+    /// plus the process-wide cache fills.
     allocs: u64,
     /// Call counts in [`Span::ALL`] order: plan, drain_scan, event_pop,
     /// event_exec, epoch_compile, telemetry_fold, arrival_pull,
@@ -54,9 +66,19 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
 
 /// Runs the metro-scale scenario over `nodes` nodes on the event engine,
 /// with telemetry and profiling armed when `instrumented`. `cache_fill`
-/// is the work-profile cache's allocation count.
+/// is the process-wide caches' allocation count.
 fn run(nodes: usize, instrumented: bool, cache_fill: u64) -> Counters {
-    let mut scenario = FleetScenario::metro_scale(nodes, SIM_SECS).with_event_driven();
+    let scenario = FleetScenario::metro_scale(nodes, SIM_SECS).with_event_driven();
+    run_scenario(scenario, instrumented, cache_fill).0
+}
+
+/// Runs `scenario`, with telemetry and profiling armed when
+/// `instrumented`, returning its counters and metrics.
+fn run_scenario(
+    mut scenario: FleetScenario,
+    instrumented: bool,
+    cache_fill: u64,
+) -> (Counters, FleetMetrics) {
     if instrumented {
         scenario = scenario.with_telemetry(TELEMETRY_WINDOW);
     }
@@ -79,23 +101,44 @@ fn run(nodes: usize, instrumented: bool, cache_fill: u64) -> Counters {
         }
         None => assert!(!instrumented, "the profiled run kept no profile"),
     }
-    Counters {
+    let counters = Counters {
         arrivals: metrics.arrivals,
         events: fleet.events_processed(),
         allocs: cache_fill + allocs,
         spans,
+    };
+    (counters, metrics)
+}
+
+/// Runs perfbench's `fleet-event-overload` fleet at the reference seed:
+/// 8 metro nodes for 8 simulated seconds on the event engine, at
+/// [`OVERLOAD`]× the base arrival rate, migrating at DMR 0.1 with an
+/// admission bound of 1.0. No instrumentation.
+fn run_overload(cache_fill: u64) -> (Counters, FleetMetrics) {
+    let mut scenario = FleetScenario::metro_scale(8, 8)
+        .with_seed(REFERENCE_SEED)
+        .with_event_driven();
+    if let TenantLoad::Metro { base, .. } = &mut scenario.load {
+        base.mean_interarrival =
+            SimDuration::from_nanos(base.mean_interarrival.as_nanos() / OVERLOAD);
     }
+    scenario.migration = Some(0.1);
+    scenario.admission_bound = Some(1.0);
+    run_scenario(scenario, false, cache_fill)
 }
 
 #[test]
 fn metro_event_engine_counters_are_pinned() {
-    let (_, cache_fill) = counted(|| ModelKind::ResNet18.work_profile());
+    let (_, cache_fill) = counted(|| {
+        let _ = ModelKind::ResNet18.work_profile();
+        let _ = SpeedupModel::rtx_2080_ti();
+    });
     assert_eq!(
         run(256, true, cache_fill),
         Counters {
             arrivals: 570,
             events: 69_402,
-            allocs: 19_644,
+            allocs: 7_637,
             spans: [570, 40, 68_792, 68_792, 0, 1, 610, 91],
         },
         "metro-256, telemetry and profiling armed"
@@ -105,9 +148,27 @@ fn metro_event_engine_counters_are_pinned() {
         Counters {
             arrivals: 6_539,
             events: 786_823,
-            allocs: 222_477,
+            allocs: 84_833,
             spans: [6_539, 257, 780_027, 780_027, 0, 0, 6_796, 91],
         },
         "metro-10k, no instrumentation"
+    );
+    let (overload, metrics) = run_overload(cache_fill);
+    assert!(
+        metrics.deferred > 0
+            && metrics.degraded > 0
+            && metrics.upgrades > 0
+            && metrics.migrations > 0,
+        "the overloaded fleet must defer, degrade, upgrade and migrate: {metrics:?}"
+    );
+    assert_eq!(
+        overload,
+        Counters {
+            arrivals: 266,
+            events: 64_299,
+            allocs: 10_712,
+            spans: [394, 85, 63_961, 63_961, 0, 0, 338, 250],
+        },
+        "fleet-event-overload shape, reference seed, no instrumentation"
     );
 }

@@ -172,11 +172,10 @@ impl AdmissionController {
         launch_overhead_ns: u64,
         candidate: &TenantSpec,
     ) -> sgprs_rt::SimDuration {
-        let speedup = SpeedupModel::calibrated_rtx_2080_ti();
         let compute_ns = candidate
             .model
             .work_profile()
-            .duration_ns_at(&speedup, f64::from(context_sms));
+            .duration_ns_at(SpeedupModel::rtx_2080_ti(), f64::from(context_sms));
         let overhead_ns = launch_overhead_ns * candidate.stages as u64;
         sgprs_rt::SimDuration::from_nanos(compute_ns as u64)
             + sgprs_rt::SimDuration::from_nanos(overhead_ns)
@@ -202,7 +201,7 @@ impl AdmissionController {
         if self.cfg.density_gate {
             let pool = node.spec.pool();
             let set: TaskSet = node
-                .tenants
+                .tenants()
                 .iter()
                 .chain(Some(candidate))
                 .map(|t| t.compile_for(&pool).spec)
@@ -224,9 +223,10 @@ impl AdmissionController {
     #[must_use]
     pub fn fluid_processors(&self, node: &FleetNode, candidate: &TenantSpec) -> f64 {
         let mix = node.mixed_profile(Some(candidate));
-        let speedup = SpeedupModel::calibrated_rtx_2080_ti();
-        let reference =
-            mix.effective_speedup(&speedup, f64::from(node.spec.pool().min_sm_allocation()));
+        let reference = mix.effective_speedup(
+            SpeedupModel::rtx_2080_ti(),
+            f64::from(node.spec.pool().min_sm_allocation()),
+        );
         if reference <= 0.0 {
             return 0.0;
         }
@@ -274,7 +274,7 @@ mod tests {
             match ctl.evaluate(&n, &t) {
                 AdmissionDecision::Admit { demand, budget } => {
                     assert!(demand <= budget, "admitted within budget");
-                    n.tenants.push(t);
+                    n.push_tenant(t);
                     admitted += 1;
                 }
                 AdmissionDecision::Reject(RejectReason::OverUtilization { demand, budget }) => {
@@ -297,14 +297,17 @@ mod tests {
         // land in the same region, not at 5 and not at 100.
         let ctl = AdmissionController::default();
         let mut n = node();
-        while ctl.evaluate(&n, &resnet_tenant(n.tenants.len())).is_admit() {
-            let i = n.tenants.len();
-            n.tenants.push(resnet_tenant(i));
+        while ctl
+            .evaluate(&n, &resnet_tenant(n.tenants().len()))
+            .is_admit()
+        {
+            let i = n.tenants().len();
+            n.push_tenant(resnet_tenant(i));
         }
         assert!(
-            (15..=30).contains(&n.tenants.len()),
+            (15..=30).contains(&n.tenants().len()),
             "admitted {} tenants",
-            n.tenants.len()
+            n.tenants().len()
         );
     }
 
@@ -313,11 +316,14 @@ mod tests {
         let ctl = AdmissionController::default();
         let count_for = |sms: u32| {
             let mut n = FleetNode::new(NodeSpec::sgprs("g", GpuSpec::synthetic(sms)));
-            while ctl.evaluate(&n, &resnet_tenant(n.tenants.len())).is_admit() {
-                let i = n.tenants.len();
-                n.tenants.push(resnet_tenant(i));
+            while ctl
+                .evaluate(&n, &resnet_tenant(n.tenants().len()))
+                .is_admit()
+            {
+                let i = n.tenants().len();
+                n.push_tenant(resnet_tenant(i));
             }
-            n.tenants.len()
+            n.tenants().len()
         };
         assert!(count_for(23) < count_for(68));
     }
@@ -370,13 +376,13 @@ mod tests {
         for i in 0..100 {
             let t = resnet_tenant(i);
             if ctl.evaluate(&n, &t).is_admit() {
-                n.tenants.push(t);
+                n.push_tenant(t);
             } else {
                 rejected = true;
                 break;
             }
         }
         assert!(rejected, "the gated controller must saturate");
-        assert!(n.tenants.len() >= 10, "but not spuriously early");
+        assert!(n.tenants().len() >= 10, "but not spuriously early");
     }
 }

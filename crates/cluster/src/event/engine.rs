@@ -363,7 +363,7 @@ impl Engine<'_> {
         // whole spec: this is the engine's hottest path. The id resolves
         // to the node slot by integer compare, no string hashing.
         let Some((model, stages, fps)) = self.fleet.node_slot(idx, id).map(|pos| {
-            let t = &self.fleet.nodes[idx].tenants[pos];
+            let t = &self.fleet.nodes[idx].tenants()[pos];
             (t.model, t.stages, t.fps)
         }) else {
             return;
@@ -391,7 +391,6 @@ impl Engine<'_> {
             let service = self.exec.service_time(
                 &self.fleet.nodes,
                 &self.fleet.admission,
-                &self.fleet.node_version,
                 idx,
                 model,
                 stages,
@@ -436,7 +435,7 @@ impl Engine<'_> {
         }
         let migration_check = migration_on
             && !self.migration_pending[idx]
-            && self.fleet.nodes[idx].tenants.len() >= 2;
+            && self.fleet.nodes[idx].tenants().len() >= 2;
         let over_threshold = migration_check && {
             let span = self.fleet.cfg.epoch;
             self.windows[idx].dmr(t, span) > self.fleet.cfg.migration.dmr_threshold
@@ -510,7 +509,7 @@ impl Engine<'_> {
         let threshold = self.fleet.cfg.migration.dmr_threshold;
         let cost = self.fleet.cfg.migration.cost;
         let span = self.fleet.cfg.epoch;
-        if !self.fleet.cfg.migration.enabled || self.fleet.nodes[idx].tenants.len() < 2 {
+        if !self.fleet.cfg.migration.enabled || self.fleet.nodes[idx].tenants().len() < 2 {
             return;
         }
         // Re-verify on pop: the trigger and the move are distinct events,
@@ -582,7 +581,7 @@ impl Engine<'_> {
             // version check makes each sample O(changed nodes), which at
             // fleet scale (10k nodes, epoch sampling) dominates the
             // whole run if recomputed blindly.
-            let version = self.fleet.node_version[idx];
+            let version = self.fleet.nodes[idx].version();
             let (budget, demand) = match self.sample_cache[idx] {
                 Some((v, cached)) if v == version => cached,
                 _ => {

@@ -23,9 +23,10 @@
 //!   deliberately scheduler-blind about execution efficiency).
 //!
 //! Demand/capacity samples are cached per node and validated against
-//! the fleet's per-node version counters (bumped on every population or
-//! price change), so a mutation on node `i` recomputes only node `i`'s
-//! sample — not the whole fleet's. Best-case latency is cached per
+//! [`FleetNode::version`]. The node owns that counter together with its
+//! resident aggregates: every mutation of its resident list bumps it, so
+//! a change on node `i` recomputes only node `i`'s sample — not the
+//! whole fleet's. Best-case latency is cached per
 //! `(node, model, stages, fps)` in a per-node linear list (the distinct
 //! price points per node are few), so the release hot path does no
 //! hashing at all.
@@ -54,8 +55,8 @@ type PricePoint = ((ModelKind, usize, u64), SimDuration);
 #[derive(Debug)]
 pub(crate) struct FluidExec {
     seed: u64,
-    /// Per-node `(node version, sample)` — valid while the fleet's
-    /// version counter for the node still matches.
+    /// Per-node `(node version, sample)` — valid while
+    /// [`FleetNode::version`] still matches.
     loads: Vec<Option<(u64, NodeLoad)>>,
     /// Per-node [`PricePoint`] entries, scanned linearly: a node hosts
     /// only a handful of distinct price points, and a short scan beats
@@ -73,24 +74,23 @@ impl FluidExec {
     }
 
     /// The node's `(demand, capacity)` in SM-equivalents, sampled lazily
-    /// and revalidated against `versions[idx]` (the fleet bumps a node's
-    /// counter on every population/price mutation). The sample is a pure
+    /// and revalidated against [`FleetNode::version`] (bumped by every
+    /// population or price mutation). The sample is a pure
     /// function of node state, so a version hit returns bit-identical
     /// values to a fresh compute.
     fn load(
         &mut self,
         nodes: &[FleetNode],
         admission: &AdmissionController,
-        versions: &[u64],
         idx: usize,
     ) -> NodeLoad {
+        let node = &nodes[idx];
         if let Some((v, l)) = self.loads[idx] {
-            if v == versions[idx] {
+            if v == node.version() {
                 return l;
             }
         }
-        let node = &nodes[idx];
-        let l = if node.tenants.is_empty() {
+        let l = if node.tenants().is_empty() {
             NodeLoad {
                 demand: 0.0,
                 capacity: f64::from(node.spec.gpu.total_sms),
@@ -107,7 +107,7 @@ impl FluidExec {
                 capacity: node.capacity_sm_equivalents(&mix, concurrency),
             }
         };
-        self.loads[idx] = Some((versions[idx], l));
+        self.loads[idx] = Some((node.version(), l));
         l
     }
 
@@ -116,10 +116,9 @@ impl FluidExec {
         &mut self,
         nodes: &[FleetNode],
         admission: &AdmissionController,
-        versions: &[u64],
         idx: usize,
     ) -> f64 {
-        let l = self.load(nodes, admission, versions, idx);
+        let l = self.load(nodes, admission, idx);
         if l.capacity > 0.0 {
             l.demand / l.capacity
         } else {
@@ -138,7 +137,6 @@ impl FluidExec {
         &mut self,
         nodes: &[FleetNode],
         admission: &AdmissionController,
-        versions: &[u64],
         idx: usize,
         model: ModelKind,
         stages: usize,
@@ -146,7 +144,7 @@ impl FluidExec {
         name_hash: u64,
         job_seq: u64,
     ) -> SimDuration {
-        let rho = self.load_ratio(nodes, admission, versions, idx);
+        let rho = self.load_ratio(nodes, admission, idx);
         let key = (model, stages, fps.to_bits());
         let cached = self.best_case[idx]
             .iter()
@@ -211,14 +209,14 @@ fn switch_tax(node: &FleetNode) -> f64 {
         return 0.0;
     }
     let contexts = node.spec.contexts.max(1);
-    let per_ctx = node.tenants.len().div_ceil(contexts);
+    let per_ctx = node.tenants().len().div_ceil(contexts);
     if per_ctx < 2 {
         // A partition serving a single tenant never switches.
         return 0.0;
     }
     let switch_secs = NaiveConfig::new(contexts).switch_cost_ns(per_ctx) / 1e9;
     let sm_ctx = f64::from(node.spec.gpu.total_sms) / contexts as f64;
-    node.tenants
+    node.tenants()
         .iter()
         .map(|t| t.fps * switch_secs * sm_ctx)
         .sum()
@@ -299,22 +297,21 @@ mod tests {
         let admission = AdmissionController::default();
         // Fill to the admission bound, no further.
         while admission
-            .evaluate(&node, &tenant(node.tenants.len()))
+            .evaluate(&node, &tenant(node.tenants().len()))
             .is_admit()
         {
-            let i = node.tenants.len();
-            node.tenants.push(tenant(i));
+            let i = node.tenants().len();
+            node.push_tenant(tenant(i));
         }
         let nodes = vec![node];
         let mut exec = FluidExec::new(1, 7);
-        let rho = exec.load_ratio(&nodes, &admission, &[0], 0);
+        let rho = exec.load_ratio(&nodes, &admission, 0);
         assert!(rho > 0.5 && rho < 1.0, "bound-respecting load: {rho}");
         for job in 0..64 {
             let t = tenant(0);
             let s = exec.service_time(
                 &nodes,
                 &admission,
-                &[0],
                 0,
                 t.model,
                 t.stages,
@@ -334,18 +331,17 @@ mod tests {
     fn overload_stretches_service_past_the_period() {
         let mut node = FleetNode::new(NodeSpec::sgprs("g", GpuSpec::synthetic(16)));
         for i in 0..12 {
-            node.tenants.push(tenant(i));
+            node.push_tenant(tenant(i));
         }
         let admission = AdmissionController::default();
         let nodes = vec![node];
         let mut exec = FluidExec::new(1, 7);
-        let rho = exec.load_ratio(&nodes, &admission, &[0], 0);
+        let rho = exec.load_ratio(&nodes, &admission, 0);
         assert!(rho > 1.0, "12 tenants on 16 SMs must overload: {rho}");
         let t = tenant(0);
         let s = exec.service_time(
             &nodes,
             &admission,
-            &[0],
             0,
             t.model,
             t.stages,
@@ -366,17 +362,17 @@ mod tests {
         let mut node = FleetNode::new(spec);
         let admission = AdmissionController::default();
         while admission
-            .evaluate(&node, &tenant(node.tenants.len()))
+            .evaluate(&node, &tenant(node.tenants().len()))
             .is_admit()
         {
-            let i = node.tenants.len();
-            node.tenants.push(tenant(i));
+            let i = node.tenants().len();
+            node.push_tenant(tenant(i));
         }
-        let n = node.tenants.len();
+        let n = node.tenants().len();
         assert!(n >= 8, "the budget admits a crowd: {n}");
         let nodes = vec![node];
         let mut exec = FluidExec::new(1, 7);
-        let rho = exec.load_ratio(&nodes, &admission, &[0], 0);
+        let rho = exec.load_ratio(&nodes, &admission, 0);
         assert!(
             rho > 1.0,
             "sequential execution + switch tax must exceed capacity: {rho}"
@@ -385,19 +381,25 @@ mod tests {
 
     #[test]
     fn load_cache_revalidates_on_version_bump() {
-        let mut node = FleetNode::new(NodeSpec::sgprs("g", GpuSpec::rtx_2080_ti()));
-        node.tenants.push(tenant(0));
+        let spec = NodeSpec::sgprs("g", GpuSpec::rtx_2080_ti());
+        let mut node = FleetNode::new(spec.clone());
+        node.push_tenant(tenant(0));
         let admission = AdmissionController::default();
         let mut nodes = vec![node];
         let mut exec = FluidExec::new(1, 7);
-        let before = exec.load_ratio(&nodes, &admission, &[0], 0);
-        nodes[0].tenants.push(tenant(1));
+        let before = exec.load_ratio(&nodes, &admission, 0);
+        // A heavier node at the same version: the cache keys on the
+        // version alone, so it must serve the first node's sample.
+        let mut twin = FleetNode::new(spec);
+        twin.push_tenant(TenantSpec::new("heavy", ModelKind::Vgg16, 15.0));
+        assert_eq!(twin.version(), nodes[0].version());
         assert_eq!(
-            exec.load_ratio(&nodes, &admission, &[0], 0),
+            exec.load_ratio(&[twin], &admission, 0),
             before,
             "an unbumped version serves the cached sample"
         );
-        let after = exec.load_ratio(&nodes, &admission, &[1], 0);
+        nodes[0].push_tenant(tenant(1));
+        let after = exec.load_ratio(&nodes, &admission, 0);
         assert!(
             after > before,
             "the bumped version recomputes: {after} vs {before}"

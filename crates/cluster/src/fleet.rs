@@ -159,17 +159,9 @@ pub struct Fleet {
     /// Node index of each resident, id-indexed (`None` = queued or
     /// free slot).
     resident_node: Vec<Option<usize>>,
-    /// Per-node resident ids, parallel to each node's `tenants` Vec, so
+    /// Per-node resident ids, parallel to each node's tenant list, so
     /// slot resolution is an integer scan instead of a string compare.
     pub(crate) node_ids: Vec<Vec<TenantId>>,
-    /// Per-node mutation counter, bumped whenever a node's resident
-    /// population or prices change (attach/detach/restore/remove/
-    /// upgrade). Pure-function-of-node-state caches (the event engine's
-    /// fluid load and utilisation samples) revalidate against it, which
-    /// replaces blanket whole-fleet invalidation with O(changed nodes)
-    /// recomputation — bit-identical values, since an unchanged version
-    /// pins unchanged inputs.
-    pub(crate) node_version: Vec<u64>,
     /// The dispatcher's clock: advanced by `run`/`run_events`, stamps
     /// queue entries so waits and queue deadlines are measurable.
     pub(crate) now: SimTime,
@@ -181,6 +173,9 @@ pub struct Fleet {
     /// (`None` = not degraded). Upgrade passes sort by resolved name so
     /// their order matches the pre-interning contract.
     degraded: Vec<Option<f64>>,
+    /// Scratch of [`Self::upgrade_degraded`]: the degraded `(id,
+    /// requested fps)` pairs of one pass, in name order.
+    upgrade_order: Vec<(TenantId, f64)>,
     /// Memoised [`policy::can_ever_fit`] answers per price point
     /// `(model, stages, fps bits)` — the answer is load-independent, so
     /// demand-aware expiry sweeps cost one map lookup per queued waiter
@@ -222,7 +217,6 @@ impl Fleet {
         let queue = DispatchQueue::new(cfg.queue.policy);
         let telemetry = Telemetry::new(cfg.telemetry.clone());
         let node_ids = vec![Vec::new(); nodes.len()];
-        let node_version = vec![0; nodes.len()];
         Fleet {
             cfg,
             nodes,
@@ -234,10 +228,10 @@ impl Fleet {
             compiled: HashMap::new(),
             resident_node: Vec::new(),
             node_ids,
-            node_version,
             now: SimTime::ZERO,
             capacity_released: true,
             degraded: Vec::new(),
+            upgrade_order: Vec::new(),
             hopeless_cache: HashMap::new(),
             telemetry,
             totals: FleetMetricsBuilder::default(),
@@ -378,34 +372,17 @@ impl Fleet {
     /// list and the id → node index.
     pub(crate) fn attach_resident(&mut self, idx: usize, id: TenantId, tenant: TenantSpec) {
         self.node_ids[idx].push(id);
-        self.nodes[idx].tenants.push(tenant);
+        self.nodes[idx].push_tenant(tenant);
         self.resident_node[id.index()] = Some(idx);
-        self.node_version[idx] += 1;
     }
 
     /// Removes the resident at `slot` on node `idx`, returning its id
-    /// and spec (the migration victim path).
+    /// and spec (the departure and migration paths).
     pub(crate) fn detach_resident(&mut self, idx: usize, slot: usize) -> (TenantId, TenantSpec) {
         let id = self.node_ids[idx].remove(slot);
-        let spec = self.nodes[idx].tenants.remove(slot);
+        let spec = self.nodes[idx].remove_tenant(slot);
         self.resident_node[id.index()] = None;
-        self.node_version[idx] += 1;
         (id, spec)
-    }
-
-    /// Restores a detached resident to its original slot (a migration
-    /// that found no destination).
-    pub(crate) fn restore_resident(
-        &mut self,
-        idx: usize,
-        slot: usize,
-        id: TenantId,
-        tenant: TenantSpec,
-    ) {
-        self.node_ids[idx].insert(slot, id);
-        self.nodes[idx].tenants.insert(slot, tenant);
-        self.resident_node[id.index()] = Some(idx);
-        self.node_version[idx] += 1;
     }
 
     /// Offers `tenant` to the placement policy: on success the tenant
@@ -492,9 +469,7 @@ impl Fleet {
     /// whether it was resident (`false`: it was still queued).
     fn remove_id(&mut self, id: TenantId) -> Option<(TenantSpec, bool)> {
         if let Some((idx, pos)) = self.locate_id(id) {
-            let tenant = self.nodes[idx].tenants.remove(pos);
-            self.node_ids[idx].remove(pos);
-            self.node_version[idx] += 1;
+            let (_, tenant) = self.detach_resident(idx, pos);
             self.release(id);
             // A departure frees node capacity: the next drain pass must
             // actually scan the queue again.
@@ -694,23 +669,27 @@ impl Fleet {
     /// order the pre-interning `BTreeMap` walked, so output is
     /// unchanged). Each step taken is recorded.
     fn upgrade_degraded(&mut self) {
-        // Collect (name, id, requested) in slot order, then sort by name:
-        // slot order is deterministic but recycling-dependent; name order
-        // is the documented contract.
-        let mut entries: Vec<(String, TenantId, f64)> = Vec::new();
-        for (slot, requested) in self.degraded.iter().enumerate() {
-            if let Some(requested) = requested {
-                let id = TenantId::from_raw(
-                    u32::try_from(slot).expect("invariant: id slots fit in u32"),
-                );
-                entries.push((self.interner.name(id).to_string(), id, *requested));
-            }
-        }
-        if entries.is_empty() {
-            return;
-        }
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        for (name, id, requested) in entries {
+        // Collect (id, requested) in slot order, then sort by name: slot
+        // order is deterministic but recycling-dependent; name order is
+        // the documented contract. Active names are unique, so an
+        // unstable sort gives the same order; the buffer is reused
+        // across passes.
+        let mut entries = std::mem::take(&mut self.upgrade_order);
+        entries.clear();
+        entries.extend(
+            self.degraded
+                .iter()
+                .enumerate()
+                .filter_map(|(slot, requested)| {
+                    let id = TenantId::from_raw(
+                        u32::try_from(slot).expect("invariant: id slots fit in u32"),
+                    );
+                    requested.map(|requested| (id, requested))
+                }),
+        );
+        let interner = &self.interner;
+        entries.sort_unstable_by(|a, b| interner.name(a.0).cmp(interner.name(b.0)));
+        for &(id, requested) in &entries {
             // Find the resident (it may have migrated since it degraded).
             let Some((idx, pos)) = self.locate_id(id) else {
                 // Defensive: a degraded entry with no resident would mean
@@ -719,7 +698,7 @@ impl Fleet {
                 self.degraded[id.index()] = None;
                 continue;
             };
-            let resident = self.nodes[idx].tenants.remove(pos);
+            let resident = self.nodes[idx].remove_tenant(pos);
             let candidates = policy::upgrade_candidates(&resident, requested);
             let mut upgraded = None;
             for fps in candidates {
@@ -742,16 +721,14 @@ impl Fleet {
                     // Same slot, so placement order (and migration's LIFO
                     // victim choice) is unaffected by the price change —
                     // `node_ids` is untouched for the same reason.
-                    self.nodes[idx].tenants.insert(pos, priced);
-                    // A price change moves the node's demand: caches
-                    // keyed on the node version must resample.
-                    self.node_version[idx] += 1;
+                    self.nodes[idx].insert_tenant(pos, priced);
                     self.planner.invalidate_node(idx);
-                    self.record(TenantRef::Name(&name), Decision::Upgrade { fps });
+                    self.record(TenantRef::Id(id), Decision::Upgrade { fps });
                 }
-                None => self.nodes[idx].tenants.insert(pos, resident),
+                None => self.nodes[idx].insert_tenant(pos, resident),
             }
         }
+        self.upgrade_order = entries;
     }
 
     /// The node index and tenant slot of the resident with this id.
@@ -802,7 +779,7 @@ impl Fleet {
     /// The run epilogue both engines share: folds the totals, the end
     /// state, and the telemetry report into the run's [`FleetMetrics`].
     pub(crate) fn close_run(&mut self, horizon: SimDuration) -> FleetMetrics {
-        let final_tenants: Vec<usize> = self.nodes.iter().map(|n| n.tenants.len()).collect();
+        let final_tenants: Vec<usize> = self.nodes.iter().map(|n| n.tenants().len()).collect();
         let mut metrics = std::mem::take(&mut self.totals).finish(
             horizon,
             &final_tenants,
@@ -814,10 +791,12 @@ impl Fleet {
 
     /// Sheds one tenant off node `idx`, both choices delegated to the
     /// policy kernel: the victim, then a destination judged by each
-    /// node's miss rate in `dmr`. The move pays `stall` (zero on the
-    /// epoch path); with no destination the victim is restored to its
-    /// slot. Either way the attempt is recorded. Returns the victim and
-    /// where it went, or `None` when the node had no victim to give.
+    /// node's miss rate in `dmr`. The destination is chosen while the
+    /// victim is still resident ([`policy::migration_destination`] never
+    /// reads the source node), so an attempt that finds none leaves the
+    /// fleet untouched. The move pays `stall` (zero on the epoch path).
+    /// Either way the attempt is recorded. Returns the victim and where
+    /// it went, or `None` when the node had no victim to give.
     pub(crate) fn migrate_one(
         &mut self,
         idx: usize,
@@ -829,11 +808,11 @@ impl Fleet {
             &self.admission,
             self.cfg.migration.victim,
         )?;
-        let (id, victim) = self.detach_resident(idx, slot);
+        let id = self.node_ids[idx][slot];
         let dest = policy::migration_destination(
             &FleetState::new(&self.nodes, &self.admission),
             idx,
-            &victim,
+            &self.nodes[idx].tenants()[slot],
             dmr,
             self.cfg.migration.dmr_threshold,
         );
@@ -842,17 +821,15 @@ impl Fleet {
             to: dest,
             stall: dest.map_or(SimDuration::ZERO, |_| stall),
         };
-        self.record(TenantRef::Name(&victim.name), attempt);
-        match dest {
-            Some(j) => {
-                self.attach_resident(j, id, victim);
-                self.planner.invalidate_node(idx);
-                self.planner.invalidate_node(j);
-                // The source node freed capacity: a waiter that routed
-                // anywhere may now fit there.
-                self.capacity_released = true;
-            }
-            None => self.restore_resident(idx, slot, id, victim),
+        self.record(TenantRef::Id(id), attempt);
+        if let Some(j) = dest {
+            let (_, victim) = self.detach_resident(idx, slot);
+            self.attach_resident(j, id, victim);
+            self.planner.invalidate_node(idx);
+            self.planner.invalidate_node(j);
+            // The source node freed capacity: a waiter that routed
+            // anywhere may now fit there.
+            self.capacity_released = true;
         }
         Some((id, dest))
     }
@@ -909,10 +886,10 @@ impl Fleet {
     /// Warms the compile cache for resident `pos` of node `node_idx`
     /// (the only part of task preparation that needs `&mut` state).
     fn ensure_compiled(&mut self, node_idx: usize, pos: usize) {
-        let key = Self::compile_key(&self.nodes[node_idx].tenants[pos], node_idx);
+        let key = Self::compile_key(&self.nodes[node_idx].tenants()[pos], node_idx);
         if !self.compiled.contains_key(&key) {
             let pool = self.nodes[node_idx].spec.pool();
-            let task = self.nodes[node_idx].tenants[pos].compile_for(&pool);
+            let task = self.nodes[node_idx].tenants()[pos].compile_for(&pool);
             self.compiled.insert(key, task);
         }
     }
@@ -1005,18 +982,18 @@ impl Fleet {
                 let demand = self.nodes[idx].total_demand();
                 let utilization = if budget > 0.0 { demand / budget } else { 0.0 };
                 self.record_utilization(idx, utilization);
-                if self.nodes[idx].tenants.is_empty() {
+                if self.nodes[idx].tenants().is_empty() {
                     continue;
                 }
                 // Warm the compile cache first (the only `&mut` part),
                 // then build the tasks borrowing the resident list in
                 // place — no per-epoch clone of the node's tenant and id
                 // lists (each task clones only its own cached spec).
-                for pos in 0..self.nodes[idx].tenants.len() {
+                for pos in 0..self.nodes[idx].tenants().len() {
                     self.ensure_compiled(idx, pos);
                 }
                 let tasks: Vec<CompiledTask> = self.nodes[idx]
-                    .tenants
+                    .tenants()
                     .iter()
                     .zip(&self.node_ids[idx])
                     .map(|(t, &id)| {
@@ -1181,7 +1158,7 @@ impl Fleet {
     /// contract), so the move stalls nothing.
     fn migrate_overloaded(&mut self, epoch_dmr: &[f64]) {
         for (idx, &dmr) in epoch_dmr.iter().enumerate() {
-            if dmr > self.cfg.migration.dmr_threshold && self.nodes[idx].tenants.len() >= 2 {
+            if dmr > self.cfg.migration.dmr_threshold && self.nodes[idx].tenants().len() >= 2 {
                 self.migrate_one(idx, epoch_dmr, SimDuration::ZERO);
             }
         }

@@ -76,7 +76,7 @@ fn departures_take_effect_at_the_following_boundary() {
     );
     let m = fleet.run(trace, SimDuration::from_secs(3));
     assert_eq!(m.departures, 1);
-    assert!(fleet.nodes().iter().all(|n| n.tenants.is_empty()));
+    assert!(fleet.nodes().iter().all(|n| n.tenants().is_empty()));
     // Two full epochs of 30 fps service (minus boundary truncation),
     // not one: retroactive removal would roughly halve this.
     assert!(
@@ -255,7 +255,7 @@ fn duplicate_active_names_are_rejected() {
         DispatchOutcome::Placed(_)
     ));
     assert_eq!(fleet.dispatch(tenant(0)), DispatchOutcome::Duplicate);
-    let resident: usize = fleet.nodes().iter().map(|n| n.tenants.len()).sum();
+    let resident: usize = fleet.nodes().iter().map(|n| n.tenants().len()).sum();
     assert_eq!(resident, 1, "no ghost twin was placed");
     // Departure frees the name for reuse.
     assert!(fleet.remove(&tenant(0).name));
@@ -297,7 +297,7 @@ fn duplicate_arrivals_in_a_trace_are_counted_not_served() {
         m.rejection_rate, 0.0,
         "duplicates are not capacity rejections"
     );
-    let resident: usize = fleet.nodes().iter().map(|n| n.tenants.len()).sum();
+    let resident: usize = fleet.nodes().iter().map(|n| n.tenants().len()).sum();
     assert_eq!(resident, 1);
 }
 
@@ -349,11 +349,11 @@ fn migration_moves_load_off_an_overloaded_node() {
     let m = fleet.run(ChurnTrace::new(), SimDuration::from_secs(3));
     assert!(m.migrations > 0, "{m:?}");
     assert!(
-        fleet.nodes()[0].tenants.len() < 6,
+        fleet.nodes()[0].tenants().len() < 6,
         "the small node shed load"
     );
     assert!(
-        !fleet.nodes()[1].tenants.is_empty(),
+        !fleet.nodes()[1].tenants().is_empty(),
         "the big node absorbed it"
     );
 }
@@ -392,21 +392,21 @@ fn demand_aware_victim_sheds_the_most_relieving_tenant() {
     // heavy one — observable as who ended up on the big node first.
     assert!(
         lifo.nodes()[1]
-            .tenants
+            .tenants()
             .iter()
             .any(|t| t.name.starts_with("light")),
         "LIFO sheds the last-placed light tenant: {:?}",
         lifo.nodes()[1]
-            .tenants
+            .tenants()
             .iter()
             .map(|t| &t.name)
             .collect::<Vec<_>>()
     );
     assert!(
-        aware.nodes()[1].tenants.iter().any(|t| t.name == "heavy"),
+        aware.nodes()[1].tenants().iter().any(|t| t.name == "heavy"),
         "demand-aware sheds the overload's cause: {:?}",
         aware.nodes()[1]
-            .tenants
+            .tenants()
             .iter()
             .map(|t| &t.name)
             .collect::<Vec<_>>()
@@ -466,7 +466,7 @@ fn migration_never_targets_a_node_over_the_dmr_threshold() {
     for i in 6..24 {
         fleet.seed_resident(1, tenant(i));
     }
-    let migrant = fleet.nodes[0].tenants.last().cloned().expect("loaded");
+    let migrant = fleet.nodes[0].tenants().last().cloned().expect("loaded");
     assert!(
         fleet
             .admission()
@@ -484,11 +484,86 @@ fn migration_never_targets_a_node_over_the_dmr_threshold() {
         "no tenant may migrate onto a node over the DMR threshold: {m:?}"
     );
     assert_eq!(
-        fleet.nodes()[0].tenants.len(),
+        fleet.nodes()[0].tenants().len(),
         6,
         "source population intact"
     );
-    assert_eq!(fleet.nodes()[1].tenants.len(), 18, "destination untouched");
+    assert_eq!(
+        fleet.nodes()[1].tenants().len(),
+        18,
+        "destination untouched"
+    );
+}
+
+/// A 16-SM source node overloaded with six residents, beside `dest`.
+fn overloaded_pair(dest: NodeSpec) -> Fleet {
+    let cfg = FleetConfig::new(vec![NodeSpec::sgprs("src", GpuSpec::synthetic(16)), dest])
+        .with_migration(0.05)
+        .with_telemetry(
+            crate::TelemetryConfig::windowed(SimDuration::from_millis(250)).with_trace(8),
+        );
+    let mut fleet = Fleet::new(cfg);
+    for i in 0..6 {
+        fleet.seed_resident(0, tenant(i));
+    }
+    fleet
+}
+
+#[test]
+fn a_failed_migration_has_no_side_effects() {
+    // The only other node is as full as the source: the victim fits
+    // nowhere, so the attempt must leave the source exactly as it was.
+    let mut fleet = overloaded_pair(NodeSpec::sgprs("full", GpuSpec::synthetic(16)));
+    for i in 6..12 {
+        fleet.seed_resident(1, tenant(i));
+    }
+    let horizon = SimDuration::from_secs(1);
+    fleet.open_run(horizon);
+    let state = |f: &Fleet| {
+        let node = &f.nodes()[0];
+        let ids = f.node_ids[0].clone();
+        let index: Vec<_> = ids.iter().map(|&id| f.resident_node_of(id)).collect();
+        (node.tenants().to_vec(), node.version(), ids, index)
+    };
+    let before = state(&fleet);
+    let (victim, dest) = fleet
+        .migrate_one(0, &[1.0, 0.0], SimDuration::from_millis(5))
+        .expect("the source has a victim");
+    assert_eq!(dest, None, "the victim fits nowhere");
+    assert_eq!(victim, before.2[5], "LIFO sheds the last placement");
+    assert_eq!(
+        state(&fleet),
+        before,
+        "tenants, version and index unchanged"
+    );
+    let m = fleet.close_run(horizon);
+    assert_eq!(m.migrations, 0);
+    assert_eq!(
+        m.telemetry.expect("telemetry is armed").trace,
+        vec!["0.000s migrate cam-5: node 0 -> nowhere (failed)".to_string()],
+        "the attempt is still recorded"
+    );
+}
+
+#[test]
+fn a_successful_migration_moves_one_tenant_and_bumps_both_versions() {
+    let mut fleet = overloaded_pair(NodeSpec::sgprs("cool", GpuSpec::rtx_2080_ti()));
+    let versions = |f: &Fleet| (f.nodes()[0].version(), f.nodes()[1].version());
+    let before = versions(&fleet);
+    let (victim, dest) = fleet
+        .migrate_one(0, &[1.0, 0.0], SimDuration::ZERO)
+        .expect("the source has a victim");
+    assert_eq!(dest, Some(1));
+    assert_eq!(fleet.nodes()[0].tenants().len(), 5);
+    assert_eq!(fleet.nodes()[1].tenants().len(), 1);
+    assert_eq!(fleet.nodes()[1].tenants()[0].name, "cam-5");
+    assert_eq!(fleet.node_ids[1], vec![victim]);
+    assert_eq!(fleet.resident_node_of(victim), Some(1));
+    let after = versions(&fleet);
+    assert!(
+        after.0 > before.0 && after.1 > before.1,
+        "{before:?} -> {after:?}"
+    );
 }
 
 #[test]
@@ -658,7 +733,7 @@ fn repricing_admits_degraded_then_upgrades_after_departures() {
     let restored = fleet
         .nodes()
         .iter()
-        .flat_map(|n| n.tenants.iter())
+        .flat_map(|n| n.tenants().iter())
         .find(|t| t.name == "elastic")
         .expect("still resident");
     assert!((restored.fps - 60.0).abs() < 1e-12, "{}", restored.fps);
@@ -911,7 +986,7 @@ fn event_departures_apply_at_their_exact_instant() {
     );
     let m = fleet.run_events(trace, SimDuration::from_secs(3));
     assert_eq!(m.departures, 1);
-    assert!(fleet.nodes().iter().all(|n| n.tenants.is_empty()));
+    assert!(fleet.nodes().iter().all(|n| n.tenants().is_empty()));
     let released: u64 = m.nodes.iter().map(|n| n.released).sum();
     assert!(
         (44..=46).contains(&released),
@@ -942,11 +1017,11 @@ fn event_migration_pays_the_configured_stall() {
         "each migration stalls for exactly the configured cost: {m:?}"
     );
     assert!(
-        fleet.nodes()[0].tenants.len() < 6,
+        fleet.nodes()[0].tenants().len() < 6,
         "the small node shed load"
     );
     assert!(
-        !fleet.nodes()[1].tenants.is_empty(),
+        !fleet.nodes()[1].tenants().is_empty(),
         "the big node absorbed it"
     );
     assert_eq!(m.truncated_jobs, 0);

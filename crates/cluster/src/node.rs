@@ -1,4 +1,11 @@
 //! Fleet nodes: one simulated GPU plus the scheduler that drives it.
+//!
+//! [`FleetNode`] owns its resident list and everything derived from it:
+//! the summed demand, the resident work mix and a version counter. The
+//! list is private and changes only through the node's mutators, which
+//! refold both aggregates and bump the version, so admission probes read
+//! them in O(1) and the event engine's caches (fluid load, utilisation
+//! samples) revalidate against [`FleetNode::version`].
 
 use crate::TenantSpec;
 use serde::{Deserialize, Serialize};
@@ -6,7 +13,7 @@ use sgprs_core::{
     ContextPoolSpec, NaiveConfig, NaiveScheduler, ReconfigConfig, ReconfigScheduler, RunMetrics,
     SgprsConfig, SgprsScheduler,
 };
-use sgprs_gpu_sim::{GpuSpec, SpeedupModel};
+use sgprs_gpu_sim::{GpuSpec, SpeedupModel, WorkProfile};
 use sgprs_rt::{SimDuration, SimTime};
 
 /// Which scheduler a node runs over its context pool.
@@ -87,19 +94,15 @@ impl NodeSpec {
     /// never delivers more than its physical SMs (the same occupancy
     /// argument as [`sgprs_core::analysis::estimate_capacity`]).
     #[must_use]
-    pub fn capacity_sm_equivalents(
-        &self,
-        profile: &sgprs_gpu_sim::WorkProfile,
-        concurrency: f64,
-    ) -> f64 {
-        let speedup = SpeedupModel::calibrated_rtx_2080_ti();
+    pub fn capacity_sm_equivalents(&self, profile: &WorkProfile, concurrency: f64) -> f64 {
+        let speedup = SpeedupModel::rtx_2080_ti();
         let demand: f64 = self
             .pool()
             .sm_allocations()
             .iter()
             .map(|&sm| {
                 let m_eff = f64::from(sm) / concurrency;
-                concurrency * profile.effective_speedup(&speedup, m_eff)
+                concurrency * profile.effective_speedup(speedup, m_eff)
             })
             .sum();
         demand.min(f64::from(self.gpu.total_sms))
@@ -141,12 +144,27 @@ impl NodeSpec {
 
 /// Run-time state of a node inside a [`crate::Fleet`]: the spec plus the
 /// tenants currently placed on it.
+///
+/// The node owns its resident list and the aggregates every admission
+/// probe reads: the summed demand and the demand-weighted work mix of
+/// the residents. Each mutator ([`Self::push_tenant`],
+/// [`Self::remove_tenant`], [`Self::insert_tenant`],
+/// [`Self::replace_tenant`]) refolds both in slot order, the float
+/// operations a from-scratch fold performs, so a probe reads them in
+/// O(1) with the same bits. Each mutator also bumps [`Self::version`],
+/// the key of every cache that is a pure function of the node's state.
 #[derive(Debug, Clone)]
 pub struct FleetNode {
     /// The static description.
     pub spec: NodeSpec,
     /// Tenants resident on this node, in placement order.
-    pub tenants: Vec<TenantSpec>,
+    tenants: Vec<TenantSpec>,
+    /// `Σ demand_sm_equivalents` of `tenants`, folded in slot order.
+    demand: f64,
+    /// The merged work profile of `tenants`, in slot order.
+    mix: WorkProfile,
+    /// Bumped by every mutation of `tenants`.
+    version: u64,
     /// The pool's per-context SM allocations, computed once here: the
     /// spec is immutable after construction, and materialising the pool
     /// on demand allocates (name strings + the allocation Vec) on paths
@@ -163,12 +181,85 @@ impl FleetNode {
     pub fn new(spec: NodeSpec) -> Self {
         let sm_allocs = spec.pool().sm_allocations();
         let max_context_sm = sm_allocs.iter().copied().max().unwrap_or(0);
-        FleetNode {
+        let mut node = FleetNode {
             spec,
             tenants: Vec::new(),
+            demand: 0.0,
+            mix: WorkProfile::new(),
+            version: 0,
             sm_allocs,
             max_context_sm,
+        };
+        node.refold();
+        node
+    }
+
+    /// The resident tenants, in placement order.
+    #[must_use]
+    pub fn tenants(&self) -> &[TenantSpec] {
+        &self.tenants
+    }
+
+    /// The mutation counter: strictly increases with every change to the
+    /// resident list, so an unchanged version pins unchanged aggregates.
+    #[must_use]
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
+    /// Appends a resident.
+    pub fn push_tenant(&mut self, tenant: TenantSpec) {
+        self.tenants.push(tenant);
+        self.refold();
+    }
+
+    /// Removes and returns the resident at `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is out of bounds.
+    pub fn remove_tenant(&mut self, slot: usize) -> TenantSpec {
+        let tenant = self.tenants.remove(slot);
+        self.refold();
+        tenant
+    }
+
+    /// Inserts a resident at `slot`, shifting later residents up.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot > tenants().len()`.
+    pub fn insert_tenant(&mut self, slot: usize, tenant: TenantSpec) {
+        self.tenants.insert(slot, tenant);
+        self.refold();
+    }
+
+    /// Replaces the resident at `slot` (a re-price keeps its slot),
+    /// returning the old spec.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is out of bounds.
+    pub fn replace_tenant(&mut self, slot: usize, tenant: TenantSpec) -> TenantSpec {
+        let old = std::mem::replace(&mut self.tenants[slot], tenant);
+        self.refold();
+        old
+    }
+
+    /// Recomputes the cached aggregates from scratch, in slot order, and
+    /// bumps the version.
+    fn refold(&mut self) {
+        self.demand = self
+            .tenants
+            .iter()
+            .map(TenantSpec::demand_sm_equivalents)
+            .sum();
+        let mut mix = WorkProfile::new();
+        for t in &self.tenants {
+            mix.merge(t.model.work_profile());
         }
+        self.mix = mix;
+        self.version += 1;
     }
 
     /// The pool's per-context SM allocations (cached at construction;
@@ -188,40 +279,34 @@ impl FleetNode {
     /// allocations: the identical fold in the identical order, without
     /// materialising the pool per call.
     #[must_use]
-    pub fn capacity_sm_equivalents(
-        &self,
-        profile: &sgprs_gpu_sim::WorkProfile,
-        concurrency: f64,
-    ) -> f64 {
-        let speedup = SpeedupModel::calibrated_rtx_2080_ti();
+    pub fn capacity_sm_equivalents(&self, profile: &WorkProfile, concurrency: f64) -> f64 {
+        let speedup = SpeedupModel::rtx_2080_ti();
         let demand: f64 = self
             .sm_allocs
             .iter()
             .map(|&sm| {
                 let m_eff = f64::from(sm) / concurrency;
-                concurrency * profile.effective_speedup(&speedup, m_eff)
+                concurrency * profile.effective_speedup(speedup, m_eff)
             })
             .sum();
         demand.min(f64::from(self.spec.gpu.total_sms))
     }
 
     /// Total steady-state demand of the resident tenants, in
-    /// SM-equivalents.
+    /// SM-equivalents (cached; see the type docs).
     #[must_use]
     pub fn total_demand(&self) -> f64 {
-        self.tenants
-            .iter()
-            .map(TenantSpec::demand_sm_equivalents)
-            .sum()
+        self.demand
     }
 
     /// The demand-weighted work profile of the resident tenants plus an
     /// optional candidate — the mix the capacity estimate is taken at.
+    /// Copies the cached resident mix and merges only the candidate.
     #[must_use]
-    pub fn mixed_profile(&self, candidate: Option<&TenantSpec>) -> sgprs_gpu_sim::WorkProfile {
-        let mut mix = sgprs_gpu_sim::WorkProfile::new();
-        for t in self.tenants.iter().chain(candidate) {
-            mix.merge(t.model.work_profile());
+    pub fn mixed_profile(&self, candidate: Option<&TenantSpec>) -> WorkProfile {
+        let mut mix = self.mix;
+        if let Some(c) = candidate {
+            mix.merge(c.model.work_profile());
         }
         mix
     }
@@ -313,10 +398,8 @@ mod tests {
     fn fleet_node_accumulates_demand() {
         let mut node = FleetNode::new(NodeSpec::sgprs("g", GpuSpec::rtx_2080_ti()));
         assert_eq!(node.total_demand(), 0.0);
-        node.tenants
-            .push(TenantSpec::new("a", ModelKind::ResNet18, 30.0));
-        node.tenants
-            .push(TenantSpec::new("b", ModelKind::MobileNet, 30.0));
+        node.push_tenant(TenantSpec::new("a", ModelKind::ResNet18, 30.0));
+        node.push_tenant(TenantSpec::new("b", ModelKind::MobileNet, 30.0));
         let d = node.total_demand();
         assert!(d > 0.0);
         assert!(!node.mixed_profile(None).is_empty());

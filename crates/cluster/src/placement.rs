@@ -89,12 +89,12 @@ impl Placer {
                         }
                         _ => None,
                     }
-                    .map(|score| (score, node.tenants.len()))
+                    .map(|score| (score, node.tenants().len()))
                 })
             }
             PlacementPolicy::BestFit => self.pick_by(nodes, tenant, admission, |node, d| {
                 // Smallest headroom that still fits wins.
-                d.is_admit().then(|| (d.headroom(), node.tenants.len()))
+                d.is_admit().then(|| (d.headroom(), node.tenants().len()))
             }),
         }
     }
@@ -157,7 +157,7 @@ mod tests {
         for i in 0..6 {
             let t = tenant(i);
             let idx = placer.place(&nodes, &t, &ctl).expect("capacity available");
-            nodes[idx].tenants.push(t);
+            nodes[idx].push_tenant(t);
             seen.push(idx);
         }
         assert_eq!(seen, vec![0, 1, 2, 0, 1, 2]);
@@ -171,10 +171,10 @@ mod tests {
         for i in 0..4 {
             let t = tenant(i);
             let idx = placer.place(&nodes, &t, &ctl).expect("capacity");
-            nodes[idx].tenants.push(t);
+            nodes[idx].push_tenant(t);
         }
-        assert_eq!(nodes[0].tenants.len(), 2);
-        assert_eq!(nodes[1].tenants.len(), 2, "load spread evenly");
+        assert_eq!(nodes[0].tenants().len(), 2);
+        assert_eq!(nodes[1].tenants().len(), 2, "load spread evenly");
     }
 
     #[test]
@@ -192,11 +192,11 @@ mod tests {
         let mut nodes = fleet(&[23]);
         // Saturate the single small node.
         while ctl
-            .evaluate(&nodes[0], &tenant(nodes[0].tenants.len()))
+            .evaluate(&nodes[0], &tenant(nodes[0].tenants().len()))
             .is_admit()
         {
-            let i = nodes[0].tenants.len();
-            nodes[0].tenants.push(tenant(i));
+            let i = nodes[0].tenants().len();
+            nodes[0].push_tenant(tenant(i));
         }
         for policy in [
             PlacementPolicy::RoundRobin,

@@ -238,8 +238,7 @@ impl DispatchPlanner {
             return Some(PricedPlan::Full(idx));
         }
         if repricing {
-            let steps: Vec<f64> = tenant.degrade_steps().collect();
-            for fps in steps {
+            for fps in tenant.degrade_steps() {
                 if let Some(idx) = self.plan(state, &tenant.at_fps(fps)) {
                     return Some(PricedPlan::Degraded(idx, fps));
                 }
@@ -323,7 +322,7 @@ pub fn upgrade_candidates(resident: &TenantSpec, requested: f64) -> Vec<f64> {
 }
 
 /// Chooses which resident of `node` a migration sheds, as a slot index
-/// into `node.tenants`, or `None` when the node has no residents.
+/// into `node.tenants()`, or `None` when the node has no residents.
 /// [`MigrationVictimPolicy::Lifo`] takes the most recently placed;
 /// `DemandAware` takes the smallest resident whose demand covers the
 /// node's budget overshoot, falling back to the largest-demand resident
@@ -336,20 +335,20 @@ pub fn select_migration_victim(
     admission: &AdmissionController,
     policy: MigrationVictimPolicy,
 ) -> Option<usize> {
-    if node.tenants.is_empty() {
+    if node.tenants().is_empty() {
         return None;
     }
     match policy {
-        MigrationVictimPolicy::Lifo => Some(node.tenants.len() - 1),
+        MigrationVictimPolicy::Lifo => Some(node.tenants().len() - 1),
         MigrationVictimPolicy::DemandAware => {
             let budget = admission.budget(node, None);
             let overshoot = (node.total_demand() - budget).max(0.0);
-            let demand = |slot: usize| node.tenants[slot].demand_sm_equivalents();
-            let covering = (0..node.tenants.len())
+            let demand = |slot: usize| node.tenants()[slot].demand_sm_equivalents();
+            let covering = (0..node.tenants().len())
                 .filter(|&s| overshoot > 0.0 && demand(s) >= overshoot)
                 .min_by(|&a, &b| demand(a).total_cmp(&demand(b)).then(a.cmp(&b)));
             covering.or_else(|| {
-                (0..node.tenants.len())
+                (0..node.tenants().len())
                     .max_by(|&a, &b| demand(a).total_cmp(&demand(b)).then(b.cmp(&a)))
             })
         }
@@ -410,7 +409,7 @@ mod tests {
         let ctl = AdmissionController::default();
         let mut n = node(68);
         for i in 0..4 {
-            n.tenants.push(tenant(&format!("t{i}"), 30.0));
+            n.push_tenant(tenant(&format!("t{i}"), 30.0));
         }
         assert_eq!(
             select_migration_victim(&n, &ctl, MigrationVictimPolicy::Lifo),
@@ -431,29 +430,29 @@ mod tests {
         // placed first, light 15 fps tenants after. LIFO would shed a
         // light one (barely relieving); demand-aware must find the
         // smallest tenant that covers the overshoot.
-        n.tenants.push(tenant("heavy", 60.0));
+        n.push_tenant(tenant("heavy", 60.0));
         while ctl
-            .evaluate(&n, &tenant(&format!("l{}", n.tenants.len()), 15.0))
+            .evaluate(&n, &tenant(&format!("l{}", n.tenants().len()), 15.0))
             .is_admit()
         {
-            let name = format!("l{}", n.tenants.len());
-            n.tenants.push(tenant(&name, 15.0));
+            let name = format!("l{}", n.tenants().len());
+            n.push_tenant(tenant(&name, 15.0));
         }
         // Push it into overload so there is an overshoot to cover.
-        n.tenants.push(tenant("extra-a", 15.0));
-        n.tenants.push(tenant("extra-b", 15.0));
+        n.push_tenant(tenant("extra-a", 15.0));
+        n.push_tenant(tenant("extra-b", 15.0));
         let budget = ctl.budget(&n, None);
         let overshoot = n.total_demand() - budget;
         assert!(overshoot > 0.0, "the node must be over budget");
         let slot = select_migration_victim(&n, &ctl, MigrationVictimPolicy::DemandAware)
             .expect("non-empty node");
-        let victim_demand = n.tenants[slot].demand_sm_equivalents();
+        let victim_demand = n.tenants()[slot].demand_sm_equivalents();
         assert!(
             victim_demand >= overshoot,
             "the victim's departure clears the overload: {victim_demand:.2} vs {overshoot:.2}"
         );
         // Minimality: no lighter resident also covers the overshoot.
-        for (s, t) in n.tenants.iter().enumerate() {
+        for (s, t) in n.tenants().iter().enumerate() {
             let d = t.demand_sm_equivalents();
             if d >= overshoot {
                 assert!(
@@ -470,12 +469,12 @@ mod tests {
         // Under budget (overshoot 0, the hot-naive-node case): shed the
         // heaviest resident.
         let mut n = node(68);
-        n.tenants.push(tenant("light", 15.0));
-        n.tenants.push(tenant("heavy", 60.0));
-        n.tenants.push(tenant("mid", 30.0));
+        n.push_tenant(tenant("light", 15.0));
+        n.push_tenant(tenant("heavy", 60.0));
+        n.push_tenant(tenant("mid", 30.0));
         let slot = select_migration_victim(&n, &ctl, MigrationVictimPolicy::DemandAware)
             .expect("non-empty");
-        assert_eq!(n.tenants[slot].name, "heavy");
+        assert_eq!(n.tenants()[slot].name, "heavy");
     }
 
     #[test]
@@ -509,7 +508,7 @@ mod tests {
     fn migration_destination_prefers_cool_admissible_nodes() {
         let ctl = AdmissionController::default();
         let mut nodes = vec![node(68), node(68), node(68)];
-        nodes[2].tenants.push(tenant("busy", 30.0));
+        nodes[2].push_tenant(tenant("busy", 30.0));
         let state = FleetState::new(&nodes, &ctl);
         let victim = tenant("victim", 30.0);
         // Node 1 is empty and cool: the least-loaded admissible choice.

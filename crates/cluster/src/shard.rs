@@ -417,7 +417,7 @@ mod tests {
         for range in shard_ranges(&fleet) {
             let resident: usize = fleet.nodes()[range.clone()]
                 .iter()
-                .map(|n| n.tenants.len())
+                .map(|n| n.tenants().len())
                 .sum();
             assert!(resident > 0, "shard {range:?} left idle");
         }
@@ -455,7 +455,7 @@ mod tests {
         for range in shard_ranges(&fleet) {
             let resident: usize = fleet.nodes()[range.clone()]
                 .iter()
-                .map(|n| n.tenants.len())
+                .map(|n| n.tenants().len())
                 .sum();
             assert!(resident > 0, "shard {range:?} left idle");
         }

@@ -1,12 +1,14 @@
 //! Property-based tests of the admission controller: whatever the fleet
 //! shape and offered load, an admitted set stays within the utilisation
-//! bound, and rejected tenants get in once departures free capacity.
+//! bound, and rejected tenants get in once departures free capacity. The
+//! node-owned aggregates every admission probe reads match a from-scratch
+//! fold after any sequence of resident-list edits.
 
 use proptest::prelude::*;
 use sgprs_cluster::{
     AdmissionController, FleetNode, ModelKind, NodeSpec, PlacementPolicy, Placer, TenantSpec,
 };
-use sgprs_gpu_sim::GpuSpec;
+use sgprs_gpu_sim::{GpuSpec, WorkProfile};
 
 fn model_of(tag: u8) -> ModelKind {
     match tag % 5 {
@@ -44,7 +46,7 @@ proptest! {
         for (i, &(tag, fps)) in offers.iter().enumerate() {
             let tenant = TenantSpec::new(format!("t-{i}"), model_of(tag), fps);
             if let Some(idx) = placer.place(&nodes, &tenant, &ctl) {
-                nodes[idx].tenants.push(tenant);
+                nodes[idx].push_tenant(tenant);
             }
         }
         for node in &nodes {
@@ -77,7 +79,7 @@ proptest! {
         prop_assume!(ctl.evaluate(&node, &tenant(0)).is_admit());
         let mut i = 0;
         while ctl.evaluate(&node, &tenant(i)).is_admit() {
-            node.tenants.push(tenant(i));
+            node.push_tenant(tenant(i));
             i += 1;
             prop_assert!(i < 10_000, "saturation must be reached");
         }
@@ -86,8 +88,8 @@ proptest! {
         // Departures free capacity one by one; eventually the rejected
         // tenant fits again (it is identical to the ones leaving).
         let mut readmitted = false;
-        while !node.tenants.is_empty() {
-            node.tenants.pop();
+        while !node.tenants().is_empty() {
+            node.remove_tenant(node.tenants().len() - 1);
             if ctl.evaluate(&node, &rejected).is_admit() {
                 readmitted = true;
                 break;
@@ -95,7 +97,7 @@ proptest! {
         }
         prop_assert!(readmitted, "an emptied node must re-admit");
         // And exactly one departure suffices for identical tenants.
-        prop_assert_eq!(node.tenants.len() + 1, i, "one slot was enough");
+        prop_assert_eq!(node.tenants().len() + 1, i, "one slot was enough");
     }
 
     /// The budget is monotone in device size: a strictly bigger GPU never
@@ -111,8 +113,55 @@ proptest! {
         let tenant = TenantSpec::new("t", model_of(tag), fps);
         let mut small = FleetNode::new(NodeSpec::sgprs("s", GpuSpec::synthetic(small_sm)));
         let mut large = FleetNode::new(NodeSpec::sgprs("l", GpuSpec::synthetic(small_sm + extra)));
-        small.tenants.push(tenant.clone());
-        large.tenants.push(tenant);
+        small.push_tenant(tenant.clone());
+        large.push_tenant(tenant);
         prop_assert!(ctl.budget(&large, None) >= ctl.budget(&small, None) - 1e-9);
+    }
+
+    /// The cached demand and work mix equal a from-scratch fold over the
+    /// residents in slot order, bit for bit, after every push, remove,
+    /// insert and replace; every edit moves the version forward.
+    #[test]
+    fn node_aggregates_match_a_from_scratch_fold(
+        edits in prop::collection::vec((0u8..4, 0usize..64, (0u8..5, 5.0f64..60.0)), 1..48),
+        candidate_tag in 0u8..5,
+        candidate_fps in 5.0f64..60.0,
+    ) {
+        let mut node = FleetNode::new(NodeSpec::sgprs("gpu", GpuSpec::rtx_2080_ti()));
+        let candidate = TenantSpec::new("candidate", model_of(candidate_tag), candidate_fps);
+        let mut version = node.version();
+        for (i, &(kind, seed, (tag, fps))) in edits.iter().enumerate() {
+            let tenant = TenantSpec::new(format!("t-{i}"), model_of(tag), fps);
+            let len = node.tenants().len();
+            match kind {
+                1 if len > 0 => {
+                    node.remove_tenant(seed % len);
+                }
+                2 => node.insert_tenant(seed % (len + 1), tenant),
+                3 if len > 0 => {
+                    node.replace_tenant(seed % len, tenant);
+                }
+                _ => node.push_tenant(tenant),
+            }
+            prop_assert!(node.version() > version, "edit {} kept the version", i);
+            version = node.version();
+
+            let demand: f64 = node
+                .tenants()
+                .iter()
+                .map(TenantSpec::demand_sm_equivalents)
+                .sum();
+            prop_assert_eq!(node.total_demand().to_bits(), demand.to_bits());
+            let mut mix = WorkProfile::new();
+            for t in node.tenants().iter().chain(Some(&candidate)) {
+                mix.merge(t.model.work_profile());
+            }
+            let cached = node.mixed_profile(Some(&candidate));
+            prop_assert_eq!(cached.segments().len(), mix.segments().len());
+            for (got, want) in cached.segments().iter().zip(mix.segments()) {
+                prop_assert_eq!(got.op, want.op);
+                prop_assert_eq!(got.single_sm_ns.to_bits(), want.single_sm_ns.to_bits());
+            }
+        }
     }
 }

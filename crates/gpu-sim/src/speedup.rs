@@ -196,6 +196,15 @@ impl SpeedupModel {
         Self::from_targets(&FIG1_TARGETS, 68.0)
     }
 
+    /// [`SpeedupModel::calibrated_rtx_2080_ti`], fitted once per process
+    /// and shared: hot paths that only read the model (admission probes
+    /// run it several times per decision) skip the refit and its `Vec`.
+    #[must_use]
+    pub fn rtx_2080_ti() -> &'static SpeedupModel {
+        static MODEL: std::sync::OnceLock<SpeedupModel> = std::sync::OnceLock::new();
+        MODEL.get_or_init(Self::calibrated_rtx_2080_ti)
+    }
+
     /// Builds a model by fitting one curve per `(op, target_speedup)` pair
     /// at the reference SM count `m_ref`.
     ///
@@ -350,6 +359,18 @@ mod tests {
         // (softmax) curve, not the conv curve.
         let got = model.speedup(OpClass::Linear, 68.0);
         assert!((got - 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn shared_model_is_the_calibrated_fit() {
+        assert_eq!(
+            SpeedupModel::rtx_2080_ti(),
+            &SpeedupModel::calibrated_rtx_2080_ti()
+        );
+        assert!(std::ptr::eq(
+            SpeedupModel::rtx_2080_ti(),
+            SpeedupModel::rtx_2080_ti()
+        ));
     }
 
     #[test]

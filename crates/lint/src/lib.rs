@@ -18,7 +18,7 @@
 //! | D002 | No wall-clock reads (`Instant::now`, `SystemTime`) outside the allowlisted profiling surfaces (the telemetry clock hooks, the span profiler, the bench bins). |
 //! | D003 | No ambient randomness (`thread_rng`, `OsRng`, `from_entropy`): randomness flows from explicit seeds. |
 //! | D004 | Parallel folds (`run_node_epochs`-style reduces, telemetry sketch merges) must state their fold order in a nearby comment (`node-index order`, `window order`, ...). |
-//! | H001 | No bare `unwrap()` — and only `expect("invariant: ...")` — on the dispatch hot path (`fleet`, `policy`, `shard`, `queue`, the event engine). |
+//! | H001 | No bare `unwrap()` — and only `expect("invariant: ...")` — on the dispatch hot path (`fleet`, `policy`, `shard`, `queue`, `node`, `admission`, the event engine). |
 //! | L000 | A malformed `sgprs-lint` control comment (fires on unparseable allows, unknown rule IDs, and missing justifications). |
 //!
 //! # Escape hatch
@@ -171,6 +171,8 @@ impl Config {
                 "crates/cluster/src/event/wheel.rs",
                 "crates/cluster/src/stream.rs",
                 "crates/cluster/src/interner.rs",
+                "crates/cluster/src/node.rs",
+                "crates/cluster/src/admission.rs",
             ]),
             fold_fns: vec![
                 FoldFn {

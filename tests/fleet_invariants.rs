@@ -204,7 +204,7 @@ proptest! {
             f.nodes()
                 .iter()
                 .map(|n| {
-                    n.tenants
+                    n.tenants()
                         .iter()
                         .map(|t| (t.name.clone(), t.fps.to_bits()))
                         .collect()
