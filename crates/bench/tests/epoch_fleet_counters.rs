@@ -1,0 +1,77 @@
+//! Pinned counters of the epoch fleet: perfbench's tiny `fleet-epoch`
+//! fleet (16 metro nodes for 2 simulated seconds at the reference seed)
+//! run on one worker. Its arrivals, released jobs, heap allocations and
+//! per-span call counts are pure functions of the configuration, so a
+//! change that moves any of them — a compile-cache miss, a new
+//! allocation per node epoch, an extra span — must fail here and re-pin
+//! on purpose.
+//!
+//! [`CountingAlloc`] is this test process's global allocator. One test
+//! function on purpose — the counters are process-global, so concurrent
+//! test threads would smear each other's deltas. The first fleet run in
+//! a process also fills two process-wide caches: the model work profiles
+//! ([`ModelKind::work_profile`]) and the calibrated speedup model
+//! ([`SpeedupModel::rtx_2080_ti`]). The test fills both up front and adds
+//! their allocations to the pin, so it reads what a run costs in a fresh
+//! process.
+
+use sgprs_bench::report::{AllocStats, CountingAlloc};
+use sgprs_cluster::{Fleet, ModelKind, Span, SPAN_COUNT};
+use sgprs_gpu_sim::SpeedupModel;
+use sgprs_workload::FleetScenario;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// The repository's reference seed (`"VrPS"`), perfbench's default.
+const REFERENCE_SEED: u64 = 0x5672_5053;
+
+/// The deterministic counters of one run.
+#[derive(Debug, PartialEq, Eq)]
+struct Counters {
+    arrivals: u64,
+    /// Jobs released over every node epoch.
+    released: u64,
+    /// Heap allocations of the run in a fresh process: the run's own
+    /// plus the process-wide cache fills.
+    allocs: u64,
+    /// Call counts in [`Span::ALL`] order: plan, drain_scan, event_pop,
+    /// event_exec, epoch_compile, telemetry_fold, arrival_pull,
+    /// wheel_cascade.
+    spans: [u64; SPAN_COUNT],
+}
+
+/// Heap allocations made by `f`, with its result.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = AllocStats::snapshot();
+    let out = f();
+    (out, AllocStats::snapshot().since(&before).allocs)
+}
+
+#[test]
+fn epoch_fleet_counters_are_pinned() {
+    let (_, cache_fill) = counted(|| {
+        let _ = ModelKind::ResNet18.work_profile();
+        let _ = SpeedupModel::rtx_2080_ti();
+    });
+    let scenario = FleetScenario::metro_scale(16, 2).with_seed(REFERENCE_SEED);
+    let mut fleet = Fleet::new(scenario.config().with_workers(1));
+    let (metrics, allocs) = counted(|| fleet.run_configured(scenario.arrivals(), scenario.sim));
+    assert_eq!(metrics.deferred, 0, "fleet-epoch keeps the wait queue idle");
+    let counters = Counters {
+        arrivals: metrics.arrivals,
+        released: metrics.nodes.iter().map(|n| n.released).sum(),
+        allocs: cache_fill + allocs,
+        spans: Span::ALL.map(|s| fleet.span_calls(s)),
+    };
+    assert_eq!(
+        counters,
+        Counters {
+            arrivals: 14,
+            released: 484,
+            allocs: 5_161,
+            spans: [14, 1, 0, 0, 2, 0, 14, 0],
+        },
+        "fleet-epoch tiny shape, reference seed, one worker"
+    );
+}

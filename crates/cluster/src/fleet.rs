@@ -71,7 +71,8 @@
 //! tasks are prepared before any node runs, and each node's jitter seed
 //! is a pure function of `(fleet seed, epoch index, node index)`. `run`
 //! therefore fans the per-node `run_epoch` calls out over scoped worker
-//! threads and folds the results back in ascending node index, so the
+//! threads, which pull node jobs from a shared cursor, and folds the
+//! results back in ascending node index, so the
 //! resulting [`FleetMetrics`] is bit-identical to sequential execution
 //! (`with_workers(1)` is the escape hatch): parallelism
 //! changes wall-clock time, never results.
@@ -88,6 +89,8 @@ use crate::{
 use sgprs_core::{CompiledTask, RunMetrics};
 use sgprs_rt::{SimDuration, SimTime};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Where a dispatched tenant ended up.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -154,8 +157,13 @@ pub struct Fleet {
     /// Sub-epoch release phase of tenants that arrived mid-epoch,
     /// id-indexed, consumed by the next `run_epoch`.
     pending_phase: Vec<Option<SimDuration>>,
-    /// Compiled-task cache keyed by (model, stages, period ns, node).
+    /// Compiled-task cache keyed by (model, stages, period ns, pool
+    /// class). Compiling reads only the node's context pool, so every
+    /// node of one pool class shares one entry per price point.
     compiled: HashMap<(crate::ModelKind, usize, u64, usize), CompiledTask>,
+    /// Pool class of each node: the index of the first node whose
+    /// context pool equals its own (see [`pool_classes`]).
+    pool_class: Vec<usize>,
     /// Node index of each resident, id-indexed (`None` = queued or
     /// free slot).
     resident_node: Vec<Option<usize>>,
@@ -217,6 +225,7 @@ impl Fleet {
         let queue = DispatchQueue::new(cfg.queue.policy);
         let telemetry = Telemetry::new(cfg.telemetry.clone());
         let node_ids = vec![Vec::new(); nodes.len()];
+        let pool_class = pool_classes(&nodes);
         Fleet {
             cfg,
             nodes,
@@ -226,6 +235,7 @@ impl Fleet {
             interner: TenantInterner::new(),
             pending_phase: Vec::new(),
             compiled: HashMap::new(),
+            pool_class,
             resident_node: Vec::new(),
             node_ids,
             now: SimTime::ZERO,
@@ -873,20 +883,25 @@ impl Fleet {
         self.span_calls(Span::EventPop) + self.span_calls(Span::ArrivalPull)
     }
 
-    /// Cache key of one resident's compiled task on node `node_idx`.
-    fn compile_key(tenant: &TenantSpec, node_idx: usize) -> (crate::ModelKind, usize, u64, usize) {
+    /// Cache key of one resident's compiled task on node `node_idx`:
+    /// its price point and the node's pool class.
+    fn compile_key(
+        &self,
+        tenant: &TenantSpec,
+        node_idx: usize,
+    ) -> (crate::ModelKind, usize, u64, usize) {
         (
             tenant.model,
             tenant.stages,
             tenant.period().as_nanos(),
-            node_idx,
+            self.pool_class[node_idx],
         )
     }
 
     /// Warms the compile cache for resident `pos` of node `node_idx`
     /// (the only part of task preparation that needs `&mut` state).
     fn ensure_compiled(&mut self, node_idx: usize, pos: usize) {
-        let key = Self::compile_key(&self.nodes[node_idx].tenants()[pos], node_idx);
+        let key = self.compile_key(&self.nodes[node_idx].tenants()[pos], node_idx);
         if !self.compiled.contains_key(&key) {
             let pool = self.nodes[node_idx].spec.pool();
             let task = self.nodes[node_idx].tenants()[pos].compile_for(&pool);
@@ -999,7 +1014,7 @@ impl Fleet {
                     .map(|(t, &id)| {
                         let mut task = self
                             .compiled
-                            .get(&Self::compile_key(t, idx))
+                            .get(&self.compile_key(t, idx))
                             .expect("invariant: the compile cache was warmed for every resident")
                             .clone();
                         task.spec.name = t.name.clone();
@@ -1182,6 +1197,32 @@ impl NodeEpochJob {
     }
 }
 
+/// The pool class of each node: the index of the first node whose
+/// [`crate::NodeSpec::pool`] equals its own. Compares the fields
+/// `pool()` reads (contexts, effective `os`, device), so no pool is
+/// materialised; each node is checked against one representative per
+/// class found so far, and a fleet has a handful of device types.
+fn pool_classes(nodes: &[FleetNode]) -> Vec<usize> {
+    let same_pool = |a: &crate::NodeSpec, b: &crate::NodeSpec| {
+        a.contexts == b.contexts && a.oversubscription() == b.oversubscription() && a.gpu == b.gpu
+    };
+    let mut classes: Vec<usize> = Vec::new();
+    nodes
+        .iter()
+        .enumerate()
+        .map(|(idx, node)| {
+            let known = classes
+                .iter()
+                .copied()
+                .find(|&class| same_pool(&nodes[class].spec, &node.spec));
+            known.unwrap_or_else(|| {
+                classes.push(idx);
+                idx
+            })
+        })
+        .collect()
+}
+
 /// Worker-thread count for the per-epoch fan-out: the override, or
 /// every available core.
 fn epoch_workers(over: Option<usize>) -> usize {
@@ -1192,10 +1233,13 @@ fn epoch_workers(over: Option<usize>) -> usize {
     })
 }
 
-/// Runs the prepared per-node epoch jobs — over `workers` scoped worker
-/// threads when more than one — and returns `(node index, metrics)`
-/// pairs sorted by node index, so folding them is deterministic
-/// regardless of the execution strategy.
+/// Runs the prepared per-node epoch jobs and returns `(node index,
+/// metrics)` pairs sorted by node index, so folding them is
+/// deterministic regardless of the execution strategy. With more than
+/// one worker, the calling thread and `workers − 1` scoped threads pull
+/// jobs from a shared cursor until none is left: node costs are uneven
+/// (SM counts and resident counts vary), so whoever finishes early takes
+/// the next job.
 fn run_node_epochs(
     nodes: &[FleetNode],
     jobs: Vec<NodeEpochJob>,
@@ -1208,29 +1252,36 @@ fn run_node_epochs(
             .map(|job| job.run(nodes, epoch_len))
             .collect()
     } else {
-        // Partition the node indices round-robin across the workers; each
-        // worker hands its (idx, metrics) pairs back through its join
-        // handle, so no locks are involved.
-        let mut buckets: Vec<Vec<NodeEpochJob>> = (0..workers).map(|_| Vec::new()).collect();
-        for (i, job) in jobs.into_iter().enumerate() {
-            buckets[i % workers].push(job);
-        }
+        // Each slot is taken exactly once, by whoever drew its index, so
+        // its lock is never contended. The cursor publishes no data (a
+        // job reaches its worker through its slot's lock, and the slots
+        // were filled before any worker started), so `Relaxed` suffices.
+        let slots: Vec<Mutex<Option<NodeEpochJob>>> =
+            jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
+        let cursor = AtomicUsize::new(0);
+        let pull = || {
+            let mut done = Vec::with_capacity(slots.len());
+            while let Some(slot) = slots.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                let job = slot
+                    .lock()
+                    .expect("invariant: a slot's lock is held only to take its job")
+                    .take()
+                    .expect("invariant: the cursor hands out each job once");
+                done.push(job.run(nodes, epoch_len));
+            }
+            done
+        };
         crossbeam::scope(|scope| {
-            let handles: Vec<_> = buckets
-                .into_iter()
-                .map(|bucket| {
-                    scope.spawn(move |_| {
-                        bucket
-                            .into_iter()
-                            .map(|job| job.run(nodes, epoch_len))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("invariant: node epoch workers never panic"))
-                .collect()
+            let handles: Vec<_> = (1..workers).map(|_| scope.spawn(|_| pull())).collect();
+            let mut done = pull();
+            for handle in handles {
+                done.extend(
+                    handle
+                        .join()
+                        .expect("invariant: node epoch workers never panic"),
+                );
+            }
+            done
         })
         .expect("invariant: epoch worker scope never fails")
     };

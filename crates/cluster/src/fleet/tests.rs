@@ -417,17 +417,28 @@ fn demand_aware_victim_sheds_the_most_relieving_tenant() {
 fn forced_multi_worker_fanout_matches_inline_execution() {
     // `available_parallelism()` is 1 in small CI containers, which
     // would leave the scoped-thread path untested: drive
-    // `run_node_epochs` with an explicit worker count instead.
-    let nodes: Vec<FleetNode> = three_node_fleet()
-        .nodes
-        .into_iter()
-        .map(FleetNode::new)
+    // `run_node_epochs` with an explicit worker count instead. Nine
+    // nodes of mixed sizes and schedulers carry one to three tasks
+    // each, so the jobs are uneven and the workers pull them in a
+    // thread-timing-dependent interleaving.
+    let sizes = [68u32, 46, 34, 23];
+    let nodes: Vec<FleetNode> = (0..9)
+        .map(|i| {
+            let sm = sizes[i % sizes.len()];
+            let spec = NodeSpec::sgprs(format!("gpu{i}"), GpuSpec::synthetic(sm));
+            let spec = match i % 3 {
+                0 => spec,
+                1 => spec.with_contexts(2),
+                _ => spec.with_scheduler(NodeScheduler::Naive),
+            };
+            FleetNode::new(spec)
+        })
         .collect();
     let jobs = || -> Vec<NodeEpochJob> {
         (0..nodes.len())
             .map(|idx| NodeEpochJob {
                 idx,
-                tasks: (0..3)
+                tasks: (0..1 + idx % 3)
                     .map(|j| tenant(idx * 3 + j).compile_for(&nodes[idx].spec.pool()))
                     .collect(),
                 seed: 42 + idx as u64,
@@ -436,10 +447,85 @@ fn forced_multi_worker_fanout_matches_inline_execution() {
     };
     let epoch = SimDuration::from_secs(1);
     let inline = run_node_epochs(&nodes, jobs(), epoch, 1);
-    let fanned = run_node_epochs(&nodes, jobs(), epoch, 4);
     assert_eq!(inline.len(), nodes.len());
     assert!(inline.iter().all(|(_, m)| m.released > 0));
-    assert_eq!(inline, fanned, "thread count must never change results");
+    assert!(inline.iter().map(|(idx, _)| *idx).eq(0..nodes.len()));
+    for workers in [2, 3, 8, 32] {
+        let fanned = run_node_epochs(&nodes, jobs(), epoch, workers);
+        assert_eq!(
+            inline, fanned,
+            "{workers} workers: thread count must never change results"
+        );
+    }
+}
+
+/// A fleet over `specs` with one ResNet18@30 resident per node, each
+/// compiled through the fleet's cache.
+fn compiled_fleet(specs: Vec<NodeSpec>) -> Fleet {
+    let mut fleet = Fleet::new(FleetConfig::new(specs));
+    for idx in 0..fleet.nodes.len() {
+        fleet.seed_resident(idx, tenant(idx));
+        fleet.ensure_compiled(idx, 0);
+    }
+    fleet
+}
+
+/// The cached compile of node `idx`'s first resident.
+fn cached_compile(fleet: &Fleet, idx: usize) -> &CompiledTask {
+    let key = fleet.compile_key(&fleet.nodes[idx].tenants()[0], idx);
+    &fleet.compiled[&key]
+}
+
+#[test]
+fn equal_pools_share_one_compile_per_price_point() {
+    // Names differ; device, contexts and `os` do not.
+    let mut fleet = Fleet::new(three_node_fleet());
+    for idx in 0..3 {
+        for j in 0..3 {
+            fleet.seed_resident(idx, tenant(idx * 3 + j));
+        }
+    }
+    let m = fleet.run(ChurnTrace::new(), SimDuration::from_secs(1));
+    assert!(m.nodes.iter().all(|n| n.released > 0));
+    assert_eq!(fleet.pool_class, [0, 0, 0]);
+    assert_eq!(fleet.compiled.len(), 1, "nine residents, one price point");
+    let own = tenant(0).compile_for(&fleet.nodes[2].spec.pool());
+    assert_eq!(cached_compile(&fleet, 2).spec.stages, own.spec.stages);
+    assert_eq!(cached_compile(&fleet, 2).spec.wcet, own.spec.wcet);
+}
+
+#[test]
+fn pools_that_differ_never_share_a_compile() {
+    let base = NodeSpec::sgprs("base", GpuSpec::rtx_2080_ti());
+    let fleet = compiled_fleet(vec![
+        base.clone(),
+        NodeSpec::sgprs("fewer-sms", GpuSpec::synthetic(46)),
+        base.clone().with_contexts(2),
+        base.with_scheduler(NodeScheduler::Sgprs {
+            oversubscription: 2.0,
+        }),
+    ]);
+    assert_eq!(fleet.pool_class, [0, 1, 2, 3]);
+    assert_eq!(fleet.compiled.len(), 4, "one entry per distinct pool");
+    let base_wcet = cached_compile(&fleet, 0).spec.wcet;
+    for idx in 1..4 {
+        let task = cached_compile(&fleet, idx);
+        assert_ne!(task.spec.wcet, base_wcet, "node {idx}");
+        let own = tenant(idx).compile_for(&fleet.nodes[idx].spec.pool());
+        assert_eq!(task.spec.wcet, own.spec.wcet, "node {idx}");
+    }
+}
+
+#[test]
+fn naive_and_reconfig_nodes_on_one_device_share_a_compile() {
+    let gpu = GpuSpec::synthetic(34);
+    let fleet = compiled_fleet(vec![
+        NodeSpec::sgprs("naive", gpu.clone()).with_scheduler(NodeScheduler::Naive),
+        NodeSpec::sgprs("reconfig", gpu).with_scheduler(NodeScheduler::Reconfig),
+    ]);
+    assert_eq!(fleet.nodes[0].spec.pool(), fleet.nodes[1].spec.pool());
+    assert_eq!(fleet.pool_class, [0, 0]);
+    assert_eq!(fleet.compiled.len(), 1);
 }
 
 #[test]

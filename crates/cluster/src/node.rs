@@ -81,11 +81,17 @@ impl NodeSpec {
     /// The context pool this node partitions its device into.
     #[must_use]
     pub fn pool(&self) -> ContextPoolSpec {
-        let os = match self.scheduler {
+        ContextPoolSpec::new(self.contexts, self.oversubscription()).with_gpu(self.gpu.clone())
+    }
+
+    /// The pool's over-subscription factor: the SGPRS `os`, or 1.0 (an
+    /// exact partition) for the naive and reconfiguring schedulers.
+    #[must_use]
+    pub(crate) fn oversubscription(&self) -> f64 {
+        match self.scheduler {
             NodeScheduler::Sgprs { oversubscription } => oversubscription,
             NodeScheduler::Naive | NodeScheduler::Reconfig => 1.0,
-        };
-        ContextPoolSpec::new(self.contexts, os).with_gpu(self.gpu.clone())
+        }
     }
 
     /// Fluid-model capacity of this node in SM-equivalents for work with

@@ -72,14 +72,14 @@ pub fn compile_stages(
     period: SimDuration,
     pool: &ContextPoolSpec,
 ) -> CompiledTask {
-    let speedup = SpeedupModel::calibrated_rtx_2080_ti();
+    let speedup = SpeedupModel::rtx_2080_ti();
     let reference_sm = pool.min_sm_allocation();
     let wcets: Vec<SimDuration> = stages
         .iter()
         .map(|s| {
             profile_wcet(
                 &s.profile,
-                &speedup,
+                speedup,
                 pool.gpu.launch_overhead_ns,
                 reference_sm,
             )

@@ -390,7 +390,7 @@ impl GpuEngine {
     pub fn builder(spec: crate::GpuSpec) -> GpuEngineBuilder {
         GpuEngineBuilder {
             spec,
-            speedup: SpeedupModel::calibrated_rtx_2080_ti(),
+            speedup: SpeedupModel::rtx_2080_ti().clone(),
             contention: ContentionModel::calibrated(),
             contexts: Vec::new(),
             seed: 0x5672_5053,
