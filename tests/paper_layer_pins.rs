@@ -3,7 +3,10 @@
 //! Every scheduler (SGPRS in three configurations, the naive partitioner
 //! and the reconfiguring partitioner) runs under every release-time
 //! admission rule at an under-load and an overload point, and the
-//! resulting counters must equal the recorded values exactly. A refactor
+//! resulting counters must equal the recorded values exactly. SGPRS's
+//! default and abort-hopeless configurations also run on a pool of three
+//! unequal contexts, so per-context dispatch order is pinned beyond two
+//! contexts. A refactor
 //! of the shared release, admission or completion code that changes a
 //! single simulated decision fails here.
 
@@ -35,16 +38,22 @@ fn pool() -> ContextPoolSpec {
     ContextPoolSpec::new(2, 1.5)
 }
 
-/// `n` 30-fps ResNet-18 tasks; `stagger_ms > 0` makes tenant `i` arrive
-/// at `i · stagger_ms`.
-fn tasks(n: usize, stagger_ms: u64) -> Vec<CompiledTask> {
+/// Three contexts at 2× over-subscription: 136 SMs split 46/45/45, so
+/// dispatch runs over more than two unequal contexts.
+fn pool3() -> ContextPoolSpec {
+    ContextPoolSpec::new(3, 2.0)
+}
+
+/// `n` 30-fps ResNet-18 tasks compiled for `pool`; `stagger_ms > 0`
+/// makes tenant `i` arrive at `i · stagger_ms`.
+fn tasks(pool: &ContextPoolSpec, n: usize, stagger_ms: u64) -> Vec<CompiledTask> {
     let base = offline::compile_network_task(
         "cam",
         &models::resnet18(1, 224),
         &CostModel::calibrated(),
         6,
         SimDuration::from_micros(33_333),
-        &pool(),
+        pool,
     )
     .expect("six stages");
     (0..n)
@@ -70,17 +79,19 @@ fn pin(m: &RunMetrics, repartitions: u64) -> Pin {
     ]
 }
 
-/// Runs `run(admission, tasks)` over the whole grid and compares every
-/// row against `expected`, reporting all mismatches at once.
+/// Runs `run(admission, tasks)` over the whole grid on `pool` and
+/// compares every row against `expected`, reporting all mismatches at
+/// once.
 fn check(
     scheduler: &str,
+    pool: &ContextPoolSpec,
     stagger_ms: u64,
     expected: &[(&str, Pin)],
     run: impl Fn(Admission, Vec<CompiledTask>) -> Pin,
 ) {
     let mut got = Vec::new();
     for (load, n) in LOADS {
-        let set = tasks(n, stagger_ms);
+        let set = tasks(pool, n, stagger_ms);
         for (mode_name, mode) in MODES {
             got.push((format!("{load}/{mode_name}"), run(mode, set.clone())));
         }
@@ -99,9 +110,12 @@ fn check(
     }
 }
 
-fn run_sgprs(tweak: impl Fn(&mut SgprsConfig)) -> impl Fn(Admission, Vec<CompiledTask>) -> Pin {
+fn run_sgprs(
+    pool: ContextPoolSpec,
+    tweak: impl Fn(&mut SgprsConfig),
+) -> impl Fn(Admission, Vec<CompiledTask>) -> Pin {
     move |mode, set| {
-        let mut cfg = SgprsConfig::new(pool());
+        let mut cfg = SgprsConfig::new(pool.clone());
         cfg.admission = mode;
         tweak(&mut cfg);
         pin(&SgprsScheduler::new(cfg, set).run(end()), 0)
@@ -110,16 +124,45 @@ fn run_sgprs(tweak: impl Fn(&mut SgprsConfig)) -> impl Fn(Admission, Vec<Compile
 
 #[test]
 fn sgprs_default_pins() {
-    check("sgprs", 0, SGPRS_DEFAULT, run_sgprs(|_| {}));
+    check(
+        "sgprs",
+        &pool(),
+        0,
+        SGPRS_DEFAULT,
+        run_sgprs(pool(), |_| {}),
+    );
+}
+
+#[test]
+fn sgprs_three_context_pins() {
+    check(
+        "sgprs@3x2.0",
+        &pool3(),
+        0,
+        SGPRS_3CTX_DEFAULT,
+        run_sgprs(pool3(), |_| {}),
+    );
+}
+
+#[test]
+fn sgprs_three_context_abort_hopeless_pins() {
+    check(
+        "sgprs+abort@3x2.0",
+        &pool3(),
+        0,
+        SGPRS_3CTX_ABORT,
+        run_sgprs(pool3(), |c| c.abort_hopeless = true),
+    );
 }
 
 #[test]
 fn sgprs_abort_hopeless_pins() {
     check(
         "sgprs+abort",
+        &pool(),
         0,
         SGPRS_ABORT,
-        run_sgprs(|c| c.abort_hopeless = true),
+        run_sgprs(pool(), |c| c.abort_hopeless = true),
     );
 }
 
@@ -127,9 +170,10 @@ fn sgprs_abort_hopeless_pins() {
 fn sgprs_fifo_overflow_pins() {
     check(
         "sgprs+fifo+overflow",
+        &pool(),
         0,
         SGPRS_FIFO_OVERFLOW,
-        run_sgprs(|c| {
+        run_sgprs(pool(), |c| {
             c.queue_order = QueueOrder::Fifo;
             c.high_overflow_to_low = true;
         }),
@@ -138,7 +182,7 @@ fn sgprs_fifo_overflow_pins() {
 
 #[test]
 fn naive_pins() {
-    check("naive", 0, NAIVE, |mode, set| {
+    check("naive", &pool(), 0, NAIVE, |mode, set| {
         let mut cfg = NaiveConfig::new(2);
         cfg.admission = mode;
         pin(&NaiveScheduler::new(cfg, set).run(end()), 0)
@@ -147,7 +191,7 @@ fn naive_pins() {
 
 #[test]
 fn reconfig_pins() {
-    check("reconfig", 40, RECONFIG, |mode, set| {
+    check("reconfig", &pool(), 40, RECONFIG, |mode, set| {
         let mut cfg = ReconfigConfig::new();
         cfg.base.admission = mode;
         let mut s = ReconfigScheduler::new(cfg, set);
@@ -202,6 +246,36 @@ const SGPRS_FIFO_OVERFLOW: &[(&str, Pin)] = &[
         [450, 271, 122, 149, 149, 0, 9028050065, 0],
     ),
     ("over/queue-all", [450, 224, 0, 224, 0, 0, 44833229582, 0]),
+];
+
+const SGPRS_3CTX_DEFAULT: &[(&str, Pin)] = &[
+    ("under/frame-buffer", [90, 84, 84, 0, 0, 0, 674113886, 0]),
+    ("under/skip-if-busy", [90, 84, 84, 0, 0, 0, 674113886, 0]),
+    ("under/queue-all", [90, 84, 84, 0, 0, 0, 674113886, 0]),
+    (
+        "over/frame-buffer",
+        [450, 327, 204, 123, 93, 0, 10336212105, 0],
+    ),
+    (
+        "over/skip-if-busy",
+        [450, 293, 166, 127, 127, 0, 9149278196, 0],
+    ),
+    ("over/queue-all", [450, 259, 0, 259, 0, 0, 42214809584, 0]),
+];
+
+const SGPRS_3CTX_ABORT: &[(&str, Pin)] = &[
+    ("under/frame-buffer", [90, 84, 84, 0, 0, 0, 674113886, 0]),
+    ("under/skip-if-busy", [90, 84, 84, 0, 0, 0, 674113886, 0]),
+    ("under/queue-all", [90, 84, 84, 0, 0, 0, 674113886, 0]),
+    (
+        "over/frame-buffer",
+        [450, 218, 183, 35, 0, 200, 6774796113, 0],
+    ),
+    (
+        "over/skip-if-busy",
+        [450, 183, 170, 13, 125, 112, 4360886851, 0],
+    ),
+    ("over/queue-all", [450, 173, 137, 36, 0, 225, 5340139242, 0]),
 ];
 
 const NAIVE: &[(&str, Pin)] = &[
