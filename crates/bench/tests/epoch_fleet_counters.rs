@@ -69,7 +69,7 @@ fn epoch_fleet_counters_are_pinned() {
         Counters {
             arrivals: 14,
             released: 484,
-            allocs: 5_161,
+            allocs: 5_119,
             spans: [14, 1, 0, 0, 2, 0, 14, 0],
         },
         "fleet-epoch tiny shape, reference seed, one worker"

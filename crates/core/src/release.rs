@@ -50,6 +50,9 @@ pub(crate) struct Driver {
     /// Per-task monotone admission counter (job ids stay unique even when
     /// grabbed frames are admitted off the period grid).
     admit_seq: Vec<u64>,
+    /// The earliest pending release across tasks; the generators advance
+    /// only in [`Driver::release_due`], which refreshes it.
+    next_release: SimTime,
     collector: MetricsCollector,
     /// Completions of the current step (reused across steps).
     events: Vec<DeviceEvent>,
@@ -65,12 +68,14 @@ impl Driver {
     pub(crate) fn new(tasks: &[CompiledTask], admission: Admission, warmup: SimDuration) -> Self {
         assert!(!tasks.is_empty(), "need at least one task");
         let n = tasks.len();
+        let gens: Vec<ReleaseGenerator> = tasks
+            .iter()
+            .map(|t| ReleaseGenerator::new(SimTime::ZERO + t.spec.phase, t.spec.period))
+            .collect();
         Driver {
             admission,
-            gens: tasks
-                .iter()
-                .map(|t| ReleaseGenerator::new(SimTime::ZERO + t.spec.phase, t.spec.period))
-                .collect(),
+            next_release: earliest_release(&gens),
+            gens,
             outstanding: vec![0; n],
             buffered: vec![None; n],
             admit_seq: vec![0; n],
@@ -93,12 +98,7 @@ impl Driver {
     /// measurement window and restarts the collector.
     pub(crate) fn run<P: Policy>(&mut self, policy: &mut P, end: SimTime) -> RunMetrics {
         loop {
-            let next_release = self
-                .gens
-                .iter()
-                .map(ReleaseGenerator::next_release)
-                .min()
-                .expect("at least one task");
+            let next_release = self.next_release;
             let next = match policy.engine().next_event_time() {
                 Some(d) if d < next_release => d,
                 _ => next_release,
@@ -159,6 +159,7 @@ impl Driver {
                 self.admit(policy, task, release);
             }
         }
+        self.next_release = earliest_release(&self.gens);
     }
 
     fn admit<P: Policy>(&mut self, policy: &mut P, task: usize, release: SimTime) {
@@ -210,6 +211,14 @@ impl Driver {
             self.collector.record_skip(task, boundary);
         }
     }
+}
+
+/// The earliest pending release of `gens`.
+fn earliest_release(gens: &[ReleaseGenerator]) -> SimTime {
+    gens.iter()
+        .map(ReleaseGenerator::next_release)
+        .min()
+        .expect("invariant: the driver has at least one task")
 }
 
 /// Builds a device with one context per entry of `sm_allocs`, each with

@@ -19,6 +19,18 @@
 //! context carries no reconfiguration cost — the paper's headline property
 //! (compare [`crate::NaiveScheduler`], which pays for every tenant
 //! switch).
+//!
+//! Dispatch visits only the contexts where something changed. A visit
+//! ends once no idle stream can take a queued entry, and only two things
+//! can change that: a stage enqueued into the context, or a kernel
+//! completing there and freeing a stream. Both mark the context, and each
+//! dispatch call visits the marked ones in ascending index order,
+//! clearing the mark as it starts a visit. A context marked during the
+//! call (an abort re-admitting a buffered frame) is visited later in the
+//! same call if its index is still ahead, else on the next call — exactly
+//! when a visit-every-context loop would have served it. Debug builds
+//! check that every skipped context has no idle stream with an eligible
+//! queued entry.
 
 use crate::release::{build_engine, Driver, Policy};
 use crate::{Admission, CompiledTask, QueueOrder, RunMetrics, SgprsConfig};
@@ -82,12 +94,28 @@ impl TaskJobs {
             .push_back(self.template.release(index, release, storage));
     }
 
-    /// Drops finished job `index`, keeping its stage storage.
-    fn retire(&mut self, index: u64) {
-        if let Some(job) = self.position(index).and_then(|i| self.live.remove(i)) {
-            self.spare.push(job.stages);
-        }
+    /// Drops finished job `index`, keeping its stage storage; `false`
+    /// when no such job was live.
+    fn retire(&mut self, index: u64) -> bool {
+        let Some(job) = self.position(index).and_then(|i| self.live.remove(i)) else {
+            return false;
+        };
+        self.spare.push(job.stages);
+        true
     }
+}
+
+/// One context's dispatch state.
+#[derive(Debug)]
+struct ContextQueue {
+    /// Three-band EDF ready queue.
+    bands: PriorityBands<StageRef>,
+    /// Outstanding-work estimate in nanoseconds (queued + running stages
+    /// at their isolated estimates).
+    pending_ns: f64,
+    /// Marked when a stage is enqueued here or a kernel completes here;
+    /// [`Policy::dispatch`] visits only marked contexts.
+    dirty: bool,
 }
 
 /// Which band(s) a dispatch pop may take from.
@@ -128,16 +156,15 @@ struct Sgprs {
     response_ema_ns: f64,
     /// Completions observed so far (EMA warm-up gate).
     completions_seen: u64,
-    /// Per-context three-band EDF ready queues.
-    queues: Vec<PriorityBands<StageRef>>,
+    /// Per-context ready queues, backlog estimates and dispatch marks.
+    contexts: Vec<ContextQueue>,
     /// Kernels in flight, indexed by [`slot_of`] their stream (a stream
     /// holds at most one kernel).
     running: Vec<Option<InFlight>>,
     /// Scratch for the stages a completion makes ready.
     ready: Vec<usize>,
-    /// Outstanding-work estimate per context in nanoseconds (queued +
-    /// running stages at their isolated estimates).
-    pending_ns: Vec<f64>,
+    /// Released, not-yet-finished jobs across all tasks.
+    live_jobs: usize,
     /// Isolated estimate of every (task, stage, context), flat: task
     /// rows start at [`TaskJobs::isolated_base`], then stage-major.
     isolated_ns: Vec<f64>,
@@ -204,10 +231,16 @@ impl SgprsScheduler {
                 jobs,
                 response_ema_ns: 0.0,
                 completions_seen: 0,
-                queues: (0..n_ctx).map(|_| PriorityBands::new()).collect(),
+                contexts: (0..n_ctx)
+                    .map(|_| ContextQueue {
+                        bands: PriorityBands::new(),
+                        pending_ns: 0.0,
+                        dirty: false,
+                    })
+                    .collect(),
                 running: vec![None; slot_count],
                 ready: Vec::new(),
-                pending_ns: vec![0.0; n_ctx],
+                live_jobs: 0,
                 isolated_ns,
                 fifo_seq: 0,
                 slot_count,
@@ -250,8 +283,12 @@ impl Policy for Sgprs {
         // Below the device's own concurrency there is no queueing — a new
         // job cannot make anyone late, and admitting keeps the response
         // estimator fed (no shed-forever deadlock).
-        let live_jobs: usize = self.jobs.iter().map(|j| j.live.len()).sum();
-        if live_jobs < self.slot_count + self.slot_count / 2 {
+        debug_assert_eq!(
+            self.live_jobs,
+            self.jobs.iter().map(|j| j.live.len()).sum::<usize>(),
+            "live-job count drifted"
+        );
+        if self.live_jobs < self.slot_count + self.slot_count / 2 {
             return true;
         }
         self.response_ema_ns <= self.tasks[task].spec.deadline.as_nanos() as f64
@@ -261,6 +298,7 @@ impl Policy for Sgprs {
     /// (§IV-B1: absolute stage deadlines are stamped at release).
     fn admit(&mut self, task_idx: usize, index: u64, release: SimTime) {
         self.jobs[task_idx].release(index, release);
+        self.live_jobs += 1;
         // Source stages are immediately ready: assign contexts now.
         for i in 0..self.jobs[task_idx].template.sources().len() {
             let stage = self.jobs[task_idx].template.sources()[i];
@@ -277,6 +315,8 @@ impl Policy for Sgprs {
     /// Handles a kernel completion: stage bookkeeping, promotion rule, job
     /// completion accounting.
     fn on_event(&mut self, driver: &mut Driver, ev: &DeviceEvent) {
+        // The completion freed one of the context's streams.
+        self.contexts[ev.context.0].dirty = true;
         let Some(InFlight {
             stage: sref,
             est_ns,
@@ -285,7 +325,8 @@ impl Policy for Sgprs {
         else {
             return;
         };
-        self.pending_ns[ev.context.0] = (self.pending_ns[ev.context.0] - est_ns).max(0.0);
+        let pending = &mut self.contexts[ev.context.0].pending_ns;
+        *pending = (*pending - est_ns).max(0.0);
         let Some(job) = self.jobs[sref.task].get_mut(sref.release_index) else {
             return;
         };
@@ -306,15 +347,24 @@ impl Policy for Sgprs {
         self.ready = ready;
         if let Some(done) = completed {
             self.note_completion(done.duration_since(release).as_nanos() as f64);
-            self.jobs[sref.task].retire(sref.release_index);
+            self.retire_job(sref);
             driver.complete(self, sref.task, release, done, deadline);
         }
     }
 
     /// Dispatches queued stages onto idle stream slots (§IV-B3): high
-    /// band → high streams; medium and low bands → low streams.
+    /// band → high streams; medium and low bands → low streams. Visits
+    /// only the contexts marked since their last visit, in index order
+    /// (module docs).
     fn dispatch(&mut self, driver: &mut Driver, _now: SimTime) {
-        for ctx in 0..self.queues.len() {
+        for ctx in 0..self.contexts.len() {
+            if !std::mem::take(&mut self.contexts[ctx].dirty) {
+                debug_assert!(
+                    !self.can_dispatch(ctx),
+                    "unmarked context {ctx} has an idle stream with eligible queued work"
+                );
+                continue;
+            }
             loop {
                 let snap = self.engine.snapshot(ContextId(ctx));
                 let mut dispatched = false;
@@ -359,23 +409,40 @@ impl Sgprs {
         }
     }
 
+    /// Whether context `ctx` has an idle stream and a queued entry that
+    /// stream may serve (what a dispatch visit would pop).
+    fn can_dispatch(&self, ctx: usize) -> bool {
+        let snap = self.engine.snapshot(ContextId(ctx));
+        let bands = &self.contexts[ctx].bands;
+        let high = bands.band_len(PriorityLevel::High) > 0;
+        let below_high = bands.len() > bands.band_len(PriorityLevel::High);
+        (snap.idle_high > 0 && high)
+            || (snap.idle_low > 0 && (below_high || (self.config.high_overflow_to_low && high)))
+    }
+
+    /// Drops finished or aborted job `sref.release_index` of `sref.task`.
+    fn retire_job(&mut self, sref: StageRef) {
+        let retired = self.jobs[sref.task].retire(sref.release_index);
+        self.live_jobs -= usize::from(retired);
+    }
+
     /// §IV-B2 context assignment: empty queues first, then the
     /// deadline-meeting context with the shortest queue, else earliest
     /// estimated finish time.
     fn enqueue_stage(&mut self, sref: StageRef, priority: PriorityLevel) {
         let deadline = self.jobs[sref.task]
             .get(sref.release_index)
-            .expect("queued stages belong to live jobs")
+            .expect("invariant: queued stages belong to live jobs")
             .stages[sref.stage]
             .absolute_deadline;
         let now_ns = self.engine.now().as_nanos() as f64;
-        let n_ctx = self.queues.len();
+        let n_ctx = self.contexts.len();
 
         // Rule 1: contexts with empty queues — pick the one with the most
         // idle streams (least resident work), ties to the lowest index.
         let mut best_empty: Option<(usize, usize)> = None; // (idle streams, ctx)
         for ctx in 0..n_ctx {
-            if self.queues[ctx].is_empty() {
+            if self.contexts[ctx].bands.is_empty() {
                 let snap = self.engine.snapshot(ContextId(ctx));
                 let idle = snap.idle_high + snap.idle_low;
                 if best_empty.is_none_or(|(best_idle, _)| idle > best_idle) {
@@ -396,7 +463,7 @@ impl Sgprs {
                     earliest = (est, ctx);
                 }
                 if est <= deadline.as_nanos() as f64 {
-                    let qlen = self.queues[ctx].len();
+                    let qlen = self.contexts[ctx].bands.len();
                     if meeting.is_none_or(|(best_len, _)| qlen < best_len) {
                         meeting = Some((qlen, ctx));
                     }
@@ -410,7 +477,9 @@ impl Sgprs {
         };
 
         let est = self.isolated_estimate_ns(chosen, sref);
-        self.pending_ns[chosen] += est;
+        let queue = &mut self.contexts[chosen];
+        queue.pending_ns += est;
+        queue.dirty = true;
         let queue_key = match self.config.queue_order {
             QueueOrder::Edf => deadline,
             QueueOrder::Fifo => {
@@ -418,14 +487,14 @@ impl Sgprs {
                 SimTime::from_nanos(self.fifo_seq)
             }
         };
-        self.queues[chosen].push(priority, sref, queue_key);
+        queue.bands.push(priority, sref, queue_key);
     }
 
     /// Isolated-duration estimate of a stage on a context's full SM
     /// allocation (the scheduler's cheap WCET-like estimate), tabulated
     /// at construction.
     fn isolated_estimate_ns(&self, ctx: usize, sref: StageRef) -> f64 {
-        let n_ctx = self.queues.len();
+        let n_ctx = self.contexts.len();
         self.isolated_ns[self.jobs[sref.task].isolated_base + sref.stage * n_ctx + ctx]
     }
 
@@ -433,7 +502,7 @@ impl Sgprs {
     /// to context `ctx` now: current backlog shrunk by the context's
     /// intra-context parallelism, plus the stage's own estimate.
     fn estimate_finish_ns(&self, ctx: usize, sref: StageRef, now_ns: f64) -> f64 {
-        let backlog = self.pending_ns[ctx] / self.config.finish_estimate_parallelism;
+        let backlog = self.contexts[ctx].pending_ns / self.config.finish_estimate_parallelism;
         now_ns + backlog + self.isolated_estimate_ns(ctx, sref)
     }
 
@@ -445,8 +514,9 @@ impl Sgprs {
     fn pop_live(&mut self, driver: &mut Driver, ctx: usize, band: PopBand) -> Option<StageRef> {
         loop {
             let entry = match band {
-                PopBand::ExactHigh => self.queues[ctx].pop_exact(PriorityLevel::High),
-                PopBand::AtMostMedium => self.queues[ctx]
+                PopBand::ExactHigh => self.contexts[ctx].bands.pop_exact(PriorityLevel::High),
+                PopBand::AtMostMedium => self.contexts[ctx]
+                    .bands
                     .pop_at_most(PriorityLevel::Medium)
                     .map(|(_, e)| e),
             }?;
@@ -462,11 +532,12 @@ impl Sgprs {
                 Some(_) => return Some(sref),
             };
             let est = self.isolated_estimate_ns(ctx, sref);
-            self.pending_ns[ctx] = (self.pending_ns[ctx] - est).max(0.0);
+            let pending = &mut self.contexts[ctx].pending_ns;
+            *pending = (*pending - est).max(0.0);
             if let Some(release) = hopeless {
                 // The frame is dropped; the task is free to take its
                 // freshest buffered frame right away.
-                self.jobs[sref.task].retire(sref.release_index);
+                self.retire_job(sref);
                 let now = self.engine.now();
                 driver.abort(self, sref.task, release, now);
             }
@@ -485,8 +556,11 @@ impl Sgprs {
         let kernel = self
             .engine
             .submit(ContextId(ctx), class, KernelDesc::new(label, profile))
-            .expect("dispatch checked an idle stream existed");
-        let stream = self.engine.stream_of(kernel).expect("just submitted");
+            .expect("invariant: dispatch checked an idle stream existed");
+        let stream = self
+            .engine
+            .stream_of(kernel)
+            .expect("invariant: a just-submitted kernel is running");
         self.running[slot_of(stream)] = Some(InFlight {
             kernel,
             stage: sref,

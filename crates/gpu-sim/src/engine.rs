@@ -27,9 +27,30 @@
 //! class and the speedup model are fixed from submit to retirement, so its
 //! duration at its effective SM share (`m_eff`) and the speedup that
 //! duration implies are pure functions of `m_eff`. Each running kernel
-//! keeps both, keyed by `m_eff`'s bits, and a re-flow recomputes them only
-//! for kernels whose key changed: those whose own context's resident set
-//! changed. A hit therefore equals a fresh compute bit for bit.
+//! keeps both, keyed by `m_eff`'s bits, together with its rate
+//! denominator (`launch + extra + duration × jitter`). A hit therefore
+//! equals a fresh compute bit for bit.
+//!
+//! A re-flow works only where the resident set changed. `submit` and
+//! retirement mark the context they touch; the re-flow then
+//!
+//! 1. recomputes each marked context's stream-weight sum from scratch, in
+//!    `running` order, and its high and low `m_eff` once;
+//! 2. re-derives the memo of each kernel in a marked context whose
+//!    `m_eff` bits moved (kernels elsewhere keep their share, since their
+//!    context's weight sum did not change);
+//! 3. sums occupancy over all of `running`, in order, and derives the
+//!    contention factor from it;
+//! 4. divides a kernel's rate anew only when the factor's bits or the
+//!    kernel's denominator changed.
+//!
+//! Each context also counts its busy high and low streams, so
+//! [`GpuEngine::snapshot`] and the busy-time accounting never scan slots.
+//!
+//! The next completion instant is cached between mutations: the first
+//! query after a change scans `running`, later ones reuse the result. The
+//! cache is dropped by every re-flow (rates moved) and whenever time moves
+//! (progress changed `remaining` and the reference instant).
 
 use crate::{ContentionModel, GpuSimError, KernelDesc, SpeedupModel, TraceRecorder, WorkProfile};
 use rand::rngs::SmallRng;
@@ -185,12 +206,19 @@ struct RunningKernel {
     /// The effective speedup `duration_ns` implies: the SM-equivalents
     /// the kernel keeps busy, its term of the engine's occupancy.
     eff_speedup: f64,
+    /// `launch + extra_ns + duration_ns × jitter`: the wall time the
+    /// kernel would take at contention factor 1.
+    denom_ns: f64,
+    /// Set when `rate` no longer matches `denom_ns` (a new kernel, or a
+    /// reshare that moved the denominator).
+    rate_stale: bool,
 }
 
 impl RunningKernel {
     /// Re-derives the memo at effective SM share `m_eff`, with
-    /// [`WorkProfile::effective_speedup`]'s guard on the speedup.
-    fn reshare(&mut self, model: &SpeedupModel, m_eff: f64) {
+    /// [`WorkProfile::effective_speedup`]'s guard on the speedup, and
+    /// marks the rate stale if the denominator moved.
+    fn reshare(&mut self, model: &SpeedupModel, launch_ns: f64, m_eff: f64) {
         let t = self.work.duration_ns_at(model, m_eff);
         self.m_eff_bits = m_eff.to_bits();
         self.duration_ns = t;
@@ -199,6 +227,11 @@ impl RunningKernel {
         } else {
             self.work.total_single_sm_ns() / t
         };
+        let denom = launch_ns + self.extra_ns + t * self.jitter;
+        if denom.to_bits() != self.denom_ns.to_bits() {
+            self.denom_ns = denom;
+            self.rate_stale = true;
+        }
     }
 }
 
@@ -207,9 +240,62 @@ struct ContextState {
     config: ContextConfig,
     /// One slot per stream: the handle of the kernel occupying it.
     slots: Vec<Option<KernelHandle>>,
+    /// Occupied high-priority slots.
+    busy_high: usize,
+    /// Occupied low-priority slots.
+    busy_low: usize,
+    /// Set when the resident set changed since the last re-flow.
+    dirty: bool,
+    /// The resident kernels' total stream weight, as of the last re-flow.
+    weight_sum: f64,
+    /// `m_eff` of a kernel on a high / low stream, as of the last re-flow.
+    m_eff_high: f64,
+    m_eff_low: f64,
 }
 
 impl ContextState {
+    fn new(config: ContextConfig) -> Self {
+        ContextState {
+            slots: vec![None; config.total_streams()],
+            config,
+            busy_high: 0,
+            busy_low: 0,
+            dirty: true,
+            weight_sum: 0.0,
+            m_eff_high: 0.0,
+            m_eff_low: 0.0,
+        }
+    }
+
+    fn busy_mut(&mut self, class: StreamClass) -> &mut usize {
+        match class {
+            StreamClass::High => &mut self.busy_high,
+            StreamClass::Low => &mut self.busy_low,
+        }
+    }
+
+    /// Puts `handle` on stream `slot` of `class`.
+    fn occupy(&mut self, slot: usize, class: StreamClass, handle: KernelHandle) {
+        self.slots[slot] = Some(handle);
+        *self.busy_mut(class) += 1;
+        self.dirty = true;
+    }
+
+    /// Frees stream `slot` of `class`.
+    fn vacate(&mut self, slot: usize, class: StreamClass) {
+        self.slots[slot] = None;
+        *self.busy_mut(class) -= 1;
+        self.dirty = true;
+    }
+
+    /// The cached `m_eff` of a kernel on a stream of `class`.
+    fn cached_m_eff(&self, class: StreamClass) -> f64 {
+        match class {
+            StreamClass::High => self.m_eff_high,
+            StreamClass::Low => self.m_eff_low,
+        }
+    }
+
     /// Processor-sharing weight of a kernel on a stream of `class`.
     fn weight(&self, class: StreamClass) -> f64 {
         match class {
@@ -240,21 +326,8 @@ impl ContextState {
         range.into_iter().find(|&i| self.slots[i].is_none())
     }
 
-    fn idle_count(&self, class: StreamClass) -> usize {
-        let range = match class {
-            StreamClass::High => 0..self.config.high_streams,
-            StreamClass::Low => {
-                self.config.high_streams..self.config.high_streams + self.config.low_streams
-            }
-        };
-        range
-            .into_iter()
-            .filter(|&i| self.slots[i].is_none())
-            .count()
-    }
-
     fn resident(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.busy_high + self.busy_low
     }
 }
 
@@ -283,8 +356,12 @@ pub struct GpuEngine {
     /// allocation idles and is up for grabs, which is what makes
     /// over-subscription profitable; see [`ContentionModel`]).
     occupancy: f64,
-    /// Re-flow scratch: per-context total stream weight.
-    weight_sum: Vec<f64>,
+    /// The contention factor of the last re-flow, which every clean
+    /// kernel's `rate` was divided from.
+    factor: f64,
+    /// The next completion instant (ns, infinite when idle), once a query
+    /// computed it; `None` after any mutation (module docs).
+    next_completion_ns: Option<f64>,
     /// Retirement scratch: kernels finishing at the current instant.
     retired: Vec<RunningKernel>,
 }
@@ -348,14 +425,8 @@ impl GpuEngineBuilder {
     /// Builds the engine.
     #[must_use]
     pub fn build(self) -> GpuEngine {
-        let contexts: Vec<ContextState> = self
-            .contexts
-            .into_iter()
-            .map(|config| ContextState {
-                slots: vec![None; config.total_streams()],
-                config,
-            })
-            .collect();
+        let contexts: Vec<ContextState> =
+            self.contexts.into_iter().map(ContextState::new).collect();
         let n_ctx = contexts.len();
         let mut engine = GpuEngine {
             spec: self.spec,
@@ -376,7 +447,8 @@ impl GpuEngineBuilder {
             completed_count: 0,
             pending: VecDeque::new(),
             occupancy: 0.0,
-            weight_sum: vec![0.0; n_ctx],
+            factor: f64::NAN,
+            next_completion_ns: None,
             retired: Vec::new(),
         };
         engine.recompute_rates();
@@ -439,8 +511,8 @@ impl GpuEngine {
         ContextSnapshot {
             sm_alloc: c.config.sm_alloc,
             resident: c.resident(),
-            idle_high: c.idle_count(StreamClass::High),
-            idle_low: c.idle_count(StreamClass::Low),
+            idle_high: c.config.high_streams - c.busy_high,
+            idle_low: c.config.low_streams - c.busy_low,
         }
     }
 
@@ -516,7 +588,7 @@ impl GpuEngine {
             1.0
         };
 
-        self.contexts[ctx.0].slots[slot] = Some(handle);
+        self.contexts[ctx.0].occupy(slot, class, handle);
         let stream = StreamId {
             context: ctx,
             index: slot,
@@ -538,23 +610,22 @@ impl GpuEngine {
             m_eff_bits: 0,
             duration_ns: 0.0,
             eff_speedup: 0.0,
+            denom_ns: f64::NAN,
+            rate_stale: true,
         };
         // A valid memo entry for a zero share; the re-flow below moves it
         // to the kernel's real share.
-        kernel.reshare(&self.speedup, 0.0);
+        kernel.reshare(&self.speedup, self.spec.launch_overhead_ns as f64, 0.0);
         self.running.push(kernel);
         self.recompute_rates();
         Ok(handle)
     }
 
     /// The instant of the next kernel completion, if any kernel is running.
+    /// Takes `&mut self` to cache the instant until the next mutation.
     #[must_use]
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        let ns = self
-            .running
-            .iter()
-            .map(|k| self.completion_time_of(k))
-            .fold(f64::INFINITY, f64::min);
+    pub fn next_event_time(&mut self) -> Option<SimTime> {
+        let ns = self.next_completion_ns();
         if ns.is_finite() {
             Some(SimTime::from_nanos(ns.min(u64::MAX as f64).ceil() as u64))
         } else {
@@ -633,11 +704,7 @@ impl GpuEngine {
         }
         let target_ns = t.as_nanos() as f64;
         loop {
-            let next = self
-                .running
-                .iter()
-                .map(|k| self.completion_time_of(k))
-                .fold(f64::INFINITY, f64::min);
+            let next = self.next_completion_ns();
             if !(next.is_finite() && next <= target_ns) {
                 self.progress_to(t);
                 return;
@@ -656,7 +723,7 @@ impl GpuEngine {
             // Handles are unique, so the unstable sort is deterministic.
             self.retired.sort_unstable_by_key(|k| k.handle);
             for k in self.retired.drain(..) {
-                self.contexts[k.context.0].slots[k.stream.index] = None;
+                self.contexts[k.context.0].vacate(k.stream.index, k.class);
                 self.completed_count += 1;
                 if let Some(trace) = &mut self.trace {
                     trace.end(k.handle, self.now);
@@ -673,23 +740,51 @@ impl GpuEngine {
         }
     }
 
+    /// Context `ctx`'s stream-weight sum recomputed from scratch, in
+    /// `running` order: the cached `weight_sum` must equal it bit for bit.
+    fn fresh_weight_sum(&self, ctx: ContextId) -> f64 {
+        let c = &self.contexts[ctx.0];
+        self.running
+            .iter()
+            .filter(|j| j.context == ctx)
+            .fold(0.0, |sum, j| sum + c.weight(j.class))
+    }
+
     /// The resident set's occupancy recomputed from scratch, without the
-    /// re-flow's scratch buffers: the cached `occupancy` must equal it bit
-    /// for bit.
+    /// re-flow's caches: the cached `occupancy` must equal it bit for bit.
     fn fresh_occupancy(&self) -> f64 {
         self.running
             .iter()
             .map(|k| {
                 let ctx = &self.contexts[k.context.0];
-                let weight_sum = self
-                    .running
-                    .iter()
-                    .filter(|j| j.context == k.context)
-                    .fold(0.0, |sum, j| sum + ctx.weight(j.class));
-                k.work
-                    .effective_speedup(&self.speedup, ctx.m_eff(k.class, weight_sum))
+                let m_eff = ctx.m_eff(k.class, self.fresh_weight_sum(k.context));
+                k.work.effective_speedup(&self.speedup, m_eff)
             })
             .sum()
+    }
+
+    /// The next completion instant (ns; infinite when nothing runs), from
+    /// the cache when no mutation dropped it since the last scan.
+    fn next_completion_ns(&mut self) -> f64 {
+        if let Some(ns) = self.next_completion_ns {
+            debug_assert_eq!(
+                ns.to_bits(),
+                self.fresh_next_completion_ns().to_bits(),
+                "cached next completion went stale"
+            );
+            return ns;
+        }
+        let ns = self.fresh_next_completion_ns();
+        self.next_completion_ns = Some(ns);
+        ns
+    }
+
+    /// The earliest completion instant over `running`, scanned afresh.
+    fn fresh_next_completion_ns(&self) -> f64 {
+        self.running
+            .iter()
+            .map(|k| self.completion_time_of(k))
+            .fold(f64::INFINITY, f64::min)
     }
 
     /// Moves all running kernels' progress forward to instant `t` under the
@@ -707,33 +802,48 @@ impl GpuEngine {
                 }
             }
         }
+        if t_ns != self.last_reflow_ns {
+            // Completion instants are relative to the reference instant.
+            self.next_completion_ns = None;
+        }
         self.last_reflow_ns = t_ns;
         if t > self.now {
             self.now = t;
         }
     }
 
-    /// Recomputes every running kernel's rate from the current resident
-    /// set. Must be called after any submit/retire. Only kernels whose
-    /// effective SM share moved re-derive their duration (module docs).
+    /// Re-derives the rates after a submit or retirement, working only
+    /// where the resident set changed (module docs). Must be called after
+    /// any submit/retire.
     fn recompute_rates(&mut self) {
         let total = f64::from(self.spec.total_sms);
+        let launch_ns = self.spec.launch_overhead_ns as f64;
         let Self {
             contexts,
             running,
-            weight_sum,
             speedup,
             ..
         } = self;
-        weight_sum.fill(0.0);
+        for c in contexts.iter_mut().filter(|c| c.dirty) {
+            c.weight_sum = 0.0;
+        }
         for k in running.iter() {
-            weight_sum[k.context.0] += contexts[k.context.0].weight(k.class);
+            let c = &mut contexts[k.context.0];
+            if c.dirty {
+                c.weight_sum += c.weight(k.class);
+            }
+        }
+        for c in contexts.iter_mut().filter(|c| c.dirty) {
+            c.m_eff_high = c.m_eff(StreamClass::High, c.weight_sum);
+            c.m_eff_low = c.m_eff(StreamClass::Low, c.weight_sum);
         }
         for k in running.iter_mut() {
-            let m_eff = contexts[k.context.0].m_eff(k.class, weight_sum[k.context.0]);
-            if k.m_eff_bits != m_eff.to_bits() {
-                k.reshare(speedup, m_eff);
+            let c = &contexts[k.context.0];
+            let m_eff = c.cached_m_eff(k.class);
+            if c.dirty && k.m_eff_bits != m_eff.to_bits() {
+                k.reshare(speedup, launch_ns, m_eff);
             } else {
+                debug_assert_eq!(k.m_eff_bits, m_eff.to_bits(), "a clean share moved");
                 debug_assert_eq!(
                     k.duration_ns.to_bits(),
                     k.work.duration_ns_at(speedup, m_eff).to_bits(),
@@ -741,18 +851,25 @@ impl GpuEngine {
                 );
             }
         }
+        for c in contexts.iter_mut() {
+            c.dirty = false;
+        }
         let occupancy: f64 = running.iter().map(|k| k.eff_speedup).sum();
         let factor = self.contention.rate_factor(occupancy, total);
+        let factor_moved = factor.to_bits() != self.factor.to_bits();
         self.occupancy = occupancy;
-        let launch_ns = self.spec.launch_overhead_ns as f64;
+        self.factor = factor;
         for k in &mut self.running {
-            let duration_ns = launch_ns + k.extra_ns + k.duration_ns * k.jitter;
-            k.rate = if duration_ns > 0.0 {
-                factor / duration_ns
-            } else {
-                f64::INFINITY
-            };
+            if factor_moved || k.rate_stale {
+                k.rate = if k.denom_ns > 0.0 {
+                    factor / k.denom_ns
+                } else {
+                    f64::INFINITY
+                };
+                k.rate_stale = false;
+            }
         }
+        self.next_completion_ns = None;
     }
 
     /// Absolute completion instant (ns) of a running kernel at its current
@@ -1082,6 +1199,111 @@ mod tests {
             check(&e);
         }
         assert_eq!(e.occupancy, 0.0, "an idle device demands nothing");
+    }
+
+    /// Every incremental cache against a from-scratch recompute: the
+    /// per-context busy counts (via `snapshot`), the cached next completion
+    /// and every kernel's rate.
+    fn assert_bookkeeping_is_fresh(e: &GpuEngine, step: usize) {
+        for (i, c) in e.contexts.iter().enumerate() {
+            let (high, low) = c.slots.split_at(c.config.high_streams);
+            let idle = |s: &[Option<KernelHandle>]| s.iter().filter(|s| s.is_none()).count();
+            let scanned = ContextSnapshot {
+                sm_alloc: c.config.sm_alloc,
+                resident: c.slots.iter().filter(|s| s.is_some()).count(),
+                idle_high: idle(high),
+                idle_low: idle(low),
+            };
+            assert_eq!(e.snapshot(ContextId(i)), scanned, "step {step} ctx {i}");
+        }
+        if let Some(ns) = e.next_completion_ns {
+            assert_eq!(
+                ns.to_bits(),
+                e.fresh_next_completion_ns().to_bits(),
+                "step {step}: stale next completion"
+            );
+        }
+        let factor = e
+            .contention
+            .rate_factor(e.fresh_occupancy(), f64::from(e.spec.total_sms));
+        for k in &e.running {
+            let m_eff = e.contexts[k.context.0].m_eff(k.class, e.fresh_weight_sum(k.context));
+            let denom = e.spec.launch_overhead_ns as f64
+                + k.extra_ns
+                + k.work.duration_ns_at(&e.speedup, m_eff) * k.jitter;
+            let rate = if denom > 0.0 {
+                factor / denom
+            } else {
+                f64::INFINITY
+            };
+            assert_eq!(
+                k.rate.to_bits(),
+                rate.to_bits(),
+                "step {step}: kernel {:?} rate went stale",
+                k.handle
+            );
+        }
+    }
+
+    #[test]
+    fn incremental_bookkeeping_matches_a_fresh_recompute_after_every_step() {
+        // A 2× pool of three unequal contexts on the calibrated contention
+        // model: the factor and the jitter both move as kernels come and go.
+        let mut e = GpuEngine::builder(GpuSpec::rtx_2080_ti())
+            .context(ContextConfig::new(46))
+            .context(ContextConfig::new(45))
+            .context(ContextConfig::new(45))
+            .build();
+        let ops = [OpClass::Convolution, OpClass::MaxPool, OpClass::BatchNorm];
+        let mut lcg = 0x5eed_u64;
+        let (mut submits, mut completions, mut contended) = (0, 0, 0);
+        for step in 0..2_000 {
+            lcg = lcg
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let r = (lcg >> 33) as usize;
+            let ctx = ContextId(r % 3);
+            let class = if (r / 3).is_multiple_of(2) {
+                StreamClass::High
+            } else {
+                StreamClass::Low
+            };
+            match r / 6 % 5 {
+                // Submit where a stream of that class is idle.
+                0..=2 => {
+                    let snap = e.snapshot(ctx);
+                    let idle = match class {
+                        StreamClass::High => snap.idle_high,
+                        StreamClass::Low => snap.idle_low,
+                    };
+                    if idle > 0 {
+                        let work = WorkProfile::single(ops[r % 3], 2e5 * (1 + r / 30 % 9) as f64);
+                        e.submit(ctx, class, KernelDesc::new("k", work)).unwrap();
+                        submits += 1;
+                    }
+                }
+                // Move time by up to 10 µs: usually no completion is due,
+                // yet progress re-rounds the completion instants, so a
+                // cache kept across the move is caught now and then.
+                3 => {
+                    let dt = 1 + (r / 30 % 9_973) as u64;
+                    let to = SimTime::from_nanos(e.now().as_nanos() + dt);
+                    completions += e.advance_to(to).len();
+                }
+                _ => completions += usize::from(e.run_next().is_some()),
+            }
+            assert_bookkeeping_is_fresh(&e, step);
+            // Fill the next-completion cache, so a mutation that forgets
+            // to drop it is caught at the next step.
+            let _ = e.next_event_time();
+            assert_bookkeeping_is_fresh(&e, step);
+            contended += usize::from(e.factor < 1.0);
+        }
+        assert!(
+            submits > 100 && completions > 50 && contended > 50,
+            "too little exercised: {submits} submits, {completions} completions, \
+             {contended} contended steps"
+        );
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! | D002 | No wall-clock reads (`Instant::now`, `SystemTime`) outside the allowlisted profiling surfaces (the telemetry clock hooks, the span profiler, the bench bins). |
 //! | D003 | No ambient randomness (`thread_rng`, `OsRng`, `from_entropy`): randomness flows from explicit seeds. |
 //! | D004 | Parallel folds (`run_node_epochs`-style reduces, telemetry sketch merges) must state their fold order in a nearby comment (`node-index order`, `window order`, ...). |
-//! | H001 | No bare `unwrap()` — and only `expect("invariant: ...")` — on the dispatch hot path (`fleet`, `policy`, `shard`, `queue`, `node`, `admission`, the event engine). |
+//! | H001 | No bare `unwrap()` — and only `expect("invariant: ...")` — on the dispatch hot path (`fleet`, `policy`, `shard`, `queue`, `node`, `admission`, the event engine) and the paper layer's step loop (the gpu-sim engine, the SGPRS online phase, the release driver). |
 //! | L000 | A malformed `sgprs-lint` control comment (fires on unparseable allows, unknown rule IDs, and missing justifications). |
 //!
 //! # Escape hatch
@@ -125,7 +125,8 @@ pub struct Config {
     pub deterministic_prefixes: Vec<String>,
     /// Path prefixes where wall-clock reads are allowed (D002).
     pub wall_clock_allow: Vec<String>,
-    /// Exact file paths forming the dispatch hot path (H001).
+    /// Exact file paths forming the hot path (H001): the cluster's
+    /// dispatch path and the paper layer's step loop.
     pub hot_path_files: Vec<String>,
     /// Parallel-fold call sites D004 requires order markers on.
     pub fold_fns: Vec<FoldFn>,
@@ -173,6 +174,11 @@ impl Config {
                 "crates/cluster/src/interner.rs",
                 "crates/cluster/src/node.rs",
                 "crates/cluster/src/admission.rs",
+                // The paper layer's step loop, which every epoch-fleet
+                // node runs.
+                "crates/gpu-sim/src/engine.rs",
+                "crates/core/src/sgprs.rs",
+                "crates/core/src/release.rs",
             ]),
             fold_fns: vec![
                 FoldFn {

@@ -132,6 +132,17 @@ fn h001_fires_on_hot_path_unwrap_and_unnamed_expect() {
 }
 
 #[test]
+fn h001_binds_the_paper_layer_step_loop() {
+    for path in [
+        "crates/gpu-sim/src/engine.rs",
+        "crates/core/src/sgprs.rs",
+        "crates/core/src/release.rs",
+    ] {
+        assert_fires("h001", path, "H001", 2);
+    }
+}
+
+#[test]
 fn h001_is_scoped_to_the_hot_path_file_set() {
     let diags = scan_fixture("h001", "bad", "crates/cluster/src/metrics.rs");
     assert!(
