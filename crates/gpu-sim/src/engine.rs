@@ -836,23 +836,21 @@ impl GpuEngine {
         for c in contexts.iter_mut().filter(|c| c.dirty) {
             c.m_eff_high = c.m_eff(StreamClass::High, c.weight_sum);
             c.m_eff_low = c.m_eff(StreamClass::Low, c.weight_sum);
+            c.dirty = false;
         }
+        // A clean context's shares did not move, so only kernels in the
+        // marked ones can miss their memo key.
         for k in running.iter_mut() {
-            let c = &contexts[k.context.0];
-            let m_eff = c.cached_m_eff(k.class);
-            if c.dirty && k.m_eff_bits != m_eff.to_bits() {
+            let m_eff = contexts[k.context.0].cached_m_eff(k.class);
+            if k.m_eff_bits != m_eff.to_bits() {
                 k.reshare(speedup, launch_ns, m_eff);
             } else {
-                debug_assert_eq!(k.m_eff_bits, m_eff.to_bits(), "a clean share moved");
                 debug_assert_eq!(
                     k.duration_ns.to_bits(),
                     k.work.duration_ns_at(speedup, m_eff).to_bits(),
                     "memoised duration went stale"
                 );
             }
-        }
-        for c in contexts.iter_mut() {
-            c.dirty = false;
         }
         let occupancy: f64 = running.iter().map(|k| k.eff_speedup).sum();
         let factor = self.contention.rate_factor(occupancy, total);
