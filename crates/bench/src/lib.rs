@@ -35,7 +35,8 @@ pub fn paper_task_counts() -> Vec<usize> {
 pub const DEFAULT_SIM_SECS: u64 = 10;
 
 /// Parses a `--sim-secs N` / `--csv` style argument list shared by the
-/// figure binaries. Returns `(sim_secs, csv)`.
+/// figure binaries. Returns `(sim_secs, csv)`. A `--sim-secs` value that
+/// does not parse, or whose nanoseconds overflow `u64`, is ignored.
 #[must_use]
 pub fn parse_args(args: &[String]) -> (u64, bool) {
     let mut sim_secs = DEFAULT_SIM_SECS;
@@ -44,7 +45,11 @@ pub fn parse_args(args: &[String]) -> (u64, bool) {
     while i < args.len() {
         match args[i].as_str() {
             "--sim-secs" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
+                if let Some(v) = args
+                    .get(i + 1)
+                    .and_then(|s| s.parse::<u64>().ok())
+                    .filter(|v| v.checked_mul(1_000_000_000).is_some())
+                {
                     sim_secs = v;
                     i += 1;
                 }
@@ -101,5 +106,17 @@ mod tests {
             .map(|s| s.to_string())
             .collect();
         assert_eq!(parse_args(&junk), (DEFAULT_SIM_SECS, false));
+    }
+
+    #[test]
+    fn parse_args_ignores_a_horizon_that_overflows_nanoseconds() {
+        let args = |secs: &str| -> Vec<String> { vec!["--sim-secs".into(), secs.into()] };
+        // u64::MAX ns is 18,446,744,073.7 s: the largest whole second fits.
+        assert_eq!(parse_args(&args("18446744073")), (18_446_744_073, false));
+        assert_eq!(parse_args(&args("18446744074")), (DEFAULT_SIM_SECS, false));
+        assert_eq!(
+            parse_args(&args(&u64::MAX.to_string())),
+            (DEFAULT_SIM_SECS, false)
+        );
     }
 }

@@ -5,21 +5,18 @@
 //! serving fleet should *reject or queue* work it cannot finish rather
 //! than silently miss deadlines. Admission combines two gates:
 //!
-//! 1. **Fluid occupancy bound** (the argument behind
+//! 1. **Latency feasibility**: one inference alone on the node's largest
+//!    context must finish within the tenant's deadline.
+//! 2. **Fluid occupancy bound** (the argument behind
 //!    [`sgprs_core::analysis::estimate_capacity`], generalised to mixed
 //!    tenants): the summed steady-state demand `Σ fpsᵢ·T₁ᵢ` in
 //!    SM-equivalents must stay below `bound × capacity`, where the
 //!    capacity is sampled at the node's pool layout and the resident op
 //!    mix.
-//! 2. **Density bound** ([`sgprs_rt::analysis::density_feasible`]): the
-//!    tenants' compiled real-time specs, profiled against this node's
-//!    pool, must have total density within the node's fluid processor
-//!    count — the classic necessary condition for EDF-like policies.
 
 use crate::{FleetNode, TenantSpec};
 use serde::{Deserialize, Serialize};
 use sgprs_gpu_sim::SpeedupModel;
-use sgprs_rt::{analysis, TaskSet};
 
 /// Knobs of the admission controller.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -31,11 +28,6 @@ pub struct AdmissionConfig {
     /// paper's stream layout sustains 3–4; 4.0 matches
     /// `sgprs_core::analysis`'s calibration).
     pub concurrency: f64,
-    /// Enable the secondary density gate over compiled task specs. More
-    /// precise on small pools, but requires compiling the candidate for
-    /// the node, so the pure occupancy check can be preferred in hot
-    /// paths.
-    pub density_gate: bool,
 }
 
 impl Default for AdmissionConfig {
@@ -43,7 +35,6 @@ impl Default for AdmissionConfig {
         AdmissionConfig {
             utilization_bound: 0.9,
             concurrency: 4.0,
-            density_gate: false,
         }
     }
 }
@@ -65,14 +56,6 @@ pub enum RejectReason {
         demand: f64,
         /// Admissible demand (`bound × capacity`).
         budget: f64,
-    },
-    /// The compiled task set's density exceeds the node's fluid
-    /// processor count.
-    OverDensity {
-        /// Total density of resident + candidate specs.
-        density: f64,
-        /// Fluid processors available at the reference WCET speed.
-        processors: f64,
     },
 }
 
@@ -198,43 +181,7 @@ impl AdmissionController {
         if demand > budget {
             return AdmissionDecision::Reject(RejectReason::OverUtilization { demand, budget });
         }
-        if self.cfg.density_gate {
-            let pool = node.spec.pool();
-            let set: TaskSet = node
-                .tenants()
-                .iter()
-                .chain(Some(candidate))
-                .map(|t| t.compile_for(&pool).spec)
-                .collect();
-            let processors = self.fluid_processors(node, candidate);
-            if !analysis::density_feasible(&set, processors) {
-                return AdmissionDecision::Reject(RejectReason::OverDensity {
-                    density: set.total_density(),
-                    processors,
-                });
-            }
-        }
         AdmissionDecision::Admit { demand, budget }
-    }
-
-    /// The node's capacity expressed in processors running at the WCET
-    /// reference speed (one context at the pool's smallest allocation,
-    /// executing the mixed profile alone).
-    #[must_use]
-    pub fn fluid_processors(&self, node: &FleetNode, candidate: &TenantSpec) -> f64 {
-        let mix = node.mixed_profile(Some(candidate));
-        let reference = mix.effective_speedup(
-            SpeedupModel::rtx_2080_ti(),
-            f64::from(node.spec.pool().min_sm_allocation()),
-        );
-        if reference <= 0.0 {
-            return 0.0;
-        }
-        self.cfg.utilization_bound
-            * node
-                .spec
-                .capacity_sm_equivalents(&mix, self.cfg.concurrency)
-            / reference
     }
 }
 
@@ -362,27 +309,5 @@ mod tests {
             ),
             "a 12-SM device cannot make 16.7 ms deadlines for resnet34"
         );
-    }
-
-    #[test]
-    fn density_gate_also_rejects_overload() {
-        let cfg = AdmissionConfig {
-            density_gate: true,
-            ..AdmissionConfig::default()
-        };
-        let ctl = AdmissionController::new(cfg);
-        let mut n = node();
-        let mut rejected = false;
-        for i in 0..100 {
-            let t = resnet_tenant(i);
-            if ctl.evaluate(&n, &t).is_admit() {
-                n.push_tenant(t);
-            } else {
-                rejected = true;
-                break;
-            }
-        }
-        assert!(rejected, "the gated controller must saturate");
-        assert!(n.tenants().len() >= 10, "but not spuriously early");
     }
 }

@@ -4,45 +4,14 @@
 //! Carved out of the fleet module so the dispatcher file holds
 //! orchestration only; every knob here is consumed by the shared policy
 //! kernel ([`crate::policy`]) or by one of the execution engines.
+//! Migration is a single optional DMR threshold: the victim is always
+//! the most recently placed tenant and the event engine's stall is a
+//! fixed 100 ms.
 
-use crate::policy::MigrationVictimPolicy;
 use crate::telemetry::TelemetryConfig;
 use crate::{AdmissionConfig, PlacementPolicy, QueueConfig, ShardConfig, ShardRouter};
 use crate::{NodeSpec, QueuePolicy};
 use sgprs_rt::SimDuration;
-
-/// Migration knobs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MigrationConfig {
-    /// Enable migration off overloaded nodes.
-    pub enabled: bool,
-    /// Epoch deadline-miss rate above which a node sheds one tenant.
-    pub dmr_threshold: f64,
-    /// The state-transfer stall a migration pays in event-driven mode
-    /// ([`crate::Fleet::run_events`]): the migrant serves nothing while
-    /// its weights and context state move, roughly a reconfiguration
-    /// window (the default matches `sgprs_core::ReconfigConfig`'s 100 ms
-    /// repartition stall). Re-pricing degrade/upgrade switches are SGPRS
-    /// partition switches and never pay it. The epoch path models
-    /// migration as free (its pre-existing contract) and ignores this
-    /// field.
-    pub cost: SimDuration,
-    /// How the shedding node chooses its victim (see
-    /// [`MigrationVictimPolicy`]); LIFO — the most recently placed
-    /// tenant — is the default and the classic behaviour.
-    pub victim: MigrationVictimPolicy,
-}
-
-impl Default for MigrationConfig {
-    fn default() -> Self {
-        MigrationConfig {
-            enabled: false,
-            dmr_threshold: 0.2,
-            cost: SimDuration::from_millis(100),
-            victim: MigrationVictimPolicy::Lifo,
-        }
-    }
-}
 
 /// Configuration of a [`crate::Fleet`].
 #[derive(Debug, Clone, PartialEq)]
@@ -55,8 +24,10 @@ pub struct FleetConfig {
     pub admission: AdmissionConfig,
     /// Epoch length (the dispatch/re-evaluation granularity).
     pub epoch: SimDuration,
-    /// Migration knobs.
-    pub migration: MigrationConfig,
+    /// Migration off overloaded nodes: `Some(threshold)` sheds one
+    /// tenant (the most recently placed) from a node whose epoch
+    /// deadline-miss rate exceeds `threshold`; `None` never migrates.
+    pub migration: Option<f64>,
     /// Base seed for the nodes' execution jitter.
     pub seed: u64,
     /// Worker-thread count for the per-epoch node fan-out; `None` uses
@@ -96,7 +67,7 @@ impl FleetConfig {
             placement: PlacementPolicy::LeastUtilization,
             admission: AdmissionConfig::default(),
             epoch: SimDuration::from_secs(1),
-            migration: MigrationConfig::default(),
+            migration: None,
             seed: 0x5672_5053,
             workers: None,
             sharding: None,
@@ -174,29 +145,10 @@ impl FleetConfig {
         self
     }
 
-    /// Enables migration with the given epoch-DMR threshold. The stall
-    /// cost and victim policy keep whatever earlier builder calls set
-    /// (or the defaults), regardless of call order.
+    /// Enables migration with the given epoch-DMR threshold.
     #[must_use]
     pub fn with_migration(mut self, dmr_threshold: f64) -> Self {
-        self.migration.enabled = true;
-        self.migration.dmr_threshold = dmr_threshold;
-        self
-    }
-
-    /// Replaces the migration state-transfer stall charged in
-    /// event-driven mode (see [`MigrationConfig::cost`]).
-    #[must_use]
-    pub fn with_migration_cost(mut self, cost: SimDuration) -> Self {
-        self.migration.cost = cost;
-        self
-    }
-
-    /// Replaces the migration victim-selection policy (see
-    /// [`MigrationVictimPolicy`]; LIFO is the default).
-    #[must_use]
-    pub fn with_victim_policy(mut self, victim: MigrationVictimPolicy) -> Self {
-        self.migration.victim = victim;
+        self.migration = Some(dmr_threshold);
         self
     }
 
@@ -262,45 +214,6 @@ impl FleetConfig {
 mod tests {
     use super::*;
     use sgprs_gpu_sim::GpuSpec;
-
-    #[test]
-    fn migration_cost_survives_builder_order() {
-        // Regression: `with_migration` used to rebuild the whole
-        // MigrationConfig from its default, silently resetting a cost
-        // set earlier in the chain.
-        let cost = SimDuration::from_millis(500);
-        let early = FleetConfig::new(vec![NodeSpec::sgprs("g", GpuSpec::rtx_2080_ti())])
-            .with_migration_cost(cost)
-            .with_migration(0.1);
-        let late = FleetConfig::new(vec![NodeSpec::sgprs("g", GpuSpec::rtx_2080_ti())])
-            .with_migration(0.1)
-            .with_migration_cost(cost);
-        assert_eq!(early.migration.cost, cost, "cost set before with_migration");
-        assert_eq!(
-            early.migration, late.migration,
-            "builder order is irrelevant"
-        );
-        assert!(early.migration.enabled);
-    }
-
-    #[test]
-    fn victim_policy_survives_builder_order() {
-        let early = FleetConfig::new(vec![NodeSpec::sgprs("g", GpuSpec::rtx_2080_ti())])
-            .with_victim_policy(MigrationVictimPolicy::DemandAware)
-            .with_migration(0.1);
-        let late = FleetConfig::new(vec![NodeSpec::sgprs("g", GpuSpec::rtx_2080_ti())])
-            .with_migration(0.1)
-            .with_victim_policy(MigrationVictimPolicy::DemandAware);
-        assert_eq!(early.migration, late.migration);
-        assert_eq!(early.migration.victim, MigrationVictimPolicy::DemandAware);
-        // And the default stays LIFO — the classic bit-identical path.
-        assert_eq!(
-            FleetConfig::new(vec![NodeSpec::sgprs("g", GpuSpec::rtx_2080_ti())])
-                .migration
-                .victim,
-            MigrationVictimPolicy::Lifo
-        );
-    }
 
     #[test]
     fn p2c_sharding_builder_sets_the_router() {

@@ -10,7 +10,7 @@
 //! **no in-flight job is ever truncated** ([`crate::FleetMetrics::truncated_jobs`]
 //! is asserted zero), departures apply at their exact instant, and
 //! migration fires at job-release boundaries mid-epoch — paying an
-//! explicit [`crate::MigrationConfig::cost`] state-transfer stall, while
+//! explicit, fixed 100 ms state-transfer stall, while
 //! re-pricing degrade/upgrade switches stay free partition switches
 //! (SGPRS's headline property, now measurably cheaper than migration in
 //! the same run).
@@ -49,8 +49,8 @@
 //! rebuilt per epoch by design); instead each node serves jobs under the
 //! fluid approximation of [`exec`]: a job released at `t` on a node with
 //! resident demand `D` and effective capacity `C` finishes at
-//! `t + max(best_case_latency, period · D/C) · jitter`. Naive/reconfig
-//! nodes pay their sequential-execution and partition-switch tax through
+//! `t + max(best_case_latency, period · D/C) · jitter`. Naive nodes
+//! pay their sequential-execution and partition-switch tax through
 //! a single-job-per-context capacity sample plus the calibrated switch
 //! cost, so "admission says fine, the node still misses" shows up here
 //! exactly as it does on the epoch path. Releases are skip-if-busy: a

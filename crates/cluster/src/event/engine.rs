@@ -31,6 +31,13 @@ use crate::telemetry::Span;
 use crate::{ArrivalStream, ChurnEvent, DispatchOutcome, FleetMetrics};
 use sgprs_rt::{SimDuration, SimTime};
 
+/// The state-transfer stall a migration pays: the migrant serves nothing
+/// while its weights and context state move, roughly a reconfiguration
+/// window (`sgprs_core::ReconfigConfig`'s 100 ms repartition stall).
+/// Re-pricing degrade/upgrade switches are SGPRS partition switches and
+/// never pay it; the epoch path models migration as free.
+const MIGRATION_COST: SimDuration = SimDuration::from_millis(100);
+
 /// Persistent per-tenant scheduler state: which node the tenant serves
 /// on, its release/job serials, and the job currently in flight.
 #[derive(Debug)]
@@ -375,7 +382,7 @@ impl Engine<'_> {
         if let Some(run) = self.run_mut(id) {
             run.next_release = if next < end { next } else { SimTime::MAX };
         }
-        let migration_on = self.fleet.cfg.migration.enabled;
+        let migration_on = self.fleet.cfg.migration.is_some();
         if busy {
             // Skip-if-busy: the frame is dropped and counts as a miss —
             // in the migration estimator too, but only while the
@@ -433,12 +440,14 @@ impl Engine<'_> {
                 run.job_seq += 1;
             }
         }
-        let migration_check = migration_on
-            && !self.migration_pending[idx]
-            && self.fleet.nodes[idx].tenants().len() >= 2;
-        let over_threshold = migration_check && {
-            let span = self.fleet.cfg.epoch;
-            self.windows[idx].dmr(t, span) > self.fleet.cfg.migration.dmr_threshold
+        let over_threshold = match self.fleet.cfg.migration {
+            Some(threshold)
+                if !self.migration_pending[idx] && self.fleet.nodes[idx].tenants().len() >= 2 =>
+            {
+                let span = self.fleet.cfg.epoch;
+                self.windows[idx].dmr(t, span) > threshold
+            }
+            _ => false,
         };
         if over_threshold {
             self.migration_pending[idx] = true;
@@ -487,7 +496,7 @@ impl Engine<'_> {
         // A stale check (the tenant departed, or its id was recycled by
         // a fresh incarnation) feeds nothing — and with migration off
         // the estimator has no consumer, so nothing is retained at all.
-        if !self.fleet.cfg.migration.enabled {
+        if self.fleet.cfg.migration.is_none() {
             return;
         }
         let Some(run) = self.run_of(id) else {
@@ -506,10 +515,11 @@ impl Engine<'_> {
 
     fn on_migrate(&mut self, t: SimTime, idx: usize) {
         self.migration_pending[idx] = false;
-        let threshold = self.fleet.cfg.migration.dmr_threshold;
-        let cost = self.fleet.cfg.migration.cost;
         let span = self.fleet.cfg.epoch;
-        if !self.fleet.cfg.migration.enabled || self.fleet.nodes[idx].tenants().len() < 2 {
+        let Some(threshold) = self.fleet.cfg.migration else {
+            return;
+        };
+        if self.fleet.nodes[idx].tenants().len() < 2 {
             return;
         }
         // Re-verify on pop: the trigger and the move are distinct events,
@@ -527,7 +537,10 @@ impl Engine<'_> {
         // explicit cost model: a migration is a state transfer, stalling
         // the migrant for the reconfiguration window. Re-pricing
         // partition switches never pay this.
-        let Some((id, dest)) = self.fleet.migrate_one(idx, &self.dmr_scratch, cost) else {
+        let Some((id, dest)) = self
+            .fleet
+            .migrate_one(idx, &self.dmr_scratch, MIGRATION_COST)
+        else {
             return;
         };
         // Either way the node waits for fresh evidence before it may
@@ -551,7 +564,10 @@ impl Engine<'_> {
             let drained = run.in_flight.map_or(SimTime::ZERO, |(_, finish)| {
                 finish.saturating_add(SimDuration::from_nanos(1))
             });
-            let resume = run.next_release.max(t.saturating_add(cost)).max(drained);
+            let resume = run
+                .next_release
+                .max(t.saturating_add(MIGRATION_COST))
+                .max(drained);
             run.next_release = resume;
             resume
         } else {

@@ -14,8 +14,8 @@
 //!   policy drops the backlog — a DMR that grows with overload.
 //! * **Scheduler variants** — an SGPRS node samples its capacity at the
 //!   calibrated multi-stream concurrency (its partitions keep several
-//!   stages resident, and switching costs nothing). Naive and reconfig
-//!   nodes execute whole networks sequentially on a single stream per
+//!   stages resident, and switching costs nothing). Naive nodes
+//!   execute whole networks sequentially on a single stream per
 //!   partition, so their capacity is sampled at concurrency 1, and every
 //!   job pays the calibrated partition-switch tax when tenants share a
 //!   context — which is how "admission admits it, the node still
@@ -100,7 +100,7 @@ impl FluidExec {
             let concurrency = match node.spec.scheduler {
                 NodeScheduler::Sgprs { .. } => admission.config().concurrency,
                 // One stream per partition, whole networks in sequence.
-                NodeScheduler::Naive | NodeScheduler::Reconfig => 1.0,
+                NodeScheduler::Naive => 1.0,
             };
             NodeLoad {
                 demand: node.total_demand() + switch_tax(node),
@@ -199,7 +199,7 @@ pub(super) fn fnv1a(s: &str) -> u64 {
     h
 }
 
-/// The partition-switch demand a naive/reconfig node pays, in
+/// The partition-switch demand a naive node pays, in
 /// SM-equivalents: each job reconfigures its context to a different
 /// tenant (whole-context stall at the calibrated
 /// [`sgprs_core::NaiveConfig`] switch cost) whenever tenants share a

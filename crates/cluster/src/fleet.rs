@@ -63,8 +63,8 @@
 //! count is surfaced as [`FleetMetrics::truncated_jobs`]. The
 //! event-driven mode ([`Fleet::run_events`], see [`crate::event`])
 //! removes the grid entirely: exact boundaries, zero truncation, and
-//! migration at job-release boundaries paying
-//! [`crate::MigrationConfig::cost`].
+//! migration at job-release boundaries paying a fixed 100 ms
+//! state-transfer stall.
 //!
 //! Parallel-execution determinism: within one epoch the nodes are
 //! mutually independent — they share no simulator state, their compiled
@@ -263,7 +263,7 @@ impl Fleet {
     /// Names of the waiting tenants in drain (policy) order.
     #[must_use]
     pub fn queued_names(&self) -> Vec<String> {
-        self.queue.names_in_order(self.now)
+        self.queue.names_in_order()
     }
 
     /// Number of residents currently serving below their requested rate.
@@ -523,7 +523,7 @@ impl Fleet {
             return admitted;
         }
         let scan_clock = self.telemetry.span_clock();
-        while let Some(entry) = self.queue.pop_first(self.now) {
+        while let Some(entry) = self.queue.pop_first() {
             let Some(plan) = self.plan_repriced(&entry.tenant) else {
                 // The head fits at no price: stop (no overtaking) and put
                 // it back — `reinsert` keeps its arrival serial, so the
@@ -593,7 +593,7 @@ impl Fleet {
 
     /// Memoised [`policy::can_ever_fit`] per price point: the answer is
     /// load-independent (it tests against *emptied* nodes) and ignores
-    /// the tenant's name/weight/patience, so one evaluation per
+    /// the tenant's name and patience, so one evaluation per
     /// `(model, stages, fps)` serves the whole run and a cache miss only
     /// builds a throwaway probe spec.
     fn price_can_ever_fit(&mut self, model: crate::ModelKind, stages: usize, fps: f64) -> bool {
@@ -813,18 +813,15 @@ impl Fleet {
         dmr: &[f64],
         stall: SimDuration,
     ) -> Option<(TenantId, Option<usize>)> {
-        let slot = policy::select_migration_victim(
-            &self.nodes[idx],
-            &self.admission,
-            self.cfg.migration.victim,
-        )?;
+        let threshold = self.cfg.migration?;
+        let slot = policy::select_migration_victim(&self.nodes[idx])?;
         let id = self.node_ids[idx][slot];
         let dest = policy::migration_destination(
             &FleetState::new(&self.nodes, &self.admission),
             idx,
             &self.nodes[idx].tenants()[slot],
             dmr,
-            self.cfg.migration.dmr_threshold,
+            threshold,
         );
         let attempt = Decision::Migration {
             from: idx,
@@ -1051,8 +1048,8 @@ impl Fleet {
                     .record_latency_samples(idx, &m.response_samples_ns);
             }
             // 3. Shed load from nodes that missed too much this epoch.
-            if self.cfg.migration.enabled {
-                self.migrate_overloaded(&epoch_dmr);
+            if let Some(threshold) = self.cfg.migration {
+                self.migrate_overloaded(&epoch_dmr, threshold);
             }
             epoch_start = epoch_end;
             epoch_index += 1;
@@ -1075,8 +1072,8 @@ impl Fleet {
     /// what used to be epoch boundaries so no in-flight job is ever
     /// truncated ([`FleetMetrics::truncated_jobs`] is asserted zero),
     /// departures apply at their exact instant, and DMR-triggered
-    /// migration fires at job-release boundaries, paying the
-    /// [`crate::MigrationConfig::cost`] state-transfer stall — while
+    /// migration fires at job-release boundaries, paying a fixed 100 ms
+    /// state-transfer stall — while
     /// re-pricing degrade/upgrade switches stay free partition switches.
     /// Churn is merged lazily from the stream, never materialised into
     /// the heap. The run is single-threaded and deterministic:
@@ -1171,9 +1168,9 @@ impl Fleet {
     /// the threshold, if another node admits it ([`Self::migrate_one`]).
     /// The epoch path models migration as free (its pre-existing
     /// contract), so the move stalls nothing.
-    fn migrate_overloaded(&mut self, epoch_dmr: &[f64]) {
+    fn migrate_overloaded(&mut self, epoch_dmr: &[f64], threshold: f64) {
         for (idx, &dmr) in epoch_dmr.iter().enumerate() {
-            if dmr > self.cfg.migration.dmr_threshold && self.nodes[idx].tenants().len() >= 2 {
+            if dmr > threshold && self.nodes[idx].tenants().len() >= 2 {
                 self.migrate_one(idx, epoch_dmr, SimDuration::ZERO);
             }
         }

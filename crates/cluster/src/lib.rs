@@ -15,16 +15,16 @@
 //! * [`NodeSpec`] / [`FleetNode`] — one simulated GPU, its context pool,
 //!   and the scheduler variant driving it.
 //! * [`AdmissionController`] — utilisation-bound admission built on the
-//!   fluid occupancy argument of [`sgprs_core::analysis`] plus the
-//!   density gate of [`sgprs_rt::analysis`]: infeasible tenants are
-//!   rejected (queued) instead of silently missing deadlines.
+//!   fluid occupancy argument of [`sgprs_core::analysis`] plus a
+//!   best-case latency check: infeasible tenants are rejected (queued)
+//!   instead of silently missing deadlines.
 //! * [`Placer`] / [`PlacementPolicy`] — round-robin, least-utilisation,
 //!   and best-fit placement over admissible nodes.
 //! * [`policy`] — the **dispatch-policy kernel**: one backend-agnostic
 //!   home for admission+placement planning (flat, shard-scan, or
 //!   power-of-two-choices), the re-pricing ladder walk, queue
 //!   feasibility and demand-aware expiry, upgrade candidates, and
-//!   migration victim ([`MigrationVictimPolicy`]) / destination choice
+//!   migration victim (the most recently placed) / destination choice
 //!   — consumed identically by the epoch path, the event engine, and
 //!   sharded dispatch, so the engines cannot fork on decisions.
 //! * [`ChurnTrace`] / [`ChurnConfig`] — deterministic arrival/departure
@@ -49,9 +49,8 @@
 //!   a monotonic `(time, node, seq)` event queue carrying scheduler
 //!   state across what used to be epoch boundaries, so no in-flight job
 //!   is truncated; departures apply at exact instants and DMR-triggered
-//!   migration fires at job-release boundaries, paying the
-//!   [`MigrationConfig::cost`] state-transfer stall that re-pricing
-//!   partition switches never pay. The queue is a two-level
+//!   migration fires at job-release boundaries, paying a fixed 100 ms
+//!   state-transfer stall that re-pricing partition switches never pay. The queue is a two-level
 //!   hierarchical timing wheel (`event::wheel`) — O(1) amortised
 //!   push/pop for the near-sorted periodic-release workload, slot
 //!   capacity recycled so the steady-state hot path allocates nothing,
@@ -61,12 +60,10 @@
 //!   via per-node version counters bumped only on resident/price
 //!   mutations.
 //! * [`QueuePolicy`] / [`QueueConfig`] — the wait queue's retry order
-//!   (FIFO, priority-weight, earliest queue deadline, weighted-fair
-//!   with aging so heavy streams cannot starve light waiters) and the
-//!   fps re-pricing ladder: admit at a degraded
-//!   [`TenantSpec::fps_ladder`] step instead of rejecting, upgrade back
-//!   in place when capacity frees — both directions are SGPRS partition
-//!   switches, never migrations.
+//!   (FIFO or earliest queue deadline) and the fps re-pricing ladder:
+//!   admit at a degraded [`TenantSpec::fps_ladder`] step instead of
+//!   rejecting, upgrade back in place when capacity frees — both
+//!   directions are SGPRS partition switches, never migrations.
 //! * [`ShardConfig`] / [`ShardRouter`] — two-level dispatch
 //!   ([`FleetConfig::with_sharding`] /
 //!   [`FleetConfig::with_p2c_sharding`]): cached per-shard capacity
@@ -137,7 +134,7 @@ mod tenant;
 
 pub use admission::{AdmissionConfig, AdmissionController, AdmissionDecision, RejectReason};
 pub use churn::{ChurnConfig, ChurnEvent, ChurnTrace};
-pub use config::{FleetConfig, MigrationConfig};
+pub use config::FleetConfig;
 pub use fleet::{DispatchOutcome, DispatchReplay, Fleet};
 pub use interner::{TenantId, TenantInterner};
 pub use metrics::{
@@ -146,8 +143,8 @@ pub use metrics::{
 };
 pub use node::{FleetNode, NodeScheduler, NodeSpec};
 pub use placement::{PlacementPolicy, Placer};
-pub use policy::{FleetState, MigrationVictimPolicy};
-pub use queue::{QueueConfig, QueuePolicy, AGING_QUANTUM};
+pub use policy::FleetState;
+pub use queue::{QueueConfig, QueuePolicy};
 pub use shard::{ShardConfig, ShardRouter};
 pub use stream::ArrivalStream;
 pub use telemetry::{

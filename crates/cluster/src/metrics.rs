@@ -106,7 +106,7 @@ pub struct FleetMetrics {
     /// boundaries and asserts this stays zero.
     pub truncated_jobs: u64,
     /// Total simulated seconds tenants spent stalled in migration state
-    /// transfers ([`crate::MigrationConfig::cost`], event path only).
+    /// transfers (a fixed 100 ms per migration, event path only).
     /// Re-pricing partition switches contribute nothing here — that gap
     /// is the paper's zero-cost-switching property, measured.
     pub migration_stall_secs: f64,

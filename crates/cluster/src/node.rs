@@ -10,8 +10,7 @@
 use crate::TenantSpec;
 use serde::{Deserialize, Serialize};
 use sgprs_core::{
-    ContextPoolSpec, NaiveConfig, NaiveScheduler, ReconfigConfig, ReconfigScheduler, RunMetrics,
-    SgprsConfig, SgprsScheduler,
+    ContextPoolSpec, NaiveConfig, NaiveScheduler, RunMetrics, SgprsConfig, SgprsScheduler,
 };
 use sgprs_gpu_sim::{GpuSpec, SpeedupModel, WorkProfile};
 use sgprs_rt::{SimDuration, SimTime};
@@ -26,8 +25,6 @@ pub enum NodeScheduler {
     },
     /// The naive static spatial partitioner.
     Naive,
-    /// The reconfiguring partitioner (repartitions on tenant churn).
-    Reconfig,
 }
 
 /// Static description of one fleet node: the device, how it is
@@ -85,12 +82,12 @@ impl NodeSpec {
     }
 
     /// The pool's over-subscription factor: the SGPRS `os`, or 1.0 (an
-    /// exact partition) for the naive and reconfiguring schedulers.
+    /// exact partition) for the naive scheduler.
     #[must_use]
     pub(crate) fn oversubscription(&self) -> f64 {
         match self.scheduler {
             NodeScheduler::Sgprs { oversubscription } => oversubscription,
-            NodeScheduler::Naive | NodeScheduler::Reconfig => 1.0,
+            NodeScheduler::Naive => 1.0,
         }
     }
 
@@ -136,13 +133,6 @@ impl NodeSpec {
                 cfg.gpu = self.gpu.clone();
                 cfg.warmup = SimDuration::ZERO;
                 NaiveScheduler::new(cfg, tasks).run(end)
-            }
-            NodeScheduler::Reconfig => {
-                let mut cfg = ReconfigConfig::new();
-                cfg.base = NaiveConfig::new(self.contexts).with_seed(seed);
-                cfg.base.gpu = self.gpu.clone();
-                cfg.base.warmup = SimDuration::ZERO;
-                ReconfigScheduler::new(cfg, tasks).run(end)
             }
         }
     }
@@ -368,7 +358,6 @@ mod tests {
                 oversubscription: 1.5,
             },
             NodeScheduler::Naive,
-            NodeScheduler::Reconfig,
         ] {
             let node = NodeSpec::sgprs("g", GpuSpec::rtx_2080_ti()).with_scheduler(scheduler);
             let tenant = TenantSpec::new("cam", ModelKind::ResNet18, 30.0);

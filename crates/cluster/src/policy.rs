@@ -25,16 +25,13 @@
 //!   step first.
 //! * [`queue_feasible`] — whether queueing a tenant can ever pay off
 //!   (load-independent latency feasibility at any admissible price).
-//! * [`can_ever_fit`] / [`provably_hopeless`] — the demand-aware expiry
-//!   test: a waiter no node could admit *even empty*, at any ladder
-//!   step, can never be served and may be expired before its patience
-//!   elapses.
+//! * [`can_ever_fit`] — the demand-aware expiry test: a waiter no node
+//!   could admit *even empty*, at any ladder step, can never be served
+//!   and may be expired before its patience elapses.
 //! * [`upgrade_candidates`] — the ladder steps an upgrade pass tries,
 //!   best first.
 //! * [`select_migration_victim`] — which resident a shedding node gives
-//!   up ([`MigrationVictimPolicy::Lifo`] keeps the classic
-//!   most-recently-placed choice; `DemandAware` picks the tenant whose
-//!   departure best relieves the overload).
+//!   up: the most recently placed.
 //! * [`migration_destination`] — where the victim lands: the least
 //!   loaded node at or under the DMR threshold that admits it.
 //!
@@ -46,7 +43,6 @@
 
 use crate::shard::{ShardConfig, ShardDirectory};
 use crate::{AdmissionController, FleetNode, PlacementPolicy, Placer, TenantSpec};
-use serde::{Deserialize, Serialize};
 use sgprs_rt::SimDuration;
 
 /// A read-only view of the fleet the policy kernel decides over: the
@@ -88,33 +84,6 @@ pub(crate) struct QueueAdmission {
     pub(crate) degraded: bool,
     pub(crate) waited: SimDuration,
     pub(crate) carried_over: bool,
-}
-
-/// How a node over the DMR threshold chooses which resident to shed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MigrationVictimPolicy {
-    /// The most recently placed tenant (the classic PR-2 behaviour and
-    /// the default): cheap and stable, but blind to how much relief the
-    /// departure actually buys.
-    #[default]
-    Lifo,
-    /// The tenant whose departure best relieves the source node's
-    /// overload: the *smallest* resident whose demand covers the node's
-    /// budget overshoot (sheds the overload while keeping the most
-    /// service resident); when no single resident covers it — or the
-    /// node misses deadlines without exceeding its fluid budget, as
-    /// naive-scheduler nodes do — the largest-demand resident. Ties
-    /// break toward the earliest placement slot, deterministically.
-    DemandAware,
-}
-
-impl core::fmt::Display for MigrationVictimPolicy {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            MigrationVictimPolicy::Lifo => f.write_str("lifo"),
-            MigrationVictimPolicy::DemandAware => f.write_str("demand-aware"),
-        }
-    }
 }
 
 /// The mutable half of the kernel: the placement cursor plus the shard
@@ -282,28 +251,6 @@ pub fn can_ever_fit(state: &FleetState<'_>, tenant: &TenantSpec) -> bool {
     })
 }
 
-/// The demand-aware expiry test: `true` when `tenant` provably can never
-/// be admitted — no node, even fully drained, admits it at its requested
-/// rate or (with re-pricing on) at any ladder step. Such a waiter cannot
-/// fit before its queue deadline no matter what departs, so expiring it
-/// early loses nothing; see [`crate::QueueConfig::demand_aware_expiry`].
-#[must_use]
-pub fn provably_hopeless(state: &FleetState<'_>, tenant: &TenantSpec, repricing: bool) -> bool {
-    if can_ever_fit(state, tenant) {
-        return false;
-    }
-    if repricing {
-        let steps: Vec<f64> = tenant.degrade_steps().collect();
-        if steps
-            .iter()
-            .any(|&fps| can_ever_fit(state, &tenant.at_fps(fps)))
-        {
-            return false;
-        }
-    }
-    true
-}
-
 /// Candidate prices an upgrade pass tries for a degraded resident, best
 /// first: the requested rate, then every ladder step below it, keeping
 /// only steps strictly above the currently served rate.
@@ -322,37 +269,12 @@ pub fn upgrade_candidates(resident: &TenantSpec, requested: f64) -> Vec<f64> {
 }
 
 /// Chooses which resident of `node` a migration sheds, as a slot index
-/// into `node.tenants()`, or `None` when the node has no residents.
-/// [`MigrationVictimPolicy::Lifo`] takes the most recently placed;
-/// `DemandAware` takes the smallest resident whose demand covers the
-/// node's budget overshoot, falling back to the largest-demand resident
-/// when none does (or when the node misses without exceeding its fluid
-/// budget). One definition shared by the epoch path's boundary sweep and
-/// the event engine's release-boundary migration.
+/// into `node.tenants()`: the most recently placed, or `None` when the
+/// node has no residents. One definition shared by the epoch path's
+/// boundary sweep and the event engine's release-boundary migration.
 #[must_use]
-pub fn select_migration_victim(
-    node: &FleetNode,
-    admission: &AdmissionController,
-    policy: MigrationVictimPolicy,
-) -> Option<usize> {
-    if node.tenants().is_empty() {
-        return None;
-    }
-    match policy {
-        MigrationVictimPolicy::Lifo => Some(node.tenants().len() - 1),
-        MigrationVictimPolicy::DemandAware => {
-            let budget = admission.budget(node, None);
-            let overshoot = (node.total_demand() - budget).max(0.0);
-            let demand = |slot: usize| node.tenants()[slot].demand_sm_equivalents();
-            let covering = (0..node.tenants().len())
-                .filter(|&s| overshoot > 0.0 && demand(s) >= overshoot)
-                .min_by(|&a, &b| demand(a).total_cmp(&demand(b)).then(a.cmp(&b)));
-            covering.or_else(|| {
-                (0..node.tenants().len())
-                    .max_by(|&a, &b| demand(a).total_cmp(&demand(b)).then(b.cmp(&a)))
-            })
-        }
-    }
+pub fn select_migration_victim(node: &FleetNode) -> Option<usize> {
+    node.tenants().len().checked_sub(1)
 }
 
 /// Chooses the destination for migrating `victim` off `src`: among the
@@ -406,75 +328,12 @@ mod tests {
 
     #[test]
     fn lifo_victim_is_the_most_recent_placement() {
-        let ctl = AdmissionController::default();
         let mut n = node(68);
         for i in 0..4 {
             n.push_tenant(tenant(&format!("t{i}"), 30.0));
         }
-        assert_eq!(
-            select_migration_victim(&n, &ctl, MigrationVictimPolicy::Lifo),
-            Some(3)
-        );
-        let empty = node(68);
-        assert_eq!(
-            select_migration_victim(&empty, &ctl, MigrationVictimPolicy::Lifo),
-            None
-        );
-    }
-
-    #[test]
-    fn demand_aware_victim_covers_the_overshoot_minimally() {
-        let ctl = AdmissionController::default();
-        let mut n = node(34);
-        // Fill past the budget with mixed demands: a heavy 60 fps tenant
-        // placed first, light 15 fps tenants after. LIFO would shed a
-        // light one (barely relieving); demand-aware must find the
-        // smallest tenant that covers the overshoot.
-        n.push_tenant(tenant("heavy", 60.0));
-        while ctl
-            .evaluate(&n, &tenant(&format!("l{}", n.tenants().len()), 15.0))
-            .is_admit()
-        {
-            let name = format!("l{}", n.tenants().len());
-            n.push_tenant(tenant(&name, 15.0));
-        }
-        // Push it into overload so there is an overshoot to cover.
-        n.push_tenant(tenant("extra-a", 15.0));
-        n.push_tenant(tenant("extra-b", 15.0));
-        let budget = ctl.budget(&n, None);
-        let overshoot = n.total_demand() - budget;
-        assert!(overshoot > 0.0, "the node must be over budget");
-        let slot = select_migration_victim(&n, &ctl, MigrationVictimPolicy::DemandAware)
-            .expect("non-empty node");
-        let victim_demand = n.tenants()[slot].demand_sm_equivalents();
-        assert!(
-            victim_demand >= overshoot,
-            "the victim's departure clears the overload: {victim_demand:.2} vs {overshoot:.2}"
-        );
-        // Minimality: no lighter resident also covers the overshoot.
-        for (s, t) in n.tenants().iter().enumerate() {
-            let d = t.demand_sm_equivalents();
-            if d >= overshoot {
-                assert!(
-                    victim_demand <= d + 1e-12,
-                    "slot {s} ({d:.2}) is a smaller cover than the chosen {victim_demand:.2}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn demand_aware_victim_falls_back_to_the_heaviest() {
-        let ctl = AdmissionController::default();
-        // Under budget (overshoot 0, the hot-naive-node case): shed the
-        // heaviest resident.
-        let mut n = node(68);
-        n.push_tenant(tenant("light", 15.0));
-        n.push_tenant(tenant("heavy", 60.0));
-        n.push_tenant(tenant("mid", 30.0));
-        let slot = select_migration_victim(&n, &ctl, MigrationVictimPolicy::DemandAware)
-            .expect("non-empty");
-        assert_eq!(n.tenants()[slot].name, "heavy");
+        assert_eq!(select_migration_victim(&n), Some(3));
+        assert_eq!(select_migration_victim(&node(68)), None);
     }
 
     #[test]
@@ -495,13 +354,11 @@ mod tests {
         let state = FleetState::new(&nodes, &ctl);
         // A plain 30 fps feed fits an empty paper GPU.
         assert!(can_ever_fit(&state, &tenant("ok", 30.0)));
-        assert!(!provably_hopeless(&state, &tenant("ok", 30.0), false));
         // VGG-16@30fps is latency-infeasible even alone; its 15 fps
         // ladder step is not — hopeless without re-pricing, saved by it.
         let vgg = TenantSpec::new("vgg", ModelKind::Vgg16, 30.0).with_fps_ladder([15.0]);
         assert!(!can_ever_fit(&state, &vgg));
-        assert!(provably_hopeless(&state, &vgg, false));
-        assert!(!provably_hopeless(&state, &vgg, true));
+        assert!(can_ever_fit(&state, &vgg.at_fps(15.0)));
     }
 
     #[test]

@@ -1,24 +1,13 @@
 //! The dispatch wait queue: ordering policies and queue-deadline
 //! bookkeeping behind [`crate::Fleet`]'s admission retries.
 //!
-//! PR 1's dispatcher hardcoded a FIFO `VecDeque`; this module replaces it
-//! with a [`DispatchQueue`] whose retry order is a [`QueuePolicy`]:
+//! A [`DispatchQueue`]'s retry order is a [`QueuePolicy`]:
 //!
-//! * [`QueuePolicy::Fifo`] (the default) — arrival order, no overtaking:
-//!   bit-for-bit the original semantics.
-//! * [`QueuePolicy::Priority`] — higher [`crate::TenantSpec::weight`]
-//!   first; equal weights keep arrival order.
+//! * [`QueuePolicy::Fifo`] (the default) — arrival order, no overtaking.
 //! * [`QueuePolicy::EarliestDeadline`] — least admission slack first: the
 //!   absolute queue deadline (enqueue instant +
 //!   [`crate::TenantSpec::max_wait`]) orders the queue, tenants without a
 //!   deadline come last in arrival order.
-//! * [`QueuePolicy::WeightedFair`] — priority with aging: a waiter's
-//!   effective weight is its [`crate::TenantSpec::weight`] plus one per
-//!   [`AGING_QUANTUM`] waited, so a stream of heavy arrivals can delay a
-//!   light waiter only boundedly — unlike [`QueuePolicy::Priority`],
-//!   where it starves (every heavy arrival with weight `w` enqueued less
-//!   than `(w - weight) ×` quantum after the light waiter outranks it;
-//!   all later ones rank below).
 //!
 //! Every policy preserves the *no-overtaking-within-the-order* fairness
 //! guarantee: a drain pass walks the queue in policy order and stops at
@@ -34,37 +23,24 @@
 use crate::interner::TenantId;
 use crate::TenantSpec;
 use serde::{Deserialize, Serialize};
-use sgprs_rt::{SimDuration, SimTime};
+use sgprs_rt::SimTime;
 
 /// Retry order of the dispatch wait queue.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum QueuePolicy {
-    /// Arrival order, no overtaking (the original dispatcher semantics).
+    /// Arrival order, no overtaking.
     #[default]
     Fifo,
-    /// Higher tenant weight first; ties keep arrival order.
-    Priority,
     /// Earliest absolute queue deadline (enqueue + `max_wait`) first;
     /// deadline-less tenants last, in arrival order.
     EarliestDeadline,
-    /// Priority with aging: effective weight grows by one per
-    /// [`AGING_QUANTUM`] waited, so heavy streams cannot starve light
-    /// waiters. Ties keep arrival order.
-    WeightedFair,
 }
-
-/// How long a [`QueuePolicy::WeightedFair`] waiter must wait to gain one
-/// point of effective weight. One second: a weight-1 tenant overtakes a
-/// freshly arrived weight-9 tenant after eight seconds in the queue.
-pub const AGING_QUANTUM: SimDuration = SimDuration::from_secs(1);
 
 impl core::fmt::Display for QueuePolicy {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             QueuePolicy::Fifo => f.write_str("fifo"),
-            QueuePolicy::Priority => f.write_str("priority"),
             QueuePolicy::EarliestDeadline => f.write_str("earliest-deadline"),
-            QueuePolicy::WeightedFair => f.write_str("weighted-fair"),
         }
     }
 }
@@ -86,7 +62,7 @@ pub struct QueueConfig {
     /// Enable demand-aware queue expiry: a waiter that *provably* can
     /// never be admitted — no node could carry it even fully drained, at
     /// its requested rate or any ladder step
-    /// ([`crate::policy::provably_hopeless`]) — is expired before its
+    /// ([`crate::policy::can_ever_fit`]) — is expired before its
     /// patience elapses instead of blocking the queue until `max_wait`
     /// (or forever). Counted separately from patience expiry as
     /// [`crate::FleetMetrics::expired_hopeless`]. Disabled by default:
@@ -120,24 +96,14 @@ impl QueueEntry {
             .map(|w| self.enqueued_at.saturating_add(w))
     }
 
-    /// The policy sort key at instant `now`: entries with smaller keys
-    /// drain first. Only [`QueuePolicy::WeightedFair`] consults `now`
-    /// (aging); the other policies' orders are time-invariant.
-    fn key(&self, policy: QueuePolicy, now: SimTime) -> (u64, u64) {
+    /// The policy sort key: entries with smaller keys drain first.
+    fn key(&self, policy: QueuePolicy) -> (u64, u64) {
         match policy {
             QueuePolicy::Fifo => (0, self.seq),
-            // Higher weight first: invert into an ascending key.
-            QueuePolicy::Priority => (u64::MAX - u64::from(self.tenant.weight), self.seq),
             QueuePolicy::EarliestDeadline => (
                 self.deadline().map_or(u64::MAX, SimTime::as_nanos),
                 self.seq,
             ),
-            QueuePolicy::WeightedFair => {
-                let aged = now.duration_since(self.enqueued_at).as_nanos()
-                    / AGING_QUANTUM.as_nanos().max(1);
-                let effective = u64::from(self.tenant.weight).saturating_add(aged);
-                (u64::MAX - effective, self.seq)
-            }
         }
     }
 }
@@ -184,15 +150,14 @@ impl DispatchQueue {
         self.entries.iter()
     }
 
-    /// Index of the entry that drains next under the policy at `now`.
-    fn first_index(&self, now: SimTime) -> Option<usize> {
-        (0..self.entries.len()).min_by_key(|&i| self.entries[i].key(self.policy, now))
+    /// Index of the entry that drains next under the policy.
+    fn first_index(&self) -> Option<usize> {
+        (0..self.entries.len()).min_by_key(|&i| self.entries[i].key(self.policy))
     }
 
-    /// Removes and returns the entry that drains next under the policy
-    /// at `now`.
-    pub fn pop_first(&mut self, now: SimTime) -> Option<QueueEntry> {
-        self.first_index(now).map(|i| self.entries.remove(i))
+    /// Removes and returns the entry that drains next under the policy.
+    pub fn pop_first(&mut self) -> Option<QueueEntry> {
+        self.first_index().map(|i| self.entries.remove(i))
     }
 
     /// Puts a popped entry back, keeping its original arrival serial so
@@ -238,10 +203,10 @@ impl DispatchQueue {
         expired
     }
 
-    /// The waiting tenants' names in drain (policy) order at `now`.
-    pub fn names_in_order(&self, now: SimTime) -> Vec<String> {
+    /// The waiting tenants' names in drain (policy) order.
+    pub fn names_in_order(&self) -> Vec<String> {
         let mut idx: Vec<usize> = (0..self.entries.len()).collect();
-        idx.sort_by_key(|&i| self.entries[i].key(self.policy, now));
+        idx.sort_by_key(|&i| self.entries[i].key(self.policy));
         idx.into_iter()
             .map(|i| self.entries[i].tenant.name.clone())
             .collect()
@@ -272,29 +237,14 @@ mod tests {
         for (i, name) in ["a", "b", "c"].into_iter().enumerate() {
             q.push(tid(i as u32), tenant(name), SimTime::ZERO);
         }
-        assert_eq!(q.names_in_order(SimTime::ZERO), vec!["a", "b", "c"]);
-        assert_eq!(
-            q.pop_first(SimTime::ZERO).expect("non-empty").tenant.name,
-            "a"
-        );
+        assert_eq!(q.names_in_order(), vec!["a", "b", "c"]);
+        assert_eq!(q.pop_first().expect("non-empty").tenant.name, "a");
         assert_eq!(q.len(), 2);
         // A popped-then-reinserted head keeps its drain position.
-        let head = q.pop_first(SimTime::ZERO).expect("non-empty");
+        let head = q.pop_first().expect("non-empty");
         assert_eq!(head.tenant.name, "b");
         q.reinsert(head);
-        assert_eq!(q.names_in_order(SimTime::ZERO), vec!["b", "c"]);
-    }
-
-    #[test]
-    fn priority_drains_heavier_weights_first_fifo_within() {
-        let mut q = DispatchQueue::new(QueuePolicy::Priority);
-        q.push(tid(0), tenant("light-0"), SimTime::ZERO);
-        q.push(tid(1), tenant("heavy").with_weight(5), SimTime::ZERO);
-        q.push(tid(2), tenant("light-1"), SimTime::ZERO);
-        assert_eq!(
-            q.names_in_order(SimTime::ZERO),
-            vec!["heavy", "light-0", "light-1"]
-        );
+        assert_eq!(q.names_in_order(), vec!["b", "c"]);
     }
 
     #[test]
@@ -312,7 +262,7 @@ mod tests {
             tenant("tight").with_max_wait(SimDuration::from_secs(2)),
             at(2),
         );
-        assert_eq!(q.names_in_order(at(2)), vec!["tight", "loose", "patient"]);
+        assert_eq!(q.names_in_order(), vec!["tight", "loose", "patient"]);
     }
 
     #[test]
@@ -334,123 +284,12 @@ mod tests {
         let expired = q.take_expired(at(2));
         assert_eq!(expired.len(), 1);
         assert_eq!(expired[0].tenant.name, "gives-up");
-        assert_eq!(q.names_in_order(at(2)), vec!["waits", "later"]);
-    }
-
-    #[test]
-    fn weighted_fair_starts_as_priority_then_ages() {
-        let mut q = DispatchQueue::new(QueuePolicy::WeightedFair);
-        q.push(tid(0), tenant("light"), at(0));
-        q.push(tid(1), tenant("heavy").with_weight(5), at(0));
-        // Fresh queue: plain priority order.
-        assert_eq!(q.names_in_order(at(0)), vec!["heavy", "light"]);
-        // After enough waiting both aged equally — still priority order —
-        // but a *newly arrived* heavy no longer outranks the aged light.
-        q.push(tid(2), tenant("late-heavy").with_weight(5), at(6));
-        assert_eq!(
-            q.names_in_order(at(6)),
-            vec!["heavy", "light", "late-heavy"],
-            "light (1+6) beats late-heavy (5+0), not the equally aged heavy (5+6)"
-        );
-    }
-
-    #[test]
-    fn weighted_fair_never_starves_a_light_waiter() {
-        // The starvation scenario: one light waiter, then a sustained
-        // stream of heavy arrivals with one drain slot per second. Under
-        // `Priority` the light waiter never pops; under `WeightedFair`
-        // its aged weight outgrows every fresh heavy arrival.
-        let drained_light_within = |policy: QueuePolicy, rounds: u64| -> Option<u64> {
-            let mut q = DispatchQueue::new(policy);
-            q.push(tid(0), tenant("light"), at(0));
-            for round in 0..rounds {
-                let now = at(round);
-                q.push(
-                    tid(round as u32 + 1),
-                    tenant(&format!("heavy-{round}")).with_weight(9),
-                    now,
-                );
-                let popped = q.pop_first(now).expect("non-empty");
-                if popped.tenant.name == "light" {
-                    return Some(round);
-                }
-            }
-            None
-        };
-        assert_eq!(
-            drained_light_within(QueuePolicy::Priority, 64),
-            None,
-            "priority starves the light waiter"
-        );
-        let round = drained_light_within(QueuePolicy::WeightedFair, 64)
-            .expect("weighted-fair must drain the light waiter");
-        // Bound: a fresh weight-9 arrival at round r has effective 9;
-        // light has 1 + r. Light wins from r = 9; earlier heavies that
-        // aged alongside drain first, one per round.
-        assert!(round <= 20, "drained at round {round}");
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
-
-        /// Under sustained heavy load with one drain slot per aging
-        /// quantum, *every* waiter eventually drains under
-        /// `WeightedFair`: aging bounds how many later arrivals can
-        /// overtake any given entry.
-        #[test]
-        fn weighted_fair_eventually_drains_every_waiter(
-            seed_weights in proptest::collection::vec(1u32..10, 1..8),
-            arrival_weights in proptest::collection::vec(1u32..10, 8..40),
-        ) {
-            let mut q = DispatchQueue::new(QueuePolicy::WeightedFair);
-            for (i, &w) in seed_weights.iter().enumerate() {
-                q.push(tid(i as u32), tenant(&format!("seed-{i}")).with_weight(w), at(0));
-            }
-            let mut drained = std::collections::HashSet::new();
-            let mut round = 0u64;
-            // Sustained load: one fresh arrival and one drain per round.
-            for &w in &arrival_weights {
-                let now = at(round);
-                q.push(
-                    tid(round as u32 + 100),
-                    tenant(&format!("in-{round}")).with_weight(w),
-                    now,
-                );
-                let popped = q.pop_first(now).expect("queue non-empty");
-                drained.insert(popped.tenant.name);
-                round += 1;
-            }
-            // Load stops; keep draining one per round. Every seed waiter
-            // must surface within bounded time: a seed aged `r` rounds
-            // has effective weight ≥ 1 + r, while any arrival's lead is
-            // bounded by max weight 9.
-            while q.len() > 0 {
-                let now = at(round);
-                let popped = q.pop_first(now).expect("non-empty");
-                drained.insert(popped.tenant.name);
-                round += 1;
-                proptest::prop_assert!(
-                    round < 256,
-                    "the queue must drain without stalling"
-                );
-            }
-            for i in 0..seed_weights.len() {
-                proptest::prop_assert!(
-                    drained.contains(&format!("seed-{i}")),
-                    "seed waiter {i} never drained"
-                );
-            }
-        }
+        assert_eq!(q.names_in_order(), vec!["waits", "later"]);
     }
 
     #[test]
     fn remove_by_id_works_across_policies() {
-        for policy in [
-            QueuePolicy::Fifo,
-            QueuePolicy::Priority,
-            QueuePolicy::EarliestDeadline,
-            QueuePolicy::WeightedFair,
-        ] {
+        for policy in [QueuePolicy::Fifo, QueuePolicy::EarliestDeadline] {
             let mut q = DispatchQueue::new(policy);
             q.push(tid(0), tenant("a"), SimTime::ZERO);
             q.push(tid(1), tenant("b"), SimTime::ZERO);

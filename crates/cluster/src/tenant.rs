@@ -119,9 +119,6 @@ pub struct TenantSpec {
     pub fps: f64,
     /// Stage count for the offline split (6 in the paper).
     pub stages: usize,
-    /// Queueing priority weight (higher is served first under
-    /// [`crate::QueuePolicy::Priority`]; ties break FIFO). Default 1.
-    pub weight: u32,
     /// How long the tenant is willing to wait in the dispatch queue
     /// before giving up. `None` waits forever. Under
     /// [`crate::QueuePolicy::EarliestDeadline`] the implied absolute
@@ -153,7 +150,6 @@ impl TenantSpec {
             model,
             fps,
             stages: 6,
-            weight: 1,
             max_wait: None,
             fps_ladder: Vec::new(),
         }
@@ -168,13 +164,6 @@ impl TenantSpec {
     pub fn with_stages(mut self, stages: usize) -> Self {
         assert!(stages > 0, "a tenant needs at least one stage");
         self.stages = stages;
-        self
-    }
-
-    /// Overrides the queueing priority weight.
-    #[must_use]
-    pub fn with_weight(mut self, weight: u32) -> Self {
-        self.weight = weight;
         self
     }
 
@@ -330,11 +319,9 @@ mod tests {
     fn repricing_clone_keeps_identity_and_scales_demand() {
         let t = TenantSpec::new("cam", ModelKind::ResNet18, 30.0)
             .with_fps_ladder([24.0, 15.0])
-            .with_weight(3)
             .with_max_wait(SimDuration::from_secs(2));
         let degraded = t.at_fps(15.0);
         assert_eq!(degraded.name, t.name);
-        assert_eq!(degraded.weight, 3);
         assert_eq!(degraded.max_wait, t.max_wait);
         assert_eq!(degraded.fps_ladder, t.fps_ladder);
         assert!((degraded.demand_sm_equivalents() - t.demand_sm_equivalents() / 2.0).abs() < 1e-9);

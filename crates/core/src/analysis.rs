@@ -85,40 +85,6 @@ pub fn estimate_capacity(
     }
 }
 
-/// Estimates the naive baseline's capacity: `np` partitions each running
-/// one whole network at a time, plus the per-job partition-switch tax.
-#[must_use]
-pub fn estimate_naive_capacity(
-    task: &CompiledTask,
-    partitions: usize,
-    switch_ns: f64,
-    fps: f64,
-) -> CapacityEstimate {
-    let speedup = SpeedupModel::calibrated_rtx_2080_ti();
-    let pool = ContextPoolSpec::new(partitions, 1.0);
-    let allocations = pool.sm_allocations();
-    let mut total_fps = 0.0;
-    let mut delivered = 0.0;
-    for &sm in &allocations {
-        let t_ns = task.whole_profile.duration_ns_at(&speedup, f64::from(sm)) + switch_ns;
-        if t_ns > 0.0 {
-            total_fps += 1e9 / t_ns;
-        }
-        delivered += task
-            .whole_profile
-            .effective_speedup(&speedup, f64::from(sm));
-    }
-    CapacityEstimate {
-        delivered_sm_equivalents: delivered,
-        max_fps: total_fps,
-        pivot_tasks: if fps > 0.0 {
-            (total_fps / fps).floor() as usize
-        } else {
-            0
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,30 +133,6 @@ mod tests {
         let e10 = estimate_capacity(&task_for(&p10), &p10, 30.0, 4.0);
         let e20 = estimate_capacity(&task_for(&p20), &p20, 30.0, 4.0);
         assert!(e20.max_fps >= e10.max_fps);
-    }
-
-    #[test]
-    fn naive_prediction_is_below_sgprs() {
-        let pool = ContextPoolSpec::new(3, 1.5);
-        let task = task_for(&pool);
-        let sgprs = estimate_capacity(&task, &pool, 30.0, 4.0);
-        let naive = estimate_naive_capacity(&task, 3, 450_000.0, 30.0);
-        assert!(naive.max_fps < sgprs.max_fps);
-        assert!(naive.pivot_tasks < sgprs.pivot_tasks);
-    }
-
-    #[test]
-    fn naive_prediction_matches_measured_ballpark() {
-        // Measured naive Scenario-2 plateau ≈ 434 fps (the
-        // `fig4_scenario2` bench bin).
-        let pool = ContextPoolSpec::new(3, 1.0);
-        let task = task_for(&pool);
-        let naive = estimate_naive_capacity(&task, 3, 450_000.0, 30.0);
-        assert!(
-            (350.0..=550.0).contains(&naive.max_fps),
-            "naive capacity {:.0} should be near the measured ~434 fps",
-            naive.max_fps
-        );
     }
 
     #[test]

@@ -134,16 +134,6 @@ pub struct SgprsConfig {
     /// counts toward total FPS), and aborting mid-chain wastes the GPU
     /// time its earlier stages already consumed. Available for ablation.
     pub abort_hopeless: bool,
-    /// Decline a frame at admission when the backlog estimate says its
-    /// deadline cannot be met (the frame is dropped *before* wasting any
-    /// GPU time on it). Together with `abort_hopeless` this keeps admitted
-    /// jobs on time under overload, so total FPS is sustained while the
-    /// miss rate grows only with the drop rate — the paper's post-pivot
-    /// behaviour. The naive baseline has no such control.
-    pub admission_control: bool,
-    /// Divisor applied to a context's outstanding-work estimate when
-    /// predicting finish times (accounts for intra-context concurrency).
-    pub finish_estimate_parallelism: f64,
     /// Deterministic seed for the device's execution-time jitter.
     pub seed: u64,
     /// Measurement warm-up: jobs released before this offset are ignored
@@ -165,8 +155,6 @@ impl SgprsConfig {
             high_overflow_to_low: false,
             admission: Admission::FrameBuffer,
             abort_hopeless: false,
-            admission_control: true,
-            finish_estimate_parallelism: 1.5,
             seed: 0x5672_5053,
             warmup: sgprs_rt::SimDuration::from_millis(500),
             tracing: false,
@@ -195,9 +183,6 @@ pub struct NaiveConfig {
     /// Base cost of reconfiguring a partition to another tenant, in
     /// nanoseconds — the cost SGPRS's zero-configuration switch avoids.
     pub partition_switch_ns: f64,
-    /// Relative growth of the switch cost per additional tenant sharing
-    /// the context (cold caches, weight re-upload).
-    pub switch_growth_per_tenant: f64,
     /// Release policy.
     pub admission: Admission,
     /// Deterministic jitter seed.
@@ -222,7 +207,6 @@ impl NaiveConfig {
             gpu: GpuSpec::rtx_2080_ti(),
             contention: ContentionModel::calibrated(),
             partition_switch_ns: 250_000.0,
-            switch_growth_per_tenant: 0.04,
             admission: Admission::FrameBuffer,
             seed: 0x5672_5053,
             warmup: sgprs_rt::SimDuration::from_millis(500),
@@ -248,11 +232,14 @@ impl NaiveConfig {
         self
     }
 
-    /// The switch cost when `tenants` distinct tasks share a context.
+    /// The switch cost when `tenants` distinct tasks share a context: the
+    /// base cost grows 4% per additional tenant (cold caches, weight
+    /// re-upload).
     #[must_use]
     pub fn switch_cost_ns(&self, tenants: usize) -> f64 {
+        const GROWTH_PER_TENANT: f64 = 0.04;
         let extra = tenants.saturating_sub(1) as f64;
-        self.partition_switch_ns * (1.0 + self.switch_growth_per_tenant * extra)
+        self.partition_switch_ns * (1.0 + GROWTH_PER_TENANT * extra)
     }
 }
 

@@ -13,7 +13,7 @@
 
 use crate::{CompiledTask, ContextPoolSpec};
 use sgprs_dnn::{partition, CostModel, DnnError, Network, Stage};
-use sgprs_gpu_sim::{KernelDesc, SpeedupModel, WorkProfile};
+use sgprs_gpu_sim::{SpeedupModel, WorkProfile};
 use sgprs_rt::{PeriodicTaskSpec, PriorityAssignment, SimDuration, StageSpec};
 
 /// Pessimism margin applied on top of the profiled stage time (the paper
@@ -134,21 +134,6 @@ pub fn compile_network_task(
     ))
 }
 
-/// Convenience: the estimated isolated execution time of a compiled
-/// task's whole network on `sm_alloc` SMs (the naive baseline's job
-/// length).
-#[must_use]
-pub fn whole_task_duration(
-    task: &CompiledTask,
-    speedup: &SpeedupModel,
-    launch_overhead_ns: u64,
-    sm_alloc: u32,
-) -> SimDuration {
-    let desc = KernelDesc::new(task.name(), task.whole_profile);
-    let ns = launch_overhead_ns as f64 + desc.work.duration_ns_at(speedup, f64::from(sm_alloc));
-    SimDuration::from_nanos(ns.round() as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,15 +233,6 @@ mod tests {
             total < SimDuration::from_micros(33_333),
             "total stage WCET {total} exceeds the period"
         );
-    }
-
-    #[test]
-    fn whole_task_duration_shrinks_with_sms() {
-        let t = compile_default();
-        let speedup = SpeedupModel::calibrated_rtx_2080_ti();
-        let d34 = whole_task_duration(&t, &speedup, 5_000, 34);
-        let d68 = whole_task_duration(&t, &speedup, 5_000, 68);
-        assert!(d68 < d34);
     }
 
     #[test]

@@ -272,9 +272,11 @@ impl Policy for Sgprs {
     /// resumes — the closed loop settles with in-flight work sized so
     /// that admitted jobs finish roughly on time, which is what lets
     /// SGPRS sustain total FPS with a moderate miss-rate slope past the
-    /// pivot (§V). Self-calibrating: no capacity model needed.
+    /// pivot (§V). Self-calibrating: no capacity model needed. The frame
+    /// is dropped *before* wasting any GPU time on it; the naive baseline
+    /// has no such control.
     fn accept(&self, task: usize) -> bool {
-        if !self.config.admission_control || self.config.admission == Admission::QueueAll {
+        if self.config.admission == Admission::QueueAll {
             return true;
         }
         if self.completions_seen < 16 {
@@ -502,7 +504,10 @@ impl Sgprs {
     /// to context `ctx` now: current backlog shrunk by the context's
     /// intra-context parallelism, plus the stage's own estimate.
     fn estimate_finish_ns(&self, ctx: usize, sref: StageRef, now_ns: f64) -> f64 {
-        let backlog = self.contexts[ctx].pending_ns / self.config.finish_estimate_parallelism;
+        /// Divisor of a context's outstanding-work estimate: the streams
+        /// of one context run about 1.5 stages at a time.
+        const FINISH_ESTIMATE_PARALLELISM: f64 = 1.5;
+        let backlog = self.contexts[ctx].pending_ns / FINISH_ESTIMATE_PARALLELISM;
         now_ns + backlog + self.isolated_estimate_ns(ctx, sref)
     }
 

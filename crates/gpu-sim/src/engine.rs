@@ -56,7 +56,7 @@ use crate::{ContentionModel, GpuSimError, KernelDesc, SpeedupModel, TraceRecorde
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use sgprs_rt::{SimDuration, SimTime};
+use sgprs_rt::SimTime;
 use std::collections::VecDeque;
 
 /// Identifier of a context in the engine's context pool.
@@ -171,14 +171,6 @@ pub struct ContextSnapshot {
     pub idle_high: usize,
     /// Idle low-priority streams.
     pub idle_low: usize,
-}
-
-impl ContextSnapshot {
-    /// `true` when no kernel is resident.
-    #[must_use]
-    pub fn is_idle(&self) -> bool {
-        self.resident == 0
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -527,23 +519,6 @@ impl GpuEngine {
             .map(|k| k.stream)
     }
 
-    /// Estimated isolated duration of `desc` in context `ctx`: the time the
-    /// kernel would take if it were the only resident kernel device-wide.
-    /// Schedulers use this for finish-time estimation and offline WCET
-    /// profiling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ctx` is out of range.
-    #[must_use]
-    pub fn estimate_isolated(&self, ctx: ContextId, desc: &KernelDesc) -> SimDuration {
-        let sm = f64::from(self.contexts[ctx.0].config.sm_alloc);
-        let ns = self.spec.launch_overhead_ns as f64
-            + desc.extra_ns
-            + desc.work.duration_ns_at(&self.speedup, sm);
-        SimDuration::from_nanos(ns.round() as u64)
-    }
-
     /// Submits a kernel to an idle stream of `class` in context `ctx`.
     ///
     /// # Errors
@@ -884,6 +859,7 @@ impl GpuEngine {
 mod tests {
     use super::*;
     use crate::{GpuSpec, OpClass, WorkProfile};
+    use sgprs_rt::SimDuration;
 
     fn quiet_spec() -> GpuSpec {
         GpuSpec::rtx_2080_ti().with_launch_overhead_ns(0)
@@ -891,6 +867,16 @@ mod tests {
 
     fn conv_kernel(ns: f64) -> KernelDesc {
         KernelDesc::new("conv", WorkProfile::single(OpClass::Convolution, ns))
+    }
+
+    /// The time `desc` takes in context `ctx` of `e` when it is the only
+    /// resident kernel device-wide.
+    fn isolated(e: &GpuEngine, ctx: usize, desc: &KernelDesc) -> SimDuration {
+        let sm = f64::from(e.contexts[ctx].config.sm_alloc);
+        let ns = e.spec.launch_overhead_ns as f64
+            + desc.extra_ns
+            + desc.work.duration_ns_at(&e.speedup, sm);
+        SimDuration::from_nanos(ns.round() as u64)
     }
 
     fn ideal_engine(contexts: &[u32]) -> GpuEngine {
@@ -905,7 +891,7 @@ mod tests {
     fn single_kernel_runs_for_its_isolated_duration() {
         let mut e = ideal_engine(&[68]);
         let desc = conv_kernel(1e6);
-        let expected = e.estimate_isolated(ContextId(0), &desc);
+        let expected = isolated(&e, 0, &desc);
         e.submit(ContextId(0), StreamClass::High, desc).unwrap();
         let ev = e.run_next().unwrap();
         let got = ev.finished_at.duration_since(ev.submitted_at);
@@ -1096,7 +1082,7 @@ mod tests {
         let a = e
             .submit(ContextId(0), StreamClass::High, conv_kernel(1e7))
             .unwrap();
-        let iso = e.estimate_isolated(ContextId(0), &conv_kernel(1e7));
+        let iso = isolated(&e, 0, &conv_kernel(1e7));
         let half = SimTime::from_nanos(iso.as_nanos() / 2);
         e.advance_to(half);
         e.submit(ContextId(0), StreamClass::High, conv_kernel(1e7))
@@ -1141,7 +1127,7 @@ mod tests {
     fn snapshot_reflects_occupancy() {
         let mut e = ideal_engine(&[68]);
         let s = e.snapshot(ContextId(0));
-        assert!(s.is_idle());
+        assert_eq!(s.resident, 0);
         assert_eq!(s.idle_high, 2);
         assert_eq!(s.idle_low, 2);
         e.submit(ContextId(0), StreamClass::High, conv_kernel(1e6))

@@ -47,7 +47,6 @@ mod error;
 mod kernel;
 mod spec;
 mod speedup;
-mod stats;
 mod trace;
 
 pub use contention::ContentionModel;
@@ -59,5 +58,4 @@ pub use error::GpuSimError;
 pub use kernel::{KernelDesc, WorkProfile, WorkSegment};
 pub use spec::GpuSpec;
 pub use speedup::{OpClass, SpeedupCurve, SpeedupModel};
-pub use stats::{UtilizationRecorder, UtilizationSample};
 pub use trace::{KernelSpan, TraceRecorder};

@@ -138,17 +138,6 @@ impl SpeedupCurve {
         let p = self.parallel_fraction;
         1.0 / ((1.0 - p) + p / m)
     }
-
-    /// Asymptotic speedup `1 / (1 − p)` (∞ for p = 1).
-    #[must_use]
-    pub fn asymptote(self) -> f64 {
-        let serial = 1.0 - self.parallel_fraction;
-        if serial <= 0.0 {
-            f64::INFINITY
-        } else {
-            1.0 / serial
-        }
-    }
 }
 
 /// A device-wide speedup model: one fitted curve per operation class.
@@ -332,14 +321,6 @@ mod tests {
                 at68(op)
             );
         }
-    }
-
-    #[test]
-    fn asymptote_bounds_measured_speedup() {
-        let c = SpeedupCurve::fitted(32.0, 68.0);
-        assert!(c.asymptote() > 32.0);
-        let perfectly_parallel = SpeedupCurve::from_parallel_fraction(1.0);
-        assert!(perfectly_parallel.asymptote().is_infinite());
     }
 
     #[test]

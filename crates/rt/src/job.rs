@@ -80,16 +80,6 @@ impl StageInstance {
     pub fn is_completed(&self) -> bool {
         matches!(self.state, StageState::Completed)
     }
-
-    /// `true` if the stage completed after its absolute (virtual) deadline,
-    /// or has not completed although the deadline already passed at `now`.
-    #[must_use]
-    pub fn missed_deadline(&self, now: SimTime) -> bool {
-        match self.completed_at {
-            Some(t) => t > self.absolute_deadline,
-            None => now > self.absolute_deadline,
-        }
-    }
 }
 
 /// A released instance of a periodic task.
@@ -320,17 +310,6 @@ impl ReleaseGenerator {
         self.next += self.period;
         self.index += 1;
     }
-
-    /// Skips forward until the upcoming release is strictly after `now`.
-    /// Returns how many releases were skipped.
-    pub fn skip_until_after(&mut self, now: SimTime) -> u64 {
-        let mut skipped = 0;
-        while self.next <= now {
-            self.advance();
-            skipped += 1;
-        }
-        skipped
-    }
 }
 
 #[cfg(test)]
@@ -463,23 +442,12 @@ mod tests {
     }
 
     #[test]
-    fn stage_miss_detection_uses_now_for_unfinished_stages() {
-        let t = chain_task();
-        let job = release(&t, SimTime::ZERO);
-        assert!(!job.stages[0].missed_deadline(SimTime::ZERO + ms(9)));
-        assert!(job.stages[0].missed_deadline(SimTime::ZERO + ms(11)));
-    }
-
-    #[test]
-    fn release_generator_steps_and_skips() {
+    fn release_generator_steps() {
         let mut g = ReleaseGenerator::new(SimTime::ZERO, ms(10));
         assert_eq!(g.next_index(), 0);
         g.advance();
         g.advance();
         assert_eq!(g.next_release(), SimTime::ZERO + ms(20));
         assert_eq!(g.next_index(), 2);
-        let skipped = g.skip_until_after(SimTime::ZERO + ms(45));
-        assert_eq!(skipped, 3);
-        assert_eq!(g.next_release(), SimTime::ZERO + ms(50));
     }
 }

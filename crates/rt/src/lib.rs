@@ -5,31 +5,34 @@
 //! are built on:
 //!
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond simulated time.
-//! * [`PeriodicTaskSpec`] / [`StageSpec`] / [`TaskSet`] — the paper's task
-//!   model: a task set `S = {τ1..τ|S|}` of periodic DNN tasks, each a DAG of
-//!   stages `τi^j` with WCETs `Ci^j` and virtual relative deadlines `Di^j`.
+//! * [`PeriodicTaskSpec`] / [`StageSpec`] — the paper's task model: a
+//!   periodic DNN task `τi`, a DAG of stages `τi^j` with WCETs `Ci^j` and
+//!   virtual relative deadlines `Di^j`.
+//! * [`PriorityAssignment`] — the offline two-level stage priorities.
 //! * [`Job`] / [`StageInstance`] — run-time instances released every period.
 //! * [`PriorityLevel`] — the three-level (high/medium/low) priority space of
 //!   SGPRS's stage queuing.
-//! * [`EdfQueue`] — an earliest-deadline-first ready queue with FIFO
-//!   tie-breaking, used inside every priority band.
-//! * [`analysis`] — classic schedulability analysis (utilisation bounds,
-//!   hyperperiods, demand-bound functions) used by tests and by the
-//!   experiment harness to sanity-check generated task sets.
+//! * [`EdfQueue`] / [`PriorityBands`] — an earliest-deadline-first ready
+//!   queue with FIFO tie-breaking, one per priority band.
+//! * [`ReleaseTemplate`] / [`ReleaseGenerator`] — periodic job release.
 //!
 //! # Example
 //!
 //! ```
-//! use sgprs_rt::{PeriodicTaskSpec, SimDuration, TaskSet};
+//! use sgprs_rt::{PeriodicTaskSpec, PriorityAssignment, PriorityLevel, SimDuration};
 //!
-//! let task = PeriodicTaskSpec::builder("camera")
+//! // A 33 ms camera task split into three equal stages.
+//! let mut task = PeriodicTaskSpec::builder("camera")
 //!     .period(SimDuration::from_millis(33))
-//!     .wcet(SimDuration::from_millis(8))
+//!     .equal_stage_chain(3, SimDuration::from_millis(9))
 //!     .build()
 //!     .expect("valid task");
-//! let mut set = TaskSet::new();
-//! set.push(task);
-//! assert!(set.total_utilization() < 1.0);
+//! assert_eq!(task.deadline, task.period);
+//! assert!(task.utilization() < 1.0);
+//! // The offline phase marks only the last stage high priority.
+//! PriorityAssignment::assign(&mut task);
+//! assert_eq!(task.stages[0].priority, PriorityLevel::Low);
+//! assert_eq!(task.stages[2].priority, PriorityLevel::High);
 //! ```
 //!
 //! [`sgprs-gpu-sim`]: https://example.invalid/sgprs
@@ -38,7 +41,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analysis;
 mod error;
 mod job;
 mod priority;
@@ -52,5 +54,5 @@ pub use job::{
 };
 pub use priority::{PriorityAssignment, PriorityLevel};
 pub use queue::{EdfEntry, EdfQueue, PriorityBands};
-pub use task::{PeriodicTaskSpec, PeriodicTaskSpecBuilder, StageId, StageSpec, TaskId, TaskSet};
+pub use task::{PeriodicTaskSpec, PeriodicTaskSpecBuilder, StageId, StageSpec, TaskId};
 pub use time::{SimDuration, SimTime};

@@ -99,22 +99,6 @@ impl<T: Eq> EdfQueue<T> {
         self.heap.is_empty()
     }
 
-    /// Removes every entry matching `pred`, returning the removed payloads.
-    /// O(n log n); used only for rare abort paths.
-    pub fn drain_matching<F: FnMut(&T) -> bool>(&mut self, mut pred: F) -> Vec<T> {
-        let mut kept = BinaryHeap::with_capacity(self.heap.len());
-        let mut removed = Vec::new();
-        for entry in self.heap.drain() {
-            if pred(&entry.item) {
-                removed.push(entry.item);
-            } else {
-                kept.push(entry);
-            }
-        }
-        self.heap = kept;
-        removed
-    }
-
     /// Iterates over queued payloads in arbitrary (heap) order.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.heap.iter().map(|e| &e.item)
@@ -207,31 +191,6 @@ impl<T: Eq> PriorityBands<T> {
         self.band(level).len()
     }
 
-    /// Earliest deadline across all bands, if any entry is queued.
-    #[must_use]
-    pub fn earliest_deadline(&self) -> Option<SimTime> {
-        [&self.high, &self.medium, &self.low]
-            .iter()
-            .filter_map(|q| q.peek().map(|e| e.deadline))
-            .min()
-    }
-
-    /// Moves entries matching `pred` from low to medium, computing each
-    /// promoted entry's deadline with `deadline_of`.
-    pub fn promote_low_with<F, D>(&mut self, pred: F, mut deadline_of: D) -> usize
-    where
-        F: FnMut(&T) -> bool,
-        D: FnMut(&T) -> SimTime,
-    {
-        let moved = self.low.drain_matching(pred);
-        let n = moved.len();
-        for item in moved {
-            let d = deadline_of(&item);
-            self.medium.push(item, d);
-        }
-        n
-    }
-
     fn band(&self, level: PriorityLevel) -> &EdfQueue<T> {
         match level {
             PriorityLevel::High => &self.high,
@@ -278,19 +237,6 @@ mod tests {
     }
 
     #[test]
-    fn drain_matching_removes_only_matches() {
-        let mut q = EdfQueue::new();
-        for i in 0..10u32 {
-            q.push(i, t(u64::from(i)));
-        }
-        let removed = q.drain_matching(|&x| x % 2 == 0);
-        assert_eq!(removed.len(), 5);
-        assert_eq!(q.len(), 5);
-        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.item)).collect();
-        assert_eq!(order, vec![1, 3, 5, 7, 9]);
-    }
-
-    #[test]
     fn bands_serve_high_before_earlier_low_deadlines() {
         let mut b = PriorityBands::new();
         b.push(PriorityLevel::Low, "low-early", t(1));
@@ -322,28 +268,5 @@ mod tests {
         assert_eq!(lvl, PriorityLevel::Low);
         assert_eq!(e.item, "l");
         assert_eq!(b.band_len(PriorityLevel::High), 1);
-    }
-
-    #[test]
-    fn promotion_moves_low_entries_to_medium() {
-        let mut b = PriorityBands::new();
-        b.push(PriorityLevel::Low, 1u32, t(10));
-        b.push(PriorityLevel::Low, 2u32, t(20));
-        let n = b.promote_low_with(|&x| x == 2, |_| t(20));
-        assert_eq!(n, 1);
-        assert_eq!(b.band_len(PriorityLevel::Medium), 1);
-        assert_eq!(b.band_len(PriorityLevel::Low), 1);
-        let (lvl, e) = b.pop().unwrap();
-        assert_eq!(lvl, PriorityLevel::Medium);
-        assert_eq!(e.item, 2);
-    }
-
-    #[test]
-    fn earliest_deadline_spans_bands() {
-        let mut b = PriorityBands::new();
-        assert_eq!(b.earliest_deadline(), None);
-        b.push(PriorityLevel::High, "h", t(500));
-        b.push(PriorityLevel::Low, "l", t(100));
-        assert_eq!(b.earliest_deadline(), Some(t(100)));
     }
 }

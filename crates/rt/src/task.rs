@@ -9,7 +9,7 @@
 use crate::{PriorityLevel, RtError, SimDuration};
 use serde::{Deserialize, Serialize};
 
-/// Identifier of a task within a [`TaskSet`] (dense, assigned on insert).
+/// Identifier of a task within a scheduler's task list (its index).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct TaskId(pub usize);
 
@@ -115,14 +115,6 @@ impl PeriodicTaskSpec {
     #[must_use]
     pub fn utilization(&self) -> f64 {
         self.wcet.ratio(self.period)
-    }
-
-    /// Density `Ci / min(Di, Ti)`, the constrained-deadline analogue of
-    /// utilisation.
-    #[must_use]
-    pub fn density(&self) -> f64 {
-        let bound = self.deadline.min(self.period);
-        self.wcet.ratio(bound)
     }
 
     /// Number of stages (zero for monolithic tasks).
@@ -357,89 +349,6 @@ impl PeriodicTaskSpecBuilder {
     }
 }
 
-/// An ordered collection of periodic tasks (`S` in the paper).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct TaskSet {
-    tasks: Vec<PeriodicTaskSpec>,
-}
-
-impl TaskSet {
-    /// Creates an empty task set.
-    #[must_use]
-    pub fn new() -> Self {
-        TaskSet { tasks: Vec::new() }
-    }
-
-    /// Adds a task, returning its dense [`TaskId`].
-    pub fn push(&mut self, task: PeriodicTaskSpec) -> TaskId {
-        self.tasks.push(task);
-        TaskId(self.tasks.len() - 1)
-    }
-
-    /// Number of tasks `|S|`.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// `true` when the set is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
-    }
-
-    /// The task with the given id, if present.
-    #[must_use]
-    pub fn get(&self, id: TaskId) -> Option<&PeriodicTaskSpec> {
-        self.tasks.get(id.0)
-    }
-
-    /// Mutable access to the task with the given id, if present.
-    #[must_use]
-    pub fn get_mut(&mut self, id: TaskId) -> Option<&mut PeriodicTaskSpec> {
-        self.tasks.get_mut(id.0)
-    }
-
-    /// Iterates over `(TaskId, &task)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (TaskId, &PeriodicTaskSpec)> {
-        self.tasks.iter().enumerate().map(|(i, t)| (TaskId(i), t))
-    }
-
-    /// Iterates mutably over `(TaskId, &mut task)` pairs.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (TaskId, &mut PeriodicTaskSpec)> {
-        self.tasks
-            .iter_mut()
-            .enumerate()
-            .map(|(i, t)| (TaskId(i), t))
-    }
-
-    /// Total utilisation `Σ Ci/Ti`.
-    #[must_use]
-    pub fn total_utilization(&self) -> f64 {
-        self.tasks.iter().map(PeriodicTaskSpec::utilization).sum()
-    }
-
-    /// Total density `Σ Ci/min(Di,Ti)`.
-    #[must_use]
-    pub fn total_density(&self) -> f64 {
-        self.tasks.iter().map(PeriodicTaskSpec::density).sum()
-    }
-}
-
-impl FromIterator<PeriodicTaskSpec> for TaskSet {
-    fn from_iter<I: IntoIterator<Item = PeriodicTaskSpec>>(iter: I) -> Self {
-        TaskSet {
-            tasks: iter.into_iter().collect(),
-        }
-    }
-}
-
-impl Extend<PeriodicTaskSpec> for TaskSet {
-    fn extend<I: IntoIterator<Item = PeriodicTaskSpec>>(&mut self, iter: I) {
-        self.tasks.extend(iter);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -532,7 +441,7 @@ mod tests {
     }
 
     #[test]
-    fn utilization_and_density_behave() {
+    fn utilization_ignores_the_deadline() {
         let t = PeriodicTaskSpec::builder("t")
             .period(ms(20))
             .deadline(ms(10))
@@ -540,23 +449,6 @@ mod tests {
             .build()
             .unwrap();
         assert!((t.utilization() - 0.25).abs() < 1e-12);
-        assert!((t.density() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn taskset_accumulates_utilization() {
-        let mut s = TaskSet::new();
-        for _ in 0..4 {
-            s.push(
-                PeriodicTaskSpec::builder("t")
-                    .period(ms(20))
-                    .wcet(ms(5))
-                    .build()
-                    .unwrap(),
-            );
-        }
-        assert_eq!(s.len(), 4);
-        assert!((s.total_utilization() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -121,22 +121,25 @@ impl SimDuration {
         SimDuration(nanos)
     }
 
-    /// Creates a span of `micros` microseconds.
+    /// Creates a span of `micros` microseconds, saturating at
+    /// [`SimDuration::MAX`].
     #[must_use]
     pub const fn from_micros(micros: u64) -> Self {
-        SimDuration(micros * 1_000)
+        SimDuration(micros.saturating_mul(1_000))
     }
 
-    /// Creates a span of `millis` milliseconds.
+    /// Creates a span of `millis` milliseconds, saturating at
+    /// [`SimDuration::MAX`].
     #[must_use]
     pub const fn from_millis(millis: u64) -> Self {
-        SimDuration(millis * 1_000_000)
+        SimDuration(millis.saturating_mul(1_000_000))
     }
 
-    /// Creates a span of `secs` whole seconds.
+    /// Creates a span of `secs` whole seconds, saturating at
+    /// [`SimDuration::MAX`].
     #[must_use]
     pub const fn from_secs(secs: u64) -> Self {
-        SimDuration(secs * 1_000_000_000)
+        SimDuration(secs.saturating_mul(1_000_000_000))
     }
 
     /// Creates a span from fractional seconds, rounding to the nearest
@@ -202,12 +205,6 @@ impl SimDuration {
             return SimDuration::MAX;
         }
         SimDuration(self.0.div_ceil(divisor))
-    }
-
-    /// Checked subtraction; `None` if `rhs` is longer than `self`.
-    #[must_use]
-    pub fn checked_sub(self, rhs: SimDuration) -> Option<SimDuration> {
-        self.0.checked_sub(rhs.0).map(SimDuration)
     }
 
     /// Saturating subtraction (clamps at zero).
@@ -349,6 +346,18 @@ mod tests {
         assert_eq!(SimDuration::from_micros(1), SimDuration::from_nanos(1_000));
         assert_eq!(SimDuration::from_millis(1), SimDuration::from_micros(1_000));
         assert_eq!(SimDuration::from_secs(1), SimDuration::from_millis(1_000));
+    }
+
+    #[test]
+    fn whole_unit_constructors_saturate() {
+        assert_eq!(SimDuration::from_micros(u64::MAX), SimDuration::MAX);
+        assert_eq!(SimDuration::from_millis(u64::MAX / 1_000), SimDuration::MAX);
+        assert_eq!(SimDuration::from_secs(18_446_744_074), SimDuration::MAX);
+        // The largest whole second that still fits is exact.
+        assert_eq!(
+            SimDuration::from_secs(18_446_744_073).as_nanos(),
+            18_446_744_073_000_000_000
+        );
     }
 
     #[test]

@@ -489,9 +489,7 @@ impl FleetScenario {
                 ShardRouter::P2c => cfg.with_p2c_sharding(shard_size),
             };
         }
-        if let Some(threshold) = self.migration {
-            cfg = cfg.with_migration(threshold);
-        }
+        cfg.migration = self.migration;
         if let Some(bound) = self.admission_bound {
             cfg.admission.utilization_bound = bound;
         }

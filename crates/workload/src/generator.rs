@@ -8,7 +8,6 @@
 //!   summing to a target total, unbiased over the simplex.
 //! * [`mixed_model_tasks`] — a round-robin mix of the reference networks
 //!   at a common frame rate.
-//! * [`scaled_rate_tasks`] — identical networks at heterogeneous rates.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -75,30 +74,6 @@ pub fn mixed_model_tasks(
         .collect()
 }
 
-/// Identical ResNet18 tasks whose rates are scaled by UUniFast-drawn
-/// utilisation shares: task `i` runs at `base_fps · n · u_i` frames per
-/// second (so the *total* offered rate matches `n · base_fps`).
-#[must_use]
-pub fn scaled_rate_tasks(
-    n: usize,
-    base_fps: f64,
-    stages: usize,
-    pool: &ContextPoolSpec,
-    seed: u64,
-) -> Vec<CompiledTask> {
-    let net = models::resnet18(1, 224);
-    let shares = uunifast(n, 1.0, seed);
-    shares
-        .iter()
-        .enumerate()
-        .map(|(i, &u)| {
-            // Clamp so no task drops below 1 fps or above 120 fps.
-            let fps = (base_fps * n as f64 * u).clamp(1.0, 120.0);
-            compile_model_task(&format!("resnet18-{i}"), &net, fps, stages, pool)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,16 +114,6 @@ mod tests {
         assert!(tasks[1].spec.name.starts_with("mobilenet"));
         assert!(tasks[2].spec.name.starts_with("alexnet"));
         assert!(tasks.iter().all(|t| t.stage_count() == 4));
-    }
-
-    #[test]
-    fn scaled_rates_stay_in_bounds() {
-        let pool = ContextPoolSpec::new(2, 1.0);
-        let tasks = scaled_rate_tasks(8, 30.0, 6, &pool, 3);
-        for t in &tasks {
-            let fps = 1.0 / t.spec.period.as_secs_f64();
-            assert!((1.0..=120.0).contains(&fps), "fps {fps}");
-        }
     }
 
     #[test]

@@ -19,12 +19,12 @@
 //! # Example
 //!
 //! ```
-//! use sgprs_workload::{scenario1_variants, sweep::run_sweep};
+//! use sgprs_workload::{scenario1_variants, sweep::run_sweeps};
 //!
 //! let variants = scenario1_variants(1); // 1-second simulations for the doctest
-//! let series = run_sweep(&variants[1], &[1, 2]);
-//! assert_eq!(series.points.len(), 2);
-//! assert!(series.points[0].total_fps > 0.0);
+//! let series = run_sweeps(&variants[1..2], &[1, 2]);
+//! assert_eq!(series[0].points.len(), 2);
+//! assert!(series[0].points[0].total_fps > 0.0);
 //! ```
 
 #![forbid(unsafe_code)]

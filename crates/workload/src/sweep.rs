@@ -1,8 +1,8 @@
 //! Task-count sweeps: one scenario evaluated at many task counts.
 //!
 //! Figures 3 and 4 plot total FPS and DMR against the number of tasks.
-//! [`run_sweep`] produces that curve for one scenario; [`run_sweeps`]
-//! fans several scenarios out over worker threads.
+//! [`run_sweeps`] produces those curves for several scenarios, fanned out
+//! over worker threads.
 
 use crate::ScenarioSpec;
 use parking_lot::Mutex;
@@ -73,29 +73,10 @@ impl SweepSeries {
         self.points.last().map_or(0.0, |p| p.total_fps)
     }
 
-    /// Peak FPS across the sweep.
-    #[must_use]
-    pub fn peak_fps(&self) -> f64 {
-        self.points.iter().fold(0.0, |acc, p| acc.max(p.total_fps))
-    }
-
     /// DMR at the largest task count.
     #[must_use]
     pub fn final_dmr(&self) -> f64 {
         self.points.last().map_or(0.0, |p| p.dmr)
-    }
-}
-
-/// Runs one scenario at every task count in `task_counts` (sequentially).
-#[must_use]
-pub fn run_sweep(scenario: &ScenarioSpec, task_counts: &[usize]) -> SweepSeries {
-    let points = task_counts
-        .iter()
-        .map(|&n| SweepPoint::from_metrics(n, &scenario.run(n)))
-        .collect();
-    SweepSeries {
-        label: scenario.label.clone(),
-        points,
     }
 }
 
@@ -190,7 +171,6 @@ mod tests {
         };
         assert_eq!(series.pivot_point(), 2);
         assert!((series.final_fps() - 80.0).abs() < 1e-9);
-        assert!((series.peak_fps() - 80.0).abs() < 1e-9);
         assert!((series.final_dmr() - 0.1).abs() < 1e-9);
     }
 
@@ -220,9 +200,15 @@ mod tests {
             1,
         );
         let counts = [1, 3, 5];
-        let seq = run_sweep(&s, &counts);
+        let seq: Vec<SweepPoint> = counts
+            .iter()
+            .map(|&n| SweepPoint::from_metrics(n, &s.run(n)))
+            .collect();
         let par = run_sweeps(std::slice::from_ref(&s), &counts);
-        assert_eq!(seq, par[0], "determinism across execution strategies");
+        assert_eq!(
+            seq, par[0].points,
+            "determinism across execution strategies"
+        );
     }
 
     #[test]

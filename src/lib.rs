@@ -8,7 +8,7 @@
 //! # Layer map
 //!
 //! * [`rt`] — simulated time, the periodic task model, EDF queues, and
-//!   classic schedulability analysis.
+//!   periodic job release.
 //! * [`gpu_sim`] — the discrete-event GPU: contexts, prioritised
 //!   streams, calibrated speedup curves, contention, tracing.
 //! * [`dnn`] — the model zoo (ResNet18/34, VGG-16, AlexNet, MobileNet),
@@ -23,16 +23,16 @@
 //!   choosing the ordered shard scan or O(1) power-of-two-choices
 //!   routing for 512–1024-node fleets), utilisation-bound admission
 //!   control, placement policies, policy-ordered wait queueing
-//!   (`cluster::QueuePolicy`: FIFO, priority-weight, earliest queue
-//!   deadline, weighted-fair with aging) with an fps re-pricing ladder
+//!   (`cluster::QueuePolicy`: FIFO or earliest queue deadline) with an
+//!   fps re-pricing ladder
 //!   (admit degraded instead of rejecting, upgrade back in place as
 //!   capacity frees) and demand-aware expiry (provably hopeless waiters
 //!   drop early), tenant churn with names interned to dense `u32` ids
 //!   at the fleet boundary (`cluster::TenantInterner`: first-appearance
 //!   order, LIFO slot recycling, names resolved only at the JSON render
 //!   edge — the id table stays sized by the peak active population,
-//!   millions of tenants per run), migration (LIFO or demand-aware
-//!   victim selection), parallel per-epoch node execution with deterministic
+//!   millions of tenants per run), migration (the most recently placed
+//!   tenant leaves), parallel per-epoch node execution with deterministic
 //!   metrics, and fleet-level metrics with a golden-pinned,
 //!   schema-versioned JSON export. Every dispatch decision lives in the
 //!   shared `cluster::policy` kernel and is recorded once, into one

@@ -229,11 +229,15 @@ proptest! {
     }
 
     /// The wait queue's drain order honours its policy for any arrival
-    /// pattern: FIFO keeps arrival order, priority sorts by descending
-    /// weight (FIFO within a weight), and nothing is lost or duplicated.
+    /// pattern: FIFO keeps arrival order; earliest-deadline sorts by the
+    /// absolute queue deadline (enqueue + `max_wait`), puts tenants
+    /// without one last, and keeps arrival order on ties; nothing is
+    /// lost or duplicated.
     #[test]
     fn queue_policies_keep_their_ordering_guarantees(
-        weights in prop::collection::vec(1u32..9, 1..12),
+        // Whole-second patience per tenant; 0 means no deadline. The
+        // narrow range makes equal deadlines common.
+        waits in prop::collection::vec(0u64..5, 1..12),
     ) {
         // One tiny saturated node: everything after saturation queues.
         let saturate = |policy: QueuePolicy| {
@@ -256,31 +260,34 @@ proptest! {
             fleet.remove(&format!("filler-{i}"));
             fleet
         };
+        let max_wait = |w: u64| (w > 0).then(|| SimDuration::from_secs(w));
         let mut fifo = saturate(QueuePolicy::Fifo);
-        let mut prio = saturate(QueuePolicy::Priority);
-        for (i, &w) in weights.iter().enumerate() {
-            let t = TenantSpec::new(format!("w{i}"), ModelKind::MobileNet, 30.0)
-                .with_weight(w);
+        let mut edf = saturate(QueuePolicy::EarliestDeadline);
+        for (i, &w) in waits.iter().enumerate() {
+            let mut t = TenantSpec::new(format!("w{i}"), ModelKind::MobileNet, 30.0);
+            t.max_wait = max_wait(w);
             prop_assert_eq!(fifo.dispatch(t.clone()), DispatchOutcome::Queued);
-            prop_assert_eq!(prio.dispatch(t), DispatchOutcome::Queued);
+            prop_assert_eq!(edf.dispatch(t), DispatchOutcome::Queued);
         }
         let arrival_order: Vec<String> =
-            (0..weights.len()).map(|i| format!("w{i}")).collect();
+            (0..waits.len()).map(|i| format!("w{i}")).collect();
         prop_assert_eq!(fifo.queued_names(), arrival_order.clone());
-        let prio_names = prio.queued_names();
-        prop_assert_eq!(prio_names.len(), weights.len(), "nothing lost");
-        let weight_of = |name: &str| {
-            weights[name[1..].parse::<usize>().expect("wN name")]
-        };
-        for pair in prio_names.windows(2) {
-            let (a, b) = (weight_of(&pair[0]), weight_of(&pair[1]));
-            prop_assert!(a >= b, "descending weights: {:?}", prio_names);
+        let edf_names = edf.queued_names();
+        prop_assert_eq!(edf_names.len(), waits.len(), "nothing lost");
+        // Every tenant queued before any run, i.e. at instant zero, so
+        // its absolute queue deadline is its `max_wait`; `None` sorts
+        // after every deadline.
+        let index_of = |name: &str| name[1..].parse::<usize>().expect("wN name");
+        let deadline_of = |name: &str| max_wait(waits[index_of(name)]).unwrap_or(SimDuration::MAX);
+        for pair in edf_names.windows(2) {
+            let (a, b) = (deadline_of(&pair[0]), deadline_of(&pair[1]));
+            prop_assert!(a <= b, "ascending deadlines, deadline-less last: {:?}", edf_names);
             if a == b {
-                let (ia, ib) = (
-                    arrival_order.iter().position(|n| *n == pair[0]),
-                    arrival_order.iter().position(|n| *n == pair[1]),
+                prop_assert!(
+                    index_of(&pair[0]) < index_of(&pair[1]),
+                    "arrival order on ties: {:?}",
+                    edf_names
                 );
-                prop_assert!(ia < ib, "FIFO within a weight: {:?}", prio_names);
             }
         }
     }

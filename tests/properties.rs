@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use sgprs_suite::core::{offline, ContextPoolSpec, SgprsConfig, SgprsScheduler};
 use sgprs_suite::dnn::{models, partition, CostModel};
-use sgprs_suite::rt::{analysis, EdfQueue, SimDuration, SimTime};
+use sgprs_suite::rt::{EdfQueue, SimDuration, SimTime};
 use sgprs_suite::workload::generator;
 
 proptest! {
@@ -102,28 +102,5 @@ proptest! {
             prop_assert!(e.deadline >= prev);
             prev = e.deadline;
         }
-    }
-
-    /// The demand-bound function is monotone in the window length.
-    #[test]
-    fn demand_bound_is_monotone(
-        periods_ms in prop::collection::vec(5u64..100, 1..8),
-        t1_ms in 0u64..500,
-        t2_ms in 0u64..500,
-    ) {
-        let set: sgprs_suite::rt::TaskSet = periods_ms
-            .iter()
-            .map(|&p| {
-                sgprs_suite::rt::PeriodicTaskSpec::builder("t")
-                    .period(SimDuration::from_millis(p))
-                    .wcet(SimDuration::from_millis(1.max(p / 4)))
-                    .build()
-                    .expect("valid")
-            })
-            .collect();
-        let (lo, hi) = if t1_ms <= t2_ms { (t1_ms, t2_ms) } else { (t2_ms, t1_ms) };
-        let d_lo = analysis::demand_bound(&set, SimDuration::from_millis(lo));
-        let d_hi = analysis::demand_bound(&set, SimDuration::from_millis(hi));
-        prop_assert!(d_lo <= d_hi);
     }
 }
