@@ -6,9 +6,11 @@
 //! allocation per node epoch, an extra span — must fail here and re-pin
 //! on purpose.
 //!
-//! [`CountingAlloc`] is this test process's global allocator. One test
-//! function on purpose — the counters are process-global, so concurrent
-//! test threads would smear each other's deltas. The first fleet run in
+//! [`CountingAlloc`] is this test process's global allocator, counting
+//! the test thread only (the one worker runs inline on it), so the test
+//! harness's own threads cannot leak into the pin. One test function on
+//! purpose — the counters are process-global, so concurrent test
+//! threads would smear each other's deltas. The first fleet run in
 //! a process also fills two process-wide caches: the model work profiles
 //! ([`ModelKind::work_profile`]) and the calibrated speedup model
 //! ([`SpeedupModel::rtx_2080_ti`]). The test fills both up front and adds
@@ -50,6 +52,7 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
 
 #[test]
 fn epoch_fleet_counters_are_pinned() {
+    CountingAlloc::count_current_thread_only();
     let (_, cache_fill) = counted(|| {
         let _ = ModelKind::ResNet18.work_profile();
         let _ = SpeedupModel::rtx_2080_ti();

@@ -12,9 +12,16 @@
 //! dominate its cost. The first two carry the event engine's real
 //! timing-wheel cascades.
 //!
-//! [`CountingAlloc`] is this test process's global allocator. One test
-//! function on purpose — the counters are process-global, so concurrent
-//! test threads would smear each other's deltas. The first fleet run in
+//! Each row also pins the events it handled by kind ([`EventCounts`]):
+//! release, migrate, queue-expiry and sample pops plus the churn pulled
+//! from the stream. A frame is decided at its release, so no per-frame
+//! completion or deadline event appears among them.
+//!
+//! [`CountingAlloc`] is this test process's global allocator, counting
+//! the test thread only, so the test harness's own threads cannot leak
+//! into a row. One test function on purpose — the counters are
+//! process-global, so concurrent test threads would smear each other's
+//! deltas. The first fleet run in
 //! a process also fills two process-wide caches: the model work profiles
 //! ([`ModelKind::work_profile`]) and the calibrated speedup model
 //! ([`SpeedupModel::rtx_2080_ti`]). The test fills both up front and
@@ -22,6 +29,7 @@
 //! costs in a fresh process, whatever order the rows run in.
 
 use sgprs_bench::report::{AllocStats, CountingAlloc};
+use sgprs_cluster::event::EventCounts;
 use sgprs_cluster::{Fleet, FleetMetrics, ModelKind, Span, SPAN_COUNT};
 use sgprs_gpu_sim::SpeedupModel;
 use sgprs_rt::SimDuration;
@@ -55,6 +63,8 @@ struct Counters {
     /// event_exec, epoch_compile, telemetry_fold, arrival_pull,
     /// wheel_cascade.
     spans: [u64; SPAN_COUNT],
+    /// Events handled, by kind.
+    kinds: EventCounts,
 }
 
 /// Heap allocations made by `f`, with its result.
@@ -106,6 +116,7 @@ fn run_scenario(
         events: fleet.events_processed(),
         allocs: cache_fill + allocs,
         spans,
+        kinds: fleet.event_counts(),
     };
     (counters, metrics)
 }
@@ -129,6 +140,7 @@ fn run_overload(cache_fill: u64) -> (Counters, FleetMetrics) {
 
 #[test]
 fn metro_event_engine_counters_are_pinned() {
+    CountingAlloc::count_current_thread_only();
     let (_, cache_fill) = counted(|| {
         let _ = ModelKind::ResNet18.work_profile();
         let _ = SpeedupModel::rtx_2080_ti();
@@ -137,9 +149,17 @@ fn metro_event_engine_counters_are_pinned() {
         run(256, true, cache_fill),
         Counters {
             arrivals: 570,
-            events: 69_402,
-            allocs: 7_637,
-            spans: [570, 40, 68_792, 68_792, 0, 1, 610, 91],
+            events: 35_028,
+            allocs: 7_638,
+            spans: [570, 40, 34_418, 34_418, 0, 1, 610, 91],
+            kinds: EventCounts {
+                release: 34_414,
+                migrate: 0,
+                queue_expire: 0,
+                sample: 4,
+                arrival: 570,
+                departure: 40,
+            },
         },
         "metro-256, telemetry and profiling armed"
     );
@@ -147,9 +167,17 @@ fn metro_event_engine_counters_are_pinned() {
         run(10_000, false, cache_fill),
         Counters {
             arrivals: 6_539,
-            events: 786_823,
-            allocs: 84_833,
-            spans: [6_539, 257, 780_027, 780_027, 0, 0, 6_796, 91],
+            events: 396_939,
+            allocs: 84_834,
+            spans: [6_539, 257, 390_143, 390_143, 0, 0, 6_796, 91],
+            kinds: EventCounts {
+                release: 390_139,
+                migrate: 0,
+                queue_expire: 0,
+                sample: 4,
+                arrival: 6_539,
+                departure: 257,
+            },
         },
         "metro-10k, no instrumentation"
     );
@@ -165,9 +193,17 @@ fn metro_event_engine_counters_are_pinned() {
         overload,
         Counters {
             arrivals: 266,
-            events: 64_299,
-            allocs: 10_712,
-            spans: [394, 85, 63_961, 63_961, 0, 0, 338, 250],
+            events: 25_615,
+            allocs: 6_521,
+            spans: [394, 85, 25_277, 25_277, 0, 0, 338, 250],
+            kinds: EventCounts {
+                release: 23_575,
+                migrate: 1_593,
+                queue_expire: 101,
+                sample: 8,
+                arrival: 266,
+                departure: 72,
+            },
         },
         "fleet-event-overload shape, reference seed, no instrumentation"
     );

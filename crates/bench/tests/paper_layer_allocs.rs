@@ -2,9 +2,10 @@
 //! steady-state release → dispatch → complete loop does no heap work, and
 //! the allocation count of a run is a pure function of its inputs.
 //!
-//! [`CountingAlloc`] is this test process's global allocator. One test
-//! function on purpose — the counters are process-global, so concurrent
-//! test threads would smear each other's deltas.
+//! [`CountingAlloc`] is this test process's global allocator, counting
+//! the test thread only. One test function on purpose — the counters
+//! are process-global, so concurrent test threads would smear each
+//! other's deltas.
 
 use sgprs_bench::report::{AllocStats, CountingAlloc};
 use sgprs_core::{NaiveConfig, NaiveScheduler, RunMetrics, SgprsConfig, SgprsScheduler};
@@ -54,6 +55,7 @@ fn second_window(contexts: usize, scheduler: SchedulerKind) -> (RunMetrics, u64)
 
 #[test]
 fn warm_paper_layer_schedulers_allocate_less_than_once_per_job() {
+    CountingAlloc::count_current_thread_only();
     let points = [
         (
             3,

@@ -14,7 +14,7 @@
 //!    capacity is sampled at the node's pool layout and the resident op
 //!    mix.
 
-use crate::{FleetNode, TenantSpec};
+use crate::{Aggregates, FleetNode, TenantSpec};
 use serde::{Deserialize, Serialize};
 use sgprs_gpu_sim::SpeedupModel;
 
@@ -115,7 +115,17 @@ impl AdmissionController {
     /// `candidate`, in SM-equivalents.
     #[must_use]
     pub fn budget(&self, node: &FleetNode, candidate: Option<&TenantSpec>) -> f64 {
-        let mix = node.mixed_profile(candidate);
+        self.budget_against(node, node.aggregates(), candidate)
+    }
+
+    /// [`Self::budget`] with the residents given as explicit aggregates.
+    fn budget_against(
+        &self,
+        node: &FleetNode,
+        residents: &Aggregates,
+        candidate: Option<&TenantSpec>,
+    ) -> f64 {
+        let mix = residents.mix_with(candidate);
         if mix.is_empty() {
             // An empty node admits against its physical size.
             return self.cfg.utilization_bound * f64::from(node.spec.gpu.total_sms);
@@ -168,6 +178,20 @@ impl AdmissionController {
     /// tenants.
     #[must_use]
     pub fn evaluate(&self, node: &FleetNode, candidate: &TenantSpec) -> AdmissionDecision {
+        self.evaluate_against(node, node.aggregates(), candidate)
+    }
+
+    /// Tests whether `candidate` fits on `node` alongside residents whose
+    /// aggregates are `residents` — the node's own, or those it would
+    /// have without one of them ([`FleetNode::aggregates_without`]). The
+    /// one copy of the admission arithmetic; [`Self::evaluate`] calls it.
+    #[must_use]
+    pub fn evaluate_against(
+        &self,
+        node: &FleetNode,
+        residents: &Aggregates,
+        candidate: &TenantSpec,
+    ) -> AdmissionDecision {
         let best_case = self.best_case_latency(node, candidate);
         let deadline = candidate.period();
         if best_case > deadline {
@@ -176,8 +200,8 @@ impl AdmissionController {
                 deadline,
             });
         }
-        let demand = node.total_demand() + candidate.demand_sm_equivalents();
-        let budget = self.budget(node, Some(candidate));
+        let demand = residents.demand + candidate.demand_sm_equivalents();
+        let budget = self.budget_against(node, residents, Some(candidate));
         if demand > budget {
             return AdmissionDecision::Reject(RejectReason::OverUtilization { demand, budget });
         }

@@ -21,7 +21,7 @@
 //!
 //! * `time` — the simulated instant, integer nanoseconds
 //!   ([`sgprs_rt::SimTime`]), so there is no floating-point drift;
-//! * `node` — the owning node's index; fleet-scope events (trace
+//! * `node` — the owning node's index; fleet-scope events (churn
 //!   arrivals/departures, queue expiry, utilisation samples) use
 //!   [`NODE_FLEET`] (`usize::MAX`) and therefore sort *after* every
 //!   node-local event at the same instant (a tenant departing at `t`
@@ -53,17 +53,53 @@
 //! pay their sequential-execution and partition-switch tax through
 //! a single-job-per-context capacity sample plus the calibrated switch
 //! cost, so "admission says fine, the node still misses" shows up here
-//! exactly as it does on the epoch path. Releases are skip-if-busy: a
-//! frame released while the previous job of the same tenant is in
-//! flight is dropped and counted as a miss, matching the schedulers'
-//! default admission policy.
+//! exactly as it does on the epoch path.
 //!
-//! Jobs still in flight when the horizon closes run to completion (their
-//! completion events are processed past the horizon) instead of being
-//! truncated; no new frame is released at or after the horizon.
+//! # Each frame is decided at its release
+//!
+//! The fluid service time is fixed when the frame is released, so its
+//! whole fate is known then, and no per-frame event follows it:
+//!
+//! * **Skip-if-busy.** A frame released at `t` is dropped and counted as
+//!   a miss when the tenant's previous job finishes after `t`
+//!   (`finish > t`), matching the schedulers' default admission policy.
+//!   A job finishing exactly at the next release has freed the tenant,
+//!   so that frame is served.
+//! * **Met or late.** A served frame is recorded as completed at its
+//!   release, late exactly when `finish > deadline`; a job finishing at
+//!   its deadline instant is on time.
+//! * **The migration estimator.** With migration armed, a served frame
+//!   also queues one *deadline sample* on its node: `missed = finish >
+//!   deadline`, keyed `(deadline, node, ord)`, where `ord` is the seq the
+//!   queue would hand out next. The sample stands for a deadline-check
+//!   event at that key. It is applied — fed into the node's miss window,
+//!   if the tenant's run is still this incarnation on this node — exactly
+//!   when its key is at or below the key of the event being handled, in
+//!   two places: before any read of or push to the node's window (a
+//!   release of that node), and for every node before anything that can
+//!   move a tenant (`Migrate`, a departure). Stream churn counts as
+//!   `(t, NODE_FLEET, ∞)`. Because the fold happens in key order, the
+//!   window and its residency guard see exactly what a deadline event
+//!   popped at that key would have seen.
+//!
+//! # Event kinds
+//!
+//! Four kinds live on the queue ([`EventKind`]): a tenant's periodic
+//! [`EventKind::JobRelease`], a node's [`EventKind::Migrate`] trigger,
+//! fleet-scope [`EventKind::QueueExpire`] sweeps and utilisation
+//! [`EventKind::Sample`]s. Churn (arrivals and departures) is merged
+//! lazily from the [`crate::ArrivalStream`] instead of being queued (see
+//! the engine module). [`EventCounts`] counts each kind a run handled.
+//!
+//! # Jobs in flight at the horizon
+//!
+//! No frame is released at or after the horizon. A frame released
+//! before it is recorded as completed at its release, even when its
+//! finish instant lies past the horizon, so no job is truncated and no
+//! event runs past the horizon. Deadline samples still pending when the
+//! run ends feed no decision and are dropped.
 
 use crate::interner::TenantId;
-use crate::TenantSpec;
 use sgprs_rt::SimTime;
 
 mod engine;
@@ -78,13 +114,8 @@ pub(crate) use engine::run_events;
 pub const NODE_FLEET: usize = usize::MAX;
 
 /// What a scheduled event does when it pops.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
-    /// A tenant arrives (from the churn trace) and is dispatched.
-    Arrival(Box<TenantSpec>),
-    /// The named tenant departs (from the churn trace), effective at the
-    /// event's exact instant.
-    Departure(String),
     /// The tenant releases a periodic frame on the event's node.
     /// `gen` guards against stale schedules: a migration bumps the
     /// tenant's generation, orphaning releases queued for the old node —
@@ -94,30 +125,6 @@ pub enum EventKind {
         tenant: TenantId,
         /// The tenant-run generation this release was scheduled under.
         gen: u64,
-    },
-    /// Job `job` of the tenant finishes on the event's node.
-    JobCompletion {
-        /// Interned tenant id.
-        tenant: TenantId,
-        /// Per-tenant job serial.
-        job: u64,
-        /// The tenant-run incarnation that admitted the job (guards a
-        /// reused (recycled-id) fresh run against a predecessor's stale
-        /// events; unlike `gen`, it survives migration — an in-flight
-        /// job finishes on its source node even mid-transfer).
-        inc: u64,
-        /// The job's absolute deadline (release + period).
-        deadline: SimTime,
-    },
-    /// Job `job`'s deadline elapses: if it is still in flight the miss is
-    /// fed into the node's windowed DMR estimate (the migration trigger).
-    DeadlineCheck {
-        /// Interned tenant id.
-        tenant: TenantId,
-        /// Per-tenant job serial.
-        job: u64,
-        /// The admitting incarnation (see [`EventKind::JobCompletion`]).
-        inc: u64,
     },
     /// The event's node crossed the DMR threshold at a release boundary:
     /// re-verify and shed one tenant, paying the migration stall.
@@ -129,9 +136,40 @@ pub enum EventKind {
     Sample,
 }
 
+/// Events one event-driven run handled, by kind: queue pops per
+/// [`EventKind`] plus the churn merged from the arrival stream. Always
+/// on and deterministic; read through [`crate::Fleet::event_counts`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EventCounts {
+    /// [`EventKind::JobRelease`] pops, stale ones included.
+    pub release: u64,
+    /// [`EventKind::Migrate`] pops.
+    pub migrate: u64,
+    /// [`EventKind::QueueExpire`] pops.
+    pub queue_expire: u64,
+    /// [`EventKind::Sample`] pops.
+    pub sample: u64,
+    /// Arrivals pulled from the churn stream.
+    pub arrival: u64,
+    /// Departures pulled from the churn stream.
+    pub departure: u64,
+}
+
+impl EventCounts {
+    /// Counts one popped event.
+    fn count(&mut self, kind: EventKind) {
+        match kind {
+            EventKind::JobRelease { .. } => self.release += 1,
+            EventKind::Migrate => self.migrate += 1,
+            EventKind::QueueExpire => self.queue_expire += 1,
+            EventKind::Sample => self.sample += 1,
+        }
+    }
+}
+
 /// One scheduled event. Ordering (and therefore processing order) is by
 /// `(time, node, seq)` — see the module-level contract.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimEvent {
     /// When the event fires.
     pub time: SimTime,

@@ -1,12 +1,19 @@
 //! The event-driven run loop behind [`crate::Fleet::run_events`].
 //!
-//! One [`super::EventQueue`] drives the whole fleet: churn, every
-//! tenant's periodic releases, job completions, deadline checks, queue
-//! expiry, migration, and utilisation sampling are all events on the
-//! same monotonic clock. Scheduler state (the in-flight job of every
-//! tenant) lives in [`TenantRun`] entries that persist across the whole
-//! run — there are no epoch boundaries to truncate against, which is the
-//! point.
+//! One [`super::EventQueue`] drives the whole fleet: every tenant's
+//! periodic releases, queue expiry, migration, and utilisation sampling
+//! are events on the same monotonic clock, and churn merges in from the
+//! arrival stream. Scheduler state (each tenant's release clock and the
+//! finish instant of its latest job) lives in [`TenantRun`] entries that
+//! persist across the whole run — there are no epoch boundaries to
+//! truncate against, which is the point.
+//!
+//! A release decides its frame outright (see the parent module's "Each
+//! frame is decided at its release"): skipped or served, on time or
+//! late. With migration armed it also queues the frame's deadline
+//! sample on its node; [`Engine::fold_node`] and [`Engine::fold_all`]
+//! apply due samples, in key order, before anything reads a miss window
+//! or moves a tenant.
 //!
 //! # Streaming churn
 //!
@@ -30,6 +37,7 @@ use crate::interner::TenantId;
 use crate::telemetry::Span;
 use crate::{ArrivalStream, ChurnEvent, DispatchOutcome, FleetMetrics};
 use sgprs_rt::{SimDuration, SimTime};
+use std::collections::VecDeque;
 
 /// The state-transfer stall a migration pays: the migrant serves nothing
 /// while its weights and context state move, roughly a reconfiguration
@@ -38,8 +46,11 @@ use sgprs_rt::{SimDuration, SimTime};
 /// never pay it; the epoch path models migration as free.
 const MIGRATION_COST: SimDuration = SimDuration::from_millis(100);
 
+/// An event's place in the `(time, node, seq)` total order.
+type EventKey = (SimTime, usize, u64);
+
 /// Persistent per-tenant scheduler state: which node the tenant serves
-/// on, its release/job serials, and the job currently in flight.
+/// on, its release/job serials, and when its latest job finishes.
 #[derive(Debug)]
 struct TenantRun {
     node: usize,
@@ -47,16 +58,20 @@ struct TenantRun {
     /// generation (before a migration, or a previous occupant of a
     /// recycled id) are stale and dropped on pop.
     gen: u64,
-    /// Incarnation guard for completion/deadline events: assigned once
-    /// when the run starts and *not* bumped by migration, so a departed
-    /// predecessor's stale events cannot touch a recycled id's fresh
-    /// run, while an in-flight job still resolves across a migration.
+    /// Incarnation guard for deadline samples: assigned once when the
+    /// run starts and *not* bumped by migration. A sample feeds its
+    /// node's window only while the run is still this incarnation on
+    /// that node, so a departed predecessor's samples never reach a
+    /// recycled id's fresh run, and a migrated victim's never reach
+    /// the node it left.
     inc: u64,
     /// Next job serial.
     job_seq: u64,
-    /// The job currently in flight, if any, with its finish instant
-    /// (skip-if-busy admission; migration resumption waits for it).
-    in_flight: Option<(u64, SimTime)>,
+    /// When the tenant's latest admitted job finishes (`SimTime::ZERO`
+    /// before the first). A release at `t` is skipped while
+    /// `in_flight > t` ([`busy`]), and a migration resumes no earlier
+    /// than just past it.
+    in_flight: SimTime,
     /// When the next release event is scheduled (or `SimTime::MAX` when
     /// none is), so a migration can re-anchor the clock after its stall.
     next_release: SimTime,
@@ -66,36 +81,40 @@ struct TenantRun {
     name_hash: u64,
 }
 
+/// Skip-if-busy at a release instant `t`: the tenant is busy while its
+/// previous job finishes after `t`. A job finishing exactly at `t` has
+/// already freed the tenant, so the frame is served.
+fn busy(in_flight: SimTime, t: SimTime) -> bool {
+    in_flight > t
+}
+
+/// Whether a job finishing at `finish` misses `deadline`. Finishing at
+/// the deadline instant is on time.
+fn late(finish: SimTime, deadline: SimTime) -> bool {
+    finish > deadline
+}
+
+/// One served frame's pending input to its node's miss window: the
+/// deadline check it stands for, keyed `(deadline, node, ord)`.
+#[derive(Debug, Clone, Copy)]
+struct DeadlineSample {
+    deadline: SimTime,
+    /// The seq the event queue would have given the deadline check.
+    ord: u64,
+    tenant: TenantId,
+    /// The incarnation that released the frame.
+    inc: u64,
+    missed: bool,
+}
+
 /// Runs `fleet` over `arrivals` in event-driven mode until `horizon`.
 pub(crate) fn run_events(
     fleet: &mut Fleet,
     arrivals: ArrivalStream,
     horizon: SimDuration,
 ) -> FleetMetrics {
-    assert!(
-        !fleet.cfg.epoch.is_zero(),
-        "epoch must be positive (it paces utilisation sampling and the DMR window)"
-    );
-    fleet.open_run(horizon);
-    let n_nodes = fleet.nodes.len();
-    let seed = fleet.cfg.seed;
-    let mut engine = Engine {
-        fleet,
-        events: EventQueue::new(),
-        arrivals,
-        stream_watermark: 0,
-        exec: FluidExec::new(n_nodes, seed),
-        windows: (0..n_nodes).map(|_| MissWindow::default()).collect(),
-        runs: Vec::new(),
-        migration_pending: vec![false; n_nodes],
-        sample_cache: vec![None; n_nodes],
-        dmr_scratch: Vec::new(),
-        in_flight: 0,
-        next_gen: 0,
-        end: SimTime::ZERO + horizon,
-    };
-    engine.seed(horizon);
-    engine.drive();
+    let mut engine = Engine::new(fleet, arrivals, horizon);
+    while engine.step() {}
     engine.finish(horizon)
 }
 
@@ -111,6 +130,9 @@ struct Engine<'a> {
     stream_watermark: u64,
     exec: FluidExec,
     windows: Vec<MissWindow>,
+    /// Per-node deadline samples not yet applied to `windows`, sorted by
+    /// `(deadline, ord)`. Empty unless migration is armed.
+    pending: Vec<VecDeque<DeadlineSample>>,
     /// Per-tenant run state, indexed by [`TenantId`] (`None` = departed
     /// or never started). Capacity tracks the interner's: peak active
     /// tenants, not trace length.
@@ -123,14 +145,39 @@ struct Engine<'a> {
     sample_cache: Vec<Option<(u64, (f64, f64))>>,
     /// Reused buffer for the per-migration fleet DMR snapshot.
     dmr_scratch: Vec<f64>,
-    /// Jobs admitted but not yet completed — asserted zero at the end:
-    /// the event path never truncates.
-    in_flight: u64,
     next_gen: u64,
     end: SimTime,
 }
 
-impl Engine<'_> {
+impl<'a> Engine<'a> {
+    /// Opens a run of `fleet` until `horizon` and seeds its events.
+    fn new(fleet: &'a mut Fleet, arrivals: ArrivalStream, horizon: SimDuration) -> Self {
+        assert!(
+            !fleet.cfg.epoch.is_zero(),
+            "epoch must be positive (it paces utilisation sampling and the DMR window)"
+        );
+        fleet.open_run(horizon);
+        let n_nodes = fleet.nodes.len();
+        let seed = fleet.cfg.seed;
+        let mut engine = Engine {
+            fleet,
+            events: EventQueue::new(),
+            arrivals,
+            stream_watermark: 0,
+            exec: FluidExec::new(n_nodes, seed),
+            windows: (0..n_nodes).map(|_| MissWindow::default()).collect(),
+            pending: (0..n_nodes).map(|_| VecDeque::new()).collect(),
+            runs: Vec::new(),
+            migration_pending: vec![false; n_nodes],
+            sample_cache: vec![None; n_nodes],
+            dmr_scratch: Vec::new(),
+            next_gen: 0,
+            end: SimTime::ZERO + horizon,
+        };
+        engine.seed(horizon);
+        engine
+    }
+
     /// Seeds the initial event population: releases for tenants already
     /// resident, expiry deadlines for tenants already waiting, and the
     /// first utilisation sample. Churn stays in [`Engine::arrivals`];
@@ -174,90 +221,77 @@ impl Engine<'_> {
             .push(first_sample, NODE_FLEET, EventKind::Sample);
     }
 
-    /// Merges the heap and the churn stream until both run dry.
-    /// Completions and deadline checks of jobs released before the
-    /// horizon are processed even past it, so in-flight work drains
-    /// instead of truncating.
-    fn drive(&mut self) {
-        loop {
-            // Stream events at/past the horizon were dropped at seed time
-            // on the materialised path; the stream is time-ordered, so
-            // once its head crosses the horizon the whole tail has.
-            let stream_t = self.arrivals.peek_time().filter(|&t| t < self.end);
-            // Turn the wheel before peeking, so cascade work is billed
-            // to its own span instead of inflating `event_pop`. The
-            // `needs_prepare` pre-check keeps the common already-prepared
-            // iteration free of the clock read and the prepare call.
-            if self.events.needs_prepare() {
-                let cascade_clock = self.fleet.telemetry.span_clock();
-                if self.events.prepare() {
-                    self.fleet
-                        .telemetry
-                        .span_end(Span::WheelCascade, cascade_clock);
-                }
+    /// Handles the next event, merging the heap and the churn stream;
+    /// returns `false` once both have run dry.
+    fn step(&mut self) -> bool {
+        // Stream events at/past the horizon were dropped at seed time
+        // on the materialised path; the stream is time-ordered, so
+        // once its head crosses the horizon the whole tail has.
+        let stream_t = self.arrivals.peek_time().filter(|&t| t < self.end);
+        // Turn the wheel before peeking, so cascade work is billed
+        // to its own span instead of inflating `event_pop`. The
+        // `needs_prepare` pre-check keeps the common already-prepared
+        // iteration free of the clock read and the prepare call.
+        if self.events.needs_prepare() {
+            let cascade_clock = self.fleet.telemetry.span_clock();
+            if self.events.prepare() {
+                self.fleet
+                    .telemetry
+                    .span_end(Span::WheelCascade, cascade_clock);
             }
-            let heap_wins = match (self.events.peek_key(), stream_t) {
-                (Some((ht, hn, hs)), Some(st)) => {
-                    // At an equal instant, node-local events precede
-                    // fleet-scope ones; among fleet-scope, only pre-seed
-                    // events (seq below the watermark) precede churn.
-                    ht < st || (ht == st && (hn != NODE_FLEET || hs < self.stream_watermark))
+        }
+        let heap_wins = match (self.events.peek_key(), stream_t) {
+            (Some((ht, hn, hs)), Some(st)) => {
+                // At an equal instant, node-local events precede
+                // fleet-scope ones; among fleet-scope, only pre-seed
+                // events (seq below the watermark) precede churn.
+                ht < st || (ht == st && (hn != NODE_FLEET || hs < self.stream_watermark))
+            }
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+            (None, None) => return false,
+        };
+        if heap_wins {
+            let pop_clock = self.fleet.telemetry.span_clock();
+            let ev = self
+                .events
+                .pop()
+                .expect("invariant: a peeked heap event exists");
+            self.fleet.telemetry.span_end(Span::EventPop, pop_clock);
+            self.fleet.event_counts.count(ev.kind);
+            self.fleet.now = ev.time;
+            let exec_clock = self.fleet.telemetry.span_clock();
+            match ev.kind {
+                EventKind::JobRelease { tenant, gen } => self.on_release(ev.key(), tenant, gen),
+                EventKind::Migrate => self.on_migrate(ev.key()),
+                EventKind::QueueExpire => self.on_queue_expire(ev.time),
+                EventKind::Sample => self.on_sample(ev.time),
+            }
+            self.fleet.telemetry.span_end(Span::EventExec, exec_clock);
+        } else {
+            let pull_clock = self.fleet.telemetry.span_clock();
+            let (t, event) = self
+                .arrivals
+                .next_event()
+                .expect("invariant: a peeked stream event exists");
+            self.fleet.telemetry.span_end(Span::ArrivalPull, pull_clock);
+            self.events.note_stream_event();
+            self.fleet.now = t;
+            match event {
+                ChurnEvent::Arrival(tenant) => {
+                    self.fleet.event_counts.arrival += 1;
+                    self.on_arrival(t, tenant);
                 }
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            if heap_wins {
-                let pop_clock = self.fleet.telemetry.span_clock();
-                let ev = self
-                    .events
-                    .pop()
-                    .expect("invariant: a peeked heap event exists");
-                self.fleet.telemetry.span_end(Span::EventPop, pop_clock);
-                self.fleet.now = ev.time;
-                let exec_clock = self.fleet.telemetry.span_clock();
-                match ev.kind {
-                    EventKind::Arrival(tenant) => self.on_arrival(ev.time, *tenant),
-                    EventKind::Departure(name) => self.on_departure(ev.time, &name),
-                    EventKind::JobRelease { tenant, gen } => {
-                        self.on_release(ev.time, ev.node, tenant, gen);
-                    }
-                    EventKind::JobCompletion {
-                        tenant,
-                        job,
-                        inc,
-                        deadline,
-                    } => self.on_completion(ev.time, ev.node, tenant, job, inc, deadline),
-                    EventKind::DeadlineCheck { tenant, job, inc } => {
-                        self.on_deadline_check(ev.time, ev.node, tenant, job, inc);
-                    }
-                    EventKind::Migrate => self.on_migrate(ev.time, ev.node),
-                    EventKind::QueueExpire => self.on_queue_expire(ev.time),
-                    EventKind::Sample => self.on_sample(ev.time),
-                }
-                self.fleet.telemetry.span_end(Span::EventExec, exec_clock);
-            } else {
-                let pull_clock = self.fleet.telemetry.span_clock();
-                let (t, event) = self
-                    .arrivals
-                    .next_event()
-                    .expect("invariant: a peeked stream event exists");
-                self.fleet.telemetry.span_end(Span::ArrivalPull, pull_clock);
-                self.events.note_stream_event();
-                self.fleet.now = t;
-                match event {
-                    ChurnEvent::Arrival(tenant) => self.on_arrival(t, tenant),
-                    ChurnEvent::Departure(name) => self.on_departure(t, &name),
+                ChurnEvent::Departure(name) => {
+                    self.fleet.event_counts.departure += 1;
+                    self.on_departure(t, &name);
                 }
             }
         }
+        true
     }
 
     fn finish(self, horizon: SimDuration) -> FleetMetrics {
-        assert_eq!(
-            self.in_flight, 0,
-            "the event path never truncates: every admitted job ran to completion"
-        );
         self.fleet.telemetry.note_event_ops(self.events.ops());
         self.fleet.close_run(horizon)
     }
@@ -286,7 +320,7 @@ impl Engine<'_> {
             gen,
             inc: gen,
             job_seq: 0,
-            in_flight: None,
+            in_flight: SimTime::ZERO,
             next_release: t,
             // The one string hash of the tenant's lifetime; every
             // release reuses it (the jitter input is exactly this).
@@ -340,10 +374,13 @@ impl Engine<'_> {
         let Some(id) = self.fleet.tenant_id(name) else {
             return;
         };
+        // Churn ranks after every node-local event at its instant: the
+        // samples due by then see the tenant still resident.
+        self.fold_all((t, NODE_FLEET, u64::MAX));
         // The shared removal path — identical to the epoch engine.
         if let Some(was_resident) = self.fleet.remove_accounted(id) {
-            // Future releases die with the run entry; a job already in
-            // flight still completes (its event carries all it needs).
+            // Future releases and pending samples die with the run entry;
+            // the frame in flight was already recorded at its release.
             if let Some(slot) = self.runs.get_mut(id.index()) {
                 *slot = None;
             }
@@ -353,15 +390,14 @@ impl Engine<'_> {
         }
     }
 
-    fn on_release(&mut self, t: SimTime, idx: usize, id: TenantId, gen: u64) {
+    fn on_release(&mut self, key: EventKey, id: TenantId, gen: u64) {
+        let (t, idx, _) = key;
         debug_assert!(
             t < self.end,
             "releases are never scheduled past the horizon"
         );
-        let (busy, job, inc, name_hash) = match self.run_of(id) {
-            Some(run) if run.gen == gen => {
-                (run.in_flight.is_some(), run.job_seq, run.inc, run.name_hash)
-            }
+        let (in_flight, job, inc, name_hash) = match self.run_of(id) {
+            Some(run) if run.gen == gen => (run.in_flight, run.job_seq, run.inc, run.name_hash),
             // Departed, or a stale schedule from before a migration (or
             // from a recycled id's previous occupant).
             _ => return,
@@ -375,15 +411,13 @@ impl Engine<'_> {
         }) else {
             return;
         };
+        // The node's window may be pushed and is read below.
+        self.fold_node(idx, key);
         self.fleet.totals.record_released(idx);
         let period = SimDuration::from_secs_f64(1.0 / fps);
         let next = t + period;
-        let end = self.end;
-        if let Some(run) = self.run_mut(id) {
-            run.next_release = if next < end { next } else { SimTime::MAX };
-        }
         let migration_on = self.fleet.cfg.migration.is_some();
-        if busy {
+        let served = if busy(in_flight, t) {
             // Skip-if-busy: the frame is dropped and counts as a miss —
             // in the migration estimator too, but only while the
             // estimator has a consumer (the windows grow unboundedly
@@ -394,6 +428,7 @@ impl Engine<'_> {
                 let span = self.fleet.cfg.epoch;
                 self.windows[idx].push(t, true, span);
             }
+            None
         } else {
             let service = self.exec.service_time(
                 &self.fleet.nodes,
@@ -410,33 +445,27 @@ impl Engine<'_> {
             // job is admitted at release), so it feeds the latency
             // sketch the way the epoch fold feeds response samples.
             self.fleet.telemetry.record_latency(idx, service.as_nanos());
-            self.in_flight += 1;
-            self.events.push(
-                finish,
-                idx,
-                EventKind::JobCompletion {
-                    tenant: id,
-                    job,
-                    inc,
-                    deadline: next,
-                },
-            );
-            // Deadline checks only feed the migration estimator; with
-            // migration off they would be popped and discarded, so the
-            // hot path skips scheduling them entirely.
+            let missed = late(finish, next);
+            self.fleet.totals.record_completed(idx, missed);
+            // Deadline samples only feed the migration estimator; with
+            // migration off nothing would consume them.
             if migration_on {
-                self.events.push(
-                    next,
-                    idx,
-                    EventKind::DeadlineCheck {
-                        tenant: id,
-                        job,
-                        inc,
-                    },
-                );
+                let sample = DeadlineSample {
+                    deadline: next,
+                    ord: self.events.next_seq(),
+                    tenant: id,
+                    inc,
+                    missed,
+                };
+                self.queue_sample(idx, sample);
             }
-            if let Some(run) = self.run_mut(id) {
-                run.in_flight = Some((job, finish));
+            Some(finish)
+        };
+        let end = self.end;
+        if let Some(run) = self.run_mut(id) {
+            run.next_release = if next < end { next } else { SimTime::MAX };
+            if let Some(finish) = served {
+                run.in_flight = finish;
                 run.job_seq += 1;
             }
         }
@@ -459,61 +488,54 @@ impl Engine<'_> {
         }
     }
 
-    fn on_completion(
-        &mut self,
-        t: SimTime,
-        idx: usize,
-        id: TenantId,
-        job: u64,
-        inc: u64,
-        deadline: SimTime,
-    ) {
-        // The job genuinely ran and finishes on its node regardless of
-        // what happened to the tenant since (departure, migration, id
-        // recycling) — only the busy flag is incarnation-guarded.
-        self.in_flight -= 1;
-        self.fleet.totals.record_completed(idx, t > deadline);
-        if let Some(run) = self.run_mut(id) {
-            if run.inc == inc {
-                // Skip-if-busy invariant: a live incarnation has exactly
-                // one job in flight, so its completions arrive strictly
-                // in admission order. A mismatch means a stale event
-                // from a dead incarnation slipped past the guard and
-                // double-admitted the tenant.
-                debug_assert_eq!(
-                    run.in_flight.map(|(j, _)| j),
-                    Some(job),
-                    "overlapping jobs for live tenant {id}"
-                );
-                run.in_flight = None;
+    /// Queues a served frame's deadline sample on node `idx`, after every
+    /// sample with a key at or below its own: an equal key keeps
+    /// queueing order, as equal-key events keep push order.
+    fn queue_sample(&mut self, idx: usize, sample: DeadlineSample) {
+        let queue = &mut self.pending[idx];
+        let key = (sample.deadline, sample.ord);
+        let at = queue
+            .iter()
+            .rposition(|s| (s.deadline, s.ord) <= key)
+            .map_or(0, |i| i + 1);
+        queue.insert(at, sample);
+    }
+
+    /// Applies node `idx`'s deadline samples whose key
+    /// `(deadline, idx, ord)` is at or below `until`, in key order: each
+    /// feeds the window if its run is still the releasing incarnation on
+    /// this node.
+    fn fold_node(&mut self, idx: usize, until: EventKey) {
+        let span = self.fleet.cfg.epoch;
+        while let Some(&sample) = self.pending[idx].front() {
+            if (sample.deadline, idx, sample.ord) > until {
+                break;
+            }
+            self.pending[idx].pop_front();
+            let resident = self
+                .runs
+                .get(sample.tenant.index())
+                .and_then(Option::as_ref)
+                .is_some_and(|run| run.inc == sample.inc && run.node == idx);
+            if resident {
+                self.windows[idx].push(sample.deadline, sample.missed, span);
             }
         }
     }
 
-    fn on_deadline_check(&mut self, t: SimTime, idx: usize, id: TenantId, job: u64, inc: u64) {
-        // Exactly one estimator sample per admitted job, taken at its
-        // deadline with no look-ahead: missed iff it is still in flight.
-        // A stale check (the tenant departed, or its id was recycled by
-        // a fresh incarnation) feeds nothing — and with migration off
-        // the estimator has no consumer, so nothing is retained at all.
+    /// [`Self::fold_node`] on every node: before a tenant may move.
+    fn fold_all(&mut self, until: EventKey) {
+        // Samples are queued only while migration is armed.
         if self.fleet.cfg.migration.is_none() {
             return;
         }
-        let Some(run) = self.run_of(id) else {
-            return;
-        };
-        if run.inc != inc || run.node != idx {
-            // Departed, recycled, or migrated away: a shed victim's last
-            // in-flight job must not bill its miss to the source node's
-            // freshly cleared post-shed estimate.
-            return;
+        for idx in 0..self.pending.len() {
+            self.fold_node(idx, until);
         }
-        let span = self.fleet.cfg.epoch;
-        let missed = run.in_flight.map(|(j, _)| j) == Some(job);
-        self.windows[idx].push(t, missed, span);
     }
 
-    fn on_migrate(&mut self, t: SimTime, idx: usize) {
+    fn on_migrate(&mut self, key: EventKey) {
+        let (t, idx, _) = key;
         self.migration_pending[idx] = false;
         let span = self.fleet.cfg.epoch;
         let Some(threshold) = self.fleet.cfg.migration else {
@@ -524,9 +546,13 @@ impl Engine<'_> {
         }
         // Re-verify on pop: the trigger and the move are distinct events,
         // and the world may have changed in between.
+        self.fold_node(idx, key);
         if self.windows[idx].dmr(t, span) <= threshold {
             return;
         }
+        // Every window is read, and the victim may move: apply every
+        // sample due by now first.
+        self.fold_all(key);
         self.dmr_scratch.clear();
         for j in 0..self.fleet.nodes.len() {
             let dmr = self.windows[j].dmr(t, span);
@@ -557,13 +583,11 @@ impl Engine<'_> {
             // The state transfer cannot finish before the migrant's
             // in-flight job drains on the source: resuming earlier would
             // skip-drop frames on the destination and misattribute those
-            // misses to a healthy node's migration estimator. One extra
-            // nanosecond breaks the (time, node, seq) tie a lower-indexed
-            // destination would otherwise win against the source-node
-            // completion.
-            let drained = run.in_flight.map_or(SimTime::ZERO, |(_, finish)| {
-                finish.saturating_add(SimDuration::from_nanos(1))
-            });
+            // misses to a healthy node's migration estimator. The resume
+            // lands one nanosecond past the finish, strictly after it. A
+            // job that already finished leaves at most `t + 1 ns` here,
+            // which the stall below always exceeds.
+            let drained = run.in_flight.saturating_add(SimDuration::from_nanos(1));
             let resume = run
                 .next_release
                 .max(t.saturating_add(MIGRATION_COST))
@@ -628,5 +652,222 @@ impl Engine<'_> {
                 self.start_run(adm.id, idx, t);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ChurnTrace, FleetConfig, ModelKind, NodeSpec, TenantSpec};
+    use sgprs_gpu_sim::GpuSpec;
+
+    fn cam(name: &str, fps: f64) -> TenantSpec {
+        TenantSpec::new(name, ModelKind::ResNet18, fps)
+    }
+
+    fn at_ms(ms: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_millis(ms)
+    }
+
+    /// A fleet with `residents` seeded onto node 0 in order.
+    fn fleet_with(cfg: FleetConfig, residents: &[TenantSpec]) -> Fleet {
+        let mut fleet = Fleet::new(cfg);
+        for t in residents {
+            fleet.seed_resident(0, t.clone());
+        }
+        fleet
+    }
+
+    fn run<'e>(engine: &'e Engine<'_>, id: TenantId) -> &'e TenantRun {
+        engine.run_of(id).expect("the tenant's run is live")
+    }
+
+    #[test]
+    fn the_tie_rules_compare_strictly() {
+        let t = at_ms(40);
+        assert!(!busy(t, t), "a job finishing at the release has freed it");
+        assert!(busy(t + SimDuration::from_nanos(1), t));
+        assert!(!late(t, t), "finishing at the deadline is on time");
+        assert!(late(t + SimDuration::from_nanos(1), t));
+    }
+
+    #[test]
+    fn a_job_finishing_exactly_at_the_next_release_is_served() {
+        let mut fleet = fleet_with(
+            FleetConfig::new(vec![NodeSpec::sgprs("g", GpuSpec::rtx_2080_ti())]),
+            &[cam("a", 25.0), cam("b", 25.0)],
+        );
+        let ids = fleet.node_ids[0].clone();
+        let mut engine = Engine::new(
+            &mut fleet,
+            ChurnTrace::new().into(),
+            SimDuration::from_secs(1),
+        );
+        // Both first releases at t = 0.
+        assert!(engine.step() && engine.step());
+        // Pin each tenant's job in flight to end at, or just after, its
+        // next release.
+        let next = run(&engine, ids[0]).next_release;
+        assert_eq!(next, at_ms(40));
+        engine.run_mut(ids[0]).expect("live").in_flight = next;
+        engine.run_mut(ids[1]).expect("live").in_flight = next + SimDuration::from_nanos(1);
+        assert!(engine.step() && engine.step());
+        assert_eq!(engine.fleet.now, next);
+        assert_eq!(
+            run(&engine, ids[0]).job_seq,
+            2,
+            "finished at the release: served"
+        );
+        assert_eq!(
+            run(&engine, ids[1]).job_seq,
+            1,
+            "one nanosecond later: skipped"
+        );
+    }
+
+    #[test]
+    fn a_served_frames_sample_records_whether_it_finished_after_its_deadline() {
+        let mut fleet = fleet_with(
+            FleetConfig::new(vec![NodeSpec::sgprs("g", GpuSpec::synthetic(16))])
+                .with_migration(0.1),
+            &(0..6)
+                .map(|i| cam(&format!("c{i}"), 30.0))
+                .collect::<Vec<_>>(),
+        );
+        let mut engine = Engine::new(
+            &mut fleet,
+            ChurnTrace::new().into(),
+            SimDuration::from_secs(1),
+        );
+        let mut checked = (0, 0);
+        while engine.step() && engine.fleet.now < at_ms(300) {
+            for sample in &engine.pending[0] {
+                let finish = engine
+                    .run_of(sample.tenant)
+                    .filter(|r| r.next_release == sample.deadline)
+                    .map(|r| r.in_flight);
+                if let Some(finish) = finish {
+                    assert_eq!(sample.missed, late(finish, sample.deadline));
+                    if sample.missed {
+                        checked.0 += 1;
+                    } else {
+                        checked.1 += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            checked.0 > 0 && checked.1 > 0,
+            "both outcomes seen: {checked:?}"
+        );
+    }
+
+    #[test]
+    fn a_migrated_victims_pending_sample_never_reaches_the_source_window() {
+        // Five 30 fps feeds and a 25 fps victim (placed last, so shed
+        // first) overload a small node. The victim's deadlines fall on
+        // a 40 ms grid that never meets the 30 fps grid, so an entry at
+        // one of its deadline instants in node 0's window could only be
+        // its own sample.
+        let mut residents: Vec<TenantSpec> = (0..5).map(|i| cam(&format!("c{i}"), 30.0)).collect();
+        residents.push(cam("victim", 25.0));
+        let mut fleet = fleet_with(
+            FleetConfig::new(vec![
+                NodeSpec::sgprs("small", GpuSpec::synthetic(15)),
+                NodeSpec::sgprs("big", GpuSpec::rtx_2080_ti()),
+            ])
+            .with_migration(0.05),
+            &residents,
+        );
+        let victim = *fleet.node_ids[0].last().expect("six residents");
+        let mut engine = Engine::new(
+            &mut fleet,
+            ChurnTrace::new().into(),
+            SimDuration::from_secs(3),
+        );
+        while run(&engine, victim).node == 0 {
+            assert!(engine.step(), "the victim never migrated");
+        }
+        let stranded: Vec<SimTime> = engine.pending[0]
+            .iter()
+            .filter(|s| s.tenant == victim)
+            .map(|s| s.deadline)
+            .collect();
+        assert!(!stranded.is_empty(), "the victim left a sample behind");
+        let last = *stranded.iter().max().expect("non-empty");
+        while engine.fleet.now <= last {
+            assert!(engine.step());
+            let landed: Vec<SimTime> = engine.windows[0]
+                .times()
+                .filter(|t| stranded.contains(t))
+                .collect();
+            assert!(
+                landed.is_empty(),
+                "victim samples reached the source: {landed:?}"
+            );
+        }
+        assert!(
+            engine.pending[0].iter().all(|s| s.tenant != victim),
+            "the stranded samples were consumed"
+        );
+    }
+
+    #[test]
+    fn a_departure_at_the_deadline_instant_keeps_the_sample() {
+        // The leaver's first frame is due at 40 ms, the instant it
+        // departs; its sample ranks before the fleet-scope departure.
+        let mut trace = ChurnTrace::new();
+        trace.push(at_ms(40), crate::ChurnEvent::Departure("leaver".into()));
+        let mut fleet = fleet_with(
+            FleetConfig::new(vec![NodeSpec::sgprs("g", GpuSpec::rtx_2080_ti())])
+                .with_migration(1.0),
+            &[cam("stayer", 30.0), cam("leaver", 25.0)],
+        );
+        let leaver = fleet.node_ids[0][1];
+        let mut engine = Engine::new(&mut fleet, trace.into(), SimDuration::from_millis(200));
+        while engine.fleet.event_counts.departure == 0 {
+            assert!(engine.step());
+        }
+        assert!(engine.run_of(leaver).is_none(), "the leaver departed");
+        assert_eq!(engine.fleet.now, at_ms(40));
+        assert!(
+            engine.windows[0].times().any(|t| t == at_ms(40)),
+            "the sample due at the departure instant was kept"
+        );
+    }
+
+    #[test]
+    fn windows_receive_samples_in_time_order() {
+        // Mixed rates interleave deadlines across tenants and nodes;
+        // migration moves tenants between them.
+        let residents: Vec<TenantSpec> = [30.0, 25.0, 20.0, 30.0, 15.0, 24.0, 30.0]
+            .iter()
+            .enumerate()
+            .map(|(i, &fps)| cam(&format!("c{i}"), fps))
+            .collect();
+        let mut fleet = fleet_with(
+            FleetConfig::new(vec![
+                NodeSpec::sgprs("small", GpuSpec::synthetic(16)),
+                NodeSpec::sgprs("mid", GpuSpec::synthetic(34)),
+                NodeSpec::sgprs("big", GpuSpec::rtx_2080_ti()),
+            ])
+            .with_migration(0.05),
+            &residents,
+        );
+        let mut engine = Engine::new(
+            &mut fleet,
+            ChurnTrace::new().into(),
+            SimDuration::from_secs(3),
+        );
+        let mut pushed = 0usize;
+        while engine.step() {
+            for w in &engine.windows {
+                let times: Vec<SimTime> = w.times().collect();
+                assert!(times.windows(2).all(|p| p[0] <= p[1]), "{times:?}");
+                pushed += times.len();
+            }
+        }
+        assert!(pushed > 0);
+        assert!(engine.fleet.totals.counts.migrations > 0, "tenants moved");
     }
 }

@@ -225,9 +225,16 @@ fn switch_tax(node: &FleetNode) -> f64 {
 /// A sliding window of per-release outcomes feeding the node's DMR
 /// estimate — the event path's migration trigger, evaluated at job-
 /// release boundaries instead of once per epoch.
+///
+/// Outcomes arrive in time order: a skipped frame at its release, a
+/// served frame's deadline sample when the engine applies it. The
+/// window keeps a running count of the misses it holds, so [`Self::dmr`]
+/// costs the pruning it does and nothing more.
 #[derive(Debug, Default)]
 pub(crate) struct MissWindow {
     samples: VecDeque<(SimTime, bool)>,
+    /// How many of `samples` are misses.
+    missed: usize,
 }
 
 /// Outcomes required in the window before the DMR estimate is trusted
@@ -240,8 +247,13 @@ impl MissWindow {
     /// nodes whose `dmr` is never consulted (e.g. single-tenant nodes,
     /// which are never migration sources).
     pub(crate) fn push(&mut self, t: SimTime, missed: bool, span: SimDuration) {
+        debug_assert!(
+            self.samples.back().is_none_or(|&(last, _)| last <= t),
+            "miss-window outcomes must arrive in time order"
+        );
         self.prune(t, span);
         self.samples.push_back((t, missed));
+        self.missed += usize::from(missed);
     }
 
     /// Drops outcomes older than `now - span`.
@@ -252,12 +264,12 @@ impl MissWindow {
         } else {
             SimTime::ZERO
         };
-        while let Some(&(t, _)) = self.samples.front() {
-            if t < keep_from {
-                self.samples.pop_front();
-            } else {
+        while let Some(&(t, missed)) = self.samples.front() {
+            if t >= keep_from {
                 break;
             }
+            self.samples.pop_front();
+            self.missed -= usize::from(missed);
         }
     }
 
@@ -269,8 +281,7 @@ impl MissWindow {
         if self.samples.len() < MIN_WINDOW_SAMPLES {
             return 0.0;
         }
-        let missed = self.samples.iter().filter(|&&(_, m)| m).count();
-        missed as f64 / self.samples.len() as f64
+        self.missed as f64 / self.samples.len() as f64
     }
 
     /// Forgets every outcome (hysteresis after shedding a tenant: the
@@ -278,6 +289,13 @@ impl MissWindow {
     /// again).
     pub(crate) fn clear(&mut self) {
         self.samples.clear();
+        self.missed = 0;
+    }
+
+    /// The instants of the outcomes held, oldest first.
+    #[cfg(test)]
+    pub(super) fn times(&self) -> impl Iterator<Item = SimTime> + '_ {
+        self.samples.iter().map(|&(t, _)| t)
     }
 }
 
@@ -438,6 +456,38 @@ mod tests {
             "push prunes to the span (~30 samples at 33 ms): {}",
             w.samples.len()
         );
+    }
+
+    #[test]
+    fn miss_window_running_count_matches_a_rescan() {
+        let mut w = MissWindow::default();
+        let span = SimDuration::from_millis(100);
+        for i in 0..500u64 {
+            let t = SimTime::ZERO + SimDuration::from_millis(i * 7);
+            w.push(t, i % 3 == 0 || i % 5 == 0, span);
+            let rescan = w.samples.iter().filter(|&&(_, m)| m).count();
+            assert_eq!(w.missed, rescan, "after push {i}");
+            if i % 11 == 0 {
+                let dmr = w.dmr(t + SimDuration::from_millis(40), span);
+                let rescan = w.samples.iter().filter(|&&(_, m)| m).count();
+                assert_eq!(w.missed, rescan, "after dmr {i}");
+                if w.samples.len() >= MIN_WINDOW_SAMPLES {
+                    assert_eq!(dmr, rescan as f64 / w.samples.len() as f64);
+                }
+            }
+        }
+        w.clear();
+        assert_eq!((w.samples.len(), w.missed), (0, 0));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "time order")]
+    fn miss_window_rejects_an_outcome_older_than_its_newest() {
+        let mut w = MissWindow::default();
+        let span = SimDuration::from_secs(1);
+        w.push(SimTime::from_nanos(10), false, span);
+        w.push(SimTime::from_nanos(9), true, span);
     }
 
     #[test]

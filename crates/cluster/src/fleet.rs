@@ -77,6 +77,7 @@
 //! (`with_workers(1)` is the escape hatch): parallelism
 //! changes wall-clock time, never results.
 
+use crate::event::EventCounts;
 use crate::interner::{TenantId, TenantInterner};
 use crate::metrics::Decision;
 use crate::policy::{self, DispatchPlanner, FleetState, PricedPlan, QueueAdmission};
@@ -177,13 +178,18 @@ pub struct Fleet {
     /// the last drain pass — when it was not, the queue head still cannot
     /// fit and the whole retry scan is skipped.
     pub(crate) capacity_released: bool,
-    /// Requested fps of residents currently serving below it, id-indexed
-    /// (`None` = not degraded). Upgrade passes sort by resolved name so
+    /// Residents currently serving below their requested fps,
+    /// id-indexed (`None` = not degraded). Upgrade passes sort by resolved name so
     /// their order matches the pre-interning contract.
-    degraded: Vec<Option<f64>>,
+    degraded: Vec<Option<Degraded>>,
     /// Scratch of [`Self::upgrade_degraded`]: the degraded `(id,
     /// requested fps)` pairs of one pass, in name order.
     upgrade_order: Vec<(TenantId, f64)>,
+    /// Per-node admission verdicts of migration candidates, keyed by
+    /// price point `(model, stages, fps bits)` and valid while the
+    /// node's version matches: a destination search on an unchanged
+    /// fleet re-asks nothing.
+    migration_verdicts: Vec<Vec<MigrationVerdict>>,
     /// Memoised [`policy::can_ever_fit`] answers per price point
     /// `(model, stages, fps bits)` — the answer is load-independent, so
     /// demand-aware expiry sweeps cost one map lookup per queued waiter
@@ -199,7 +205,34 @@ pub struct Fleet {
     /// folded into [`FleetMetrics`] by [`Self::close_run`]. Dispatch
     /// decisions reach it only through [`Self::record`].
     pub(crate) totals: FleetMetricsBuilder,
+    /// Events the current (or last) event-driven run handled, by kind;
+    /// zeroed by [`Self::open_run`].
+    pub(crate) event_counts: EventCounts,
 }
+
+/// A resident serving below its requested rate.
+#[derive(Debug, Clone, Copy)]
+struct Degraded {
+    /// The rate it asked for.
+    requested: f64,
+    /// `(node, node version)` at which its last upgrade attempt failed.
+    /// The attempt is a pure function of that node's state, so while the
+    /// version holds it would fail again and is skipped.
+    failed_at: Option<(usize, u64)>,
+}
+
+impl Degraded {
+    fn new(requested: f64) -> Self {
+        Degraded {
+            requested,
+            failed_at: None,
+        }
+    }
+}
+
+/// One memoised admission verdict: a price point, the node version it
+/// was judged at, and whether the node admitted it.
+type MigrationVerdict = ((crate::ModelKind, usize, u64), u64, bool);
 
 /// Who a recorded decision is about: an active tenant's id, or the name
 /// of one that already left the fleet (or never joined it).
@@ -225,6 +258,7 @@ impl Fleet {
         let queue = DispatchQueue::new(cfg.queue.policy);
         let telemetry = Telemetry::new(cfg.telemetry.clone());
         let node_ids = vec![Vec::new(); nodes.len()];
+        let migration_verdicts = vec![Vec::new(); nodes.len()];
         let pool_class = pool_classes(&nodes);
         Fleet {
             cfg,
@@ -242,9 +276,11 @@ impl Fleet {
             capacity_released: true,
             degraded: Vec::new(),
             upgrade_order: Vec::new(),
+            migration_verdicts,
             hopeless_cache: HashMap::new(),
             telemetry,
             totals: FleetMetricsBuilder::default(),
+            event_counts: EventCounts::default(),
         }
     }
 
@@ -424,7 +460,7 @@ impl Fleet {
             }
             Some(PricedPlan::Degraded(idx, fps)) => {
                 let id = self.intern(&tenant.name);
-                self.degraded[id.index()] = Some(tenant.fps);
+                self.degraded[id.index()] = Some(Degraded::new(tenant.fps));
                 self.commit(id, idx, tenant.at_fps(fps));
                 return (DispatchOutcome::PlacedDegraded { node: idx, fps }, Ok(id));
             }
@@ -536,7 +572,7 @@ impl Fleet {
             let (idx, spec, was_degraded) = match plan {
                 PricedPlan::Full(idx) => (idx, entry.tenant, false),
                 PricedPlan::Degraded(idx, fps) => {
-                    self.degraded[id.index()] = Some(entry.tenant.fps);
+                    self.degraded[id.index()] = Some(Degraded::new(entry.tenant.fps));
                     (idx, entry.tenant.at_fps(fps), true)
                 }
             };
@@ -677,7 +713,8 @@ impl Fleet {
     /// resident node (SGPRS's zero-cost reconfiguration), never
     /// migrations, and run in tenant-name order for determinism (the
     /// order the pre-interning `BTreeMap` walked, so output is
-    /// unchanged). Each step taken is recorded.
+    /// unchanged). Each step taken is recorded. A failed attempt changes
+    /// nothing and is not retried until its node's version moves.
     fn upgrade_degraded(&mut self) {
         // Collect (id, requested) in slot order, then sort by name: slot
         // order is deterministic but recycling-dependent; name order is
@@ -690,53 +727,60 @@ impl Fleet {
             self.degraded
                 .iter()
                 .enumerate()
-                .filter_map(|(slot, requested)| {
+                .filter_map(|(slot, degraded)| {
                     let id = TenantId::from_raw(
                         u32::try_from(slot).expect("invariant: id slots fit in u32"),
                     );
-                    requested.map(|requested| (id, requested))
+                    degraded.map(|d| (id, d.requested))
                 }),
         );
         let interner = &self.interner;
         entries.sort_unstable_by(|a, b| interner.name(a.0).cmp(interner.name(b.0)));
         for &(id, requested) in &entries {
             // Find the resident (it may have migrated since it degraded).
-            let Some((idx, pos)) = self.locate_id(id) else {
+            let Some(idx) = self.resident_node_of(id) else {
                 // Defensive: a degraded entry with no resident would mean
                 // a removal missed the table; drop it rather than retry
                 // forever.
                 self.degraded[id.index()] = None;
                 continue;
             };
-            let resident = self.nodes[idx].remove_tenant(pos);
-            let candidates = policy::upgrade_candidates(&resident, requested);
-            let mut upgraded = None;
-            for fps in candidates {
-                let priced = resident.at_fps(fps);
-                if self
-                    .admission
-                    .evaluate(&self.nodes[idx], &priced)
-                    .is_admit()
-                {
-                    upgraded = Some(priced);
-                    break;
-                }
+            let version = self.nodes[idx].version();
+            if self.degraded[id.index()].and_then(|d| d.failed_at) == Some((idx, version)) {
+                continue;
             }
-            match upgraded {
-                Some(priced) => {
-                    if (priced.fps - requested).abs() < 1e-12 {
-                        self.degraded[id.index()] = None;
-                    }
-                    let fps = priced.fps;
-                    // Same slot, so placement order (and migration's LIFO
-                    // victim choice) is unaffected by the price change —
-                    // `node_ids` is untouched for the same reason.
-                    self.nodes[idx].insert_tenant(pos, priced);
-                    self.planner.invalidate_node(idx);
-                    self.record(TenantRef::Id(id), Decision::Upgrade { fps });
+            let pos = self
+                .node_slot(idx, id)
+                .expect("invariant: resident ids appear in their node's id list");
+            // Judge each price against the node as it would be without
+            // the resident, leaving the node itself untouched.
+            let node = &self.nodes[idx];
+            let others = node.aggregates_without(pos);
+            let resident = &node.tenants()[pos];
+            let upgraded = policy::upgrade_candidates(resident, requested)
+                .into_iter()
+                .map(|fps| resident.at_fps(fps))
+                .find(|priced| {
+                    self.admission
+                        .evaluate_against(node, &others, priced)
+                        .is_admit()
+                });
+            let Some(priced) = upgraded else {
+                if let Some(d) = self.degraded[id.index()].as_mut() {
+                    d.failed_at = Some((idx, version));
                 }
-                None => self.nodes[idx].insert_tenant(pos, resident),
+                continue;
+            };
+            if (priced.fps - requested).abs() < 1e-12 {
+                self.degraded[id.index()] = None;
             }
+            let fps = priced.fps;
+            // Same slot, so placement order (and migration's LIFO victim
+            // choice) is unaffected by the price change — `node_ids` is
+            // untouched for the same reason.
+            self.nodes[idx].replace_tenant(pos, priced);
+            self.planner.invalidate_node(idx);
+            self.record(TenantRef::Id(id), Decision::Upgrade { fps });
         }
         self.upgrade_order = entries;
     }
@@ -782,6 +826,7 @@ impl Fleet {
             self.nodes.iter().map(|n| n.spec.gpu.total_sms).collect(),
         );
         self.telemetry.begin_run(self.nodes.len(), horizon);
+        self.event_counts = EventCounts::default();
         self.now = SimTime::ZERO;
         self.queue.carry_over(SimTime::ZERO);
     }
@@ -804,8 +849,10 @@ impl Fleet {
     /// node's miss rate in `dmr`. The destination is chosen while the
     /// victim is still resident ([`policy::migration_destination`] never
     /// reads the source node), so an attempt that finds none leaves the
-    /// fleet untouched. The move pays `stall` (zero on the epoch path).
-    /// Either way the attempt is recorded. Returns the victim and where
+    /// fleet untouched. Each node's admission verdict is memoised per
+    /// price point and node version, so a repeat search on nodes that
+    /// have not changed evaluates nothing. The move pays `stall` (zero
+    /// on the epoch path). Either way the attempt is recorded. Returns the victim and where
     /// it went, or `None` when the node had no victim to give.
     pub(crate) fn migrate_one(
         &mut self,
@@ -816,12 +863,31 @@ impl Fleet {
         let threshold = self.cfg.migration?;
         let slot = policy::select_migration_victim(&self.nodes[idx])?;
         let id = self.node_ids[idx][slot];
+        let nodes = &self.nodes;
+        let admission = &self.admission;
+        let verdicts = &mut self.migration_verdicts;
+        let victim = &nodes[idx].tenants()[slot];
+        let price = (victim.model, victim.stages, victim.fps.to_bits());
         let dest = policy::migration_destination(
-            &FleetState::new(&self.nodes, &self.admission),
+            &FleetState::new(nodes, admission),
             idx,
-            &self.nodes[idx].tenants()[slot],
             dmr,
             threshold,
+            |j| {
+                let version = nodes[j].version();
+                let memo = &mut verdicts[j];
+                match memo.iter_mut().find(|(p, _, _)| *p == price) {
+                    Some((_, judged_at, admits)) if *judged_at == version => *admits,
+                    stale => {
+                        let admits = admission.evaluate(&nodes[j], victim).is_admit();
+                        match stale {
+                            Some(entry) => *entry = (price, version, admits),
+                            None => memo.push((price, version, admits)),
+                        }
+                        admits
+                    }
+                }
+            },
         );
         let attempt = Decision::Migration {
             from: idx,
@@ -845,7 +911,7 @@ impl Fleet {
     /// keeping the interner and id tables consistent (tests that build
     /// overload scenarios the dispatcher would refuse).
     #[cfg(test)]
-    fn seed_resident(&mut self, idx: usize, tenant: TenantSpec) {
+    pub(crate) fn seed_resident(&mut self, idx: usize, tenant: TenantSpec) {
         let id = self.intern(&tenant.name);
         self.attach_resident(idx, id, tenant);
     }
@@ -878,6 +944,15 @@ impl Fleet {
     #[must_use]
     pub fn events_processed(&self) -> u64 {
         self.span_calls(Span::EventPop) + self.span_calls(Span::ArrivalPull)
+    }
+
+    /// Events the current (or last) run handled, by kind: release,
+    /// migrate, queue-expiry and sample pops, plus the arrivals and
+    /// departures pulled from the churn stream. All zero for an epoch
+    /// run. Always on and deterministic, like [`Self::span_calls`].
+    #[must_use]
+    pub fn event_counts(&self) -> EventCounts {
+        self.event_counts
     }
 
     /// Cache key of one resident's compiled task on node `node_idx`:

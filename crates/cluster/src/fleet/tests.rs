@@ -633,6 +633,92 @@ fn a_successful_migration_moves_one_tenant_and_bumps_both_versions() {
 }
 
 #[test]
+fn a_repeat_migration_search_on_an_unchanged_fleet_asks_the_memo_only() {
+    let mut fleet = overloaded_pair(NodeSpec::sgprs("full", GpuSpec::synthetic(16)));
+    for i in 6..12 {
+        fleet.seed_resident(1, tenant(i));
+    }
+    fleet.open_run(SimDuration::from_secs(1));
+    let dmr = [1.0, 0.0];
+    let unmemoised = |f: &Fleet| {
+        let victim = f.nodes[0]
+            .tenants()
+            .last()
+            .expect("the source has residents");
+        policy::migration_destination(
+            &FleetState::new(&f.nodes, &f.admission),
+            0,
+            &dmr,
+            0.05,
+            |j| f.admission.evaluate(&f.nodes[j], victim).is_admit(),
+        )
+    };
+    let expected = unmemoised(&fleet);
+    assert_eq!(expected, None, "the full node refuses the victim");
+    let dest = |f: &mut Fleet| f.migrate_one(0, &dmr, SimDuration::ZERO).map(|(_, d)| d);
+    assert_eq!(dest(&mut fleet), Some(expected));
+    let versions: Vec<u64> = fleet.nodes.iter().map(FleetNode::version).collect();
+    assert_eq!(dest(&mut fleet), Some(expected), "the repeat agrees");
+    assert_eq!(
+        fleet
+            .nodes
+            .iter()
+            .map(FleetNode::version)
+            .collect::<Vec<_>>(),
+        versions,
+        "the fleet is unchanged"
+    );
+    // The repeat evaluated nothing: flip the memoised verdict, and the
+    // search takes it at face value instead of asking admission again.
+    for verdict in &mut fleet.migration_verdicts[1] {
+        verdict.2 = true;
+    }
+    assert_eq!(dest(&mut fleet), Some(Some(1)));
+    // A version move on the destination revalidates: the victim is now
+    // resident there, and the source's next victim is judged afresh.
+    assert_eq!(dest(&mut fleet), Some(unmemoised(&fleet)));
+}
+
+#[test]
+fn a_failed_upgrade_pass_changes_no_node_version() {
+    let cfg =
+        FleetConfig::new(vec![NodeSpec::sgprs("gpu", GpuSpec::rtx_2080_ti())]).with_repricing();
+    let mut fleet = Fleet::new(cfg);
+    let mut i = 0;
+    let mut fillers = Vec::new();
+    while let DispatchOutcome::Placed(_) = fleet.dispatch(tenant(i)) {
+        fillers.push(tenant(i).name);
+        i += 1;
+    }
+    assert!(fleet.remove(&tenant(i).name), "scaffolding waiter removed");
+    // Headroom in [d, 2d): the 60 fps request degrades to 30 fps and
+    // has no room left to climb back.
+    assert!(fleet.remove(&fillers[0]));
+    let priced =
+        TenantSpec::new("elastic", ModelKind::ResNet18, 60.0).with_fps_ladder([30.0, 24.0, 15.0]);
+    assert!(matches!(
+        fleet.dispatch(priced),
+        DispatchOutcome::PlacedDegraded { .. }
+    ));
+    let versions = |f: &Fleet| f.nodes.iter().map(FleetNode::version).collect::<Vec<_>>();
+    let before = versions(&fleet);
+    for pass in 0..2 {
+        fleet.upgrade_degraded();
+        assert_eq!(versions(&fleet), before, "pass {pass} touched a node");
+        assert_eq!(fleet.degraded_residents(), 1);
+    }
+    // A departure moves the version: the next pass tries again, and
+    // now the requested rate fits.
+    assert!(fleet.remove(&fillers[1]));
+    fleet.upgrade_degraded();
+    assert_eq!(
+        fleet.degraded_residents(),
+        0,
+        "upgraded once the node changed"
+    );
+}
+
+#[test]
 fn drain_skips_the_scan_until_capacity_is_released() {
     // Regression for the epoch-drain hot path: once a pass leaves the
     // head unplaced, further drains are O(1) until a departure (or
@@ -1095,13 +1181,15 @@ fn event_migration_pays_the_configured_stall() {
 
 #[test]
 fn reused_tenant_name_is_immune_to_its_predecessors_stale_events() {
-    // Regression: a departed tenant's still-pending JobCompletion /
-    // DeadlineCheck used to match a same-named successor (job serials
-    // restart at 0), clearing the new run's busy flag so it served
-    // overlapping jobs. Overload one node past its period (admission
-    // bound deliberately past capacity), churn the same name out and
-    // back in while the first incarnation's job is in flight, and
-    // pin the deterministic outcome.
+    // A departed tenant's frame in flight was decided at its release,
+    // and its run entry (busy-until instant, release clock, deadline
+    // samples' incarnation) dies at the departure. A same-named
+    // successor gets the recycled id but a fresh run: it is not busy
+    // with its predecessor's job, and the predecessor's stale release
+    // is dropped by the generation guard. Overload one node past its
+    // period (admission bound deliberately past capacity), churn the
+    // same name out and back in while the first incarnation's job is
+    // still running, and pin the deterministic outcome.
     let cfg = || {
         let mut c = FleetConfig::new(vec![NodeSpec::sgprs("g", GpuSpec::synthetic(34))]);
         c.admission.utilization_bound = 1.5;
@@ -1123,7 +1211,7 @@ fn reused_tenant_name_is_immune_to_its_predecessors_stale_events() {
             sgprs_rt::SimTime::ZERO + SimDuration::from_millis(38),
             crate::ChurnEvent::Departure(tenant(15).name),
         );
-        // …and reuse the name before that job's completion fires.
+        // …and reuse the name before that job finishes.
         trace.push(
             sgprs_rt::SimTime::ZERO + SimDuration::from_millis(40),
             crate::ChurnEvent::Arrival(tenant(15)),
@@ -1135,9 +1223,8 @@ fn reused_tenant_name_is_immune_to_its_predecessors_stale_events() {
     assert_eq!(m.departures, 1);
     assert_eq!(m.admitted, 17, "the reused name is re-admitted: {m:?}");
     assert_eq!(m.truncated_jobs, 0);
-    // A guard regression trips the engine's overlapping-jobs
-    // debug assertion mid-run (verified by mutation); the pinned
-    // totals additionally lock the deterministic outcome.
+    // The pinned totals lock the deterministic outcome of this
+    // interleaving.
     assert_eq!(m, Fleet::new(cfg()).run_events(trace(), horizon));
     let node = &m.nodes[0];
     assert_eq!(

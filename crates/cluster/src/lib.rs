@@ -141,7 +141,7 @@ pub use metrics::{
     DispatchCounts, FleetMetrics, FleetMetricsBuilder, NodeReport, BASE_SCHEMA_VERSION,
     METRICS_SCHEMA_VERSION, UTILIZATION_BINS,
 };
-pub use node::{FleetNode, NodeScheduler, NodeSpec};
+pub use node::{Aggregates, FleetNode, NodeScheduler, NodeSpec};
 pub use placement::{PlacementPolicy, Placer};
 pub use policy::FleetState;
 pub use queue::{QueueConfig, QueuePolicy};

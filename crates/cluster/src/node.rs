@@ -1,11 +1,12 @@
 //! Fleet nodes: one simulated GPU plus the scheduler that drives it.
 //!
 //! [`FleetNode`] owns its resident list and everything derived from it:
-//! the summed demand, the resident work mix and a version counter. The
-//! list is private and changes only through the node's mutators, which
-//! refold both aggregates and bump the version, so admission probes read
-//! them in O(1) and the event engine's caches (fluid load, utilisation
-//! samples) revalidate against [`FleetNode::version`].
+//! the [`Aggregates`] (summed demand and resident work mix) and a
+//! version counter. The list is private and changes only through the
+//! node's mutators, which refold the aggregates and bump the version, so
+//! admission probes read them in O(1) and the fleet's caches (fluid
+//! load, utilisation samples, admission verdicts) revalidate against
+//! [`FleetNode::version`].
 
 use crate::TenantSpec;
 use serde::{Deserialize, Serialize};
@@ -138,16 +139,49 @@ impl NodeSpec {
     }
 }
 
+/// What every admission probe reads of a node's residents: their
+/// summed demand and their merged work mix, both folded in slot order.
+#[derive(Debug, Clone, Copy)]
+pub struct Aggregates {
+    /// `Σ demand_sm_equivalents` of the residents, in SM-equivalents.
+    pub demand: f64,
+    /// The merged work profile of the residents.
+    pub mix: WorkProfile,
+}
+
+impl Aggregates {
+    /// Folds `tenants` in iteration order: the one definition of the
+    /// aggregate arithmetic, so two folds over the same sequence agree
+    /// bit for bit.
+    fn fold<'a>(tenants: impl Iterator<Item = &'a TenantSpec> + Clone) -> Self {
+        let demand = tenants.clone().map(TenantSpec::demand_sm_equivalents).sum();
+        let mut mix = WorkProfile::new();
+        for t in tenants {
+            mix.merge(t.model.work_profile());
+        }
+        Aggregates { demand, mix }
+    }
+
+    /// The resident mix plus an optional candidate — the mix the
+    /// capacity estimate is taken at.
+    #[must_use]
+    pub(crate) fn mix_with(&self, candidate: Option<&TenantSpec>) -> WorkProfile {
+        let mut mix = self.mix;
+        if let Some(c) = candidate {
+            mix.merge(c.model.work_profile());
+        }
+        mix
+    }
+}
+
 /// Run-time state of a node inside a [`crate::Fleet`]: the spec plus the
 /// tenants currently placed on it.
 ///
-/// The node owns its resident list and the aggregates every admission
-/// probe reads: the summed demand and the demand-weighted work mix of
-/// the residents. Each mutator ([`Self::push_tenant`],
-/// [`Self::remove_tenant`], [`Self::insert_tenant`],
-/// [`Self::replace_tenant`]) refolds both in slot order, the float
-/// operations a from-scratch fold performs, so a probe reads them in
-/// O(1) with the same bits. Each mutator also bumps [`Self::version`],
+/// The node owns its resident list and the [`Aggregates`] every
+/// admission probe reads. Each mutator ([`Self::push_tenant`],
+/// [`Self::remove_tenant`], [`Self::replace_tenant`]) refolds them in
+/// slot order, the float operations a from-scratch fold performs, so a
+/// probe reads them in O(1) with the same bits. Each mutator also bumps [`Self::version`],
 /// the key of every cache that is a pure function of the node's state.
 #[derive(Debug, Clone)]
 pub struct FleetNode {
@@ -155,10 +189,8 @@ pub struct FleetNode {
     pub spec: NodeSpec,
     /// Tenants resident on this node, in placement order.
     tenants: Vec<TenantSpec>,
-    /// `Σ demand_sm_equivalents` of `tenants`, folded in slot order.
-    demand: f64,
-    /// The merged work profile of `tenants`, in slot order.
-    mix: WorkProfile,
+    /// The aggregates of `tenants`, folded in slot order.
+    aggregates: Aggregates,
     /// Bumped by every mutation of `tenants`.
     version: u64,
     /// The pool's per-context SM allocations, computed once here: the
@@ -177,17 +209,14 @@ impl FleetNode {
     pub fn new(spec: NodeSpec) -> Self {
         let sm_allocs = spec.pool().sm_allocations();
         let max_context_sm = sm_allocs.iter().copied().max().unwrap_or(0);
-        let mut node = FleetNode {
+        FleetNode {
             spec,
             tenants: Vec::new(),
-            demand: 0.0,
-            mix: WorkProfile::new(),
-            version: 0,
+            aggregates: Aggregates::fold(std::iter::empty()),
+            version: 1,
             sm_allocs,
             max_context_sm,
-        };
-        node.refold();
-        node
+        }
     }
 
     /// The resident tenants, in placement order.
@@ -201,6 +230,32 @@ impl FleetNode {
     #[must_use]
     pub fn version(&self) -> u64 {
         self.version
+    }
+
+    /// The residents' aggregates (cached; see the type docs).
+    #[must_use]
+    pub fn aggregates(&self) -> &Aggregates {
+        &self.aggregates
+    }
+
+    /// The aggregates the node would have after
+    /// [`Self::remove_tenant`]`(slot)`: the same fold over the other
+    /// residents, in slot order, so the bits match; the node itself is
+    /// untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is out of bounds.
+    #[must_use]
+    pub fn aggregates_without(&self, slot: usize) -> Aggregates {
+        assert!(slot < self.tenants.len(), "slot {slot} out of bounds");
+        Aggregates::fold(
+            self.tenants
+                .iter()
+                .enumerate()
+                .filter(move |&(i, _)| i != slot)
+                .map(|(_, t)| t),
+        )
     }
 
     /// Appends a resident.
@@ -220,16 +275,6 @@ impl FleetNode {
         tenant
     }
 
-    /// Inserts a resident at `slot`, shifting later residents up.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot > tenants().len()`.
-    pub fn insert_tenant(&mut self, slot: usize, tenant: TenantSpec) {
-        self.tenants.insert(slot, tenant);
-        self.refold();
-    }
-
     /// Replaces the resident at `slot` (a re-price keeps its slot),
     /// returning the old spec.
     ///
@@ -245,16 +290,7 @@ impl FleetNode {
     /// Recomputes the cached aggregates from scratch, in slot order, and
     /// bumps the version.
     fn refold(&mut self) {
-        self.demand = self
-            .tenants
-            .iter()
-            .map(TenantSpec::demand_sm_equivalents)
-            .sum();
-        let mut mix = WorkProfile::new();
-        for t in &self.tenants {
-            mix.merge(t.model.work_profile());
-        }
-        self.mix = mix;
+        self.aggregates = Aggregates::fold(self.tenants.iter());
         self.version += 1;
     }
 
@@ -292,19 +328,15 @@ impl FleetNode {
     /// SM-equivalents (cached; see the type docs).
     #[must_use]
     pub fn total_demand(&self) -> f64 {
-        self.demand
+        self.aggregates.demand
     }
 
     /// The demand-weighted work profile of the resident tenants plus an
-    /// optional candidate — the mix the capacity estimate is taken at.
-    /// Copies the cached resident mix and merges only the candidate.
+    /// optional candidate ([`Aggregates::mix_with`] of the cached
+    /// aggregates).
     #[must_use]
     pub fn mixed_profile(&self, candidate: Option<&TenantSpec>) -> WorkProfile {
-        let mut mix = self.mix;
-        if let Some(c) = candidate {
-            mix.merge(c.model.work_profile());
-        }
-        mix
+        self.aggregates.mix_with(candidate)
     }
 }
 

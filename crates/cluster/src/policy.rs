@@ -277,25 +277,26 @@ pub fn select_migration_victim(node: &FleetNode) -> Option<usize> {
     node.tenants().len().checked_sub(1)
 }
 
-/// Chooses the destination for migrating `victim` off `src`: among the
+/// Chooses the destination for migrating a victim off `src`: among the
 /// *other* nodes, those whose miss estimate is at or under `threshold`
 /// (admission alone would happily bounce a tenant between two hot nodes
 /// forever) and that admit the victim, the least loaded by
-/// demand/budget. One policy shared by the epoch path's per-boundary
-/// sweep and the event engine's release-boundary migration, so the two
-/// modes cannot silently fork.
+/// demand/budget. `admits(j)` answers whether node `j` admits the
+/// victim; it is asked only of cool nodes, in index order. One policy
+/// shared by the epoch path's per-boundary sweep and the event engine's
+/// release-boundary migration, so the two modes cannot silently fork.
 #[must_use]
 pub fn migration_destination(
     state: &FleetState<'_>,
     src: usize,
-    victim: &TenantSpec,
     node_dmr: &[f64],
     threshold: f64,
+    mut admits: impl FnMut(usize) -> bool,
 ) -> Option<usize> {
     (0..state.nodes.len())
         .filter(|&j| j != src)
         .filter(|&j| node_dmr[j] <= threshold)
-        .filter(|&j| state.admission.evaluate(&state.nodes[j], victim).is_admit())
+        .filter(|&j| admits(j))
         .min_by(|&a, &b| {
             let load = |j: usize| {
                 let budget = state.admission.budget(&state.nodes[j], None);
@@ -368,19 +369,25 @@ mod tests {
         nodes[2].push_tenant(tenant("busy", 30.0));
         let state = FleetState::new(&nodes, &ctl);
         let victim = tenant("victim", 30.0);
+        let admits = |j: usize| ctl.evaluate(&nodes[j], &victim).is_admit();
         // Node 1 is empty and cool: the least-loaded admissible choice.
         assert_eq!(
-            migration_destination(&state, 0, &victim, &[0.5, 0.0, 0.0], 0.2),
+            migration_destination(&state, 0, &[0.5, 0.0, 0.0], 0.2, admits),
             Some(1)
         );
         // A hot estimate excludes a destination outright.
         assert_eq!(
-            migration_destination(&state, 0, &victim, &[0.5, 0.9, 0.0], 0.2),
+            migration_destination(&state, 0, &[0.5, 0.9, 0.0], 0.2, admits),
             Some(2)
         );
         assert_eq!(
-            migration_destination(&state, 0, &victim, &[0.5, 0.9, 0.9], 0.2),
+            migration_destination(&state, 0, &[0.5, 0.9, 0.9], 0.2, admits),
             None
+        );
+        // A node that refuses the victim is skipped, however cool.
+        assert_eq!(
+            migration_destination(&state, 0, &[0.5, 0.0, 0.0], 0.2, |j| j != 1),
+            Some(2)
         );
     }
 }

@@ -2,13 +2,31 @@
 //! shape and offered load, an admitted set stays within the utilisation
 //! bound, and rejected tenants get in once departures free capacity. The
 //! node-owned aggregates every admission probe reads match a from-scratch
-//! fold after any sequence of resident-list edits.
+//! fold after any sequence of resident-list edits, and judging a tenant
+//! against the aggregates without one resident is bit-identical to
+//! judging it after removing that resident.
 
 use proptest::prelude::*;
 use sgprs_cluster::{
-    AdmissionController, FleetNode, ModelKind, NodeSpec, PlacementPolicy, Placer, TenantSpec,
+    AdmissionController, AdmissionDecision, FleetNode, ModelKind, NodeSpec, PlacementPolicy,
+    Placer, RejectReason, TenantSpec,
 };
 use sgprs_gpu_sim::{GpuSpec, WorkProfile};
+
+/// A decision with every float as its bits, so equality is bit
+/// equality.
+fn decision_bits(d: &AdmissionDecision) -> (u8, u64, u64) {
+    match d {
+        AdmissionDecision::Admit { demand, budget } => (0, demand.to_bits(), budget.to_bits()),
+        AdmissionDecision::Reject(RejectReason::OverUtilization { demand, budget }) => {
+            (1, demand.to_bits(), budget.to_bits())
+        }
+        AdmissionDecision::Reject(RejectReason::LatencyInfeasible {
+            best_case,
+            deadline,
+        }) => (2, best_case.as_nanos(), deadline.as_nanos()),
+    }
+}
 
 fn model_of(tag: u8) -> ModelKind {
     match tag % 5 {
@@ -119,11 +137,11 @@ proptest! {
     }
 
     /// The cached demand and work mix equal a from-scratch fold over the
-    /// residents in slot order, bit for bit, after every push, remove,
-    /// insert and replace; every edit moves the version forward.
+    /// residents in slot order, bit for bit, after every push, remove
+    /// and replace; every edit moves the version forward.
     #[test]
     fn node_aggregates_match_a_from_scratch_fold(
-        edits in prop::collection::vec((0u8..4, 0usize..64, (0u8..5, 5.0f64..60.0)), 1..48),
+        edits in prop::collection::vec((0u8..3, 0usize..64, (0u8..5, 5.0f64..60.0)), 1..48),
         candidate_tag in 0u8..5,
         candidate_fps in 5.0f64..60.0,
     ) {
@@ -137,8 +155,7 @@ proptest! {
                 1 if len > 0 => {
                     node.remove_tenant(seed % len);
                 }
-                2 => node.insert_tenant(seed % (len + 1), tenant),
-                3 if len > 0 => {
+                2 if len > 0 => {
                     node.replace_tenant(seed % len, tenant);
                 }
                 _ => node.push_tenant(tenant),
@@ -163,5 +180,34 @@ proptest! {
                 prop_assert_eq!(got.single_sm_ns.to_bits(), want.single_sm_ns.to_bits());
             }
         }
+    }
+
+    /// Evaluating against [`FleetNode::aggregates_without`] gives the
+    /// bit-identical decision to evaluating after
+    /// [`FleetNode::remove_tenant`] at the same slot — the upgrade pass's
+    /// exactness argument — and leaves the node untouched.
+    #[test]
+    fn evaluating_without_a_resident_matches_removing_it(
+        residents in prop::collection::vec((0u8..5, 5.0f64..60.0), 1..24),
+        slot_seed in 0usize..64,
+        sms in 12u32..69,
+        candidate_tag in 0u8..5,
+        candidate_fps in 5.0f64..60.0,
+    ) {
+        let ctl = AdmissionController::default();
+        let mut node = FleetNode::new(NodeSpec::sgprs("gpu", GpuSpec::synthetic(sms)));
+        for (i, &(tag, fps)) in residents.iter().enumerate() {
+            node.push_tenant(TenantSpec::new(format!("t-{i}"), model_of(tag), fps));
+        }
+        let slot = slot_seed % residents.len();
+        let candidate = TenantSpec::new("candidate", model_of(candidate_tag), candidate_fps);
+        let version = node.version();
+        let others = node.aggregates_without(slot);
+        let judged = ctl.evaluate_against(&node, &others, &candidate);
+        prop_assert_eq!(node.version(), version, "the node was not touched");
+        let mut removed = node.clone();
+        removed.remove_tenant(slot);
+        prop_assert_eq!(decision_bits(&judged), decision_bits(&ctl.evaluate(&removed, &candidate)));
+        prop_assert_eq!(others.demand.to_bits(), removed.total_demand().to_bits());
     }
 }
