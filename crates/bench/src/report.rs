@@ -3,39 +3,18 @@
 //!
 //! A process installs [`CountingAlloc`] as its `#[global_allocator]`;
 //! [`AllocStats::snapshot`] deltas then give the allocations a measured
-//! stretch of code made. By default every thread's allocations count,
-//! which is what a benchmark fanning work out to threads needs. A test
-//! that pins a single-threaded path exactly calls
-//! [`CountingAlloc::count_current_thread_only`] first, so the test
-//! harness's own threads cannot leak into its count; the count is then a
-//! pure function of the inputs, which is what lets
-//! `tests/paper_layer_allocs.rs`, `tests/event_engine_counters.rs` and
-//! `tests/epoch_fleet_counters.rs` pin it.
+//! stretch of code made. On a single-threaded path the count is a pure
+//! function of the inputs, which is what lets
+//! `tests/paper_layer_allocs.rs` and `tests/event_engine_counters.rs`
+//! pin it exactly.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static DEALLOCS: AtomicU64 = AtomicU64::new(0);
 static REALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
-/// Set once any thread has asked for per-thread counting.
-static PER_THREAD: AtomicBool = AtomicBool::new(false);
-
-thread_local! {
-    /// Whether this thread's allocations count in per-thread mode.
-    static ARMED: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Whether an allocation on the current thread counts: always in the
-/// default process-global mode, only on armed threads in per-thread
-/// mode. The thread-local is const-initialised and has no destructor,
-/// so reading it never allocates; a thread past its teardown reads
-/// as unarmed.
-fn counts_here() -> bool {
-    !PER_THREAD.load(Ordering::Relaxed) || ARMED.try_with(Cell::get).unwrap_or(false)
-}
 
 /// A counting wrapper around the system allocator. Tests and benches
 /// install it as their `#[global_allocator]`; [`AllocStats::snapshot`] then
@@ -45,49 +24,28 @@ fn counts_here() -> bool {
 /// counts across concurrent phases, never lose them.
 pub struct CountingAlloc;
 
-impl CountingAlloc {
-    /// Switches the process to per-thread counting and arms the calling
-    /// thread: from now on only allocations made on armed threads count.
-    /// A test calls it before measuring, so an allocation by another
-    /// thread (e.g. the test harness's main thread) cannot land in its
-    /// window.
-    pub fn count_current_thread_only() {
-        ARMED.with(|armed| armed.set(true));
-        // `Relaxed`: the flag publishes no data. The arming thread reads
-        // its own store in program order; another thread that reads it
-        // late counts at most its allocations made before the switch.
-        PER_THREAD.store(true, Ordering::Relaxed);
-    }
-}
-
 // The one justified `unsafe` in this crate: `GlobalAlloc` is an unsafe
 // trait by contract. The impl adds no invariants of its own — it counts
 // and delegates every call verbatim to `System`.
 #[allow(unsafe_code)]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if counts_here() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        }
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        if counts_here() {
-            DEALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        DEALLOCS.fetch_add(1, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if counts_here() {
-            REALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(
-                new_size.saturating_sub(layout.size()) as u64,
-                Ordering::Relaxed,
-            );
-        }
+        REALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(
+            new_size.saturating_sub(layout.size()) as u64,
+            Ordering::Relaxed,
+        );
         System.realloc(ptr, layout, new_size)
     }
 }

@@ -1,7 +1,6 @@
 //! Exercises [`CountingAlloc`] as this test process's real global
 //! allocator: snapshots are monotone, a no-op window shows a zero
-//! delta, heap traffic moves the counters, and per-thread mode counts
-//! the armed thread only.
+//! delta, and heap traffic moves the counters.
 //!
 //! One test function on purpose — the counters are process-global, so
 //! concurrent test threads would smear each other's deltas.
@@ -51,38 +50,4 @@ fn counting_allocator_tracks_heap_traffic() {
     assert!(late.allocs >= before.allocs);
     assert!(late.deallocs >= before.deallocs);
     assert!(late.bytes >= before.bytes);
-
-    // Per-thread mode (one-way, so it comes last): another thread's
-    // heap traffic no longer counts, the armed thread's still does.
-    let barrier = std::sync::Barrier::new(2);
-    let unarmed = std::thread::scope(|scope| {
-        let worker = scope.spawn(|| {
-            // The mode switches before the first wait returns, and the
-            // armed thread sits in the second wait while this measures.
-            barrier.wait();
-            let before = AllocStats::snapshot();
-            let v: Vec<u8> = vec![1u8; 4096];
-            let delta = AllocStats::snapshot().since(&before);
-            drop(v);
-            barrier.wait();
-            delta
-        });
-        CountingAlloc::count_current_thread_only();
-        barrier.wait();
-        barrier.wait();
-        worker.join().expect("the worker does not panic")
-    });
-    assert_eq!(
-        unarmed,
-        AllocStats::default(),
-        "an unarmed thread's allocation must not count"
-    );
-    let before = AllocStats::snapshot();
-    let v: Vec<u8> = vec![0u8; 4096];
-    let armed = AllocStats::snapshot().since(&before);
-    drop(v);
-    assert!(
-        armed.allocs >= 1,
-        "the armed thread still counts: {armed:?}"
-    );
 }

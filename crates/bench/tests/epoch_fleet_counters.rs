@@ -6,16 +6,17 @@
 //! allocation per node epoch, an extra span — must fail here and re-pin
 //! on purpose.
 //!
-//! [`CountingAlloc`] is this test process's global allocator, counting
-//! the test thread only (the one worker runs inline on it), so the test
-//! harness's own threads cannot leak into the pin. One test function on
-//! purpose — the counters are process-global, so concurrent test
-//! threads would smear each other's deltas. The first fleet run in
-//! a process also fills two process-wide caches: the model work profiles
+//! [`CountingAlloc`] is this test process's global allocator. The target
+//! has no libtest harness: its one test runs on the process's only
+//! thread (see `single/mod.rs`), and the one worker runs inline on it,
+//! so nothing else allocates during the counted run. The first fleet run
+//! in a process also fills two process-wide caches: the model work profiles
 //! ([`ModelKind::work_profile`]) and the calibrated speedup model
 //! ([`SpeedupModel::rtx_2080_ti`]). The test fills both up front and adds
 //! their allocations to the pin, so it reads what a run costs in a fresh
 //! process.
+
+mod single;
 
 use sgprs_bench::report::{AllocStats, CountingAlloc};
 use sgprs_cluster::{Fleet, ModelKind, Span, SPAN_COUNT};
@@ -50,9 +51,14 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, AllocStats::snapshot().since(&before).allocs)
 }
 
-#[test]
+fn main() {
+    single::run(
+        "epoch_fleet_counters_are_pinned",
+        epoch_fleet_counters_are_pinned,
+    );
+}
+
 fn epoch_fleet_counters_are_pinned() {
-    CountingAlloc::count_current_thread_only();
     let (_, cache_fill) = counted(|| {
         let _ = ModelKind::ResNet18.work_profile();
         let _ = SpeedupModel::rtx_2080_ti();

@@ -17,16 +17,16 @@
 //! from the stream. A frame is decided at its release, so no per-frame
 //! completion or deadline event appears among them.
 //!
-//! [`CountingAlloc`] is this test process's global allocator, counting
-//! the test thread only, so the test harness's own threads cannot leak
-//! into a row. One test function on purpose — the counters are
-//! process-global, so concurrent test threads would smear each other's
-//! deltas. The first fleet run in
-//! a process also fills two process-wide caches: the model work profiles
+//! [`CountingAlloc`] is this test process's global allocator. The target
+//! has no libtest harness: its one test runs on the process's only
+//! thread (see `single/mod.rs`), so nothing else allocates during a
+//! counted row. The first fleet run in a process also fills two process-wide caches: the model work profiles
 //! ([`ModelKind::work_profile`]) and the calibrated speedup model
 //! ([`SpeedupModel::rtx_2080_ti`]). The test fills both up front and
 //! adds their allocations to every row, so each row pins what a run
 //! costs in a fresh process, whatever order the rows run in.
+
+mod single;
 
 use sgprs_bench::report::{AllocStats, CountingAlloc};
 use sgprs_cluster::event::EventCounts;
@@ -138,9 +138,14 @@ fn run_overload(cache_fill: u64) -> (Counters, FleetMetrics) {
     run_scenario(scenario, false, cache_fill)
 }
 
-#[test]
+fn main() {
+    single::run(
+        "metro_event_engine_counters_are_pinned",
+        metro_event_engine_counters_are_pinned,
+    );
+}
+
 fn metro_event_engine_counters_are_pinned() {
-    CountingAlloc::count_current_thread_only();
     let (_, cache_fill) = counted(|| {
         let _ = ModelKind::ResNet18.work_profile();
         let _ = SpeedupModel::rtx_2080_ti();

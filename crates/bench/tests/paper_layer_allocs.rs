@@ -2,10 +2,12 @@
 //! steady-state release → dispatch → complete loop does no heap work, and
 //! the allocation count of a run is a pure function of its inputs.
 //!
-//! [`CountingAlloc`] is this test process's global allocator, counting
-//! the test thread only. One test function on purpose — the counters
-//! are process-global, so concurrent test threads would smear each
-//! other's deltas.
+//! [`CountingAlloc`] is this test process's global allocator. The target
+//! has no libtest harness: its one test runs on the process's only
+//! thread (see `single/mod.rs`), so nothing else allocates during a
+//! counted window.
+
+mod single;
 
 use sgprs_bench::report::{AllocStats, CountingAlloc};
 use sgprs_core::{NaiveConfig, NaiveScheduler, RunMetrics, SgprsConfig, SgprsScheduler};
@@ -53,9 +55,14 @@ fn second_window(contexts: usize, scheduler: SchedulerKind) -> (RunMetrics, u64)
     }
 }
 
-#[test]
+fn main() {
+    single::run(
+        "warm_paper_layer_schedulers_allocate_less_than_once_per_job",
+        warm_paper_layer_schedulers_allocate_less_than_once_per_job,
+    );
+}
+
 fn warm_paper_layer_schedulers_allocate_less_than_once_per_job() {
-    CountingAlloc::count_current_thread_only();
     let points = [
         (
             3,

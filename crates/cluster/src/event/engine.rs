@@ -81,19 +81,6 @@ struct TenantRun {
     name_hash: u64,
 }
 
-/// Skip-if-busy at a release instant `t`: the tenant is busy while its
-/// previous job finishes after `t`. A job finishing exactly at `t` has
-/// already freed the tenant, so the frame is served.
-fn busy(in_flight: SimTime, t: SimTime) -> bool {
-    in_flight > t
-}
-
-/// Whether a job finishing at `finish` misses `deadline`. Finishing at
-/// the deadline instant is on time.
-fn late(finish: SimTime, deadline: SimTime) -> bool {
-    finish > deadline
-}
-
 /// One served frame's pending input to its node's miss window: the
 /// deadline check it stands for, keyed `(deadline, node, ord)`.
 #[derive(Debug, Clone, Copy)]
@@ -416,15 +403,16 @@ impl<'a> Engine<'a> {
         self.fleet.totals.record_released(idx);
         let period = SimDuration::from_secs_f64(1.0 / fps);
         let next = t + period;
-        let migration_on = self.fleet.cfg.migration.is_some();
-        let served = if busy(in_flight, t) {
-            // Skip-if-busy: the frame is dropped and counts as a miss —
-            // in the migration estimator too, but only while the
-            // estimator has a consumer (the windows grow unboundedly
-            // otherwise; pruning happens inside `dmr`, which only the
-            // migration trigger calls).
+        // Skip-if-busy: the tenant is busy while its previous job
+        // finishes after `t`; one finishing exactly at `t` has freed it.
+        let served = if in_flight > t {
+            // The frame is dropped and counts as a miss — in the
+            // migration estimator too, but only while the estimator has
+            // a consumer (the windows grow unboundedly otherwise; pruning
+            // happens inside `dmr`, which only the migration trigger
+            // calls).
             self.fleet.totals.record_skipped(idx);
-            if migration_on {
+            if self.fleet.cfg.migration.is_some() {
                 let span = self.fleet.cfg.epoch;
                 self.windows[idx].push(t, true, span);
             }
@@ -445,20 +433,7 @@ impl<'a> Engine<'a> {
             // job is admitted at release), so it feeds the latency
             // sketch the way the epoch fold feeds response samples.
             self.fleet.telemetry.record_latency(idx, service.as_nanos());
-            let missed = late(finish, next);
-            self.fleet.totals.record_completed(idx, missed);
-            // Deadline samples only feed the migration estimator; with
-            // migration off nothing would consume them.
-            if migration_on {
-                let sample = DeadlineSample {
-                    deadline: next,
-                    ord: self.events.next_seq(),
-                    tenant: id,
-                    inc,
-                    missed,
-                };
-                self.queue_sample(idx, sample);
-            }
+            self.record_served(idx, id, inc, finish, next);
             Some(finish)
         };
         let end = self.end;
@@ -485,6 +460,33 @@ impl<'a> Engine<'a> {
         if next < self.end {
             self.events
                 .push(next, idx, EventKind::JobRelease { tenant: id, gen });
+        }
+    }
+
+    /// Records a frame of run `(id, inc)` served on node `idx` that
+    /// finishes at `finish`: late only if that is after `deadline`, so a
+    /// job finishing at the deadline instant is on time. With migration
+    /// armed, the outcome is also queued as the node's deadline sample;
+    /// with migration off nothing would consume it.
+    fn record_served(
+        &mut self,
+        idx: usize,
+        id: TenantId,
+        inc: u64,
+        finish: SimTime,
+        deadline: SimTime,
+    ) {
+        let missed = finish > deadline;
+        self.fleet.totals.record_completed(idx, missed);
+        if self.fleet.cfg.migration.is_some() {
+            let sample = DeadlineSample {
+                deadline,
+                ord: self.events.next_seq(),
+                tenant: id,
+                inc,
+                missed,
+            };
+            self.queue_sample(idx, sample);
         }
     }
 
@@ -683,15 +685,6 @@ mod tests {
     }
 
     #[test]
-    fn the_tie_rules_compare_strictly() {
-        let t = at_ms(40);
-        assert!(!busy(t, t), "a job finishing at the release has freed it");
-        assert!(busy(t + SimDuration::from_nanos(1), t));
-        assert!(!late(t, t), "finishing at the deadline is on time");
-        assert!(late(t + SimDuration::from_nanos(1), t));
-    }
-
-    #[test]
     fn a_job_finishing_exactly_at_the_next_release_is_served() {
         let mut fleet = fleet_with(
             FleetConfig::new(vec![NodeSpec::sgprs("g", GpuSpec::rtx_2080_ti())]),
@@ -726,6 +719,45 @@ mod tests {
     }
 
     #[test]
+    fn a_job_finishing_exactly_at_its_deadline_is_on_time() {
+        let mut fleet = fleet_with(
+            FleetConfig::new(vec![NodeSpec::sgprs("g", GpuSpec::rtx_2080_ti())])
+                .with_migration(1.0),
+            &[cam("a", 25.0)],
+        );
+        let id = fleet.node_ids[0][0];
+        let mut engine = Engine::new(
+            &mut fleet,
+            ChurnTrace::new().into(),
+            SimDuration::from_millis(100),
+        );
+        // The release at t = 0 serves its frame. Its pending sample is
+        // dropped, and a job pinned to end exactly at the deadline is
+        // recorded in its place.
+        assert!(engine.step());
+        let deadline = run(&engine, id).next_release;
+        assert_eq!(deadline, at_ms(40));
+        engine.pending[0].clear();
+        let inc = run(&engine, id).inc;
+        engine.record_served(0, id, inc, deadline, deadline);
+        while !engine.windows[0].outcomes().any(|(t, _)| t == deadline) {
+            assert!(engine.step(), "the sample was never applied");
+        }
+        let at_deadline: Vec<bool> = engine.windows[0]
+            .outcomes()
+            .filter(|&(t, _)| t == deadline)
+            .map(|(_, missed)| missed)
+            .collect();
+        assert_eq!(at_deadline, [false], "the window entry is not a miss");
+        while engine.step() {}
+        let node = &engine.finish(SimDuration::from_millis(100)).nodes[0];
+        // Releases at 0, 40 and 80 ms on an idle GPU, all on time, plus
+        // the pinned job.
+        assert_eq!((node.released, node.completed), (3, 4));
+        assert_eq!(node.missed, 0, "the pinned job counts as on time");
+    }
+
+    #[test]
     fn a_served_frames_sample_records_whether_it_finished_after_its_deadline() {
         let mut fleet = fleet_with(
             FleetConfig::new(vec![NodeSpec::sgprs("g", GpuSpec::synthetic(16))])
@@ -747,7 +779,7 @@ mod tests {
                     .filter(|r| r.next_release == sample.deadline)
                     .map(|r| r.in_flight);
                 if let Some(finish) = finish {
-                    assert_eq!(sample.missed, late(finish, sample.deadline));
+                    assert_eq!(sample.missed, finish > sample.deadline);
                     if sample.missed {
                         checked.0 += 1;
                     } else {
@@ -798,7 +830,8 @@ mod tests {
         while engine.fleet.now <= last {
             assert!(engine.step());
             let landed: Vec<SimTime> = engine.windows[0]
-                .times()
+                .outcomes()
+                .map(|(t, _)| t)
                 .filter(|t| stranded.contains(t))
                 .collect();
             assert!(
@@ -831,7 +864,7 @@ mod tests {
         assert!(engine.run_of(leaver).is_none(), "the leaver departed");
         assert_eq!(engine.fleet.now, at_ms(40));
         assert!(
-            engine.windows[0].times().any(|t| t == at_ms(40)),
+            engine.windows[0].outcomes().any(|(t, _)| t == at_ms(40)),
             "the sample due at the departure instant was kept"
         );
     }
@@ -862,7 +895,7 @@ mod tests {
         let mut pushed = 0usize;
         while engine.step() {
             for w in &engine.windows {
-                let times: Vec<SimTime> = w.times().collect();
+                let times: Vec<SimTime> = w.outcomes().map(|(t, _)| t).collect();
                 assert!(times.windows(2).all(|p| p[0] <= p[1]), "{times:?}");
                 pushed += times.len();
             }

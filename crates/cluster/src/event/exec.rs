@@ -292,10 +292,10 @@ impl MissWindow {
         self.missed = 0;
     }
 
-    /// The instants of the outcomes held, oldest first.
+    /// The outcomes held, `(instant, missed)`, oldest first.
     #[cfg(test)]
-    pub(super) fn times(&self) -> impl Iterator<Item = SimTime> + '_ {
-        self.samples.iter().map(|&(t, _)| t)
+    pub(super) fn outcomes(&self) -> impl Iterator<Item = (SimTime, bool)> + '_ {
+        self.samples.iter().copied()
     }
 }
 

@@ -234,7 +234,7 @@ impl FleetNode {
 
     /// The residents' aggregates (cached; see the type docs).
     #[must_use]
-    pub fn aggregates(&self) -> &Aggregates {
+    pub(crate) fn aggregates(&self) -> &Aggregates {
         &self.aggregates
     }
 
