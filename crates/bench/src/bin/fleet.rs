@@ -3,9 +3,10 @@
 //! over both a homogeneous scale-out and the heterogeneous reference
 //! fleet, a 64-node flat-vs-sharded dispatch comparison, an overload
 //! burst contrasting FIFO-reject with deadline-aware queueing plus fps
-//! re-pricing, an event-vs-epoch contrast (exact-boundary dispatching
-//! with a migration stall cost vs the epoch grid and its truncation
-//! artifact), and a 512-node metro-scale section driving
+//! re-pricing, an event-vs-epoch contrast (the event engine's fluid
+//! nodes migrating at any release for a stall cost vs the epoch grid's
+//! persistent paper-layer schedulers migrating for free at boundaries;
+//! neither truncates a job), and a 512-node metro-scale section driving
 //! power-of-two-choices shard routing through churn + burst waves in
 //! both engines. Every row carries the run's wall-clock so
 //! dispatch-layer changes show up.
@@ -172,12 +173,12 @@ fn main() {
             smart_m.queue_wait_mean_secs
         );
         println!();
-        header("event vs epoch: exact boundaries + migration stall vs the grid");
+        header("event vs epoch: release-time migration + stall vs boundary migration");
     }
     // The event-driven contrast: the same hot-naive-node scenario on the
-    // epoch grid (free migration once per boundary, in-flight jobs
-    // truncated) and on the event engine (mid-epoch migration paying the
-    // state-transfer stall, zero truncation).
+    // epoch grid (persistent paper-layer schedulers, free migration once
+    // per boundary) and on the event engine (fluid nodes, mid-epoch
+    // migration paying the state-transfer stall). Neither truncates.
     let epoch = FleetScenario::event_vs_epoch(sim_secs.max(6));
     let event = FleetScenario::event_vs_epoch(sim_secs.max(6)).with_event_driven();
     let (epoch_m, epoch_ms) = timed_run(&epoch);
@@ -187,7 +188,7 @@ fn main() {
     if !csv {
         println!();
         println!(
-            "event mode truncates {} jobs (epoch: {}), DMR {:.2}% vs {:.2}% at equal \
+            "truncated jobs: event {}, epoch {}; DMR {:.2}% vs {:.2}% at equal \
              rejection, {} migrations paying {:.2}s stall vs {} free ones",
             event_m.truncated_jobs,
             epoch_m.truncated_jobs,

@@ -3,8 +3,9 @@
 //! run on one worker. Its arrivals, released jobs, heap allocations and
 //! per-span call counts are pure functions of the configuration, so a
 //! change that moves any of them — a compile-cache miss, a new
-//! allocation per node epoch, an extra span — must fail here and re-pin
-//! on purpose.
+//! allocation per node window, an extra span — must fail here and re-pin
+//! on purpose. `epoch_compile` counts scheduler attaches: one per
+//! placed arrival here.
 //!
 //! [`CountingAlloc`] is this test process's global allocator. The target
 //! has no libtest harness: its one test runs on the process's only
@@ -33,7 +34,7 @@ const REFERENCE_SEED: u64 = 0x5672_5053;
 #[derive(Debug, PartialEq, Eq)]
 struct Counters {
     arrivals: u64,
-    /// Jobs released over every node epoch.
+    /// Jobs released over every node scheduler's windows.
     released: u64,
     /// Heap allocations of the run in a fresh process: the run's own
     /// plus the process-wide cache fills.
@@ -77,9 +78,9 @@ fn epoch_fleet_counters_are_pinned() {
         counters,
         Counters {
             arrivals: 14,
-            released: 484,
-            allocs: 5_119,
-            spans: [14, 1, 0, 0, 2, 0, 14, 0],
+            released: 476,
+            allocs: 4_288,
+            spans: [14, 1, 0, 0, 14, 0, 14, 0],
         },
         "fleet-epoch tiny shape, reference seed, one worker"
     );

@@ -41,10 +41,10 @@ pub struct FleetConfig {
     pub queue: QueueConfig,
     /// Run in event-driven mode ([`crate::Fleet::run_events`]) instead
     /// of the epoch grid when dispatched through
-    /// [`crate::Fleet::run_configured`]: exact release/departure
-    /// boundaries, no epoch truncation, migration with an explicit stall
-    /// cost. Off by default — the epoch path stays bit-for-bit the
-    /// classic semantics.
+    /// [`crate::Fleet::run_configured`]: a fluid execution model in
+    /// place of the paper's schedulers, and migration at any release
+    /// with an explicit stall cost. Off by default: the epoch path runs
+    /// the paper's schedulers.
     pub event_driven: bool,
     /// Observability knobs (see [`crate::telemetry`]). Disabled by
     /// default; enabling never changes simulation decisions, only what

@@ -1,19 +1,18 @@
 //! The discrete-event fleet core: exact-boundary simulation beside the
 //! epoch-driven [`crate::Fleet::run`] path.
 //!
-//! The epoch dispatcher quantises every decision to the epoch grid: jobs
-//! in flight at an epoch boundary are truncated (~3 % at one-second
-//! epochs and the paper's 33 ms periods), departures wait for the next
-//! boundary, and DMR-triggered migration can only fire once per epoch.
-//! This module replaces the grid with a monotonic event queue:
-//! scheduler state carries across what used to be epoch boundaries, so
-//! **no in-flight job is ever truncated** ([`crate::FleetMetrics::truncated_jobs`]
-//! is asserted zero), departures apply at their exact instant, and
-//! migration fires at job-release boundaries mid-epoch — paying an
-//! explicit, fixed 100 ms state-transfer stall, while
-//! re-pricing degrade/upgrade switches stay free partition switches
-//! (SGPRS's headline property, now measurably cheaper than migration in
-//! the same run).
+//! The epoch dispatcher runs the paper's schedulers, one persistent
+//! scheduler per node: arrivals and departures act at their instants,
+//! and no job is truncated, but queue drains, upgrades and DMR-triggered
+//! migration wait for an epoch boundary, so migration fires at most once
+//! per epoch and is free. This module replaces the grid with a monotonic
+//! event queue and a fluid execution model: **no in-flight job is ever
+//! truncated** ([`crate::FleetMetrics::truncated_jobs`] is asserted
+//! zero), departures apply at their exact instant, and migration fires
+//! at job-release boundaries mid-epoch — paying an explicit, fixed
+//! 100 ms state-transfer stall, while re-pricing degrade/upgrade
+//! switches stay free partition switches (SGPRS's headline property,
+//! now measurably cheaper than migration in the same run).
 //!
 //! # Event-ordering / determinism contract
 //!
@@ -45,8 +44,8 @@
 //!
 //! # Execution model
 //!
-//! Event mode does not re-run the per-stage schedulers (they are
-//! rebuilt per epoch by design); instead each node serves jobs under the
+//! Event mode does not run the per-stage schedulers the epoch path
+//! keeps per node; instead each node serves jobs under the
 //! fluid approximation of [`exec`]: a job released at `t` on a node with
 //! resident demand `D` and effective capacity `C` finishes at
 //! `t + max(best_case_latency, period · D/C) · jitter`. Naive nodes

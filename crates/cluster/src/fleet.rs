@@ -35,11 +35,15 @@
 //! concurrently-active* population, which is what lets a run stream
 //! millions of tenants in O(active) memory.
 //!
-//! Simulated time is divided into *epochs*. At each epoch boundary the
-//! dispatcher applies churn events (arrivals are planned through the
-//! policy kernel; departures free capacity, expire overdue waiters, and
-//! drain the wait queue in [`crate::QueuePolicy`] order), then every
-//! non-empty node runs its scheduler for one epoch and reports
+//! Simulated time is divided into *epochs*. Each node that ever takes a
+//! tenant gets one paper-layer scheduler ([`sgprs_core::SgprsScheduler`]
+//! or [`sgprs_core::NaiveScheduler`]) that lives for the whole run.
+//! Inside an epoch the dispatcher applies churn at each event's own
+//! instant: an admitted arrival attaches to its node's scheduler, first
+//! releasing at its arrival instant, and a departure detaches at its
+//! instant. At each epoch boundary overdue waiters expire, the wait queue
+//! drains in [`crate::QueuePolicy`] order, and every node's scheduler
+//! runs to the boundary and reports the window's
 //! [`sgprs_core::RunMetrics`], which the [`FleetMetricsBuilder`] folds
 //! into fleet totals. Optional migration moves a tenant off any node
 //! whose epoch miss rate crossed a threshold.
@@ -53,33 +57,37 @@
 //! in tenant-name order, jumping each as high up its ladder as the node
 //! admits. Degrades and upgrades never move a tenant between nodes.
 //!
-//! Granularity contract: arrivals keep sub-epoch precision (they enter
-//! as release phases inside their first epoch); departures and
-//! migrations take effect at the epoch boundary *following* the event,
-//! so a departing tenant serves out its final partial epoch. Jobs still
-//! in flight when an epoch ends are not counted as completed — with the
-//! default one-second epoch and the paper's 33 ms periods this
-//! truncation is under 3 % and affects every scheduler equally; the
-//! count is surfaced as [`FleetMetrics::truncated_jobs`]. The
-//! event-driven mode ([`Fleet::run_events`], see [`crate::event`])
-//! removes the grid entirely: exact boundaries, zero truncation, and
-//! migration at job-release boundaries paying a fixed 100 ms
+//! Granularity contract: arrivals and departures take effect at their
+//! exact instants. A departing tenant releases no frame from its
+//! departure on, and its job in flight finishes. Queue drains, upgrades
+//! and migrations happen at epoch boundaries. A re-price (an upgrade) is
+//! a detach plus an attach at the boundary instant, and a migration
+//! moves the tenant there for free: its job in flight finishes on the
+//! source node. Scheduler state carries across boundaries, so no job is
+//! cut at one. At the horizon releases stop and every job in flight runs
+//! to completion, so [`FleetMetrics::truncated_jobs`] is zero and, on
+//! every node, released = completed + skipped + dropped (asserted). The
+//! event-driven mode ([`Fleet::run_events`], see [`crate::event`]) runs
+//! a fluid model instead of the paper's schedulers, with no grid at
+//! all: migration at job-release boundaries paying a fixed 100 ms
 //! state-transfer stall.
 //!
-//! Parallel-execution determinism: within one epoch the nodes are
-//! mutually independent — they share no simulator state, their compiled
-//! tasks are prepared before any node runs, and each node's jitter seed
-//! is a pure function of `(fleet seed, epoch index, node index)`. `run`
-//! therefore fans the per-node `run_epoch` calls out over scoped worker
-//! threads, which pull node jobs from a shared cursor, and folds the
-//! results back in ascending node index, so the
-//! resulting [`FleetMetrics`] is bit-identical to sequential execution
-//! (`with_workers(1)` is the escape hatch): parallelism
-//! changes wall-clock time, never results.
+//! Parallel-execution determinism: between two boundaries the nodes are
+//! mutually independent — they share no simulator state, every attach
+//! and detach is applied on the orchestration thread before the run to
+//! the boundary, and each node's jitter seed is a pure function of
+//! `(fleet seed, node index)`. `run` therefore fans the per-node
+//! `run(epoch_end)` calls out over scoped worker threads, which take
+//! disjoint `&mut` node schedulers from a shared iterator, and folds the
+//! results back in ascending node index, so the resulting
+//! [`FleetMetrics`] is bit-identical to sequential execution
+//! (`with_workers(1)` is the escape hatch): parallelism changes
+//! wall-clock time, never results.
 
 use crate::event::EventCounts;
 use crate::interner::{TenantId, TenantInterner};
 use crate::metrics::Decision;
+use crate::node::NodeExec;
 use crate::policy::{self, DispatchPlanner, FleetState, PricedPlan, QueueAdmission};
 use crate::queue::DispatchQueue;
 use crate::telemetry::{Span, SpanProfile, Telemetry};
@@ -90,8 +98,7 @@ use crate::{
 use sgprs_core::{CompiledTask, RunMetrics};
 use sgprs_rt::{SimDuration, SimTime};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Where a dispatched tenant ended up.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -155,13 +162,19 @@ pub struct Fleet {
     /// Tenant-name ⇄ id table; its active-name map doubles as the
     /// duplicate gate (keyed lookup only, never iterated).
     pub(crate) interner: TenantInterner,
-    /// Sub-epoch release phase of tenants that arrived mid-epoch,
-    /// id-indexed, consumed by the next `run_epoch`.
-    pending_phase: Vec<Option<SimDuration>>,
+    /// The node schedulers of the epoch run in progress, node-indexed
+    /// (`None` until a node takes its first tenant); empty outside
+    /// [`Fleet::run`], which is what keeps every scheduler hook inert on
+    /// the event path.
+    execs: Vec<Option<NodeExec>>,
+    /// Each resident's slot in its node's scheduler, id-indexed (`None`
+    /// outside an epoch run).
+    exec_slot: Vec<Option<usize>>,
     /// Compiled-task cache keyed by (model, stages, period ns, pool
     /// class). Compiling reads only the node's context pool, so every
-    /// node of one pool class shares one entry per price point.
-    compiled: HashMap<(crate::ModelKind, usize, u64, usize), CompiledTask>,
+    /// node of one pool class shares one entry per price point, and
+    /// every scheduler it is attached to shares the entry itself.
+    compiled: HashMap<(crate::ModelKind, usize, u64, usize), Arc<CompiledTask>>,
     /// Pool class of each node: the index of the first node whose
     /// context pool equals its own (see [`pool_classes`]).
     pool_class: Vec<usize>,
@@ -267,7 +280,8 @@ impl Fleet {
             planner,
             queue,
             interner: TenantInterner::new(),
-            pending_phase: Vec::new(),
+            execs: Vec::new(),
+            exec_slot: Vec::new(),
             compiled: HashMap::new(),
             pool_class,
             resident_node: Vec::new(),
@@ -386,12 +400,12 @@ impl Fleet {
         if slot >= self.resident_node.len() {
             self.resident_node.resize(slot + 1, None);
             self.degraded.resize(slot + 1, None);
-            self.pending_phase.resize(slot + 1, None);
+            self.exec_slot.resize(slot + 1, None);
         }
         debug_assert!(
             self.resident_node[slot].is_none()
                 && self.degraded[slot].is_none()
-                && self.pending_phase[slot].is_none(),
+                && self.exec_slot[slot].is_none(),
             "recycled id slots start clean"
         );
         id
@@ -403,7 +417,10 @@ impl Fleet {
         let slot = id.index();
         self.resident_node[slot] = None;
         self.degraded[slot] = None;
-        self.pending_phase[slot] = None;
+        debug_assert!(
+            self.exec_slot[slot].is_none(),
+            "a departing resident left its scheduler first"
+        );
         self.interner.release(id);
     }
 
@@ -415,20 +432,59 @@ impl Fleet {
     }
 
     /// Appends a resident to node `idx`, maintaining the parallel id
-    /// list and the id → node index.
+    /// list and the id → node index; during an epoch run it also
+    /// attaches to the node's scheduler, releasing from now.
     pub(crate) fn attach_resident(&mut self, idx: usize, id: TenantId, tenant: TenantSpec) {
         self.node_ids[idx].push(id);
         self.nodes[idx].push_tenant(tenant);
         self.resident_node[id.index()] = Some(idx);
+        self.attach_task(idx, self.node_ids[idx].len() - 1);
     }
 
     /// Removes the resident at `slot` on node `idx`, returning its id
-    /// and spec (the departure and migration paths).
+    /// and spec (the departure and migration paths); during an epoch run
+    /// it also detaches from the node's scheduler, which releases nothing
+    /// more for it and finishes its job in flight.
     pub(crate) fn detach_resident(&mut self, idx: usize, slot: usize) -> (TenantId, TenantSpec) {
         let id = self.node_ids[idx].remove(slot);
+        self.detach_task(idx, id);
         let spec = self.nodes[idx].remove_tenant(slot);
         self.resident_node[id.index()] = None;
         (id, spec)
+    }
+
+    /// Epoch runs only: attaches resident `pos` of node `idx` to the
+    /// node's scheduler at the current instant, building the scheduler
+    /// (seeded by the fleet seed and the node index) on first use.
+    fn attach_task(&mut self, idx: usize, pos: usize) {
+        if self.execs.is_empty() {
+            return;
+        }
+        let clock = self.telemetry.span_clock();
+        self.ensure_compiled(idx, pos);
+        let task = Arc::clone(
+            self.compiled
+                .get(&self.compile_key(&self.nodes[idx].tenants()[pos], idx))
+                .expect("invariant: the compile cache was just warmed for this resident"),
+        );
+        let seed = self.cfg.seed.wrapping_add(idx as u64);
+        let spec = &self.nodes[idx].spec;
+        let slot = self.execs[idx]
+            .get_or_insert_with(|| spec.scheduler(seed))
+            .attach(task, self.now);
+        self.exec_slot[self.node_ids[idx][pos].index()] = Some(slot);
+        self.telemetry.span_end(Span::EpochCompile, clock);
+    }
+
+    /// Epoch runs only: detaches resident `id` from node `idx`'s
+    /// scheduler at the current instant.
+    fn detach_task(&mut self, idx: usize, id: TenantId) {
+        if let Some(slot) = self.exec_slot.get_mut(id.index()).and_then(Option::take) {
+            self.execs[idx]
+                .as_mut()
+                .expect("invariant: an attached resident's node has a scheduler")
+                .detach(slot, self.now);
+        }
     }
 
     /// Offers `tenant` to the placement policy: on success the tenant
@@ -779,6 +835,10 @@ impl Fleet {
             // choice) is unaffected by the price change — `node_ids` is
             // untouched for the same reason.
             self.nodes[idx].replace_tenant(pos, priced);
+            // A re-price is a partition switch: the old price stops
+            // releasing now and the new one starts.
+            self.detach_task(idx, id);
+            self.attach_task(idx, pos);
             self.planner.invalidate_node(idx);
             self.record(TenantRef::Id(id), Decision::Upgrade { fps });
         }
@@ -976,8 +1036,12 @@ impl Fleet {
         let key = self.compile_key(&self.nodes[node_idx].tenants()[pos], node_idx);
         if !self.compiled.contains_key(&key) {
             let pool = self.nodes[node_idx].spec.pool();
-            let task = self.nodes[node_idx].tenants()[pos].compile_for(&pool);
-            self.compiled.insert(key, task);
+            let mut task = self.nodes[node_idx].tenants()[pos].compile_for(&pool);
+            // Shared by every tenant at this price point, so it carries
+            // none of their names: the node windows' per-task names stay
+            // empty, and the fleet folds only their counts.
+            task.spec.name = String::new();
+            self.compiled.insert(key, Arc::new(task));
         }
     }
 
@@ -987,10 +1051,13 @@ impl Fleet {
     /// [`crate::ChurnTrace`] converts via its sorted event sequence);
     /// the two are byte-identical for the same `(config, horizon,
     /// seed)`, so which one drives a run never shows in the output.
+    /// Each occupied node's scheduler lives for the whole run (see the
+    /// module docs for the epoch contract).
     ///
     /// # Panics
     ///
-    /// Panics if the configured epoch is zero.
+    /// Panics if the configured epoch is zero, or — defensively — if a
+    /// node left a released frame unresolved once the horizon drained.
     #[must_use]
     pub fn run(
         &mut self,
@@ -1001,33 +1068,28 @@ impl Fleet {
         let mut arrivals = arrivals.into();
         let workers = epoch_workers(self.cfg.workers);
         self.open_run(horizon);
-        let mut epoch_start = SimTime::ZERO;
-        let end = SimTime::ZERO + horizon;
-        let mut epoch_index = 0u64;
-        // Departures observed mid-epoch, applied at the *next* epoch
-        // boundary (the granularity contract: a departing tenant serves
-        // out its final partial epoch).
-        let mut deferred_departures: Vec<String> = Vec::new();
-        while epoch_start < end {
-            let epoch_len = self.cfg.epoch.min(end.duration_since(epoch_start));
-            let epoch_end = epoch_start + epoch_len;
-            // 1a. Apply departures from the previous epoch.
-            self.now = epoch_start;
-            for name in deferred_departures.drain(..) {
-                if let Some(id) = self.interner.lookup(&name) {
-                    let _ = self.remove_accounted(id);
-                }
+        self.execs = (0..self.nodes.len()).map(|_| None).collect();
+        // Tenants resident before the run release from time zero.
+        for idx in 0..self.nodes.len() {
+            for pos in 0..self.nodes[idx].tenants().len() {
+                self.attach_task(idx, pos);
             }
-            // Waiters whose queue deadline elapsed give up first; an
-            // expired in-run deferral was never served, so it counts as
-            // an eventual rejection.
+        }
+        let end = SimTime::ZERO + horizon;
+        let mut epoch_start = SimTime::ZERO;
+        while epoch_start < end {
+            let epoch_end = (epoch_start + self.cfg.epoch).min(end);
+            // 1. At the boundary, waiters whose queue deadline elapsed
+            // give up first (an expired in-run deferral was never
+            // served, so it counts as an eventual rejection); then freed
+            // capacity admits waiters and upgrades degraded residents.
+            self.now = epoch_start;
             self.expire_accounted();
-            // The departures may have freed room for queued tenants;
-            // the shared path records admissions and upgrades.
             let _ = self.drain_and_upgrade_accounted();
-            // 1b. Apply churn falling inside this epoch, pulled lazily
-            // from the stream — only the departures of currently-live
-            // tenants are ever buffered, never the whole trace.
+            // 2. Churn inside this epoch, each event at its own instant,
+            // pulled lazily from the stream. The node schedulers are
+            // driven only in step 3, so an attach or detach here takes
+            // effect at its instant inside the coming run.
             while let Some(at) = arrivals.peek_time() {
                 if at >= epoch_end {
                     break;
@@ -1037,118 +1099,78 @@ impl Fleet {
                     .next_event()
                     .expect("invariant: a peeked stream event exists");
                 self.telemetry.span_end(Span::ArrivalPull, pull_clock);
+                self.now = at;
                 match event {
                     ChurnEvent::Arrival(tenant) => {
-                        let phase = at.duration_since(epoch_start);
-                        self.now = at;
-                        let (outcome, id) = self.dispatch_accounted(tenant);
-                        match outcome {
-                            DispatchOutcome::Placed(_) | DispatchOutcome::PlacedDegraded { .. } => {
-                                let id = id.expect("invariant: placed arrivals are interned");
-                                self.pending_phase[id.index()] = Some(phase);
-                            }
-                            _ => {}
+                        let _ = self.dispatch_accounted(tenant);
+                    }
+                    ChurnEvent::Departure(name) => {
+                        if let Some(id) = self.interner.lookup(&name) {
+                            let _ = self.remove_accounted(id);
                         }
                     }
-                    ChurnEvent::Departure(name) => deferred_departures.push(name),
                 }
             }
+            // 3. Sample utilisation, then run every node's scheduler to
+            // the boundary.
             self.now = epoch_end;
-            // 2. Sample utilisation and prepare each non-empty node's
-            // compiled tasks. Preparation needs `&mut self` (the compile
-            // cache), so it runs before the fan-out, which only reads
-            // `&self.nodes`.
-            let mut epoch_dmr: Vec<f64> = vec![0.0; self.nodes.len()];
-            let mut jobs: Vec<NodeEpochJob> = Vec::new();
-            let compile_clock = self.telemetry.span_clock();
-            // Indexing (not iterating `self.nodes`) because the cache
-            // warm-up needs `&mut self` for the compiled-task cache.
-            #[allow(clippy::needless_range_loop)]
             for idx in 0..self.nodes.len() {
                 let budget = self.admission.budget(&self.nodes[idx], None);
                 let demand = self.nodes[idx].total_demand();
                 let utilization = if budget > 0.0 { demand / budget } else { 0.0 };
                 self.record_utilization(idx, utilization);
-                if self.nodes[idx].tenants().is_empty() {
-                    continue;
-                }
-                // Warm the compile cache first (the only `&mut` part),
-                // then build the tasks borrowing the resident list in
-                // place — no per-epoch clone of the node's tenant and id
-                // lists (each task clones only its own cached spec).
-                for pos in 0..self.nodes[idx].tenants().len() {
-                    self.ensure_compiled(idx, pos);
-                }
-                let tasks: Vec<CompiledTask> = self.nodes[idx]
-                    .tenants()
-                    .iter()
-                    .zip(&self.node_ids[idx])
-                    .map(|(t, &id)| {
-                        let mut task = self
-                            .compiled
-                            .get(&self.compile_key(t, idx))
-                            .expect("invariant: the compile cache was warmed for every resident")
-                            .clone();
-                        task.spec.name = t.name.clone();
-                        task.spec.phase = self
-                            .pending_phase
-                            .get(id.index())
-                            .copied()
-                            .flatten()
-                            .unwrap_or(SimDuration::ZERO);
-                        task
-                    })
-                    .collect();
-                let seed = self
-                    .cfg
-                    .seed
-                    .wrapping_add(epoch_index.wrapping_mul(0x9E37_79B9))
-                    .wrapping_add(idx as u64);
-                jobs.push(NodeEpochJob { idx, tasks, seed });
             }
-            self.pending_phase.fill(None);
-            self.telemetry.span_end(Span::EpochCompile, compile_clock);
-            // Nodes are independent within an epoch: fan out, then fold
-            // in ascending node index so the metrics are bit-identical
-            // to the sequential path.
-            for (idx, m) in run_node_epochs(&self.nodes, jobs, epoch_len, workers) {
+            let mut epoch_dmr: Vec<f64> = vec![0.0; self.nodes.len()];
+            // Nodes are independent between boundaries: fan out, then
+            // fold in ascending node-index order so the metrics are
+            // bit-identical to the sequential path.
+            for (idx, m) in run_node_epochs(&mut self.execs, workers, |n| n.run(epoch_end)) {
                 if m.released > 0 {
                     epoch_dmr[idx] = (m.late + m.skipped + m.dropped) as f64 / m.released as f64;
                 }
-                self.totals.record_epoch(idx, &m);
-                // Fold order is ascending node index (sorted above), so
-                // the latency sketches fill deterministically regardless
-                // of the worker count.
-                self.telemetry
-                    .record_latency_samples(idx, &m.response_samples_ns);
+                self.fold_node_window(idx, &m);
             }
-            // 3. Shed load from nodes that missed too much this epoch.
+            // 4. Shed load from nodes that missed too much this epoch.
             if let Some(threshold) = self.cfg.migration {
                 self.migrate_overloaded(&epoch_dmr, threshold);
             }
             epoch_start = epoch_end;
-            epoch_index += 1;
         }
-        // Departures whose boundary is the end of the run still count.
-        for name in deferred_departures.drain(..) {
-            if let Some(id) = self.interner.lookup(&name) {
-                let _ = self.remove_accounted(id);
-            }
+        // At the horizon releases stop and every job in flight finishes,
+        // folded in ascending node-index order like every epoch.
+        for (idx, m) in run_node_epochs(&mut self.execs, workers, |n| n.finish(end)) {
+            self.fold_node_window(idx, &m);
         }
+        for idx in 0..self.nodes.len() {
+            assert_eq!(
+                self.totals.open_frames(idx),
+                0,
+                "node {idx}: released = completed + skipped + dropped once the horizon drained"
+            );
+        }
+        self.execs = Vec::new();
+        self.exec_slot.fill(None);
         self.close_run(horizon)
+    }
+
+    /// Folds one node's scheduler window into the run totals and, when
+    /// armed, the node's latency sketch.
+    fn fold_node_window(&mut self, idx: usize, m: &RunMetrics) {
+        self.totals.record_epoch(idx, m);
+        self.telemetry
+            .record_latency_samples(idx, &m.response_samples_ns);
     }
 
     /// Runs the fleet over `arrivals` until `horizon` in **event-driven**
     /// mode, returning the aggregated metrics.
     ///
-    /// Where [`Fleet::run`] quantises to the epoch grid, this path
-    /// processes a monotonic event queue (see [`crate::event`] for the
-    /// ordering/determinism contract): scheduler state carries across
-    /// what used to be epoch boundaries so no in-flight job is ever
-    /// truncated ([`FleetMetrics::truncated_jobs`] is asserted zero),
-    /// departures apply at their exact instant, and DMR-triggered
-    /// migration fires at job-release boundaries, paying a fixed 100 ms
-    /// state-transfer stall — while
+    /// Where [`Fleet::run`] steps the paper's schedulers on the epoch
+    /// grid, this path runs fluid nodes off a monotonic event queue (see
+    /// [`crate::event`] for the ordering/determinism contract): no
+    /// in-flight job is ever truncated ([`FleetMetrics::truncated_jobs`]
+    /// is asserted zero), departures apply at their exact instant, and
+    /// DMR-triggered migration fires at job-release boundaries, paying a
+    /// fixed 100 ms state-transfer stall — while
     /// re-pricing degrade/upgrade switches stay free partition switches.
     /// Churn is merged lazily from the stream, never materialised into
     /// the heap. The run is single-threaded and deterministic:
@@ -1252,23 +1274,6 @@ impl Fleet {
     }
 }
 
-/// One node's prepared work for an epoch: the compiled tasks (with their
-/// release phases applied) and the node's jitter seed.
-struct NodeEpochJob {
-    idx: usize,
-    tasks: Vec<CompiledTask>,
-    seed: u64,
-}
-
-impl NodeEpochJob {
-    fn run(self, nodes: &[FleetNode], epoch_len: SimDuration) -> (usize, RunMetrics) {
-        let m = nodes[self.idx]
-            .spec
-            .run_epoch(self.tasks, epoch_len, self.seed);
-        (self.idx, m)
-    }
-}
-
 /// The pool class of each node: the index of the first node whose
 /// [`crate::NodeSpec::pool`] equals its own. Compares the fields
 /// `pool()` reads (contexts, effective `os`, device), so no pool is
@@ -1305,46 +1310,46 @@ fn epoch_workers(over: Option<usize>) -> usize {
     })
 }
 
-/// Runs the prepared per-node epoch jobs and returns `(node index,
-/// metrics)` pairs sorted by node index, so folding them is
+/// Applies `step` to every node scheduler of `execs` and returns `(node
+/// index, metrics)` pairs sorted by node index, so folding them is
 /// deterministic regardless of the execution strategy. With more than
-/// one worker, the calling thread and `workers − 1` scoped threads pull
-/// jobs from a shared cursor until none is left: node costs are uneven
-/// (SM counts and resident counts vary), so whoever finishes early takes
-/// the next job.
-fn run_node_epochs(
-    nodes: &[FleetNode],
-    jobs: Vec<NodeEpochJob>,
-    epoch_len: SimDuration,
+/// one worker, the calling thread and `workers − 1` scoped threads take
+/// nodes from a shared iterator until none is left: node costs are
+/// uneven (SM counts and resident counts vary), so whoever finishes
+/// early takes the next node. Each node is borrowed `&mut` by exactly
+/// one worker.
+fn run_node_epochs<F>(
+    execs: &mut [Option<NodeExec>],
     workers: usize,
-) -> Vec<(usize, RunMetrics)> {
-    let workers = workers.min(jobs.len());
+    step: F,
+) -> Vec<(usize, RunMetrics)>
+where
+    F: Fn(&mut NodeExec) -> RunMetrics + Sync,
+{
+    let workers = workers.min(execs.iter().flatten().count());
+    let mut nodes = execs
+        .iter_mut()
+        .enumerate()
+        .filter_map(|(idx, exec)| exec.as_mut().map(|exec| (idx, exec)));
     let mut results: Vec<(usize, RunMetrics)> = if workers <= 1 {
-        jobs.into_iter()
-            .map(|job| job.run(nodes, epoch_len))
-            .collect()
+        nodes.map(|(idx, exec)| (idx, step(exec))).collect()
     } else {
-        // Each slot is taken exactly once, by whoever drew its index, so
-        // its lock is never contended. The cursor publishes no data (a
-        // job reaches its worker through its slot's lock, and the slots
-        // were filled before any worker started), so `Relaxed` suffices.
-        let slots: Vec<Mutex<Option<NodeEpochJob>>> =
-            jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
-        let cursor = AtomicUsize::new(0);
+        let queue = Mutex::new(&mut nodes);
         let pull = || {
-            let mut done = Vec::with_capacity(slots.len());
-            while let Some(slot) = slots.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-                let job = slot
+            let mut done = Vec::new();
+            loop {
+                let next = queue
                     .lock()
-                    .expect("invariant: a slot's lock is held only to take its job")
-                    .take()
-                    .expect("invariant: the cursor hands out each job once");
-                done.push(job.run(nodes, epoch_len));
+                    .expect("invariant: the node queue's lock is held only to take a node")
+                    .next();
+                let Some((idx, exec)) = next else {
+                    return done;
+                };
+                done.push((idx, step(exec)));
             }
-            done
         };
-        crossbeam::scope(|scope| {
-            let handles: Vec<_> = (1..workers).map(|_| scope.spawn(|_| pull())).collect();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (1..workers).map(|_| scope.spawn(pull)).collect();
             let mut done = pull();
             for handle in handles {
                 done.extend(
@@ -1355,7 +1360,6 @@ fn run_node_epochs(
             }
             done
         })
-        .expect("invariant: epoch worker scope never fails")
     };
     results.sort_by_key(|&(idx, _)| idx);
     results

@@ -62,13 +62,13 @@ fn infeasible_tenants_are_dropped_not_queued() {
 }
 
 #[test]
-fn departures_take_effect_at_the_following_boundary() {
+fn departures_take_effect_at_their_instant() {
     let mut fleet = Fleet::new(three_node_fleet());
     let mut trace = ChurnTrace::new();
     let t = tenant(0);
     let name = t.name.clone();
     trace.push(sgprs_rt::SimTime::ZERO, crate::ChurnEvent::Arrival(t));
-    // Departs mid-second-epoch: it must still serve epoch 2 fully.
+    // Departs mid-second-epoch: it serves exactly its 1.5 s stay.
     trace.push(
         sgprs_rt::SimTime::ZERO + SimDuration::from_millis(1_500),
         crate::ChurnEvent::Departure(name),
@@ -76,12 +76,84 @@ fn departures_take_effect_at_the_following_boundary() {
     let m = fleet.run(trace, SimDuration::from_secs(3));
     assert_eq!(m.departures, 1);
     assert!(fleet.nodes().iter().all(|n| n.tenants().is_empty()));
-    // Two full epochs of 30 fps service (minus boundary truncation),
-    // not one: retroactive removal would roughly halve this.
+    // 1.5 s at 30 fps is 45 frames; the period rounds down to
+    // 33,333,333 ns, so a 46th release lands just before the departure.
+    // None follows it, and every one is served.
+    let released: u64 = m.nodes.iter().map(|n| n.released).sum();
+    let completed: u64 = m.nodes.iter().map(|n| n.completed).sum();
+    assert!((45..=46).contains(&released), "{m:?}");
+    assert_eq!(completed, released, "{m:?}");
+    assert_eq!(m.truncated_jobs, 0);
+}
+
+#[test]
+fn epoch_churn_across_boundaries_truncates_nothing() {
+    // An overloaded small SGPRS node (migration sheds it at the
+    // boundaries), a naive node, and re-priced churn whose stays
+    // straddle the one-second boundaries: jobs are in flight at every
+    // boundary, at every departure and at every re-price.
+    let cfg = FleetConfig::new(vec![
+        NodeSpec::sgprs("small", GpuSpec::synthetic(16)),
+        NodeSpec::sgprs("big", GpuSpec::rtx_2080_ti()),
+        NodeSpec::sgprs("naive", GpuSpec::synthetic(34)).with_scheduler(NodeScheduler::Naive),
+    ])
+    .with_placement(crate::PlacementPolicy::RoundRobin)
+    .with_migration(0.05)
+    .with_repricing();
+    let mut fleet = Fleet::new(cfg);
+    for i in 0..6 {
+        fleet.seed_resident(0, tenant(100 + i));
+    }
+    let churn = ChurnConfig {
+        mean_interarrival: SimDuration::from_millis(30),
+        min_lifetime: SimDuration::from_millis(300),
+        max_lifetime: SimDuration::from_millis(1_700),
+        fps_ladder: vec![20.0, 10.0],
+        ..ChurnConfig::default()
+    };
+    let horizon = SimDuration::from_secs(4);
+    let m = fleet.run(ChurnTrace::generate(&churn, horizon, 5), horizon);
     assert!(
-        m.nodes[0].completed + m.nodes[1].completed + m.nodes[2].completed >= 50,
+        m.departures > 10 && m.migrations > 0 && m.degraded > 0,
         "{m:?}"
     );
+    // `Fleet::run` itself asserts, node by node, that every released
+    // frame was completed, skipped or dropped once the horizon drained.
+    assert_eq!(m.truncated_jobs, 0, "{m:?}");
+    assert!(m.nodes.iter().all(|n| n.released > 0), "{m:?}");
+
+    // A re-price mid-run: a tenant admitted degraded is upgraded at the
+    // 2 s boundary, after two fillers left at 1.3 s.
+    let cfg =
+        FleetConfig::new(vec![NodeSpec::sgprs("gpu", GpuSpec::rtx_2080_ti())]).with_repricing();
+    let mut fleet = Fleet::new(cfg);
+    let mut fillers = Vec::new();
+    for i in 0.. {
+        let t = tenant(i);
+        let name = t.name.clone();
+        if fleet.dispatch(t) == DispatchOutcome::Queued {
+            assert!(fleet.remove(&name));
+            break;
+        }
+        fillers.push(name);
+    }
+    assert!(fleet.remove(&fillers[0]));
+    let elastic =
+        TenantSpec::new("elastic", ModelKind::ResNet18, 60.0).with_fps_ladder([30.0, 24.0, 15.0]);
+    assert!(matches!(
+        fleet.dispatch(elastic),
+        DispatchOutcome::PlacedDegraded { .. }
+    ));
+    let mut trace = ChurnTrace::new();
+    for name in &fillers[1..3] {
+        trace.push(
+            sgprs_rt::SimTime::ZERO + SimDuration::from_millis(1_300),
+            crate::ChurnEvent::Departure(name.clone()),
+        );
+    }
+    let m = fleet.run(trace, SimDuration::from_secs(3));
+    assert_eq!((m.departures, m.upgrades), (2, 1), "{m:?}");
+    assert_eq!(m.truncated_jobs, 0, "{m:?}");
 }
 
 #[test]
@@ -111,7 +183,7 @@ fn static_population_run_produces_fleet_throughput() {
     let mut fleet = Fleet::new(three_node_fleet());
     let trace = ChurnTrace::static_population((0..6).map(tenant));
     let m = fleet.run(trace, SimDuration::from_secs(2));
-    assert!(m.total_fps > 150.0, "6 × 30 fps minus truncation: {m:?}");
+    assert!(m.total_fps > 150.0, "6 × 30 fps: {m:?}");
     assert_eq!(m.arrivals, 6);
     assert_eq!(m.admitted, 6);
     assert_eq!(m.rejection_rate, 0.0);
@@ -125,7 +197,7 @@ fn churn_run_reports_rejections_under_pressure() {
     let cfg = FleetConfig::new(vec![NodeSpec::sgprs("small", GpuSpec::synthetic(23))]);
     let mut fleet = Fleet::new(cfg);
     let churn = ChurnConfig {
-        mean_interarrival: SimDuration::from_millis(100),
+        mean_interarrival: SimDuration::from_millis(50),
         min_lifetime: SimDuration::from_secs(2),
         max_lifetime: SimDuration::from_secs(4),
         ..ChurnConfig::default()
@@ -414,26 +486,44 @@ fn forced_multi_worker_fanout_matches_inline_execution() {
             FleetNode::new(spec)
         })
         .collect();
-    let jobs = || -> Vec<NodeEpochJob> {
+    // Every fourth node never took a tenant, so it has no scheduler.
+    let execs = || -> Vec<Option<NodeExec>> {
         (0..nodes.len())
-            .map(|idx| NodeEpochJob {
-                idx,
-                tasks: (0..1 + idx % 3)
-                    .map(|j| tenant(idx * 3 + j).compile_for(&nodes[idx].spec.pool()))
-                    .collect(),
-                seed: 42 + idx as u64,
+            .map(|idx| {
+                (idx % 4 != 3).then(|| {
+                    let spec = &nodes[idx].spec;
+                    let mut exec = spec.scheduler(42 + idx as u64);
+                    for j in 0..1 + idx % 3 {
+                        let at = SimTime::ZERO + SimDuration::from_millis(7 * j as u64);
+                        let task = tenant(idx * 3 + j).compile_for(&spec.pool());
+                        exec.attach(Arc::new(task), at);
+                    }
+                    exec
+                })
             })
             .collect()
     };
-    let epoch = SimDuration::from_secs(1);
-    let inline = run_node_epochs(&nodes, jobs(), epoch, 1);
-    assert_eq!(inline.len(), nodes.len());
-    assert!(inline.iter().all(|(_, m)| m.released > 0));
-    assert!(inline.iter().map(|(idx, _)| *idx).eq(0..nodes.len()));
+    let boundary = SimTime::ZERO + SimDuration::from_secs(1);
+    // Two windows of the same schedulers: an epoch, then the horizon
+    // drain.
+    let windows = |workers: usize| {
+        let mut execs = execs();
+        let mut out = run_node_epochs(&mut execs, workers, |n| n.run(boundary));
+        out.extend(run_node_epochs(&mut execs, workers, |n| n.finish(boundary)));
+        out
+    };
+    let inline = windows(1);
+    let occupied: Vec<usize> = (0..nodes.len()).filter(|idx| idx % 4 != 3).collect();
+    assert_eq!(inline.len(), 2 * occupied.len());
+    assert!(inline[..occupied.len()].iter().all(|(_, m)| m.released > 0));
+    assert!(inline[..occupied.len()]
+        .iter()
+        .map(|(idx, _)| *idx)
+        .eq(occupied.iter().copied()));
     for workers in [2, 3, 8, 32] {
-        let fanned = run_node_epochs(&nodes, jobs(), epoch, workers);
         assert_eq!(
-            inline, fanned,
+            inline,
+            windows(workers),
             "{workers} workers: thread count must never change results"
         );
     }
@@ -1297,17 +1387,25 @@ fn departed_pre_run_waiter_does_not_shadow_a_reused_name() {
 fn run_configured_dispatches_on_the_event_flag() {
     let trace = || ChurnTrace::static_population((0..3).map(tenant));
     let horizon = SimDuration::from_secs(2);
-    let epoch = Fleet::new(three_node_fleet()).run_configured(trace(), horizon);
-    let event = Fleet::new(three_node_fleet().with_event_driven()).run_configured(trace(), horizon);
-    // The epoch path truncates the final in-flight job per tenant
-    // per epoch; the event path never does — the flag observably
-    // switched modes.
-    assert!(epoch.truncated_jobs > 0, "{epoch:?}");
+    let mut epoch_fleet = Fleet::new(three_node_fleet());
+    let epoch = epoch_fleet.run_configured(trace(), horizon);
+    let mut event_fleet = Fleet::new(three_node_fleet().with_event_driven());
+    let event = event_fleet.run_configured(trace(), horizon);
+    // Only the event engine pops release events.
+    assert_eq!(epoch_fleet.event_counts().release, 0);
+    assert!(event_fleet.event_counts().release > 0);
+    // Neither engine truncates; the flag picks the engine bit for bit.
+    assert_eq!(epoch.truncated_jobs, 0, "{epoch:?}");
     assert_eq!(event.truncated_jobs, 0, "{event:?}");
     assert_eq!(
         epoch,
         Fleet::new(three_node_fleet()).run(trace(), horizon),
-        "default mode is the classic epoch path, bit for bit"
+        "default mode is the epoch path, bit for bit"
+    );
+    assert_eq!(
+        event,
+        Fleet::new(three_node_fleet()).run_events(trace(), horizon),
+        "the flag selects the event engine, bit for bit"
     );
 }
 

@@ -39,18 +39,21 @@
 //!   and event payloads are all id-indexed, with names resolved back
 //!   only at the JSON/telemetry render edge.
 //! * [`Fleet`] / [`FleetConfig`] — the epoch-driven dispatcher, with
-//!   optional migration off overloaded nodes. Per-epoch node execution
-//!   fans out over scoped worker threads with bit-identical metrics
-//!   (see the determinism contract in the `fleet` module docs). The
+//!   optional migration off overloaded nodes. Each occupied node keeps
+//!   one paper-layer scheduler for the whole run; tenants attach and
+//!   detach at their instants, and each epoch's run to the boundary fans
+//!   out over scoped worker threads with bit-identical metrics (see the
+//!   determinism contract in the `fleet` module docs). The
 //!   fleet module itself is orchestration only: every decision routes
 //!   through [`policy`], and every decision's outcome is recorded once,
 //!   through one recording point both engines share.
 //! * [`event`] — the discrete-event core behind [`Fleet::run_events`]:
-//!   a monotonic `(time, node, seq)` event queue carrying scheduler
-//!   state across what used to be epoch boundaries, so no in-flight job
-//!   is truncated; departures apply at exact instants and DMR-triggered
-//!   migration fires at job-release boundaries, paying a fixed 100 ms
-//!   state-transfer stall that re-pricing partition switches never pay. The queue is a two-level
+//!   a monotonic `(time, node, seq)` event queue driving a fluid
+//!   execution model with no epoch grid; like the epoch path it
+//!   truncates no in-flight job and applies departures at exact
+//!   instants, and DMR-triggered migration fires at job-release
+//!   boundaries, paying a fixed 100 ms state-transfer stall that
+//!   re-pricing partition switches never pay. The queue is a two-level
 //!   hierarchical timing wheel (`event::wheel`) — O(1) amortised
 //!   push/pop for the near-sorted periodic-release workload, slot
 //!   capacity recycled so the steady-state hot path allocates nothing,

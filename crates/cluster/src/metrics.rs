@@ -98,12 +98,11 @@ pub struct FleetMetrics {
     pub departures: u64,
     /// Tenants migrated off overloaded nodes.
     pub migrations: u64,
-    /// Jobs lost to epoch-boundary truncation: admitted and still in
-    /// flight when their epoch's window closed, so they count neither as
-    /// completed nor missed (<3 % at one-second epochs and the paper's
-    /// 33 ms periods). The epoch path counts them; the event path
-    /// ([`crate::Fleet::run_events`]) carries scheduler state across
-    /// boundaries and asserts this stays zero.
+    /// Released frames never resolved — neither completed, skipped nor
+    /// dropped — by the end of the run, accounted per frame across every
+    /// window a node reported. Both paths keep scheduler state across
+    /// epoch boundaries and let every job in flight at the horizon
+    /// finish, so both assert that this stays zero.
     pub truncated_jobs: u64,
     /// Total simulated seconds tenants spent stalled in migration state
     /// transfers (a fixed 100 ms per migration, event path only).
@@ -396,7 +395,11 @@ pub struct FleetMetricsBuilder {
     utilization_samples: Vec<u64>,
     histogram: [u64; UTILIZATION_BINS],
     pub(crate) counts: DispatchCounts,
-    truncated: u64,
+    /// Per node, frames released and not yet resolved, carried across
+    /// the windows [`Self::record_epoch`] folds; sized by the first fold,
+    /// so the event path, which never folds a window, allocates nothing
+    /// for it.
+    open: Vec<u64>,
     migration_stall: SimDuration,
     wait_total: SimDuration,
     wait_max: SimDuration,
@@ -446,17 +449,24 @@ impl FleetMetricsBuilder {
         self.wait_samples += 1;
     }
 
-    /// Folds one epoch's scheduler metrics for node `node`. Releases the
-    /// epoch admitted but neither completed nor dropped were in flight
-    /// when the window closed — the epoch-boundary truncation artifact,
-    /// surfaced as [`FleetMetrics::truncated_jobs`].
+    /// Folds one scheduler window of node `node`. A frame released in
+    /// one window may resolve — complete, be skipped or be dropped — in a
+    /// later one; frames still open after the last window are
+    /// [`FleetMetrics::truncated_jobs`].
     pub fn record_epoch(&mut self, node: usize, m: &RunMetrics) {
         self.released[node] += m.released;
         self.completed[node] += m.completed;
         self.missed[node] += m.late + m.skipped + m.dropped;
-        self.truncated += m
-            .released
-            .saturating_sub(m.completed + m.skipped + m.dropped);
+        if self.open.is_empty() {
+            self.open = vec![0; self.names.len()];
+        }
+        self.open[node] =
+            (self.open[node] + m.released).saturating_sub(m.completed + m.skipped + m.dropped);
+    }
+
+    /// Frames node `node` released that no window has resolved yet.
+    pub(crate) fn open_frames(&self, node: usize) -> u64 {
+        self.open.get(node).copied().unwrap_or(0)
     }
 
     /// Records one frame release of node `node` (event path).
@@ -587,7 +597,7 @@ impl FleetMetricsBuilder {
             upgrades: c.upgrades,
             expired: c.expired,
             expired_hopeless: c.expired_hopeless,
-            truncated_jobs: self.truncated,
+            truncated_jobs: self.open.iter().sum(),
             migration_stall_secs: self.migration_stall.as_secs_f64(),
             // Telemetry attaches afterwards (see `attach_telemetry`);
             // until then the report has the v2 shape and says so.
@@ -772,7 +782,7 @@ mod tests {
     #[test]
     fn epoch_folds_count_truncated_in_flight_jobs() {
         // Three releases: one completed, one skipped, one neither — the
-        // last was in flight when the epoch window closed.
+        // last is in flight when the first window closes.
         let mut c = sgprs_core::MetricsCollector::new(vec!["t".into()], SimTime::ZERO);
         let t0 = SimTime::ZERO + SimDuration::from_millis(33);
         c.record_release(0, t0);
@@ -787,18 +797,31 @@ mod tests {
         c.record_skip(0, t1);
         let t2 = t1 + SimDuration::from_millis(33);
         c.record_release(0, t2);
-        let epoch = c.finish(t2 + SimDuration::from_millis(20));
-        assert_eq!(epoch.released, 3);
-        assert_eq!(epoch.completed, 1);
-        assert_eq!(epoch.skipped, 1);
+        let first = c.clone().finish(t2 + SimDuration::from_millis(20));
+        assert_eq!(first.released, 3);
+        assert_eq!(first.completed, 1);
+        assert_eq!(first.skipped, 1);
         let mut b = FleetMetricsBuilder::new(vec!["a".into()], vec![68]);
-        b.record_epoch(0, &epoch);
-        let m = b.finish(SimDuration::from_secs(1), &[0], 0);
+        b.record_epoch(0, &first);
+        let cut = b.clone().finish(SimDuration::from_secs(1), &[0], 0);
         assert_eq!(
-            m.truncated_jobs, 1,
-            "the in-flight release is the truncation artifact: {m:?}"
+            cut.truncated_jobs, 1,
+            "a release left in flight at the end is truncated: {cut:?}"
         );
-        assert!(m.to_json().contains("\"truncated_jobs\": 1"));
+        assert!(cut.to_json().contains("\"truncated_jobs\": 1"));
+        // The same frame resolved in the next window is not.
+        let mut next = sgprs_core::MetricsCollector::new(vec!["t".into()], SimTime::ZERO);
+        next.record_completion(
+            0,
+            t2,
+            t2 + SimDuration::from_millis(25),
+            t2 + SimDuration::from_millis(33),
+        );
+        b.record_epoch(0, &next.finish(t2 + SimDuration::from_millis(40)));
+        assert_eq!(b.open_frames(0), 0);
+        let m = b.finish(SimDuration::from_secs(1), &[0], 0);
+        assert_eq!(m.truncated_jobs, 0, "{m:?}");
+        assert_eq!((m.nodes[0].released, m.nodes[0].completed), (3, 2));
     }
 
     #[test]

@@ -11,10 +11,12 @@
 use crate::TenantSpec;
 use serde::{Deserialize, Serialize};
 use sgprs_core::{
-    ContextPoolSpec, NaiveConfig, NaiveScheduler, RunMetrics, SgprsConfig, SgprsScheduler,
+    CompiledTask, ContextPoolSpec, NaiveConfig, NaiveScheduler, RunMetrics, SgprsConfig,
+    SgprsScheduler,
 };
 use sgprs_gpu_sim::{GpuSpec, SpeedupModel, WorkProfile};
 use sgprs_rt::{SimDuration, SimTime};
+use std::sync::Arc;
 
 /// Which scheduler a node runs over its context pool.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -112,29 +114,74 @@ impl NodeSpec {
         demand.min(f64::from(self.gpu.total_sms))
     }
 
-    /// Runs this node's scheduler over `tenants` compiled against the
-    /// node pool, from time zero to `horizon`, with metrics over the whole
-    /// window (no warm-up: the fleet driver accounts epochs itself).
-    #[must_use]
-    pub fn run_epoch(
-        &self,
-        tasks: Vec<sgprs_core::CompiledTask>,
-        horizon: SimDuration,
-        seed: u64,
-    ) -> RunMetrics {
-        let end = SimTime::ZERO + horizon;
+    /// This node's scheduler with no tenant yet, its device seeded with
+    /// `seed`, measuring every window from time zero (no warm-up: the
+    /// fleet accounts windows itself).
+    pub(crate) fn scheduler(&self, seed: u64) -> NodeExec {
         match self.scheduler {
             NodeScheduler::Sgprs { .. } => {
                 let mut cfg = SgprsConfig::new(self.pool()).with_seed(seed);
                 cfg.warmup = SimDuration::ZERO;
-                SgprsScheduler::new(cfg, tasks).run(end)
+                NodeExec::Sgprs(SgprsScheduler::new(cfg, Vec::new()))
             }
             NodeScheduler::Naive => {
                 let mut cfg = NaiveConfig::new(self.contexts).with_seed(seed);
                 cfg.gpu = self.gpu.clone();
                 cfg.warmup = SimDuration::ZERO;
-                NaiveScheduler::new(cfg, tasks).run(end)
+                NodeExec::Naive(NaiveScheduler::new(cfg, Vec::new()))
             }
+        }
+    }
+}
+
+/// A node's scheduler on the epoch path: built when the node takes its
+/// first tenant, it then lives for the rest of the run while tenants
+/// attach and detach at their instants.
+///
+/// Aligned to two cache lines: the fleet keeps the node schedulers side
+/// by side, and fan-out workers stepping neighbouring nodes would
+/// otherwise write to one shared line at every step (that false sharing
+/// cost the two-worker fan-out nearly all of its speed-up).
+#[derive(Debug)]
+#[repr(align(128))]
+pub(crate) enum NodeExec {
+    /// [`NodeScheduler::Sgprs`].
+    Sgprs(SgprsScheduler),
+    /// [`NodeScheduler::Naive`].
+    Naive(NaiveScheduler),
+}
+
+impl NodeExec {
+    /// Attaches `task`, first released at `at`; returns its slot.
+    pub(crate) fn attach(&mut self, task: Arc<CompiledTask>, at: SimTime) -> usize {
+        match self {
+            NodeExec::Sgprs(s) => s.attach(task, at),
+            NodeExec::Naive(s) => s.attach(task, at),
+        }
+    }
+
+    /// Detaches the task in `slot` at `at`; its job in flight finishes.
+    pub(crate) fn detach(&mut self, slot: usize, at: SimTime) {
+        match self {
+            NodeExec::Sgprs(s) => s.detach(slot, at),
+            NodeExec::Naive(s) => s.detach(slot, at),
+        }
+    }
+
+    /// Runs to `end`, returning the window since the last call.
+    pub(crate) fn run(&mut self, end: SimTime) -> RunMetrics {
+        match self {
+            NodeExec::Sgprs(s) => s.run(end),
+            NodeExec::Naive(s) => s.run(end),
+        }
+    }
+
+    /// Stops every release at `at` and runs until nothing is in flight,
+    /// returning the window since the last call.
+    pub(crate) fn finish(&mut self, at: SimTime) -> RunMetrics {
+        match self {
+            NodeExec::Sgprs(s) => s.finish(at),
+            NodeExec::Naive(s) => s.finish(at),
         }
     }
 }
@@ -384,7 +431,7 @@ mod tests {
     }
 
     #[test]
-    fn run_epoch_produces_throughput_for_each_scheduler() {
+    fn node_schedulers_serve_attached_tenants_for_each_scheduler() {
         for scheduler in [
             NodeScheduler::Sgprs {
                 oversubscription: 1.5,
@@ -393,8 +440,12 @@ mod tests {
         ] {
             let node = NodeSpec::sgprs("g", GpuSpec::rtx_2080_ti()).with_scheduler(scheduler);
             let tenant = TenantSpec::new("cam", ModelKind::ResNet18, 30.0);
-            let tasks = vec![tenant.compile_for(&node.pool()); 2];
-            let m = node.run_epoch(tasks, SimDuration::from_secs(1), 7);
+            let mut exec = node.scheduler(7);
+            for at in [0, 5] {
+                let at = SimTime::ZERO + SimDuration::from_millis(at);
+                exec.attach(Arc::new(tenant.compile_for(&node.pool())), at);
+            }
+            let m = exec.run(SimTime::ZERO + SimDuration::from_secs(1));
             assert!(m.total_fps > 0.0, "{scheduler:?}: {m:?}");
         }
     }

@@ -3,7 +3,7 @@
 //! Where the rest of [`crate::telemetry`] measures the simulated fleet,
 //! this module measures the simulator's own hot paths: a fixed set of
 //! [`Span`]s (placement planning, queue drains, event-queue pops, event
-//! execution, epoch task compilation, the telemetry fold, stream pulls,
+//! execution, epoch scheduler attaches, the telemetry fold, stream pulls,
 //! and timing-wheel cascades). Every run counts each span's calls in
 //! one always-on [`SpanCalls`] block; an armed run also accumulates a
 //! log2-bucket wall-clock latency histogram per span.
@@ -47,9 +47,9 @@ pub enum Span {
     EventPop = 2,
     /// One popped event executed by its handler (event engine).
     EventExec = 3,
-    /// One epoch's compiled-task preparation across all nodes (epoch
-    /// engine) — the span that demonstrates the resident-list clone
-    /// hoist.
+    /// One resident attached to its node's scheduler (epoch engine):
+    /// the compile-cache lookup (or compile) and the attach, and on a
+    /// node's first tenant the scheduler's construction.
     EpochCompile = 4,
     /// The deterministic sketch/window fold in `finish_report` at the
     /// end of a telemetry-armed run.

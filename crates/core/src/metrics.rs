@@ -84,6 +84,9 @@ pub struct TaskMetrics {
 #[derive(Debug, Clone)]
 pub struct MetricsCollector {
     warmup_end: SimTime,
+    /// Start of the current window: the warm-up end, then the end of the
+    /// last [`Self::take`].
+    window_start: SimTime,
     task_names: Vec<String>,
     released: Vec<u64>,
     completed: Vec<u64>,
@@ -92,6 +95,9 @@ pub struct MetricsCollector {
     skipped: Vec<u64>,
     dropped: Vec<u64>,
     responses_ns: Vec<u64>,
+    /// Response samples of the last finished window: the next window's
+    /// buffer is sized by it on its first sample.
+    last_samples: usize,
 }
 
 impl MetricsCollector {
@@ -102,6 +108,7 @@ impl MetricsCollector {
         let n = task_names.len();
         MetricsCollector {
             warmup_end,
+            window_start: warmup_end,
             task_names,
             released: vec![0; n],
             completed: vec![0; n],
@@ -110,6 +117,7 @@ impl MetricsCollector {
             skipped: vec![0; n],
             dropped: vec![0; n],
             responses_ns: Vec::new(),
+            last_samples: 0,
         }
     }
 
@@ -159,6 +167,9 @@ impl MetricsCollector {
         } else {
             self.late[task] += 1;
         }
+        if self.responses_ns.capacity() == 0 {
+            self.responses_ns.reserve(self.last_samples);
+        }
         self.responses_ns
             .push(completed.duration_since(release).as_nanos());
     }
@@ -169,11 +180,49 @@ impl MetricsCollector {
         self.take(end)
     }
 
-    /// Finalises the metrics for a run that ended at `end` and clears the
-    /// counters, so the collector measures the next run afresh with the
-    /// same task names and warm-up.
+    /// Makes room for `slots` more slots.
+    pub(crate) fn reserve(&mut self, slots: usize) {
+        self.task_names.reserve(slots);
+        for counter in self.counters_mut() {
+            counter.reserve(slots);
+        }
+    }
+
+    /// Names slot `slot` `name`: appends a zeroed slot when `slot` is
+    /// one past the last, else renames a recycled slot, whose counters
+    /// keep the current window's counts under the new name.
+    pub(crate) fn name_slot(&mut self, slot: usize, name: String) {
+        if slot == self.task_names.len() {
+            self.task_names.push(name);
+            for counter in self.counters_mut() {
+                counter.push(0);
+            }
+        } else {
+            self.task_names[slot] = name;
+        }
+    }
+
+    /// The six per-task counters.
+    fn counters_mut(&mut self) -> [&mut Vec<u64>; 6] {
+        [
+            &mut self.released,
+            &mut self.completed,
+            &mut self.met,
+            &mut self.late,
+            &mut self.skipped,
+            &mut self.dropped,
+        ]
+    }
+
+    /// Finalises the metrics of the window that ends at `end` and zeroes
+    /// the counters in place, so the collector measures the next window
+    /// afresh, from `end`, with the same task names and warm-up. A job is
+    /// counted in the window where each of its outcomes happens: its
+    /// release in one, its completion in a later one if it was in flight
+    /// at the cut.
     pub(crate) fn take(&mut self, end: SimTime) -> RunMetrics {
-        let window = end.duration_since(self.warmup_end);
+        let window = end.duration_since(self.window_start);
+        self.window_start = end.max(self.warmup_end);
         let window_s = window.as_secs_f64();
         let released: u64 = self.released.iter().sum();
         let completed: u64 = self.completed.iter().sum();
@@ -183,6 +232,7 @@ impl MetricsCollector {
         let dropped: u64 = self.dropped.iter().sum();
         let mut responses_ns = std::mem::take(&mut self.responses_ns);
         responses_ns.sort_unstable();
+        self.last_samples = responses_ns.len();
         let pct = |p: f64| -> SimDuration {
             if responses_ns.is_empty() {
                 return SimDuration::ZERO;
@@ -206,7 +256,9 @@ impl MetricsCollector {
                 },
             })
             .collect();
-        *self = Self::new(std::mem::take(&mut self.task_names), self.warmup_end);
+        for counter in self.counters_mut() {
+            counter.fill(0);
+        }
         RunMetrics {
             window,
             released,
@@ -369,6 +421,32 @@ mod tests {
         assert_eq!((m.released, m.completed), (0, 0));
         assert!(m.response_samples_ns.is_empty());
         assert_eq!(m.per_task[1].name, "b");
+    }
+
+    #[test]
+    fn consecutive_windows_split_a_job_at_the_cut() {
+        let mut c = collector();
+        c.record_release(0, t(900));
+        let first = c.take(t(1_000));
+        assert_eq!((first.released, first.completed), (1, 0));
+        assert_eq!(first.window, SimDuration::from_millis(900));
+        c.record_completion(0, t(900), t(1_020), t(933));
+        let second = c.take(t(1_500));
+        assert_eq!((second.released, second.completed, second.late), (0, 1, 1));
+        assert_eq!(second.window, SimDuration::from_millis(500));
+        assert_eq!(second.response_samples_ns, vec![120_000_000]);
+    }
+
+    #[test]
+    fn a_named_slot_appends_or_renames() {
+        let mut c = collector();
+        c.name_slot(2, "c".into());
+        c.record_release(2, t(200));
+        c.name_slot(0, "a2".into());
+        let m = c.take(t(1_100));
+        let names: Vec<&str> = m.per_task.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names, ["a2", "b", "c"]);
+        assert_eq!(m.per_task[2].released, 1);
     }
 
     #[test]

@@ -18,11 +18,12 @@
 //! below SGPRS while the deadline-miss rate explodes (the domino effect of
 //! §V).
 
-use crate::release::{build_engine, Driver, Policy};
+use crate::release::{build_engine, Driver, Policy, TaskRef};
 use crate::{CompiledTask, NaiveConfig, RunMetrics};
 use sgprs_gpu_sim::{ContextId, DeviceEvent, GpuEngine, KernelDesc, KernelHandle, StreamClass};
 use sgprs_rt::SimTime;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// One whole-network job of the naive or reconfiguring partitioner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,18 +41,29 @@ pub(crate) struct JobRef {
 pub(crate) struct WholeNetworks {
     /// The device; replace it only through [`WholeNetworks::set_engine`].
     pub(crate) engine: GpuEngine,
-    tasks: Vec<CompiledTask>,
+    /// The attached tasks, indexed by slot.
+    tasks: Vec<TaskRef>,
     /// The kernel and job each partition runs, indexed by context (a
     /// partition has one stream).
     running: Vec<Option<(KernelHandle, JobRef)>>,
 }
 
 impl WholeNetworks {
-    pub(crate) fn new(engine: GpuEngine, tasks: Vec<CompiledTask>) -> Self {
+    /// `engine` with no task attached yet, and room for `tasks`.
+    pub(crate) fn new(engine: GpuEngine, tasks: usize) -> Self {
         WholeNetworks {
             running: vec![None; engine.context_count()],
             engine,
-            tasks,
+            tasks: Vec::with_capacity(tasks),
+        }
+    }
+
+    /// Puts `task` in slot `slot`: one past the last, or a recycled one.
+    pub(crate) fn attach(&mut self, slot: usize, task: TaskRef) {
+        if slot == self.tasks.len() {
+            self.tasks.push(task);
+        } else {
+            self.tasks[slot] = task;
         }
     }
 
@@ -127,23 +139,20 @@ pub struct NaiveScheduler {
 struct Naive {
     config: NaiveConfig,
     whole: WholeNetworks,
-    /// Static task → partition assignment (round robin).
-    ctx_of_task: Vec<usize>,
-    /// Tenants (distinct tasks) per partition, fixed at construction.
+    /// Tenants (attached tasks, plus detached ones still finishing) per
+    /// partition: the count the switch tax grows with.
     tenants: Vec<usize>,
     fifo: Vec<VecDeque<JobRef>>,
     last_tenant: Vec<Option<usize>>,
 }
 
 impl NaiveScheduler {
-    /// Creates the baseline for `tasks` over `config.contexts` partitions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tasks` is empty.
+    /// Creates the baseline for `tasks` over `config.contexts` partitions;
+    /// task `i` takes slot `i` and first releases at its phase. The set
+    /// may be empty: [`Self::attach`] adds tasks later.
     #[must_use]
     pub fn new(config: NaiveConfig, tasks: Vec<CompiledTask>) -> Self {
-        let driver = Driver::new(&tasks, config.admission, config.warmup);
+        let mut driver = Driver::new(config.admission, config.warmup);
         // One stream, sequential execution: no temporal partitioning.
         let engine = build_engine(
             &config.gpu,
@@ -154,21 +163,40 @@ impl NaiveScheduler {
             (1, 0),
         );
         let n_ctx = engine.context_count();
-        let ctx_of_task: Vec<usize> = (0..tasks.len()).map(|i| i % n_ctx).collect();
-        let tenants = (0..n_ctx)
-            .map(|c| ctx_of_task.iter().filter(|&&t| t == c).count())
-            .collect();
-        NaiveScheduler {
-            driver,
-            policy: Naive {
-                config,
-                whole: WholeNetworks::new(engine, tasks),
-                ctx_of_task,
-                tenants,
-                fifo: (0..n_ctx).map(|_| VecDeque::new()).collect(),
-                last_tenant: vec![None; n_ctx],
-            },
-        }
+        let mut policy = Naive {
+            config,
+            whole: WholeNetworks::new(engine, tasks.len()),
+            tenants: vec![0; n_ctx],
+            fifo: (0..n_ctx).map(|_| VecDeque::new()).collect(),
+            last_tenant: vec![None; n_ctx],
+        };
+        driver.attach_all(&mut policy, tasks);
+        NaiveScheduler { driver, policy }
+    }
+
+    /// Attaches `task`, its first frame released at `at`, and returns its
+    /// slot. The slot's partition follows the round-robin rule, and the
+    /// partition's tenant count, which sets its switch tax, grows by one
+    /// from now on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` lies before the device clock.
+    pub fn attach(&mut self, task: impl Into<Arc<CompiledTask>>, at: SimTime) -> usize {
+        self.driver
+            .attach(&mut self.policy, TaskRef::Shared(task.into()), at)
+    }
+
+    /// Detaches the task in `slot` at `at`: frames due before `at` are
+    /// still released, none after, and jobs in flight finish. Once the
+    /// slot is idle its partition counts one tenant fewer and the slot is
+    /// recycled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot holds no attached task.
+    pub fn detach(&mut self, slot: usize, at: SimTime) {
+        self.driver.detach(&mut self.policy, slot, at);
     }
 
     /// The underlying device engine (for traces and occupancy stats).
@@ -182,6 +210,19 @@ impl NaiveScheduler {
     pub fn run(&mut self, end: SimTime) -> RunMetrics {
         self.driver.run(&mut self.policy, end)
     }
+
+    /// Stops every release at `at` and runs until the last job in flight
+    /// has finished, returning the metrics of that final window.
+    pub fn finish(&mut self, at: SimTime) -> RunMetrics {
+        self.driver.finish(&mut self.policy, at)
+    }
+}
+
+impl Naive {
+    /// The partition of task slot `slot`: round robin over slots.
+    fn partition_of(&self, slot: usize) -> usize {
+        slot % self.tenants.len()
+    }
 }
 
 impl Policy for Naive {
@@ -189,9 +230,26 @@ impl Policy for Naive {
         &mut self.whole.engine
     }
 
+    fn attach(&mut self, slot: usize, task: TaskRef) {
+        let ctx = self.partition_of(slot);
+        self.tenants[ctx] += 1;
+        self.whole.attach(slot, task);
+    }
+
+    fn vacate(&mut self, slot: usize) {
+        let ctx = self.partition_of(slot);
+        self.tenants[ctx] -= 1;
+        // The slot's next occupant is a different tenant: its first job
+        // pays the switch.
+        if self.last_tenant[ctx] == Some(slot) {
+            self.last_tenant[ctx] = None;
+        }
+    }
+
     fn admit(&mut self, task: usize, index: u64, release: SimTime) {
         let job = self.whole.job(task, index, release);
-        self.fifo[self.ctx_of_task[task]].push_back(job);
+        let ctx = self.partition_of(task);
+        self.fifo[ctx].push_back(job);
     }
 
     fn on_event(&mut self, driver: &mut Driver, ev: &DeviceEvent) {

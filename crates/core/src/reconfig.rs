@@ -15,7 +15,7 @@
 //! seamless switching.
 
 use crate::naive::{JobRef, WholeNetworks};
-use crate::release::{build_engine, Driver, Policy};
+use crate::release::{build_engine, Driver, Policy, TaskRef};
 use crate::{CompiledTask, NaiveConfig, RunMetrics};
 use sgprs_gpu_sim::{DeviceEvent, GpuEngine};
 use sgprs_rt::{SimDuration, SimTime};
@@ -76,25 +76,25 @@ struct Reconfig {
 }
 
 impl ReconfigScheduler {
-    /// Creates the scheduler; the initial layout has one partition.
+    /// Creates the scheduler for `tasks`, task `i` in slot `i` first
+    /// releasing at its phase; the initial layout has one partition.
     ///
     /// # Panics
     ///
-    /// Panics if `tasks` is empty or `max_partitions` is zero.
+    /// Panics if `max_partitions` is zero.
     #[must_use]
     pub fn new(config: ReconfigConfig, tasks: Vec<CompiledTask>) -> Self {
-        let driver = Driver::new(&tasks, config.base.admission, config.base.warmup);
         assert!(config.max_partitions > 0, "need at least one partition");
-        ReconfigScheduler {
-            driver,
-            policy: Reconfig {
-                whole: WholeNetworks::new(Reconfig::build_engine(&config, 1), tasks),
-                config,
-                queue: VecDeque::new(),
-                current_partitions: 1,
-                repartitions: 0,
-            },
-        }
+        let mut driver = Driver::new(config.base.admission, config.base.warmup);
+        let mut policy = Reconfig {
+            whole: WholeNetworks::new(Reconfig::build_engine(&config, 1), tasks.len()),
+            config,
+            queue: VecDeque::new(),
+            current_partitions: 1,
+            repartitions: 0,
+        };
+        driver.attach_all(&mut policy, tasks);
+        ReconfigScheduler { driver, policy }
     }
 
     /// Number of repartitioning stalls incurred so far.
@@ -156,6 +156,10 @@ impl Reconfig {
 impl Policy for Reconfig {
     fn engine(&mut self) -> &mut GpuEngine {
         &mut self.whole.engine
+    }
+
+    fn attach(&mut self, slot: usize, task: TaskRef) {
+        self.whole.attach(slot, task);
     }
 
     fn admit(&mut self, task: usize, index: u64, release: SimTime) {

@@ -8,15 +8,56 @@
 //! admission sequence numbers, the metrics collector — and runs the one
 //! event loop. Each scheduler supplies its own [`Policy`]: queueing,
 //! context assignment and dispatch.
+//!
+//! The task set may change while the driver runs. [`Driver::attach`]
+//! gives a task a slot and its first release instant; [`Driver::detach`]
+//! stops a slot's releases at an instant, lets its jobs in flight
+//! finish, then vacates the slot for the next attach. A scheduler built
+//! with tasks is the empty scheduler with each task attached at its
+//! phase, so construction and attach are one code path.
 
 use crate::{Admission, CompiledTask, MetricsCollector, RunMetrics};
 use sgprs_gpu_sim::{ContentionModel, ContextConfig, DeviceEvent, GpuEngine, GpuSpec};
 use sgprs_rt::{ReleaseGenerator, SimDuration, SimTime};
+use std::ops::Deref;
+use std::sync::Arc;
+
+/// A slot's compiled task: owned when the scheduler was built with it,
+/// shared when attached from a caller's cache (so an attach copies
+/// nothing).
+// Owned tasks sit inline: boxing them would cost every constructed task
+// an allocation.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug)]
+pub(crate) enum TaskRef {
+    Owned(CompiledTask),
+    Shared(Arc<CompiledTask>),
+}
+
+impl Deref for TaskRef {
+    type Target = CompiledTask;
+
+    fn deref(&self) -> &CompiledTask {
+        match self {
+            TaskRef::Owned(task) => task,
+            TaskRef::Shared(task) => task,
+        }
+    }
+}
 
 /// What a scheduler does with the jobs [`Driver`] releases.
 pub(crate) trait Policy {
     /// The device the policy dispatches onto.
     fn engine(&mut self) -> &mut GpuEngine;
+
+    /// Takes `task` into slot `slot`: one past the last slot, or a slot
+    /// [`Policy::vacate`] freed earlier.
+    fn attach(&mut self, slot: usize, task: TaskRef);
+
+    /// Slot `slot` was detached and has gone idle: no job of it is in
+    /// flight and none will be released. The slot is recycled by a later
+    /// [`Policy::attach`].
+    fn vacate(&mut self, _slot: usize) {}
 
     /// Admission test for a frame of `task` about to become a job, at
     /// release or when grabbed from the frame buffer; a declined frame
@@ -37,20 +78,41 @@ pub(crate) trait Policy {
     fn dispatch(&mut self, driver: &mut Driver, now: SimTime);
 }
 
-/// Per-task release and admission state, plus the metrics collector.
+/// Where a task slot is in its life.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    /// Releasing frames on its period grid.
+    Attached,
+    /// Releasing only the frames due before the instant; the slot
+    /// becomes vacant once the last of them has finished.
+    Detached(SimTime),
+    /// Idle and free for the next attach.
+    Vacant,
+}
+
+/// Per-slot release and admission state, plus the metrics collector.
+///
+/// A slot holds one task from [`Driver::attach`] until it goes idle after
+/// [`Driver::detach`]; then the next attach reuses it, the most recently
+/// vacated slot first. Per-slot admission counters run on across
+/// occupants, so a stale queue entry of an earlier occupant never matches
+/// a job of the next.
 #[derive(Debug)]
 pub(crate) struct Driver {
     admission: Admission,
     gens: Vec<ReleaseGenerator>,
-    /// Jobs in flight per task.
+    slots: Vec<Slot>,
+    /// Vacant slots, reused last-freed first.
+    vacant: Vec<usize>,
+    /// Jobs in flight per slot.
     outstanding: Vec<u64>,
-    /// Frame buffer per task: the release boundary of the freshest frame
+    /// Frame buffer per slot: the release boundary of the freshest frame
     /// waiting while a job is in flight ([`Admission::FrameBuffer`]).
     buffered: Vec<Option<SimTime>>,
-    /// Per-task monotone admission counter (job ids stay unique even when
+    /// Per-slot monotone admission counter (job ids stay unique even when
     /// grabbed frames are admitted off the period grid).
     admit_seq: Vec<u64>,
-    /// The earliest pending release across tasks; the generators advance
+    /// The earliest pending release across slots; the generators advance
     /// only in [`Driver::release_due`], which refreshes it.
     next_release: SimTime,
     collector: MetricsCollector,
@@ -59,32 +121,93 @@ pub(crate) struct Driver {
 }
 
 impl Driver {
-    /// Releases for `tasks` from their phases; jobs released before
-    /// `warmup` are left out of the metrics.
+    /// A driver with no task; jobs released before `warmup` are left out
+    /// of the metrics.
+    pub(crate) fn new(admission: Admission, warmup: SimDuration) -> Self {
+        Driver {
+            admission,
+            gens: Vec::new(),
+            slots: Vec::new(),
+            vacant: Vec::new(),
+            outstanding: Vec::new(),
+            buffered: Vec::new(),
+            admit_seq: Vec::new(),
+            next_release: SimTime::MAX,
+            collector: MetricsCollector::new(Vec::new(), SimTime::ZERO + warmup),
+            events: Vec::new(),
+        }
+    }
+
+    /// Attaches each of `tasks` at its phase, in order: the slots are the
+    /// task indices.
+    pub(crate) fn attach_all<P: Policy>(&mut self, policy: &mut P, tasks: Vec<CompiledTask>) {
+        let n = tasks.len();
+        self.gens.reserve(n);
+        self.slots.reserve(n);
+        self.outstanding.reserve(n);
+        self.buffered.reserve(n);
+        self.admit_seq.reserve(n);
+        self.collector.reserve(n);
+        for task in tasks {
+            let first = SimTime::ZERO + task.spec.phase;
+            self.attach(policy, TaskRef::Owned(task), first);
+        }
+    }
+
+    /// Attaches `task`, its first frame released at `at`, and returns its
+    /// slot.
     ///
     /// # Panics
     ///
-    /// Panics if `tasks` is empty.
-    pub(crate) fn new(tasks: &[CompiledTask], admission: Admission, warmup: SimDuration) -> Self {
-        assert!(!tasks.is_empty(), "need at least one task");
-        let n = tasks.len();
-        let gens: Vec<ReleaseGenerator> = tasks
-            .iter()
-            .map(|t| ReleaseGenerator::new(SimTime::ZERO + t.spec.phase, t.spec.period))
-            .collect();
-        Driver {
-            admission,
-            next_release: earliest_release(&gens),
-            gens,
-            outstanding: vec![0; n],
-            buffered: vec![None; n],
-            admit_seq: vec![0; n],
-            collector: MetricsCollector::new(
-                tasks.iter().map(|t| t.spec.name.clone()).collect(),
-                SimTime::ZERO + warmup,
-            ),
-            events: Vec::new(),
-        }
+    /// Panics if `at` lies before the device clock.
+    pub(crate) fn attach<P: Policy>(
+        &mut self,
+        policy: &mut P,
+        task: TaskRef,
+        at: SimTime,
+    ) -> usize {
+        assert!(
+            at >= policy.engine().now(),
+            "attach at {at} lies in the past"
+        );
+        let gen = ReleaseGenerator::new(at, task.spec.period);
+        let slot = match self.vacant.pop() {
+            Some(slot) => {
+                self.gens[slot] = gen;
+                self.slots[slot] = Slot::Attached;
+                slot
+            }
+            None => {
+                self.gens.push(gen);
+                self.slots.push(Slot::Attached);
+                self.outstanding.push(0);
+                self.buffered.push(None);
+                self.admit_seq.push(0);
+                self.gens.len() - 1
+            }
+        };
+        self.collector.name_slot(slot, task.spec.name.clone());
+        self.next_release = self.next_release.min(at);
+        policy.attach(slot, task);
+        slot
+    }
+
+    /// Detaches slot `slot` at `at`: frames due before `at` are still
+    /// released, none after, and the job in flight finishes. The slot is
+    /// vacated once it is idle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot holds no attached task.
+    pub(crate) fn detach<P: Policy>(&mut self, policy: &mut P, slot: usize, at: SimTime) {
+        assert_eq!(
+            self.slots.get(slot),
+            Some(&Slot::Attached),
+            "slot {slot} holds no attached task"
+        );
+        self.slots[slot] = Slot::Detached(at);
+        self.settle(policy, slot);
+        self.next_release = self.earliest_release();
     }
 
     /// Number of tasks that have released at least one frame.
@@ -97,13 +220,35 @@ impl Driver {
     /// frames, then lets the policy dispatch. Returns the metrics of the
     /// measurement window and restarts the collector.
     pub(crate) fn run<P: Policy>(&mut self, policy: &mut P, end: SimTime) -> RunMetrics {
+        self.step_until(policy, end);
+        self.advance(policy, end);
+        self.collector.take(end)
+    }
+
+    /// Detaches every attached slot at `at`, then runs until the last job
+    /// in flight has finished. Returns the metrics of the window that
+    /// ends at `at` or at the last completion, whichever is later.
+    pub(crate) fn finish<P: Policy>(&mut self, policy: &mut P, at: SimTime) -> RunMetrics {
+        for slot in 0..self.slots.len() {
+            if self.slots[slot] == Slot::Attached {
+                self.detach(policy, slot, at);
+            }
+        }
+        self.step_until(policy, SimTime::MAX);
+        let end = policy.engine().now().max(at);
+        self.run(policy, end)
+    }
+
+    /// Steps through every release and device event due by `end`.
+    fn step_until<P: Policy>(&mut self, policy: &mut P, end: SimTime) {
         loop {
             let next_release = self.next_release;
             let next = match policy.engine().next_event_time() {
                 Some(d) if d < next_release => d,
                 _ => next_release,
             };
-            if next > end {
+            // `SimTime::MAX` stands for "nothing pending".
+            if next > end || next == SimTime::MAX {
                 break;
             }
             self.advance(policy, next);
@@ -112,8 +257,6 @@ impl Driver {
             }
             policy.dispatch(self, next);
         }
-        self.advance(policy, end);
-        self.collector.take(end)
     }
 
     fn advance<P: Policy>(&mut self, policy: &mut P, to: SimTime) {
@@ -126,10 +269,34 @@ impl Driver {
         self.events = events;
     }
 
+    /// The next frame slot `slot` will release: `SimTime::MAX` once its
+    /// releases have stopped.
+    fn pending_release(&self, slot: usize) -> SimTime {
+        let next = self.gens[slot].next_release();
+        let stop = match self.slots[slot] {
+            Slot::Attached => return next,
+            Slot::Detached(at) => at,
+            Slot::Vacant => SimTime::ZERO,
+        };
+        if next < stop {
+            next
+        } else {
+            SimTime::MAX
+        }
+    }
+
+    /// The earliest pending release across slots.
+    fn earliest_release(&self) -> SimTime {
+        (0..self.slots.len())
+            .map(|slot| self.pending_release(slot))
+            .min()
+            .unwrap_or(SimTime::MAX)
+    }
+
     /// Releases every frame due at `now` under the [`Admission`] rule.
     fn release_due<P: Policy>(&mut self, policy: &mut P, now: SimTime) {
         for task in 0..self.gens.len() {
-            while self.gens[task].next_release() <= now {
+            while self.pending_release(task) <= now {
                 let release = self.gens[task].next_release();
                 self.gens[task].advance();
                 self.collector.record_release(task, release);
@@ -158,8 +325,9 @@ impl Driver {
                 }
                 self.admit(policy, task, release);
             }
+            self.settle(policy, task);
         }
-        self.next_release = earliest_release(&self.gens);
+        self.next_release = self.earliest_release();
     }
 
     fn admit<P: Policy>(&mut self, policy: &mut P, task: usize, release: SimTime) {
@@ -202,23 +370,30 @@ impl Driver {
     /// at the grab), keeping the device work-conserving under overload.
     fn retire<P: Policy>(&mut self, policy: &mut P, task: usize, at: SimTime) {
         self.outstanding[task] = self.outstanding[task].saturating_sub(1);
-        let Some(boundary) = self.buffered[task].take() else {
-            return;
-        };
-        if policy.accept(task) {
-            self.admit(policy, task, at);
-        } else {
-            self.collector.record_skip(task, boundary);
+        if let Some(boundary) = self.buffered[task].take() {
+            if policy.accept(task) {
+                self.admit(policy, task, at);
+            } else {
+                self.collector.record_skip(task, boundary);
+            }
+        }
+        self.settle(policy, task);
+    }
+
+    /// Vacates detached slot `slot` once its releases have stopped and
+    /// nothing of it is in flight or buffered.
+    fn settle<P: Policy>(&mut self, policy: &mut P, slot: usize) {
+        if let Slot::Detached(_) = self.slots[slot] {
+            if self.pending_release(slot) == SimTime::MAX
+                && self.outstanding[slot] == 0
+                && self.buffered[slot].is_none()
+            {
+                self.slots[slot] = Slot::Vacant;
+                self.vacant.push(slot);
+                policy.vacate(slot);
+            }
         }
     }
-}
-
-/// The earliest pending release of `gens`.
-fn earliest_release(gens: &[ReleaseGenerator]) -> SimTime {
-    gens.iter()
-        .map(ReleaseGenerator::next_release)
-        .min()
-        .expect("invariant: the driver has at least one task")
 }
 
 /// Builds a device with one context per entry of `sm_allocs`, each with
@@ -241,4 +416,230 @@ pub(crate) fn build_engine(
             |b, &sm| b.context(ContextConfig::new(sm).with_streams(high, low)),
         )
         .build()
+}
+
+#[cfg(test)]
+mod tests {
+    //! The attach/detach oracle: a task set built up by attaches matches
+    //! one fixed at construction, windows cut a run without changing it,
+    //! and a detached task finishes its job and releases nothing more.
+
+    use crate::{
+        offline, CompiledTask, ContextPoolSpec, NaiveConfig, NaiveScheduler, RunMetrics,
+        SgprsConfig, SgprsScheduler,
+    };
+    use sgprs_dnn::{models, CostModel};
+    use sgprs_rt::{SimDuration, SimTime};
+
+    const PERIOD: SimDuration = SimDuration::from_micros(33_333);
+
+    fn ms(v: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_millis(v)
+    }
+
+    /// `n` 30-fps ResNet-18 tasks; task `i` has phase `i · stagger_ms`.
+    fn tasks(n: usize, stagger_ms: u64) -> Vec<CompiledTask> {
+        let base = offline::compile_network_task(
+            "cam",
+            &models::resnet18(1, 224),
+            &CostModel::calibrated(),
+            6,
+            PERIOD,
+            &ContextPoolSpec::new(2, 1.5),
+        )
+        .expect("six stages");
+        (0..n as u64)
+            .map(|i| {
+                let mut t = base.clone();
+                t.spec.name = format!("cam-{i}");
+                t.spec.phase = SimDuration::from_millis(stagger_ms * i);
+                t
+            })
+            .collect()
+    }
+
+    fn first_release(t: &CompiledTask) -> SimTime {
+        SimTime::ZERO + t.spec.phase
+    }
+
+    /// The two schedulers behind one interface.
+    trait Sched {
+        fn attach(&mut self, task: CompiledTask, at: SimTime) -> usize;
+        fn detach(&mut self, slot: usize, at: SimTime);
+        fn run(&mut self, end: SimTime) -> RunMetrics;
+        fn finish(&mut self, at: SimTime) -> RunMetrics;
+    }
+
+    macro_rules! sched {
+        ($t:ty) => {
+            impl Sched for $t {
+                fn attach(&mut self, task: CompiledTask, at: SimTime) -> usize {
+                    <$t>::attach(self, task, at)
+                }
+                fn detach(&mut self, slot: usize, at: SimTime) {
+                    <$t>::detach(self, slot, at)
+                }
+                fn run(&mut self, end: SimTime) -> RunMetrics {
+                    <$t>::run(self, end)
+                }
+                fn finish(&mut self, at: SimTime) -> RunMetrics {
+                    <$t>::finish(self, at)
+                }
+            }
+        };
+    }
+    sched!(SgprsScheduler);
+    sched!(NaiveScheduler);
+
+    fn sgprs(tasks: Vec<CompiledTask>, warmup: SimDuration) -> SgprsScheduler {
+        let mut cfg = SgprsConfig::new(ContextPoolSpec::new(2, 1.5));
+        cfg.warmup = warmup;
+        SgprsScheduler::new(cfg, tasks)
+    }
+
+    fn naive(contexts: usize, tasks: Vec<CompiledTask>, warmup: SimDuration) -> NaiveScheduler {
+        let mut cfg = NaiveConfig::new(contexts);
+        cfg.warmup = warmup;
+        NaiveScheduler::new(cfg, tasks)
+    }
+
+    /// Attaches task `i` at its phase after running the scheduler to the
+    /// previous task's first release: an instant the constructed
+    /// scheduler steps at too, so the device integrates its progress at
+    /// the same instants in both.
+    fn attach_staged(s: &mut impl Sched, tasks: Vec<CompiledTask>) {
+        let mut prev = None;
+        for (i, task) in tasks.into_iter().enumerate() {
+            if let Some(at) = prev {
+                let _ = s.run(at);
+            }
+            let at = first_release(&task);
+            assert_eq!(s.attach(task, at), i, "slots fill in attach order");
+            prev = Some(at);
+        }
+    }
+
+    fn pair(a: &RunMetrics, b: &RunMetrics) -> RunMetrics {
+        let mut samples = a.response_samples_ns.clone();
+        samples.extend(&b.response_samples_ns);
+        samples.sort_unstable();
+        let mut sum = b.clone();
+        sum.released += a.released;
+        sum.completed += a.completed;
+        sum.met += a.met;
+        sum.late += a.late;
+        sum.skipped += a.skipped;
+        sum.dropped += a.dropped;
+        sum.response_samples_ns = samples;
+        for (s, t) in sum.per_task.iter_mut().zip(&a.per_task) {
+            s.released += t.released;
+            s.completed += t.completed;
+            s.missed += t.missed;
+        }
+        sum
+    }
+
+    /// The counts, per-task counts and raw response distribution of `m`.
+    fn counts(m: &RunMetrics) -> Vec<u64> {
+        let mut c = vec![m.released, m.completed, m.met, m.late, m.skipped, m.dropped];
+        for t in &m.per_task {
+            c.extend([t.released, t.completed, t.missed]);
+        }
+        c.extend(&m.response_samples_ns);
+        c
+    }
+
+    #[test]
+    fn sgprs_attaching_at_the_phases_matches_construction() {
+        // Past the pivot, so admission, skips and promotion all run.
+        let warmup = SimDuration::from_millis(500);
+        let reference = sgprs(tasks(30, 2), warmup).run(ms(1_500));
+        assert!(reference.late > 0 && reference.skipped > 0, "{reference:?}");
+        let mut s = sgprs(Vec::new(), warmup);
+        attach_staged(&mut s, tasks(30, 2));
+        assert_eq!(s.run(ms(1_500)), reference);
+    }
+
+    #[test]
+    fn naive_attaching_at_the_phases_matches_construction() {
+        // One tenant per partition: the switch tax reads the same count
+        // whenever each task is attached.
+        let warmup = SimDuration::from_millis(500);
+        let reference = naive(3, tasks(3, 4), warmup).run(ms(1_500));
+        let mut s = naive(3, Vec::new(), warmup);
+        attach_staged(&mut s, tasks(3, 4));
+        assert_eq!(s.run(ms(1_500)), reference);
+        // Shared partitions past the naive pivot: the tax grows with the
+        // partition's tenant count from each attach on, so every task is
+        // attached before the first dispatch, each at its phase.
+        let reference = naive(2, tasks(16, 2), warmup).run(ms(1_500));
+        assert!(!reference.is_miss_free(), "{reference:?}");
+        let mut s = naive(2, Vec::new(), warmup);
+        for task in tasks(16, 2) {
+            let at = first_release(&task);
+            s.attach(task, at);
+        }
+        assert_eq!(s.run(ms(1_500)), reference);
+    }
+
+    fn windows_sum_to_one_run(mut make: impl FnMut() -> Box<dyn Sched>) {
+        // The cut is a release instant of every task.
+        let cut = SimTime::ZERO + SimDuration::from_nanos(PERIOD.as_nanos() * 20);
+        let whole = make().run(ms(1_200));
+        let mut s = make();
+        let first = s.run(cut);
+        let second = s.run(ms(1_200));
+        assert!(first.released > 0 && second.released > 0);
+        assert_eq!(second.window, ms(1_200).duration_since(cut));
+        assert_eq!(counts(&pair(&first, &second)), counts(&whole));
+    }
+
+    #[test]
+    fn consecutive_windows_sum_to_one_run() {
+        let warmup = SimDuration::from_millis(500);
+        windows_sum_to_one_run(|| Box::new(sgprs(tasks(24, 0), warmup)));
+        windows_sum_to_one_run(|| Box::new(naive(2, tasks(16, 0), warmup)));
+    }
+
+    fn detached_job_finishes_and_nothing_follows(mut s: Box<dyn Sched>) {
+        let first = s.run(ms(1));
+        assert_eq!(first.per_task[0].released, 1);
+        assert_eq!(first.per_task[0].completed, 0, "the job is in flight");
+        s.detach(0, ms(1));
+        let second = s.run(ms(1_000));
+        assert_eq!(second.per_task[0].released, 0, "no release follows");
+        assert_eq!(
+            second.per_task[0].completed, 1,
+            "the job in flight finishes"
+        );
+        assert!(second.per_task[1].released > 25, "{second:?}");
+        // The idle slot is recycled.
+        let newcomer = tasks(3, 0).pop().expect("three tasks");
+        assert_eq!(s.attach(newcomer, ms(1_000)), 0);
+        let third = s.run(ms(2_000));
+        assert_eq!(third.per_task[0].name, "cam-2");
+        assert!(third.per_task[0].released > 25, "{third:?}");
+        let last = s.finish(ms(2_000));
+        assert_eq!(last.released, 0, "releases stop at the finish");
+        let total =
+            [first, second, third, last]
+                .iter()
+                .fold([0u64; 2], |[released, resolved], m| {
+                    [
+                        released + m.released,
+                        resolved + m.completed + m.skipped + m.dropped,
+                    ]
+                });
+        assert_eq!(total[0], total[1], "every released frame is resolved");
+    }
+
+    #[test]
+    fn a_detached_task_finishes_its_job_and_releases_no_more() {
+        detached_job_finishes_and_nothing_follows(Box::new(sgprs(tasks(2, 0), SimDuration::ZERO)));
+        detached_job_finishes_and_nothing_follows(Box::new(naive(
+            2,
+            tasks(2, 0),
+            SimDuration::ZERO,
+        )));
+    }
 }

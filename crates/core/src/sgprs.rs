@@ -32,7 +32,7 @@
 //! check that every skipped context has no idle stream with an eligible
 //! queued entry.
 
-use crate::release::{build_engine, Driver, Policy};
+use crate::release::{build_engine, Driver, Policy, TaskRef};
 use crate::{Admission, CompiledTask, QueueOrder, RunMetrics, SgprsConfig};
 use sgprs_gpu_sim::{
     ContextId, DeviceEvent, GpuEngine, KernelDesc, KernelHandle, StreamClass, StreamId,
@@ -41,6 +41,7 @@ use sgprs_rt::{
     Job, PriorityBands, PriorityLevel, ReleaseTemplate, SimTime, StageInstance, TaskId,
 };
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Identifies one stage instance of one released job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -59,7 +60,8 @@ struct InFlight {
     est_ns: f64,
 }
 
-/// One task's released jobs, plus the stage storage of finished ones.
+/// One task slot's released jobs, plus the stage storage of finished
+/// ones and the task's isolated estimates.
 #[derive(Debug)]
 struct TaskJobs {
     template: ReleaseTemplate,
@@ -67,8 +69,8 @@ struct TaskJobs {
     live: VecDeque<Job>,
     /// Stage storage of finished jobs, reused by the next release.
     spare: Vec<Vec<StageInstance>>,
-    /// Start of this task's row in [`Sgprs::isolated_ns`].
-    isolated_base: usize,
+    /// Isolated estimate of every (stage, context), stage-major.
+    isolated_ns: Vec<f64>,
 }
 
 impl TaskJobs {
@@ -148,8 +150,8 @@ pub struct SgprsScheduler {
 struct Sgprs {
     config: SgprsConfig,
     engine: GpuEngine,
-    tasks: Vec<CompiledTask>,
-    /// Released, not-yet-finished jobs, per task.
+    tasks: Vec<TaskRef>,
+    /// Released, not-yet-finished jobs, per task slot.
     jobs: Vec<TaskJobs>,
     /// Exponential moving average of observed job response times (ns),
     /// driving admission control.
@@ -165,9 +167,8 @@ struct Sgprs {
     ready: Vec<usize>,
     /// Released, not-yet-finished jobs across all tasks.
     live_jobs: usize,
-    /// Isolated estimate of every (task, stage, context), flat: task
-    /// rows start at [`TaskJobs::isolated_base`], then stage-major.
-    isolated_ns: Vec<f64>,
+    /// SMs of each context, for the isolated estimates of attached tasks.
+    sm_allocs: Vec<u32>,
     /// Monotone counter providing FIFO pseudo-deadlines for the ablation
     /// queue order.
     fifo_seq: u64,
@@ -177,18 +178,16 @@ struct Sgprs {
 }
 
 impl SgprsScheduler {
-    /// Creates a scheduler for `tasks` over the configured context pool.
+    /// Creates a scheduler for `tasks` over the configured context pool;
+    /// task `i` takes slot `i` and first releases at its phase. The set
+    /// may be empty: [`Self::attach`] adds tasks later.
     ///
     /// # Panics
     ///
-    /// Panics if `tasks` is empty or any task has no stages.
+    /// Panics if any task has no stages.
     #[must_use]
     pub fn new(config: SgprsConfig, tasks: Vec<CompiledTask>) -> Self {
-        assert!(
-            tasks.iter().all(|t| t.stage_count() > 0),
-            "SGPRS schedules staged tasks; use the offline phase to compile them"
-        );
-        let driver = Driver::new(&tasks, config.admission, config.warmup);
+        let mut driver = Driver::new(config.admission, config.warmup);
         let sm_allocs = config.pool.sm_allocations();
         let engine = build_engine(
             &config.pool.gpu,
@@ -200,52 +199,54 @@ impl SgprsScheduler {
         );
         let n_ctx = sm_allocs.len();
         let slot_count = n_ctx * (STREAMS.0 + STREAMS.1);
-        // Tasks may differ in stage count, so each keeps its row base.
-        let stages: usize = tasks.iter().map(CompiledTask::stage_count).sum();
-        let mut isolated_ns = Vec::with_capacity(stages * n_ctx);
-        let launch_ns = config.pool.gpu.launch_overhead_ns as f64;
-        let jobs = tasks
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                let isolated_base = isolated_ns.len();
-                for profile in &t.stage_profiles {
-                    isolated_ns.extend(sm_allocs.iter().map(|&sm| {
-                        launch_ns + profile.duration_ns_at(engine.speedup_model(), f64::from(sm))
-                    }));
-                }
-                TaskJobs {
-                    template: ReleaseTemplate::new(TaskId(i), &t.spec),
-                    live: VecDeque::new(),
-                    spare: Vec::new(),
-                    isolated_base,
-                }
-            })
-            .collect();
-        SgprsScheduler {
-            driver,
-            policy: Sgprs {
-                config,
-                engine,
-                tasks,
-                jobs,
-                response_ema_ns: 0.0,
-                completions_seen: 0,
-                contexts: (0..n_ctx)
-                    .map(|_| ContextQueue {
-                        bands: PriorityBands::new(),
-                        pending_ns: 0.0,
-                        dirty: false,
-                    })
-                    .collect(),
-                running: vec![None; slot_count],
-                ready: Vec::new(),
-                live_jobs: 0,
-                isolated_ns,
-                fifo_seq: 0,
-                slot_count,
-            },
-        }
+        let mut policy = Sgprs {
+            config,
+            engine,
+            tasks: Vec::with_capacity(tasks.len()),
+            jobs: Vec::with_capacity(tasks.len()),
+            response_ema_ns: 0.0,
+            completions_seen: 0,
+            contexts: (0..n_ctx)
+                .map(|_| ContextQueue {
+                    bands: PriorityBands::new(),
+                    pending_ns: 0.0,
+                    dirty: false,
+                })
+                .collect(),
+            running: vec![None; slot_count],
+            ready: Vec::new(),
+            live_jobs: 0,
+            sm_allocs,
+            fifo_seq: 0,
+            slot_count,
+        };
+        driver.attach_all(&mut policy, tasks);
+        SgprsScheduler { driver, policy }
+    }
+
+    /// Attaches `task`, its first frame released at `at`, and returns its
+    /// slot. The paper's zero-configuration switch: the task gets its
+    /// job list and its row of isolated estimates, and no context is
+    /// created, resized or stalled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the task has no stages or `at` lies before the device
+    /// clock.
+    pub fn attach(&mut self, task: impl Into<Arc<CompiledTask>>, at: SimTime) -> usize {
+        self.driver
+            .attach(&mut self.policy, TaskRef::Shared(task.into()), at)
+    }
+
+    /// Detaches the task in `slot` at `at`: frames due before `at` are
+    /// still released, none after, and jobs in flight finish. The slot is
+    /// recycled once it is idle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot holds no attached task.
+    pub fn detach(&mut self, slot: usize, at: SimTime) {
+        self.driver.detach(&mut self.policy, slot, at);
     }
 
     /// The underlying device engine (for traces and occupancy stats).
@@ -259,11 +260,56 @@ impl SgprsScheduler {
     pub fn run(&mut self, end: SimTime) -> RunMetrics {
         self.driver.run(&mut self.policy, end)
     }
+
+    /// Stops every release at `at` and runs until the last job in flight
+    /// has finished, returning the metrics of that final window.
+    pub fn finish(&mut self, at: SimTime) -> RunMetrics {
+        self.driver.finish(&mut self.policy, at)
+    }
 }
 
 impl Policy for Sgprs {
     fn engine(&mut self) -> &mut GpuEngine {
         &mut self.engine
+    }
+
+    /// Appends (or, in a recycled slot, rewrites) the task's job list and
+    /// isolated-estimate row; the context pool is untouched.
+    fn attach(&mut self, slot: usize, task: TaskRef) {
+        assert!(
+            task.stage_count() > 0,
+            "SGPRS schedules staged tasks; use the offline phase to compile them"
+        );
+        let template = ReleaseTemplate::new(TaskId(slot), &task.spec);
+        let launch_ns = self.config.pool.gpu.launch_overhead_ns as f64;
+        let speedup = self.engine.speedup_model();
+        let mut isolated_ns = match self.jobs.get_mut(slot) {
+            Some(jobs) => std::mem::take(&mut jobs.isolated_ns),
+            None => Vec::with_capacity(task.stage_count() * self.sm_allocs.len()),
+        };
+        isolated_ns.clear();
+        for profile in &task.stage_profiles {
+            isolated_ns.extend(
+                self.sm_allocs
+                    .iter()
+                    .map(|&sm| launch_ns + profile.duration_ns_at(speedup, f64::from(sm))),
+            );
+        }
+        if slot == self.jobs.len() {
+            self.jobs.push(TaskJobs {
+                template,
+                live: VecDeque::new(),
+                spare: Vec::new(),
+                isolated_ns,
+            });
+            self.tasks.push(task);
+        } else {
+            let jobs = &mut self.jobs[slot];
+            debug_assert!(jobs.live.is_empty(), "a recycled slot is idle");
+            jobs.template = template;
+            jobs.isolated_ns = isolated_ns;
+            self.tasks[slot] = task;
+        }
     }
 
     /// Feedback admission test: a new frame is declined while the
@@ -494,10 +540,10 @@ impl Sgprs {
 
     /// Isolated-duration estimate of a stage on a context's full SM
     /// allocation (the scheduler's cheap WCET-like estimate), tabulated
-    /// at construction.
+    /// when the task is attached.
     fn isolated_estimate_ns(&self, ctx: usize, sref: StageRef) -> f64 {
         let n_ctx = self.contexts.len();
-        self.isolated_ns[self.jobs[sref.task].isolated_base + sref.stage * n_ctx + ctx]
+        self.jobs[sref.task].isolated_ns[sref.stage * n_ctx + ctx]
     }
 
     /// Estimated absolute finish instant (ns) if the stage were appended
@@ -656,8 +702,11 @@ mod tests {
         let s = SgprsScheduler::new(SgprsConfig::new(pool.clone()), tasks.clone());
         let launch = pool.gpu.launch_overhead_ns as f64;
         let model = s.engine().speedup_model();
-        assert_eq!(s.policy.isolated_ns.len(), (3 + 6 + 3) * allocs.len());
         for (task, t) in tasks.iter().enumerate() {
+            assert_eq!(
+                s.policy.jobs[task].isolated_ns.len(),
+                t.stage_count() * allocs.len()
+            );
             for (stage, profile) in t.stage_profiles.iter().enumerate() {
                 for (ctx, &sm) in allocs.iter().enumerate() {
                     let sref = StageRef {
@@ -712,9 +761,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one task")]
-    fn empty_task_set_panics() {
-        let _ = SgprsScheduler::new(SgprsConfig::new(ContextPoolSpec::new(2, 1.0)), vec![]);
+    fn empty_task_set_runs_idle() {
+        let mut s = SgprsScheduler::new(SgprsConfig::new(ContextPoolSpec::new(2, 1.0)), vec![]);
+        let m = s.run(SimTime::ZERO + SimDuration::from_millis(100));
+        assert_eq!((m.released, m.completed), (0, 0));
+        assert!(m.per_task.is_empty());
+        assert_eq!(s.finish(SimTime::ZERO + SimDuration::from_millis(100)), m);
     }
 
     #[test]

@@ -319,9 +319,8 @@ fn deadline_repricing_beats_fifo_reject_on_the_overload_burst() {
 /// produces byte-identical `FleetMetrics` JSON across worker counts
 /// {1, 4} × {flat, sharded} (the event engine is single-threaded — the
 /// worker knob must be inert — and the single whole-fleet shard provably
-/// routes through the identical placement scan). The event path also
-/// reports zero truncated jobs, where the epoch path on the same trace
-/// reports the boundary artifact.
+/// routes through the identical placement scan). Neither the event path
+/// nor the epoch path on the same trace truncates a job.
 #[test]
 fn event_driven_metrics_identical_across_workers_and_dispatch() {
     let scenario = FleetScenario::heterogeneous_churn(4);
@@ -350,13 +349,13 @@ fn event_driven_metrics_identical_across_workers_and_dispatch() {
             );
         }
     }
-    // The same trace on the epoch grid shows the truncation artifact the
-    // event path removes.
+    // The same trace on the epoch grid: its node schedulers persist
+    // across boundaries and drain at the horizon, so nothing is cut.
     let epoch = Fleet::new(FleetConfig::new(scenario.nodes.clone()).with_seed(scenario.seed))
         .run(scenario.trace(), scenario.sim);
-    assert!(
-        epoch.truncated_jobs > 0,
-        "the epoch path truncates in-flight jobs at boundaries: {epoch:?}"
+    assert_eq!(
+        epoch.truncated_jobs, 0,
+        "the epoch path finishes every in-flight job: {epoch:?}"
     );
 }
 
@@ -400,7 +399,7 @@ fn event_migration_beats_epoch_migration_and_pays_an_explicit_stall() {
         "the epoch path keeps its pre-existing free-migration contract"
     );
     assert_eq!(event_m.truncated_jobs, 0);
-    assert!(epoch_m.truncated_jobs > 0);
+    assert_eq!(epoch_m.truncated_jobs, 0);
 
     // The flip side of the cost model: re-pricing degrade/upgrade
     // switches are SGPRS partition switches — the same event-driven
