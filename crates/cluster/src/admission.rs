@@ -12,11 +12,24 @@
 //!    tenants): the summed steady-state demand `Σ fpsᵢ·T₁ᵢ` in
 //!    SM-equivalents must stay below `bound × capacity`, where the
 //!    capacity is sampled at the node's pool layout and the resident op
-//!    mix.
+//!    mix, with [`CONCURRENCY`] stages resident per context.
+//!
+//! Both gates' node-side inputs depend only on the candidate's model:
+//! its best-case compute latency at the node's largest context, and the
+//! capacity of "residents + one tenant of that model". The node keeps
+//! both in per-model tables ([`FleetNode::best_case_latency`],
+//! [`FleetNode::capacity_with`]), so a probe against a node's own
+//! residents is a few comparisons.
 
-use crate::{Aggregates, FleetNode, TenantSpec};
+use crate::{Aggregates, FleetNode, ModelKind, TenantSpec};
 use serde::{Deserialize, Serialize};
 use sgprs_gpu_sim::SpeedupModel;
+use sgprs_rt::SimDuration;
+
+/// Stages assumed resident per context when sampling an SGPRS node's
+/// capacity: the paper's stream layout sustains 3–4, and 4.0 matches
+/// `sgprs_core::analysis`'s calibration.
+pub(crate) const CONCURRENCY: f64 = 4.0;
 
 /// Knobs of the admission controller.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -24,17 +37,12 @@ pub struct AdmissionConfig {
     /// Fraction of the fluid capacity tenants may occupy (< 1 keeps
     /// headroom for jitter and stage imbalance).
     pub utilization_bound: f64,
-    /// Stages assumed resident per context when sampling capacity (the
-    /// paper's stream layout sustains 3–4; 4.0 matches
-    /// `sgprs_core::analysis`'s calibration).
-    pub concurrency: f64,
 }
 
 impl Default for AdmissionConfig {
     fn default() -> Self {
         AdmissionConfig {
             utilization_bound: 0.9,
-            concurrency: 4.0,
         }
     }
 }
@@ -105,55 +113,18 @@ impl AdmissionController {
         AdmissionController { cfg }
     }
 
-    /// The configuration in use.
-    #[must_use]
-    pub fn config(&self) -> &AdmissionConfig {
-        &self.cfg
-    }
-
     /// The admissible demand budget of `node` for its current mix plus
     /// `candidate`, in SM-equivalents.
     #[must_use]
     pub fn budget(&self, node: &FleetNode, candidate: Option<&TenantSpec>) -> f64 {
-        self.budget_against(node, node.aggregates(), candidate)
+        let capacity = match candidate {
+            Some(c) => node.capacity_with(c.model),
+            None => node.capacity_of(&node.aggregates().mix),
+        };
+        self.cfg.utilization_bound * capacity
     }
 
-    /// [`Self::budget`] with the residents given as explicit aggregates.
-    fn budget_against(
-        &self,
-        node: &FleetNode,
-        residents: &Aggregates,
-        candidate: Option<&TenantSpec>,
-    ) -> f64 {
-        let mix = residents.mix_with(candidate);
-        if mix.is_empty() {
-            // An empty node admits against its physical size.
-            return self.cfg.utilization_bound * f64::from(node.spec.gpu.total_sms);
-        }
-        // The cached-allocation fold: identical math to
-        // `node.spec.capacity_sm_equivalents`, no pool materialisation
-        // per admission probe.
-        self.cfg.utilization_bound * node.capacity_sm_equivalents(&mix, self.cfg.concurrency)
-    }
-
-    /// Optimistic single-inference latency of `candidate` on `node`: the
-    /// whole network at the node's largest context allocation, plus one
-    /// launch overhead per stage. No schedule can beat this, so a tenant
-    /// whose bound exceeds its deadline is hopeless on this node.
-    #[must_use]
-    pub fn best_case_latency(
-        &self,
-        node: &FleetNode,
-        candidate: &TenantSpec,
-    ) -> sgprs_rt::SimDuration {
-        self.best_case_latency_at(
-            node.max_context_sm(),
-            node.spec.gpu.launch_overhead_ns,
-            candidate,
-        )
-    }
-
-    /// [`Self::best_case_latency`] evaluated at an explicit context size
+    /// [`FleetNode::best_case_latency`] evaluated at an explicit context size
     /// and launch overhead instead of a concrete node. Feeding it the
     /// *largest* context allocation and *smallest* launch overhead found
     /// across a group of nodes yields a sound lower bound over the whole
@@ -164,27 +135,27 @@ impl AdmissionController {
         context_sms: u32,
         launch_overhead_ns: u64,
         candidate: &TenantSpec,
-    ) -> sgprs_rt::SimDuration {
-        let compute_ns = candidate
-            .model
-            .work_profile()
-            .duration_ns_at(SpeedupModel::rtx_2080_ti(), f64::from(context_sms));
-        let overhead_ns = launch_overhead_ns * candidate.stages as u64;
-        sgprs_rt::SimDuration::from_nanos(compute_ns as u64)
-            + sgprs_rt::SimDuration::from_nanos(overhead_ns)
+    ) -> SimDuration {
+        with_launches(
+            best_case_compute(context_sms, candidate.model),
+            launch_overhead_ns,
+            candidate.stages,
+        )
     }
 
     /// Tests whether `candidate` fits on `node` alongside its resident
-    /// tenants.
+    /// tenants, reading the node's per-model tables.
     #[must_use]
     pub fn evaluate(&self, node: &FleetNode, candidate: &TenantSpec) -> AdmissionDecision {
-        self.evaluate_against(node, node.aggregates(), candidate)
+        self.decide(node, node.total_demand(), candidate, || {
+            node.capacity_with(candidate.model)
+        })
     }
 
     /// Tests whether `candidate` fits on `node` alongside residents whose
-    /// aggregates are `residents` — the node's own, or those it would
-    /// have without one of them ([`FleetNode::aggregates_without`]). The
-    /// one copy of the admission arithmetic; [`Self::evaluate`] calls it.
+    /// aggregates are `residents` — those it would have without one of
+    /// them ([`FleetNode::aggregates_without`]). The capacity is sampled
+    /// afresh at that mix; the comparison is [`Self::evaluate`]'s.
     #[must_use]
     pub fn evaluate_against(
         &self,
@@ -192,7 +163,23 @@ impl AdmissionController {
         residents: &Aggregates,
         candidate: &TenantSpec,
     ) -> AdmissionDecision {
-        let best_case = self.best_case_latency(node, candidate);
+        self.decide(node, residents.demand, candidate, || {
+            node.capacity_of(&residents.mix_with(Some(candidate.model)))
+        })
+    }
+
+    /// The one copy of the admission comparison: the latency gate, then
+    /// `residents_demand + fps·T₁ ≤ bound × capacity`. `capacity` is the
+    /// node's capacity at the residents' mix plus the candidate, asked
+    /// only once the latency gate passes.
+    fn decide(
+        &self,
+        node: &FleetNode,
+        residents_demand: f64,
+        candidate: &TenantSpec,
+        capacity: impl FnOnce() -> f64,
+    ) -> AdmissionDecision {
+        let best_case = node.best_case_latency(candidate.model, candidate.stages);
         let deadline = candidate.period();
         if best_case > deadline {
             return AdmissionDecision::Reject(RejectReason::LatencyInfeasible {
@@ -200,13 +187,32 @@ impl AdmissionController {
                 deadline,
             });
         }
-        let demand = residents.demand + candidate.demand_sm_equivalents();
-        let budget = self.budget_against(node, residents, Some(candidate));
+        let demand = residents_demand + candidate.demand_sm_equivalents();
+        let budget = self.cfg.utilization_bound * capacity();
         if demand > budget {
             return AdmissionDecision::Reject(RejectReason::OverUtilization { demand, budget });
         }
         AdmissionDecision::Admit { demand, budget }
     }
+}
+
+/// One inference of `model` computed on a `context_sms`-SM context, with
+/// no launch overhead: the load-independent part of every best-case
+/// latency bound.
+pub(crate) fn best_case_compute(context_sms: u32, model: ModelKind) -> SimDuration {
+    let compute_ns = model
+        .work_profile()
+        .duration_ns_at(SpeedupModel::rtx_2080_ti(), f64::from(context_sms));
+    SimDuration::from_nanos(compute_ns as u64)
+}
+
+/// `compute` plus one launch overhead per stage.
+pub(crate) fn with_launches(
+    compute: SimDuration,
+    launch_overhead_ns: u64,
+    stages: usize,
+) -> SimDuration {
+    compute + SimDuration::from_nanos(launch_overhead_ns * stages as u64)
 }
 
 #[cfg(test)]

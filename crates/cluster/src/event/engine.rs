@@ -79,6 +79,22 @@ struct TenantRun {
     /// run starts: the jitter input every release needs, without a
     /// per-release interner lookup + string hash.
     name_hash: u64,
+    /// The release constants of the latest release, valid while the run
+    /// is on the same node at the same version (`None` before the first
+    /// release).
+    consts: Option<ReleaseConsts>,
+}
+
+/// A run's period and unjittered service time
+/// ([`FluidExec::base_service`]) on `node` at `version`: while the node
+/// keeps that version its residents, the run's price among them, and
+/// so both values, are unchanged.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct ReleaseConsts {
+    node: usize,
+    version: u64,
+    period: SimDuration,
+    base: SimDuration,
 }
 
 /// One served frame's pending input to its node's miss window: the
@@ -312,6 +328,7 @@ impl<'a> Engine<'a> {
             // The one string hash of the tenant's lifetime; every
             // release reuses it (the jitter input is exactly this).
             name_hash: super::exec::fnv1a(self.fleet.interner.name(id)),
+            consts: None,
         });
     }
 
@@ -383,26 +400,43 @@ impl<'a> Engine<'a> {
             t < self.end,
             "releases are never scheduled past the horizon"
         );
-        let (in_flight, job, inc, name_hash) = match self.run_of(id) {
-            Some(run) if run.gen == gen => (run.in_flight, run.job_seq, run.inc, run.name_hash),
+        let (in_flight, job, inc, name_hash, cached) = match self.run_of(id) {
+            Some(run) if run.gen == gen => (
+                run.in_flight,
+                run.job_seq,
+                run.inc,
+                run.name_hash,
+                run.consts,
+            ),
             // Departed, or a stale schedule from before a migration (or
             // from a recycled id's previous occupant).
             _ => return,
         };
-        // Copy the few price-dependent fields instead of cloning the
-        // whole spec: this is the engine's hottest path. The id resolves
-        // to the node slot by integer compare, no string hashing.
-        let Some((model, stages, fps)) = self.fleet.node_slot(idx, id).map(|pos| {
-            let t = &self.fleet.nodes[idx].tenants()[pos];
-            (t.model, t.stages, t.fps)
-        }) else {
-            return;
+        let version = self.fleet.nodes[idx].version();
+        let consts = match cached {
+            // An unchanged node still hosts the run at the same price.
+            Some(c) if c.node == idx && c.version == version => {
+                debug_assert_eq!(
+                    Some(c),
+                    self.release_consts(idx, id),
+                    "a cache hit equals the uncached release constants"
+                );
+                c
+            }
+            _ => {
+                let Some(c) = self.release_consts(idx, id) else {
+                    return;
+                };
+                if let Some(run) = self.run_mut(id) {
+                    run.consts = Some(c);
+                }
+                c
+            }
         };
         // The node's window may be pushed and is read below.
         self.fold_node(idx, key);
         self.fleet.totals.record_released(idx);
-        let period = SimDuration::from_secs_f64(1.0 / fps);
-        let next = t + period;
+        let next = t + consts.period;
         // Skip-if-busy: the tenant is busy while its previous job
         // finishes after `t`; one finishing exactly at `t` has freed it.
         let served = if in_flight > t {
@@ -418,16 +452,7 @@ impl<'a> Engine<'a> {
             }
             None
         } else {
-            let service = self.exec.service_time(
-                &self.fleet.nodes,
-                &self.fleet.admission,
-                idx,
-                model,
-                stages,
-                fps,
-                name_hash,
-                job,
-            );
+            let service = self.exec.service_time(consts.base, idx, name_hash, job);
             let finish = t + service;
             // The fluid service time *is* the job's response time (the
             // job is admitted at release), so it feeds the latency
@@ -461,6 +486,26 @@ impl<'a> Engine<'a> {
             self.events
                 .push(next, idx, EventKind::JobRelease { tenant: id, gen });
         }
+    }
+
+    /// The release constants of tenant `id` on node `idx` at the node's
+    /// current version, computed afresh; `None` when the tenant is not
+    /// resident there. Copies the few price-dependent fields instead of
+    /// cloning the spec, and resolves the id to its slot by integer
+    /// compare, no string hashing.
+    fn release_consts(&mut self, idx: usize, id: TenantId) -> Option<ReleaseConsts> {
+        let pos = self.fleet.node_slot(idx, id)?;
+        let node = &self.fleet.nodes[idx];
+        let t = &node.tenants()[pos];
+        let (period, base) =
+            self.exec
+                .base_service(&self.fleet.nodes, idx, t.model, t.stages, t.fps);
+        Some(ReleaseConsts {
+            node: idx,
+            version: node.version(),
+            period,
+            base,
+        })
     }
 
     /// Records a frame of run `(id, inc)` served on node `idx` that
@@ -866,6 +911,94 @@ mod tests {
         assert!(
             engine.windows[0].outcomes().any(|(t, _)| t == at_ms(40)),
             "the sample due at the departure instant was kept"
+        );
+    }
+
+    /// Steps `engine` until `done` holds, failing if the run ends first.
+    fn step_until(engine: &mut Engine<'_>, mut done: impl FnMut(&Engine<'_>) -> bool) {
+        while !done(engine) {
+            assert!(engine.step(), "the run ended first");
+        }
+    }
+
+    #[test]
+    fn an_upgrade_invalidates_the_repriced_tenants_release_constants() {
+        let cfg =
+            FleetConfig::new(vec![NodeSpec::sgprs("g", GpuSpec::rtx_2080_ti())]).with_repricing();
+        let mut fleet = Fleet::new(cfg);
+        // Saturate at 30 fps, then free one filler's demand `d`: a
+        // 60 fps request (2d) degrades to its 30 fps step (d).
+        let mut fillers = Vec::new();
+        while let DispatchOutcome::Placed(_) =
+            fleet.dispatch(cam(&format!("f{}", fillers.len()), 30.0))
+        {
+            fillers.push(format!("f{}", fillers.len()));
+        }
+        assert!(
+            fleet.remove(&format!("f{}", fillers.len())),
+            "scaffolding waiter removed"
+        );
+        assert!(fleet.remove(&fillers[0]));
+        let elastic = cam("elastic", 60.0).with_fps_ladder([30.0, 15.0]);
+        assert!(matches!(
+            fleet.dispatch(elastic),
+            DispatchOutcome::PlacedDegraded { .. }
+        ));
+        let id = fleet.tenant_id("elastic").expect("resident");
+        // One more departure makes room for the requested rate.
+        let mut trace = ChurnTrace::new();
+        trace.push(at_ms(100), crate::ChurnEvent::Departure(fillers[1].clone()));
+        let mut engine = Engine::new(&mut fleet, trace.into(), SimDuration::from_secs(1));
+        let consts = |e: &Engine<'_>| run(e, id).consts;
+        step_until(&mut engine, |e| consts(e).is_some());
+        let degraded = consts(&engine).expect("cached at the first release");
+        assert_eq!(degraded.period, SimDuration::from_secs_f64(1.0 / 30.0));
+        step_until(&mut engine, |e| e.fleet.totals.counts.upgrades > 0);
+        assert_ne!(
+            engine.fleet.nodes[0].version(),
+            degraded.version,
+            "the re-price moved the node's version, so the cached constants are stale"
+        );
+        step_until(&mut engine, |e| consts(e) != Some(degraded));
+        let upgraded = consts(&engine).expect("recomputed at the next release");
+        assert_eq!(upgraded.period, SimDuration::from_secs_f64(1.0 / 60.0));
+        assert_eq!(Some(upgraded), engine.release_consts(0, id));
+    }
+
+    #[test]
+    fn a_migration_invalidates_the_migrants_release_constants() {
+        let mut residents: Vec<TenantSpec> = (0..5).map(|i| cam(&format!("c{i}"), 30.0)).collect();
+        residents.push(cam("victim", 25.0));
+        let mut fleet = fleet_with(
+            FleetConfig::new(vec![
+                NodeSpec::sgprs("small", GpuSpec::synthetic(15)),
+                NodeSpec::sgprs("big", GpuSpec::rtx_2080_ti()),
+            ])
+            .with_migration(0.05),
+            &residents,
+        );
+        let victim = *fleet.node_ids[0].last().expect("six residents");
+        let mut engine = Engine::new(
+            &mut fleet,
+            ChurnTrace::new().into(),
+            SimDuration::from_secs(3),
+        );
+        step_until(&mut engine, |e| run(e, victim).node == 1);
+        let source = run(&engine, victim).consts.expect("released on the source");
+        assert_eq!(source.node, 0, "still keyed to the source node");
+        step_until(&mut engine, |e| {
+            run(e, victim).consts.is_some_and(|c| c.node == 1)
+        });
+        let dest = run(&engine, victim)
+            .consts
+            .expect("released on the destination");
+        assert_eq!(Some(dest), engine.release_consts(1, victim));
+        assert_eq!(dest.period, source.period, "same price");
+        assert!(
+            dest.base < source.base,
+            "the idle destination serves faster: {} vs {}",
+            dest.base,
+            source.base
         );
     }
 

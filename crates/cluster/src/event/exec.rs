@@ -22,16 +22,18 @@
 //!   misses" arises here exactly as on the epoch path (admission is
 //!   deliberately scheduler-blind about execution efficiency).
 //!
-//! Demand/capacity samples are cached per node and validated against
-//! [`FleetNode::version`]. The node owns that counter together with its
-//! resident aggregates: every mutation of its resident list bumps it, so
-//! a change on node `i` recomputes only node `i`'s sample — not the
-//! whole fleet's. Best-case latency is cached per
-//! `(node, model, stages, fps)` in a per-node linear list (the distinct
-//! price points per node are few), so the release hot path does no
-//! hashing at all.
+//! Everything a release needs apart from its jitter is a pure function
+//! of the node's state, keyed by [`FleetNode::version`] (every mutation
+//! of the resident list bumps it). The demand/capacity sample is cached
+//! here per node, and best-case latency comes from the node's own
+//! per-model table, so a change on node `i` recomputes only node `i`'s
+//! values. [`FluidExec::base_service`] turns them into a tenant's
+//! period and unjittered service time, which the engine keeps per
+//! tenant run under the same `(node, version)` key: a release on an
+//! unchanged node only applies [`FluidExec::service_time`]'s jitter.
 
-use crate::{AdmissionController, FleetNode, ModelKind, NodeScheduler, TenantSpec};
+use crate::admission::CONCURRENCY;
+use crate::{FleetNode, ModelKind, NodeScheduler};
 use sgprs_core::NaiveConfig;
 use sgprs_rt::{SimDuration, SimTime};
 use std::collections::VecDeque;
@@ -46,10 +48,6 @@ struct NodeLoad {
     capacity: f64,
 }
 
-/// One distinct price point on a node: `(model, stages, fps-bits)`
-/// keying its memoised best-case latency.
-type PricePoint = ((ModelKind, usize, u64), SimDuration);
-
 /// The fluid execution model: cached per-node load and the service-time
 /// function.
 #[derive(Debug)]
@@ -58,10 +56,6 @@ pub(crate) struct FluidExec {
     /// Per-node `(node version, sample)` — valid while
     /// [`FleetNode::version`] still matches.
     loads: Vec<Option<(u64, NodeLoad)>>,
-    /// Per-node [`PricePoint`] entries, scanned linearly: a node hosts
-    /// only a handful of distinct price points, and a short scan beats
-    /// hashing on the release hot path.
-    best_case: Vec<Vec<PricePoint>>,
 }
 
 impl FluidExec {
@@ -69,7 +63,6 @@ impl FluidExec {
         FluidExec {
             seed,
             loads: vec![None; n_nodes],
-            best_case: vec![Vec::new(); n_nodes],
         }
     }
 
@@ -78,12 +71,7 @@ impl FluidExec {
     /// population or price mutation). The sample is a pure
     /// function of node state, so a version hit returns bit-identical
     /// values to a fresh compute.
-    fn load(
-        &mut self,
-        nodes: &[FleetNode],
-        admission: &AdmissionController,
-        idx: usize,
-    ) -> NodeLoad {
+    fn load(&mut self, nodes: &[FleetNode], idx: usize) -> NodeLoad {
         let node = &nodes[idx];
         if let Some((v, l)) = self.loads[idx] {
             if v == node.version() {
@@ -98,7 +86,7 @@ impl FluidExec {
         } else {
             let mix = node.mixed_profile(None);
             let concurrency = match node.spec.scheduler {
-                NodeScheduler::Sgprs { .. } => admission.config().concurrency,
+                NodeScheduler::Sgprs { .. } => CONCURRENCY,
                 // One stream per partition, whole networks in sequence.
                 NodeScheduler::Naive => 1.0,
             };
@@ -112,13 +100,8 @@ impl FluidExec {
     }
 
     /// The node's demand/capacity ratio (the fluid stretch factor).
-    pub(crate) fn load_ratio(
-        &mut self,
-        nodes: &[FleetNode],
-        admission: &AdmissionController,
-        idx: usize,
-    ) -> f64 {
-        let l = self.load(nodes, admission, idx);
+    fn load_ratio(&mut self, nodes: &[FleetNode], idx: usize) -> f64 {
+        let l = self.load(nodes, idx);
         if l.capacity > 0.0 {
             l.demand / l.capacity
         } else {
@@ -126,43 +109,35 @@ impl FluidExec {
         }
     }
 
-    /// Service time of one job released on node `idx` by a tenant
-    /// serving `model` in `stages` stages at `fps`:
-    /// `max(best_case, period · D/C)` scaled by the deterministic jitter
-    /// for `(name, job_seq)`. Takes the price-dependent fields by value
-    /// — and the tenant name pre-hashed (see [`fnv1a`]) — so the release
-    /// hot path neither clones a [`TenantSpec`] nor re-hashes a string.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn service_time(
+    /// The release constants of a tenant serving `model` in `stages`
+    /// stages at `fps` on node `idx`: its period `P` and its base
+    /// service time `max(best_case, P · D/C)`, before jitter. Both are
+    /// pure functions of the price and the node's state.
+    pub(crate) fn base_service(
         &mut self,
         nodes: &[FleetNode],
-        admission: &AdmissionController,
         idx: usize,
         model: ModelKind,
         stages: usize,
         fps: f64,
+    ) -> (SimDuration, SimDuration) {
+        let rho = self.load_ratio(nodes, idx);
+        let best_case = nodes[idx].best_case_latency(model, stages);
+        let period = SimDuration::from_secs_f64(1.0 / fps);
+        (period, best_case.max(period.mul_f64(rho)))
+    }
+
+    /// Service time of job `job_seq` of the tenant whose name hashes to
+    /// `name_hash` (see [`fnv1a`]), released on node `idx` with base
+    /// service `base` ([`Self::base_service`]): `base` scaled by the
+    /// deterministic jitter.
+    pub(crate) fn service_time(
+        &self,
+        base: SimDuration,
+        idx: usize,
         name_hash: u64,
         job_seq: u64,
     ) -> SimDuration {
-        let rho = self.load_ratio(nodes, admission, idx);
-        let key = (model, stages, fps.to_bits());
-        let cached = self.best_case[idx]
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|&(_, bcl)| bcl);
-        let bcl = match cached {
-            Some(bcl) => bcl,
-            None => {
-                // Only a cache miss pays for the probe spec (the name is
-                // irrelevant to the latency bound).
-                let probe = TenantSpec::new("bcl-probe", model, fps).with_stages(stages);
-                let bcl = admission.best_case_latency(&nodes[idx], &probe);
-                self.best_case[idx].push((key, bcl));
-                bcl
-            }
-        };
-        let period = SimDuration::from_secs_f64(1.0 / fps);
-        let base = bcl.max(period.mul_f64(rho));
         base.mul_f64(self.jitter(idx, name_hash, job_seq))
     }
 
@@ -302,7 +277,7 @@ impl MissWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NodeSpec;
+    use crate::{AdmissionController, NodeSpec, TenantSpec};
     use sgprs_gpu_sim::GpuSpec;
 
     fn tenant(i: usize) -> TenantSpec {
@@ -323,20 +298,12 @@ mod tests {
         }
         let nodes = vec![node];
         let mut exec = FluidExec::new(1, 7);
-        let rho = exec.load_ratio(&nodes, &admission, 0);
+        let rho = exec.load_ratio(&nodes, 0);
         assert!(rho > 0.5 && rho < 1.0, "bound-respecting load: {rho}");
         for job in 0..64 {
             let t = tenant(0);
-            let s = exec.service_time(
-                &nodes,
-                &admission,
-                0,
-                t.model,
-                t.stages,
-                t.fps,
-                fnv1a(&t.name),
-                job,
-            );
+            let (_, base) = exec.base_service(&nodes, 0, t.model, t.stages, t.fps);
+            let s = exec.service_time(base, 0, fnv1a(&t.name), job);
             assert!(
                 s <= t.period(),
                 "job {job} took {s} > period {} at rho {rho}",
@@ -351,22 +318,13 @@ mod tests {
         for i in 0..12 {
             node.push_tenant(tenant(i));
         }
-        let admission = AdmissionController::default();
         let nodes = vec![node];
         let mut exec = FluidExec::new(1, 7);
-        let rho = exec.load_ratio(&nodes, &admission, 0);
+        let rho = exec.load_ratio(&nodes, 0);
         assert!(rho > 1.0, "12 tenants on 16 SMs must overload: {rho}");
         let t = tenant(0);
-        let s = exec.service_time(
-            &nodes,
-            &admission,
-            0,
-            t.model,
-            t.stages,
-            t.fps,
-            fnv1a(&t.name),
-            0,
-        );
+        let (_, base) = exec.base_service(&nodes, 0, t.model, t.stages, t.fps);
+        let s = exec.service_time(base, 0, fnv1a(&t.name), 0);
         assert!(s > t.period(), "{s} vs {}", t.period());
     }
 
@@ -390,7 +348,7 @@ mod tests {
         assert!(n >= 8, "the budget admits a crowd: {n}");
         let nodes = vec![node];
         let mut exec = FluidExec::new(1, 7);
-        let rho = exec.load_ratio(&nodes, &admission, 0);
+        let rho = exec.load_ratio(&nodes, 0);
         assert!(
             rho > 1.0,
             "sequential execution + switch tax must exceed capacity: {rho}"
@@ -402,22 +360,21 @@ mod tests {
         let spec = NodeSpec::sgprs("g", GpuSpec::rtx_2080_ti());
         let mut node = FleetNode::new(spec.clone());
         node.push_tenant(tenant(0));
-        let admission = AdmissionController::default();
         let mut nodes = vec![node];
         let mut exec = FluidExec::new(1, 7);
-        let before = exec.load_ratio(&nodes, &admission, 0);
+        let before = exec.load_ratio(&nodes, 0);
         // A heavier node at the same version: the cache keys on the
         // version alone, so it must serve the first node's sample.
         let mut twin = FleetNode::new(spec);
         twin.push_tenant(TenantSpec::new("heavy", ModelKind::Vgg16, 15.0));
         assert_eq!(twin.version(), nodes[0].version());
         assert_eq!(
-            exec.load_ratio(&[twin], &admission, 0),
+            exec.load_ratio(&[twin], 0),
             before,
             "an unbumped version serves the cached sample"
         );
         nodes[0].push_tenant(tenant(1));
-        let after = exec.load_ratio(&nodes, &admission, 0);
+        let after = exec.load_ratio(&nodes, 0);
         assert!(
             after > before,
             "the bumped version recomputes: {after} vs {before}"

@@ -3,12 +3,16 @@
 //! [`FleetNode`] owns its resident list and everything derived from it:
 //! the [`Aggregates`] (summed demand and resident work mix) and a
 //! version counter. The list is private and changes only through the
-//! node's mutators, which refold the aggregates and bump the version, so
+//! node's mutators, which update the aggregates and bump the version, so
 //! admission probes read them in O(1) and the fleet's caches (fluid
-//! load, utilisation samples, admission verdicts) revalidate against
-//! [`FleetNode::version`].
+//! load, utilisation samples, admission verdicts, release constants)
+//! revalidate against [`FleetNode::version`]. The node also keeps the
+//! per-model tables every admission probe reads: best-case compute
+//! latency (static) and capacity with one more tenant of each model
+//! (reset by every mutation), both filled on first use.
 
-use crate::TenantSpec;
+use crate::admission::{self, CONCURRENCY};
+use crate::{ModelKind, TenantSpec};
 use serde::{Deserialize, Serialize};
 use sgprs_core::{
     CompiledTask, ContextPoolSpec, NaiveConfig, NaiveScheduler, RunMetrics, SgprsConfig,
@@ -16,6 +20,7 @@ use sgprs_core::{
 };
 use sgprs_gpu_sim::{GpuSpec, SpeedupModel, WorkProfile};
 use sgprs_rt::{SimDuration, SimTime};
+use std::cell::Cell;
 use std::sync::Arc;
 
 /// Which scheduler a node runs over its context pool.
@@ -197,25 +202,42 @@ pub struct Aggregates {
 }
 
 impl Aggregates {
+    /// The aggregates of `tenants`, folded from scratch in slot order.
+    #[must_use]
+    pub fn of(tenants: &[TenantSpec]) -> Self {
+        Aggregates::fold(tenants.iter())
+    }
+
     /// Folds `tenants` in iteration order: the one definition of the
     /// aggregate arithmetic, so two folds over the same sequence agree
     /// bit for bit.
-    fn fold<'a>(tenants: impl Iterator<Item = &'a TenantSpec> + Clone) -> Self {
-        let demand = tenants.clone().map(TenantSpec::demand_sm_equivalents).sum();
-        let mut mix = WorkProfile::new();
+    fn fold<'a>(tenants: impl Iterator<Item = &'a TenantSpec>) -> Self {
+        let mut acc = Aggregates {
+            // The empty `f64` sum, sign bit included: pushing demands
+            // one by one then adds exactly what `Iterator::sum` would.
+            demand: std::iter::empty::<f64>().sum(),
+            mix: WorkProfile::new(),
+        };
         for t in tenants {
-            mix.merge(t.model.work_profile());
+            acc.push(t);
         }
-        Aggregates { demand, mix }
+        acc
     }
 
-    /// The resident mix plus an optional candidate — the mix the
-    /// capacity estimate is taken at.
+    /// Folds one more tenant in after the others: one step of
+    /// [`Self::fold`].
+    fn push(&mut self, tenant: &TenantSpec) {
+        self.demand += tenant.demand_sm_equivalents();
+        self.mix.merge(tenant.model.work_profile());
+    }
+
+    /// The resident mix plus an optional candidate of model
+    /// `candidate` — the mix the capacity estimate is taken at.
     #[must_use]
-    pub(crate) fn mix_with(&self, candidate: Option<&TenantSpec>) -> WorkProfile {
+    pub(crate) fn mix_with(&self, candidate: Option<ModelKind>) -> WorkProfile {
         let mut mix = self.mix;
-        if let Some(c) = candidate {
-            mix.merge(c.model.work_profile());
+        if let Some(model) = candidate {
+            mix.merge(model.work_profile());
         }
         mix
     }
@@ -225,11 +247,13 @@ impl Aggregates {
 /// tenants currently placed on it.
 ///
 /// The node owns its resident list and the [`Aggregates`] every
-/// admission probe reads. Each mutator ([`Self::push_tenant`],
-/// [`Self::remove_tenant`], [`Self::replace_tenant`]) refolds them in
-/// slot order, the float operations a from-scratch fold performs, so a
-/// probe reads them in O(1) with the same bits. Each mutator also bumps [`Self::version`],
-/// the key of every cache that is a pure function of the node's state.
+/// admission probe reads. [`Self::push_tenant`] folds the new resident
+/// onto them; [`Self::remove_tenant`] and [`Self::replace_tenant`]
+/// refold them in slot order. Either way they carry the float
+/// operations a from-scratch fold performs, so a probe reads them in
+/// O(1) with the same bits. Each mutator also bumps [`Self::version`],
+/// the key of every cache that is a pure function of the node's state,
+/// and resets the capacity table.
 #[derive(Debug, Clone)]
 pub struct FleetNode {
     /// The static description.
@@ -248,6 +272,13 @@ pub struct FleetNode {
     /// `max(sm_allocs)` — the biggest context, the capacity side of
     /// every best-case-latency gate.
     max_context_sm: u32,
+    /// Per-model ([`ModelKind::index`]) best-case compute latency at
+    /// `max_context_sm`, `None` until first asked. Static: the spec
+    /// never changes.
+    best_case: [Cell<Option<SimDuration>>; ModelKind::ALL.len()],
+    /// Per-model capacity of the residents plus one tenant of that
+    /// model, NaN until first asked since the last mutation.
+    capacity_with: [Cell<f64>; ModelKind::ALL.len()],
 }
 
 impl FleetNode {
@@ -263,6 +294,10 @@ impl FleetNode {
             version: 1,
             sm_allocs,
             max_context_sm,
+            // Filled lazily: most nodes a fleet builds (e.g. the empty
+            // probes of `can_ever_fit`) never see most models.
+            best_case: [const { Cell::new(None) }; ModelKind::ALL.len()],
+            capacity_with: [const { Cell::new(f64::NAN) }; ModelKind::ALL.len()],
         }
     }
 
@@ -305,10 +340,12 @@ impl FleetNode {
         )
     }
 
-    /// Appends a resident.
+    /// Appends a resident, folding it onto the cached aggregates (the
+    /// last step a from-scratch fold would take).
     pub fn push_tenant(&mut self, tenant: TenantSpec) {
+        self.aggregates.push(&tenant);
         self.tenants.push(tenant);
-        self.refold();
+        self.touch();
     }
 
     /// Removes and returns the resident at `slot`.
@@ -334,11 +371,19 @@ impl FleetNode {
         old
     }
 
-    /// Recomputes the cached aggregates from scratch, in slot order, and
-    /// bumps the version.
+    /// Recomputes the cached aggregates from scratch, in slot order.
     fn refold(&mut self) {
-        self.aggregates = Aggregates::fold(self.tenants.iter());
+        self.aggregates = Aggregates::of(&self.tenants);
+        self.touch();
+    }
+
+    /// Bumps the version and resets the capacity table after a change
+    /// to the resident list.
+    fn touch(&mut self) {
         self.version += 1;
+        for entry in &self.capacity_with {
+            entry.set(f64::NAN);
+        }
     }
 
     /// The pool's per-context SM allocations (cached at construction;
@@ -352,6 +397,48 @@ impl FleetNode {
     #[must_use]
     pub fn max_context_sm(&self) -> u32 {
         self.max_context_sm
+    }
+
+    /// Optimistic latency of one inference of `model` in `stages` stages:
+    /// the whole network at the biggest context, plus one launch
+    /// overhead per stage. No schedule can beat this, so a tenant whose
+    /// bound exceeds its deadline is hopeless on this node. The compute
+    /// part is read from the node's per-model table.
+    #[must_use]
+    pub fn best_case_latency(&self, model: ModelKind, stages: usize) -> SimDuration {
+        let entry = &self.best_case[model.index()];
+        let compute = entry.get().unwrap_or_else(|| {
+            let compute = admission::best_case_compute(self.max_context_sm, model);
+            entry.set(Some(compute));
+            compute
+        });
+        admission::with_launches(compute, self.spec.gpu.launch_overhead_ns, stages)
+    }
+
+    /// Capacity in SM-equivalents of the residents plus one tenant of
+    /// `model` — the capacity side of every admission probe of that
+    /// model against this node's own residents. Read from the node's
+    /// per-model table, filled on the first ask after a mutation.
+    #[must_use]
+    pub fn capacity_with(&self, model: ModelKind) -> f64 {
+        let entry = &self.capacity_with[model.index()];
+        if !entry.get().is_nan() {
+            return entry.get();
+        }
+        let capacity = self.capacity_of(&self.aggregates.mix_with(Some(model)));
+        entry.set(capacity);
+        capacity
+    }
+
+    /// Capacity in SM-equivalents for work mix `mix` at [`CONCURRENCY`]
+    /// stages per context, or the physical SM count when `mix` carries
+    /// no work (an empty node admits against its physical size).
+    #[must_use]
+    pub(crate) fn capacity_of(&self, mix: &WorkProfile) -> f64 {
+        if mix.is_empty() {
+            return f64::from(self.spec.gpu.total_sms);
+        }
+        self.capacity_sm_equivalents(mix, CONCURRENCY)
     }
 
     /// [`NodeSpec::capacity_sm_equivalents`] over the cached
@@ -383,7 +470,7 @@ impl FleetNode {
     /// aggregates).
     #[must_use]
     pub fn mixed_profile(&self, candidate: Option<&TenantSpec>) -> WorkProfile {
-        self.aggregates.mix_with(candidate)
+        self.aggregates.mix_with(candidate.map(|c| c.model))
     }
 }
 

@@ -206,14 +206,28 @@ impl DispatchPlanner {
         if let Some(idx) = self.plan(state, tenant) {
             return Some(PricedPlan::Full(idx));
         }
-        if repricing {
-            for fps in tenant.degrade_steps() {
-                if let Some(idx) = self.plan(state, &tenant.at_fps(fps)) {
-                    return Some(PricedPlan::Degraded(idx, fps));
-                }
-            }
+        if !repricing {
+            return None;
         }
-        None
+        first_degraded(tenant, |probe| self.plan(state, probe))
+            .map(|(idx, fps)| PricedPlan::Degraded(idx, fps))
+    }
+}
+
+/// Walks `tenant`'s degrade ladder best step first, returning the first
+/// step `at_step` answers for, with its rate. One re-priced probe serves
+/// the whole walk: only its rate changes from rung to rung.
+fn first_degraded<R>(
+    tenant: &TenantSpec,
+    mut at_step: impl FnMut(&TenantSpec) -> Option<R>,
+) -> Option<(R, f64)> {
+    let mut steps = tenant.degrade_steps();
+    let mut probe = tenant.at_fps(steps.next()?);
+    loop {
+        if let Some(found) = at_step(&probe) {
+            return Some((found, probe.fps));
+        }
+        probe.fps = steps.next()?;
     }
 }
 
@@ -228,12 +242,12 @@ pub fn queue_feasible(state: &FleetState<'_>, tenant: &TenantSpec, repricing: bo
         state
             .nodes
             .iter()
-            .any(|node| state.admission.best_case_latency(node, t) <= t.period())
+            .any(|node| node.best_case_latency(t.model, t.stages) <= t.period())
     };
     if fits(tenant) {
         return true;
     }
-    repricing && tenant.degrade_steps().any(|fps| fits(&tenant.at_fps(fps)))
+    repricing && first_degraded(tenant, |probe| fits(probe).then_some(())).is_some()
 }
 
 /// Whether any node could admit `tenant` *with every resident gone* —

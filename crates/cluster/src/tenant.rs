@@ -66,11 +66,14 @@ impl ModelKind {
                 .map(|m| m.network().work_profile(&cost))
                 .collect()
         });
-        let idx = ModelKind::ALL
-            .iter()
-            .position(|&m| m == self)
-            .expect("ALL covers every variant");
-        &profiles[idx]
+        &profiles[self.index()]
+    }
+
+    /// This kind's position in [`ModelKind::ALL`]: the index of every
+    /// per-model table.
+    #[must_use]
+    pub(crate) const fn index(self) -> usize {
+        self as usize
     }
 
     /// Stable short name for reports and task labels.
@@ -290,6 +293,13 @@ mod tests {
         // Smaller contexts ⇒ pessimistic (longer) profiled WCETs.
         assert!(small.spec.wcet > large.spec.wcet);
         assert_eq!(small.spec.period, tenant.period());
+    }
+
+    #[test]
+    fn model_indices_follow_the_all_order() {
+        for (i, model) in ModelKind::ALL.into_iter().enumerate() {
+            assert_eq!(model.index(), i, "{model}");
+        }
     }
 
     #[test]

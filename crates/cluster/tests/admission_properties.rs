@@ -2,14 +2,15 @@
 //! shape and offered load, an admitted set stays within the utilisation
 //! bound, and rejected tenants get in once departures free capacity. The
 //! node-owned aggregates every admission probe reads match a from-scratch
-//! fold after any sequence of resident-list edits, and judging a tenant
-//! against the aggregates without one resident is bit-identical to
-//! judging it after removing that resident.
+//! fold after any sequence of resident-list edits, and so do its
+//! per-model price tables; judging a tenant against the aggregates
+//! without one resident is bit-identical to judging it after removing
+//! that resident.
 
 use proptest::prelude::*;
 use sgprs_cluster::{
-    AdmissionController, AdmissionDecision, FleetNode, ModelKind, NodeSpec, PlacementPolicy,
-    Placer, RejectReason, TenantSpec,
+    AdmissionController, AdmissionDecision, Aggregates, FleetNode, ModelKind, NodeSpec,
+    PlacementPolicy, Placer, RejectReason, TenantSpec,
 };
 use sgprs_gpu_sim::{GpuSpec, WorkProfile};
 
@@ -178,6 +179,61 @@ proptest! {
             for (got, want) in cached.segments().iter().zip(mix.segments()) {
                 prop_assert_eq!(got.op, want.op);
                 prop_assert_eq!(got.single_sm_ns.to_bits(), want.single_sm_ns.to_bits());
+            }
+        }
+    }
+
+    /// The node's per-model tables equal a from-scratch compute bit for
+    /// bit after every push, remove and replace — each edit lands after
+    /// a probe filled the tables — and judging a tenant against the
+    /// node's own residents equals judging it against a fresh fold of
+    /// them, for every model at every rung of its ladder.
+    #[test]
+    fn price_tables_match_a_from_scratch_compute(
+        edits in prop::collection::vec((0u8..3, 0usize..64, (0u8..5, 5.0f64..60.0)), 1..32),
+        sms in 12u32..69,
+        stages in 1usize..9,
+    ) {
+        let ctl = AdmissionController::default();
+        let mut node = FleetNode::new(NodeSpec::sgprs("gpu", GpuSpec::synthetic(sms)));
+        let launch_ns = node.spec.gpu.launch_overhead_ns;
+        for (i, &(kind, seed, (tag, fps))) in edits.iter().enumerate() {
+            for model in ModelKind::ALL {
+                let _ = ctl.evaluate(&node, &TenantSpec::new("fill", model, 30.0));
+            }
+            let tenant = TenantSpec::new(format!("t-{i}"), model_of(tag), fps);
+            let len = node.tenants().len();
+            match kind {
+                1 if len > 0 => {
+                    node.remove_tenant(seed % len);
+                }
+                2 if len > 0 => {
+                    node.replace_tenant(seed % len, tenant);
+                }
+                _ => node.push_tenant(tenant),
+            }
+            let fresh = Aggregates::of(node.tenants());
+            for model in ModelKind::ALL {
+                let mut mix = fresh.mix;
+                mix.merge(model.work_profile());
+                // 4.0: the calibrated stages resident per context.
+                let capacity = node.capacity_sm_equivalents(&mix, 4.0);
+                prop_assert_eq!(node.capacity_with(model).to_bits(), capacity.to_bits());
+                let ladder = TenantSpec::new("candidate", model, 60.0)
+                    .with_stages(stages)
+                    .with_fps_ladder([30.0, 24.0, 15.0, 7.5]);
+                prop_assert_eq!(
+                    node.best_case_latency(model, stages),
+                    ctl.best_case_latency_at(node.max_context_sm(), launch_ns, &ladder)
+                );
+                for fps in std::iter::once(ladder.fps).chain(ladder.degrade_steps()) {
+                    let candidate = ladder.at_fps(fps);
+                    prop_assert_eq!(
+                        decision_bits(&ctl.evaluate(&node, &candidate)),
+                        decision_bits(&ctl.evaluate_against(&node, &fresh, &candidate)),
+                        "{} at {} fps after edit {}", model, fps, i
+                    );
+                }
             }
         }
     }
