@@ -40,8 +40,8 @@ struct Counters {
     /// plus the process-wide cache fills.
     allocs: u64,
     /// Call counts in [`Span::ALL`] order: plan, drain_scan, event_pop,
-    /// event_exec, epoch_compile, telemetry_fold, arrival_pull,
-    /// wheel_cascade.
+    /// event_exec, epoch_compile, telemetry_fold, arrival_pull and the
+    /// retired wheel_cascade (always 0).
     spans: [u64; SPAN_COUNT],
 }
 

@@ -1,16 +1,16 @@
 //! Pinned counters of the event engine: the metro-scale scenario's
 //! arrivals, events, heap allocations and per-span call counts are pure
 //! functions of the configuration, so a change that moves any of them —
-//! more work per event, a new allocation on the hot path, an extra wheel
-//! cascade — must fail here and re-pin on purpose.
+//! more work per event, a new allocation on the hot path — must fail
+//! here and re-pin on purpose.
 //!
 //! Three rows: 256 nodes with telemetry and the span profiler armed, so
-//! every span fires; 10,000 nodes with no instrumentation; and the
+//! every live span fires; 10,000 nodes with no instrumentation; and the
 //! overloaded 8-node fleet of perfbench's `fleet-event-overload`
 //! workload (8× the base arrival rate, migration and re-pricing on),
 //! whose admission probes, queue drains, upgrades and migration attempts
-//! dominate its cost. The first two carry the event engine's real
-//! timing-wheel cascades.
+//! dominate its cost. The event queue is a binary heap, so the retired
+//! `wheel_cascade` span reads 0 on every row.
 //!
 //! Each row also pins the events it handled by kind ([`EventCounts`]):
 //! release, migrate, queue-expiry and sample pops plus the churn pulled
@@ -60,8 +60,8 @@ struct Counters {
     /// plus the process-wide cache fills.
     allocs: u64,
     /// Call counts in [`Span::ALL`] order: plan, drain_scan, event_pop,
-    /// event_exec, epoch_compile, telemetry_fold, arrival_pull,
-    /// wheel_cascade.
+    /// event_exec, epoch_compile, telemetry_fold, arrival_pull and the
+    /// retired wheel_cascade (always 0).
     spans: [u64; SPAN_COUNT],
     /// Events handled, by kind.
     kinds: EventCounts,
@@ -155,8 +155,8 @@ fn metro_event_engine_counters_are_pinned() {
         Counters {
             arrivals: 570,
             events: 35_028,
-            allocs: 6_988,
-            spans: [570, 40, 34_418, 34_418, 0, 1, 610, 91],
+            allocs: 6_384,
+            spans: [570, 40, 34_418, 34_418, 0, 1, 610, 0],
             kinds: EventCounts {
                 release: 34_414,
                 migrate: 0,
@@ -173,8 +173,8 @@ fn metro_event_engine_counters_are_pinned() {
         Counters {
             arrivals: 6_539,
             events: 396_939,
-            allocs: 72_578,
-            spans: [6_539, 257, 390_143, 390_143, 0, 0, 6_796, 91],
+            allocs: 71_974,
+            spans: [6_539, 257, 390_143, 390_143, 0, 0, 6_796, 0],
             kinds: EventCounts {
                 release: 390_139,
                 migrate: 0,
@@ -199,8 +199,8 @@ fn metro_event_engine_counters_are_pinned() {
         Counters {
             arrivals: 266,
             events: 25_615,
-            allocs: 5_697,
-            spans: [394, 85, 25_277, 25_277, 0, 0, 338, 250],
+            allocs: 4_942,
+            spans: [394, 85, 25_277, 25_277, 0, 0, 338, 0],
             kinds: EventCounts {
                 release: 23_575,
                 migrate: 1_593,

@@ -100,10 +100,11 @@
 
 use crate::interner::TenantId;
 use sgprs_rt::SimTime;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 mod engine;
 mod exec;
-mod wheel;
 
 pub(crate) use engine::run_events;
 
@@ -112,8 +113,10 @@ pub(crate) use engine::run_events;
 /// every node-local event at the same instant.
 pub const NODE_FLEET: usize = usize::MAX;
 
-/// What a scheduled event does when it pops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What a scheduled event does when it pops. Its derived order only
+/// completes [`SimEvent`]'s: `seq` is unique, so two events never
+/// compare by kind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum EventKind {
     /// The tenant releases a periodic frame on the event's node.
     /// `gen` guards against stale schedules: a migration bumps the
@@ -167,8 +170,10 @@ impl EventCounts {
 }
 
 /// One scheduled event. Ordering (and therefore processing order) is by
-/// `(time, node, seq)` — see the module-level contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// `(time, node, seq)` — see the module-level contract. The derived
+/// order compares fields in declaration order, so that order is the
+/// contract.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SimEvent {
     /// When the event fires.
     pub time: SimTime,
@@ -186,17 +191,13 @@ impl SimEvent {
     }
 }
 
-/// The monotonic event queue: a hierarchical timing wheel
-/// ([`wheel::TimingWheel`]) over [`sgprs_rt::SimTime`] with
-/// deterministic `(time, node, seq)` tie-breaking — the same total
-/// order the original binary heap implemented, at O(1) amortised
-/// push/pop for the near-sorted periodic-release workload. See the
-/// [`wheel`] module docs for the slot layout, the ordering argument,
-/// and the slot-capacity recycling that keeps the steady-state hot
-/// path allocation-free.
+/// The monotonic event queue: a min-heap over [`SimEvent`]'s derived
+/// order. Every push gets a fresh `seq`, so no two pending events are
+/// equal and the heap's unspecified order among equal elements never
+/// decides a pop.
 #[derive(Debug, Default)]
 pub struct EventQueue {
-    wheel: wheel::TimingWheel,
+    heap: BinaryHeap<Reverse<SimEvent>>,
     next_seq: u64,
     ops: u64,
 }
@@ -214,49 +215,27 @@ impl EventQueue {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.ops += 1;
-        self.wheel.push(SimEvent {
+        self.heap.push(Reverse(SimEvent {
             time,
             node,
             seq,
             kind,
-        });
+        }));
     }
 
     /// Removes and returns the earliest event under the
     /// `(time, node, seq)` order.
     pub fn pop(&mut self) -> Option<SimEvent> {
-        let popped = self.wheel.pop();
-        if popped.is_some() {
-            self.ops += 1;
-        }
-        popped
-    }
-
-    /// Whether [`Self::prepare`] has wheel-turning to do (pending events,
-    /// empty active slot). O(1); the engine's merge loop checks it so the
-    /// common already-prepared iteration skips both the prepare call and
-    /// its profiling clock read.
-    pub(crate) fn needs_prepare(&self) -> bool {
-        self.wheel.needs_prepare()
-    }
-
-    /// Advances the wheel so the earliest pending event is ready to
-    /// peek/pop. Returns `true` when cascade work ran (an L1 slot
-    /// scattered into L0 or an overflow rescan) — the engine bills that
-    /// to the `wheel_cascade` profiler span. Idempotent; [`Self::pop`]
-    /// self-prepares, so calling this is only needed before
-    /// [`Self::peek_key`] or for span attribution.
-    pub(crate) fn prepare(&mut self) -> bool {
-        self.wheel.prepare()
+        let Reverse(ev) = self.heap.pop()?;
+        self.ops += 1;
+        Some(ev)
     }
 
     /// The `(time, node, seq)` key of the earliest pending event, without
     /// popping it — what the engine's lazy churn merge compares stream
-    /// events against. Requires a prepared wheel
-    /// ([`Self::needs_prepare`] `== false`); the engine's merge loop
-    /// always runs the `needs_prepare` → `prepare` sequence first.
+    /// events against.
     pub(crate) fn peek_key(&self) -> Option<(SimTime, usize, u64)> {
-        self.wheel.peek_key()
+        self.heap.peek().map(|Reverse(ev)| ev.key())
     }
 
     /// The serial the next push will receive. Captured by the engine as
@@ -279,8 +258,7 @@ impl EventQueue {
 
     /// Total pushes + successful pops so far — the queue-traffic figure
     /// telemetry surfaces as `event_queue_ops`. A pure function of the
-    /// simulated schedule, so it is deterministic (and byte-identical to
-    /// the binary-heap implementation it replaced).
+    /// simulated schedule, so it is deterministic.
     #[must_use]
     pub fn ops(&self) -> u64 {
         self.ops
@@ -289,13 +267,13 @@ impl EventQueue {
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.wheel.len()
+        self.heap.len()
     }
 
     /// `true` when no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.wheel.len() == 0
+        self.heap.is_empty()
     }
 }
 
@@ -353,5 +331,39 @@ mod tests {
         assert!(matches!(first.kind, EventKind::JobRelease { .. }));
         let second = q.pop().expect("one event left");
         assert!(matches!(second.kind, EventKind::Migrate));
+    }
+
+    #[test]
+    fn peek_key_names_the_next_pop_across_interleaved_pushes() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.peek_key(), None);
+        // Rounds of pushes (ahead of, at, and before the last popped
+        // instant, on node-local and fleet-scope nodes) interleaved with
+        // pops, then a full drain: every pop returns the peeked key.
+        let mut last_pop = 0u64;
+        for round in 0..40u64 {
+            let pushes = [
+                last_pop + 7 * round % 13,
+                last_pop,
+                last_pop.saturating_sub(round % 5),
+            ];
+            for (i, &ms) in pushes.iter().enumerate() {
+                let node = [0, 1, 2, NODE_FLEET][(round as usize + i) % 4];
+                q.push(at(ms), node, EventKind::Sample);
+            }
+            for _ in 0..round % 4 {
+                let peeked = q.peek_key();
+                let popped = q.pop().map(|e| e.key());
+                assert_eq!(peeked, popped, "round {round}");
+                if let Some((t, _, _)) = popped {
+                    last_pop = (t - SimTime::ZERO).as_millis();
+                }
+            }
+        }
+        while !q.is_empty() {
+            let peeked = q.peek_key();
+            assert_eq!(peeked, q.pop().map(|e| e.key()));
+        }
+        assert_eq!(q.peek_key(), None);
     }
 }

@@ -231,18 +231,6 @@ impl<'a> Engine<'a> {
         // on the materialised path; the stream is time-ordered, so
         // once its head crosses the horizon the whole tail has.
         let stream_t = self.arrivals.peek_time().filter(|&t| t < self.end);
-        // Turn the wheel before peeking, so cascade work is billed
-        // to its own span instead of inflating `event_pop`. The
-        // `needs_prepare` pre-check keeps the common already-prepared
-        // iteration free of the clock read and the prepare call.
-        if self.events.needs_prepare() {
-            let cascade_clock = self.fleet.telemetry.span_clock();
-            if self.events.prepare() {
-                self.fleet
-                    .telemetry
-                    .span_end(Span::WheelCascade, cascade_clock);
-            }
-        }
         let heap_wins = match (self.events.peek_key(), stream_t) {
             (Some((ht, hn, hs)), Some(st)) => {
                 // At an equal instant, node-local events precede

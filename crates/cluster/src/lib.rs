@@ -53,12 +53,10 @@
 //!   truncates no in-flight job and applies departures at exact
 //!   instants, and DMR-triggered migration fires at job-release
 //!   boundaries, paying a fixed 100 ms state-transfer stall that
-//!   re-pricing partition switches never pay. The queue is a two-level
-//!   hierarchical timing wheel (`event::wheel`) — O(1) amortised
-//!   push/pop for the near-sorted periodic-release workload, slot
-//!   capacity recycled so the steady-state hot path allocates nothing,
-//!   pop order byte-identical to the binary heap it replaced (pinned
-//!   by a heap-oracle equivalence proptest); the execution model keeps
+//!   re-pricing partition switches never pay. The queue is a
+//!   `std::collections::BinaryHeap` over events whose derived order is
+//!   the unique `(time, node, seq)` key (pinned by a tuple-heap
+//!   equivalence proptest); the execution model keeps
 //!   per-node fluid-capacity and best-case caches valid across events
 //!   via per-node version counters bumped only on resident/price
 //!   mutations.

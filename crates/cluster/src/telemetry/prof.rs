@@ -3,10 +3,10 @@
 //! Where the rest of [`crate::telemetry`] measures the simulated fleet,
 //! this module measures the simulator's own hot paths: a fixed set of
 //! [`Span`]s (placement planning, queue drains, event-queue pops, event
-//! execution, epoch scheduler attaches, the telemetry fold, stream pulls,
-//! and timing-wheel cascades). Every run counts each span's calls in
-//! one always-on [`SpanCalls`] block; an armed run also accumulates a
-//! log2-bucket wall-clock latency histogram per span.
+//! execution, epoch scheduler attaches, the telemetry fold and stream
+//! pulls, plus one retired span that no longer fires). Every run counts
+//! each span's calls in one always-on [`SpanCalls`] block; an armed run
+//! also accumulates a log2-bucket wall-clock latency histogram per span.
 //!
 //! Two properties keep it inside the determinism contract
 //! (DETERMINISM.md, "wall-clock surfaces"):
@@ -57,11 +57,10 @@ pub enum Span {
     /// One arrival/departure consumed from the (possibly
     /// generator-backed, interner-fed) arrival stream.
     ArrivalPull = 6,
-    /// One timing-wheel cascade in the event queue: an L1 slot
-    /// scattered into L0, an overflow rescan, or a far-future
-    /// fast-forward (event engine). The amortised cost the wheel trades
-    /// the heap's per-op log n for — watching it stay rare *is* the
-    /// O(1)-amortised claim.
+    /// Retired: it timed the cascades of the timing wheel the event
+    /// queue used to be. The queue is a binary heap now, so this span
+    /// never fires and always reports zero calls. It stays only because
+    /// the benchmark harness reads it by name.
     WheelCascade = 7,
 }
 

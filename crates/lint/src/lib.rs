@@ -169,7 +169,6 @@ impl Config {
                 "crates/cluster/src/event.rs",
                 "crates/cluster/src/event/engine.rs",
                 "crates/cluster/src/event/exec.rs",
-                "crates/cluster/src/event/wheel.rs",
                 "crates/cluster/src/stream.rs",
                 "crates/cluster/src/interner.rs",
                 "crates/cluster/src/node.rs",

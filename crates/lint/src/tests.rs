@@ -57,13 +57,13 @@ fn d001_fires_on_hash_iteration_and_respects_keyed_access() {
 }
 
 #[test]
-fn d001_guards_the_timing_wheel_module() {
-    // The wheel is the event queue's ordering core: HashMap iteration
-    // there would randomise pop order run-to-run. Pin that the
-    // deterministic-module prefix covers it and H001 binds too.
-    assert_fires("d001", "crates/cluster/src/event/wheel.rs", "D001", 3);
-    assert_silent("d001", "crates/cluster/src/event/wheel.rs");
-    assert_fires("h001", "crates/cluster/src/event/wheel.rs", "H001", 2);
+fn d001_guards_the_event_queue_module() {
+    // The event queue owns pop order: HashMap iteration there would
+    // randomise it run-to-run. Pin that the deterministic-module prefix
+    // covers it and H001 binds too.
+    assert_fires("d001", "crates/cluster/src/event.rs", "D001", 3);
+    assert_silent("d001", "crates/cluster/src/event.rs");
+    assert_fires("h001", "crates/cluster/src/event.rs", "H001", 2);
 }
 
 #[test]

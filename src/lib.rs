@@ -42,11 +42,9 @@
 //!   discrete-event core (`Fleet::run_events`) — exact
 //!   release/departure boundaries, zero epoch truncation, and mid-epoch
 //!   migration paying an explicit state-transfer stall while re-pricing
-//!   switches stay free, all driven by a hierarchical timing-wheel
-//!   event queue whose pop order is byte-identical to the binary heap
-//!   it replaced (O(1) amortised push/pop, allocation-free steady
-//!   state, ~0.4 allocs/event at metro scale with versioned per-node
-//!   capacity caches). The opt-in `cluster::telemetry` layer observes
+//!   switches stay free, all driven by one binary-heap event queue
+//!   ordered by `(time, node, seq)`, with versioned per-node capacity
+//!   caches. The opt-in `cluster::telemetry` layer observes
 //!   both engines without steering either: windowed time-series,
 //!   mergeable deterministic quantile sketches (p50/p90/p99 queue wait
 //!   and job latency in O(1) memory per node), an opt-in decision-trace
