@@ -60,9 +60,9 @@ fn bench_release(c: &mut Criterion) {
         &pool,
     )
     .expect("six stages");
-    let template = ReleaseTemplate::new(TaskId(0), &task.spec);
+    let template = ReleaseTemplate::new(&task.spec);
     c.bench_function("hot/job_release_with_deadlines", |b| {
-        b.iter(|| black_box(template.release(0, SimTime::from_nanos(12345), Vec::new())))
+        b.iter(|| black_box(template.release(TaskId(0), 0, SimTime::from_nanos(12345), Vec::new())))
     });
     c.bench_function("hot/offline_compile_resnet18_6_stages", |b| {
         b.iter(|| {

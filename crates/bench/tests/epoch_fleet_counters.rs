@@ -11,18 +11,19 @@
 //! has no libtest harness: its one test runs on the process's only
 //! thread (see `single/mod.rs`), and the one worker runs inline on it,
 //! so nothing else allocates during the counted run. The first fleet run
-//! in a process also fills two process-wide caches: the model work profiles
-//! ([`ModelKind::work_profile`]) and the calibrated speedup model
-//! ([`SpeedupModel::rtx_2080_ti`]). The test fills both up front and adds
-//! their allocations to the pin, so it reads what a run costs in a fresh
-//! process.
+//! in a process also fills three process-wide caches: the model work
+//! profiles ([`ModelKind::work_profile`]), the calibrated speedup model
+//! ([`SpeedupModel::rtx_2080_ti`]) and the six-stage partitions of the
+//! metro mix's models ([`ModelKind::partition`]). The test fills them up
+//! front and adds their allocations to the pin, so it reads what a run
+//! costs in a fresh process.
 
 mod single;
 
 use sgprs_bench::report::{AllocStats, CountingAlloc};
 use sgprs_cluster::{Fleet, ModelKind, Span, SPAN_COUNT};
 use sgprs_gpu_sim::SpeedupModel;
-use sgprs_workload::FleetScenario;
+use sgprs_workload::{FleetScenario, PAPER_STAGES};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -63,6 +64,13 @@ fn epoch_fleet_counters_are_pinned() {
     let (_, cache_fill) = counted(|| {
         let _ = ModelKind::ResNet18.work_profile();
         let _ = SpeedupModel::rtx_2080_ti();
+        for model in [
+            ModelKind::ResNet18,
+            ModelKind::MobileNet,
+            ModelKind::ResNet34,
+        ] {
+            let _ = model.partition(PAPER_STAGES);
+        }
     });
     let scenario = FleetScenario::metro_scale(16, 2).with_seed(REFERENCE_SEED);
     let mut fleet = Fleet::new(scenario.config().with_workers(1));
@@ -79,7 +87,7 @@ fn epoch_fleet_counters_are_pinned() {
         Counters {
             arrivals: 14,
             released: 476,
-            allocs: 4_288,
+            allocs: 2_879,
             spans: [14, 1, 0, 0, 14, 0, 14, 0],
         },
         "fleet-epoch tiny shape, reference seed, one worker"

@@ -1,6 +1,10 @@
 //! Allocation budget of the paper layer: once a scheduler is warm, its
 //! steady-state release → dispatch → complete loop does no heap work, and
 //! the allocation count of a run is a pure function of its inputs.
+//! Attaching is set-up-free too: the offline phase built the task's
+//! release template, so re-attaching a shared compiled task into a
+//! recycled slot allocates nothing, and a fleet tenant's repeat compile
+//! reuses its model's cached partition instead of building the network.
 //!
 //! [`CountingAlloc`] is this test process's global allocator. The target
 //! has no libtest harness: its one test runs on the process's only
@@ -10,9 +14,13 @@
 mod single;
 
 use sgprs_bench::report::{AllocStats, CountingAlloc};
-use sgprs_core::{NaiveConfig, NaiveScheduler, RunMetrics, SgprsConfig, SgprsScheduler};
+use sgprs_cluster::{ModelKind, TenantSpec};
+use sgprs_core::{
+    ContextPoolSpec, NaiveConfig, NaiveScheduler, RunMetrics, SgprsConfig, SgprsScheduler,
+};
 use sgprs_rt::{SimDuration, SimTime};
-use sgprs_workload::{ScenarioSpec, SchedulerKind};
+use sgprs_workload::{ScenarioSpec, SchedulerKind, PAPER_STAGES};
+use std::sync::Arc;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -55,11 +63,63 @@ fn second_window(contexts: usize, scheduler: SchedulerKind) -> (RunMetrics, u64)
     }
 }
 
+/// Heap allocations of a repeat [`TenantSpec::compile_for`] of a
+/// six-stage ResNet-18 at 30 fps: the stage timing and the compiled
+/// task's own buffers, and no network.
+const REPEAT_COMPILE_ALLOCS: u64 = 30;
+
 fn main() {
     single::run(
         "warm_paper_layer_schedulers_allocate_less_than_once_per_job",
         warm_paper_layer_schedulers_allocate_less_than_once_per_job,
     );
+}
+
+/// Detaches slot 0 of a warm, overloaded SGPRS scheduler, lets it go
+/// idle, and re-attaches the same compiled task, shared, into the
+/// recycled slot: the attach allocates nothing.
+fn reattaching_a_shared_task_allocates_nothing() {
+    let spec = ScenarioSpec::new(
+        3,
+        SchedulerKind::Sgprs {
+            oversubscription: 1.5,
+        },
+        2,
+    );
+    let tasks = spec.compile_tasks(TASKS);
+    let shared = Arc::new(tasks[0].clone());
+    let cfg = SgprsConfig::new(spec.pool()).with_seed(spec.seed);
+    let mut s = SgprsScheduler::new(cfg, tasks);
+    let _ = s.run(at(1_000));
+    s.detach(0, at(1_000));
+    let idle = s.run(at(1_200));
+    assert_eq!(idle.per_task[0].released, 0, "slot 0 stopped releasing");
+    let task = Arc::clone(&shared);
+    let (slot, allocs) = counted(|| s.attach(task, at(1_200)));
+    assert_eq!(slot, 0, "the idle slot is recycled");
+    assert_eq!(allocs, 0, "re-attaching a shared compiled task");
+    let m = s.run(at(2_000));
+    assert!(
+        m.per_task[0].released > 0,
+        "the re-attached task runs: {m:?}"
+    );
+}
+
+/// A repeat compile of an already-partitioned `(model, stages)` pair
+/// allocates exactly [`REPEAT_COMPILE_ALLOCS`], far fewer than building
+/// the model's network, and compiles the same task as the first.
+fn repeat_compiles_build_no_network() {
+    let tenant = TenantSpec::new("cam", ModelKind::ResNet18, 30.0).with_stages(PAPER_STAGES);
+    let pool = ContextPoolSpec::new(3, 1.5);
+    let first = tenant.compile_for(&pool);
+    let (again, allocs) = counted(|| tenant.compile_for(&pool));
+    assert_eq!(again, first, "a repeat compile is the same task");
+    let (_, network) = counted(|| ModelKind::ResNet18.network());
+    assert!(
+        allocs < network,
+        "{allocs} allocations against the network's {network}"
+    );
+    assert_eq!(allocs, REPEAT_COMPILE_ALLOCS, "a repeat compile");
 }
 
 fn warm_paper_layer_schedulers_allocate_less_than_once_per_job() {
@@ -99,4 +159,6 @@ fn warm_paper_layer_schedulers_allocate_less_than_once_per_job() {
             "{scheduler}: identical runs allocate exactly the same"
         );
     }
+    reattaching_a_shared_task_allocates_nothing();
+    repeat_compiles_build_no_network();
 }

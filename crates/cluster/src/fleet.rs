@@ -173,7 +173,9 @@ pub struct Fleet {
     /// Compiled-task cache keyed by (model, stages, period ns, pool
     /// class). Compiling reads only the node's context pool, so every
     /// node of one pool class shares one entry per price point, and
-    /// every scheduler it is attached to shares the entry itself.
+    /// every scheduler it is attached to shares the entry itself. A miss
+    /// profiles the model's process-wide partition
+    /// ([`crate::ModelKind::partition`]) and builds no network.
     compiled: HashMap<(crate::ModelKind, usize, u64, usize), Arc<CompiledTask>>,
     /// Pool class of each node: the index of the first node whose
     /// context pool equals its own (see [`pool_classes`]).
@@ -1036,11 +1038,10 @@ impl Fleet {
         let key = self.compile_key(&self.nodes[node_idx].tenants()[pos], node_idx);
         if !self.compiled.contains_key(&key) {
             let pool = self.nodes[node_idx].spec.pool();
-            let mut task = self.nodes[node_idx].tenants()[pos].compile_for(&pool);
             // Shared by every tenant at this price point, so it carries
             // none of their names: the node windows' per-task names stay
             // empty, and the fleet folds only their counts.
-            task.spec.name = String::new();
+            let task = self.nodes[node_idx].tenants()[pos].compile_as("", &pool);
             self.compiled.insert(key, Arc::new(task));
         }
     }
@@ -1326,7 +1327,8 @@ fn run_node_epochs<F>(
 where
     F: Fn(&mut NodeExec) -> RunMetrics + Sync,
 {
-    let workers = workers.min(execs.iter().flatten().count());
+    let occupied = execs.iter().flatten().count();
+    let workers = workers.min(occupied);
     let mut nodes = execs
         .iter_mut()
         .enumerate()
@@ -1335,8 +1337,11 @@ where
         nodes.map(|(idx, exec)| (idx, step(exec))).collect()
     } else {
         let queue = Mutex::new(&mut nodes);
+        // Each worker's list has room for every node up front, so the
+        // fan-out's allocations do not depend on how thread timing
+        // splits the nodes (the allocation counts repeat exactly).
         let pull = || {
-            let mut done = Vec::new();
+            let mut done = Vec::with_capacity(occupied);
             loop {
                 let next = queue
                     .lock()

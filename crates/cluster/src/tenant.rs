@@ -9,8 +9,10 @@
 
 use serde::{Deserialize, Serialize};
 use sgprs_core::{offline, CompiledTask, ContextPoolSpec};
-use sgprs_dnn::{models, CostModel, Network};
+use sgprs_dnn::{models, partition, CostModel, Network, Stage};
 use sgprs_rt::SimDuration;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The reference architectures a tenant can serve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -67,6 +69,34 @@ impl ModelKind {
                 .collect()
         });
         &profiles[self.index()]
+    }
+
+    /// The network split into `stages` stages (the offline phase's
+    /// partition) under the calibrated cost model, computed once per
+    /// process for each `(model, stages)` pair.
+    ///
+    /// The split reads neither the frame rate nor the context pool, so
+    /// every compile of a tenant at this model and stage count shares
+    /// it; a compile builds no network and only profiles the stages
+    /// against its pool.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the network cannot be split into `stages` stages
+    /// (every reference network splits into at least nine).
+    #[must_use]
+    pub fn partition(self, stages: usize) -> Arc<[Stage]> {
+        // Keyed by (model index, stage count); a BTreeMap, so nothing
+        // about the cache depends on hash order.
+        type Partitions = BTreeMap<(usize, usize), Arc<[Stage]>>;
+        static PARTITIONS: Mutex<Partitions> = Mutex::new(BTreeMap::new());
+        let mut partitions = PARTITIONS.lock().unwrap_or_else(PoisonError::into_inner);
+        let split = partitions.entry((self.index(), stages)).or_insert_with(|| {
+            partition::by_count(&self.network(), &CostModel::calibrated(), stages)
+                .expect("reference networks split into small stage counts")
+                .into()
+        });
+        Arc::clone(split)
     }
 
     /// This kind's position in [`ModelKind::ALL`]: the index of every
@@ -247,7 +277,10 @@ impl TenantSpec {
     }
 
     /// Compiles the tenant for a concrete context pool (the offline
-    /// phase, run against the node the dispatcher chose).
+    /// phase, run against the node the dispatcher chose). The model's
+    /// partition and whole-network profile come from the process-wide
+    /// caches ([`ModelKind::partition`], [`ModelKind::work_profile`]), so
+    /// only the pool-dependent stage timing is computed here.
     ///
     /// # Panics
     ///
@@ -255,21 +288,26 @@ impl TenantSpec {
     /// (every reference network splits into at least nine).
     #[must_use]
     pub fn compile_for(&self, pool: &ContextPoolSpec) -> CompiledTask {
-        offline::compile_network_task(
-            &self.name,
-            &self.model.network(),
-            &CostModel::calibrated(),
-            self.stages,
+        self.compile_as(&self.name, pool)
+    }
+
+    /// [`Self::compile_for`], with the compiled task named `name` (the
+    /// fleet's compile cache shares one task across tenants, unnamed).
+    pub(crate) fn compile_as(&self, name: &str, pool: &ContextPoolSpec) -> CompiledTask {
+        offline::compile_stages(
+            name,
+            &self.model.partition(self.stages),
+            *self.model.work_profile(),
             self.period(),
             pool,
         )
-        .expect("reference networks split into small stage counts")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sgprs_rt::ReleaseTemplate;
 
     #[test]
     fn demand_scales_with_rate_and_model_weight() {
@@ -316,6 +354,34 @@ mod tests {
             let c = t.compile_for(&pool);
             assert!(c.is_consistent(), "{model}");
             assert_eq!(c.stage_count(), 4);
+        }
+    }
+
+    #[test]
+    fn compiled_templates_match_a_fresh_build() {
+        // The offline phase's template is the one a release would have
+        // rebuilt from the spec, and the cached partition compiles the
+        // same task, bit for bit, as partitioning a freshly built network.
+        let cost = CostModel::calibrated();
+        for pool in [ContextPoolSpec::new(2, 1.0), ContextPoolSpec::new(3, 2.0)] {
+            for model in ModelKind::ALL {
+                for stages in [1, 3, 6, 9] {
+                    let tenant = TenantSpec::new("t", model, 30.0).with_stages(stages);
+                    let task = tenant.compile_for(&pool);
+                    let case = format!("{model} × {stages} stages × {} contexts", pool.contexts);
+                    assert_eq!(task.template(), &ReleaseTemplate::new(&task.spec), "{case}");
+                    let fresh = offline::compile_network_task(
+                        "t",
+                        &model.network(),
+                        &cost,
+                        stages,
+                        tenant.period(),
+                        &pool,
+                    )
+                    .expect("reference networks split into nine stages");
+                    assert_eq!(task, fresh, "{case}");
+                }
+            }
         }
     }
 

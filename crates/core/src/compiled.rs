@@ -2,14 +2,23 @@
 
 use serde::{Deserialize, Serialize};
 use sgprs_gpu_sim::WorkProfile;
-use sgprs_rt::PeriodicTaskSpec;
+use sgprs_rt::{PeriodicTaskSpec, ReleaseTemplate};
+use std::sync::Arc;
 
 /// A periodic DNN task after the offline phase: timing parameters plus the
-/// per-stage GPU work profiles the simulator executes.
+/// per-stage GPU work profiles the simulator executes, and the release
+/// template its timing implies.
 ///
 /// `spec.stages[j]` and `stage_profiles[j]` describe the same stage: the
 /// former carries the real-time view (WCET `Ci^j`, virtual deadline `Di^j`,
 /// offline priority), the latter the device view (operation mix).
+///
+/// The release template (stage deadline offsets, offline priorities,
+/// sources) is built once by the offline phase, so attaching the task to
+/// a scheduler copies and sorts nothing. It is derived from `spec`'s
+/// deadline and stages: renaming or re-phasing the task keeps it valid,
+/// editing its timing does not (schedulers check [`ReleaseTemplate::fits`]
+/// in debug builds).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CompiledTask {
     /// The real-time task specification with all offline fields assigned.
@@ -19,9 +28,35 @@ pub struct CompiledTask {
     /// The whole network as a single profile (monolithic execution — what
     /// the naive baseline submits).
     pub whole_profile: WorkProfile,
+    /// Release template of `spec`, built by the offline phase; shared, so
+    /// cloning the task (one compile, many identical tasks) copies none
+    /// of it.
+    template: Arc<ReleaseTemplate>,
 }
 
 impl CompiledTask {
+    /// Assembles a compiled task, building the release template of
+    /// `spec` (the offline phase's last step).
+    pub(crate) fn new(
+        spec: PeriodicTaskSpec,
+        stage_profiles: Vec<WorkProfile>,
+        whole_profile: WorkProfile,
+    ) -> Self {
+        CompiledTask {
+            template: Arc::new(ReleaseTemplate::new(&spec)),
+            spec,
+            stage_profiles,
+            whole_profile,
+        }
+    }
+
+    /// What every release of the task shares: stage deadline offsets,
+    /// offline priorities and sources (§IV-B1).
+    #[must_use]
+    pub fn template(&self) -> &ReleaseTemplate {
+        &self.template
+    }
+
     /// The task's name.
     #[must_use]
     pub fn name(&self) -> &str {
@@ -39,6 +74,7 @@ impl CompiledTask {
     #[must_use]
     pub fn is_consistent(&self) -> bool {
         self.spec.stages.len() == self.stage_profiles.len()
+            && self.template.fits(&self.spec)
             && !self.whole_profile.is_empty()
             && self.stage_profiles.iter().all(|p| !p.is_empty())
     }

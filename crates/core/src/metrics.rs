@@ -75,6 +75,18 @@ pub struct TaskMetrics {
     pub fps: f64,
 }
 
+/// One task's name and outcome counts in the current window.
+#[derive(Debug, Clone, Default)]
+struct TaskCounts {
+    name: String,
+    released: u64,
+    completed: u64,
+    met: u64,
+    late: u64,
+    skipped: u64,
+    dropped: u64,
+}
+
 /// Streaming collector turning per-job outcomes into [`RunMetrics`].
 ///
 /// All three schedulers (SGPRS, the naive baseline and the reconfiguring
@@ -87,13 +99,8 @@ pub struct MetricsCollector {
     /// Start of the current window: the warm-up end, then the end of the
     /// last [`Self::take`].
     window_start: SimTime,
-    task_names: Vec<String>,
-    released: Vec<u64>,
-    completed: Vec<u64>,
-    met: Vec<u64>,
-    late: Vec<u64>,
-    skipped: Vec<u64>,
-    dropped: Vec<u64>,
+    /// Per task slot: its name and counts.
+    tasks: Vec<TaskCounts>,
     responses_ns: Vec<u64>,
     /// Response samples of the last finished window: the next window's
     /// buffer is sized by it on its first sample.
@@ -105,17 +112,16 @@ impl MetricsCollector {
     /// before `warmup_end` are ignored entirely.
     #[must_use]
     pub fn new(task_names: Vec<String>, warmup_end: SimTime) -> Self {
-        let n = task_names.len();
         MetricsCollector {
             warmup_end,
             window_start: warmup_end,
-            task_names,
-            released: vec![0; n],
-            completed: vec![0; n],
-            met: vec![0; n],
-            late: vec![0; n],
-            skipped: vec![0; n],
-            dropped: vec![0; n],
+            tasks: task_names
+                .into_iter()
+                .map(|name| TaskCounts {
+                    name,
+                    ..TaskCounts::default()
+                })
+                .collect(),
             responses_ns: Vec::new(),
             last_samples: 0,
         }
@@ -130,14 +136,14 @@ impl MetricsCollector {
     /// Records a release (admitted or not) of task `task` at `release`.
     pub fn record_release(&mut self, task: usize, release: SimTime) {
         if self.in_window(release) {
-            self.released[task] += 1;
+            self.tasks[task].released += 1;
         }
     }
 
     /// Records a skipped release (frame drop) of task `task`.
     pub fn record_skip(&mut self, task: usize, release: SimTime) {
         if self.in_window(release) {
-            self.skipped[task] += 1;
+            self.tasks[task].skipped += 1;
         }
     }
 
@@ -145,7 +151,7 @@ impl MetricsCollector {
     /// aborted because its deadline passed before it could finish.
     pub fn record_drop(&mut self, task: usize, release: SimTime) {
         if self.in_window(release) {
-            self.dropped[task] += 1;
+            self.tasks[task].dropped += 1;
         }
     }
 
@@ -161,11 +167,12 @@ impl MetricsCollector {
         if !self.in_window(release) {
             return;
         }
-        self.completed[task] += 1;
+        let counts = &mut self.tasks[task];
+        counts.completed += 1;
         if completed <= deadline {
-            self.met[task] += 1;
+            counts.met += 1;
         } else {
-            self.late[task] += 1;
+            counts.late += 1;
         }
         if self.responses_ns.capacity() == 0 {
             self.responses_ns.reserve(self.last_samples);
@@ -182,36 +189,22 @@ impl MetricsCollector {
 
     /// Makes room for `slots` more slots.
     pub(crate) fn reserve(&mut self, slots: usize) {
-        self.task_names.reserve(slots);
-        for counter in self.counters_mut() {
-            counter.reserve(slots);
-        }
+        self.tasks.reserve(slots);
     }
 
     /// Names slot `slot` `name`: appends a zeroed slot when `slot` is
-    /// one past the last, else renames a recycled slot, whose counters
-    /// keep the current window's counts under the new name.
-    pub(crate) fn name_slot(&mut self, slot: usize, name: String) {
-        if slot == self.task_names.len() {
-            self.task_names.push(name);
-            for counter in self.counters_mut() {
-                counter.push(0);
-            }
+    /// one past the last, else renames a recycled slot in place (reusing
+    /// its name's buffer), whose counters keep the current window's
+    /// counts under the new name.
+    pub(crate) fn name_slot(&mut self, slot: usize, name: &str) {
+        if slot == self.tasks.len() {
+            self.tasks.push(TaskCounts {
+                name: name.to_owned(),
+                ..TaskCounts::default()
+            });
         } else {
-            self.task_names[slot] = name;
+            name.clone_into(&mut self.tasks[slot].name);
         }
-    }
-
-    /// The six per-task counters.
-    fn counters_mut(&mut self) -> [&mut Vec<u64>; 6] {
-        [
-            &mut self.released,
-            &mut self.completed,
-            &mut self.met,
-            &mut self.late,
-            &mut self.skipped,
-            &mut self.dropped,
-        ]
     }
 
     /// Finalises the metrics of the window that ends at `end` and zeroes
@@ -224,12 +217,13 @@ impl MetricsCollector {
         let window = end.duration_since(self.window_start);
         self.window_start = end.max(self.warmup_end);
         let window_s = window.as_secs_f64();
-        let released: u64 = self.released.iter().sum();
-        let completed: u64 = self.completed.iter().sum();
-        let met: u64 = self.met.iter().sum();
-        let late: u64 = self.late.iter().sum();
-        let skipped: u64 = self.skipped.iter().sum();
-        let dropped: u64 = self.dropped.iter().sum();
+        let total = |count: fn(&TaskCounts) -> u64| self.tasks.iter().map(count).sum::<u64>();
+        let released = total(|t| t.released);
+        let completed = total(|t| t.completed);
+        let met = total(|t| t.met);
+        let late = total(|t| t.late);
+        let skipped = total(|t| t.skipped);
+        let dropped = total(|t| t.dropped);
         let mut responses_ns = std::mem::take(&mut self.responses_ns);
         responses_ns.sort_unstable();
         self.last_samples = responses_ns.len();
@@ -241,23 +235,26 @@ impl MetricsCollector {
             SimDuration::from_nanos(responses_ns[idx])
         };
         let per_task = self
-            .task_names
+            .tasks
             .iter()
-            .enumerate()
-            .map(|(i, name)| TaskMetrics {
-                name: name.clone(),
-                released: self.released[i],
-                completed: self.completed[i],
-                missed: self.late[i] + self.skipped[i] + self.dropped[i],
+            .map(|t| TaskMetrics {
+                name: t.name.clone(),
+                released: t.released,
+                completed: t.completed,
+                missed: t.late + t.skipped + t.dropped,
                 fps: if window_s > 0.0 {
-                    self.completed[i] as f64 / window_s
+                    t.completed as f64 / window_s
                 } else {
                     0.0
                 },
             })
             .collect();
-        for counter in self.counters_mut() {
-            counter.fill(0);
+        for t in &mut self.tasks {
+            let name = std::mem::take(&mut t.name);
+            *t = TaskCounts {
+                name,
+                ..TaskCounts::default()
+            };
         }
         RunMetrics {
             window,
@@ -440,9 +437,9 @@ mod tests {
     #[test]
     fn a_named_slot_appends_or_renames() {
         let mut c = collector();
-        c.name_slot(2, "c".into());
+        c.name_slot(2, "c");
         c.record_release(2, t(200));
-        c.name_slot(0, "a2".into());
+        c.name_slot(0, "a2");
         let m = c.take(t(1_100));
         let names: Vec<&str> = m.per_task.iter().map(|p| p.name.as_str()).collect();
         assert_eq!(names, ["a2", "b", "c"]);

@@ -10,6 +10,10 @@
 //!    WCET share, so `Σj Di^j = Di` exactly.
 //! 3. **Two-level priority assignment** (§IV-A1): the final stage of every
 //!    task gets high priority, all earlier stages low priority.
+//!
+//! The resulting [`CompiledTask`] also carries the release template this
+//! timing implies (every stage's deadline offset from the release), so
+//! the online phase stamps releases without re-deriving it.
 
 use crate::{CompiledTask, ContextPoolSpec};
 use sgprs_dnn::{partition, CostModel, DnnError, Network, Stage};
@@ -103,11 +107,11 @@ pub fn compile_stages(
         .build()
         .expect("offline-compiled tasks are valid by construction");
     PriorityAssignment::assign(&mut spec);
-    CompiledTask {
+    CompiledTask::new(
         spec,
-        stage_profiles: stages.iter().map(|s| s.profile).collect(),
+        stages.iter().map(|s| s.profile).collect(),
         whole_profile,
-    }
+    )
 }
 
 /// Compiles a network into a `k_stages`-stage periodic task: partition,

@@ -80,7 +80,7 @@ pub(crate) trait Policy {
 
 /// Where a task slot is in its life.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Slot {
+enum Phase {
     /// Releasing frames on its period grid.
     Attached,
     /// Releasing only the frames due before the instant; the slot
@@ -88,6 +88,22 @@ enum Slot {
     Detached(SimTime),
     /// Idle and free for the next attach.
     Vacant,
+}
+
+/// One task slot's release and admission state.
+#[derive(Debug)]
+struct ReleaseSlot {
+    /// The occupant's release grid.
+    gen: ReleaseGenerator,
+    phase: Phase,
+    /// Jobs in flight.
+    outstanding: u64,
+    /// Frame buffer: the release boundary of the freshest frame waiting
+    /// while a job is in flight ([`Admission::FrameBuffer`]).
+    buffered: Option<SimTime>,
+    /// Monotone admission counter (job ids stay unique even when grabbed
+    /// frames are admitted off the period grid).
+    admit_seq: u64,
 }
 
 /// Per-slot release and admission state, plus the metrics collector.
@@ -100,18 +116,9 @@ enum Slot {
 #[derive(Debug)]
 pub(crate) struct Driver {
     admission: Admission,
-    gens: Vec<ReleaseGenerator>,
-    slots: Vec<Slot>,
+    slots: Vec<ReleaseSlot>,
     /// Vacant slots, reused last-freed first.
     vacant: Vec<usize>,
-    /// Jobs in flight per slot.
-    outstanding: Vec<u64>,
-    /// Frame buffer per slot: the release boundary of the freshest frame
-    /// waiting while a job is in flight ([`Admission::FrameBuffer`]).
-    buffered: Vec<Option<SimTime>>,
-    /// Per-slot monotone admission counter (job ids stay unique even when
-    /// grabbed frames are admitted off the period grid).
-    admit_seq: Vec<u64>,
     /// The earliest pending release across slots; the generators advance
     /// only in [`Driver::release_due`], which refreshes it.
     next_release: SimTime,
@@ -126,12 +133,8 @@ impl Driver {
     pub(crate) fn new(admission: Admission, warmup: SimDuration) -> Self {
         Driver {
             admission,
-            gens: Vec::new(),
             slots: Vec::new(),
             vacant: Vec::new(),
-            outstanding: Vec::new(),
-            buffered: Vec::new(),
-            admit_seq: Vec::new(),
             next_release: SimTime::MAX,
             collector: MetricsCollector::new(Vec::new(), SimTime::ZERO + warmup),
             events: Vec::new(),
@@ -141,13 +144,8 @@ impl Driver {
     /// Attaches each of `tasks` at its phase, in order: the slots are the
     /// task indices.
     pub(crate) fn attach_all<P: Policy>(&mut self, policy: &mut P, tasks: Vec<CompiledTask>) {
-        let n = tasks.len();
-        self.gens.reserve(n);
-        self.slots.reserve(n);
-        self.outstanding.reserve(n);
-        self.buffered.reserve(n);
-        self.admit_seq.reserve(n);
-        self.collector.reserve(n);
+        self.slots.reserve(tasks.len());
+        self.collector.reserve(tasks.len());
         for task in tasks {
             let first = SimTime::ZERO + task.spec.phase;
             self.attach(policy, TaskRef::Owned(task), first);
@@ -173,20 +171,22 @@ impl Driver {
         let gen = ReleaseGenerator::new(at, task.spec.period);
         let slot = match self.vacant.pop() {
             Some(slot) => {
-                self.gens[slot] = gen;
-                self.slots[slot] = Slot::Attached;
+                self.slots[slot].gen = gen;
+                self.slots[slot].phase = Phase::Attached;
                 slot
             }
             None => {
-                self.gens.push(gen);
-                self.slots.push(Slot::Attached);
-                self.outstanding.push(0);
-                self.buffered.push(None);
-                self.admit_seq.push(0);
-                self.gens.len() - 1
+                self.slots.push(ReleaseSlot {
+                    gen,
+                    phase: Phase::Attached,
+                    outstanding: 0,
+                    buffered: None,
+                    admit_seq: 0,
+                });
+                self.slots.len() - 1
             }
         };
-        self.collector.name_slot(slot, task.spec.name.clone());
+        self.collector.name_slot(slot, &task.spec.name);
         self.next_release = self.next_release.min(at);
         policy.attach(slot, task);
         slot
@@ -201,18 +201,18 @@ impl Driver {
     /// Panics if the slot holds no attached task.
     pub(crate) fn detach<P: Policy>(&mut self, policy: &mut P, slot: usize, at: SimTime) {
         assert_eq!(
-            self.slots.get(slot),
-            Some(&Slot::Attached),
+            self.slots.get(slot).map(|s| s.phase),
+            Some(Phase::Attached),
             "slot {slot} holds no attached task"
         );
-        self.slots[slot] = Slot::Detached(at);
+        self.slots[slot].phase = Phase::Detached(at);
         self.settle(policy, slot);
         self.next_release = self.earliest_release();
     }
 
     /// Number of tasks that have released at least one frame.
     pub(crate) fn released_tasks(&self) -> usize {
-        self.gens.iter().filter(|g| g.next_index() > 0).count()
+        self.slots.iter().filter(|s| s.gen.next_index() > 0).count()
     }
 
     /// Runs until `end`: each step takes the earlier of the next release
@@ -230,7 +230,7 @@ impl Driver {
     /// ends at `at` or at the last completion, whichever is later.
     pub(crate) fn finish<P: Policy>(&mut self, policy: &mut P, at: SimTime) -> RunMetrics {
         for slot in 0..self.slots.len() {
-            if self.slots[slot] == Slot::Attached {
+            if self.slots[slot].phase == Phase::Attached {
                 self.detach(policy, slot, at);
             }
         }
@@ -272,11 +272,12 @@ impl Driver {
     /// The next frame slot `slot` will release: `SimTime::MAX` once its
     /// releases have stopped.
     fn pending_release(&self, slot: usize) -> SimTime {
-        let next = self.gens[slot].next_release();
-        let stop = match self.slots[slot] {
-            Slot::Attached => return next,
-            Slot::Detached(at) => at,
-            Slot::Vacant => SimTime::ZERO,
+        let ReleaseSlot { gen, phase, .. } = &self.slots[slot];
+        let next = gen.next_release();
+        let stop = match *phase {
+            Phase::Attached => return next,
+            Phase::Detached(at) => at,
+            Phase::Vacant => SimTime::ZERO,
         };
         if next < stop {
             next
@@ -295,12 +296,12 @@ impl Driver {
 
     /// Releases every frame due at `now` under the [`Admission`] rule.
     fn release_due<P: Policy>(&mut self, policy: &mut P, now: SimTime) {
-        for task in 0..self.gens.len() {
+        for task in 0..self.slots.len() {
             while self.pending_release(task) <= now {
-                let release = self.gens[task].next_release();
-                self.gens[task].advance();
+                let release = self.slots[task].gen.next_release();
+                self.slots[task].gen.advance();
                 self.collector.record_release(task, release);
-                if self.outstanding[task] > 0 {
+                if self.slots[task].outstanding > 0 {
                     match self.admission {
                         Admission::SkipIfBusy => {
                             self.collector.record_skip(task, release);
@@ -309,7 +310,7 @@ impl Driver {
                         Admission::FrameBuffer => {
                             // Newest frame wins: replacing a staler
                             // buffered frame drops it (a miss).
-                            if let Some(stale) = self.buffered[task].replace(release) {
+                            if let Some(stale) = self.slots[task].buffered.replace(release) {
                                 self.collector.record_skip(task, stale);
                             }
                             continue;
@@ -331,9 +332,10 @@ impl Driver {
     }
 
     fn admit<P: Policy>(&mut self, policy: &mut P, task: usize, release: SimTime) {
-        let index = self.admit_seq[task];
-        self.admit_seq[task] += 1;
-        self.outstanding[task] += 1;
+        let slot = &mut self.slots[task];
+        let index = slot.admit_seq;
+        slot.admit_seq += 1;
+        slot.outstanding += 1;
         policy.admit(task, index, release);
     }
 
@@ -369,8 +371,9 @@ impl Driver {
     /// grabs the freshest buffered frame right away (its deadline starts
     /// at the grab), keeping the device work-conserving under overload.
     fn retire<P: Policy>(&mut self, policy: &mut P, task: usize, at: SimTime) {
-        self.outstanding[task] = self.outstanding[task].saturating_sub(1);
-        if let Some(boundary) = self.buffered[task].take() {
+        let slot = &mut self.slots[task];
+        slot.outstanding = slot.outstanding.saturating_sub(1);
+        if let Some(boundary) = slot.buffered.take() {
             if policy.accept(task) {
                 self.admit(policy, task, at);
             } else {
@@ -383,12 +386,12 @@ impl Driver {
     /// Vacates detached slot `slot` once its releases have stopped and
     /// nothing of it is in flight or buffered.
     fn settle<P: Policy>(&mut self, policy: &mut P, slot: usize) {
-        if let Slot::Detached(_) = self.slots[slot] {
+        if let Phase::Detached(_) = self.slots[slot].phase {
             if self.pending_release(slot) == SimTime::MAX
-                && self.outstanding[slot] == 0
-                && self.buffered[slot].is_none()
+                && self.slots[slot].outstanding == 0
+                && self.slots[slot].buffered.is_none()
             {
-                self.slots[slot] = Slot::Vacant;
+                self.slots[slot].phase = Phase::Vacant;
                 self.vacant.push(slot);
                 policy.vacate(slot);
             }

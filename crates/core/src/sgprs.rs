@@ -37,9 +37,7 @@ use crate::{Admission, CompiledTask, QueueOrder, RunMetrics, SgprsConfig};
 use sgprs_gpu_sim::{
     ContextId, DeviceEvent, GpuEngine, KernelDesc, KernelHandle, StreamClass, StreamId,
 };
-use sgprs_rt::{
-    Job, PriorityBands, PriorityLevel, ReleaseTemplate, SimTime, StageInstance, TaskId,
-};
+use sgprs_rt::{Job, PriorityBands, PriorityLevel, SimTime, StageInstance, TaskId};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -60,11 +58,12 @@ struct InFlight {
     est_ns: f64,
 }
 
-/// One task slot's released jobs, plus the stage storage of finished
-/// ones and the task's isolated estimates.
+/// One task slot: the attached task, its released jobs, the stage storage
+/// of finished ones and the task's isolated estimates.
 #[derive(Debug)]
-struct TaskJobs {
-    template: ReleaseTemplate,
+struct TaskSlot {
+    /// The attached task; its release template stamps every release.
+    task: TaskRef,
     /// Released, not-yet-finished jobs in admission (release index) order.
     live: VecDeque<Job>,
     /// Stage storage of finished jobs, reused by the next release.
@@ -73,7 +72,7 @@ struct TaskJobs {
     isolated_ns: Vec<f64>,
 }
 
-impl TaskJobs {
+impl TaskSlot {
     fn position(&self, index: u64) -> Option<usize> {
         self.live
             .binary_search_by_key(&index, |j| j.id.release_index)
@@ -84,16 +83,15 @@ impl TaskJobs {
         self.position(index).map(|i| &self.live[i])
     }
 
-    fn get_mut(&mut self, index: u64) -> Option<&mut Job> {
-        self.position(index).map(|i| &mut self.live[i])
-    }
-
-    /// Releases job `index` at `release`; indices grow per task, so the
-    /// new job goes last.
-    fn release(&mut self, index: u64, release: SimTime) {
+    /// Releases job `index` of slot `slot` at `release`; indices grow
+    /// per task, so the new job goes last.
+    fn release(&mut self, slot: usize, index: u64, release: SimTime) {
         let storage = self.spare.pop().unwrap_or_default();
-        self.live
-            .push_back(self.template.release(index, release, storage));
+        let job = self
+            .task
+            .template()
+            .release(TaskId(slot), index, release, storage);
+        self.live.push_back(job);
     }
 
     /// Drops finished job `index`, keeping its stage storage; `false`
@@ -150,9 +148,8 @@ pub struct SgprsScheduler {
 struct Sgprs {
     config: SgprsConfig,
     engine: GpuEngine,
-    tasks: Vec<TaskRef>,
-    /// Released, not-yet-finished jobs, per task slot.
-    jobs: Vec<TaskJobs>,
+    /// The task slots: each one's task, live jobs and estimates.
+    slots: Vec<TaskSlot>,
     /// Exponential moving average of observed job response times (ns),
     /// driving admission control.
     response_ema_ns: f64,
@@ -202,8 +199,7 @@ impl SgprsScheduler {
         let mut policy = Sgprs {
             config,
             engine,
-            tasks: Vec::with_capacity(tasks.len()),
-            jobs: Vec::with_capacity(tasks.len()),
+            slots: Vec::with_capacity(tasks.len()),
             response_ema_ns: 0.0,
             completions_seen: 0,
             contexts: (0..n_ctx)
@@ -273,20 +269,37 @@ impl Policy for Sgprs {
         &mut self.engine
     }
 
-    /// Appends (or, in a recycled slot, rewrites) the task's job list and
-    /// isolated-estimate row; the context pool is untouched.
+    /// Appends (or, in a recycled slot, rewrites) the task's slot: the
+    /// task itself, whose offline release template every release reads,
+    /// and its isolated-estimate row. The context pool is untouched, and
+    /// a recycled slot reuses its row, so re-attaching a shared task
+    /// allocates nothing.
     fn attach(&mut self, slot: usize, task: TaskRef) {
         assert!(
             task.stage_count() > 0,
             "SGPRS schedules staged tasks; use the offline phase to compile them"
         );
-        let template = ReleaseTemplate::new(TaskId(slot), &task.spec);
+        debug_assert!(
+            task.template().fits(&task.spec),
+            "invariant: the task's timing is the one its release template was built from"
+        );
+        if slot == self.slots.len() {
+            let row = task.stage_count() * self.sm_allocs.len();
+            self.slots.push(TaskSlot {
+                task,
+                live: VecDeque::new(),
+                spare: Vec::new(),
+                isolated_ns: Vec::with_capacity(row),
+            });
+        } else {
+            debug_assert!(self.slots[slot].live.is_empty(), "a recycled slot is idle");
+            self.slots[slot].task = task;
+        }
         let launch_ns = self.config.pool.gpu.launch_overhead_ns as f64;
         let speedup = self.engine.speedup_model();
-        let mut isolated_ns = match self.jobs.get_mut(slot) {
-            Some(jobs) => std::mem::take(&mut jobs.isolated_ns),
-            None => Vec::with_capacity(task.stage_count() * self.sm_allocs.len()),
-        };
+        let TaskSlot {
+            task, isolated_ns, ..
+        } = &mut self.slots[slot];
         isolated_ns.clear();
         for profile in &task.stage_profiles {
             isolated_ns.extend(
@@ -294,21 +307,6 @@ impl Policy for Sgprs {
                     .iter()
                     .map(|&sm| launch_ns + profile.duration_ns_at(speedup, f64::from(sm))),
             );
-        }
-        if slot == self.jobs.len() {
-            self.jobs.push(TaskJobs {
-                template,
-                live: VecDeque::new(),
-                spare: Vec::new(),
-                isolated_ns,
-            });
-            self.tasks.push(task);
-        } else {
-            let jobs = &mut self.jobs[slot];
-            debug_assert!(jobs.live.is_empty(), "a recycled slot is idle");
-            jobs.template = template;
-            jobs.isolated_ns = isolated_ns;
-            self.tasks[slot] = task;
         }
     }
 
@@ -333,29 +331,30 @@ impl Policy for Sgprs {
         // estimator fed (no shed-forever deadlock).
         debug_assert_eq!(
             self.live_jobs,
-            self.jobs.iter().map(|j| j.live.len()).sum::<usize>(),
+            self.slots.iter().map(|s| s.live.len()).sum::<usize>(),
             "live-job count drifted"
         );
         if self.live_jobs < self.slot_count + self.slot_count / 2 {
             return true;
         }
-        self.response_ema_ns <= self.tasks[task].spec.deadline.as_nanos() as f64
+        self.response_ema_ns <= self.slots[task].task.spec.deadline.as_nanos() as f64
     }
 
     /// Admits a job of `task_idx` released (or grabbed) at `release`
     /// (§IV-B1: absolute stage deadlines are stamped at release).
     fn admit(&mut self, task_idx: usize, index: u64, release: SimTime) {
-        self.jobs[task_idx].release(index, release);
+        self.slots[task_idx].release(task_idx, index, release);
         self.live_jobs += 1;
         // Source stages are immediately ready: assign contexts now.
-        for i in 0..self.jobs[task_idx].template.sources().len() {
-            let stage = self.jobs[task_idx].template.sources()[i];
+        for i in 0..self.slots[task_idx].task.template().sources().len() {
+            let task = &self.slots[task_idx].task;
+            let stage = task.template().sources()[i];
+            let priority = task.spec.stages[stage].priority;
             let sref = StageRef {
                 task: task_idx,
                 release_index: index,
                 stage,
             };
-            let priority = self.tasks[task_idx].spec.stages[stage].priority;
             self.enqueue_stage(sref, priority);
         }
     }
@@ -375,16 +374,17 @@ impl Policy for Sgprs {
         };
         let pending = &mut self.contexts[ev.context.0].pending_ns;
         *pending = (*pending - est_ns).max(0.0);
-        let Some(job) = self.jobs[sref.task].get_mut(sref.release_index) else {
+        let slot = &mut self.slots[sref.task];
+        let Some(pos) = slot.position(sref.release_index) else {
             return;
         };
+        let job = &mut slot.live[pos];
         let missed_virtual = ev.finished_at > job.stages[sref.stage].absolute_deadline;
-        let spec = &self.tasks[sref.task].spec;
         let mut ready = std::mem::take(&mut self.ready);
-        job.complete_stage(sref.stage, ev.finished_at, spec, &mut ready);
+        job.complete_stage(sref.stage, ev.finished_at, &slot.task.spec, &mut ready);
         let (completed, release, deadline) = (job.completed_at, job.release, job.absolute_deadline);
         for &stage in &ready {
-            let mut priority = self.tasks[sref.task].spec.stages[stage].priority;
+            let mut priority = self.slots[sref.task].task.spec.stages[stage].priority;
             // §IV-B3: a low stage whose predecessor missed its virtual
             // deadline is promoted to medium.
             if missed_virtual && self.config.medium_promotion {
@@ -470,7 +470,7 @@ impl Sgprs {
 
     /// Drops finished or aborted job `sref.release_index` of `sref.task`.
     fn retire_job(&mut self, sref: StageRef) {
-        let retired = self.jobs[sref.task].retire(sref.release_index);
+        let retired = self.slots[sref.task].retire(sref.release_index);
         self.live_jobs -= usize::from(retired);
     }
 
@@ -478,7 +478,7 @@ impl Sgprs {
     /// deadline-meeting context with the shortest queue, else earliest
     /// estimated finish time.
     fn enqueue_stage(&mut self, sref: StageRef, priority: PriorityLevel) {
-        let deadline = self.jobs[sref.task]
+        let deadline = self.slots[sref.task]
             .get(sref.release_index)
             .expect("invariant: queued stages belong to live jobs")
             .stages[sref.stage]
@@ -543,7 +543,7 @@ impl Sgprs {
     /// when the task is attached.
     fn isolated_estimate_ns(&self, ctx: usize, sref: StageRef) -> f64 {
         let n_ctx = self.contexts.len();
-        self.jobs[sref.task].isolated_ns[sref.stage * n_ctx + ctx]
+        self.slots[sref.task].isolated_ns[sref.stage * n_ctx + ctx]
     }
 
     /// Estimated absolute finish instant (ns) if the stage were appended
@@ -572,7 +572,7 @@ impl Sgprs {
                     .map(|(_, e)| e),
             }?;
             let sref = entry.item;
-            let hopeless = match self.jobs[sref.task].get(sref.release_index) {
+            let hopeless = match self.slots[sref.task].get(sref.release_index) {
                 // The job was aborted while this stage sat in the queue.
                 None => None,
                 Some(job)
@@ -602,7 +602,7 @@ impl Sgprs {
         } else {
             String::new()
         };
-        let profile = self.tasks[sref.task].stage_profiles[sref.stage];
+        let profile = self.slots[sref.task].task.stage_profiles[sref.stage];
         let est_ns = self.isolated_estimate_ns(ctx, sref);
         let kernel = self
             .engine
@@ -704,7 +704,7 @@ mod tests {
         let model = s.engine().speedup_model();
         for (task, t) in tasks.iter().enumerate() {
             assert_eq!(
-                s.policy.jobs[task].isolated_ns.len(),
+                s.policy.slots[task].isolated_ns.len(),
                 t.stage_count() * allocs.len()
             );
             for (stage, profile) in t.stage_profiles.iter().enumerate() {

@@ -6,7 +6,7 @@
 //! offline virtual relative deadlines (§IV-B1); a task's
 //! [`ReleaseTemplate`] works out the offsets once and stamps each release.
 
-use crate::{PeriodicTaskSpec, PriorityLevel, SimDuration, SimTime, StageId, TaskId};
+use crate::{PeriodicTaskSpec, PriorityLevel, SimDuration, SimTime, StageId, StageSpec, TaskId};
 use serde::{Deserialize, Serialize};
 
 /// Globally unique job identifier: the releasing task plus the release
@@ -99,14 +99,16 @@ pub struct Job {
 
 /// What every release of one task shares (§IV-B1): each stage's deadline
 /// offset from the release, its offline priority, and whether it is a DAG
-/// source. Built once per task, so a release only stamps times.
+/// source. A pure function of the task's timing, built once by the
+/// offline phase, so a release only stamps times; the releasing task's id
+/// is passed at release, so one template serves every slot the task is
+/// attached to.
 ///
 /// Stage `j`'s offset is `Σ_{k ≤ j along its chain} D^k`. For general DAGs
 /// it is the maximum over its predecessors' offsets plus its own virtual
 /// deadline, which reduces to the paper's prefix sums for chain tasks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReleaseTemplate {
-    task: TaskId,
     deadline: SimDuration,
     /// Per stage: (deadline offset, offline priority).
     stages: Vec<(SimDuration, PriorityLevel)>,
@@ -114,9 +116,9 @@ pub struct ReleaseTemplate {
 }
 
 impl ReleaseTemplate {
-    /// The template of task `task_id` with specification `task`.
+    /// The template of the task with specification `task`.
     #[must_use]
-    pub fn new(task_id: TaskId, task: &PeriodicTaskSpec) -> Self {
+    pub fn new(task: &PeriodicTaskSpec) -> Self {
         let mut offsets = vec![SimDuration::ZERO; task.stages.len()];
         for i in task.topological_order() {
             let pred_max = task.stages[i]
@@ -128,7 +130,6 @@ impl ReleaseTemplate {
             offsets[i] = pred_max + task.stages[i].virtual_deadline;
         }
         ReleaseTemplate {
-            task: task_id,
             deadline: task.deadline,
             stages: offsets
                 .into_iter()
@@ -145,13 +146,37 @@ impl ReleaseTemplate {
         &self.sources
     }
 
-    /// Releases job `release_index` at `release`, stamping every stage's
-    /// absolute deadline. The job's stages are built in `storage`, whose
-    /// contents are discarded: pass a finished job's `stages` to reuse
-    /// its allocation, or `Vec::new()`.
+    /// `true` when this is the template of `task`: [`Self::new`]`(task)`
+    /// would rebuild it exactly. Checks every stage's offset against its
+    /// predecessors' (the recurrence has one solution on a DAG), so it
+    /// allocates nothing and may guard a path that must not.
+    #[must_use]
+    pub fn fits(&self, task: &PeriodicTaskSpec) -> bool {
+        let offset_of = |p: usize| self.stages.get(p).map(|&(offset, _)| offset);
+        let stage_fits = |(s, &(offset, priority)): (&StageSpec, &(SimDuration, PriorityLevel))| {
+            let pred_max = s
+                .predecessors
+                .iter()
+                .try_fold(SimDuration::ZERO, |max, &p| {
+                    offset_of(p).map(|o| max.max(o))
+                });
+            priority == s.priority && pred_max.is_some_and(|m| offset == m + s.virtual_deadline)
+        };
+        let sources = (0..task.stages.len()).filter(|&i| task.stages[i].predecessors.is_empty());
+        self.deadline == task.deadline
+            && self.stages.len() == task.stages.len()
+            && task.stages.iter().zip(&self.stages).all(stage_fits)
+            && self.sources.iter().copied().eq(sources)
+    }
+
+    /// Releases job `release_index` of task `task` at `release`, stamping
+    /// every stage's absolute deadline. The job's stages are built in
+    /// `storage`, whose contents are discarded: pass a finished job's
+    /// `stages` to reuse its allocation, or `Vec::new()`.
     #[must_use]
     pub fn release(
         &self,
+        task: TaskId,
         release_index: u64,
         release: SimTime,
         mut storage: Vec<StageInstance>,
@@ -171,7 +196,7 @@ impl ReleaseTemplate {
         }
         Job {
             id: JobId {
-                task: self.task,
+                task,
                 release_index,
             },
             release,
@@ -322,7 +347,7 @@ mod tests {
     }
 
     fn release(t: &PeriodicTaskSpec, at: SimTime) -> Job {
-        ReleaseTemplate::new(TaskId(0), t).release(0, at, Vec::new())
+        ReleaseTemplate::new(t).release(TaskId(0), 0, at, Vec::new())
     }
 
     /// Completes stage `index`, returning the newly ready stages.
@@ -383,23 +408,23 @@ mod tests {
     #[test]
     fn release_reuses_storage_and_restamps_every_stage() {
         let t = chain_task();
-        let template = ReleaseTemplate::new(TaskId(3), &t);
+        let template = ReleaseTemplate::new(&t);
         assert_eq!(template.sources(), &[0]);
-        let mut first = template.release(0, SimTime::ZERO, Vec::new());
+        let mut first = template.release(TaskId(3), 0, SimTime::ZERO, Vec::new());
         for i in 0..3 {
             complete(&mut first, i, SimTime::ZERO + ms(5), &t);
         }
         let storage = first.stages;
         let ptr = storage.as_ptr();
         let at = SimTime::ZERO + ms(30);
-        let second = template.release(1, at, storage);
+        let second = template.release(TaskId(3), 1, at, storage);
         assert_eq!(second.stages.as_ptr(), ptr, "stage storage is reused");
         let id = JobId {
             task: TaskId(3),
             release_index: 1,
         };
         assert_eq!(second.id, id);
-        let fresh = template.release(1, at, Vec::new());
+        let fresh = template.release(TaskId(3), 1, at, Vec::new());
         assert_eq!(second, fresh, "a reused job equals a fresh one");
         assert_eq!(second.stages[2].absolute_deadline, at + ms(30));
     }
@@ -426,6 +451,26 @@ mod tests {
         assert_eq!(r, vec![3]);
         // Diamond deadline: max(pred offsets) + own virtual deadline = 30 ms.
         assert_eq!(job.stages[3].absolute_deadline, SimTime::ZERO + ms(30));
+    }
+
+    #[test]
+    fn a_template_fits_its_task_and_no_edited_one() {
+        let t = chain_task();
+        let template = ReleaseTemplate::new(&t);
+        assert!(template.fits(&t));
+        let edits: [fn(&mut PeriodicTaskSpec); 5] = [
+            |t| t.stages[1].virtual_deadline = ms(11),
+            |t| t.stages[2].priority = PriorityLevel::Medium,
+            |t| t.deadline = ms(31),
+            |t| t.stages[2].predecessors = vec![0],
+            |t| t.stages.truncate(2),
+        ];
+        for (i, edit) in edits.into_iter().enumerate() {
+            let mut edited = t.clone();
+            edit(&mut edited);
+            assert!(!template.fits(&edited), "edit {i}");
+            assert!(ReleaseTemplate::new(&edited).fits(&edited), "edit {i}");
+        }
     }
 
     #[test]

@@ -176,27 +176,27 @@ impl PeriodicTaskSpec {
 fn topological_order(stages: &[StageSpec]) -> Result<Vec<usize>, ()> {
     let n = stages.len();
     let mut indegree = vec![0usize; n];
-    let mut successors: Vec<Vec<usize>> = vec![Vec::new(); n];
     for (i, s) in stages.iter().enumerate() {
-        for &p in &s.predecessors {
-            if p >= n {
-                return Err(());
-            }
-            indegree[i] += 1;
-            successors[p].push(i);
+        if s.predecessors.iter().any(|&p| p >= n) {
+            return Err(());
         }
+        indegree[i] = s.predecessors.len();
     }
-    let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-    // Keep the order deterministic: smallest index first.
-    ready.sort_unstable_by(|a, b| b.cmp(a));
+    // Kahn's algorithm, smallest ready index first (the stack is kept in
+    // descending order). A finished stage's successors are found by
+    // scanning the short stage list in index order, so the in-degrees,
+    // the ready stack and the order are the only buffers.
+    let mut ready: Vec<usize> = (0..n).rev().filter(|&i| indegree[i] == 0).collect();
     let mut order = Vec::with_capacity(n);
     while let Some(i) = ready.pop() {
         order.push(i);
-        for &succ in &successors[i] {
-            indegree[succ] -= 1;
-            if indegree[succ] == 0 {
-                ready.push(succ);
-                ready.sort_unstable_by(|a, b| b.cmp(a));
+        for (succ, s) in stages.iter().enumerate() {
+            for _ in s.predecessors.iter().filter(|&&p| p == i) {
+                indegree[succ] -= 1;
+                if indegree[succ] == 0 {
+                    ready.push(succ);
+                    ready.sort_unstable_by(|a, b| b.cmp(a));
+                }
             }
         }
     }
