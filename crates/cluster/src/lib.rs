@@ -3,7 +3,7 @@
 //! The paper (Babaei & Chantem, DATE 2024) schedules periodic DNN tasks
 //! on *one* partitioned GPU. This crate scales that out: a [`Fleet`] of
 //! per-GPU nodes — each wrapping an [`sgprs_core::SgprsScheduler`] (or
-//! the naive / reconfiguring baselines) over a possibly heterogeneous
+//! the naive baseline) over a possibly heterogeneous
 //! [`sgprs_gpu_sim::GpuSpec`] — fronted by a dispatcher that admits,
 //! places, and migrates tenants.
 //!
@@ -84,11 +84,12 @@
 //!   time-series of dispatch activity, mergeable deterministic
 //!   [`QuantileSketch`]es for queue-wait and job-latency percentiles
 //!   (folded in node-index order, byte-identical across worker counts),
-//!   and a ring-buffered decision trace ([`TraceEvent`]) with hot-path
-//!   profile counters. Span call counts ([`Fleet::span_calls`]) are
-//!   always on. Off by default ([`TelemetryConfig::disabled`])
-//!   with a byte-identical schema-v2 export; enabling bumps the export
-//!   to schema v3 with a `telemetry` block.
+//!   and a ring-buffered decision trace of the recorded decisions with
+//!   hot-path profile counters. Span call counts
+//!   ([`Fleet::span_calls`]) are always on. Off by default
+//!   ([`TelemetryConfig::disabled`]) with a byte-identical schema-v2
+//!   export; enabling bumps the export to schema v3 with a `telemetry`
+//!   block.
 //!
 //! # Example
 //!
@@ -123,6 +124,7 @@ mod config;
 pub mod event;
 mod fleet;
 mod interner;
+mod json;
 mod metrics;
 mod node;
 mod placement;
@@ -150,7 +152,7 @@ pub use shard::{ShardConfig, ShardRouter};
 pub use stream::ArrivalStream;
 pub use telemetry::{
     ProfileReport, QuantileSketch, SketchSummary, Span, SpanProfile, SpanStats, TelemetryConfig,
-    TelemetryReport, TraceEvent, WindowReport, DEFAULT_SKETCH_CAPACITY, PLAN_LATENCY_BINS,
+    TelemetryReport, WindowReport, DEFAULT_SKETCH_CAPACITY, PLAN_LATENCY_BINS,
     RANK_ERROR_NUMERATOR, SPAN_COUNT,
 };
 pub use tenant::{ModelKind, TenantSpec};

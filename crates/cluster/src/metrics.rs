@@ -3,9 +3,11 @@
 //!
 //! Node schedulers already report the paper's metrics through
 //! [`sgprs_core::RunMetrics`] (produced by `sgprs_core::MetricsCollector`);
-//! this module folds those per-epoch reports into fleet aggregates and
-//! renders them as JSON for downstream tooling.
+//! this module folds those per-epoch reports, and the event path's
+//! per-frame records (release, completion, skip), into fleet aggregates
+//! and renders them as JSON for downstream tooling.
 
+use crate::json::{self, fields, Str};
 use crate::telemetry::TelemetryReport;
 use crate::DispatchOutcome;
 use serde::{Deserialize, Serialize};
@@ -156,91 +158,43 @@ impl FleetMetrics {
     /// vendored serde stand-in has no serializer).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema_version\": {},\n", self.schema_version));
-        out.push_str(&format!(
-            "  \"window_secs\": {:.3},\n",
-            self.window.as_secs_f64()
-        ));
-        out.push_str(&format!("  \"total_fps\": {:.2},\n", self.total_fps));
-        out.push_str(&format!("  \"dmr\": {:.4},\n", self.dmr));
-        out.push_str(&format!("  \"arrivals\": {},\n", self.arrivals));
-        out.push_str(&format!("  \"admitted\": {},\n", self.admitted));
-        out.push_str(&format!("  \"rejected\": {},\n", self.rejected));
-        out.push_str(&format!("  \"infeasible\": {},\n", self.infeasible));
-        out.push_str(&format!("  \"deferred\": {},\n", self.deferred));
-        out.push_str(&format!("  \"duplicates\": {},\n", self.duplicates));
-        out.push_str(&format!(
-            "  \"admitted_after_wait\": {},\n",
-            self.admitted_after_wait
-        ));
-        out.push_str(&format!("  \"still_queued\": {},\n", self.still_queued));
-        out.push_str(&format!("  \"departures\": {},\n", self.departures));
-        out.push_str(&format!("  \"migrations\": {},\n", self.migrations));
-        out.push_str(&format!("  \"truncated_jobs\": {},\n", self.truncated_jobs));
-        out.push_str(&format!(
-            "  \"migration_stall_secs\": {:.4},\n",
-            self.migration_stall_secs
-        ));
-        out.push_str(&format!("  \"degraded\": {},\n", self.degraded));
-        out.push_str(&format!("  \"upgrades\": {},\n", self.upgrades));
-        out.push_str(&format!("  \"expired\": {},\n", self.expired));
-        if self.expired_hopeless > 0 {
-            // Optional field: emitted only when demand-aware expiry
-            // actually fired, keeping default-path exports (and the
-            // golden snapshot) byte-stable.
-            out.push_str(&format!(
-                "  \"expired_hopeless\": {},\n",
-                self.expired_hopeless
-            ));
-        }
-        out.push_str(&format!(
-            "  \"queue_wait_mean_secs\": {:.4},\n",
-            self.queue_wait_mean_secs
-        ));
-        out.push_str(&format!(
-            "  \"queue_wait_max_secs\": {:.4},\n",
-            self.queue_wait_max_secs
-        ));
-        out.push_str(&format!(
-            "  \"rejection_rate\": {:.4},\n",
-            self.rejection_rate
-        ));
-        out.push_str("  \"utilization_histogram\": [");
-        for (i, b) in self.utilization_histogram.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
+        json::container(Some(0), "{\n}", |o| {
+            o.field("schema_version", self.schema_version)
+                .fixed("window_secs", self.window.as_secs_f64(), 3)
+                .fixed("total_fps", self.total_fps, 2)
+                .fixed("dmr", self.dmr, 4);
+            fields!(o, self; arrivals, admitted, rejected, infeasible, deferred, duplicates,
+                admitted_after_wait, still_queued, departures, migrations, truncated_jobs);
+            o.fixed("migration_stall_secs", self.migration_stall_secs, 4);
+            fields!(o, self; degraded, upgrades, expired);
+            if self.expired_hopeless > 0 {
+                // Optional field: emitted only when demand-aware expiry
+                // actually fired, keeping default-path exports (and the
+                // golden snapshot) byte-stable.
+                o.field("expired_hopeless", self.expired_hopeless);
             }
-            out.push_str(&b.to_string());
-        }
-        out.push_str("],\n");
-        if let Some(telemetry) = &self.telemetry {
-            out.push_str(&telemetry.render_json());
-        }
-        out.push_str("  \"nodes\": [\n");
-        for (i, n) in self.nodes.iter().enumerate() {
-            out.push_str("    {");
-            out.push_str(&format!("\"name\": \"{}\", ", json_escape(&n.name)));
-            out.push_str(&format!("\"total_sms\": {}, ", n.total_sms));
-            out.push_str(&format!("\"fps\": {:.2}, ", n.fps));
-            out.push_str(&format!("\"dmr\": {:.4}, ", n.dmr));
-            out.push_str(&format!("\"released\": {}, ", n.released));
-            out.push_str(&format!("\"completed\": {}, ", n.completed));
-            out.push_str(&format!("\"missed\": {}, ", n.missed));
-            out.push_str(&format!(
-                "\"mean_utilization\": {:.4}, ",
-                n.mean_utilization
-            ));
-            out.push_str(&format!("\"final_tenants\": {}", n.final_tenants));
-            out.push('}');
-            if i + 1 < self.nodes.len() {
-                out.push(',');
+            o.fixed("queue_wait_mean_secs", self.queue_wait_mean_secs, 4)
+                .fixed("queue_wait_max_secs", self.queue_wait_max_secs, 4)
+                .fixed("rejection_rate", self.rejection_rate, 4)
+                .nest("utilization_histogram", "[]", |a| {
+                    a.items(self.utilization_histogram)
+                });
+            if let Some(telemetry) = &self.telemetry {
+                telemetry.write_json(o);
             }
-            out.push('\n');
-        }
-        out.push_str("  ]\n}");
-        out
+            o.nest("nodes", "[\n]", |a| {
+                a.items(self.nodes.iter().map(|n| {
+                    json::container(None, "{}", |o| {
+                        o.field("name", Str(&n.name))
+                            .field("total_sms", n.total_sms);
+                        o.fixed("fps", n.fps, 2).fixed("dmr", n.dmr, 4);
+                        fields!(o, n; released, completed, missed);
+                        o.fixed("mean_utilization", n.mean_utilization, 4);
+                        o.field("final_tenants", n.final_tenants);
+                    })
+                }));
+            });
+        })
     }
 
     /// Attaches a finished telemetry report, bumping the export to
@@ -252,22 +206,6 @@ impl FleetMetrics {
             self.schema_version = METRICS_SCHEMA_VERSION;
         }
     }
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// One dispatch decision of a run, as every counter set records it: the
@@ -386,40 +324,54 @@ impl DispatchCounts {
 /// events into a [`FleetMetrics`].
 #[derive(Debug, Clone, Default)]
 pub struct FleetMetricsBuilder {
-    names: Vec<String>,
-    sms: Vec<u32>,
-    released: Vec<u64>,
-    completed: Vec<u64>,
-    missed: Vec<u64>,
-    utilization_sum: Vec<f64>,
-    utilization_samples: Vec<u64>,
+    nodes: Vec<NodeTotals>,
     histogram: [u64; UTILIZATION_BINS],
     pub(crate) counts: DispatchCounts,
-    /// Per node, frames released and not yet resolved, carried across
-    /// the windows [`Self::record_epoch`] folds; sized by the first fold,
-    /// so the event path, which never folds a window, allocates nothing
-    /// for it.
-    open: Vec<u64>,
     migration_stall: SimDuration,
     wait_total: SimDuration,
     wait_max: SimDuration,
     wait_samples: u64,
 }
 
+/// One node's running totals: its report's name, SMs and frame counts,
+/// completed by [`FleetMetricsBuilder::finish`].
+#[derive(Debug, Clone)]
+struct NodeTotals {
+    report: NodeReport,
+    utilization_sum: f64,
+    utilization_samples: u64,
+    /// Frames released and not yet resolved, carried across the windows
+    /// [`FleetMetricsBuilder::record_epoch`] folds.
+    open: u64,
+}
+
 impl FleetMetricsBuilder {
     /// A builder for nodes with the given names and SM counts.
     #[must_use]
     pub fn new(names: Vec<String>, sms: Vec<u32>) -> Self {
-        let n = names.len();
-        assert_eq!(n, sms.len(), "one SM count per node");
+        assert_eq!(names.len(), sms.len(), "one SM count per node");
+        let nodes = names
+            .into_iter()
+            .zip(sms)
+            .map(|(name, total_sms)| NodeTotals {
+                report: NodeReport {
+                    name,
+                    total_sms,
+                    released: 0,
+                    completed: 0,
+                    missed: 0,
+                    fps: 0.0,
+                    dmr: 0.0,
+                    mean_utilization: 0.0,
+                    final_tenants: 0,
+                },
+                utilization_sum: 0.0,
+                utilization_samples: 0,
+                open: 0,
+            })
+            .collect();
         FleetMetricsBuilder {
-            names,
-            sms,
-            released: vec![0; n],
-            completed: vec![0; n],
-            missed: vec![0; n],
-            utilization_sum: vec![0.0; n],
-            utilization_samples: vec![0; n],
+            nodes,
             ..FleetMetricsBuilder::default()
         }
     }
@@ -454,39 +406,35 @@ impl FleetMetricsBuilder {
     /// later one; frames still open after the last window are
     /// [`FleetMetrics::truncated_jobs`].
     pub fn record_epoch(&mut self, node: usize, m: &RunMetrics) {
-        self.released[node] += m.released;
-        self.completed[node] += m.completed;
-        self.missed[node] += m.late + m.skipped + m.dropped;
-        if self.open.is_empty() {
-            self.open = vec![0; self.names.len()];
-        }
-        self.open[node] =
-            (self.open[node] + m.released).saturating_sub(m.completed + m.skipped + m.dropped);
+        let n = &mut self.nodes[node];
+        n.report.released += m.released;
+        n.report.completed += m.completed;
+        n.report.missed += m.late + m.skipped + m.dropped;
+        n.open = (n.open + m.released).saturating_sub(m.completed + m.skipped + m.dropped);
     }
 
     /// Frames node `node` released that no window has resolved yet.
     pub(crate) fn open_frames(&self, node: usize) -> u64 {
-        self.open.get(node).copied().unwrap_or(0)
+        self.nodes[node].open
     }
 
     /// Records one frame release of node `node` (event path).
     pub fn record_released(&mut self, node: usize) {
-        self.released[node] += 1;
+        self.nodes[node].report.released += 1;
     }
 
     /// Records one job completion of node `node` (event path); a late
     /// completion is also a miss.
     pub fn record_completed(&mut self, node: usize, late: bool) {
-        self.completed[node] += 1;
-        if late {
-            self.missed[node] += 1;
-        }
+        let report = &mut self.nodes[node].report;
+        report.completed += 1;
+        report.missed += u64::from(late);
     }
 
     /// Records one skipped (dropped-at-release) frame of node `node`
     /// (event path): released but never served, counted as a miss.
     pub fn record_skipped(&mut self, node: usize) {
-        self.missed[node] += 1;
+        self.nodes[node].report.missed += 1;
     }
 
     /// Adds one migration's state-transfer stall (event path).
@@ -514,8 +462,8 @@ impl FleetMetricsBuilder {
         } else {
             0.0
         };
-        self.utilization_sum[node] += sample;
-        self.utilization_samples[node] += 1;
+        self.nodes[node].utilization_sum += sample;
+        self.nodes[node].utilization_samples += 1;
         let clamped = sample.clamp(0.0, 1.0);
         let bin = ((clamped * UTILIZATION_BINS as f64) as usize).min(UTILIZATION_BINS - 1);
         self.histogram[bin] += 1;
@@ -531,33 +479,17 @@ impl FleetMetricsBuilder {
         still_queued: u64,
     ) -> FleetMetrics {
         let secs = window.as_secs_f64();
-        let nodes: Vec<NodeReport> = (0..self.names.len())
-            .map(|i| {
-                let released = self.released[i];
-                let missed = self.missed[i];
-                NodeReport {
-                    name: self.names[i].clone(),
-                    total_sms: self.sms[i],
-                    released,
-                    completed: self.completed[i],
-                    missed,
-                    fps: if secs > 0.0 {
-                        self.completed[i] as f64 / secs
-                    } else {
-                        0.0
-                    },
-                    dmr: if released > 0 {
-                        missed as f64 / released as f64
-                    } else {
-                        0.0
-                    },
-                    mean_utilization: if self.utilization_samples[i] > 0 {
-                        self.utilization_sum[i] / self.utilization_samples[i] as f64
-                    } else {
-                        0.0
-                    },
-                    final_tenants: final_tenants.get(i).copied().unwrap_or(0),
-                }
+        let truncated_jobs = self.nodes.iter().map(|n| n.open).sum();
+        let nodes: Vec<NodeReport> = self
+            .nodes
+            .into_iter()
+            .enumerate()
+            .map(|(i, n)| NodeReport {
+                fps: ratio(n.report.completed as f64, secs),
+                dmr: ratio(n.report.missed as f64, n.report.released as f64),
+                mean_utilization: ratio(n.utilization_sum, n.utilization_samples as f64),
+                final_tenants: final_tenants.get(i).copied().unwrap_or(0),
+                ..n.report
             })
             .collect();
         let released: u64 = nodes.iter().map(|n| n.released).sum();
@@ -572,16 +504,8 @@ impl FleetMetricsBuilder {
         let rejected = c.deferred - c.admitted_after_wait;
         FleetMetrics {
             window,
-            total_fps: if secs > 0.0 {
-                completed as f64 / secs
-            } else {
-                0.0
-            },
-            dmr: if released > 0 {
-                missed as f64 / released as f64
-            } else {
-                0.0
-            },
+            total_fps: ratio(completed as f64, secs),
+            dmr: ratio(missed as f64, released as f64),
             nodes,
             arrivals: c.arrivals,
             admitted: c.admitted,
@@ -597,25 +521,26 @@ impl FleetMetricsBuilder {
             upgrades: c.upgrades,
             expired: c.expired,
             expired_hopeless: c.expired_hopeless,
-            truncated_jobs: self.open.iter().sum(),
+            truncated_jobs,
             migration_stall_secs: self.migration_stall.as_secs_f64(),
             // Telemetry attaches afterwards (see `attach_telemetry`);
             // until then the report has the v2 shape and says so.
             schema_version: BASE_SCHEMA_VERSION,
             telemetry: None,
-            queue_wait_mean_secs: if self.wait_samples > 0 {
-                self.wait_total.as_secs_f64() / self.wait_samples as f64
-            } else {
-                0.0
-            },
+            queue_wait_mean_secs: ratio(self.wait_total.as_secs_f64(), self.wait_samples as f64),
             queue_wait_max_secs: self.wait_max.as_secs_f64(),
-            rejection_rate: if c.arrivals > 0 {
-                (rejected + c.infeasible) as f64 / c.arrivals as f64
-            } else {
-                0.0
-            },
+            rejection_rate: ratio((rejected + c.infeasible) as f64, c.arrivals as f64),
             utilization_histogram: self.histogram,
         }
+    }
+}
+
+/// `num / den`, or 0 for an empty denominator.
+fn ratio(num: f64, den: f64) -> f64 {
+    if den > 0.0 {
+        num / den
+    } else {
+        0.0
     }
 }
 

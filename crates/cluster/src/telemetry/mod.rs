@@ -17,12 +17,12 @@
 //!   run-wide. Per-node latency sketches are merged in ascending node
 //!   index, and per-window wait sketches in window order, so the export
 //!   is byte-identical across worker counts.
-//! * **Decision trace** ([`trace`]) — an opt-in ring buffer of
-//!   [`TraceEvent`]s (dispatch verdict with cause and shard-probe
-//!   count, queue admission/expiry, re-pricing ladder steps, migration
-//!   victim/destination/stall, departures). The JSON profile block
-//!   carries the trace's record/drop counts next to deterministic
-//!   hot-path counters read from the span call counts.
+//! * **Decision trace** ([`trace`]) — an opt-in ring buffer of the
+//!   recorded decisions, rendered as lines (dispatch verdict with cause
+//!   and shard-probe count, queue admission/expiry, re-pricing ladder
+//!   steps, migration victim/destination/stall, departures). The JSON
+//!   profile block carries the trace's record/drop counts next to
+//!   deterministic hot-path counters read from the span call counts.
 //! * **Span counts and profiler** ([`prof`]) — every run counts the
 //!   calls of the simulator's *own* hot paths ([`Span`]) in one
 //!   always-on block ([`crate::Fleet::span_calls`]); an independently
@@ -48,8 +48,8 @@ mod window;
 
 pub use prof::{Span, SpanProfile, SpanStats, PLAN_LATENCY_BINS, SPAN_COUNT};
 pub use sketch::{QuantileSketch, DEFAULT_SKETCH_CAPACITY, RANK_ERROR_NUMERATOR};
-pub use trace::TraceEvent;
 
+use crate::json::{container, fields, Members, Str};
 use crate::metrics::Decision;
 use crate::DispatchCounts;
 use prof::{SpanCalls, SpanProfiler};
@@ -158,11 +158,12 @@ impl SketchSummary {
         }
     }
 
-    fn render_json(&self) -> String {
-        format!(
-            "{{\"count\": {}, \"p50\": {:.3}, \"p90\": {:.3}, \"p99\": {:.3}, \"max\": {:.3}}}",
-            self.count, self.p50_ms, self.p90_ms, self.p99_ms, self.max_ms
-        )
+    fn write_json(&self, o: &mut Members) {
+        o.field("count", self.count)
+            .fixed("p50", self.p50_ms, 3)
+            .fixed("p90", self.p90_ms, 3)
+            .fixed("p99", self.p99_ms, 3)
+            .fixed("max", self.max_ms, 3);
     }
 }
 
@@ -239,71 +240,37 @@ impl TelemetryReport {
             .unwrap_or(0)
     }
 
-    /// Renders the report as the `"telemetry"` member of the metrics
-    /// JSON export (hand-rolled like the rest of
-    /// [`crate::FleetMetrics::to_json`]), including the trailing comma.
-    #[must_use]
-    pub fn render_json(&self) -> String {
-        let mut out = String::with_capacity(1_024);
-        out.push_str("  \"telemetry\": {\n");
-        out.push_str(&format!("    \"window_secs\": {:.3},\n", self.window_secs));
-        out.push_str(&format!(
-            "    \"queue_wait_ms\": {},\n",
-            self.queue_wait.render_json()
-        ));
-        out.push_str(&format!(
-            "    \"job_latency_ms\": {},\n",
-            self.job_latency.render_json()
-        ));
-        out.push_str(&format!(
-            "    \"profile\": {{\"plans\": {}, \"shard_probes\": {}, \"drain_scans\": {}, \"event_queue_ops\": {}, \"trace_recorded\": {}, \"trace_dropped\": {}}},\n",
-            self.profile.plans,
-            self.profile.shard_probes,
-            self.profile.drain_scans,
-            self.profile.event_queue_ops,
-            self.profile.trace_recorded,
-            self.profile.trace_dropped
-        ));
-        out.push_str("    \"windows\": [\n");
-        for (i, w) in self.windows.iter().enumerate() {
-            let c = &w.counts;
-            out.push_str(&format!(
-                "      {{\"start_secs\": {:.3}, \"arrivals\": {}, \"admitted\": {}, \"degraded\": {}, \"deferred\": {}, \"infeasible\": {}, \"duplicates\": {}, \"admitted_after_wait\": {}, \"expired\": {}, \"upgrades\": {}, \"migrations\": {}, \"departures\": {}, \"queue_depth_peak\": {}, \"utilization_mean\": {:.4}, \"wait_ms\": {}}}",
-                w.start_secs,
-                c.arrivals,
-                c.admitted,
-                c.degraded,
-                c.deferred,
-                c.infeasible,
-                c.duplicates,
-                c.admitted_after_wait,
-                c.expired_total(),
-                c.upgrades,
-                c.migrations,
-                c.departures,
-                w.queue_depth_peak,
-                w.utilization_mean,
-                w.wait.render_json()
-            ));
-            if i + 1 < self.windows.len() {
-                out.push(',');
+    /// Writes the report as the `"telemetry"` member of the metrics
+    /// JSON export ([`crate::FleetMetrics::to_json`]).
+    pub(crate) fn write_json(&self, o: &mut Members) {
+        o.nest("telemetry", "{\n}", |t| {
+            t.fixed("window_secs", self.window_secs, 3)
+                .nest("queue_wait_ms", "{}", |o| self.queue_wait.write_json(o))
+                .nest("job_latency_ms", "{}", |o| self.job_latency.write_json(o))
+                .nest("profile", "{}", |o| {
+                    fields!(o, self.profile; plans, shard_probes, drain_scans, event_queue_ops,
+                        trace_recorded, trace_dropped);
+                })
+                .nest("windows", "[\n]", |a| {
+                    a.items(self.windows.iter().map(|w| {
+                        container(None, "{}", |o| {
+                            o.fixed("start_secs", w.start_secs, 3);
+                            fields!(o, w.counts; arrivals, admitted, degraded, deferred,
+                                infeasible, duplicates, admitted_after_wait);
+                            o.field("expired", w.counts.expired_total());
+                            fields!(o, w.counts; upgrades, migrations, departures);
+                            o.field("queue_depth_peak", w.queue_depth_peak)
+                                .fixed("utilization_mean", w.utilization_mean, 4)
+                                .nest("wait_ms", "{}", |o| w.wait.write_json(o));
+                        })
+                    }));
+                });
+            if self.trace_enabled {
+                t.nest("trace", "[\n]", |a| {
+                    a.items(self.trace.iter().map(|l| Str(l)))
+                });
             }
-            out.push('\n');
-        }
-        out.push_str("    ]");
-        if self.trace_enabled {
-            out.push_str(",\n    \"trace\": [\n");
-            for (i, line) in self.trace.iter().enumerate() {
-                out.push_str(&format!("      \"{}\"", crate::metrics::json_escape(line)));
-                if i + 1 < self.trace.len() {
-                    out.push(',');
-                }
-                out.push('\n');
-            }
-            out.push_str("    ]");
-        }
-        out.push_str("\n  },\n");
-        out
+        });
     }
 }
 
@@ -447,7 +414,7 @@ impl Telemetry {
             _ => w.note_queue_depth(queue_depth as u64),
         }
         if state.trace.enabled() {
-            state.trace.push(TraceEvent::of(at, tenant, decision));
+            state.trace.push(at, tenant, *decision);
         }
     }
 
@@ -530,7 +497,7 @@ impl Telemetry {
                 trace_dropped: state.trace.dropped(),
             },
             trace_enabled: self.cfg.trace_capacity > 0,
-            trace: state.trace.events().map(TraceEvent::render).collect(),
+            trace: state.trace.lines().collect(),
         };
         self.span_end(Span::TelemetryFold, fold_clock);
         Some(report)
@@ -558,6 +525,16 @@ mod tests {
 
     fn arrival(outcome: DispatchOutcome, probes: u64) -> Decision {
         Decision::Arrival { outcome, probes }
+    }
+
+    impl TelemetryReport {
+        /// The `"telemetry"` member as the export writes it, with the
+        /// separator to the member that follows.
+        fn render_json(&self) -> String {
+            let mut o = Members(String::new(), Some(1));
+            self.write_json(&mut o);
+            o.0
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! The structured decision trace and the hot-path profiling counters.
 //!
 //! The trace is an opt-in ring buffer
-//! ([`crate::TelemetryConfig::trace_capacity`]) of [`TraceEvent`]s: every
-//! dispatch verdict with its cause and shard-probe count, queue
-//! admissions with their waits, expiries, re-pricing ladder steps,
-//! migrations with victim/destination/stall, and departures. When the
+//! ([`crate::TelemetryConfig::trace_capacity`]) of the run's recorded
+//! decisions, the same values the run totals fold: every dispatch
+//! verdict with its cause and shard-probe count, queue admissions with
+//! their waits, expiries, re-pricing ladder steps, migrations with
+//! victim/destination/stall, and departures. When the
 //! ring is full the *oldest* events are dropped (the tail of a run is
 //! usually what an investigation needs) and the drop count is surfaced in
 //! the profile block. All recording happens on the single-threaded
@@ -20,205 +21,62 @@
 
 use crate::metrics::Decision;
 use crate::DispatchOutcome;
-use sgprs_rt::{SimDuration, SimTime};
+use sgprs_rt::SimTime;
 use std::collections::VecDeque;
 
-/// One traced dispatch decision.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceEvent {
-    /// An arrival was dispatched: the verdict with its cause and how many
-    /// shard probes the placement planning spent (0 on flat fleets).
-    Arrival {
-        /// When the arrival was dispatched.
-        at: SimTime,
-        /// Tenant name.
-        tenant: String,
-        /// The dispatch outcome.
-        outcome: DispatchOutcome,
-        /// Shard probes spent planning this arrival.
-        probes: u64,
-    },
-    /// A waiter was admitted out of the queue.
-    QueueAdmit {
-        /// When the admission happened.
-        at: SimTime,
-        /// Tenant name.
-        tenant: String,
-        /// Whether it was admitted at a degraded ladder step.
-        degraded: bool,
-        /// How long it waited.
-        waited: SimDuration,
-    },
-    /// A waiter left the queue unserved.
-    QueueExpire {
-        /// When the expiry fired.
-        at: SimTime,
-        /// Tenant name.
-        tenant: String,
-        /// `true` for the demand-aware provably-hopeless sweep, `false`
-        /// for plain patience expiry.
-        hopeless: bool,
-    },
-    /// A degraded resident stepped back up its re-pricing ladder.
-    Upgrade {
-        /// When the upgrade happened.
-        at: SimTime,
-        /// Tenant name.
-        tenant: String,
-        /// The rate it now serves at.
-        fps: f64,
-    },
-    /// A migration attempt: victim, destination (`None` when nobody could
-    /// take it), and the state-transfer stall paid (zero on the epoch
-    /// path, which models migration as free).
-    Migration {
-        /// When the migration fired.
-        at: SimTime,
-        /// The shed tenant.
-        tenant: String,
-        /// Source node index.
-        from: usize,
-        /// Destination node index, or `None` for a failed attempt.
-        to: Option<usize>,
-        /// The stall the migrant paid.
-        stall: SimDuration,
-    },
-    /// A tenant departed (from the churn trace).
-    Departure {
-        /// When the departure applied.
-        at: SimTime,
-        /// Tenant name.
-        tenant: String,
-        /// `true` when it was resident (serving), `false` when it was
-        /// still waiting in the queue.
-        resident: bool,
-    },
-}
-
-impl TraceEvent {
-    /// The trace event of one recorded decision.
-    pub(crate) fn of(at: SimTime, tenant: &str, decision: &Decision) -> Self {
-        let tenant = tenant.to_string();
-        match *decision {
-            Decision::Arrival { outcome, probes } => TraceEvent::Arrival {
-                at,
-                tenant,
-                outcome,
-                probes,
-            },
-            Decision::QueueAdmit {
-                degraded, waited, ..
-            } => TraceEvent::QueueAdmit {
-                at,
-                tenant,
-                degraded,
-                waited,
-            },
-            Decision::Expiry { hopeless } => TraceEvent::QueueExpire {
-                at,
-                tenant,
-                hopeless,
-            },
-            Decision::Departure { resident } => TraceEvent::Departure {
-                at,
-                tenant,
-                resident,
-            },
-            Decision::Upgrade { fps } => TraceEvent::Upgrade { at, tenant, fps },
-            Decision::Migration { from, to, stall } => TraceEvent::Migration {
-                at,
-                tenant,
-                from,
-                to,
-                stall,
-            },
+/// Renders one recorded decision as a compact, stable line (used by the
+/// JSON trace block and the example output).
+pub(crate) fn render(at: SimTime, tenant: &str, decision: &Decision) -> String {
+    let secs = at.duration_since(SimTime::ZERO).as_secs_f64();
+    match *decision {
+        Decision::Arrival { outcome, probes } => {
+            let verdict = match outcome {
+                DispatchOutcome::Placed(node) => format!("placed node={node}"),
+                DispatchOutcome::PlacedDegraded { node, fps } => {
+                    format!("placed-degraded node={node} fps={fps:.1}")
+                }
+                DispatchOutcome::Queued => "queued".to_string(),
+                DispatchOutcome::Infeasible => "infeasible".to_string(),
+                DispatchOutcome::Duplicate => "duplicate".to_string(),
+            };
+            format!("{secs:.3}s arrival {tenant}: {verdict} probes={probes}")
         }
-    }
-
-    /// Renders the event as one compact, stable line (used by the JSON
-    /// trace block and the example output).
-    #[must_use]
-    pub fn render(&self) -> String {
-        let secs = |t: &SimTime| t.duration_since(SimTime::ZERO).as_secs_f64();
-        match self {
-            TraceEvent::Arrival {
-                at,
-                tenant,
-                outcome,
-                probes,
-            } => {
-                let verdict = match outcome {
-                    DispatchOutcome::Placed(node) => format!("placed node={node}"),
-                    DispatchOutcome::PlacedDegraded { node, fps } => {
-                        format!("placed-degraded node={node} fps={fps:.1}")
-                    }
-                    DispatchOutcome::Queued => "queued".to_string(),
-                    DispatchOutcome::Infeasible => "infeasible".to_string(),
-                    DispatchOutcome::Duplicate => "duplicate".to_string(),
-                };
-                format!(
-                    "{:.3}s arrival {tenant}: {verdict} probes={probes}",
-                    secs(at)
-                )
-            }
-            TraceEvent::QueueAdmit {
-                at,
-                tenant,
-                degraded,
-                waited,
-            } => format!(
-                "{:.3}s queue-admit {tenant}: waited={:.3}s{}",
-                secs(at),
-                waited.as_secs_f64(),
-                if *degraded { " degraded" } else { "" }
-            ),
-            TraceEvent::QueueExpire {
-                at,
-                tenant,
-                hopeless,
-            } => format!(
-                "{:.3}s queue-expire {tenant}: {}",
-                secs(at),
-                if *hopeless { "hopeless" } else { "patience" }
-            ),
-            TraceEvent::Upgrade { at, tenant, fps } => {
-                format!("{:.3}s upgrade {tenant}: fps={fps:.1}", secs(at))
-            }
-            TraceEvent::Migration {
-                at,
-                tenant,
-                from,
-                to,
-                stall,
-            } => match to {
-                Some(to) => format!(
-                    "{:.3}s migrate {tenant}: node {from} -> {to} stall={:.3}s",
-                    secs(at),
-                    stall.as_secs_f64()
-                ),
-                None => format!(
-                    "{:.3}s migrate {tenant}: node {from} -> nowhere (failed)",
-                    secs(at)
-                ),
-            },
-            TraceEvent::Departure {
-                at,
-                tenant,
-                resident,
-            } => format!(
-                "{:.3}s departure {tenant}: was {}",
-                secs(at),
-                if *resident { "resident" } else { "queued" }
-            ),
+        Decision::QueueAdmit {
+            degraded, waited, ..
+        } => format!(
+            "{secs:.3}s queue-admit {tenant}: waited={:.3}s{}",
+            waited.as_secs_f64(),
+            if degraded { " degraded" } else { "" }
+        ),
+        Decision::Expiry { hopeless } => format!(
+            "{secs:.3}s queue-expire {tenant}: {}",
+            if hopeless { "hopeless" } else { "patience" }
+        ),
+        Decision::Upgrade { fps } => format!("{secs:.3}s upgrade {tenant}: fps={fps:.1}"),
+        Decision::Migration {
+            from,
+            to: Some(to),
+            stall,
+        } => format!(
+            "{secs:.3}s migrate {tenant}: node {from} -> {to} stall={:.3}s",
+            stall.as_secs_f64()
+        ),
+        Decision::Migration { from, to: None, .. } => {
+            format!("{secs:.3}s migrate {tenant}: node {from} -> nowhere (failed)")
         }
+        Decision::Departure { resident } => format!(
+            "{secs:.3}s departure {tenant}: was {}",
+            if resident { "resident" } else { "queued" }
+        ),
     }
 }
 
-/// A bounded ring of [`TraceEvent`]s: newest kept, oldest dropped.
+/// A bounded ring of recorded decisions, each with its instant and the
+/// tenant's name as it was then: newest kept, oldest dropped.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TraceRing {
     capacity: usize,
-    events: VecDeque<TraceEvent>,
+    events: VecDeque<(SimTime, String, Decision)>,
     recorded: u64,
     dropped: u64,
 }
@@ -238,7 +96,7 @@ impl TraceRing {
         self.capacity > 0
     }
 
-    pub(crate) fn push(&mut self, event: TraceEvent) {
+    pub(crate) fn push(&mut self, at: SimTime, tenant: &str, decision: Decision) {
         if self.capacity == 0 {
             return;
         }
@@ -246,7 +104,7 @@ impl TraceRing {
             self.events.pop_front();
             self.dropped += 1;
         }
-        self.events.push_back(event);
+        self.events.push_back((at, tenant.to_string(), decision));
         self.recorded += 1;
     }
 
@@ -258,33 +116,39 @@ impl TraceRing {
         self.dropped
     }
 
-    pub(crate) fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
+    /// The kept decisions rendered as lines, oldest first.
+    pub(crate) fn lines(&self) -> impl Iterator<Item = String> + '_ {
+        self.events
+            .iter()
+            .map(|(at, tenant, decision)| render(*at, tenant, decision))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sgprs_rt::SimDuration;
+
+    fn at(ms: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_millis(ms)
+    }
 
     #[test]
     fn ring_drops_oldest_and_counts() {
         let mut ring = TraceRing::new(2);
         for i in 0..5u64 {
-            ring.push(TraceEvent::Departure {
-                at: SimTime::ZERO + SimDuration::from_millis(i),
-                tenant: format!("t{i}"),
-                resident: true,
-            });
+            ring.push(
+                at(i),
+                &format!("t{i}"),
+                Decision::Departure { resident: true },
+            );
         }
         assert_eq!(ring.recorded(), 5);
         assert_eq!(ring.dropped(), 3);
         let kept: Vec<String> = ring
-            .events()
-            .map(|e| match e {
-                TraceEvent::Departure { tenant, .. } => tenant.clone(),
-                _ => unreachable!(),
-            })
+            .events
+            .iter()
+            .map(|(_, tenant, _)| tenant.clone())
             .collect();
         assert_eq!(kept, vec!["t3", "t4"], "newest survive");
     }
@@ -293,34 +157,106 @@ mod tests {
     fn zero_capacity_ring_records_nothing() {
         let mut ring = TraceRing::new(0);
         assert!(!ring.enabled());
-        ring.push(TraceEvent::QueueExpire {
-            at: SimTime::ZERO,
-            tenant: "t".into(),
-            hopeless: false,
-        });
+        ring.push(at(0), "t", Decision::Expiry { hopeless: false });
         assert_eq!(ring.recorded(), 0);
         assert_eq!(ring.dropped(), 0);
     }
 
     #[test]
     fn rendered_lines_are_compact_and_stable() {
-        let e = TraceEvent::Arrival {
-            at: SimTime::ZERO + SimDuration::from_millis(1_500),
-            tenant: "cam-3".into(),
-            outcome: DispatchOutcome::PlacedDegraded { node: 2, fps: 15.0 },
-            probes: 2,
-        };
-        assert_eq!(
-            e.render(),
-            "1.500s arrival cam-3: placed-degraded node=2 fps=15.0 probes=2"
-        );
-        let m = TraceEvent::Migration {
-            at: SimTime::ZERO + SimDuration::from_millis(250),
-            tenant: "t".into(),
-            from: 1,
-            to: None,
-            stall: SimDuration::ZERO,
-        };
-        assert_eq!(m.render(), "0.250s migrate t: node 1 -> nowhere (failed)");
+        let arrival = |outcome, probes| (at(1_500), "cam-3", Decision::Arrival { outcome, probes });
+        let cases = [
+            (
+                arrival(DispatchOutcome::PlacedDegraded { node: 2, fps: 15.0 }, 2),
+                "1.500s arrival cam-3: placed-degraded node=2 fps=15.0 probes=2",
+            ),
+            (
+                arrival(DispatchOutcome::Placed(4), 0),
+                "1.500s arrival cam-3: placed node=4 probes=0",
+            ),
+            (
+                arrival(DispatchOutcome::Queued, 3),
+                "1.500s arrival cam-3: queued probes=3",
+            ),
+            (
+                arrival(DispatchOutcome::Infeasible, 1),
+                "1.500s arrival cam-3: infeasible probes=1",
+            ),
+            (
+                arrival(DispatchOutcome::Duplicate, 0),
+                "1.500s arrival cam-3: duplicate probes=0",
+            ),
+            (
+                (
+                    at(2_250),
+                    "q",
+                    Decision::QueueAdmit {
+                        degraded: true,
+                        waited: SimDuration::from_millis(1_125),
+                        carried_over: false,
+                    },
+                ),
+                "2.250s queue-admit q: waited=1.125s degraded",
+            ),
+            (
+                (
+                    at(2_250),
+                    "q",
+                    Decision::QueueAdmit {
+                        degraded: false,
+                        waited: SimDuration::from_micros(500),
+                        carried_over: true,
+                    },
+                ),
+                "2.250s queue-admit q: waited=0.001s",
+            ),
+            (
+                (at(3_000), "w", Decision::Expiry { hopeless: true }),
+                "3.000s queue-expire w: hopeless",
+            ),
+            (
+                (at(3_001), "w", Decision::Expiry { hopeless: false }),
+                "3.001s queue-expire w: patience",
+            ),
+            (
+                (at(4_000), "u", Decision::Upgrade { fps: 22.5 }),
+                "4.000s upgrade u: fps=22.5",
+            ),
+            (
+                (
+                    at(250),
+                    "t",
+                    Decision::Migration {
+                        from: 1,
+                        to: None,
+                        stall: SimDuration::ZERO,
+                    },
+                ),
+                "0.250s migrate t: node 1 -> nowhere (failed)",
+            ),
+            (
+                (
+                    at(5_500),
+                    "t",
+                    Decision::Migration {
+                        from: 0,
+                        to: Some(3),
+                        stall: SimDuration::from_millis(100),
+                    },
+                ),
+                "5.500s migrate t: node 0 -> 3 stall=0.100s",
+            ),
+            (
+                (at(6_000), "d", Decision::Departure { resident: true }),
+                "6.000s departure d: was resident",
+            ),
+            (
+                (at(6_000), "d", Decision::Departure { resident: false }),
+                "6.000s departure d: was queued",
+            ),
+        ];
+        for ((when, tenant, decision), line) in cases {
+            assert_eq!(render(when, tenant, &decision), line);
+        }
     }
 }

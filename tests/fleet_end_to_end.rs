@@ -7,8 +7,9 @@
 
 use sgprs_suite::cluster::{
     AdmissionController, ArrivalStream, ChurnConfig, ChurnTrace, DispatchCounts, Fleet,
-    FleetConfig, FleetMetrics, FleetMetricsBuilder, FleetNode, ModelKind, NodeSpec, QueuePolicy,
-    Span, TelemetryConfig, TenantSpec, BASE_SCHEMA_VERSION, METRICS_SCHEMA_VERSION,
+    FleetConfig, FleetMetrics, FleetMetricsBuilder, FleetNode, ModelKind, NodeSpec, ProfileReport,
+    QueuePolicy, SketchSummary, Span, TelemetryConfig, TelemetryReport, TenantSpec, WindowReport,
+    BASE_SCHEMA_VERSION, METRICS_SCHEMA_VERSION,
 };
 use sgprs_suite::core::MetricsCollector;
 use sgprs_suite::gpu_sim::GpuSpec;
@@ -487,6 +488,128 @@ fn fleet_metrics_json_schema_matches_golden_snapshot() {
     assert_eq!(
         json, golden,
         "FleetMetrics::to_json schema drifted — update the snapshot AND \
+         every downstream consumer of the JSON"
+    );
+
+    // Schema v3: the same fold with a telemetry report attached, the
+    // optional `expired_hopeless` line in place, and a node name and a
+    // trace line that need escaping.
+    let mut b = FleetMetricsBuilder::new(vec!["gpu\"0\"\\a".into(), "gpu1".into()], vec![68, 34]);
+    b.record_epoch(0, &epoch);
+    b.record_utilization(0, 0.42);
+    b.record_utilization(1, 0.95);
+    b.record_wait(SimDuration::from_millis(1500));
+    let mut m = b.finish(SimDuration::from_secs(2), &[1, 0], 1);
+    m.expired_hopeless = 2;
+    let sketch = |count: u64, p50_ms: f64| SketchSummary {
+        count,
+        p50_ms,
+        p90_ms: p50_ms * 1.5,
+        p99_ms: p50_ms * 2.25,
+        max_ms: p50_ms * 3.125,
+    };
+    m.attach_telemetry(Some(TelemetryReport {
+        window_secs: 1.0,
+        windows: vec![
+            WindowReport {
+                start_secs: 0.0,
+                counts: DispatchCounts {
+                    arrivals: 4,
+                    admitted: 1,
+                    degraded: 1,
+                    deferred: 1,
+                    infeasible: 1,
+                    duplicates: 1,
+                    expired: 1,
+                    expired_hopeless: 1,
+                    ..DispatchCounts::default()
+                },
+                queue_depth_peak: 2,
+                utilization_mean: 0.42,
+                wait: sketch(0, 0.0),
+            },
+            WindowReport {
+                start_secs: 1.0,
+                counts: DispatchCounts {
+                    admitted_after_wait: 1,
+                    expired_hopeless: 1,
+                    upgrades: 1,
+                    migrations: 1,
+                    departures: 2,
+                    ..DispatchCounts::default()
+                },
+                queue_depth_peak: 1,
+                utilization_mean: 0.68555,
+                wait: sketch(1, 1500.0),
+            },
+        ],
+        queue_wait: sketch(1, 1500.0),
+        job_latency: sketch(3, 12.3456),
+        profile: ProfileReport {
+            plans: 5,
+            shard_probes: 7,
+            drain_scans: 2,
+            event_queue_ops: 11,
+            trace_recorded: 5,
+            trace_dropped: 2,
+        },
+        trace_enabled: true,
+        trace: vec![
+            "0.000s arrival cam-1: placed node=0 probes=1".into(),
+            "0.500s arrival cam\"2\"\\x\t: queued probes=2".into(),
+            "1.500s queue-admit cam-3: waited=1.500s degraded".into(),
+        ],
+    }));
+    let golden_v3 = "\
+{
+  \"schema_version\": 3,
+  \"window_secs\": 2.000,
+  \"total_fps\": 1.50,
+  \"dmr\": 0.5000,
+  \"arrivals\": 0,
+  \"admitted\": 0,
+  \"rejected\": 0,
+  \"infeasible\": 0,
+  \"deferred\": 0,
+  \"duplicates\": 0,
+  \"admitted_after_wait\": 0,
+  \"still_queued\": 1,
+  \"departures\": 0,
+  \"migrations\": 0,
+  \"truncated_jobs\": 0,
+  \"migration_stall_secs\": 0.0000,
+  \"degraded\": 0,
+  \"upgrades\": 0,
+  \"expired\": 0,
+  \"expired_hopeless\": 2,
+  \"queue_wait_mean_secs\": 1.5000,
+  \"queue_wait_max_secs\": 1.5000,
+  \"rejection_rate\": 0.0000,
+  \"utilization_histogram\": [0, 0, 0, 0, 1, 0, 0, 0, 0, 1],
+  \"telemetry\": {
+    \"window_secs\": 1.000,
+    \"queue_wait_ms\": {\"count\": 1, \"p50\": 1500.000, \"p90\": 2250.000, \"p99\": 3375.000, \"max\": 4687.500},
+    \"job_latency_ms\": {\"count\": 3, \"p50\": 12.346, \"p90\": 18.518, \"p99\": 27.778, \"max\": 38.580},
+    \"profile\": {\"plans\": 5, \"shard_probes\": 7, \"drain_scans\": 2, \"event_queue_ops\": 11, \"trace_recorded\": 5, \"trace_dropped\": 2},
+    \"windows\": [
+      {\"start_secs\": 0.000, \"arrivals\": 4, \"admitted\": 1, \"degraded\": 1, \"deferred\": 1, \"infeasible\": 1, \"duplicates\": 1, \"admitted_after_wait\": 0, \"expired\": 2, \"upgrades\": 0, \"migrations\": 0, \"departures\": 0, \"queue_depth_peak\": 2, \"utilization_mean\": 0.4200, \"wait_ms\": {\"count\": 0, \"p50\": 0.000, \"p90\": 0.000, \"p99\": 0.000, \"max\": 0.000}},
+      {\"start_secs\": 1.000, \"arrivals\": 0, \"admitted\": 0, \"degraded\": 0, \"deferred\": 0, \"infeasible\": 0, \"duplicates\": 0, \"admitted_after_wait\": 1, \"expired\": 1, \"upgrades\": 1, \"migrations\": 1, \"departures\": 2, \"queue_depth_peak\": 1, \"utilization_mean\": 0.6855, \"wait_ms\": {\"count\": 1, \"p50\": 1500.000, \"p90\": 2250.000, \"p99\": 3375.000, \"max\": 4687.500}}
+    ],
+    \"trace\": [
+      \"0.000s arrival cam-1: placed node=0 probes=1\",
+      \"0.500s arrival cam\\\"2\\\"\\\\x\\t: queued probes=2\",
+      \"1.500s queue-admit cam-3: waited=1.500s degraded\"
+    ]
+  },
+  \"nodes\": [
+    {\"name\": \"gpu\\\"0\\\"\\\\a\", \"total_sms\": 68, \"fps\": 1.50, \"dmr\": 0.5000, \"released\": 4, \"completed\": 3, \"missed\": 2, \"mean_utilization\": 0.4200, \"final_tenants\": 1},
+    {\"name\": \"gpu1\", \"total_sms\": 34, \"fps\": 0.00, \"dmr\": 0.0000, \"released\": 0, \"completed\": 0, \"missed\": 0, \"mean_utilization\": 0.9500, \"final_tenants\": 0}
+  ]
+}";
+    assert_eq!(
+        m.to_json(),
+        golden_v3,
+        "FleetMetrics::to_json schema-v3 drifted — update the snapshot AND \
          every downstream consumer of the JSON"
     );
 }
