@@ -75,13 +75,14 @@ fn main() {
     let started = std::time::Instant::now();
     let replay = fleet.replay_dispatch(arrivals, horizon);
     let wall = started.elapsed().as_secs_f64();
-    let rate = replay.counts.arrivals as f64 / wall.max(1e-9);
+    let rate = replay.arrivals as f64 / wall.max(1e-9);
+    let (peak_active, id_capacity) = (fleet.peak_active_tenants(), fleet.tenant_id_capacity());
+    let final_active =
+        replay.nodes.iter().map(|n| n.final_tenants).sum::<usize>() + replay.still_queued as usize;
 
     assert!(
-        replay.id_capacity == replay.peak_active,
-        "id table leaked: capacity {} != peak active {}",
-        replay.id_capacity,
-        replay.peak_active
+        id_capacity == peak_active,
+        "id table leaked: capacity {id_capacity} != peak active {peak_active}"
     );
 
     if csv {
@@ -90,43 +91,36 @@ fn main() {
              admitted_after_wait,peak_active,id_capacity,final_active,wall_ms,arrivals_per_sec"
         );
         println!(
-            "{NODES},{},{},{},{},{},{},{},{},{},{},{},{},{:.0},{rate:.0}",
-            replay.counts.arrivals,
-            replay.counts.admitted,
-            replay.counts.degraded,
-            replay.counts.deferred,
-            replay.counts.infeasible,
-            replay.counts.duplicates,
-            replay.counts.departures,
-            replay.counts.expired,
-            replay.counts.admitted_after_wait,
-            replay.peak_active,
-            replay.id_capacity,
-            replay.final_active,
+            "{NODES},{},{},{},{},{},{},{},{},{},{peak_active},{id_capacity},{final_active},{:.0},{rate:.0}",
+            replay.arrivals,
+            replay.admitted,
+            replay.degraded,
+            replay.deferred,
+            replay.infeasible,
+            replay.duplicates,
+            replay.departures,
+            replay.expired,
+            replay.admitted_after_wait,
             wall * 1e3
         );
     } else {
         println!("== fleet_stream: {NODES} nodes, generator-driven arrivals ==");
         println!(
             "streamed {} arrivals in {:.2}s wall — {:.0} arrivals/sec",
-            replay.counts.arrivals, wall, rate
+            replay.arrivals, wall, rate
         );
         println!(
             "placed {} ({} degraded), queued {}, infeasible {}, duplicates {}",
-            replay.counts.admitted,
-            replay.counts.degraded,
-            replay.counts.deferred,
-            replay.counts.infeasible,
-            replay.counts.duplicates
+            replay.admitted, replay.degraded, replay.deferred, replay.infeasible, replay.duplicates
         );
         println!(
             "departures {}, expired waiters {}, admitted after wait {}",
-            replay.counts.departures, replay.counts.expired, replay.counts.admitted_after_wait
+            replay.departures, replay.expired, replay.admitted_after_wait
         );
         println!(
-            "memory bound: peak_active {} == id_capacity {} (final_active {}) — \
-             O(active), independent of the {} tenants streamed",
-            replay.peak_active, replay.id_capacity, replay.final_active, replay.counts.arrivals
+            "memory bound: peak_active {peak_active} == id_capacity {id_capacity} \
+             (final_active {final_active}) — O(active), independent of the {} tenants streamed",
+            replay.arrivals
         );
     }
 }

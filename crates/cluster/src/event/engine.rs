@@ -142,10 +142,6 @@ struct Engine<'a> {
     runs: Vec<Option<TenantRun>>,
     /// One pending `Migrate` event per node at a time.
     migration_pending: Vec<bool>,
-    /// Per-node `(node version, (budget, demand))` for utilisation
-    /// samples: between mutations a node's sample is a constant, so
-    /// each `Sample` event recomputes only nodes whose version moved.
-    sample_cache: Vec<Option<(u64, (f64, f64))>>,
     /// Reused buffer for the per-migration fleet DMR snapshot.
     dmr_scratch: Vec<f64>,
     next_gen: u64,
@@ -172,7 +168,6 @@ impl<'a> Engine<'a> {
             pending: (0..n_nodes).map(|_| VecDeque::new()).collect(),
             runs: Vec::new(),
             migration_pending: vec![false; n_nodes],
-            sample_cache: vec![None; n_nodes],
             dmr_scratch: Vec::new(),
             next_gen: 0,
             end: SimTime::ZERO + horizon,
@@ -651,24 +646,7 @@ impl<'a> Engine<'a> {
     }
 
     fn on_sample(&mut self, t: SimTime) {
-        for idx in 0..self.fleet.nodes.len() {
-            // Budget and demand are pure functions of node state; the
-            // version check makes each sample O(changed nodes), which at
-            // fleet scale (10k nodes, epoch sampling) dominates the
-            // whole run if recomputed blindly.
-            let version = self.fleet.nodes[idx].version();
-            let (budget, demand) = match self.sample_cache[idx] {
-                Some((v, cached)) if v == version => cached,
-                _ => {
-                    let budget = self.fleet.admission().budget(&self.fleet.nodes[idx], None);
-                    let demand = self.fleet.nodes[idx].total_demand();
-                    self.sample_cache[idx] = Some((version, (budget, demand)));
-                    (budget, demand)
-                }
-            };
-            let utilization = if budget > 0.0 { demand / budget } else { 0.0 };
-            self.fleet.record_utilization(idx, utilization);
-        }
+        self.fleet.sample_utilization();
         if t < self.end {
             let next = (t + self.fleet.cfg.epoch).min(self.end);
             self.events.push(next, NODE_FLEET, EventKind::Sample);

@@ -7,17 +7,22 @@
 //! upgrade candidates, and migration victim/destination choice — lives
 //! in the shared [`crate::policy`] kernel, consumed identically by this
 //! epoch path and the event engine ([`crate::event`]). Configuration
-//! lives in [`crate::config`]. What remains here is the epoch loop and
-//! what both engines share:
+//! lives in [`crate::config`]. What remains here is the epoch loop,
+//! dispatch replay (a run with no executor), and what all three share:
 //!
-//! * the dispatch, departure, drain/upgrade, expiry, and migration
-//!   paths (the `*_accounted` methods and `migrate_one`);
-//! * the run prologue and epilogue (`open_run` / `close_run`);
+//! * one recorded path per operation: dispatch, departure,
+//!   drain/upgrade, expiry (the `*_accounted` methods, which the public
+//!   `dispatch`, `remove` and `drain_queue` call) and migration
+//!   (`migrate_one`);
+//! * the run prologue and epilogue (`open_run` / `close_run`) and the
+//!   utilisation sample (`sample_utilization`);
 //! * the one recording point, `record`, through which every decision
 //!   reaches the run totals ([`FleetMetricsBuilder`]) and, when armed,
 //!   the telemetry window and trace — one fold of one
 //!   [`crate::DispatchCounts`] block, so no counter can drift between
-//!   engines or between the totals and the time-series.
+//!   engines or between the totals and the time-series. Outside a run a
+//!   record shows nowhere: `open_run` rebuilds the totals, and
+//!   telemetry records nothing until a run arms it.
 //!
 //! # Interned tenant ids
 //!
@@ -92,8 +97,8 @@ use crate::policy::{self, DispatchPlanner, FleetState, PricedPlan, QueueAdmissio
 use crate::queue::DispatchQueue;
 use crate::telemetry::{Span, SpanProfile, Telemetry};
 use crate::{
-    AdmissionController, ArrivalStream, ChurnEvent, DispatchCounts, FleetConfig, FleetMetrics,
-    FleetMetricsBuilder, FleetNode, TenantSpec,
+    AdmissionController, ArrivalStream, ChurnEvent, FleetConfig, FleetMetrics, FleetMetricsBuilder,
+    FleetNode, TenantSpec,
 };
 use sgprs_core::{CompiledTask, RunMetrics};
 use sgprs_rt::{SimDuration, SimTime};
@@ -128,24 +133,6 @@ pub enum DispatchOutcome {
     /// [`TenantSpec::name`] instead of letting a later `remove` delete
     /// the wrong instance and leave a resident ghost.
     Duplicate,
-}
-
-/// Counters from a dispatch-only replay ([`Fleet::replay_dispatch`]):
-/// the dispatch outcomes plus the interner's memory evidence.
-#[derive(Debug, Default, Clone)]
-pub struct DispatchReplay {
-    /// Arrivals, placements, deferrals, departures, patience expiries,
-    /// and drain admissions. Replay drains without re-pricing upgrades
-    /// or demand-aware expiry, so those counters stay zero.
-    pub counts: DispatchCounts,
-    /// High-water mark of concurrently active tenants.
-    pub peak_active: usize,
-    /// Tenant-id slots ever allocated — with LIFO recycling this equals
-    /// `peak_active`, **not** the number of tenants streamed: the
-    /// trace-length-independent memory bound.
-    pub id_capacity: usize,
-    /// Tenants still active when the replay ended.
-    pub final_active: usize,
 }
 
 /// A simulated multi-GPU fleet with admission control, load balancing,
@@ -210,6 +197,10 @@ pub struct Fleet {
     /// demand-aware expiry sweeps cost one map lookup per queued waiter
     /// after the first.
     hopeless_cache: HashMap<(crate::ModelKind, usize, u64), bool>,
+    /// Per-node `(node version, (budget, demand))` of the last
+    /// utilisation sample ([`Self::sample_utilization`]), valid while
+    /// the node's version holds.
+    sample_cache: Vec<Option<(u64, (f64, f64))>>,
     /// The telemetry recorder (see [`crate::telemetry`]): armed by
     /// `begin_run` when [`crate::TelemetryConfig::enabled`], a no-op on
     /// every hook otherwise. All recording happens on the
@@ -274,6 +265,7 @@ impl Fleet {
         let telemetry = Telemetry::new(cfg.telemetry.clone());
         let node_ids = vec![Vec::new(); nodes.len()];
         let migration_verdicts = vec![Vec::new(); nodes.len()];
+        let sample_cache = vec![None; nodes.len()];
         let pool_class = pool_classes(&nodes);
         Fleet {
             cfg,
@@ -294,6 +286,7 @@ impl Fleet {
             upgrade_order: Vec::new(),
             migration_verdicts,
             hopeless_cache: HashMap::new(),
+            sample_cache,
             telemetry,
             totals: FleetMetricsBuilder::default(),
             event_counts: EventCounts::default(),
@@ -497,56 +490,56 @@ impl Fleet {
     /// every admissible price) it is dropped; when its name is already
     /// active it is rejected as a duplicate.
     pub fn dispatch(&mut self, tenant: TenantSpec) -> DispatchOutcome {
-        self.dispatch_interned(tenant).0
+        self.dispatch_accounted(tenant).0
     }
 
     /// [`Self::dispatch`], also handing back the id assigned to an
-    /// arrival that became active (placed or queued) — the engines'
-    /// handle for all further bookkeeping — or the spec it refused.
-    fn dispatch_interned(
-        &mut self,
-        tenant: TenantSpec,
-    ) -> (DispatchOutcome, Result<TenantId, TenantSpec>) {
-        if self.interner.lookup(&tenant.name).is_some() {
-            return (DispatchOutcome::Duplicate, Err(tenant));
-        }
-        match self.plan_repriced(&tenant) {
-            Some(PricedPlan::Full(idx)) => {
-                let id = self.intern(&tenant.name);
-                self.commit(id, idx, tenant);
-                return (DispatchOutcome::Placed(idx), Ok(id));
-            }
-            Some(PricedPlan::Degraded(idx, fps)) => {
-                let id = self.intern(&tenant.name);
-                self.degraded[id.index()] = Some(Degraded::new(tenant.fps));
-                self.commit(id, idx, tenant.at_fps(fps));
-                return (DispatchOutcome::PlacedDegraded { node: idx, fps }, Ok(id));
-            }
-            None => {}
-        }
-        let feasible = policy::queue_feasible(
-            &FleetState::new(&self.nodes, &self.admission),
-            &tenant,
-            self.cfg.queue.repricing,
-        );
-        if feasible {
-            let id = self.intern(&tenant.name);
-            self.queue.push(id, tenant, self.now);
-            (DispatchOutcome::Queued, Ok(id))
-        } else {
-            (DispatchOutcome::Infeasible, Err(tenant))
-        }
-    }
-
-    /// [`Self::dispatch`] plus its recording: the arrival path of both
-    /// execution engines. Returns the id of an arrival that became
-    /// active.
+    /// arrival that became active (placed or queued): the engines'
+    /// handle for all further bookkeeping. The arrival path of both
+    /// execution engines and of dispatch replay; it records its verdict.
     pub(crate) fn dispatch_accounted(
         &mut self,
         tenant: TenantSpec,
     ) -> (DispatchOutcome, Option<TenantId>) {
         let probes_before = self.planner.probes();
-        let (outcome, active) = self.dispatch_interned(tenant);
+        let outcome = if self.interner.lookup(&tenant.name).is_some() {
+            DispatchOutcome::Duplicate
+        } else {
+            match self.plan_repriced(&tenant) {
+                Some(PricedPlan::Full(idx)) => DispatchOutcome::Placed(idx),
+                Some(PricedPlan::Degraded(node, fps)) => {
+                    DispatchOutcome::PlacedDegraded { node, fps }
+                }
+                None if policy::queue_feasible(
+                    &FleetState::new(&self.nodes, &self.admission),
+                    &tenant,
+                    self.cfg.queue.repricing,
+                ) =>
+                {
+                    DispatchOutcome::Queued
+                }
+                None => DispatchOutcome::Infeasible,
+            }
+        };
+        let active = match outcome {
+            DispatchOutcome::Placed(idx) => {
+                let id = self.intern(&tenant.name);
+                self.commit(id, idx, tenant);
+                Ok(id)
+            }
+            DispatchOutcome::PlacedDegraded { node, fps } => {
+                let id = self.intern(&tenant.name);
+                self.degraded[id.index()] = Some(Degraded::new(tenant.fps));
+                self.commit(id, node, tenant.at_fps(fps));
+                Ok(id)
+            }
+            DispatchOutcome::Queued => {
+                let id = self.intern(&tenant.name);
+                self.queue.push(id, tenant, self.now);
+                Ok(id)
+            }
+            DispatchOutcome::Infeasible | DispatchOutcome::Duplicate => Err(tenant),
+        };
         let arrival = Decision::Arrival {
             outcome,
             probes: self.planner.probes() - probes_before,
@@ -563,34 +556,28 @@ impl Fleet {
     /// contract of [`TenantSpec::name`] (enforced by [`Self::dispatch`])
     /// at most one active tenant can match.
     pub fn remove(&mut self, name: &str) -> bool {
-        match self.interner.lookup(name) {
-            Some(id) => self.remove_id(id).is_some(),
-            None => false,
-        }
+        self.interner
+            .lookup(name)
+            .and_then(|id| self.remove_accounted(id))
+            .is_some()
     }
 
-    /// [`Self::remove`] by interned id: returns the removed spec and
-    /// whether it was resident (`false`: it was still queued).
-    fn remove_id(&mut self, id: TenantId) -> Option<(TenantSpec, bool)> {
-        if let Some((idx, pos)) = self.locate_id(id) {
+    /// [`Self::remove`] by interned id, recorded: the departure path of
+    /// both execution engines and of dispatch replay. Returns whether
+    /// the removed tenant was resident (`false`: it was still queued),
+    /// or `None` when nothing was removed.
+    pub(crate) fn remove_accounted(&mut self, id: TenantId) -> Option<bool> {
+        let (tenant, resident) = if let Some((idx, pos)) = self.locate_id(id) {
             let (_, tenant) = self.detach_resident(idx, pos);
-            self.release(id);
             // A departure frees node capacity: the next drain pass must
             // actually scan the queue again.
             self.capacity_released = true;
             self.planner.invalidate_node(idx);
-            return Some((tenant, true));
-        }
-        let entry = self.queue.remove_id(id)?;
+            (tenant, true)
+        } else {
+            (self.queue.remove_id(id)?.tenant, false)
+        };
         self.release(id);
-        Some((entry.tenant, false))
-    }
-
-    /// [`Self::remove_id`] plus its recording: the departure path of
-    /// both execution engines. Returns whether the removed tenant was
-    /// resident, or `None` when nothing was removed.
-    pub(crate) fn remove_accounted(&mut self, id: TenantId) -> Option<bool> {
-        let (tenant, resident) = self.remove_id(id)?;
         self.record(
             TenantRef::Name(&tenant.name),
             Decision::Departure { resident },
@@ -598,63 +585,60 @@ impl Fleet {
         Some(resident)
     }
 
-    /// Retries queued tenants in policy order; returns how many were
-    /// admitted. Stops at the first tenant that still does not fit (at
-    /// any admissible price when re-pricing is on), so the queue stays
-    /// fair: nothing overtakes within the policy order. When no node
-    /// capacity was released since the last pass the scan is skipped
-    /// outright — admission is monotone in node load, so a head that did
-    /// not fit then cannot fit now.
+    /// Retries queued tenants in policy order and returns how many were
+    /// admitted; with re-pricing on, leftover capacity then upgrades
+    /// degraded residents, as in both engines
+    /// ([`Self::drain_and_upgrade_accounted`]).
     pub fn drain_queue(&mut self) -> u64 {
-        self.drain_queue_admissions().len() as u64
+        self.drain_and_upgrade_accounted().len() as u64
     }
 
-    /// [`Self::drain_queue`], reporting each admission's id, price, and
-    /// wait so the engines can attribute it to the right deferral.
-    pub(crate) fn drain_queue_admissions(&mut self) -> Vec<QueueAdmission> {
-        let mut admitted = Vec::new();
-        if !self.capacity_released {
-            return admitted;
-        }
-        let scan_clock = self.telemetry.span_clock();
-        while let Some(entry) = self.queue.pop_first() {
-            let Some(plan) = self.plan_repriced(&entry.tenant) else {
-                // The head fits at no price: stop (no overtaking) and put
-                // it back — `reinsert` keeps its arrival serial, so the
-                // drain order is unchanged.
-                self.queue.reinsert(entry);
-                break;
-            };
-            let waited = self.now.duration_since(entry.enqueued_at);
-            let id = entry.id;
-            let (idx, spec, was_degraded) = match plan {
-                PricedPlan::Full(idx) => (idx, entry.tenant, false),
-                PricedPlan::Degraded(idx, fps) => {
-                    self.degraded[id.index()] = Some(Degraded::new(entry.tenant.fps));
-                    (idx, entry.tenant.at_fps(fps), true)
-                }
-            };
-            admitted.push(QueueAdmission {
-                id,
-                degraded: was_degraded,
-                waited,
-                carried_over: entry.carried_over,
-            });
-            self.commit(id, idx, spec);
-        }
-        self.telemetry.span_end(Span::DrainScan, scan_clock);
-        self.capacity_released = false;
-        admitted
-    }
-
-    /// Drains the wait queue, recording each admission, and (with
-    /// re-pricing on) lets leftover capacity upgrade degraded residents:
-    /// the drain path of both execution engines. The admissions are
-    /// returned for engine-specific bookkeeping (the event engine starts
-    /// release clocks from them).
+    /// Retries queued tenants in policy order, recording each admission,
+    /// then (with re-pricing on) lets leftover capacity upgrade degraded
+    /// residents: the drain path of both execution engines and of
+    /// dispatch replay. The drain stops at the first tenant that still
+    /// does not fit (at any admissible price when re-pricing is on), so
+    /// the queue stays fair: nothing overtakes within the policy order.
+    /// When no node capacity was released since the last pass the scan
+    /// is skipped outright — admission is monotone in node load, so a
+    /// head that did not fit then cannot fit now. The admissions, with
+    /// each one's id, price and wait, are returned for engine-specific
+    /// bookkeeping (the event engine starts release clocks from them).
     pub(crate) fn drain_and_upgrade_accounted(&mut self) -> Vec<QueueAdmission> {
-        let admissions = self.drain_queue_admissions();
-        for adm in &admissions {
+        let mut admitted = Vec::new();
+        if self.capacity_released {
+            let scan_clock = self.telemetry.span_clock();
+            while let Some(entry) = self.queue.pop_first() {
+                let Some(plan) = self.plan_repriced(&entry.tenant) else {
+                    // The head fits at no price: stop (no overtaking) and
+                    // put it back — `reinsert` keeps its arrival serial,
+                    // so the drain order is unchanged.
+                    self.queue.reinsert(entry);
+                    break;
+                };
+                let waited = self.now.duration_since(entry.enqueued_at);
+                let id = entry.id;
+                let (idx, spec, was_degraded) = match plan {
+                    PricedPlan::Full(idx) => (idx, entry.tenant, false),
+                    PricedPlan::Degraded(idx, fps) => {
+                        self.degraded[id.index()] = Some(Degraded::new(entry.tenant.fps));
+                        (idx, entry.tenant.at_fps(fps), true)
+                    }
+                };
+                admitted.push(QueueAdmission {
+                    id,
+                    degraded: was_degraded,
+                    waited,
+                    carried_over: entry.carried_over,
+                });
+                self.commit(id, idx, spec);
+            }
+            self.telemetry.span_end(Span::DrainScan, scan_clock);
+            self.capacity_released = false;
+        }
+        // Recorded once the scan is done, so each record sees the queue
+        // depth the drain left behind.
+        for adm in &admitted {
             let admit = Decision::QueueAdmit {
                 degraded: adm.degraded,
                 waited: adm.waited,
@@ -669,20 +653,19 @@ impl Fleet {
         if self.cfg.queue.repricing {
             self.upgrade_degraded();
         }
-        admissions
+        admitted
     }
 
-    /// Drops queued tenants whose [`TenantSpec::max_wait`] elapsed,
-    /// returning their names.
-    fn expire_queued(&mut self) -> Vec<String> {
-        let expired = self.queue.take_expired(self.now);
-        expired
-            .into_iter()
-            .map(|e| {
-                self.release(e.id);
-                e.tenant.name
-            })
-            .collect()
+    /// Drops and records queued tenants whose [`TenantSpec::max_wait`]
+    /// elapsed.
+    fn expire_queued(&mut self) {
+        for entry in self.queue.take_expired(self.now) {
+            self.release(entry.id);
+            self.record(
+                TenantRef::Name(&entry.tenant.name),
+                Decision::Expiry { hopeless: false },
+            );
+        }
     }
 
     /// Memoised [`policy::can_ever_fit`] per price point: the answer is
@@ -704,13 +687,13 @@ impl Fleet {
     /// Demand-aware expiry sweep ([`crate::QueueConfig::demand_aware_expiry`]):
     /// drops queued tenants that provably can never be admitted — no
     /// node could carry them even fully drained, at any ladder step —
-    /// and returns their names. Waiting longer can never help
-    /// such a waiter, so expiring it before its patience elapses loses
-    /// nothing. Only the price points matter, so the sweep collects
-    /// cheap `(id, price…)` keys instead of cloning whole specs.
-    fn expire_hopeless(&mut self) -> Vec<String> {
+    /// and records each. Waiting longer can never help such a waiter,
+    /// so expiring it before its patience elapses loses nothing. Only
+    /// the price points matter, so the sweep collects cheap
+    /// `(id, price…)` keys instead of cloning whole specs.
+    fn expire_hopeless(&mut self) {
         if self.queue.len() == 0 {
-            return Vec::new();
+            return;
         }
         let repricing = self.cfg.queue.repricing;
         let waiters: Vec<(TenantId, crate::ModelKind, usize, Vec<f64>)> = self
@@ -734,33 +717,30 @@ impl Fleet {
                 doomed.push(id);
             }
         }
-        doomed
-            .into_iter()
-            .map(|id| {
-                let entry = self
-                    .queue
-                    .remove_id(id)
-                    .expect("invariant: hopeless waiters are still queued");
-                self.release(id);
-                entry.tenant.name
-            })
-            .collect()
+        for &id in &doomed {
+            self.queue
+                .remove_id(id)
+                .expect("invariant: hopeless waiters are still queued");
+        }
+        // Recorded once the sweep is done, so each record sees the queue
+        // depth the sweep left behind; the id still resolves to its name
+        // until it is released.
+        for id in doomed {
+            self.record(TenantRef::Id(id), Decision::Expiry { hopeless: true });
+            self.release(id);
+        }
     }
 
-    /// The expiry path both engines run at their expiry instants:
-    /// patience expiry first (counted as [`FleetMetrics::expired`]),
-    /// then — with [`crate::QueueConfig::demand_aware_expiry`] on — the
+    /// The expiry path of both engines and of dispatch replay: patience
+    /// expiry first (counted as [`FleetMetrics::expired`]), then — with
+    /// [`crate::QueueConfig::demand_aware_expiry`] on — the
     /// provably-hopeless sweep (counted separately as
     /// [`FleetMetrics::expired_hopeless`]). Expired in-run deferrals
     /// fall through to the eventual-rejection count either way.
     pub(crate) fn expire_accounted(&mut self) {
-        for name in self.expire_queued() {
-            self.record(TenantRef::Name(&name), Decision::Expiry { hopeless: false });
-        }
+        self.expire_queued();
         if self.cfg.queue.demand_aware_expiry {
-            for name in self.expire_hopeless() {
-                self.record(TenantRef::Name(&name), Decision::Expiry { hopeless: true });
-            }
+            self.expire_hopeless();
         }
     }
 
@@ -871,11 +851,30 @@ impl Fleet {
             .record(self.now, name, &decision, self.queue.len());
     }
 
-    /// Records one admission-utilisation sample (demand/budget) of node
-    /// `idx` at the current instant.
-    pub(crate) fn record_utilization(&mut self, idx: usize, utilization: f64) {
-        self.totals.record_utilization(idx, utilization);
-        self.telemetry.record_utilization(self.now, utilization);
+    /// Records one admission-utilisation sample (demand/budget) of every
+    /// node at the current instant, in ascending node index: the epoch
+    /// boundary's and the event engine's `Sample`. Budget and demand are
+    /// pure functions of node state, so each node's pair is recomputed
+    /// only when its version moved; at fleet scale (10k nodes, epoch
+    /// sampling) recomputing blindly dominates the whole run.
+    pub(crate) fn sample_utilization(&mut self) {
+        for (idx, node) in self.nodes.iter().enumerate() {
+            let fresh = || (self.admission.budget(node, None), node.total_demand());
+            let (budget, demand) = match self.sample_cache[idx] {
+                Some((version, cached)) if version == node.version() => {
+                    debug_assert_eq!(cached, fresh(), "a cache hit equals a fresh sample");
+                    cached
+                }
+                _ => {
+                    let sample = fresh();
+                    self.sample_cache[idx] = Some((node.version(), sample));
+                    sample
+                }
+            };
+            let utilization = if budget > 0.0 { demand / budget } else { 0.0 };
+            self.totals.record_utilization(idx, utilization);
+            self.telemetry.record_utilization(self.now, utilization);
+        }
     }
 
     /// The run prologue both engines share: fresh totals and telemetry
@@ -1091,36 +1090,11 @@ impl Fleet {
             // pulled lazily from the stream. The node schedulers are
             // driven only in step 3, so an attach or detach here takes
             // effect at its instant inside the coming run.
-            while let Some(at) = arrivals.peek_time() {
-                if at >= epoch_end {
-                    break;
-                }
-                let pull_clock = self.telemetry.span_clock();
-                let (at, event) = arrivals
-                    .next_event()
-                    .expect("invariant: a peeked stream event exists");
-                self.telemetry.span_end(Span::ArrivalPull, pull_clock);
-                self.now = at;
-                match event {
-                    ChurnEvent::Arrival(tenant) => {
-                        let _ = self.dispatch_accounted(tenant);
-                    }
-                    ChurnEvent::Departure(name) => {
-                        if let Some(id) = self.interner.lookup(&name) {
-                            let _ = self.remove_accounted(id);
-                        }
-                    }
-                }
-            }
+            while self.apply_next_churn(&mut arrivals, epoch_end).is_some() {}
             // 3. Sample utilisation, then run every node's scheduler to
             // the boundary.
             self.now = epoch_end;
-            for idx in 0..self.nodes.len() {
-                let budget = self.admission.budget(&self.nodes[idx], None);
-                let demand = self.nodes[idx].total_demand();
-                let utilization = if budget > 0.0 { demand / budget } else { 0.0 };
-                self.record_utilization(idx, utilization);
-            }
+            self.sample_utilization();
             let mut epoch_dmr: Vec<f64> = vec![0.0; self.nodes.len()];
             // Nodes are independent between boundaries: fan out, then
             // fold in ascending node-index order so the metrics are
@@ -1154,6 +1128,32 @@ impl Fleet {
         self.close_run(horizon)
     }
 
+    /// Pulls the stream's next event before `until` and applies it at
+    /// its instant through the recorded dispatch or removal path.
+    /// Returns `None` once the stream has nothing before `until`, else
+    /// whether the event was a departure.
+    fn apply_next_churn(&mut self, arrivals: &mut ArrivalStream, until: SimTime) -> Option<bool> {
+        arrivals.peek_time().filter(|&at| at < until)?;
+        let pull_clock = self.telemetry.span_clock();
+        let (at, event) = arrivals
+            .next_event()
+            .expect("invariant: a peeked stream event exists");
+        self.telemetry.span_end(Span::ArrivalPull, pull_clock);
+        self.now = at;
+        Some(match event {
+            ChurnEvent::Arrival(tenant) => {
+                let _ = self.dispatch_accounted(tenant);
+                false
+            }
+            ChurnEvent::Departure(name) => {
+                if let Some(id) = self.interner.lookup(&name) {
+                    let _ = self.remove_accounted(id);
+                }
+                true
+            }
+        })
+    }
+
     /// Folds one node's scheduler window into the run totals and, when
     /// armed, the node's latency sketch.
     fn fold_node_window(&mut self, idx: usize, m: &RunMetrics) {
@@ -1167,11 +1167,12 @@ impl Fleet {
     ///
     /// Where [`Fleet::run`] steps the paper's schedulers on the epoch
     /// grid, this path runs fluid nodes off a monotonic event queue (see
-    /// [`crate::event`] for the ordering/determinism contract): no
-    /// in-flight job is ever truncated ([`FleetMetrics::truncated_jobs`]
-    /// is asserted zero), departures apply at their exact instant, and
-    /// DMR-triggered migration fires at job-release boundaries, paying a
-    /// fixed 100 ms state-transfer stall — while
+    /// [`crate::event`] for the ordering/determinism contract): every
+    /// frame is decided at its release, so none is left open and
+    /// [`FleetMetrics::truncated_jobs`] is zero; departures apply at
+    /// their exact instant, and DMR-triggered migration fires at
+    /// job-release boundaries, paying a fixed 100 ms state-transfer
+    /// stall — while
     /// re-pricing degrade/upgrade switches stay free partition switches.
     /// Churn is merged lazily from the stream, never materialised into
     /// the heap. The run is single-threaded and deterministic:
@@ -1184,8 +1185,7 @@ impl Fleet {
     /// # Panics
     ///
     /// Panics if the configured epoch is zero (it paces utilisation
-    /// sampling and the migration DMR window), or — defensively — if any
-    /// admitted job failed to run to completion.
+    /// sampling and the migration DMR window).
     #[must_use]
     pub fn run_events(
         &mut self,
@@ -1212,54 +1212,35 @@ impl Fleet {
         }
     }
 
-    /// Replays `arrivals` through the dispatch path alone — plan,
-    /// commit, remove, expire, drain — with no scheduler execution and
-    /// no metrics builder: the sustained-throughput surface the
-    /// `fleet_stream` bench measures (arrivals/sec through dispatch at
-    /// fleet scale). Departure instants apply exactly; each departure is
-    /// followed by a patience-expiry sweep and a queue drain so the
+    /// Replays `arrivals` until `horizon` through the dispatch path
+    /// alone — a run with no executor: the same recorded dispatch,
+    /// removal, expiry, drain and (with re-pricing on) upgrade paths as
+    /// both engines, but no scheduler runs, so no frame is released and
+    /// no utilisation is sampled. This is the sustained-throughput
+    /// surface the `fleet_stream` bench measures (arrivals/sec through
+    /// dispatch at fleet scale). Departure instants apply exactly; each
+    /// departure is followed by an expiry sweep and a queue drain so the
     /// wait queue stays bounded over arbitrarily long streams.
     ///
-    /// The returned [`DispatchReplay`] carries the interner's
-    /// `peak_active` / `id_capacity` counters: with LIFO id recycling
-    /// the two are equal and independent of how many tenants streamed
-    /// through, which is the trace-length-independent memory evidence.
+    /// After a replay, [`Self::peak_active_tenants`] and
+    /// [`Self::tenant_id_capacity`] are the memory evidence: with LIFO
+    /// id recycling the two are equal and independent of how many
+    /// tenants streamed through.
     #[must_use]
     pub fn replay_dispatch(
         &mut self,
         arrivals: impl Into<ArrivalStream>,
         horizon: SimDuration,
-    ) -> DispatchReplay {
+    ) -> FleetMetrics {
         let mut arrivals = arrivals.into();
-        let end = SimTime::ZERO + horizon;
-        self.now = SimTime::ZERO;
-        self.telemetry.begin_profile();
-        let mut replay = DispatchReplay::default();
-        loop {
-            let pull_clock = self.telemetry.span_clock();
-            let Some((at, event)) = arrivals.next_event() else {
-                break;
-            };
-            self.telemetry.span_end(Span::ArrivalPull, pull_clock);
-            if at >= end {
-                break;
-            }
-            self.now = at;
-            let counts = &mut replay.counts;
-            match event {
-                ChurnEvent::Arrival(tenant) => counts.record_arrival(&self.dispatch(tenant)),
-                ChurnEvent::Departure(name) => {
-                    counts.departures += u64::from(self.remove(&name));
-                    counts.expired += self.expire_queued().len() as u64;
-                    counts.admitted_after_wait += self.drain_queue();
-                }
+        self.open_run(horizon);
+        while let Some(departed) = self.apply_next_churn(&mut arrivals, SimTime::ZERO + horizon) {
+            if departed {
+                self.expire_accounted();
+                let _ = self.drain_and_upgrade_accounted();
             }
         }
-        replay.peak_active = self.interner.peak_live();
-        replay.id_capacity = self.interner.capacity();
-        replay.final_active = self.interner.live();
-        self.telemetry.finish_profile();
-        replay
+        self.close_run(horizon)
     }
 
     /// Moves one tenant off every node whose epoch miss rate crossed

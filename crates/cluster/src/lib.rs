@@ -79,7 +79,8 @@
 //!   rejection rate, and a utilisation histogram, aggregated from the
 //!   nodes' [`sgprs_core::RunMetrics`] and rendered as JSON. Its
 //!   dispatch counters come from one [`DispatchCounts`] block, the same
-//!   definition each telemetry window and [`DispatchReplay`] carry.
+//!   definition each telemetry window carries. [`Fleet::replay_dispatch`]
+//!   reports the same metrics from a run with no executor.
 //! * [`telemetry`] — opt-in observability over both engines: windowed
 //!   time-series of dispatch activity, mergeable deterministic
 //!   [`QuantileSketch`]es for queue-wait and job-latency percentiles
@@ -138,7 +139,7 @@ mod tenant;
 pub use admission::{AdmissionConfig, AdmissionController, AdmissionDecision, RejectReason};
 pub use churn::{ChurnConfig, ChurnEvent, ChurnTrace};
 pub use config::FleetConfig;
-pub use fleet::{DispatchOutcome, DispatchReplay, Fleet};
+pub use fleet::{DispatchOutcome, Fleet};
 pub use interner::{TenantId, TenantInterner};
 pub use metrics::{
     DispatchCounts, FleetMetrics, FleetMetricsBuilder, NodeReport, BASE_SCHEMA_VERSION,

@@ -244,9 +244,8 @@ pub(crate) enum Decision {
 }
 
 /// The dispatch counters: the one definition shared by the run totals
-/// ([`FleetMetrics`]), each telemetry window
-/// ([`crate::WindowReport`]), and dispatch-only replay
-/// ([`crate::DispatchReplay`]).
+/// ([`FleetMetrics`]) and each telemetry window
+/// ([`crate::WindowReport`]).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct DispatchCounts {
     /// Arrivals offered to the dispatcher.
@@ -276,26 +275,23 @@ pub struct DispatchCounts {
 }
 
 impl DispatchCounts {
-    /// Folds one arrival's outcome: the only place a [`DispatchOutcome`]
-    /// becomes counters.
-    pub(crate) fn record_arrival(&mut self, outcome: &DispatchOutcome) {
-        self.arrivals += 1;
-        match outcome {
-            DispatchOutcome::Placed(_) => self.admitted += 1,
-            DispatchOutcome::PlacedDegraded { .. } => {
-                self.admitted += 1;
-                self.degraded += 1;
-            }
-            DispatchOutcome::Queued => self.deferred += 1,
-            DispatchOutcome::Infeasible => self.infeasible += 1,
-            DispatchOutcome::Duplicate => self.duplicates += 1,
-        }
-    }
-
-    /// Folds one decision.
+    /// Folds one decision: the only place a [`DispatchOutcome`] becomes
+    /// counters.
     pub(crate) fn record(&mut self, decision: &Decision) {
         match decision {
-            Decision::Arrival { outcome, .. } => self.record_arrival(outcome),
+            Decision::Arrival { outcome, .. } => {
+                self.arrivals += 1;
+                match outcome {
+                    DispatchOutcome::Placed(_) => self.admitted += 1,
+                    DispatchOutcome::PlacedDegraded { .. } => {
+                        self.admitted += 1;
+                        self.degraded += 1;
+                    }
+                    DispatchOutcome::Queued => self.deferred += 1,
+                    DispatchOutcome::Infeasible => self.infeasible += 1,
+                    DispatchOutcome::Duplicate => self.duplicates += 1,
+                }
+            }
             Decision::QueueAdmit {
                 degraded,
                 carried_over,

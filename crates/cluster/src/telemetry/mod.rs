@@ -282,11 +282,11 @@ pub(crate) struct Telemetry {
     cfg: TelemetryConfig,
     state: Option<State>,
     /// Always-on per-span call counts of the current (or last) run,
-    /// reset by `begin_profile`.
+    /// reset by `begin_run`.
     calls: SpanCalls,
     /// The span profiler of the *current* run; `Some` only between
-    /// `begin_run`/`begin_profile` and `finish_profile` of a
-    /// profiling-armed run — never constructed otherwise.
+    /// `begin_run` and `finish_report` of a profiling-armed run — never
+    /// constructed otherwise.
     prof: Option<SpanProfiler>,
     /// The finished profile of the last profiling-armed run (kept
     /// outside the report: real time is not deterministic).
@@ -315,10 +315,15 @@ impl Telemetry {
         }
     }
 
-    /// Arms the recorder for a run over `n_nodes` nodes until `horizon`.
-    /// A no-op (and a disarm) when telemetry is off.
+    /// Arms the recorder for a run over `n_nodes` nodes until `horizon`:
+    /// zeroes the span call counts, arms the span profiler when
+    /// configured, and (when telemetry is on) the telemetry state, which
+    /// is disarmed otherwise. The profiler is constructed *only* here and
+    /// *only* when configured on; the zero-cost-off contract hangs on
+    /// that.
     pub(crate) fn begin_run(&mut self, n_nodes: usize, horizon: SimDuration) {
-        self.begin_profile();
+        self.calls = [0; SPAN_COUNT];
+        self.prof = self.cfg.profiling.then(SpanProfiler::new);
         if !self.cfg.enabled {
             self.state = None;
             return;
@@ -332,15 +337,6 @@ impl Telemetry {
             shard_probes: 0,
             event_queue_ops: 0,
         });
-    }
-
-    /// Zeroes the span call counts and arms the span profiler (the
-    /// non-`run` surfaces — `replay_dispatch` — call this instead of
-    /// `begin_run`). The profiler is constructed *only* here and *only*
-    /// when configured on; the zero-cost-off contract hangs on that.
-    pub(crate) fn begin_profile(&mut self) {
-        self.calls = [0; SPAN_COUNT];
-        self.prof = self.cfg.profiling.then(SpanProfiler::new);
     }
 
     /// A wall clock for timing one span: `Some` iff the profiler is
@@ -358,17 +354,9 @@ impl Telemetry {
         }
     }
 
-    /// How many times `span` ran since the last `begin_profile`.
+    /// How many times `span` ran since the last `begin_run`.
     pub(crate) fn span_calls(&self, span: Span) -> u64 {
         self.calls[span.index()]
-    }
-
-    /// Snapshots the current run's profile into [`Self::span_profile`].
-    /// `finish_report` calls it; `replay_dispatch` calls it directly.
-    pub(crate) fn finish_profile(&mut self) {
-        if let Some(prof) = self.prof.take() {
-            self.last_profile = Some(prof.into_profile(&self.calls));
-        }
     }
 
     /// Ends one `plan_repriced` invocation (the [`Span::Plan`] span),
@@ -450,11 +438,13 @@ impl Telemetry {
     }
 
     /// Finalises the run: folds the telemetry into a [`TelemetryReport`]
-    /// (or `None` when telemetry was off) and snapshots the span
-    /// profile.
+    /// (or `None` when telemetry was off) and snapshots the span profile
+    /// into [`Self::span_profile`].
     pub(crate) fn finish_report(&mut self) -> Option<TelemetryReport> {
         let report = self.fold_report();
-        self.finish_profile();
+        if let Some(prof) = self.prof.take() {
+            self.last_profile = Some(prof.into_profile(&self.calls));
+        }
         report
     }
 

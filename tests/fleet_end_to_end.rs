@@ -188,7 +188,9 @@ fn streamed_arrivals_are_byte_identical_to_the_materialised_trace() {
 /// *concurrently active* population, not by how many tenants the stream
 /// carried. Quadrupling the horizon multiplies the streamed arrivals but
 /// must leave the id capacity at the (unchanged) churn steady state —
-/// and LIFO recycling keeps `id_capacity == peak_active` exactly.
+/// and LIFO recycling keeps `id_capacity == peak_active` exactly. A
+/// one-node replay of the same churn queues, so it pins replay's drain
+/// and expiry path too.
 #[test]
 fn id_table_is_bounded_by_active_tenants_not_trace_length() {
     let churn = ChurnConfig {
@@ -201,37 +203,83 @@ fn id_table_is_bounded_by_active_tenants_not_trace_length() {
     let nodes: Vec<NodeSpec> = (0..8)
         .map(|i| NodeSpec::sgprs(format!("gpu{i}"), GpuSpec::rtx_2080_ti()))
         .collect();
-    let replay_for = |secs: u64| {
+    // Returns the replay's metrics with (peak_active, id_capacity).
+    let replay_for = |nodes: &[NodeSpec], secs: u64| {
         let horizon = SimDuration::from_secs(secs);
-        let mut fleet = Fleet::new(FleetConfig::new(nodes.clone()));
-        fleet.replay_dispatch(ArrivalStream::generate(&churn, horizon, 7), horizon)
+        let mut fleet = Fleet::new(FleetConfig::new(nodes.to_vec()));
+        let m = fleet.replay_dispatch(ArrivalStream::generate(&churn, horizon, 7), horizon);
+        (m, fleet.peak_active_tenants(), fleet.tenant_id_capacity())
     };
-    let short = replay_for(5);
-    let long = replay_for(20);
+    let short = replay_for(&nodes, 5);
+    let long = replay_for(&nodes, 20);
     assert!(
-        long.counts.arrivals >= short.counts.arrivals * 3,
+        long.0.arrivals >= short.0.arrivals * 3,
         "the long run must stream several times more tenants: {} vs {}",
-        long.counts.arrivals,
-        short.counts.arrivals
+        long.0.arrivals,
+        short.0.arrivals
     );
-    for replay in [&short, &long] {
+    for (replay, peak_active, id_capacity) in [&short, &long] {
         assert_eq!(
-            replay.id_capacity, replay.peak_active,
+            id_capacity, peak_active,
             "LIFO recycling must keep the table at the high-water mark: {replay:?}"
         );
     }
     assert!(
-        long.id_capacity <= short.id_capacity * 2,
+        long.2 <= short.2 * 2,
         "id capacity tracks the (unchanged) active steady state, not the \
          trace length: {} after {} arrivals vs {} after {}",
-        long.id_capacity,
-        long.counts.arrivals,
-        short.id_capacity,
-        short.counts.arrivals
+        long.2,
+        long.0.arrivals,
+        short.2,
+        short.0.arrivals
     );
     assert!(
-        long.id_capacity < usize::try_from(long.counts.arrivals).expect("fits") / 4,
+        long.2 < usize::try_from(long.0.arrivals).expect("fits") / 4,
         "the table must stay far below one slot per streamed tenant: {long:?}"
+    );
+    let (one, peak_active, id_capacity) = replay_for(&nodes[..1], 5);
+    let final_active =
+        one.nodes.iter().map(|n| n.final_tenants).sum::<usize>() + one.still_queued as usize;
+    assert_eq!(
+        (
+            one.arrivals,
+            one.admitted,
+            one.deferred,
+            one.admitted_after_wait,
+            one.expired,
+            one.departures,
+        ),
+        (984, 243, 741, 738, 0, 961),
+        "{one:?}"
+    );
+    assert_eq!((peak_active, id_capacity, final_active), (37, 37, 23));
+}
+
+/// Replay follows the fleet's configuration like both engines: with
+/// re-pricing and demand-aware expiry armed, a departure's drain upgrades
+/// degraded residents, and every arrival is accounted for exactly once.
+#[test]
+fn replay_follows_the_repricing_config() {
+    let churn = ChurnConfig {
+        mean_interarrival: SimDuration::from_millis(5),
+        min_lifetime: SimDuration::from_millis(50),
+        max_lifetime: SimDuration::from_millis(200),
+        max_wait: Some(SimDuration::from_millis(100)),
+        mix: vec![(ModelKind::ResNet18, 8), (ModelKind::Vgg16, 2)],
+        fps: 24.0,
+        fps_ladder: vec![15.0, 10.0],
+        ..ChurnConfig::default()
+    };
+    let horizon = SimDuration::from_secs(5);
+    let cfg = FleetConfig::new(vec![NodeSpec::sgprs("gpu0", GpuSpec::rtx_2080_ti())])
+        .with_repricing()
+        .with_demand_aware_expiry();
+    let m = Fleet::new(cfg).replay_dispatch(ArrivalStream::generate(&churn, horizon, 7), horizon);
+    assert!(m.upgrades > 0, "the drain ran the upgrade pass: {m:?}");
+    assert_eq!(
+        m.arrivals,
+        m.admitted + m.deferred + m.infeasible + m.duplicates,
+        "{m:?}"
     );
 }
 
