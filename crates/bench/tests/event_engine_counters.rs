@@ -155,7 +155,7 @@ fn metro_event_engine_counters_are_pinned() {
         Counters {
             arrivals: 570,
             events: 35_028,
-            allocs: 6_122,
+            allocs: 6_121,
             spans: [570, 40, 34_418, 34_418, 0, 1, 610, 0],
             kinds: EventCounts {
                 release: 34_414,
@@ -173,7 +173,7 @@ fn metro_event_engine_counters_are_pinned() {
         Counters {
             arrivals: 6_539,
             events: 396_939,
-            allocs: 61_968,
+            allocs: 61_967,
             spans: [6_539, 257, 390_143, 390_143, 0, 0, 6_796, 0],
             kinds: EventCounts {
                 release: 390_139,
@@ -199,7 +199,7 @@ fn metro_event_engine_counters_are_pinned() {
         Counters {
             arrivals: 266,
             events: 25_615,
-            allocs: 4_928,
+            allocs: 4_919,
             spans: [394, 85, 25_277, 25_277, 0, 0, 338, 0],
             kinds: EventCounts {
                 release: 23_575,

@@ -19,7 +19,8 @@
 //! capacity of "residents + one tenant of that model". The node keeps
 //! both in per-model tables ([`FleetNode::best_case_latency`],
 //! [`FleetNode::capacity_with`]), so a probe against a node's own
-//! residents is a few comparisons.
+//! residents is a few comparisons; its budget with no candidate reads
+//! the node's cached [`FleetNode::capacity`].
 
 use crate::{Aggregates, FleetNode, ModelKind, TenantSpec};
 use serde::{Deserialize, Serialize};
@@ -119,7 +120,7 @@ impl AdmissionController {
     pub fn budget(&self, node: &FleetNode, candidate: Option<&TenantSpec>) -> f64 {
         let capacity = match candidate {
             Some(c) => node.capacity_with(c.model),
-            None => node.capacity_of(&node.aggregates().mix),
+            None => node.capacity(),
         };
         self.cfg.utilization_bound * capacity
     }

@@ -30,7 +30,7 @@
 //! materialised path's total order byte for byte while keeping heap
 //! population — and memory — O(active tenants), not O(trace).
 
-use super::exec::{FluidExec, MissWindow};
+use super::exec::{self, MissWindow};
 use super::{EventKind, EventQueue, NODE_FLEET};
 use crate::fleet::Fleet;
 use crate::interner::TenantId;
@@ -86,7 +86,7 @@ struct TenantRun {
 }
 
 /// A run's period and unjittered service time
-/// ([`FluidExec::base_service`]) on `node` at `version`: while the node
+/// ([`exec::base_service`]) on `node` at `version`: while the node
 /// keeps that version its residents, the run's price among them, and
 /// so both values, are unchanged.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -131,7 +131,6 @@ struct Engine<'a> {
     /// events at an equal fleet-scope instant; seqs at or above it were
     /// scheduled at runtime and rank after.
     stream_watermark: u64,
-    exec: FluidExec,
     windows: Vec<MissWindow>,
     /// Per-node deadline samples not yet applied to `windows`, sorted by
     /// `(deadline, ord)`. Empty unless migration is armed.
@@ -157,13 +156,11 @@ impl<'a> Engine<'a> {
         );
         fleet.open_run(horizon);
         let n_nodes = fleet.nodes.len();
-        let seed = fleet.cfg.seed;
         let mut engine = Engine {
             fleet,
             events: EventQueue::new(),
             arrivals,
             stream_watermark: 0,
-            exec: FluidExec::new(n_nodes, seed),
             windows: (0..n_nodes).map(|_| MissWindow::default()).collect(),
             pending: (0..n_nodes).map(|_| VecDeque::new()).collect(),
             runs: Vec::new(),
@@ -310,7 +307,7 @@ impl<'a> Engine<'a> {
             next_release: t,
             // The one string hash of the tenant's lifetime; every
             // release reuses it (the jitter input is exactly this).
-            name_hash: super::exec::fnv1a(self.fleet.interner.name(id)),
+            name_hash: exec::fnv1a(self.fleet.interner.name(id)),
             consts: None,
         });
     }
@@ -435,7 +432,7 @@ impl<'a> Engine<'a> {
             }
             None
         } else {
-            let service = self.exec.service_time(consts.base, idx, name_hash, job);
+            let service = exec::service_time(self.fleet.cfg.seed, consts.base, idx, name_hash, job);
             let finish = t + service;
             // The fluid service time *is* the job's response time (the
             // job is admitted at release), so it feeds the latency
@@ -476,13 +473,11 @@ impl<'a> Engine<'a> {
     /// resident there. Copies the few price-dependent fields instead of
     /// cloning the spec, and resolves the id to its slot by integer
     /// compare, no string hashing.
-    fn release_consts(&mut self, idx: usize, id: TenantId) -> Option<ReleaseConsts> {
+    fn release_consts(&self, idx: usize, id: TenantId) -> Option<ReleaseConsts> {
         let pos = self.fleet.node_slot(idx, id)?;
         let node = &self.fleet.nodes[idx];
         let t = &node.tenants()[pos];
-        let (period, base) =
-            self.exec
-                .base_service(&self.fleet.nodes, idx, t.model, t.stages, t.fps);
+        let (period, base) = exec::base_service(node, t.model, t.stages, t.fps);
         Some(ReleaseConsts {
             node: idx,
             version: node.version(),

@@ -23,16 +23,15 @@
 //!   deliberately scheduler-blind about execution efficiency).
 //!
 //! Everything a release needs apart from its jitter is a pure function
-//! of the node's state, keyed by [`FleetNode::version`] (every mutation
-//! of the resident list bumps it). The demand/capacity sample is cached
-//! here per node, and best-case latency comes from the node's own
-//! per-model table, so a change on node `i` recomputes only node `i`'s
-//! values. [`FluidExec::base_service`] turns them into a tenant's
+//! of the node's state: the demand and capacity of an SGPRS node are
+//! the node's own cached [`FleetNode::total_demand`] and
+//! [`FleetNode::capacity`], and best-case latency comes from its
+//! per-model table. A naive node's concurrency-1 capacity and switch tax
+//! are computed when asked. [`base_service`] turns them into a tenant's
 //! period and unjittered service time, which the engine keeps per
-//! tenant run under the same `(node, version)` key: a release on an
-//! unchanged node only applies [`FluidExec::service_time`]'s jitter.
+//! tenant run keyed by `(node, version)` ([`FleetNode::version`]): a
+//! release on an unchanged node only applies [`service_time`]'s jitter.
 
-use crate::admission::CONCURRENCY;
 use crate::{FleetNode, ModelKind, NodeScheduler};
 use sgprs_core::NaiveConfig;
 use sgprs_rt::{SimDuration, SimTime};
@@ -41,130 +40,79 @@ use std::collections::VecDeque;
 /// Relative half-width of the deterministic per-job jitter band.
 const JITTER_SPAN: f64 = 0.03;
 
-/// One node's cached load sample.
-#[derive(Debug, Clone, Copy)]
-struct NodeLoad {
-    demand: f64,
-    capacity: f64,
+/// The node's demand/capacity ratio in SM-equivalents (the fluid stretch
+/// factor); zero on an empty node.
+fn load_ratio(node: &FleetNode) -> f64 {
+    if node.tenants().is_empty() {
+        return 0.0;
+    }
+    let (demand, capacity) = match node.spec.scheduler {
+        NodeScheduler::Sgprs { .. } => (node.total_demand(), node.capacity()),
+        // One stream per partition, whole networks in sequence.
+        NodeScheduler::Naive => (
+            node.total_demand() + switch_tax(node),
+            node.capacity_sm_equivalents(&node.mixed_profile(None), 1.0),
+        ),
+    };
+    if capacity > 0.0 {
+        demand / capacity
+    } else {
+        0.0
+    }
 }
 
-/// The fluid execution model: cached per-node load and the service-time
-/// function.
-#[derive(Debug)]
-pub(crate) struct FluidExec {
+/// The release constants of a tenant serving `model` in `stages` stages
+/// at `fps` on `node`: its period `P` and its base service time
+/// `max(best_case, P · D/C)`, before jitter. Both are pure functions of
+/// the price and the node's state.
+pub(crate) fn base_service(
+    node: &FleetNode,
+    model: ModelKind,
+    stages: usize,
+    fps: f64,
+) -> (SimDuration, SimDuration) {
+    let rho = load_ratio(node);
+    let best_case = node.best_case_latency(model, stages);
+    let period = SimDuration::from_secs_f64(1.0 / fps);
+    (period, best_case.max(period.mul_f64(rho)))
+}
+
+/// Service time of job `job_seq` of the tenant whose name hashes to
+/// `name_hash` (see [`fnv1a`]), released on node `idx` of a fleet seeded
+/// with `seed`, with base service `base` ([`base_service`]): `base`
+/// scaled by the deterministic jitter.
+pub(crate) fn service_time(
     seed: u64,
-    /// Per-node `(node version, sample)` — valid while
-    /// [`FleetNode::version`] still matches.
-    loads: Vec<Option<(u64, NodeLoad)>>,
+    base: SimDuration,
+    idx: usize,
+    name_hash: u64,
+    job_seq: u64,
+) -> SimDuration {
+    base.mul_f64(jitter(seed, idx, name_hash, job_seq))
 }
 
-impl FluidExec {
-    pub(crate) fn new(n_nodes: usize, seed: u64) -> Self {
-        FluidExec {
-            seed,
-            loads: vec![None; n_nodes],
-        }
-    }
-
-    /// The node's `(demand, capacity)` in SM-equivalents, sampled lazily
-    /// and revalidated against [`FleetNode::version`] (bumped by every
-    /// population or price mutation). The sample is a pure
-    /// function of node state, so a version hit returns bit-identical
-    /// values to a fresh compute.
-    fn load(&mut self, nodes: &[FleetNode], idx: usize) -> NodeLoad {
-        let node = &nodes[idx];
-        if let Some((v, l)) = self.loads[idx] {
-            if v == node.version() {
-                return l;
-            }
-        }
-        let l = if node.tenants().is_empty() {
-            NodeLoad {
-                demand: 0.0,
-                capacity: f64::from(node.spec.gpu.total_sms),
-            }
-        } else {
-            let mix = node.mixed_profile(None);
-            let concurrency = match node.spec.scheduler {
-                NodeScheduler::Sgprs { .. } => CONCURRENCY,
-                // One stream per partition, whole networks in sequence.
-                NodeScheduler::Naive => 1.0,
-            };
-            NodeLoad {
-                demand: node.total_demand() + switch_tax(node),
-                capacity: node.capacity_sm_equivalents(&mix, concurrency),
-            }
-        };
-        self.loads[idx] = Some((node.version(), l));
-        l
-    }
-
-    /// The node's demand/capacity ratio (the fluid stretch factor).
-    fn load_ratio(&mut self, nodes: &[FleetNode], idx: usize) -> f64 {
-        let l = self.load(nodes, idx);
-        if l.capacity > 0.0 {
-            l.demand / l.capacity
-        } else {
-            0.0
-        }
-    }
-
-    /// The release constants of a tenant serving `model` in `stages`
-    /// stages at `fps` on node `idx`: its period `P` and its base
-    /// service time `max(best_case, P · D/C)`, before jitter. Both are
-    /// pure functions of the price and the node's state.
-    pub(crate) fn base_service(
-        &mut self,
-        nodes: &[FleetNode],
-        idx: usize,
-        model: ModelKind,
-        stages: usize,
-        fps: f64,
-    ) -> (SimDuration, SimDuration) {
-        let rho = self.load_ratio(nodes, idx);
-        let best_case = nodes[idx].best_case_latency(model, stages);
-        let period = SimDuration::from_secs_f64(1.0 / fps);
-        (period, best_case.max(period.mul_f64(rho)))
-    }
-
-    /// Service time of job `job_seq` of the tenant whose name hashes to
-    /// `name_hash` (see [`fnv1a`]), released on node `idx` with base
-    /// service `base` ([`Self::base_service`]): `base` scaled by the
-    /// deterministic jitter.
-    pub(crate) fn service_time(
-        &self,
-        base: SimDuration,
-        idx: usize,
-        name_hash: u64,
-        job_seq: u64,
-    ) -> SimDuration {
-        base.mul_f64(self.jitter(idx, name_hash, job_seq))
-    }
-
-    /// Deterministic multiplicative jitter in `[1 - J, 1 + J]`, a pure
-    /// function of `(fleet seed, node, tenant-name hash, job serial)` —
-    /// execution strategy can never change it. Callers pass
-    /// [`fnv1a`]`(name)`; the engine caches that hash per tenant run, so
-    /// the value is byte-identical to hashing the name in place.
-    fn jitter(&self, node: usize, name_hash: u64, job_seq: u64) -> f64 {
-        let mut x = self
-            .seed
-            .wrapping_add((node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add(name_hash)
-            .wrapping_add(job_seq.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-        // splitmix64 finalizer.
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^= x >> 31;
-        let unit = (x >> 11) as f64 / (1u64 << 53) as f64;
-        1.0 - JITTER_SPAN + 2.0 * JITTER_SPAN * unit
-    }
+/// Deterministic multiplicative jitter in `[1 - J, 1 + J]`, a pure
+/// function of `(fleet seed, node, tenant-name hash, job serial)` —
+/// execution strategy can never change it. Callers pass
+/// [`fnv1a`]`(name)`; the engine caches that hash per tenant run, so the
+/// value is byte-identical to hashing the name in place.
+fn jitter(seed: u64, node: usize, name_hash: u64, job_seq: u64) -> f64 {
+    let mut x = seed
+        .wrapping_add((node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .wrapping_add(name_hash)
+        .wrapping_add(job_seq.wrapping_mul(0xBF58_476D_1CE4_E5B9));
+    // splitmix64 finalizer.
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^= x >> 31;
+    let unit = (x >> 11) as f64 / (1u64 << 53) as f64;
+    1.0 - JITTER_SPAN + 2.0 * JITTER_SPAN * unit
 }
 
 /// FNV-1a over the tenant name: a stable, dependency-free string hash
 /// (the std hasher is seeded per process and would break determinism).
 /// The engine hashes each name once when a tenant run starts and feeds
-/// the cached value to [`FluidExec::service_time`] on every release.
+/// the cached value to [`service_time`] on every release.
 pub(super) fn fnv1a(s: &str) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
     for b in s.as_bytes() {
@@ -178,11 +126,9 @@ pub(super) fn fnv1a(s: &str) -> u64 {
 /// SM-equivalents: each job reconfigures its context to a different
 /// tenant (whole-context stall at the calibrated
 /// [`sgprs_core::NaiveConfig`] switch cost) whenever tenants share a
-/// partition. SGPRS's zero-configuration switch makes this exactly zero.
+/// partition. SGPRS's zero-configuration switch makes this exactly
+/// zero, so only naive nodes pay it.
 fn switch_tax(node: &FleetNode) -> f64 {
-    if matches!(node.spec.scheduler, NodeScheduler::Sgprs { .. }) {
-        return 0.0;
-    }
     let contexts = node.spec.contexts.max(1);
     let per_ctx = node.tenants().len().div_ceil(contexts);
     if per_ctx < 2 {
@@ -296,14 +242,12 @@ mod tests {
             let i = node.tenants().len();
             node.push_tenant(tenant(i));
         }
-        let nodes = vec![node];
-        let mut exec = FluidExec::new(1, 7);
-        let rho = exec.load_ratio(&nodes, 0);
+        let rho = load_ratio(&node);
         assert!(rho > 0.5 && rho < 1.0, "bound-respecting load: {rho}");
         for job in 0..64 {
             let t = tenant(0);
-            let (_, base) = exec.base_service(&nodes, 0, t.model, t.stages, t.fps);
-            let s = exec.service_time(base, 0, fnv1a(&t.name), job);
+            let (_, base) = base_service(&node, t.model, t.stages, t.fps);
+            let s = service_time(7, base, 0, fnv1a(&t.name), job);
             assert!(
                 s <= t.period(),
                 "job {job} took {s} > period {} at rho {rho}",
@@ -318,13 +262,11 @@ mod tests {
         for i in 0..12 {
             node.push_tenant(tenant(i));
         }
-        let nodes = vec![node];
-        let mut exec = FluidExec::new(1, 7);
-        let rho = exec.load_ratio(&nodes, 0);
+        let rho = load_ratio(&node);
         assert!(rho > 1.0, "12 tenants on 16 SMs must overload: {rho}");
         let t = tenant(0);
-        let (_, base) = exec.base_service(&nodes, 0, t.model, t.stages, t.fps);
-        let s = exec.service_time(base, 0, fnv1a(&t.name), 0);
+        let (_, base) = base_service(&node, t.model, t.stages, t.fps);
+        let s = service_time(7, base, 0, fnv1a(&t.name), 0);
         assert!(s > t.period(), "{s} vs {}", t.period());
     }
 
@@ -346,9 +288,7 @@ mod tests {
         }
         let n = node.tenants().len();
         assert!(n >= 8, "the budget admits a crowd: {n}");
-        let nodes = vec![node];
-        let mut exec = FluidExec::new(1, 7);
-        let rho = exec.load_ratio(&nodes, 0);
+        let rho = load_ratio(&node);
         assert!(
             rho > 1.0,
             "sequential execution + switch tax must exceed capacity: {rho}"
@@ -356,44 +296,17 @@ mod tests {
     }
 
     #[test]
-    fn load_cache_revalidates_on_version_bump() {
-        let spec = NodeSpec::sgprs("g", GpuSpec::rtx_2080_ti());
-        let mut node = FleetNode::new(spec.clone());
-        node.push_tenant(tenant(0));
-        let mut nodes = vec![node];
-        let mut exec = FluidExec::new(1, 7);
-        let before = exec.load_ratio(&nodes, 0);
-        // A heavier node at the same version: the cache keys on the
-        // version alone, so it must serve the first node's sample.
-        let mut twin = FleetNode::new(spec);
-        twin.push_tenant(TenantSpec::new("heavy", ModelKind::Vgg16, 15.0));
-        assert_eq!(twin.version(), nodes[0].version());
-        assert_eq!(
-            exec.load_ratio(&[twin], 0),
-            before,
-            "an unbumped version serves the cached sample"
-        );
-        nodes[0].push_tenant(tenant(1));
-        let after = exec.load_ratio(&nodes, 0);
-        assert!(
-            after > before,
-            "the bumped version recomputes: {after} vs {before}"
-        );
-    }
-
-    #[test]
     fn jitter_is_deterministic_and_tightly_banded() {
-        let exec = FluidExec::new(3, 0x5672_5053);
-        let again = FluidExec::new(3, 0x5672_5053);
+        let seed = 0x5672_5053;
         let h = fnv1a("cam-0");
         for job in 0..100 {
-            let j = exec.jitter(1, h, job);
-            assert_eq!(j, again.jitter(1, h, job));
+            let j = jitter(seed, 1, h, job);
+            assert_eq!(j, jitter(seed, 1, h, job));
             assert!((1.0 - JITTER_SPAN..=1.0 + JITTER_SPAN).contains(&j), "{j}");
         }
         assert_ne!(
-            exec.jitter(1, h, 0),
-            exec.jitter(1, h, 1),
+            jitter(seed, 1, h, 0),
+            jitter(seed, 1, h, 1),
             "jitter varies per job"
         );
     }

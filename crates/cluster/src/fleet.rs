@@ -187,20 +187,11 @@ pub struct Fleet {
     /// Scratch of [`Self::upgrade_degraded`]: the degraded `(id,
     /// requested fps)` pairs of one pass, in name order.
     upgrade_order: Vec<(TenantId, f64)>,
-    /// Per-node admission verdicts of migration candidates, keyed by
-    /// price point `(model, stages, fps bits)` and valid while the
-    /// node's version matches: a destination search on an unchanged
-    /// fleet re-asks nothing.
-    migration_verdicts: Vec<Vec<MigrationVerdict>>,
     /// Memoised [`policy::can_ever_fit`] answers per price point
     /// `(model, stages, fps bits)` — the answer is load-independent, so
     /// demand-aware expiry sweeps cost one map lookup per queued waiter
     /// after the first.
     hopeless_cache: HashMap<(crate::ModelKind, usize, u64), bool>,
-    /// Per-node `(node version, (budget, demand))` of the last
-    /// utilisation sample ([`Self::sample_utilization`]), valid while
-    /// the node's version holds.
-    sample_cache: Vec<Option<(u64, (f64, f64))>>,
     /// The telemetry recorder (see [`crate::telemetry`]): armed by
     /// `begin_run` when [`crate::TelemetryConfig::enabled`], a no-op on
     /// every hook otherwise. All recording happens on the
@@ -236,9 +227,25 @@ impl Degraded {
     }
 }
 
-/// One memoised admission verdict: a price point, the node version it
-/// was judged at, and whether the node admitted it.
-type MigrationVerdict = ((crate::ModelKind, usize, u64), u64, bool);
+/// Memoised [`policy::can_ever_fit`] per price point: the answer is
+/// load-independent (it tests against *emptied* nodes) and ignores the
+/// tenant's name and patience, so one evaluation per `(model, stages,
+/// fps)` serves the whole run and a cache miss only builds a throwaway
+/// probe spec.
+fn price_can_ever_fit(
+    cache: &mut HashMap<(crate::ModelKind, usize, u64), bool>,
+    state: &FleetState<'_>,
+    model: crate::ModelKind,
+    stages: usize,
+    fps: f64,
+) -> bool {
+    *cache
+        .entry((model, stages, fps.to_bits()))
+        .or_insert_with(|| {
+            let probe = TenantSpec::new("hopeless-probe", model, fps).with_stages(stages);
+            policy::can_ever_fit(state, &probe)
+        })
+}
 
 /// Who a recorded decision is about: an active tenant's id, or the name
 /// of one that already left the fleet (or never joined it).
@@ -264,8 +271,6 @@ impl Fleet {
         let queue = DispatchQueue::new(cfg.queue.policy);
         let telemetry = Telemetry::new(cfg.telemetry.clone());
         let node_ids = vec![Vec::new(); nodes.len()];
-        let migration_verdicts = vec![Vec::new(); nodes.len()];
-        let sample_cache = vec![None; nodes.len()];
         let pool_class = pool_classes(&nodes);
         Fleet {
             cfg,
@@ -284,9 +289,7 @@ impl Fleet {
             capacity_released: true,
             degraded: Vec::new(),
             upgrade_order: Vec::new(),
-            migration_verdicts,
             hopeless_cache: HashMap::new(),
-            sample_cache,
             telemetry,
             totals: FleetMetricsBuilder::default(),
             event_counts: EventCounts::default(),
@@ -668,55 +671,28 @@ impl Fleet {
         }
     }
 
-    /// Memoised [`policy::can_ever_fit`] per price point: the answer is
-    /// load-independent (it tests against *emptied* nodes) and ignores
-    /// the tenant's name and patience, so one evaluation per
-    /// `(model, stages, fps)` serves the whole run and a cache miss only
-    /// builds a throwaway probe spec.
-    fn price_can_ever_fit(&mut self, model: crate::ModelKind, stages: usize, fps: f64) -> bool {
-        let key = (model, stages, fps.to_bits());
-        if let Some(&known) = self.hopeless_cache.get(&key) {
-            return known;
-        }
-        let probe = TenantSpec::new("hopeless-probe", model, fps).with_stages(stages);
-        let fits = policy::can_ever_fit(&FleetState::new(&self.nodes, &self.admission), &probe);
-        self.hopeless_cache.insert(key, fits);
-        fits
-    }
-
     /// Demand-aware expiry sweep ([`crate::QueueConfig::demand_aware_expiry`]):
     /// drops queued tenants that provably can never be admitted — no
     /// node could carry them even fully drained, at any ladder step —
     /// and records each. Waiting longer can never help such a waiter,
-    /// so expiring it before its patience elapses loses nothing. Only
-    /// the price points matter, so the sweep collects cheap
-    /// `(id, price…)` keys instead of cloning whole specs.
+    /// so expiring it before its patience elapses loses nothing. The
+    /// sweep reads each waiter's prices in place and allocates only
+    /// the list of the doomed.
     fn expire_hopeless(&mut self) {
-        if self.queue.len() == 0 {
-            return;
-        }
         let repricing = self.cfg.queue.repricing;
-        let waiters: Vec<(TenantId, crate::ModelKind, usize, Vec<f64>)> = self
+        let state = FleetState::new(&self.nodes, &self.admission);
+        let cache = &mut self.hopeless_cache;
+        let doomed: Vec<TenantId> = self
             .queue
             .entries()
-            .map(|e| {
+            .filter(|e| {
                 let t = &e.tenant;
-                let mut prices = vec![t.fps];
-                if repricing {
-                    prices.extend(t.degrade_steps());
-                }
-                (e.id, t.model, t.stages, prices)
+                !std::iter::once(t.fps)
+                    .chain(t.degrade_steps().filter(|_| repricing))
+                    .any(|fps| price_can_ever_fit(cache, &state, t.model, t.stages, fps))
             })
+            .map(|e| e.id)
             .collect();
-        let mut doomed = Vec::new();
-        for (id, model, stages, prices) in waiters {
-            let fits = prices
-                .iter()
-                .any(|&fps| self.price_can_ever_fit(model, stages, fps));
-            if !fits {
-                doomed.push(id);
-            }
-        }
         for &id in &doomed {
             self.queue
                 .remove_id(id)
@@ -853,24 +829,14 @@ impl Fleet {
 
     /// Records one admission-utilisation sample (demand/budget) of every
     /// node at the current instant, in ascending node index: the epoch
-    /// boundary's and the event engine's `Sample`. Budget and demand are
-    /// pure functions of node state, so each node's pair is recomputed
-    /// only when its version moved; at fleet scale (10k nodes, epoch
-    /// sampling) recomputing blindly dominates the whole run.
+    /// boundary's and the event engine's `Sample`. The budget reads the
+    /// node's cached capacity, so an unchanged node costs no fold; at
+    /// fleet scale (10k nodes, epoch sampling) folding blindly dominates
+    /// the whole run.
     pub(crate) fn sample_utilization(&mut self) {
         for (idx, node) in self.nodes.iter().enumerate() {
-            let fresh = || (self.admission.budget(node, None), node.total_demand());
-            let (budget, demand) = match self.sample_cache[idx] {
-                Some((version, cached)) if version == node.version() => {
-                    debug_assert_eq!(cached, fresh(), "a cache hit equals a fresh sample");
-                    cached
-                }
-                _ => {
-                    let sample = fresh();
-                    self.sample_cache[idx] = Some((node.version(), sample));
-                    sample
-                }
-            };
+            let budget = self.admission.budget(node, None);
+            let demand = node.total_demand();
             let utilization = if budget > 0.0 { demand / budget } else { 0.0 };
             self.totals.record_utilization(idx, utilization);
             self.telemetry.record_utilization(self.now, utilization);
@@ -910,11 +876,11 @@ impl Fleet {
     /// node's miss rate in `dmr`. The destination is chosen while the
     /// victim is still resident ([`policy::migration_destination`] never
     /// reads the source node), so an attempt that finds none leaves the
-    /// fleet untouched. Each node's admission verdict is memoised per
-    /// price point and node version, so a repeat search on nodes that
-    /// have not changed evaluates nothing. The move pays `stall` (zero
-    /// on the epoch path). Either way the attempt is recorded. Returns the victim and where
-    /// it went, or `None` when the node had no victim to give.
+    /// fleet untouched. Each admission probe reads the node's price
+    /// tables, so a repeat search on nodes that have not changed folds
+    /// nothing. The move pays `stall` (zero on the epoch path). Either
+    /// way the attempt is recorded. Returns the victim and where it
+    /// went, or `None` when the node had no victim to give.
     pub(crate) fn migrate_one(
         &mut self,
         idx: usize,
@@ -924,32 +890,11 @@ impl Fleet {
         let threshold = self.cfg.migration?;
         let slot = policy::select_migration_victim(&self.nodes[idx])?;
         let id = self.node_ids[idx][slot];
-        let nodes = &self.nodes;
-        let admission = &self.admission;
-        let verdicts = &mut self.migration_verdicts;
-        let victim = &nodes[idx].tenants()[slot];
-        let price = (victim.model, victim.stages, victim.fps.to_bits());
-        let dest = policy::migration_destination(
-            &FleetState::new(nodes, admission),
-            idx,
-            dmr,
-            threshold,
-            |j| {
-                let version = nodes[j].version();
-                let memo = &mut verdicts[j];
-                match memo.iter_mut().find(|(p, _, _)| *p == price) {
-                    Some((_, judged_at, admits)) if *judged_at == version => *admits,
-                    stale => {
-                        let admits = admission.evaluate(&nodes[j], victim).is_admit();
-                        match stale {
-                            Some(entry) => *entry = (price, version, admits),
-                            None => memo.push((price, version, admits)),
-                        }
-                        admits
-                    }
-                }
-            },
-        );
+        let state = FleetState::new(&self.nodes, &self.admission);
+        let victim = &self.nodes[idx].tenants()[slot];
+        let dest = policy::migration_destination(&state, idx, dmr, threshold, |j| {
+            self.admission.evaluate(&self.nodes[j], victim).is_admit()
+        });
         let attempt = Decision::Migration {
             from: idx,
             to: dest,

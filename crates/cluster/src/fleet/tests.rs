@@ -723,14 +723,14 @@ fn a_successful_migration_moves_one_tenant_and_bumps_both_versions() {
 }
 
 #[test]
-fn a_repeat_migration_search_on_an_unchanged_fleet_asks_the_memo_only() {
+fn a_repeat_migration_search_agrees_with_a_direct_one_and_touches_no_node() {
     let mut fleet = overloaded_pair(NodeSpec::sgprs("full", GpuSpec::synthetic(16)));
     for i in 6..12 {
         fleet.seed_resident(1, tenant(i));
     }
     fleet.open_run(SimDuration::from_secs(1));
     let dmr = [1.0, 0.0];
-    let unmemoised = |f: &Fleet| {
+    let direct = |f: &Fleet| {
         let victim = f.nodes[0]
             .tenants()
             .last()
@@ -743,30 +743,23 @@ fn a_repeat_migration_search_on_an_unchanged_fleet_asks_the_memo_only() {
             |j| f.admission.evaluate(&f.nodes[j], victim).is_admit(),
         )
     };
-    let expected = unmemoised(&fleet);
+    let expected = direct(&fleet);
     assert_eq!(expected, None, "the full node refuses the victim");
     let dest = |f: &mut Fleet| f.migrate_one(0, &dmr, SimDuration::ZERO).map(|(_, d)| d);
-    assert_eq!(dest(&mut fleet), Some(expected));
-    let versions: Vec<u64> = fleet.nodes.iter().map(FleetNode::version).collect();
-    assert_eq!(dest(&mut fleet), Some(expected), "the repeat agrees");
-    assert_eq!(
-        fleet
-            .nodes
-            .iter()
-            .map(FleetNode::version)
-            .collect::<Vec<_>>(),
-        versions,
-        "the fleet is unchanged"
-    );
-    // The repeat evaluated nothing: flip the memoised verdict, and the
-    // search takes it at face value instead of asking admission again.
-    for verdict in &mut fleet.migration_verdicts[1] {
-        verdict.2 = true;
+    let versions = |f: &Fleet| f.nodes.iter().map(FleetNode::version).collect::<Vec<_>>();
+    let before = versions(&fleet);
+    for attempt in 0..2 {
+        assert_eq!(dest(&mut fleet), Some(expected), "attempt {attempt}");
+        assert_eq!(versions(&fleet), before, "attempt {attempt} touched a node");
     }
-    assert_eq!(dest(&mut fleet), Some(Some(1)));
-    // A version move on the destination revalidates: the victim is now
-    // resident there, and the source's next victim is judged afresh.
-    assert_eq!(dest(&mut fleet), Some(unmemoised(&fleet)));
+    // Emptying the destination moves its version: the next search reads
+    // its refilled tables and agrees with a direct search again.
+    for i in 6..12 {
+        assert!(fleet.remove(&tenant(i).name));
+    }
+    let expected = direct(&fleet);
+    assert_eq!(expected, Some(1), "the emptied node admits the victim");
+    assert_eq!(dest(&mut fleet), Some(expected));
 }
 
 #[test]

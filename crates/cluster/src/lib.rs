@@ -56,10 +56,10 @@
 //!   re-pricing partition switches never pay. The queue is a
 //!   `std::collections::BinaryHeap` over events whose derived order is
 //!   the unique `(time, node, seq)` key (pinned by a tuple-heap
-//!   equivalence proptest); the execution model keeps
-//!   per-node fluid-capacity and best-case caches valid across events
-//!   via per-node version counters bumped only on resident/price
-//!   mutations.
+//!   equivalence proptest); the execution model reads each node's own
+//!   cached capacity and best-case tables, which only resident/price
+//!   mutations reset, and keeps each tenant run's release constants
+//!   while its node's version counter holds.
 //! * [`QueuePolicy`] / [`QueueConfig`] — the wait queue's retry order
 //!   (FIFO or earliest queue deadline) and the fps re-pricing ladder:
 //!   admit at a degraded [`TenantSpec::fps_ladder`] step instead of

@@ -4,18 +4,20 @@
 //! the [`Aggregates`] (summed demand and resident work mix) and a
 //! version counter. The list is private and changes only through the
 //! node's mutators, which update the aggregates and bump the version, so
-//! admission probes read them in O(1) and the fleet's caches (fluid
-//! load, utilisation samples, admission verdicts, release constants)
-//! revalidate against [`FleetNode::version`]. The node also keeps the
-//! per-model tables every admission probe reads: best-case compute
-//! latency (static) and capacity with one more tenant of each model
-//! (reset by every mutation), both filled on first use.
+//! admission probes read them in O(1). The node also keeps the
+//! capacities every admission probe, utilisation sample and fluid
+//! release reads: best-case compute latency per model (static), the
+//! capacity of its residents, and their capacity with one more tenant
+//! of each model (both reset by every mutation), all filled on first
+//! use. Outside the node, only per-tenant memos (a run's release
+//! constants, a degraded resident's failed upgrade) revalidate against
+//! [`FleetNode::version`].
 
 use crate::admission::{self, CONCURRENCY};
 use crate::{ModelKind, TenantSpec};
 use serde::{Deserialize, Serialize};
 use sgprs_core::{
-    CompiledTask, ContextPoolSpec, NaiveConfig, NaiveScheduler, RunMetrics, SgprsConfig,
+    analysis, CompiledTask, ContextPoolSpec, NaiveConfig, NaiveScheduler, RunMetrics, SgprsConfig,
     SgprsScheduler,
 };
 use sgprs_gpu_sim::{GpuSpec, SpeedupModel, WorkProfile};
@@ -97,26 +99,6 @@ impl NodeSpec {
             NodeScheduler::Sgprs { oversubscription } => oversubscription,
             NodeScheduler::Naive => 1.0,
         }
-    }
-
-    /// Fluid-model capacity of this node in SM-equivalents for work with
-    /// the given effective speedup curve sample: each context keeps
-    /// `concurrency` stages resident on even SM shares, and the device
-    /// never delivers more than its physical SMs (the same occupancy
-    /// argument as [`sgprs_core::analysis::estimate_capacity`]).
-    #[must_use]
-    pub fn capacity_sm_equivalents(&self, profile: &WorkProfile, concurrency: f64) -> f64 {
-        let speedup = SpeedupModel::rtx_2080_ti();
-        let demand: f64 = self
-            .pool()
-            .sm_allocations()
-            .iter()
-            .map(|&sm| {
-                let m_eff = f64::from(sm) / concurrency;
-                concurrency * profile.effective_speedup(speedup, m_eff)
-            })
-            .sum();
-        demand.min(f64::from(self.gpu.total_sms))
     }
 
     /// This node's scheduler with no tenant yet, its device seeded with
@@ -251,9 +233,8 @@ impl Aggregates {
 /// onto them; [`Self::remove_tenant`] and [`Self::replace_tenant`]
 /// refold them in slot order. Either way they carry the float
 /// operations a from-scratch fold performs, so a probe reads them in
-/// O(1) with the same bits. Each mutator also bumps [`Self::version`],
-/// the key of every cache that is a pure function of the node's state,
-/// and resets the capacity table.
+/// O(1) with the same bits. Each mutator also bumps [`Self::version`]
+/// and resets the capacity caches.
 #[derive(Debug, Clone)]
 pub struct FleetNode {
     /// The static description.
@@ -276,6 +257,9 @@ pub struct FleetNode {
     /// `max_context_sm`, `None` until first asked. Static: the spec
     /// never changes.
     best_case: [Cell<Option<SimDuration>>; ModelKind::ALL.len()],
+    /// Capacity of the residents alone, NaN until first asked since the
+    /// last mutation.
+    capacity: Cell<f64>,
     /// Per-model capacity of the residents plus one tenant of that
     /// model, NaN until first asked since the last mutation.
     capacity_with: [Cell<f64>; ModelKind::ALL.len()],
@@ -294,9 +278,9 @@ impl FleetNode {
             version: 1,
             sm_allocs,
             max_context_sm,
-            // Filled lazily: most nodes a fleet builds (e.g. the empty
-            // probes of `can_ever_fit`) never see most models.
+            // Filled lazily: most nodes never see most models.
             best_case: [const { Cell::new(None) }; ModelKind::ALL.len()],
+            capacity: Cell::new(f64::NAN),
             capacity_with: [const { Cell::new(f64::NAN) }; ModelKind::ALL.len()],
         }
     }
@@ -312,12 +296,6 @@ impl FleetNode {
     #[must_use]
     pub fn version(&self) -> u64 {
         self.version
-    }
-
-    /// The residents' aggregates (cached; see the type docs).
-    #[must_use]
-    pub(crate) fn aggregates(&self) -> &Aggregates {
-        &self.aggregates
     }
 
     /// The aggregates the node would have after
@@ -377,11 +355,11 @@ impl FleetNode {
         self.touch();
     }
 
-    /// Bumps the version and resets the capacity table after a change
+    /// Bumps the version and resets the capacity caches after a change
     /// to the resident list.
     fn touch(&mut self) {
         self.version += 1;
-        for entry in &self.capacity_with {
+        for entry in std::iter::once(&self.capacity).chain(&self.capacity_with) {
             entry.set(f64::NAN);
         }
     }
@@ -415,19 +393,30 @@ impl FleetNode {
         admission::with_launches(compute, self.spec.gpu.launch_overhead_ns, stages)
     }
 
+    /// Capacity in SM-equivalents of the residents alone — the side of
+    /// every utilisation sample, shard summary and SGPRS fluid release.
+    /// Cached, filled on the first ask after a mutation.
+    #[must_use]
+    pub fn capacity(&self) -> f64 {
+        self.cached_capacity(&self.capacity, None)
+    }
+
     /// Capacity in SM-equivalents of the residents plus one tenant of
     /// `model` — the capacity side of every admission probe of that
     /// model against this node's own residents. Read from the node's
     /// per-model table, filled on the first ask after a mutation.
     #[must_use]
     pub fn capacity_with(&self, model: ModelKind) -> f64 {
-        let entry = &self.capacity_with[model.index()];
-        if !entry.get().is_nan() {
-            return entry.get();
+        self.cached_capacity(&self.capacity_with[model.index()], Some(model))
+    }
+
+    /// `entry`, or — when a mutation reset it — the capacity at the
+    /// residents' mix plus `candidate`, stored there.
+    fn cached_capacity(&self, entry: &Cell<f64>, candidate: Option<ModelKind>) -> f64 {
+        if entry.get().is_nan() {
+            entry.set(self.capacity_of(&self.aggregates.mix_with(candidate)));
         }
-        let capacity = self.capacity_of(&self.aggregates.mix_with(Some(model)));
-        entry.set(capacity);
-        capacity
+        entry.get()
     }
 
     /// Capacity in SM-equivalents for work mix `mix` at [`CONCURRENCY`]
@@ -441,21 +430,19 @@ impl FleetNode {
         self.capacity_sm_equivalents(mix, CONCURRENCY)
     }
 
-    /// [`NodeSpec::capacity_sm_equivalents`] over the cached
-    /// allocations: the identical fold in the identical order, without
-    /// materialising the pool per call.
+    /// Fluid-model capacity in SM-equivalents for work with op mix
+    /// `profile` at `concurrency` stages resident per context: the
+    /// [`analysis::delivered_sm_equivalents`] fold over the cached
+    /// allocations.
     #[must_use]
-    pub fn capacity_sm_equivalents(&self, profile: &WorkProfile, concurrency: f64) -> f64 {
-        let speedup = SpeedupModel::rtx_2080_ti();
-        let demand: f64 = self
-            .sm_allocs
-            .iter()
-            .map(|&sm| {
-                let m_eff = f64::from(sm) / concurrency;
-                concurrency * profile.effective_speedup(speedup, m_eff)
-            })
-            .sum();
-        demand.min(f64::from(self.spec.gpu.total_sms))
+    pub(crate) fn capacity_sm_equivalents(&self, profile: &WorkProfile, concurrency: f64) -> f64 {
+        analysis::delivered_sm_equivalents(
+            SpeedupModel::rtx_2080_ti(),
+            &self.sm_allocs,
+            self.spec.gpu.total_sms,
+            profile,
+            concurrency,
+        )
     }
 
     /// Total steady-state demand of the resident tenants, in
@@ -498,7 +485,7 @@ mod tests {
             .network()
             .work_profile(&sgprs_dnn::CostModel::calibrated());
         for sms in [16u32, 34, 68] {
-            let node = NodeSpec::sgprs("g", GpuSpec::synthetic(sms));
+            let node = FleetNode::new(NodeSpec::sgprs("g", GpuSpec::synthetic(sms)));
             let cap = node.capacity_sm_equivalents(&profile, 4.0);
             assert!(cap > 0.0 && cap <= f64::from(sms) + 1e-9, "{sms}: {cap}");
         }
@@ -509,8 +496,8 @@ mod tests {
         let profile = ModelKind::ResNet18
             .network()
             .work_profile(&sgprs_dnn::CostModel::calibrated());
-        let small = NodeSpec::sgprs("s", GpuSpec::synthetic(23));
-        let large = NodeSpec::sgprs("l", GpuSpec::synthetic(68));
+        let small = FleetNode::new(NodeSpec::sgprs("s", GpuSpec::synthetic(23)));
+        let large = FleetNode::new(NodeSpec::sgprs("l", GpuSpec::synthetic(68)));
         assert!(
             large.capacity_sm_equivalents(&profile, 4.0)
                 > small.capacity_sm_equivalents(&profile, 4.0)
@@ -552,9 +539,17 @@ mod tests {
                 Some(node.max_context_sm()),
                 spec.pool().sm_allocations().into_iter().max()
             );
+            let pool = spec.pool();
             assert_eq!(
-                node.capacity_sm_equivalents(&profile, 4.0),
-                spec.capacity_sm_equivalents(&profile, 4.0)
+                node.capacity_sm_equivalents(&profile, 4.0).to_bits(),
+                analysis::delivered_sm_equivalents(
+                    SpeedupModel::rtx_2080_ti(),
+                    &pool.sm_allocations(),
+                    pool.gpu.total_sms,
+                    &profile,
+                    4.0
+                )
+                .to_bits()
             );
         }
     }

@@ -42,7 +42,7 @@
 //! `tests/fleet_invariants.rs` pin that they can no longer drift.
 
 use crate::shard::{ShardConfig, ShardDirectory};
-use crate::{AdmissionController, FleetNode, PlacementPolicy, Placer, TenantSpec};
+use crate::{AdmissionController, Aggregates, FleetNode, PlacementPolicy, Placer, TenantSpec};
 use sgprs_rt::SimDuration;
 
 /// A read-only view of the fleet the policy kernel decides over: the
@@ -253,15 +253,19 @@ pub fn queue_feasible(state: &FleetState<'_>, tenant: &TenantSpec, repricing: bo
 /// Whether any node could admit `tenant` *with every resident gone* —
 /// the strongest capacity any future departure pattern can ever offer.
 /// Unlike [`queue_feasible`] (latency only), this runs the full
-/// admission test against an emptied clone of each node, so it also
-/// catches tenants whose steady-state demand exceeds every node's
-/// admission budget outright. Load-independent: the answer never changes
-/// over a fleet's lifetime, which is what makes early expiry *provable*.
+/// admission test against each node's spec with no residents (the
+/// aggregates of an empty list), so it also catches tenants whose
+/// steady-state demand exceeds every node's admission budget outright.
+/// Load-independent: the answer never changes over a fleet's lifetime,
+/// which is what makes early expiry *provable*.
 #[must_use]
 pub fn can_ever_fit(state: &FleetState<'_>, tenant: &TenantSpec) -> bool {
+    let empty = Aggregates::of(&[]);
     state.nodes.iter().any(|node| {
-        let empty = FleetNode::new(node.spec.clone());
-        state.admission.evaluate(&empty, tenant).is_admit()
+        state
+            .admission
+            .evaluate_against(node, &empty, tenant)
+            .is_admit()
     })
 }
 

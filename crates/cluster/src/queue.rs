@@ -72,7 +72,7 @@ pub struct QueueConfig {
 }
 
 /// One waiting tenant, with the state the policies order by.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct QueueEntry {
     /// The waiter's interned id (see [`crate::interner`]): the handle
     /// departures and expiry resolve entries by, no string compares.
@@ -190,17 +190,11 @@ impl DispatchQueue {
     }
 
     /// Removes and returns every entry whose queue deadline has passed at
-    /// `now`, in insertion order.
+    /// `now`, in insertion order, moving each out.
     pub fn take_expired(&mut self, now: SimTime) -> Vec<QueueEntry> {
-        let mut expired = Vec::new();
-        self.entries.retain(|e| match e.deadline() {
-            Some(d) if d < now => {
-                expired.push(e.clone());
-                false
-            }
-            _ => true,
-        });
-        expired
+        self.entries
+            .extract_if(.., |e| e.deadline().is_some_and(|d| d < now))
+            .collect()
     }
 
     /// The waiting tenants' names in drain (policy) order.
@@ -285,6 +279,33 @@ mod tests {
         assert_eq!(expired.len(), 1);
         assert_eq!(expired[0].tenant.name, "gives-up");
         assert_eq!(q.names_in_order(), vec!["waits", "later"]);
+    }
+
+    #[test]
+    fn expiry_moves_entries_out_in_insertion_order() {
+        let mut q = DispatchQueue::new(QueuePolicy::EarliestDeadline);
+        let patience = |secs| SimDuration::from_secs(secs);
+        let laddered = tenant("b-laddered")
+            .with_fps_ladder([15.0, 7.5])
+            .with_max_wait(patience(2));
+        q.push(tid(0), tenant("a-stays"), at(0));
+        q.push(tid(1), laddered.clone(), at(0));
+        q.push(tid(2), tenant("c-stays").with_max_wait(patience(9)), at(0));
+        q.push(tid(3), tenant("d-gone").with_max_wait(patience(1)), at(0));
+        q.push(tid(4), tenant("e-stays").with_max_wait(patience(5)), at(0));
+        let expired = q.take_expired(at(3));
+        // Insertion order, not drain order (which would put d first).
+        assert_eq!(
+            expired.iter().map(|e| e.id).collect::<Vec<_>>(),
+            vec![tid(1), tid(3)]
+        );
+        assert_eq!(expired[0].tenant, laddered);
+        assert_eq!(expired[1].tenant.name, "d-gone");
+        assert_eq!(q.names_in_order(), vec!["e-stays", "c-stays", "a-stays"]);
+        assert_eq!(
+            q.entries().map(|e| e.id).collect::<Vec<_>>(),
+            vec![tid(0), tid(2), tid(4)]
+        );
     }
 
     #[test]

@@ -176,7 +176,8 @@ impl ShardDirectory {
     }
 
     /// The summary of `shard`, recomputing it from the nodes when the
-    /// cache was invalidated.
+    /// cache was invalidated; each node's budget reads its own cached
+    /// capacity.
     fn summary(
         &mut self,
         shard: usize,

@@ -71,6 +71,16 @@ impl ModelKind {
         &profiles[self.index()]
     }
 
+    /// Single-SM work per inference in seconds (`T₁`): the sum over
+    /// [`Self::work_profile`], taken once per process, since every
+    /// admission probe reads it.
+    pub(crate) fn work_single_sm_secs(self) -> f64 {
+        use std::sync::OnceLock;
+        static T1: OnceLock<[f64; ModelKind::ALL.len()]> = OnceLock::new();
+        T1.get_or_init(|| ModelKind::ALL.map(|m| m.work_profile().total_single_sm_ns() / 1e9))
+            [self.index()]
+    }
+
     /// The network split into `stages` stages (the offline phase's
     /// partition) under the calibrated cost model, computed once per
     /// process for each `(model, stages)` pair.
@@ -266,7 +276,7 @@ impl TenantSpec {
     /// the currency the admission controller budgets in.
     #[must_use]
     pub fn work_single_sm_secs(&self) -> f64 {
-        self.model.work_profile().total_single_sm_ns() / 1e9
+        self.model.work_single_sm_secs()
     }
 
     /// Steady-state demand in SM-equivalents: `fps × T₁` — the number of

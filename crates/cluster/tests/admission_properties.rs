@@ -3,16 +3,18 @@
 //! bound, and rejected tenants get in once departures free capacity. The
 //! node-owned aggregates every admission probe reads match a from-scratch
 //! fold after any sequence of resident-list edits, and so do its
-//! per-model price tables; judging a tenant against the aggregates
-//! without one resident is bit-identical to judging it after removing
-//! that resident.
+//! cached capacity and per-model price tables; judging a tenant against
+//! the aggregates without one resident is bit-identical to judging it
+//! after removing that resident.
 
 use proptest::prelude::*;
+use sgprs_cluster::policy::can_ever_fit;
 use sgprs_cluster::{
-    AdmissionController, AdmissionDecision, Aggregates, FleetNode, ModelKind, NodeSpec,
-    PlacementPolicy, Placer, RejectReason, TenantSpec,
+    AdmissionConfig, AdmissionController, AdmissionDecision, Aggregates, FleetNode, FleetState,
+    ModelKind, NodeSpec, PlacementPolicy, Placer, RejectReason, TenantSpec,
 };
-use sgprs_gpu_sim::{GpuSpec, WorkProfile};
+use sgprs_core::analysis::delivered_sm_equivalents;
+use sgprs_gpu_sim::{GpuSpec, SpeedupModel, WorkProfile};
 
 /// A decision with every float as its bits, so equality is bit
 /// equality.
@@ -183,11 +185,14 @@ proptest! {
         }
     }
 
-    /// The node's per-model tables equal a from-scratch compute bit for
-    /// bit after every push, remove and replace — each edit lands after
-    /// a probe filled the tables — and judging a tenant against the
-    /// node's own residents equals judging it against a fresh fold of
-    /// them, for every model at every rung of its ladder.
+    /// The node's cached capacity, its budget and its per-model tables
+    /// equal a from-scratch compute bit for bit after every push, remove
+    /// and replace — each edit lands after a probe filled the caches —
+    /// and judging a tenant against the node's own residents equals
+    /// judging it against a fresh fold of them, for every model at every
+    /// rung of its ladder. Judging a tenant against the node as if empty
+    /// ([`can_ever_fit`]) equals judging it on a fresh node of the same
+    /// spec.
     #[test]
     fn price_tables_match_a_from_scratch_compute(
         edits in prop::collection::vec((0u8..3, 0usize..64, (0u8..5, 5.0f64..60.0)), 1..32),
@@ -197,7 +202,13 @@ proptest! {
         let ctl = AdmissionController::default();
         let mut node = FleetNode::new(NodeSpec::sgprs("gpu", GpuSpec::synthetic(sms)));
         let launch_ns = node.spec.gpu.launch_overhead_ns;
+        let total_sms = node.spec.gpu.total_sms;
+        // 4.0: the calibrated stages resident per context.
+        let fold = |node: &FleetNode, mix: &WorkProfile| {
+            delivered_sm_equivalents(SpeedupModel::rtx_2080_ti(), node.sm_allocs(), total_sms, mix, 4.0)
+        };
         for (i, &(kind, seed, (tag, fps))) in edits.iter().enumerate() {
+            let _ = ctl.budget(&node, None);
             for model in ModelKind::ALL {
                 let _ = ctl.evaluate(&node, &TenantSpec::new("fill", model, 30.0));
             }
@@ -213,11 +224,21 @@ proptest! {
                 _ => node.push_tenant(tenant),
             }
             let fresh = Aggregates::of(node.tenants());
+            // An empty node admits against its physical size.
+            let capacity = if fresh.mix.is_empty() {
+                f64::from(total_sms)
+            } else {
+                fold(&node, &fresh.mix)
+            };
+            prop_assert_eq!(node.capacity().to_bits(), capacity.to_bits());
+            let bound = AdmissionConfig::default().utilization_bound;
+            prop_assert_eq!(ctl.budget(&node, None).to_bits(), (bound * capacity).to_bits());
+            let emptied = FleetNode::new(node.spec.clone());
+            let state = FleetState::new(std::slice::from_ref(&node), &ctl);
             for model in ModelKind::ALL {
                 let mut mix = fresh.mix;
                 mix.merge(model.work_profile());
-                // 4.0: the calibrated stages resident per context.
-                let capacity = node.capacity_sm_equivalents(&mix, 4.0);
+                let capacity = fold(&node, &mix);
                 prop_assert_eq!(node.capacity_with(model).to_bits(), capacity.to_bits());
                 let ladder = TenantSpec::new("candidate", model, 60.0)
                     .with_stages(stages)
@@ -231,6 +252,11 @@ proptest! {
                     prop_assert_eq!(
                         decision_bits(&ctl.evaluate(&node, &candidate)),
                         decision_bits(&ctl.evaluate_against(&node, &fresh, &candidate)),
+                        "{} at {} fps after edit {}", model, fps, i
+                    );
+                    prop_assert_eq!(
+                        can_ever_fit(&state, &candidate),
+                        ctl.evaluate(&emptied, &candidate).is_admit(),
                         "{} at {} fps after edit {}", model, fps, i
                     );
                 }

@@ -13,7 +13,7 @@
 //! consumes `T₁` SM-seconds of single-SM work.
 
 use crate::{CompiledTask, ContextPoolSpec};
-use sgprs_gpu_sim::SpeedupModel;
+use sgprs_gpu_sim::{SpeedupModel, WorkProfile};
 
 /// Fluid-model capacity estimate for a pool running copies of one task.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,19 +53,14 @@ pub fn estimate_capacity(
     fps: f64,
     concurrency: f64,
 ) -> CapacityEstimate {
-    let speedup = SpeedupModel::calibrated_rtx_2080_ti();
-    let total_sms = f64::from(pool.gpu.total_sms);
-    let allocations = pool.sm_allocations();
-    // Occupancy demanded: each context runs `concurrency` stages, each on
-    // an even share of the context's SMs, at the whole-network op mix.
-    let demand: f64 = allocations
-        .iter()
-        .map(|&sm| {
-            let m_eff = f64::from(sm) / concurrency;
-            concurrency * task.whole_profile.effective_speedup(&speedup, m_eff)
-        })
-        .sum();
-    let delivered = demand.min(total_sms);
+    // Occupancy at the whole-network op mix.
+    let delivered = delivered_sm_equivalents(
+        SpeedupModel::rtx_2080_ti(),
+        &pool.sm_allocations(),
+        pool.gpu.total_sms,
+        &task.whole_profile,
+        concurrency,
+    );
     // Each inference consumes T1 seconds of single-SM work.
     let t1_secs = task.whole_profile.total_single_sm_ns() / 1e9;
     let max_fps = if t1_secs > 0.0 {
@@ -83,6 +78,30 @@ pub fn estimate_capacity(
         max_fps,
         pivot_tasks,
     }
+}
+
+/// The occupancy fold: SM-equivalents a pool of contexts with
+/// `allocations` SMs each delivers on a `total_sms`-SM device, for work
+/// with op mix `profile`. Each context runs `concurrency` stages, each on
+/// an even share of the context's SMs, and the device never delivers
+/// more than its physical SMs. The fleet's admission capacity is the
+/// same fold, so the two agree bit for bit on equal inputs.
+#[must_use]
+pub fn delivered_sm_equivalents(
+    speedup: &SpeedupModel,
+    allocations: &[u32],
+    total_sms: u32,
+    profile: &WorkProfile,
+    concurrency: f64,
+) -> f64 {
+    let demand: f64 = allocations
+        .iter()
+        .map(|&sm| {
+            let m_eff = f64::from(sm) / concurrency;
+            concurrency * profile.effective_speedup(speedup, m_eff)
+        })
+        .sum();
+    demand.min(f64::from(total_sms))
 }
 
 #[cfg(test)]
