@@ -1,6 +1,8 @@
 //! Allocation budget of the paper layer: once a scheduler is warm, its
 //! steady-state release → dispatch → complete loop does no heap work, and
-//! the allocation count of a run is a pure function of its inputs.
+//! the allocation count of a run is a pure function of its inputs: each
+//! warm window's allocations and the kernels its engine completes are
+//! pinned exactly.
 //! Attaching is set-up-free too: the offline phase built the task's
 //! release template, so re-attaching a shared compiled task into a
 //! recycled slot allocates nothing, and a fleet tenant's repeat compile
@@ -41,27 +43,49 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, delta.allocs + delta.reallocs)
 }
 
+/// One warm second window: its metrics, its heap allocations and the
+/// kernels the engine completed in it.
+#[derive(Debug, PartialEq)]
+struct Window {
+    metrics: RunMetrics,
+    allocs: u64,
+    kernels: u64,
+}
+
 /// Builds the Fig. 3/4 point `(np, scheduler, TASKS)`, warms it up with
-/// one run, and returns the allocations of a second run window with its
-/// metrics.
-fn second_window(contexts: usize, scheduler: SchedulerKind) -> (RunMetrics, u64) {
+/// one run, and counts a second run window.
+fn second_window(contexts: usize, scheduler: SchedulerKind) -> Window {
     let spec = ScenarioSpec::new(contexts, scheduler, 2);
     let tasks = spec.compile_tasks(TASKS);
-    match scheduler {
+    let ((metrics, allocs), kernels) = match scheduler {
         SchedulerKind::Naive => {
             let cfg = NaiveConfig::new(contexts).with_seed(spec.seed);
             let mut s = NaiveScheduler::new(cfg, tasks);
             let _ = s.run(at(1_000));
-            counted(|| s.run(at(2_000)))
+            let before = s.engine().completed_count();
+            let window = counted(|| s.run(at(2_000)));
+            (window, s.engine().completed_count() - before)
         }
         SchedulerKind::Sgprs { .. } => {
             let cfg = SgprsConfig::new(spec.pool()).with_seed(spec.seed);
             let mut s = SgprsScheduler::new(cfg, tasks);
             let _ = s.run(at(1_000));
-            counted(|| s.run(at(2_000)))
+            let before = s.engine().completed_count();
+            let window = counted(|| s.run(at(2_000)));
+            (window, s.engine().completed_count() - before)
         }
+    };
+    Window {
+        metrics,
+        allocs,
+        kernels,
     }
 }
+
+/// `(heap allocations, engine completions)` of the warm second window of
+/// SGPRS at np=3, os=1.5, and of the naive baseline at np=3.
+const SGPRS_WINDOW: (u64, u64) = (34, 4_424);
+const NAIVE_WINDOW: (u64, u64) = (34, 457);
 
 /// Heap allocations of a repeat [`TenantSpec::compile_for`] of a
 /// six-stage ResNet-18 at 30 fps: the stage timing and the compiled
@@ -129,11 +153,13 @@ fn warm_paper_layer_schedulers_allocate_less_than_once_per_job() {
             SchedulerKind::Sgprs {
                 oversubscription: 1.5,
             },
+            SGPRS_WINDOW,
         ),
-        (3, SchedulerKind::Naive),
+        (3, SchedulerKind::Naive, NAIVE_WINDOW),
     ];
-    for (contexts, scheduler) in points {
-        let (m, allocs) = second_window(contexts, scheduler);
+    for (contexts, scheduler, pinned) in points {
+        let w = second_window(contexts, scheduler);
+        let m = &w.metrics;
         assert!(
             m.released > 0 && m.completed > 0,
             "{scheduler}: the window ran: {m:?}"
@@ -145,18 +171,20 @@ fn warm_paper_layer_schedulers_allocate_less_than_once_per_job() {
             );
         }
         assert!(
-            allocs < m.released,
-            "{scheduler} (np={contexts}): {allocs} allocations for {} released jobs",
+            w.allocs < m.released,
+            "{scheduler} (np={contexts}): {} allocations for {} released jobs",
+            w.allocs,
             m.released
         );
-        let (again, allocs_again) = second_window(contexts, scheduler);
         assert_eq!(
-            again, m,
-            "{scheduler}: identical runs give identical metrics"
+            (w.allocs, w.kernels),
+            pinned,
+            "{scheduler} (np={contexts}): (allocations, engine completions) of the warm window"
         );
         assert_eq!(
-            allocs_again, allocs,
-            "{scheduler}: identical runs allocate exactly the same"
+            second_window(contexts, scheduler),
+            w,
+            "{scheduler}: identical runs give identical metrics and counts"
         );
     }
     reattaching_a_shared_task_allocates_nothing();

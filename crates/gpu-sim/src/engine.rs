@@ -23,40 +23,49 @@
 //! allocates nothing: re-flow and retirement reuse scratch buffers the
 //! engine owns, and [`GpuEngine::advance_into`] fills the caller's buffer.
 //!
-//! The re-flow is memoised per kernel. A kernel's work, jitter, stream
-//! class and the speedup model are fixed from submit to retirement, so its
-//! duration at its effective SM share (`m_eff`) and the speedup that
-//! duration implies are pure functions of `m_eff`. Each running kernel
-//! keeps both, keyed by `m_eff`'s bits, together with its rate
-//! denominator (`launch + extra + duration × jitter`). A hit therefore
-//! equals a fresh compute bit for bit.
+//! Durations come from a memo per (profile, share). `submit` interns the
+//! kernel's [`WorkProfile`] into a table the engine owns (matched with
+//! `==`, which is bit equality for the positive finite segments
+//! [`WorkProfile::add`] admits), and the kernel keeps the profile's index.
+//! A kernel's effective SM share `m_eff = sm_alloc · (w_class / Σw)` takes
+//! only the values its context's busy-stream counts allow, so the builder
+//! lists every distinct share the pool can give, deduplicated by bits,
+//! and numbers them. The memo is a dense profile × share table of
+//! `(duration, effective speedup)`, filled on first use by
+//! [`WorkProfile::duration_ns_at`] and [`WorkProfile::effective_speedup`]:
+//! a hit equals a fresh compute bit for bit. Its size is bounded by the distinct profiles submitted times
+//! the distinct shares of the pool (both fixed by the inputs, not the
+//! run length): 16 bytes an entry, plus one profile copy per row.
 //!
 //! A re-flow works only where the resident set changed. `submit` and
 //! retirement mark the context they touch; the re-flow then
 //!
-//! 1. recomputes each marked context's stream-weight sum from scratch, in
-//!    `running` order, and its high and low `m_eff` once;
-//! 2. re-derives the memo of each kernel in a marked context whose
-//!    `m_eff` bits moved (kernels elsewhere keep their share, since their
-//!    context's weight sum did not change);
-//! 3. sums occupancy over all of `running`, in order, and derives the
-//!    contention factor from it;
-//! 4. divides a kernel's rate anew only when the factor's bits or the
-//!    kernel's denominator changed.
+//! 1. gives each marked context its high and low share ids, from its
+//!    stream-weight sum `busy_high · w_high + busy_low · w_low`
+//!    (O(contexts));
+//! 2. walks `running` once: a kernel whose context's share id for its
+//!    class moved reads its duration and occupancy term from the memo
+//!    (kernels elsewhere keep theirs), and every kernel's occupancy term
+//!    is summed in `running` order;
+//! 3. derives the contention factor from the occupancy and walks
+//!    `running` again: it divides a kernel's rate anew only when the
+//!    factor's bits or the kernel's rate denominator
+//!    (`launch + extra + duration × jitter`) changed, and keeps the
+//!    earliest completion instant.
 //!
 //! Each context also counts its busy high and low streams, so
 //! [`GpuEngine::snapshot`] and the busy-time accounting never scan slots.
 //!
-//! The next completion instant is cached between mutations: the first
-//! query after a change scans `running`, later ones reuse the result. The
-//! cache is dropped by every re-flow (rates moved) and whenever time moves
-//! (progress changed `remaining` and the reference instant).
+//! The next completion instant is cached from the re-flow's last pass
+//! until time moves (progress changes `remaining` and the reference
+//! instant); the first query after that rescans `running`.
 
 use crate::{ContentionModel, GpuSimError, KernelDesc, SpeedupModel, TraceRecorder, WorkProfile};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use sgprs_rt::SimTime;
+use std::borrow::Cow;
 use std::collections::VecDeque;
 
 /// Identifier of a context in the engine's context pool.
@@ -107,9 +116,12 @@ pub struct ContextConfig {
     pub high_streams: usize,
     /// Number of low-priority streams (paper: 2).
     pub low_streams: usize,
-    /// Processor-sharing weight of a kernel on a high stream.
+    /// Processor-sharing weight of a kernel on a high stream. A context's
+    /// weight sum is `busy_high · high_weight + busy_low · low_weight`,
+    /// which is exact for integral weights such as the defaults.
     pub high_weight: f64,
-    /// Processor-sharing weight of a kernel on a low stream.
+    /// Processor-sharing weight of a kernel on a low stream (see
+    /// [`ContextConfig::high_weight`] for the weight sum).
     pub low_weight: f64,
 }
 
@@ -138,6 +150,11 @@ impl ContextConfig {
     #[must_use]
     pub fn total_streams(&self) -> usize {
         self.high_streams + self.low_streams
+    }
+
+    /// The stream-weight sum with `high` and `low` busy streams.
+    fn weight_sum(&self, high: usize, low: usize) -> f64 {
+        high as f64 * self.high_weight + low as f64 * self.low_weight
     }
 }
 
@@ -173,13 +190,19 @@ pub struct ContextSnapshot {
     pub idle_low: usize,
 }
 
+/// Share id of no share: a kernel not yet re-flowed, or a stream class
+/// with no resident kernel in its context.
+const NO_SHARE: u32 = u32::MAX;
+
 #[derive(Debug, Clone)]
 struct RunningKernel {
     handle: KernelHandle,
-    context: ContextId,
     stream: StreamId,
     class: StreamClass,
-    work: WorkProfile,
+    /// Index of the kernel's work profile in the engine's [`ShareMemo`].
+    profile: u32,
+    /// The share id `eff_speedup` and `denom_ns` were derived at.
+    share: u32,
     /// Fixed serial overhead (see [`KernelDesc::extra_ns`]).
     extra_ns: f64,
     /// Multiplicative execution-time jitter sampled at submit.
@@ -189,17 +212,11 @@ struct RunningKernel {
     /// Current progress rate in fraction per nanosecond.
     rate: f64,
     submitted_at: SimTime,
-    /// Memo key: the bits of the effective SM share that `duration_ns`
-    /// and `eff_speedup` were derived at (see the module docs).
-    m_eff_bits: u64,
-    /// `work.duration_ns_at(model, m_eff)`, before jitter and overheads.
-    /// Work and model are fixed per kernel, so the key determines it.
-    duration_ns: f64,
-    /// The effective speedup `duration_ns` implies: the SM-equivalents
-    /// the kernel keeps busy, its term of the engine's occupancy.
+    /// The effective speedup at `share`: the SM-equivalents the kernel
+    /// keeps busy, its term of the engine's occupancy.
     eff_speedup: f64,
-    /// `launch + extra_ns + duration_ns × jitter`: the wall time the
-    /// kernel would take at contention factor 1.
+    /// `launch + extra_ns + duration × jitter`: the wall time the kernel
+    /// would take at contention factor 1.
     denom_ns: f64,
     /// Set when `rate` no longer matches `denom_ns` (a new kernel, or a
     /// reshare that moved the denominator).
@@ -207,22 +224,147 @@ struct RunningKernel {
 }
 
 impl RunningKernel {
-    /// Re-derives the memo at effective SM share `m_eff`, with
-    /// [`WorkProfile::effective_speedup`]'s guard on the speedup, and
+    /// Moves the kernel to share `share`, whose memo entry is `at`, and
     /// marks the rate stale if the denominator moved.
-    fn reshare(&mut self, model: &SpeedupModel, launch_ns: f64, m_eff: f64) {
-        let t = self.work.duration_ns_at(model, m_eff);
-        self.m_eff_bits = m_eff.to_bits();
-        self.duration_ns = t;
-        self.eff_speedup = if t <= 0.0 || !t.is_finite() {
-            0.0
-        } else {
-            self.work.total_single_sm_ns() / t
-        };
-        let denom = launch_ns + self.extra_ns + t * self.jitter;
+    fn reshare(&mut self, share: u32, at: MemoEntry, launch_ns: f64) {
+        self.share = share;
+        self.eff_speedup = at.eff_speedup;
+        let denom = launch_ns + self.extra_ns + at.duration_ns * self.jitter;
         if denom.to_bits() != self.denom_ns.to_bits() {
             self.denom_ns = denom;
             self.rate_stale = true;
+        }
+    }
+
+    /// Absolute completion instant (ns) at the current rate, progress
+    /// being measured from `reference_ns`.
+    fn completion_ns(&self, reference_ns: f64) -> f64 {
+        if self.rate <= 0.0 {
+            return f64::INFINITY;
+        }
+        reference_ns + self.remaining / self.rate
+    }
+}
+
+/// One memo entry: a profile's duration at a share and the effective
+/// speedup it implies.
+#[derive(Debug, Clone, Copy)]
+struct MemoEntry {
+    /// The profile's [`WorkProfile::duration_ns_at`] at the share, before
+    /// jitter and overheads; NaN until the entry is first used.
+    duration_ns: f64,
+    /// The profile's [`WorkProfile::effective_speedup`] at the share.
+    eff_speedup: f64,
+}
+
+impl MemoEntry {
+    const UNFILLED: MemoEntry = MemoEntry {
+        duration_ns: f64::NAN,
+        eff_speedup: f64::NAN,
+    };
+}
+
+/// The speedup model and the duration memo over (interned profile,
+/// share id) (module docs).
+#[derive(Debug)]
+struct ShareMemo {
+    model: Cow<'static, SpeedupModel>,
+    /// Every distinct profile submitted so far, in first-submit order.
+    profiles: Vec<WorkProfile>,
+    /// Every distinct `m_eff` the pool can give, by bits; a share id
+    /// indexes it.
+    shares: Vec<f64>,
+    /// `profiles.len() × shares.len()` entries, profile-major.
+    entries: Vec<MemoEntry>,
+}
+
+impl ShareMemo {
+    /// A memo over every share a kernel can hold in `contexts`.
+    fn new(model: Cow<'static, SpeedupModel>, contexts: &[ContextState]) -> Self {
+        let mut shares: Vec<f64> = Vec::new();
+        for c in contexts {
+            for high in 0..=c.config.high_streams {
+                for low in 0..=c.config.low_streams {
+                    let weight_sum = c.config.weight_sum(high, low);
+                    for (class, busy) in [(StreamClass::High, high), (StreamClass::Low, low)] {
+                        let m = c.m_eff(class, weight_sum);
+                        if busy > 0 && !shares.iter().any(|s| s.to_bits() == m.to_bits()) {
+                            shares.push(m);
+                        }
+                    }
+                }
+            }
+        }
+        ShareMemo {
+            model,
+            profiles: Vec::new(),
+            shares,
+            entries: Vec::new(),
+        }
+    }
+
+    /// The index of `work` in the profile table, interning it (with a
+    /// row of unfilled entries) on first sight.
+    fn intern(&mut self, work: &WorkProfile) -> u32 {
+        let index = match self.profiles.iter().position(|p| p == work) {
+            Some(index) => index,
+            None => {
+                // Exact growth: an engine interns a handful of profiles,
+                // and doubling would leave up to half of both tables idle.
+                self.profiles.reserve_exact(1);
+                self.profiles.push(*work);
+                self.entries.reserve_exact(self.shares.len());
+                self.entries
+                    .resize(self.entries.len() + self.shares.len(), MemoEntry::UNFILLED);
+                self.profiles.len() - 1
+            }
+        };
+        index as u32
+    }
+
+    /// The id of share `m_eff`, or [`NO_SHARE`] when no kernel of the
+    /// class is resident (`busy == 0`).
+    fn share_id(&self, m_eff: f64, busy: usize) -> u32 {
+        if busy == 0 {
+            return NO_SHARE;
+        }
+        let id = self
+            .shares
+            .iter()
+            .position(|s| s.to_bits() == m_eff.to_bits());
+        id.expect("invariant: the builder lists every share the pool can give") as u32
+    }
+
+    /// The entry of `profile` at `share`, filled on first use.
+    fn entry(&mut self, profile: u32, share: u32) -> MemoEntry {
+        let i = profile as usize * self.shares.len() + share as usize;
+        let entry = self.entries[i];
+        if entry.duration_ns.is_nan() {
+            let fresh = self.fresh(profile, share);
+            self.entries[i] = fresh;
+            return fresh;
+        }
+        debug_assert_eq!(
+            entry.duration_ns.to_bits(),
+            self.fresh(profile, share).duration_ns.to_bits(),
+            "memoised duration went stale"
+        );
+        entry
+    }
+
+    /// The entry of `profile` at `share`, computed without the memo.
+    fn fresh(&self, profile: u32, share: u32) -> MemoEntry {
+        let work = &self.profiles[profile as usize];
+        let t = work.duration_ns_at(&self.model, self.shares[share as usize]);
+        // `WorkProfile::effective_speedup` without computing `t` twice.
+        let eff_speedup = if t <= 0.0 || !t.is_finite() {
+            0.0
+        } else {
+            work.total_single_sm_ns() / t
+        };
+        MemoEntry {
+            duration_ns: t,
+            eff_speedup,
         }
     }
 }
@@ -230,32 +372,34 @@ impl RunningKernel {
 #[derive(Debug, Clone)]
 struct ContextState {
     config: ContextConfig,
-    /// One slot per stream: the handle of the kernel occupying it.
-    slots: Vec<Option<KernelHandle>>,
+    /// Index of the context's first stream in the engine's stream table;
+    /// its high streams come first.
+    first_stream: usize,
     /// Occupied high-priority slots.
     busy_high: usize,
     /// Occupied low-priority slots.
     busy_low: usize,
     /// Set when the resident set changed since the last re-flow.
     dirty: bool,
-    /// The resident kernels' total stream weight, as of the last re-flow.
-    weight_sum: f64,
-    /// `m_eff` of a kernel on a high / low stream, as of the last re-flow.
-    m_eff_high: f64,
-    m_eff_low: f64,
+    /// Share id of a kernel on a high / low stream, as of the last
+    /// re-flow ([`NO_SHARE`] when none is resident).
+    share_high: u32,
+    share_low: u32,
+    /// Cumulative busy nanoseconds (≥1 resident kernel).
+    busy_ns: f64,
 }
 
 impl ContextState {
-    fn new(config: ContextConfig) -> Self {
+    fn new(config: ContextConfig, first_stream: usize) -> Self {
         ContextState {
-            slots: vec![None; config.total_streams()],
             config,
+            first_stream,
             busy_high: 0,
             busy_low: 0,
             dirty: true,
-            weight_sum: 0.0,
-            m_eff_high: 0.0,
-            m_eff_low: 0.0,
+            share_high: NO_SHARE,
+            share_low: NO_SHARE,
+            busy_ns: 0.0,
         }
     }
 
@@ -266,25 +410,32 @@ impl ContextState {
         }
     }
 
-    /// Puts `handle` on stream `slot` of `class`.
-    fn occupy(&mut self, slot: usize, class: StreamClass, handle: KernelHandle) {
-        self.slots[slot] = Some(handle);
+    /// This context's stream slots in the engine-wide `table`: `true`
+    /// where a kernel occupies the stream.
+    fn slots<'t>(&self, table: &'t [bool]) -> &'t [bool] {
+        &table[self.first_stream..self.first_stream + self.config.total_streams()]
+    }
+
+    /// Puts a kernel of `class` on stream `slot`.
+    fn occupy(&mut self, table: &mut [bool], slot: usize, class: StreamClass) {
+        table[self.first_stream + slot] = true;
         *self.busy_mut(class) += 1;
         self.dirty = true;
     }
 
     /// Frees stream `slot` of `class`.
-    fn vacate(&mut self, slot: usize, class: StreamClass) {
-        self.slots[slot] = None;
+    fn vacate(&mut self, table: &mut [bool], slot: usize, class: StreamClass) {
+        table[self.first_stream + slot] = false;
         *self.busy_mut(class) -= 1;
         self.dirty = true;
     }
 
-    /// The cached `m_eff` of a kernel on a stream of `class`.
-    fn cached_m_eff(&self, class: StreamClass) -> f64 {
+    /// The share id of a kernel on a stream of `class`, as of the last
+    /// re-flow.
+    fn share(&self, class: StreamClass) -> u32 {
         match class {
-            StreamClass::High => self.m_eff_high,
-            StreamClass::Low => self.m_eff_low,
+            StreamClass::High => self.share_high,
+            StreamClass::Low => self.share_low,
         }
     }
 
@@ -308,14 +459,15 @@ impl ContextState {
         f64::from(self.config.sm_alloc) * share
     }
 
-    fn idle_slot(&self, class: StreamClass) -> Option<usize> {
+    fn idle_slot(&self, table: &[bool], class: StreamClass) -> Option<usize> {
         let range = match class {
             StreamClass::High => 0..self.config.high_streams,
             StreamClass::Low => {
                 self.config.high_streams..self.config.high_streams + self.config.low_streams
             }
         };
-        range.into_iter().find(|&i| self.slots[i].is_none())
+        let slots = self.slots(table);
+        range.into_iter().find(|&i| !slots[i])
     }
 
     fn resident(&self) -> usize {
@@ -323,21 +475,35 @@ impl ContextState {
     }
 }
 
+/// `x` rounded up to a whole number of nanoseconds, saturating at the
+/// `u64` range (NaN gives 0): `x.ceil() as u64` without the libm call.
+fn ceil_ns(x: f64) -> u64 {
+    // Saturating: exact for every `x` in range, since an `x` of 2^53 or
+    // more is whole and a smaller one truncates to a representable `t`.
+    let t = x as u64;
+    if t < u64::MAX && (t as f64) < x {
+        t + 1
+    } else {
+        t
+    }
+}
+
 /// The discrete-event GPU device simulator. See the module documentation for the algorithm details.
 #[derive(Debug)]
 pub struct GpuEngine {
     spec: crate::GpuSpec,
-    speedup: SpeedupModel,
+    memo: ShareMemo,
     contention: ContentionModel,
     contexts: Vec<ContextState>,
+    /// Every context's stream slots, context after context (see
+    /// [`ContextState::slots`]).
+    streams: Vec<bool>,
     running: Vec<RunningKernel>,
     now: SimTime,
     last_reflow_ns: f64,
     next_handle: u64,
     rng: SmallRng,
     trace: Option<TraceRecorder>,
-    /// Cumulative busy nanoseconds per context (≥1 resident kernel).
-    busy_ns: Vec<f64>,
     completed_count: u64,
     /// Events already produced but not yet returned (simultaneous
     /// completions split by [`GpuEngine::run_next`]), oldest first.
@@ -351,8 +517,8 @@ pub struct GpuEngine {
     /// The contention factor of the last re-flow, which every clean
     /// kernel's `rate` was divided from.
     factor: f64,
-    /// The next completion instant (ns, infinite when idle), once a query
-    /// computed it; `None` after any mutation (module docs).
+    /// The next completion instant (ns, infinite when idle) as of the
+    /// last re-flow or scan; `None` once time moved (module docs).
     next_completion_ns: Option<f64>,
     /// Retirement scratch: kernels finishing at the current instant.
     retired: Vec<RunningKernel>,
@@ -362,7 +528,7 @@ pub struct GpuEngine {
 #[derive(Debug)]
 pub struct GpuEngineBuilder {
     spec: crate::GpuSpec,
-    speedup: SpeedupModel,
+    speedup: Cow<'static, SpeedupModel>,
     contention: ContentionModel,
     contexts: Vec<ContextConfig>,
     seed: u64,
@@ -389,7 +555,7 @@ impl GpuEngineBuilder {
     /// Replaces the calibrated speedup model.
     #[must_use]
     pub fn speedup_model(mut self, model: SpeedupModel) -> Self {
-        self.speedup = model;
+        self.speedup = Cow::Owned(model);
         self
     }
 
@@ -417,14 +583,22 @@ impl GpuEngineBuilder {
     /// Builds the engine.
     #[must_use]
     pub fn build(self) -> GpuEngine {
-        let contexts: Vec<ContextState> =
-            self.contexts.into_iter().map(ContextState::new).collect();
-        let n_ctx = contexts.len();
+        let mut first_stream = 0;
+        let contexts: Vec<ContextState> = self
+            .contexts
+            .into_iter()
+            .map(|config| {
+                let c = ContextState::new(config, first_stream);
+                first_stream += config.total_streams();
+                c
+            })
+            .collect();
         let mut engine = GpuEngine {
             spec: self.spec,
-            speedup: self.speedup,
+            memo: ShareMemo::new(self.speedup, &contexts),
             contention: self.contention,
             contexts,
+            streams: vec![false; first_stream],
             running: Vec::new(),
             now: SimTime::ZERO,
             last_reflow_ns: 0.0,
@@ -435,7 +609,6 @@ impl GpuEngineBuilder {
             } else {
                 None
             },
-            busy_ns: vec![0.0; n_ctx],
             completed_count: 0,
             pending: VecDeque::new(),
             occupancy: 0.0,
@@ -454,7 +627,7 @@ impl GpuEngine {
     pub fn builder(spec: crate::GpuSpec) -> GpuEngineBuilder {
         GpuEngineBuilder {
             spec,
-            speedup: SpeedupModel::rtx_2080_ti().clone(),
+            speedup: Cow::Borrowed(SpeedupModel::rtx_2080_ti()),
             contention: ContentionModel::calibrated(),
             contexts: Vec::new(),
             seed: 0x5672_5053,
@@ -471,7 +644,7 @@ impl GpuEngine {
     /// The speedup model in use.
     #[must_use]
     pub fn speedup_model(&self) -> &SpeedupModel {
-        &self.speedup
+        &self.memo.model
     }
 
     /// Current simulated time.
@@ -536,10 +709,12 @@ impl GpuEngine {
             .contexts
             .get(ctx.0)
             .ok_or(GpuSimError::UnknownContext { context: ctx.0 })?;
-        let slot = state.idle_slot(class).ok_or(GpuSimError::NoIdleStream {
-            context: ctx.0,
-            class,
-        })?;
+        let slot = state
+            .idle_slot(&self.streams, class)
+            .ok_or(GpuSimError::NoIdleStream {
+                context: ctx.0,
+                class,
+            })?;
 
         // Progress everyone to `now` under the old rates before the
         // resident set changes.
@@ -563,7 +738,7 @@ impl GpuEngine {
             1.0
         };
 
-        self.contexts[ctx.0].occupy(slot, class, handle);
+        self.contexts[ctx.0].occupy(&mut self.streams, slot, class);
         let stream = StreamId {
             context: ctx,
             index: slot,
@@ -571,38 +746,34 @@ impl GpuEngine {
         if let Some(trace) = &mut self.trace {
             trace.begin(handle, &desc.label, ctx, stream, self.now);
         }
-        let mut kernel = RunningKernel {
+        // The re-flow below gives the kernel its share: its context is
+        // marked, and no share id equals `NO_SHARE`.
+        self.running.push(RunningKernel {
             handle,
-            context: ctx,
             stream,
             class,
-            work: desc.work,
+            profile: self.memo.intern(&desc.work),
+            share: NO_SHARE,
             extra_ns: desc.extra_ns,
             jitter,
             remaining: 1.0,
             rate: 0.0,
             submitted_at: self.now,
-            m_eff_bits: 0,
-            duration_ns: 0.0,
             eff_speedup: 0.0,
             denom_ns: f64::NAN,
             rate_stale: true,
-        };
-        // A valid memo entry for a zero share; the re-flow below moves it
-        // to the kernel's real share.
-        kernel.reshare(&self.speedup, self.spec.launch_overhead_ns as f64, 0.0);
-        self.running.push(kernel);
+        });
         self.recompute_rates();
         Ok(handle)
     }
 
     /// The instant of the next kernel completion, if any kernel is running.
-    /// Takes `&mut self` to cache the instant until the next mutation.
+    /// Takes `&mut self` to cache the instant until time moves.
     #[must_use]
     pub fn next_event_time(&mut self) -> Option<SimTime> {
         let ns = self.next_completion_ns();
         if ns.is_finite() {
-            Some(SimTime::from_nanos(ns.min(u64::MAX as f64).ceil() as u64))
+            Some(SimTime::from_nanos(ceil_ns(ns)))
         } else {
             None
         }
@@ -659,7 +830,7 @@ impl GpuEngine {
         if elapsed <= 0.0 {
             return 0.0;
         }
-        (self.busy_ns[ctx.0] / elapsed).clamp(0.0, 1.0)
+        (self.contexts[ctx.0].busy_ns / elapsed).clamp(0.0, 1.0)
     }
 
     /// The trace recorder, if tracing was enabled at build time.
@@ -684,7 +855,7 @@ impl GpuEngine {
                 self.progress_to(t);
                 return;
             }
-            let next_t = SimTime::from_nanos(next.ceil() as u64).max(self.now);
+            let next_t = SimTime::from_nanos(ceil_ns(next)).max(self.now);
             self.progress_to(next_t);
             // Retire every kernel whose remaining work reached zero.
             let mut i = 0;
@@ -698,14 +869,15 @@ impl GpuEngine {
             // Handles are unique, so the unstable sort is deterministic.
             self.retired.sort_unstable_by_key(|k| k.handle);
             for k in self.retired.drain(..) {
-                self.contexts[k.context.0].vacate(k.stream.index, k.class);
+                let context = k.stream.context;
+                self.contexts[context.0].vacate(&mut self.streams, k.stream.index, k.class);
                 self.completed_count += 1;
                 if let Some(trace) = &mut self.trace {
                     trace.end(k.handle, self.now);
                 }
                 out.extend(Some(DeviceEvent {
                     kernel: k.handle,
-                    context: k.context,
+                    context,
                     stream: k.stream,
                     submitted_at: k.submitted_at,
                     finished_at: self.now,
@@ -715,14 +887,23 @@ impl GpuEngine {
         }
     }
 
-    /// Context `ctx`'s stream-weight sum recomputed from scratch, in
-    /// `running` order: the cached `weight_sum` must equal it bit for bit.
+    /// Context `ctx`'s stream-weight sum recomputed from scratch: its
+    /// kernels counted per class in `running`, times the class weight.
     fn fresh_weight_sum(&self, ctx: ContextId) -> f64 {
-        let c = &self.contexts[ctx.0];
-        self.running
-            .iter()
-            .filter(|j| j.context == ctx)
-            .fold(0.0, |sum, j| sum + c.weight(j.class))
+        let (mut high, mut low) = (0, 0);
+        for k in self.running.iter().filter(|k| k.stream.context == ctx) {
+            match k.class {
+                StreamClass::High => high += 1,
+                StreamClass::Low => low += 1,
+            }
+        }
+        self.contexts[ctx.0].config.weight_sum(high, low)
+    }
+
+    /// The effective SM share of `k`, recomputed from scratch.
+    fn fresh_m_eff(&self, k: &RunningKernel) -> f64 {
+        let ctx = k.stream.context;
+        self.contexts[ctx.0].m_eff(k.class, self.fresh_weight_sum(ctx))
     }
 
     /// The resident set's occupancy recomputed from scratch, without the
@@ -731,15 +912,14 @@ impl GpuEngine {
         self.running
             .iter()
             .map(|k| {
-                let ctx = &self.contexts[k.context.0];
-                let m_eff = ctx.m_eff(k.class, self.fresh_weight_sum(k.context));
-                k.work.effective_speedup(&self.speedup, m_eff)
+                let work = &self.memo.profiles[k.profile as usize];
+                work.effective_speedup(&self.memo.model, self.fresh_m_eff(k))
             })
             .sum()
     }
 
     /// The next completion instant (ns; infinite when nothing runs), from
-    /// the cache when no mutation dropped it since the last scan.
+    /// the cache unless time moved since the last re-flow or scan.
     fn next_completion_ns(&mut self) -> f64 {
         if let Some(ns) = self.next_completion_ns {
             debug_assert_eq!(
@@ -758,7 +938,7 @@ impl GpuEngine {
     fn fresh_next_completion_ns(&self) -> f64 {
         self.running
             .iter()
-            .map(|k| self.completion_time_of(k))
+            .map(|k| k.completion_ns(self.last_reflow_ns))
             .fold(f64::INFINITY, f64::min)
     }
 
@@ -771,9 +951,9 @@ impl GpuEngine {
             for k in &mut self.running {
                 k.remaining = (k.remaining - k.rate * dt).max(0.0);
             }
-            for (i, c) in self.contexts.iter().enumerate() {
+            for c in &mut self.contexts {
                 if c.resident() > 0 {
-                    self.busy_ns[i] += dt;
+                    c.busy_ns += dt;
                 }
             }
         }
@@ -788,50 +968,40 @@ impl GpuEngine {
     }
 
     /// Re-derives the rates after a submit or retirement, working only
-    /// where the resident set changed (module docs). Must be called after
-    /// any submit/retire.
+    /// where the resident set changed, and caches the next completion
+    /// (module docs). Must be called after any submit/retire.
     fn recompute_rates(&mut self) {
-        let total = f64::from(self.spec.total_sms);
         let launch_ns = self.spec.launch_overhead_ns as f64;
         let Self {
             contexts,
             running,
-            speedup,
+            memo,
             ..
         } = self;
         for c in contexts.iter_mut().filter(|c| c.dirty) {
-            c.weight_sum = 0.0;
-        }
-        for k in running.iter() {
-            let c = &mut contexts[k.context.0];
-            if c.dirty {
-                c.weight_sum += c.weight(k.class);
-            }
-        }
-        for c in contexts.iter_mut().filter(|c| c.dirty) {
-            c.m_eff_high = c.m_eff(StreamClass::High, c.weight_sum);
-            c.m_eff_low = c.m_eff(StreamClass::Low, c.weight_sum);
+            let weight_sum = c.config.weight_sum(c.busy_high, c.busy_low);
+            c.share_high = memo.share_id(c.m_eff(StreamClass::High, weight_sum), c.busy_high);
+            c.share_low = memo.share_id(c.m_eff(StreamClass::Low, weight_sum), c.busy_low);
             c.dirty = false;
         }
         // A clean context's shares did not move, so only kernels in the
-        // marked ones can miss their memo key.
+        // marked ones can miss their share. The sum starts at -0.0, as
+        // `Iterator::sum` does.
+        let mut occupancy = -0.0;
         for k in running.iter_mut() {
-            let m_eff = contexts[k.context.0].cached_m_eff(k.class);
-            if k.m_eff_bits != m_eff.to_bits() {
-                k.reshare(speedup, launch_ns, m_eff);
-            } else {
-                debug_assert_eq!(
-                    k.duration_ns.to_bits(),
-                    k.work.duration_ns_at(speedup, m_eff).to_bits(),
-                    "memoised duration went stale"
-                );
+            let share = contexts[k.stream.context.0].share(k.class);
+            if k.share != share {
+                k.reshare(share, memo.entry(k.profile, share), launch_ns);
             }
+            occupancy += k.eff_speedup;
         }
-        let occupancy: f64 = running.iter().map(|k| k.eff_speedup).sum();
-        let factor = self.contention.rate_factor(occupancy, total);
+        let factor = self
+            .contention
+            .rate_factor(occupancy, f64::from(self.spec.total_sms));
         let factor_moved = factor.to_bits() != self.factor.to_bits();
         self.occupancy = occupancy;
         self.factor = factor;
+        let mut next = f64::INFINITY;
         for k in &mut self.running {
             if factor_moved || k.rate_stale {
                 k.rate = if k.denom_ns > 0.0 {
@@ -841,17 +1011,9 @@ impl GpuEngine {
                 };
                 k.rate_stale = false;
             }
+            next = next.min(k.completion_ns(self.last_reflow_ns));
         }
-        self.next_completion_ns = None;
-    }
-
-    /// Absolute completion instant (ns) of a running kernel at its current
-    /// rate.
-    fn completion_time_of(&self, k: &RunningKernel) -> f64 {
-        if k.rate <= 0.0 {
-            return f64::INFINITY;
-        }
-        self.last_reflow_ns + k.remaining / k.rate
+        self.next_completion_ns = Some(next);
     }
 }
 
@@ -860,6 +1022,7 @@ mod tests {
     use super::*;
     use crate::{GpuSpec, OpClass, WorkProfile};
     use sgprs_rt::SimDuration;
+    use std::collections::HashMap;
 
     fn quiet_spec() -> GpuSpec {
         GpuSpec::rtx_2080_ti().with_launch_overhead_ns(0)
@@ -875,7 +1038,7 @@ mod tests {
         let sm = f64::from(e.contexts[ctx].config.sm_alloc);
         let ns = e.spec.launch_overhead_ns as f64
             + desc.extra_ns
-            + desc.work.duration_ns_at(&e.speedup, sm);
+            + desc.work.duration_ns_at(e.speedup_model(), sm);
         SimDuration::from_nanos(ns.round() as u64)
     }
 
@@ -1190,11 +1353,12 @@ mod tests {
     /// and every kernel's rate.
     fn assert_bookkeeping_is_fresh(e: &GpuEngine, step: usize) {
         for (i, c) in e.contexts.iter().enumerate() {
-            let (high, low) = c.slots.split_at(c.config.high_streams);
-            let idle = |s: &[Option<KernelHandle>]| s.iter().filter(|s| s.is_none()).count();
+            let slots = c.slots(&e.streams);
+            let (high, low) = slots.split_at(c.config.high_streams);
+            let idle = |s: &[bool]| s.iter().filter(|&&busy| !busy).count();
             let scanned = ContextSnapshot {
                 sm_alloc: c.config.sm_alloc,
-                resident: c.slots.iter().filter(|s| s.is_some()).count(),
+                resident: slots.iter().filter(|&&busy| busy).count(),
                 idle_high: idle(high),
                 idle_low: idle(low),
             };
@@ -1211,10 +1375,10 @@ mod tests {
             .contention
             .rate_factor(e.fresh_occupancy(), f64::from(e.spec.total_sms));
         for k in &e.running {
-            let m_eff = e.contexts[k.context.0].m_eff(k.class, e.fresh_weight_sum(k.context));
+            let work = &e.memo.profiles[k.profile as usize];
             let denom = e.spec.launch_overhead_ns as f64
                 + k.extra_ns
-                + k.work.duration_ns_at(&e.speedup, m_eff) * k.jitter;
+                + work.duration_ns_at(e.speedup_model(), e.fresh_m_eff(k)) * k.jitter;
             let rate = if denom > 0.0 {
                 factor / denom
             } else {
@@ -1229,29 +1393,32 @@ mod tests {
         }
     }
 
-    #[test]
-    fn incremental_bookkeeping_matches_a_fresh_recompute_after_every_step() {
-        // A 2× pool of three unequal contexts on the calibrated contention
-        // model: the factor and the jitter both move as kernels come and go.
-        let mut e = GpuEngine::builder(GpuSpec::rtx_2080_ti())
-            .context(ContextConfig::new(46))
-            .context(ContextConfig::new(45))
-            .context(ContextConfig::new(45))
-            .build();
-        let ops = [OpClass::Convolution, OpClass::MaxPool, OpClass::BatchNorm];
-        let mut lcg = 0x5eed_u64;
-        let (mut submits, mut completions, mut contended) = (0, 0, 0);
-        for step in 0..2_000 {
+    /// Drives `e` through `steps` random steps seeded by `seed`: a submit
+    /// of `work(r)` where a stream of the drawn class is idle, a move of
+    /// up to 10 µs, or a run to the next completion. `after` sees the
+    /// engine, the step and the kernel the step submitted, if any.
+    /// Returns the submits and completions made.
+    fn drive(
+        e: &mut GpuEngine,
+        seed: u64,
+        steps: usize,
+        work: impl Fn(usize) -> WorkProfile,
+        mut after: impl FnMut(&mut GpuEngine, usize, Option<(KernelHandle, WorkProfile)>),
+    ) -> (usize, usize) {
+        let mut lcg = seed;
+        let (mut submits, mut completions) = (0, 0);
+        for step in 0..steps {
             lcg = lcg
                 .wrapping_mul(6_364_136_223_846_793_005)
                 .wrapping_add(1_442_695_040_888_963_407);
             let r = (lcg >> 33) as usize;
-            let ctx = ContextId(r % 3);
+            let ctx = ContextId(r % e.context_count());
             let class = if (r / 3).is_multiple_of(2) {
                 StreamClass::High
             } else {
                 StreamClass::Low
             };
+            let mut submitted = None;
             match r / 6 % 5 {
                 // Submit where a stream of that class is idle.
                 0..=2 => {
@@ -1261,8 +1428,9 @@ mod tests {
                         StreamClass::Low => snap.idle_low,
                     };
                     if idle > 0 {
-                        let work = WorkProfile::single(ops[r % 3], 2e5 * (1 + r / 30 % 9) as f64);
-                        e.submit(ctx, class, KernelDesc::new("k", work)).unwrap();
+                        let work = work(r);
+                        let handle = e.submit(ctx, class, KernelDesc::new("k", work)).unwrap();
+                        submitted = Some((handle, work));
                         submits += 1;
                     }
                 }
@@ -1276,18 +1444,186 @@ mod tests {
                 }
                 _ => completions += usize::from(e.run_next().is_some()),
             }
-            assert_bookkeeping_is_fresh(&e, step);
+            after(e, step, submitted);
+        }
+        (submits, completions)
+    }
+
+    #[test]
+    fn incremental_bookkeeping_matches_a_fresh_recompute_after_every_step() {
+        // A 2× pool of three unequal contexts on the calibrated contention
+        // model: the factor and the jitter both move as kernels come and go.
+        let mut e = GpuEngine::builder(GpuSpec::rtx_2080_ti())
+            .context(ContextConfig::new(46))
+            .context(ContextConfig::new(45))
+            .context(ContextConfig::new(45))
+            .build();
+        let ops = [OpClass::Convolution, OpClass::MaxPool, OpClass::BatchNorm];
+        let work = |r: usize| WorkProfile::single(ops[r % 3], 2e5 * (1 + r / 30 % 9) as f64);
+        let mut contended = 0;
+        let (submits, completions) = drive(&mut e, 0x5eed, 2_000, work, |e, step, _| {
+            assert_bookkeeping_is_fresh(e, step);
             // Fill the next-completion cache, so a mutation that forgets
             // to drop it is caught at the next step.
             let _ = e.next_event_time();
-            assert_bookkeeping_is_fresh(&e, step);
+            assert_bookkeeping_is_fresh(e, step);
             contended += usize::from(e.factor < 1.0);
-        }
+        });
         assert!(
             submits > 100 && completions > 50 && contended > 50,
             "too little exercised: {submits} submits, {completions} completions, \
              {contended} contended steps"
         );
+    }
+
+    /// The share memo against a from-scratch compute: the shares are
+    /// distinct by bits, every filled entry holds its profile's duration
+    /// and effective speedup at its share, and every running kernel has
+    /// the profile it was submitted with and the duration and occupancy
+    /// term of its fresh `m_eff`.
+    fn assert_memo_is_fresh(
+        e: &GpuEngine,
+        submitted: &HashMap<KernelHandle, WorkProfile>,
+        step: usize,
+    ) {
+        let memo = &e.memo;
+        let n = memo.shares.len();
+        for (i, share) in memo.shares.iter().enumerate() {
+            assert!(
+                memo.shares[..i]
+                    .iter()
+                    .all(|s| s.to_bits() != share.to_bits()),
+                "share {share} listed twice"
+            );
+        }
+        assert_eq!(memo.entries.len(), memo.profiles.len() * n, "step {step}");
+        let bits = |work: &WorkProfile, m: f64| {
+            (
+                work.duration_ns_at(&memo.model, m).to_bits(),
+                work.effective_speedup(&memo.model, m).to_bits(),
+            )
+        };
+        for (i, entry) in memo.entries.iter().enumerate() {
+            if !entry.duration_ns.is_nan() {
+                assert_eq!(
+                    (entry.duration_ns.to_bits(), entry.eff_speedup.to_bits()),
+                    bits(&memo.profiles[i / n], memo.shares[i % n]),
+                    "step {step}: memo entry {i} went stale"
+                );
+            }
+        }
+        for k in &e.running {
+            let work = &memo.profiles[k.profile as usize];
+            assert_eq!(work, &submitted[&k.handle], "step {step}: {:?}", k.handle);
+            let entry = memo.entries[k.profile as usize * n + k.share as usize];
+            assert_eq!(
+                (entry.duration_ns.to_bits(), k.eff_speedup.to_bits()),
+                bits(work, e.fresh_m_eff(k)),
+                "step {step}: kernel {:?} duration or occupancy term went stale",
+                k.handle
+            );
+        }
+    }
+
+    #[test]
+    fn share_memo_matches_a_fresh_compute_after_every_step() {
+        // Four profiles submitted over and over, so most reshares hit the
+        // memo, and now and then a new one, so the memo grows mid-run.
+        let mut mixed = WorkProfile::single(OpClass::Convolution, 3e5);
+        mixed.add(OpClass::Activation, 4e4);
+        mixed.add(OpClass::BatchNorm, 6e4);
+        let mut head = WorkProfile::single(OpClass::Linear, 5e4);
+        head.add(OpClass::Softmax, 1e4);
+        let fixed = [
+            WorkProfile::single(OpClass::Convolution, 2e5),
+            mixed,
+            WorkProfile::single(OpClass::MaxPool, 1e5),
+            head,
+        ];
+        let work = |r: usize| {
+            if r.is_multiple_of(13) {
+                WorkProfile::single(OpClass::AvgPool, 1e3 * (1 + r / 13 % 97) as f64)
+            } else {
+                fixed[r % 4]
+            }
+        };
+        let pools = [
+            // The 2× pool of the paper layer, on the calibrated model.
+            vec![
+                ContextConfig::new(46),
+                ContextConfig::new(45),
+                ContextConfig::new(45),
+            ],
+            // One high stream and three low ones, beside a default context.
+            vec![
+                ContextConfig::new(17).with_streams(1, 3),
+                ContextConfig::new(51),
+            ],
+        ];
+        for (seed, pool) in (0xfeed_u64..).zip(pools) {
+            let mut b = GpuEngine::builder(GpuSpec::rtx_2080_ti());
+            for config in pool {
+                b = b.context(config);
+            }
+            let mut e = b.build();
+            let mut submitted = HashMap::new();
+            // The filled entries and each kernel's share before the step: a
+            // kernel whose share moved read its entry, a hit if it was
+            // filled already.
+            let (mut filled, mut shares) = (Vec::new(), HashMap::new());
+            let mut hits = 0;
+            let (submits, completions) = drive(&mut e, seed, 1_500, work, |e, step, new| {
+                submitted.extend(new);
+                let n = e.memo.shares.len();
+                for k in &e.running {
+                    let entry = k.profile as usize * n + k.share as usize;
+                    if shares.get(&k.handle) != Some(&k.share) && filled.get(entry) == Some(&true) {
+                        hits += 1;
+                    }
+                }
+                assert_memo_is_fresh(e, &submitted, step);
+                assert_bookkeeping_is_fresh(e, step);
+                filled = e
+                    .memo
+                    .entries
+                    .iter()
+                    .map(|x| !x.duration_ns.is_nan())
+                    .collect();
+                shares = e.running.iter().map(|k| (k.handle, k.share)).collect();
+            });
+            let profiles = e.memo.profiles.len();
+            assert!(
+                submits > 100 && completions > 50 && hits > 100 && profiles > fixed.len(),
+                "too little exercised: {submits} submits, {completions} completions, \
+                 {hits} memo hits, {profiles} profiles"
+            );
+        }
+    }
+
+    #[test]
+    fn ceil_ns_matches_libm_ceil() {
+        let two = |p: i32| 2f64.powi(p);
+        let cases = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            1e-9,
+            0.5,
+            1.0 - f64::EPSILON,
+            1.0,
+            2.0,
+            1e6,
+            123_456_789.0,
+            two(52) - 0.5,
+            two(52) + 0.5,
+            two(53),
+            two(63),
+            two(64),
+            f64::INFINITY,
+        ];
+        for x in cases {
+            assert_eq!(ceil_ns(x), x.ceil() as u64, "x = {x:e}");
+        }
     }
 
     #[test]
@@ -1302,11 +1638,11 @@ mod tests {
             .unwrap();
         e.submit(ContextId(1), StreamClass::High, conv_kernel(3e6))
             .unwrap();
-        let keys = |e: &GpuEngine, ctx: usize| -> Vec<u64> {
+        let keys = |e: &GpuEngine, ctx: usize| -> Vec<f64> {
             e.running
                 .iter()
-                .filter(|k| k.context == ContextId(ctx))
-                .map(|k| k.m_eff_bits)
+                .filter(|k| k.stream.context == ContextId(ctx))
+                .map(|k| e.memo.shares[k.share as usize])
                 .collect()
         };
         let (ctx0, ctx1) = (keys(&e, 0), keys(&e, 1));
@@ -1315,8 +1651,8 @@ mod tests {
         // The context-0 kernels kept their keys, so the re-flow skipped
         // their durations; the resident context-1 kernel's share halved.
         assert_eq!(keys(&e, 0), ctx0);
-        assert_eq!(f64::from_bits(ctx1[0]), 34.0);
-        assert_eq!(f64::from_bits(keys(&e, 1)[0]), 17.0);
+        assert_eq!(ctx1[0], 34.0);
+        assert_eq!(keys(&e, 1)[0], 17.0);
     }
 
     #[test]
