@@ -61,9 +61,13 @@
 //!
 //! * **Skip-if-busy.** A frame released at `t` is dropped and counted as
 //!   a miss when the tenant's previous job finishes after `t`
-//!   (`finish > t`), matching the schedulers' default admission policy.
-//!   A job finishing exactly at the next release has freed the tenant,
-//!   so that frame is served.
+//!   (`finish > t`). A job finishing exactly at the next release has
+//!   freed the tenant, so that frame is served. This differs from the
+//!   paper layer, whose schedulers (the epoch path's nodes included)
+//!   default to `sgprs_core::Admission::FrameBuffer`: they keep the
+//!   newest such frame in a one-slot buffer and start it when the job
+//!   in flight completes. ROADMAP item 11 is to give both executors one
+//!   rule.
 //! * **Met or late.** A served frame is recorded as completed at its
 //!   release, late exactly when `finish > deadline`; a job finishing at
 //!   its deadline instant is on time.

@@ -40,8 +40,7 @@ use sgprs_rt::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
 /// The state-transfer stall a migration pays: the migrant serves nothing
-/// while its weights and context state move, roughly a reconfiguration
-/// window (`sgprs_core::ReconfigConfig`'s 100 ms repartition stall).
+/// for 100 ms while its weights and context state move to the new node.
 /// Re-pricing degrade/upgrade switches are SGPRS partition switches and
 /// never pay it; the epoch path models migration as free.
 const MIGRATION_COST: SimDuration = SimDuration::from_millis(100);

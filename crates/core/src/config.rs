@@ -108,8 +108,6 @@ pub enum Admission {
     /// overload the release/completion phase-locking leaves the device
     /// partially idle, so total FPS sags below capacity.
     SkipIfBusy,
-    /// Release anyway and let jobs queue up (unbounded backlog).
-    QueueAll,
 }
 
 /// Configuration of the SGPRS online scheduler.
@@ -132,7 +130,8 @@ pub struct SgprsConfig {
     /// Abort queued jobs whose absolute deadline already passed. Off by
     /// default: a marginally late frame is still worth delivering (it
     /// counts toward total FPS), and aborting mid-chain wastes the GPU
-    /// time its earlier stages already consumed. Available for ablation.
+    /// time its earlier stages already consumed. The only source of
+    /// [`crate::RunMetrics::dropped`]; the paper-layer pins exercise it.
     pub abort_hopeless: bool,
     /// Deterministic seed for the device's execution-time jitter.
     pub seed: u64,

@@ -21,13 +21,13 @@
 //!   sequential FIFO execution of whole networks, and a partition
 //!   reconfiguration cost whenever a context switches tenants (the cost
 //!   SGPRS's seamless switching eliminates).
-//! * [`ReconfigScheduler`] — right-sized partitions rebuilt, with a
-//!   device-wide stall, whenever the tenant population changes.
 //! * The release driver (crate-private) — the periodic release loop,
-//!   [`Admission`] rule and job-completion bookkeeping all three
-//!   schedulers share; each supplies only its queueing and dispatch.
+//!   [`Admission`] rule and job-completion bookkeeping both schedulers
+//!   share; each supplies only its queueing and dispatch.
+//! * [`analysis`] — offline capacity analysis: a pool's predicted pivot
+//!   point, from the occupancy fold the fleet's admission also reads.
 //! * [`RunMetrics`] — total-FPS / deadline-miss-rate accounting shared by
-//!   all three schedulers (the paper's two evaluation metrics).
+//!   both schedulers (the paper's two evaluation metrics).
 //!
 //! # Example
 //!
@@ -62,7 +62,6 @@ mod config;
 mod metrics;
 mod naive;
 pub mod offline;
-mod reconfig;
 mod release;
 mod sgprs;
 
@@ -70,5 +69,4 @@ pub use compiled::CompiledTask;
 pub use config::{Admission, ContextPoolSpec, NaiveConfig, QueueOrder, SgprsConfig};
 pub use metrics::{MetricsCollector, RunMetrics, TaskMetrics};
 pub use naive::NaiveScheduler;
-pub use reconfig::{ReconfigConfig, ReconfigScheduler};
 pub use sgprs::SgprsScheduler;

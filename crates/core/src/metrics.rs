@@ -89,10 +89,10 @@ struct TaskCounts {
 
 /// Streaming collector turning per-job outcomes into [`RunMetrics`].
 ///
-/// All three schedulers (SGPRS, the naive baseline and the reconfiguring
-/// partitioner) feed it the same four event kinds — release, skip, drop,
-/// completion — through the shared release driver, so the paper's metrics
-/// are computed identically for each.
+/// Both schedulers (SGPRS and the naive baseline) feed it the same four
+/// event kinds — release, skip, drop, completion — through the shared
+/// release driver, so the paper's metrics are computed identically for
+/// each.
 #[derive(Debug, Clone)]
 pub struct MetricsCollector {
     warmup_end: SimTime,

@@ -25,106 +25,13 @@ use sgprs_rt::SimTime;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// One whole-network job of the naive or reconfiguring partitioner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct JobRef {
-    pub(crate) task: usize,
+/// One whole-network job.
+#[derive(Debug, Clone, Copy)]
+struct Job {
+    task: usize,
     release_index: u64,
-    pub(crate) release: SimTime,
-    pub(crate) deadline: SimTime,
-}
-
-/// Whole-network execution shared by the naive and reconfiguring
-/// partitioners: each job runs as one kernel on an otherwise idle
-/// one-stream partition.
-#[derive(Debug)]
-pub(crate) struct WholeNetworks {
-    /// The device; replace it only through [`WholeNetworks::set_engine`].
-    pub(crate) engine: GpuEngine,
-    /// The attached tasks, indexed by slot.
-    tasks: Vec<TaskRef>,
-    /// The kernel and job each partition runs, indexed by context (a
-    /// partition has one stream).
-    running: Vec<Option<(KernelHandle, JobRef)>>,
-}
-
-impl WholeNetworks {
-    /// `engine` with no task attached yet, and room for `tasks`.
-    pub(crate) fn new(engine: GpuEngine, tasks: usize) -> Self {
-        WholeNetworks {
-            running: vec![None; engine.context_count()],
-            engine,
-            tasks: Vec::with_capacity(tasks),
-        }
-    }
-
-    /// Puts `task` in slot `slot`: one past the last, or a recycled one.
-    pub(crate) fn attach(&mut self, slot: usize, task: TaskRef) {
-        if slot == self.tasks.len() {
-            self.tasks.push(task);
-        } else {
-            self.tasks[slot] = task;
-        }
-    }
-
-    /// Replaces the device with `engine`, a new partition layout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a job is still running.
-    pub(crate) fn set_engine(&mut self, engine: GpuEngine) {
-        assert!(
-            !self.busy(),
-            "in-flight kernels cannot survive a repartition"
-        );
-        self.running = vec![None; engine.context_count()];
-        self.engine = engine;
-    }
-
-    /// `true` while any partition runs a job.
-    pub(crate) fn busy(&self) -> bool {
-        self.running.iter().any(Option::is_some)
-    }
-
-    /// The job whose kernel completed in `ev`, now off the device.
-    pub(crate) fn finish(&mut self, ev: &DeviceEvent) -> Option<JobRef> {
-        self.running[ev.context.0]
-            .take_if(|(kernel, _)| *kernel == ev.kernel)
-            .map(|(_, job)| job)
-    }
-
-    /// Job `index` of `task`, released (or grabbed) at `release`.
-    pub(crate) fn job(&self, task: usize, index: u64, release: SimTime) -> JobRef {
-        JobRef {
-            task,
-            release_index: index,
-            release,
-            deadline: release + self.tasks[task].spec.deadline,
-        }
-    }
-
-    /// `true` when partition `ctx` has nothing resident.
-    pub(crate) fn idle(&self, ctx: usize) -> bool {
-        self.engine.snapshot(ContextId(ctx)).resident == 0
-    }
-
-    /// Runs `job` on the idle partition `ctx`, after `extra_ns` of serial
-    /// set-up.
-    pub(crate) fn submit(&mut self, ctx: usize, job: JobRef, extra_ns: f64) {
-        // Labels only matter to the trace; untraced runs skip formatting.
-        let label = if self.engine.trace().is_some() {
-            format!("τ{}#{}", job.task, job.release_index)
-        } else {
-            String::new()
-        };
-        let desc =
-            KernelDesc::new(label, self.tasks[job.task].whole_profile).with_extra_ns(extra_ns);
-        let handle = self
-            .engine
-            .submit(ContextId(ctx), StreamClass::High, desc)
-            .expect("partition was idle");
-        self.running[ctx] = Some((handle, job));
-    }
+    release: SimTime,
+    deadline: SimTime,
 }
 
 /// The naive spatial-partitioning scheduler. See the module documentation for the algorithm details.
@@ -135,14 +42,20 @@ pub struct NaiveScheduler {
 }
 
 /// The naive policy: static partitions, FIFO per partition, switch tax.
+/// Each job runs as one kernel on its otherwise idle one-stream
+/// partition.
 #[derive(Debug)]
 struct Naive {
     config: NaiveConfig,
-    whole: WholeNetworks,
+    engine: GpuEngine,
+    /// The attached tasks, indexed by slot.
+    tasks: Vec<TaskRef>,
+    /// The kernel and job each partition runs, indexed by context.
+    running: Vec<Option<(KernelHandle, Job)>>,
     /// Tenants (attached tasks, plus detached ones still finishing) per
     /// partition: the count the switch tax grows with.
     tenants: Vec<usize>,
-    fifo: Vec<VecDeque<JobRef>>,
+    fifo: Vec<VecDeque<Job>>,
     last_tenant: Vec<Option<usize>>,
 }
 
@@ -165,7 +78,9 @@ impl NaiveScheduler {
         let n_ctx = engine.context_count();
         let mut policy = Naive {
             config,
-            whole: WholeNetworks::new(engine, tasks.len()),
+            engine,
+            tasks: Vec::with_capacity(tasks.len()),
+            running: vec![None; n_ctx],
             tenants: vec![0; n_ctx],
             fifo: (0..n_ctx).map(|_| VecDeque::new()).collect(),
             last_tenant: vec![None; n_ctx],
@@ -202,7 +117,7 @@ impl NaiveScheduler {
     /// The underlying device engine (for traces and occupancy stats).
     #[must_use]
     pub fn engine(&self) -> &GpuEngine {
-        &self.policy.whole.engine
+        &self.policy.engine
     }
 
     /// Runs the simulation until `end`, returning metrics over
@@ -227,13 +142,17 @@ impl Naive {
 
 impl Policy for Naive {
     fn engine(&mut self) -> &mut GpuEngine {
-        &mut self.whole.engine
+        &mut self.engine
     }
 
     fn attach(&mut self, slot: usize, task: TaskRef) {
         let ctx = self.partition_of(slot);
         self.tenants[ctx] += 1;
-        self.whole.attach(slot, task);
+        if slot == self.tasks.len() {
+            self.tasks.push(task);
+        } else {
+            self.tasks[slot] = task;
+        }
     }
 
     fn vacate(&mut self, slot: usize) {
@@ -247,13 +166,19 @@ impl Policy for Naive {
     }
 
     fn admit(&mut self, task: usize, index: u64, release: SimTime) {
-        let job = self.whole.job(task, index, release);
+        let job = Job {
+            task,
+            release_index: index,
+            release,
+            deadline: release + self.tasks[task].spec.deadline,
+        };
         let ctx = self.partition_of(task);
         self.fifo[ctx].push_back(job);
     }
 
     fn on_event(&mut self, driver: &mut Driver, ev: &DeviceEvent) {
-        if let Some(job) = self.whole.finish(ev) {
+        let finished = self.running[ev.context.0].take_if(|(kernel, _)| *kernel == ev.kernel);
+        if let Some((_, job)) = finished {
             driver.complete(self, job.task, job.release, ev.finished_at, job.deadline);
         }
     }
@@ -261,7 +186,7 @@ impl Policy for Naive {
     fn dispatch(&mut self, _driver: &mut Driver, _now: SimTime) {
         for ctx in 0..self.fifo.len() {
             // Sequential: dispatch only when the partition is idle.
-            if !self.whole.idle(ctx) {
+            if self.engine.snapshot(ContextId(ctx)).resident != 0 {
                 continue;
             }
             let Some(job) = self.fifo[ctx].pop_front() else {
@@ -275,7 +200,19 @@ impl Policy for Naive {
                 self.config.switch_cost_ns(self.tenants[ctx])
             };
             self.last_tenant[ctx] = Some(job.task);
-            self.whole.submit(ctx, job, switch_ns);
+            // Labels only matter to the trace; untraced runs skip formatting.
+            let label = if self.engine.trace().is_some() {
+                format!("τ{}#{}", job.task, job.release_index)
+            } else {
+                String::new()
+            };
+            let desc =
+                KernelDesc::new(label, self.tasks[job.task].whole_profile).with_extra_ns(switch_ns);
+            let handle = self
+                .engine
+                .submit(ContextId(ctx), StreamClass::High, desc)
+                .expect("partition was idle");
+            self.running[ctx] = Some((handle, job));
         }
     }
 }

@@ -1,13 +1,13 @@
 //! The release-and-admission driver shared by the paper-layer schedulers.
 //!
-//! SGPRS, the naive partitioner and the reconfiguring partitioner release
-//! frames on the same periodic grid, admit them under the same
-//! [`Admission`] rule and account finished jobs identically; they differ
-//! only in what they do with an admitted job. [`Driver`] owns everything
-//! they share — release generators, in-flight counts, frame buffers,
-//! admission sequence numbers, the metrics collector — and runs the one
-//! event loop. Each scheduler supplies its own [`Policy`]: queueing,
-//! context assignment and dispatch.
+//! SGPRS and the naive partitioner release frames on the same periodic
+//! grid, admit them under the same [`Admission`] rule and account
+//! finished jobs identically; they differ only in what they do with an
+//! admitted job. [`Driver`] owns everything they share — release
+//! generators, in-flight counts, frame buffers, admission sequence
+//! numbers, the metrics collector — and runs the one event loop. Each
+//! scheduler supplies its own [`Policy`]: queueing, context assignment
+//! and dispatch.
 //!
 //! The task set may change while the driver runs. [`Driver::attach`]
 //! gives a task a slot and its first release instant; [`Driver::detach`]
@@ -210,11 +210,6 @@ impl Driver {
         self.next_release = self.earliest_release();
     }
 
-    /// Number of tasks that have released at least one frame.
-    pub(crate) fn released_tasks(&self) -> usize {
-        self.slots.iter().filter(|s| s.gen.next_index() > 0).count()
-    }
-
     /// Runs until `end`: each step takes the earlier of the next release
     /// and the next device event, handles completions, releases due
     /// frames, then lets the policy dispatch. Returns the metrics of the
@@ -303,20 +298,16 @@ impl Driver {
                 self.collector.record_release(task, release);
                 if self.slots[task].outstanding > 0 {
                     match self.admission {
-                        Admission::SkipIfBusy => {
-                            self.collector.record_skip(task, release);
-                            continue;
-                        }
+                        Admission::SkipIfBusy => self.collector.record_skip(task, release),
                         Admission::FrameBuffer => {
                             // Newest frame wins: replacing a staler
                             // buffered frame drops it (a miss).
                             if let Some(stale) = self.slots[task].buffered.replace(release) {
                                 self.collector.record_skip(task, stale);
                             }
-                            continue;
                         }
-                        Admission::QueueAll => {}
                     }
+                    continue;
                 }
                 if !policy.accept(task) {
                     // Declined up front: the frame is dropped before any
@@ -426,12 +417,14 @@ mod tests {
     //! The attach/detach oracle: a task set built up by attaches matches
     //! one fixed at construction, windows cut a run without changing it,
     //! and a detached task finishes its job and releases nothing more.
+    //! Plus the two admission rules on a partition one task overruns.
 
     use crate::{
-        offline, CompiledTask, ContextPoolSpec, NaiveConfig, NaiveScheduler, RunMetrics,
+        offline, Admission, CompiledTask, ContextPoolSpec, NaiveConfig, NaiveScheduler, RunMetrics,
         SgprsConfig, SgprsScheduler,
     };
     use sgprs_dnn::{models, CostModel};
+    use sgprs_gpu_sim::ContextId;
     use sgprs_rt::{SimDuration, SimTime};
 
     const PERIOD: SimDuration = SimDuration::from_micros(33_333);
@@ -634,6 +627,52 @@ mod tests {
                     ]
                 });
         assert_eq!(total[0], total[1], "every released frame is resolved");
+    }
+
+    /// `[released, completed, skipped, min response ns, max response
+    /// ns]` and the partition's busy fraction of one ResNet-18 task at a
+    /// 2 ms period, whose whole-network service time (3.64–3.91 ms) is
+    /// just under two periods, on one naive partition over 200 ms.
+    fn overrun_by_one_task(admission: Admission) -> ([u64; 5], f64) {
+        let task = offline::compile_network_task(
+            "cam",
+            &models::resnet18(1, 224),
+            &CostModel::calibrated(),
+            6,
+            SimDuration::from_millis(2),
+            &ContextPoolSpec::new(1, 1.0),
+        )
+        .expect("six stages");
+        let mut cfg = NaiveConfig::new(1);
+        cfg.admission = admission;
+        cfg.warmup = SimDuration::ZERO;
+        let mut s = NaiveScheduler::new(cfg, vec![task]);
+        let m = s.run(ms(200));
+        let responses = &m.response_samples_ns;
+        assert!(
+            m.released - m.completed - m.skipped <= 2,
+            "at most one job in flight and one frame buffered: {m:?}"
+        );
+        let counts = [
+            m.released,
+            m.completed,
+            m.skipped,
+            *responses.iter().min().expect("jobs completed"),
+            *responses.iter().max().expect("jobs completed"),
+        ];
+        (counts, s.engine().busy_fraction(ContextId(0)))
+    }
+
+    #[test]
+    fn the_frame_buffer_keeps_an_overrun_device_busy() {
+        // A grabbed frame's response counts from the grab, so both rules
+        // see the same response range.
+        let (buffered, busy) = overrun_by_one_task(Admission::FrameBuffer);
+        assert_eq!(buffered, [101, 54, 45, 3_642_451, 3_908_615]);
+        assert!(busy >= 0.999, "the buffered frame starts at once: {busy}");
+        let (skipping, busy) = overrun_by_one_task(Admission::SkipIfBusy);
+        assert_eq!(skipping, [101, 50, 50, 3_642_451, 3_908_615]);
+        assert!(busy < 0.95, "the skipping client idles the device: {busy}");
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! queued entry.
 
 use crate::release::{build_engine, Driver, Policy, TaskRef};
-use crate::{Admission, CompiledTask, QueueOrder, RunMetrics, SgprsConfig};
+use crate::{CompiledTask, QueueOrder, RunMetrics, SgprsConfig};
 use sgprs_gpu_sim::{
     ContextId, DeviceEvent, GpuEngine, KernelDesc, KernelHandle, StreamClass, StreamId,
 };
@@ -320,9 +320,6 @@ impl Policy for Sgprs {
     /// is dropped *before* wasting any GPU time on it; the naive baseline
     /// has no such control.
     fn accept(&self, task: usize) -> bool {
-        if self.config.admission == Admission::QueueAll {
-            return true;
-        }
         if self.completions_seen < 16 {
             return true; // cold start: no reliable estimate yet
         }
@@ -746,18 +743,6 @@ mod tests {
         let edf = s.run(SimTime::ZERO + SimDuration::from_secs(2));
         // EDF should never be substantially worse on misses.
         assert!(edf.late + edf.skipped <= fifo.late + fifo.skipped + 5);
-    }
-
-    #[test]
-    fn queue_all_admission_completes_more_but_later() {
-        let pool = ContextPoolSpec::new(2, 1.0);
-        let tasks = compile(&pool, 24);
-        let mut cfg = SgprsConfig::new(pool);
-        cfg.admission = Admission::QueueAll;
-        let mut s = SgprsScheduler::new(cfg, tasks);
-        let m = s.run(SimTime::ZERO + SimDuration::from_secs(2));
-        assert_eq!(m.skipped, 0, "queue-all never skips");
-        assert!(m.completed > 0);
     }
 
     #[test]

@@ -304,7 +304,6 @@ impl JobOutcome {
 pub struct ReleaseGenerator {
     next: SimTime,
     period: SimDuration,
-    index: u64,
 }
 
 impl ReleaseGenerator {
@@ -314,7 +313,6 @@ impl ReleaseGenerator {
         ReleaseGenerator {
             next: phase,
             period,
-            index: 0,
         }
     }
 
@@ -324,16 +322,9 @@ impl ReleaseGenerator {
         self.next
     }
 
-    /// The 0-based index of the upcoming release.
-    #[must_use]
-    pub fn next_index(&self) -> u64 {
-        self.index
-    }
-
     /// Consumes the upcoming release, moving to the one after.
     pub fn advance(&mut self) {
         self.next += self.period;
-        self.index += 1;
     }
 }
 
@@ -489,10 +480,8 @@ mod tests {
     #[test]
     fn release_generator_steps() {
         let mut g = ReleaseGenerator::new(SimTime::ZERO, ms(10));
-        assert_eq!(g.next_index(), 0);
         g.advance();
         g.advance();
         assert_eq!(g.next_release(), SimTime::ZERO + ms(20));
-        assert_eq!(g.next_index(), 2);
     }
 }

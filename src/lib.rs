@@ -13,8 +13,8 @@
 //!   streams, calibrated speedup curves, contention, tracing.
 //! * [`dnn`] — the model zoo (ResNet18/34, VGG-16, AlexNet, MobileNet),
 //!   the cost model, and stage partitioning.
-//! * [`core`] — the SGPRS scheduler itself plus the naive and
-//!   reconfiguring baselines, with shared metrics.
+//! * [`core`] — the SGPRS scheduler itself plus the paper's naive
+//!   baseline, with shared metrics.
 //! * [`cluster`] — the multi-GPU fleet: generator-driven arrival
 //!   streams (`cluster::ArrivalStream`, lazy pull in O(active-tenants)
 //!   memory, byte-identical to the materialised trace) feeding

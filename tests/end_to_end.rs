@@ -116,7 +116,6 @@ fn admission_modes_rank_sensibly_under_overload() {
     };
     let frame_buffer = run_mode(Admission::FrameBuffer);
     let skip = run_mode(Admission::SkipIfBusy);
-    let queue_all = run_mode(Admission::QueueAll);
     // The frame buffer is work-conserving: it should not lose throughput
     // against the strictly self-throttling client.
     assert!(
@@ -125,9 +124,6 @@ fn admission_modes_rank_sensibly_under_overload() {
         frame_buffer.total_fps,
         skip.total_fps
     );
-    // Queue-all never skips but its backlog makes responses explode.
-    assert_eq!(queue_all.skipped, 0);
-    assert!(queue_all.response_p95 >= frame_buffer.response_p95);
 }
 
 #[test]

@@ -1,30 +1,30 @@
 //! Exact-output pins for the paper-layer schedulers.
 //!
-//! Every scheduler (SGPRS in three configurations, the naive partitioner
-//! and the reconfiguring partitioner) runs under every release-time
-//! admission rule at an under-load and an overload point, and the
-//! resulting counters must equal the recorded values exactly. SGPRS's
-//! default and abort-hopeless configurations also run on a pool of three
-//! unequal contexts, so per-context dispatch order is pinned beyond two
-//! contexts. A refactor
-//! of the shared release, admission or completion code that changes a
-//! single simulated decision fails here.
+//! Six configurations — SGPRS as the paper runs it, with abort-hopeless
+//! and with FIFO queues plus high-to-low overflow on two contexts, SGPRS
+//! as the paper runs it and with abort-hopeless on three unequal
+//! contexts, and the naive partitioner — each run under both admission
+//! rules (frame buffer and skip-if-busy) at an under-load and an
+//! overload point, and the resulting counters must equal the recorded
+//! values exactly. Abort-hopeless is the only source of `dropped`, and
+//! the three-context pool pins per-context dispatch order beyond two
+//! contexts. A refactor of the shared release, admission or completion
+//! code that changes a single simulated decision fails here.
 
 use sgprs_suite::core::{
     offline, Admission, CompiledTask, ContextPoolSpec, NaiveConfig, NaiveScheduler, QueueOrder,
-    ReconfigConfig, ReconfigScheduler, RunMetrics, SgprsConfig, SgprsScheduler,
+    RunMetrics, SgprsConfig, SgprsScheduler,
 };
 use sgprs_suite::dnn::{models, CostModel};
 use sgprs_suite::rt::{SimDuration, SimTime};
 
-/// `[released, completed, met, late, skipped, dropped, Σ response ns,
-/// repartitions]` of one run.
-type Pin = [u64; 8];
+/// `[released, completed, met, late, skipped, dropped, Σ response ns]`
+/// of one run.
+type Pin = [u64; 7];
 
-const MODES: [(&str, Admission); 3] = [
+const MODES: [(&str, Admission); 2] = [
     ("frame-buffer", Admission::FrameBuffer),
     ("skip-if-busy", Admission::SkipIfBusy),
-    ("queue-all", Admission::QueueAll),
 ];
 
 /// Task counts of the under-load and overload points.
@@ -44,9 +44,8 @@ fn pool3() -> ContextPoolSpec {
     ContextPoolSpec::new(3, 2.0)
 }
 
-/// `n` 30-fps ResNet-18 tasks compiled for `pool`; `stagger_ms > 0`
-/// makes tenant `i` arrive at `i · stagger_ms`.
-fn tasks(pool: &ContextPoolSpec, n: usize, stagger_ms: u64) -> Vec<CompiledTask> {
+/// `n` 30-fps ResNet-18 tasks compiled for `pool`, all released at 0.
+fn tasks(pool: &ContextPoolSpec, n: usize) -> Vec<CompiledTask> {
     let base = offline::compile_network_task(
         "cam",
         &models::resnet18(1, 224),
@@ -60,13 +59,12 @@ fn tasks(pool: &ContextPoolSpec, n: usize, stagger_ms: u64) -> Vec<CompiledTask>
         .map(|i| {
             let mut t = base.clone();
             t.spec.name = format!("cam-{i}");
-            t.spec.phase = SimDuration::from_millis(stagger_ms * i as u64);
             t
         })
         .collect()
 }
 
-fn pin(m: &RunMetrics, repartitions: u64) -> Pin {
+fn pin(m: &RunMetrics) -> Pin {
     [
         m.released,
         m.completed,
@@ -75,7 +73,6 @@ fn pin(m: &RunMetrics, repartitions: u64) -> Pin {
         m.skipped,
         m.dropped,
         m.response_samples_ns.iter().sum(),
-        repartitions,
     ]
 }
 
@@ -85,13 +82,12 @@ fn pin(m: &RunMetrics, repartitions: u64) -> Pin {
 fn check(
     scheduler: &str,
     pool: &ContextPoolSpec,
-    stagger_ms: u64,
     expected: &[(&str, Pin)],
     run: impl Fn(Admission, Vec<CompiledTask>) -> Pin,
 ) {
     let mut got = Vec::new();
     for (load, n) in LOADS {
-        let set = tasks(pool, n, stagger_ms);
+        let set = tasks(pool, n);
         for (mode_name, mode) in MODES {
             got.push((format!("{load}/{mode_name}"), run(mode, set.clone())));
         }
@@ -118,19 +114,13 @@ fn run_sgprs(
         let mut cfg = SgprsConfig::new(pool.clone());
         cfg.admission = mode;
         tweak(&mut cfg);
-        pin(&SgprsScheduler::new(cfg, set).run(end()), 0)
+        pin(&SgprsScheduler::new(cfg, set).run(end()))
     }
 }
 
 #[test]
 fn sgprs_default_pins() {
-    check(
-        "sgprs",
-        &pool(),
-        0,
-        SGPRS_DEFAULT,
-        run_sgprs(pool(), |_| {}),
-    );
+    check("sgprs", &pool(), SGPRS_DEFAULT, run_sgprs(pool(), |_| {}));
 }
 
 #[test]
@@ -138,7 +128,6 @@ fn sgprs_three_context_pins() {
     check(
         "sgprs@3x2.0",
         &pool3(),
-        0,
         SGPRS_3CTX_DEFAULT,
         run_sgprs(pool3(), |_| {}),
     );
@@ -149,7 +138,6 @@ fn sgprs_three_context_abort_hopeless_pins() {
     check(
         "sgprs+abort@3x2.0",
         &pool3(),
-        0,
         SGPRS_3CTX_ABORT,
         run_sgprs(pool3(), |c| c.abort_hopeless = true),
     );
@@ -160,7 +148,6 @@ fn sgprs_abort_hopeless_pins() {
     check(
         "sgprs+abort",
         &pool(),
-        0,
         SGPRS_ABORT,
         run_sgprs(pool(), |c| c.abort_hopeless = true),
     );
@@ -171,7 +158,6 @@ fn sgprs_fifo_overflow_pins() {
     check(
         "sgprs+fifo+overflow",
         &pool(),
-        0,
         SGPRS_FIFO_OVERFLOW,
         run_sgprs(pool(), |c| {
             c.queue_order = QueueOrder::Fifo;
@@ -182,21 +168,10 @@ fn sgprs_fifo_overflow_pins() {
 
 #[test]
 fn naive_pins() {
-    check("naive", &pool(), 0, NAIVE, |mode, set| {
+    check("naive", &pool(), NAIVE, |mode, set| {
         let mut cfg = NaiveConfig::new(2);
         cfg.admission = mode;
-        pin(&NaiveScheduler::new(cfg, set).run(end()), 0)
-    });
-}
-
-#[test]
-fn reconfig_pins() {
-    check("reconfig", &pool(), 40, RECONFIG, |mode, set| {
-        let mut cfg = ReconfigConfig::new();
-        cfg.base.admission = mode;
-        let mut s = ReconfigScheduler::new(cfg, set);
-        let m = s.run(end());
-        pin(&m, s.repartition_count())
+        pin(&NaiveScheduler::new(cfg, set).run(end()))
     });
 }
 
@@ -204,106 +179,67 @@ fn reconfig_pins() {
 // the grid printed by the failing assertion.
 
 const SGPRS_DEFAULT: &[(&str, Pin)] = &[
-    ("under/frame-buffer", [90, 84, 84, 0, 0, 0, 688084528, 0]),
-    ("under/skip-if-busy", [90, 84, 84, 0, 0, 0, 688084528, 0]),
-    ("under/queue-all", [90, 84, 84, 0, 0, 0, 688084528, 0]),
+    ("under/frame-buffer", [90, 84, 84, 0, 0, 0, 688084528]),
+    ("under/skip-if-busy", [90, 84, 84, 0, 0, 0, 688084528]),
     (
         "over/frame-buffer",
-        [450, 290, 134, 156, 130, 0, 9228305245, 0],
+        [450, 290, 134, 156, 130, 0, 9228305245],
     ),
     (
         "over/skip-if-busy",
-        [450, 271, 122, 149, 149, 0, 9039717750, 0],
+        [450, 271, 122, 149, 149, 0, 9039717750],
     ),
-    ("over/queue-all", [450, 224, 0, 224, 0, 0, 44833229582, 0]),
 ];
 
 const SGPRS_ABORT: &[(&str, Pin)] = &[
-    ("under/frame-buffer", [90, 84, 84, 0, 0, 0, 688084528, 0]),
-    ("under/skip-if-busy", [90, 84, 84, 0, 0, 0, 688084528, 0]),
-    ("under/queue-all", [90, 84, 84, 0, 0, 0, 688084528, 0]),
-    (
-        "over/frame-buffer",
-        [450, 108, 62, 46, 0, 308, 3467580202, 0],
-    ),
+    ("under/frame-buffer", [90, 84, 84, 0, 0, 0, 688084528]),
+    ("under/skip-if-busy", [90, 84, 84, 0, 0, 0, 688084528]),
+    ("over/frame-buffer", [450, 108, 62, 46, 0, 308, 3467580202]),
     (
         "over/skip-if-busy",
-        [450, 131, 124, 7, 148, 141, 2876633632, 0],
+        [450, 131, 124, 7, 148, 141, 2876633632],
     ),
-    ("over/queue-all", [450, 138, 118, 20, 0, 261, 4147795495, 0]),
 ];
 
 const SGPRS_FIFO_OVERFLOW: &[(&str, Pin)] = &[
-    ("under/frame-buffer", [90, 84, 84, 0, 0, 0, 682102109, 0]),
-    ("under/skip-if-busy", [90, 84, 84, 0, 0, 0, 682102109, 0]),
-    ("under/queue-all", [90, 84, 84, 0, 0, 0, 682102109, 0]),
+    ("under/frame-buffer", [90, 84, 84, 0, 0, 0, 682102109]),
+    ("under/skip-if-busy", [90, 84, 84, 0, 0, 0, 682102109]),
     (
         "over/frame-buffer",
-        [450, 290, 130, 160, 130, 0, 9232776209, 0],
+        [450, 290, 130, 160, 130, 0, 9232776209],
     ),
     (
         "over/skip-if-busy",
-        [450, 271, 122, 149, 149, 0, 9028050065, 0],
+        [450, 271, 122, 149, 149, 0, 9028050065],
     ),
-    ("over/queue-all", [450, 224, 0, 224, 0, 0, 44833229582, 0]),
 ];
 
 const SGPRS_3CTX_DEFAULT: &[(&str, Pin)] = &[
-    ("under/frame-buffer", [90, 84, 84, 0, 0, 0, 674113886, 0]),
-    ("under/skip-if-busy", [90, 84, 84, 0, 0, 0, 674113886, 0]),
-    ("under/queue-all", [90, 84, 84, 0, 0, 0, 674113886, 0]),
+    ("under/frame-buffer", [90, 84, 84, 0, 0, 0, 674113886]),
+    ("under/skip-if-busy", [90, 84, 84, 0, 0, 0, 674113886]),
     (
         "over/frame-buffer",
-        [450, 327, 204, 123, 93, 0, 10336212105, 0],
+        [450, 327, 204, 123, 93, 0, 10336212105],
     ),
     (
         "over/skip-if-busy",
-        [450, 293, 166, 127, 127, 0, 9149278196, 0],
+        [450, 293, 166, 127, 127, 0, 9149278196],
     ),
-    ("over/queue-all", [450, 259, 0, 259, 0, 0, 42214809584, 0]),
 ];
 
 const SGPRS_3CTX_ABORT: &[(&str, Pin)] = &[
-    ("under/frame-buffer", [90, 84, 84, 0, 0, 0, 674113886, 0]),
-    ("under/skip-if-busy", [90, 84, 84, 0, 0, 0, 674113886, 0]),
-    ("under/queue-all", [90, 84, 84, 0, 0, 0, 674113886, 0]),
-    (
-        "over/frame-buffer",
-        [450, 218, 183, 35, 0, 200, 6774796113, 0],
-    ),
+    ("under/frame-buffer", [90, 84, 84, 0, 0, 0, 674113886]),
+    ("under/skip-if-busy", [90, 84, 84, 0, 0, 0, 674113886]),
+    ("over/frame-buffer", [450, 218, 183, 35, 0, 200, 6774796113]),
     (
         "over/skip-if-busy",
-        [450, 183, 170, 13, 125, 112, 4360886851, 0],
+        [450, 183, 170, 13, 125, 112, 4360886851],
     ),
-    ("over/queue-all", [450, 173, 137, 36, 0, 225, 5340139242, 0]),
 ];
 
 const NAIVE: &[(&str, Pin)] = &[
-    ("under/frame-buffer", [90, 84, 84, 0, 0, 0, 880315151, 0]),
-    ("under/skip-if-busy", [90, 84, 84, 0, 0, 0, 880315151, 0]),
-    ("under/queue-all", [90, 84, 84, 0, 0, 0, 880315151, 0]),
-    (
-        "over/frame-buffer",
-        [450, 156, 0, 156, 246, 0, 12535765018, 0],
-    ),
-    (
-        "over/skip-if-busy",
-        [450, 156, 0, 156, 264, 0, 9851179836, 0],
-    ),
-    ("over/queue-all", [450, 0, 0, 0, 0, 0, 0, 0]),
-];
-
-const RECONFIG: &[(&str, Pin)] = &[
-    ("under/frame-buffer", [90, 87, 87, 0, 0, 0, 752204035, 3]),
-    ("under/skip-if-busy", [90, 87, 87, 0, 0, 0, 656142644, 2]),
-    ("under/queue-all", [90, 87, 87, 0, 0, 0, 752149989, 2]),
-    (
-        "over/frame-buffer",
-        [297, 257, 218, 39, 0, 0, 4739603966, 3],
-    ),
-    (
-        "over/skip-if-busy",
-        [297, 248, 226, 22, 23, 0, 4341228093, 2],
-    ),
-    ("over/queue-all", [297, 257, 218, 39, 0, 0, 4776052367, 2]),
+    ("under/frame-buffer", [90, 84, 84, 0, 0, 0, 880315151]),
+    ("under/skip-if-busy", [90, 84, 84, 0, 0, 0, 880315151]),
+    ("over/frame-buffer", [450, 156, 0, 156, 246, 0, 12535765018]),
+    ("over/skip-if-busy", [450, 156, 0, 156, 264, 0, 9851179836]),
 ];
