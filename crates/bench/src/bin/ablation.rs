@@ -9,9 +9,10 @@
 //!
 //! Usage: `cargo run --release -p sgprs-bench --bin ablation [--sim-secs N]`
 
-use sgprs_core::{offline, QueueOrder, RunMetrics, SgprsConfig, SgprsScheduler};
-use sgprs_dnn::{models, CostModel};
+use sgprs_core::{QueueOrder, RunMetrics, SgprsConfig, SgprsScheduler};
+use sgprs_dnn::models;
 use sgprs_rt::{SimDuration, SimTime};
+use sgprs_workload::generator::compile_model_task;
 use sgprs_workload::{ScenarioSpec, SchedulerKind};
 
 fn run_with(
@@ -29,15 +30,7 @@ fn run_with(
         sim_secs,
     );
     let net = models::resnet18(1, 224);
-    let task = offline::compile_network_task(
-        "resnet18",
-        &net,
-        &CostModel::calibrated(),
-        stages,
-        spec.period(),
-        &spec.pool(),
-    )
-    .expect("valid stage count");
+    let task = compile_model_task("resnet18", &net, spec.fps, stages, &spec.pool());
     let mut cfg = SgprsConfig::new(spec.pool());
     tweak(&mut cfg);
     let mut sched = SgprsScheduler::new(cfg, vec![task; n_tasks]);

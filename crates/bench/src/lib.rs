@@ -8,6 +8,10 @@
 //! * `headline_numbers` — the §V prose numbers (pivot points, plateaus,
 //!   FPS-drop percentages).
 //! * `ablation` — design-choice ablations beyond the paper.
+//! * `latency_cdf` — response-time percentiles per scheduler variant.
+//! * `heterogeneous` — mixed-model tenants on SGPRS vs the naive baseline.
+//! * `sensitivity` — the paper's claims under perturbed calibration.
+//! * `probe` — np=3, os=1.5 around the pivot under both admission rules.
 //!
 //! The fleet-scale bins (`fleet`, `fleet_stream`) print each run's
 //! wall-clock next to its deterministic results. The [`report`] module

@@ -18,8 +18,9 @@ mod single;
 use sgprs_bench::report::{AllocStats, CountingAlloc};
 use sgprs_cluster::{ModelKind, TenantSpec};
 use sgprs_core::{
-    ContextPoolSpec, NaiveConfig, NaiveScheduler, RunMetrics, SgprsConfig, SgprsScheduler,
+    ContextPoolSpec, RunMetrics, Scheduler, SgprsConfig, SgprsScheduler, DEFAULT_WARMUP,
 };
+use sgprs_gpu_sim::GpuSpec;
 use sgprs_rt::{SimDuration, SimTime};
 use sgprs_workload::{ScenarioSpec, SchedulerKind, PAPER_STAGES};
 use std::sync::Arc;
@@ -57,28 +58,15 @@ struct Window {
 fn second_window(contexts: usize, scheduler: SchedulerKind) -> Window {
     let spec = ScenarioSpec::new(contexts, scheduler, 2);
     let tasks = spec.compile_tasks(TASKS);
-    let ((metrics, allocs), kernels) = match scheduler {
-        SchedulerKind::Naive => {
-            let cfg = NaiveConfig::new(contexts).with_seed(spec.seed);
-            let mut s = NaiveScheduler::new(cfg, tasks);
-            let _ = s.run(at(1_000));
-            let before = s.engine().completed_count();
-            let window = counted(|| s.run(at(2_000)));
-            (window, s.engine().completed_count() - before)
-        }
-        SchedulerKind::Sgprs { .. } => {
-            let cfg = SgprsConfig::new(spec.pool()).with_seed(spec.seed);
-            let mut s = SgprsScheduler::new(cfg, tasks);
-            let _ = s.run(at(1_000));
-            let before = s.engine().completed_count();
-            let window = counted(|| s.run(at(2_000)));
-            (window, s.engine().completed_count() - before)
-        }
-    };
+    let gpu = GpuSpec::rtx_2080_ti();
+    let mut s = Scheduler::new(scheduler, contexts, gpu, spec.seed, DEFAULT_WARMUP, tasks);
+    let _ = s.run(at(1_000));
+    let before = s.engine().completed_count();
+    let (metrics, allocs) = counted(|| s.run(at(2_000)));
     Window {
         metrics,
         allocs,
-        kernels,
+        kernels: s.engine().completed_count() - before,
     }
 }
 

@@ -11,6 +11,7 @@
 use crate::telemetry::TelemetryConfig;
 use crate::{AdmissionConfig, PlacementPolicy, QueueConfig, ShardConfig, ShardRouter};
 use crate::{NodeSpec, QueuePolicy};
+use sgprs_gpu_sim::DEFAULT_SEED;
 use sgprs_rt::SimDuration;
 
 /// Configuration of a [`crate::Fleet`].
@@ -68,7 +69,7 @@ impl FleetConfig {
             admission: AdmissionConfig::default(),
             epoch: SimDuration::from_secs(1),
             migration: None,
-            seed: 0x5672_5053,
+            seed: DEFAULT_SEED,
             workers: None,
             sharding: None,
             queue: QueueConfig::default(),

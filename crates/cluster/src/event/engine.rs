@@ -74,7 +74,7 @@ struct TenantRun {
     /// When the next release event is scheduled (or `SimTime::MAX` when
     /// none is), so a migration can re-anchor the clock after its stall.
     next_release: SimTime,
-    /// [`super::exec::fnv1a`] of the tenant name, hashed once when the
+    /// [`crate::hash::fnv1a`] of the tenant name, hashed once when the
     /// run starts: the jitter input every release needs, without a
     /// per-release interner lookup + string hash.
     name_hash: u64,
@@ -306,7 +306,7 @@ impl<'a> Engine<'a> {
             next_release: t,
             // The one string hash of the tenant's lifetime; every
             // release reuses it (the jitter input is exactly this).
-            name_hash: exec::fnv1a(self.fleet.interner.name(id)),
+            name_hash: crate::hash::fnv1a(self.fleet.interner.name(id)),
             consts: None,
         });
     }

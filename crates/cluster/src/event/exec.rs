@@ -1,9 +1,8 @@
 //! The event path's fluid execution model.
 //!
-//! Event mode cannot reuse the per-stage schedulers (they are
-//! constructed per epoch over a fixed task set), so each node serves
-//! jobs under a fluid approximation that keeps the same qualitative
-//! behaviour the epoch path observes from the real schedulers:
+//! Event mode serves each node's jobs under a fluid approximation of
+//! the paper-layer [`sgprs_core::Scheduler`] the epoch path steps, with
+//! the same qualitative behaviour:
 //!
 //! * **Load stretch** — a job of a tenant with period `P`, released on a
 //!   node whose resident demand is `D` SM-equivalents against an
@@ -32,8 +31,9 @@
 //! tenant run keyed by `(node, version)` ([`FleetNode::version`]): a
 //! release on an unchanged node only applies [`service_time`]'s jitter.
 
-use crate::{FleetNode, ModelKind, NodeScheduler};
-use sgprs_core::NaiveConfig;
+use crate::hash::splitmix64;
+use crate::{FleetNode, ModelKind};
+use sgprs_core::{NaiveConfig, SchedulerKind};
 use sgprs_rt::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
@@ -47,9 +47,9 @@ fn load_ratio(node: &FleetNode) -> f64 {
         return 0.0;
     }
     let (demand, capacity) = match node.spec.scheduler {
-        NodeScheduler::Sgprs { .. } => (node.total_demand(), node.capacity()),
+        SchedulerKind::Sgprs { .. } => (node.total_demand(), node.capacity()),
         // One stream per partition, whole networks in sequence.
-        NodeScheduler::Naive => (
+        SchedulerKind::Naive => (
             node.total_demand() + switch_tax(node),
             node.capacity_sm_equivalents(&node.mixed_profile(None), 1.0),
         ),
@@ -73,14 +73,14 @@ pub(crate) fn base_service(
 ) -> (SimDuration, SimDuration) {
     let rho = load_ratio(node);
     let best_case = node.best_case_latency(model, stages);
-    let period = SimDuration::from_secs_f64(1.0 / fps);
+    let period = SimDuration::from_fps(fps);
     (period, best_case.max(period.mul_f64(rho)))
 }
 
 /// Service time of job `job_seq` of the tenant whose name hashes to
-/// `name_hash` (see [`fnv1a`]), released on node `idx` of a fleet seeded
-/// with `seed`, with base service `base` ([`base_service`]): `base`
-/// scaled by the deterministic jitter.
+/// `name_hash` (see [`crate::hash::fnv1a`]), released on node `idx` of
+/// a fleet seeded with `seed`, with base service `base`
+/// ([`base_service`]): `base` scaled by the deterministic jitter.
 pub(crate) fn service_time(
     seed: u64,
     base: SimDuration,
@@ -94,32 +94,17 @@ pub(crate) fn service_time(
 /// Deterministic multiplicative jitter in `[1 - J, 1 + J]`, a pure
 /// function of `(fleet seed, node, tenant-name hash, job serial)` —
 /// execution strategy can never change it. Callers pass
-/// [`fnv1a`]`(name)`; the engine caches that hash per tenant run, so the
-/// value is byte-identical to hashing the name in place.
+/// [`crate::hash::fnv1a`]`(name)`; the engine caches that hash per
+/// tenant run, so the value is byte-identical to hashing the name in
+/// place.
 fn jitter(seed: u64, node: usize, name_hash: u64, job_seq: u64) -> f64 {
-    let mut x = seed
-        .wrapping_add((node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(name_hash)
-        .wrapping_add(job_seq.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-    // splitmix64 finalizer.
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
+    let x = splitmix64(
+        seed.wrapping_add((node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .wrapping_add(name_hash)
+            .wrapping_add(job_seq.wrapping_mul(0xBF58_476D_1CE4_E5B9)),
+    );
     let unit = (x >> 11) as f64 / (1u64 << 53) as f64;
     1.0 - JITTER_SPAN + 2.0 * JITTER_SPAN * unit
-}
-
-/// FNV-1a over the tenant name: a stable, dependency-free string hash
-/// (the std hasher is seeded per process and would break determinism).
-/// The engine hashes each name once when a tenant run starts and feeds
-/// the cached value to [`service_time`] on every release.
-pub(super) fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// The partition-switch demand a naive node pays, in
@@ -223,6 +208,7 @@ impl MissWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::fnv1a;
     use crate::{AdmissionController, NodeSpec, TenantSpec};
     use sgprs_gpu_sim::GpuSpec;
 
@@ -276,7 +262,7 @@ mod tests {
         // model: a naive node filled to its own admission budget still
         // has demand above its sequential-execution capacity.
         let spec =
-            NodeSpec::sgprs("naive", GpuSpec::rtx_2080_ti()).with_scheduler(NodeScheduler::Naive);
+            NodeSpec::sgprs("naive", GpuSpec::rtx_2080_ti()).with_scheduler(SchedulerKind::Naive);
         let mut node = FleetNode::new(spec);
         let admission = AdmissionController::default();
         while admission

@@ -41,8 +41,8 @@
 //! millions of tenants in O(active) memory.
 //!
 //! Simulated time is divided into *epochs*. Each node that ever takes a
-//! tenant gets one paper-layer scheduler ([`sgprs_core::SgprsScheduler`]
-//! or [`sgprs_core::NaiveScheduler`]) that lives for the whole run.
+//! tenant gets one paper-layer [`Scheduler`] (SGPRS or the naive
+//! baseline) that lives for the whole run.
 //! Inside an epoch the dispatcher applies churn at each event's own
 //! instant: an admitted arrival attaches to its node's scheduler, first
 //! releasing at its arrival instant, and a departure detaches at its
@@ -92,7 +92,6 @@
 use crate::event::EventCounts;
 use crate::interner::{TenantId, TenantInterner};
 use crate::metrics::Decision;
-use crate::node::NodeExec;
 use crate::policy::{self, DispatchPlanner, FleetState, PricedPlan, QueueAdmission};
 use crate::queue::DispatchQueue;
 use crate::telemetry::{Span, SpanProfile, Telemetry};
@@ -100,7 +99,7 @@ use crate::{
     AdmissionController, ArrivalStream, ChurnEvent, FleetConfig, FleetMetrics, FleetMetricsBuilder,
     FleetNode, TenantSpec,
 };
-use sgprs_core::{CompiledTask, RunMetrics};
+use sgprs_core::{CompiledTask, RunMetrics, Scheduler};
 use sgprs_rt::{SimDuration, SimTime};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -153,7 +152,7 @@ pub struct Fleet {
     /// (`None` until a node takes its first tenant); empty outside
     /// [`Fleet::run`], which is what keeps every scheduler hook inert on
     /// the event path.
-    execs: Vec<Option<NodeExec>>,
+    execs: Vec<Option<Scheduler>>,
     /// Each resident's slot in its node's scheduler, id-indexed (`None`
     /// outside an epoch run).
     exec_slot: Vec<Option<usize>>,
@@ -1208,7 +1207,9 @@ impl Fleet {
 /// class found so far, and a fleet has a handful of device types.
 fn pool_classes(nodes: &[FleetNode]) -> Vec<usize> {
     let same_pool = |a: &crate::NodeSpec, b: &crate::NodeSpec| {
-        a.contexts == b.contexts && a.oversubscription() == b.oversubscription() && a.gpu == b.gpu
+        a.contexts == b.contexts
+            && a.scheduler.oversubscription() == b.scheduler.oversubscription()
+            && a.gpu == b.gpu
     };
     let mut classes: Vec<usize> = Vec::new();
     nodes
@@ -1246,12 +1247,12 @@ fn epoch_workers(over: Option<usize>) -> usize {
 /// early takes the next node. Each node is borrowed `&mut` by exactly
 /// one worker.
 fn run_node_epochs<F>(
-    execs: &mut [Option<NodeExec>],
+    execs: &mut [Option<Scheduler>],
     workers: usize,
     step: F,
 ) -> Vec<(usize, RunMetrics)>
 where
-    F: Fn(&mut NodeExec) -> RunMetrics + Sync,
+    F: Fn(&mut Scheduler) -> RunMetrics + Sync,
 {
     let occupied = execs.iter().flatten().count();
     let workers = workers.min(occupied);

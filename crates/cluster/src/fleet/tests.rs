@@ -4,7 +4,8 @@
 //! must keep bit-identical.
 
 use super::*;
-use crate::{ChurnConfig, ChurnTrace, FleetConfig, ModelKind, NodeScheduler, NodeSpec};
+use crate::{ChurnConfig, ChurnTrace, FleetConfig, ModelKind, NodeSpec};
+use sgprs_core::SchedulerKind;
 use sgprs_gpu_sim::GpuSpec;
 
 fn three_node_fleet() -> FleetConfig {
@@ -95,7 +96,7 @@ fn epoch_churn_across_boundaries_truncates_nothing() {
     let cfg = FleetConfig::new(vec![
         NodeSpec::sgprs("small", GpuSpec::synthetic(16)),
         NodeSpec::sgprs("big", GpuSpec::rtx_2080_ti()),
-        NodeSpec::sgprs("naive", GpuSpec::synthetic(34)).with_scheduler(NodeScheduler::Naive),
+        NodeSpec::sgprs("naive", GpuSpec::synthetic(34)).with_scheduler(SchedulerKind::Naive),
     ])
     .with_placement(crate::PlacementPolicy::RoundRobin)
     .with_migration(0.05)
@@ -379,7 +380,7 @@ fn parallel_and_sequential_epochs_are_bit_identical() {
     let nodes = || {
         vec![
             NodeSpec::sgprs("a", GpuSpec::rtx_2080_ti()),
-            NodeSpec::sgprs("b", GpuSpec::synthetic(34)).with_scheduler(NodeScheduler::Naive),
+            NodeSpec::sgprs("b", GpuSpec::synthetic(34)).with_scheduler(SchedulerKind::Naive),
             NodeSpec::sgprs("c", GpuSpec::synthetic(23)),
         ]
     };
@@ -481,13 +482,13 @@ fn forced_multi_worker_fanout_matches_inline_execution() {
             let spec = match i % 3 {
                 0 => spec,
                 1 => spec.with_contexts(2),
-                _ => spec.with_scheduler(NodeScheduler::Naive),
+                _ => spec.with_scheduler(SchedulerKind::Naive),
             };
             FleetNode::new(spec)
         })
         .collect();
     // Every fourth node never took a tenant, so it has no scheduler.
-    let execs = || -> Vec<Option<NodeExec>> {
+    let execs = || -> Vec<Option<Scheduler>> {
         (0..nodes.len())
             .map(|idx| {
                 (idx % 4 != 3).then(|| {
@@ -571,7 +572,7 @@ fn pools_that_differ_never_share_a_compile() {
         base.clone(),
         NodeSpec::sgprs("fewer-sms", GpuSpec::synthetic(46)),
         base.clone().with_contexts(2),
-        base.with_scheduler(NodeScheduler::Sgprs {
+        base.with_scheduler(SchedulerKind::Sgprs {
             oversubscription: 2.0,
         }),
     ]);
@@ -590,8 +591,8 @@ fn pools_that_differ_never_share_a_compile() {
 fn naive_nodes_on_one_device_share_a_compile() {
     let gpu = GpuSpec::synthetic(34);
     let fleet = compiled_fleet(vec![
-        NodeSpec::sgprs("naive-a", gpu.clone()).with_scheduler(NodeScheduler::Naive),
-        NodeSpec::sgprs("naive-b", gpu).with_scheduler(NodeScheduler::Naive),
+        NodeSpec::sgprs("naive-a", gpu.clone()).with_scheduler(SchedulerKind::Naive),
+        NodeSpec::sgprs("naive-b", gpu).with_scheduler(SchedulerKind::Naive),
     ]);
     assert_eq!(fleet.nodes[0].spec.pool(), fleet.nodes[1].spec.pool());
     assert_eq!(fleet.pool_class, [0, 0]);
@@ -609,7 +610,7 @@ fn migration_never_targets_a_node_over_the_dmr_threshold() {
     // now excluded.
     let cfg = FleetConfig::new(vec![
         NodeSpec::sgprs("src", GpuSpec::synthetic(16)),
-        NodeSpec::sgprs("hot-dest", GpuSpec::rtx_2080_ti()).with_scheduler(NodeScheduler::Naive),
+        NodeSpec::sgprs("hot-dest", GpuSpec::rtx_2080_ti()).with_scheduler(SchedulerKind::Naive),
     ])
     .with_migration(0.05);
     let mut fleet = Fleet::new(cfg);
@@ -1406,7 +1407,7 @@ fn run_configured_dispatches_on_the_event_flag() {
 fn heterogeneous_nodes_and_schedulers_coexist() {
     let cfg = FleetConfig::new(vec![
         NodeSpec::sgprs("sgprs", GpuSpec::rtx_2080_ti()),
-        NodeSpec::sgprs("naive", GpuSpec::synthetic(34)).with_scheduler(NodeScheduler::Naive),
+        NodeSpec::sgprs("naive", GpuSpec::synthetic(34)).with_scheduler(SchedulerKind::Naive),
     ]);
     let mut fleet = Fleet::new(cfg);
     let trace = ChurnTrace::static_population((0..4).map(tenant));

@@ -124,6 +124,7 @@ mod churn;
 mod config;
 pub mod event;
 mod fleet;
+mod hash;
 mod interner;
 mod json;
 mod metrics;
@@ -145,7 +146,7 @@ pub use metrics::{
     DispatchCounts, FleetMetrics, FleetMetricsBuilder, NodeReport, BASE_SCHEMA_VERSION,
     METRICS_SCHEMA_VERSION, UTILIZATION_BINS,
 };
-pub use node::{Aggregates, FleetNode, NodeScheduler, NodeSpec};
+pub use node::{Aggregates, FleetNode, NodeSpec};
 pub use placement::{PlacementPolicy, Placer};
 pub use policy::FleetState;
 pub use queue::{QueueConfig, QueuePolicy};

@@ -16,26 +16,10 @@
 use crate::admission::{self, CONCURRENCY};
 use crate::{ModelKind, TenantSpec};
 use serde::{Deserialize, Serialize};
-use sgprs_core::{
-    analysis, CompiledTask, ContextPoolSpec, NaiveConfig, NaiveScheduler, RunMetrics, SgprsConfig,
-    SgprsScheduler,
-};
+use sgprs_core::{analysis, ContextPoolSpec, Scheduler, SchedulerKind};
 use sgprs_gpu_sim::{GpuSpec, SpeedupModel, WorkProfile};
-use sgprs_rt::{SimDuration, SimTime};
+use sgprs_rt::SimDuration;
 use std::cell::Cell;
-use std::sync::Arc;
-
-/// Which scheduler a node runs over its context pool.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum NodeScheduler {
-    /// SGPRS with the given over-subscription factor (the fleet default).
-    Sgprs {
-        /// The `os` level (1.5 is the paper's sweet spot at `np = 3`).
-        oversubscription: f64,
-    },
-    /// The naive static spatial partitioner.
-    Naive,
-}
 
 /// Static description of one fleet node: the device, how it is
 /// partitioned, and which scheduler runs on it.
@@ -48,7 +32,7 @@ pub struct NodeSpec {
     /// Number of contexts the pool is split into.
     pub contexts: usize,
     /// The scheduler variant.
-    pub scheduler: NodeScheduler,
+    pub scheduler: SchedulerKind,
 }
 
 impl NodeSpec {
@@ -60,7 +44,7 @@ impl NodeSpec {
             name: name.into(),
             gpu,
             contexts: 3,
-            scheduler: NodeScheduler::Sgprs {
+            scheduler: SchedulerKind::Sgprs {
                 oversubscription: 1.5,
             },
         }
@@ -80,7 +64,7 @@ impl NodeSpec {
 
     /// Overrides the scheduler variant.
     #[must_use]
-    pub fn with_scheduler(mut self, scheduler: NodeScheduler) -> Self {
+    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
         self.scheduler = scheduler;
         self
     }
@@ -88,88 +72,16 @@ impl NodeSpec {
     /// The context pool this node partitions its device into.
     #[must_use]
     pub fn pool(&self) -> ContextPoolSpec {
-        ContextPoolSpec::new(self.contexts, self.oversubscription()).with_gpu(self.gpu.clone())
-    }
-
-    /// The pool's over-subscription factor: the SGPRS `os`, or 1.0 (an
-    /// exact partition) for the naive scheduler.
-    #[must_use]
-    pub(crate) fn oversubscription(&self) -> f64 {
-        match self.scheduler {
-            NodeScheduler::Sgprs { oversubscription } => oversubscription,
-            NodeScheduler::Naive => 1.0,
-        }
+        ContextPoolSpec::new(self.contexts, self.scheduler.oversubscription())
+            .with_gpu(self.gpu.clone())
     }
 
     /// This node's scheduler with no tenant yet, its device seeded with
     /// `seed`, measuring every window from time zero (no warm-up: the
     /// fleet accounts windows itself).
-    pub(crate) fn scheduler(&self, seed: u64) -> NodeExec {
-        match self.scheduler {
-            NodeScheduler::Sgprs { .. } => {
-                let mut cfg = SgprsConfig::new(self.pool()).with_seed(seed);
-                cfg.warmup = SimDuration::ZERO;
-                NodeExec::Sgprs(SgprsScheduler::new(cfg, Vec::new()))
-            }
-            NodeScheduler::Naive => {
-                let mut cfg = NaiveConfig::new(self.contexts).with_seed(seed);
-                cfg.gpu = self.gpu.clone();
-                cfg.warmup = SimDuration::ZERO;
-                NodeExec::Naive(NaiveScheduler::new(cfg, Vec::new()))
-            }
-        }
-    }
-}
-
-/// A node's scheduler on the epoch path: built when the node takes its
-/// first tenant, it then lives for the rest of the run while tenants
-/// attach and detach at their instants.
-///
-/// Aligned to two cache lines: the fleet keeps the node schedulers side
-/// by side, and fan-out workers stepping neighbouring nodes would
-/// otherwise write to one shared line at every step (that false sharing
-/// cost the two-worker fan-out nearly all of its speed-up).
-#[derive(Debug)]
-#[repr(align(128))]
-pub(crate) enum NodeExec {
-    /// [`NodeScheduler::Sgprs`].
-    Sgprs(SgprsScheduler),
-    /// [`NodeScheduler::Naive`].
-    Naive(NaiveScheduler),
-}
-
-impl NodeExec {
-    /// Attaches `task`, first released at `at`; returns its slot.
-    pub(crate) fn attach(&mut self, task: Arc<CompiledTask>, at: SimTime) -> usize {
-        match self {
-            NodeExec::Sgprs(s) => s.attach(task, at),
-            NodeExec::Naive(s) => s.attach(task, at),
-        }
-    }
-
-    /// Detaches the task in `slot` at `at`; its job in flight finishes.
-    pub(crate) fn detach(&mut self, slot: usize, at: SimTime) {
-        match self {
-            NodeExec::Sgprs(s) => s.detach(slot, at),
-            NodeExec::Naive(s) => s.detach(slot, at),
-        }
-    }
-
-    /// Runs to `end`, returning the window since the last call.
-    pub(crate) fn run(&mut self, end: SimTime) -> RunMetrics {
-        match self {
-            NodeExec::Sgprs(s) => s.run(end),
-            NodeExec::Naive(s) => s.run(end),
-        }
-    }
-
-    /// Stops every release at `at` and runs until nothing is in flight,
-    /// returning the window since the last call.
-    pub(crate) fn finish(&mut self, at: SimTime) -> RunMetrics {
-        match self {
-            NodeExec::Sgprs(s) => s.finish(at),
-            NodeExec::Naive(s) => s.finish(at),
-        }
+    pub(crate) fn scheduler(&self, seed: u64) -> Scheduler {
+        let (kind, gpu) = (self.scheduler, self.gpu.clone());
+        Scheduler::new(kind, self.contexts, gpu, seed, SimDuration::ZERO, vec![])
     }
 }
 
@@ -465,6 +377,8 @@ impl FleetNode {
 mod tests {
     use super::*;
     use crate::ModelKind;
+    use sgprs_rt::SimTime;
+    use std::sync::Arc;
 
     #[test]
     fn pool_reflects_scheduler_and_device() {
@@ -473,7 +387,7 @@ mod tests {
         assert_eq!(pool.contexts, 3);
         assert_eq!(pool.gpu.total_sms, 34);
         assert!((pool.oversubscription - 1.5).abs() < 1e-12);
-        let naive = node.with_scheduler(NodeScheduler::Naive);
+        let naive = node.with_scheduler(SchedulerKind::Naive);
         assert!((naive.pool().oversubscription - 1.0).abs() < 1e-12);
     }
 
@@ -507,10 +421,10 @@ mod tests {
     #[test]
     fn node_schedulers_serve_attached_tenants_for_each_scheduler() {
         for scheduler in [
-            NodeScheduler::Sgprs {
+            SchedulerKind::Sgprs {
                 oversubscription: 1.5,
             },
-            NodeScheduler::Naive,
+            SchedulerKind::Naive,
         ] {
             let node = NodeSpec::sgprs("g", GpuSpec::rtx_2080_ti()).with_scheduler(scheduler);
             let tenant = TenantSpec::new("cam", ModelKind::ResNet18, 30.0);

@@ -35,6 +35,7 @@
 //! simply falls through to the next candidate, degrading to the flat
 //! scan in the worst case rather than rejecting wrongly.
 
+use crate::hash::{fnv1a, splitmix64};
 use crate::{AdmissionController, FleetNode, TenantSpec};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -304,25 +305,6 @@ impl ShardDirectory {
         };
         self.rank([a, b].into_iter(), nodes, admission, tenant)
     }
-}
-
-/// FNV-1a over the tenant name: a stable, dependency-free string hash
-/// (the std hasher is seeded per process and would break determinism).
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// The splitmix64 finalizer: spreads the probe hash over both halves so
-/// the two shard draws are decorrelated.
-fn splitmix64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

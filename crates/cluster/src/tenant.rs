@@ -269,7 +269,7 @@ impl TenantSpec {
     /// The release period implied by the frame rate.
     #[must_use]
     pub fn period(&self) -> SimDuration {
-        SimDuration::from_secs_f64(1.0 / self.fps)
+        SimDuration::from_fps(self.fps)
     }
 
     /// Single-SM work per inference in seconds (`T₁` of the fluid model):

@@ -1,7 +1,50 @@
-//! Scheduler configuration: context pools, admission, and ablation knobs.
+//! Scheduler configuration: which scheduler, context pools, admission,
+//! and ablation knobs.
 
 use serde::{Deserialize, Serialize};
-use sgprs_gpu_sim::{ContentionModel, GpuSpec};
+use sgprs_gpu_sim::{ContentionModel, GpuSpec, DEFAULT_SEED};
+use sgprs_rt::SimDuration;
+
+/// The default measurement warm-up: jobs released in a run's first
+/// 500 ms are left out of its metrics.
+pub const DEFAULT_WARMUP: SimDuration = SimDuration::from_millis(500);
+
+/// Which paper-layer scheduler runs over a context pool. The paper's
+/// grid (§V, Figs. 3–4) is the naive baseline plus SGPRS at
+/// `os ∈ {1.0, 1.5, 2.0}`; [`crate::Scheduler::new`] builds either.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub enum SchedulerKind {
+    /// The naive spatial-partitioning baseline.
+    Naive,
+    /// SGPRS with the given over-subscription factor.
+    Sgprs {
+        /// The `os` level (1.0, 1.5, 2.0 in the paper).
+        oversubscription: f64,
+    },
+}
+
+impl SchedulerKind {
+    /// The pool's over-subscription factor: the SGPRS `os`, or 1.0 (an
+    /// exact partition) for the naive baseline.
+    #[must_use]
+    pub fn oversubscription(self) -> f64 {
+        match self {
+            SchedulerKind::Naive => 1.0,
+            SchedulerKind::Sgprs { oversubscription } => oversubscription,
+        }
+    }
+}
+
+impl core::fmt::Display for SchedulerKind {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            SchedulerKind::Naive => f.write_str("naive"),
+            SchedulerKind::Sgprs { oversubscription } => {
+                write!(f, "SGPRS {oversubscription:.1}")
+            }
+        }
+    }
+}
 
 /// The context pool of §II: `np` CUDA contexts whose SM allocations sum to
 /// `os × total_sms` (`os` is the over-subscription level of §V, written
@@ -137,7 +180,7 @@ pub struct SgprsConfig {
     pub seed: u64,
     /// Measurement warm-up: jobs released before this offset are ignored
     /// by the metrics.
-    pub warmup: sgprs_rt::SimDuration,
+    pub warmup: SimDuration,
     /// Record a device timeline (Chrome-trace exportable) during the run.
     pub tracing: bool,
 }
@@ -154,8 +197,8 @@ impl SgprsConfig {
             high_overflow_to_low: false,
             admission: Admission::FrameBuffer,
             abort_hopeless: false,
-            seed: 0x5672_5053,
-            warmup: sgprs_rt::SimDuration::from_millis(500),
+            seed: DEFAULT_SEED,
+            warmup: DEFAULT_WARMUP,
             tracing: false,
         }
     }
@@ -187,7 +230,7 @@ pub struct NaiveConfig {
     /// Deterministic jitter seed.
     pub seed: u64,
     /// Measurement warm-up.
-    pub warmup: sgprs_rt::SimDuration,
+    pub warmup: SimDuration,
     /// Record a device timeline during the run.
     pub tracing: bool,
 }
@@ -207,8 +250,8 @@ impl NaiveConfig {
             contention: ContentionModel::calibrated(),
             partition_switch_ns: 250_000.0,
             admission: Admission::FrameBuffer,
-            seed: 0x5672_5053,
-            warmup: sgprs_rt::SimDuration::from_millis(500),
+            seed: DEFAULT_SEED,
+            warmup: DEFAULT_WARMUP,
             tracing: false,
         }
     }

@@ -8,6 +8,8 @@
 //!
 //! # Architecture
 //!
+//! * [`SchedulerKind`] and [`Scheduler`] — which scheduler runs (naive,
+//!   or SGPRS at an `os`), and the one place that builds it.
 //! * [`ContextPoolSpec`] — describes the context pool: `np` contexts and an
 //!   over-subscription factor `os` (Σ SM allocations = `os` × physical SMs).
 //! * [`offline`] — the offline phase (§IV-A): per-stage WCET profiling,
@@ -63,10 +65,14 @@ mod metrics;
 mod naive;
 pub mod offline;
 mod release;
+mod scheduler;
 mod sgprs;
 
 pub use compiled::CompiledTask;
-pub use config::{Admission, ContextPoolSpec, NaiveConfig, QueueOrder, SgprsConfig};
+pub use config::{
+    Admission, ContextPoolSpec, NaiveConfig, QueueOrder, SchedulerKind, SgprsConfig, DEFAULT_WARMUP,
+};
 pub use metrics::{MetricsCollector, RunMetrics, TaskMetrics};
 pub use naive::NaiveScheduler;
+pub use scheduler::Scheduler;
 pub use sgprs::SgprsScheduler;

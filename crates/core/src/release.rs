@@ -417,14 +417,15 @@ mod tests {
     //! The attach/detach oracle: a task set built up by attaches matches
     //! one fixed at construction, windows cut a run without changing it,
     //! and a detached task finishes its job and releases nothing more.
-    //! Plus the two admission rules on a partition one task overruns.
+    //! Plus the two admission rules on a partition one task overruns, and
+    //! [`Scheduler::new`] against each directly configured scheduler.
 
     use crate::{
         offline, Admission, CompiledTask, ContextPoolSpec, NaiveConfig, NaiveScheduler, RunMetrics,
-        SgprsConfig, SgprsScheduler,
+        Scheduler, SchedulerKind, SgprsConfig, SgprsScheduler,
     };
     use sgprs_dnn::{models, CostModel};
-    use sgprs_gpu_sim::ContextId;
+    use sgprs_gpu_sim::{ContextId, GpuSpec, DEFAULT_SEED};
     use sgprs_rt::{SimDuration, SimTime};
 
     const PERIOD: SimDuration = SimDuration::from_micros(33_333);
@@ -458,52 +459,28 @@ mod tests {
         SimTime::ZERO + t.spec.phase
     }
 
-    /// The two schedulers behind one interface.
-    trait Sched {
-        fn attach(&mut self, task: CompiledTask, at: SimTime) -> usize;
-        fn detach(&mut self, slot: usize, at: SimTime);
-        fn run(&mut self, end: SimTime) -> RunMetrics;
-        fn finish(&mut self, at: SimTime) -> RunMetrics;
-    }
+    /// The SGPRS level the oracle runs at.
+    const SGPRS: SchedulerKind = SchedulerKind::Sgprs {
+        oversubscription: 1.5,
+    };
 
-    macro_rules! sched {
-        ($t:ty) => {
-            impl Sched for $t {
-                fn attach(&mut self, task: CompiledTask, at: SimTime) -> usize {
-                    <$t>::attach(self, task, at)
-                }
-                fn detach(&mut self, slot: usize, at: SimTime) {
-                    <$t>::detach(self, slot, at)
-                }
-                fn run(&mut self, end: SimTime) -> RunMetrics {
-                    <$t>::run(self, end)
-                }
-                fn finish(&mut self, at: SimTime) -> RunMetrics {
-                    <$t>::finish(self, at)
-                }
-            }
-        };
-    }
-    sched!(SgprsScheduler);
-    sched!(NaiveScheduler);
-
-    fn sgprs(tasks: Vec<CompiledTask>, warmup: SimDuration) -> SgprsScheduler {
-        let mut cfg = SgprsConfig::new(ContextPoolSpec::new(2, 1.5));
-        cfg.warmup = warmup;
-        SgprsScheduler::new(cfg, tasks)
-    }
-
-    fn naive(contexts: usize, tasks: Vec<CompiledTask>, warmup: SimDuration) -> NaiveScheduler {
-        let mut cfg = NaiveConfig::new(contexts);
-        cfg.warmup = warmup;
-        NaiveScheduler::new(cfg, tasks)
+    /// A `kind` scheduler over `contexts` contexts of the paper's GPU,
+    /// at the default seed.
+    fn sched(
+        kind: SchedulerKind,
+        contexts: usize,
+        tasks: Vec<CompiledTask>,
+        warmup: SimDuration,
+    ) -> Scheduler {
+        let gpu = GpuSpec::rtx_2080_ti();
+        Scheduler::new(kind, contexts, gpu, DEFAULT_SEED, warmup, tasks)
     }
 
     /// Attaches task `i` at its phase after running the scheduler to the
     /// previous task's first release: an instant the constructed
     /// scheduler steps at too, so the device integrates its progress at
     /// the same instants in both.
-    fn attach_staged(s: &mut impl Sched, tasks: Vec<CompiledTask>) {
+    fn attach_staged(s: &mut Scheduler, tasks: Vec<CompiledTask>) {
         let mut prev = None;
         for (i, task) in tasks.into_iter().enumerate() {
             if let Some(at) = prev {
@@ -549,9 +526,9 @@ mod tests {
     fn sgprs_attaching_at_the_phases_matches_construction() {
         // Past the pivot, so admission, skips and promotion all run.
         let warmup = SimDuration::from_millis(500);
-        let reference = sgprs(tasks(30, 2), warmup).run(ms(1_500));
+        let reference = sched(SGPRS, 2, tasks(30, 2), warmup).run(ms(1_500));
         assert!(reference.late > 0 && reference.skipped > 0, "{reference:?}");
-        let mut s = sgprs(Vec::new(), warmup);
+        let mut s = sched(SGPRS, 2, Vec::new(), warmup);
         attach_staged(&mut s, tasks(30, 2));
         assert_eq!(s.run(ms(1_500)), reference);
     }
@@ -561,16 +538,16 @@ mod tests {
         // One tenant per partition: the switch tax reads the same count
         // whenever each task is attached.
         let warmup = SimDuration::from_millis(500);
-        let reference = naive(3, tasks(3, 4), warmup).run(ms(1_500));
-        let mut s = naive(3, Vec::new(), warmup);
+        let reference = sched(SchedulerKind::Naive, 3, tasks(3, 4), warmup).run(ms(1_500));
+        let mut s = sched(SchedulerKind::Naive, 3, Vec::new(), warmup);
         attach_staged(&mut s, tasks(3, 4));
         assert_eq!(s.run(ms(1_500)), reference);
         // Shared partitions past the naive pivot: the tax grows with the
         // partition's tenant count from each attach on, so every task is
         // attached before the first dispatch, each at its phase.
-        let reference = naive(2, tasks(16, 2), warmup).run(ms(1_500));
+        let reference = sched(SchedulerKind::Naive, 2, tasks(16, 2), warmup).run(ms(1_500));
         assert!(!reference.is_miss_free(), "{reference:?}");
-        let mut s = naive(2, Vec::new(), warmup);
+        let mut s = sched(SchedulerKind::Naive, 2, Vec::new(), warmup);
         for task in tasks(16, 2) {
             let at = first_release(&task);
             s.attach(task, at);
@@ -578,11 +555,16 @@ mod tests {
         assert_eq!(s.run(ms(1_500)), reference);
     }
 
-    fn windows_sum_to_one_run(mut make: impl FnMut() -> Box<dyn Sched>) {
+    /// Each kind over two contexts with `n` in-phase tasks: past both
+    /// pivots.
+    const OVERLOADED: [(SchedulerKind, usize); 2] = [(SGPRS, 24), (SchedulerKind::Naive, 16)];
+
+    fn windows_sum_to_one_run(kind: SchedulerKind, n: usize) {
+        let warmup = SimDuration::from_millis(500);
         // The cut is a release instant of every task.
         let cut = SimTime::ZERO + SimDuration::from_nanos(PERIOD.as_nanos() * 20);
-        let whole = make().run(ms(1_200));
-        let mut s = make();
+        let whole = sched(kind, 2, tasks(n, 0), warmup).run(ms(1_200));
+        let mut s = sched(kind, 2, tasks(n, 0), warmup);
         let first = s.run(cut);
         let second = s.run(ms(1_200));
         assert!(first.released > 0 && second.released > 0);
@@ -592,12 +574,13 @@ mod tests {
 
     #[test]
     fn consecutive_windows_sum_to_one_run() {
-        let warmup = SimDuration::from_millis(500);
-        windows_sum_to_one_run(|| Box::new(sgprs(tasks(24, 0), warmup)));
-        windows_sum_to_one_run(|| Box::new(naive(2, tasks(16, 0), warmup)));
+        for (kind, n) in OVERLOADED {
+            windows_sum_to_one_run(kind, n);
+        }
     }
 
-    fn detached_job_finishes_and_nothing_follows(mut s: Box<dyn Sched>) {
+    fn detached_job_finishes_and_nothing_follows(kind: SchedulerKind) {
+        let mut s = sched(kind, 2, tasks(2, 0), SimDuration::ZERO);
         let first = s.run(ms(1));
         assert_eq!(first.per_task[0].released, 1);
         assert_eq!(first.per_task[0].completed, 0, "the job is in flight");
@@ -676,12 +659,35 @@ mod tests {
     }
 
     #[test]
+    fn each_kind_builds_the_directly_configured_scheduler() {
+        let sgprs = |oversubscription| SchedulerKind::Sgprs { oversubscription };
+        for kind in [SchedulerKind::Naive, sgprs(1.0), sgprs(1.5), sgprs(2.0)] {
+            for contexts in [2, 3] {
+                // Sixteen tasks: past the naive pivot at both pool sizes.
+                let direct = match kind {
+                    SchedulerKind::Naive => {
+                        let cfg = NaiveConfig::new(contexts).with_seed(7);
+                        NaiveScheduler::new(cfg, tasks(16, 0)).run(ms(1_200))
+                    }
+                    SchedulerKind::Sgprs { oversubscription } => {
+                        let pool = ContextPoolSpec::new(contexts, oversubscription);
+                        let cfg = SgprsConfig::new(pool).with_seed(7);
+                        SgprsScheduler::new(cfg, tasks(16, 0)).run(ms(1_200))
+                    }
+                };
+                let gpu = GpuSpec::rtx_2080_ti();
+                let warmup = crate::DEFAULT_WARMUP;
+                let mut built = Scheduler::new(kind, contexts, gpu, 7, warmup, tasks(16, 0));
+                assert!(direct.completed > 0, "{kind} (np={contexts}): {direct:?}");
+                assert_eq!(built.run(ms(1_200)), direct, "{kind} (np={contexts})");
+            }
+        }
+    }
+
+    #[test]
     fn a_detached_task_finishes_its_job_and_releases_no_more() {
-        detached_job_finishes_and_nothing_follows(Box::new(sgprs(tasks(2, 0), SimDuration::ZERO)));
-        detached_job_finishes_and_nothing_follows(Box::new(naive(
-            2,
-            tasks(2, 0),
-            SimDuration::ZERO,
-        )));
+        for kind in [SGPRS, SchedulerKind::Naive] {
+            detached_job_finishes_and_nothing_follows(kind);
+        }
     }
 }

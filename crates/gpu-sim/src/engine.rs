@@ -68,6 +68,10 @@ use sgprs_rt::SimTime;
 use std::borrow::Cow;
 use std::collections::VecDeque;
 
+/// The suite's default seed: device jitter, paper-layer schedulers,
+/// fleets and scenarios start from it unless told otherwise.
+pub const DEFAULT_SEED: u64 = 0x5672_5053;
+
 /// Identifier of a context in the engine's context pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct ContextId(pub usize);
@@ -566,7 +570,7 @@ impl GpuEngineBuilder {
         self
     }
 
-    /// Seeds the deterministic jitter RNG (default 0x5672_5053, "SGPRS").
+    /// Seeds the deterministic jitter RNG (default [`DEFAULT_SEED`]).
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -630,7 +634,7 @@ impl GpuEngine {
             speedup: Cow::Borrowed(SpeedupModel::rtx_2080_ti()),
             contention: ContentionModel::calibrated(),
             contexts: Vec::new(),
-            seed: 0x5672_5053,
+            seed: DEFAULT_SEED,
             trace: false,
         }
     }

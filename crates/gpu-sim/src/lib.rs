@@ -52,7 +52,7 @@ mod trace;
 pub use contention::ContentionModel;
 pub use engine::{
     ContextConfig, ContextId, ContextSnapshot, DeviceEvent, GpuEngine, GpuEngineBuilder,
-    KernelHandle, StreamClass, StreamId,
+    KernelHandle, StreamClass, StreamId, DEFAULT_SEED,
 };
 pub use error::GpuSimError;
 pub use kernel::{KernelDesc, WorkProfile, WorkSegment};

@@ -157,6 +157,15 @@ impl SimDuration {
         }
     }
 
+    /// The period of a `fps`-per-second release rate, `1/fps` seconds
+    /// rounded to the nearest nanosecond: every layer's rate-to-period
+    /// conversion.
+    #[inline]
+    #[must_use]
+    pub fn from_fps(fps: f64) -> Self {
+        SimDuration::from_secs_f64(1.0 / fps)
+    }
+
     /// The span in nanoseconds.
     #[must_use]
     pub const fn as_nanos(self) -> u64 {

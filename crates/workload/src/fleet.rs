@@ -8,9 +8,10 @@
 use serde::{Deserialize, Serialize};
 use sgprs_cluster::{
     ArrivalStream, ChurnConfig, ChurnEvent, ChurnTrace, Fleet, FleetConfig, FleetMetrics,
-    ModelKind, NodeScheduler, NodeSpec, PlacementPolicy, QueuePolicy, ShardRouter, TenantSpec,
+    ModelKind, NodeSpec, PlacementPolicy, QueuePolicy, ShardRouter, TenantSpec,
 };
-use sgprs_gpu_sim::GpuSpec;
+use sgprs_core::SchedulerKind;
+use sgprs_gpu_sim::{GpuSpec, DEFAULT_SEED};
 use sgprs_rt::{SimDuration, SimTime};
 
 /// How a fleet scenario generates its tenant population.
@@ -102,7 +103,7 @@ impl FleetScenario {
             placement: PlacementPolicy::LeastUtilization,
             load,
             sim: SimDuration::from_secs(sim_secs),
-            seed: 0x5672_5053,
+            seed: DEFAULT_SEED,
             sharding: None,
             shard_router: ShardRouter::Scan,
             queue_policy: QueuePolicy::Fifo,
@@ -334,7 +335,7 @@ impl FleetScenario {
                 "event vs epoch x3 (hot naive node)".into(),
                 vec![
                     NodeSpec::sgprs("gpu0-naive", GpuSpec::rtx_2080_ti())
-                        .with_scheduler(NodeScheduler::Naive),
+                        .with_scheduler(SchedulerKind::Naive),
                     NodeSpec::sgprs("gpu1", GpuSpec::rtx_2080_ti()),
                     NodeSpec::sgprs("gpu2", GpuSpec::rtx_2080_ti()),
                 ],

@@ -47,7 +47,7 @@ pub fn compile_model_task(
     stages: usize,
     pool: &ContextPoolSpec,
 ) -> CompiledTask {
-    let period = SimDuration::from_secs_f64(1.0 / fps);
+    let period = SimDuration::from_fps(fps);
     offline::compile_network_task(name, net, &CostModel::calibrated(), stages, period, pool)
         .expect("reference networks split into small stage counts")
 }

@@ -4,7 +4,7 @@
 //! the late frames are. This module runs one scenario point and extracts
 //! a response-time CDF plus summary percentiles for each scheduler.
 
-use crate::{ScenarioSpec, SchedulerKind};
+use crate::scenario::variants_for;
 use serde::{Deserialize, Serialize};
 use sgprs_core::RunMetrics;
 use sgprs_rt::SimDuration;
@@ -52,22 +52,9 @@ impl LatencySummary {
 /// response-time behaviour.
 #[must_use]
 pub fn compare_at(contexts: usize, tasks: usize, sim_secs: u64) -> Vec<LatencySummary> {
-    let kinds = [
-        SchedulerKind::Naive,
-        SchedulerKind::Sgprs {
-            oversubscription: 1.0,
-        },
-        SchedulerKind::Sgprs {
-            oversubscription: 1.5,
-        },
-        SchedulerKind::Sgprs {
-            oversubscription: 2.0,
-        },
-    ];
-    kinds
+    variants_for(contexts, sim_secs)
         .iter()
-        .map(|&kind| {
-            let spec = ScenarioSpec::new(contexts, kind, sim_secs);
+        .map(|spec| {
             let m = spec.run(tasks);
             LatencySummary::from_metrics(&spec.label, tasks, &m)
         })

@@ -40,6 +40,5 @@ pub mod sensitivity;
 pub mod sweep;
 
 pub use fleet::{FleetScenario, TenantLoad};
-pub use scenario::{
-    scenario1_variants, scenario2_variants, ScenarioSpec, SchedulerKind, PAPER_FPS, PAPER_STAGES,
-};
+pub use scenario::{scenario1_variants, scenario2_variants, ScenarioSpec, PAPER_FPS, PAPER_STAGES};
+pub use sgprs_core::SchedulerKind;

@@ -6,12 +6,13 @@
 //! Scenario 2 three contexts; SGPRS variants differ in the
 //! over-subscription level `os ∈ {1.0, 1.5, 2.0}` (written `SGPRS os`).
 
+use crate::generator::compile_model_task;
 use serde::{Deserialize, Serialize};
 use sgprs_core::{
-    offline, CompiledTask, ContextPoolSpec, NaiveConfig, NaiveScheduler, RunMetrics, SgprsConfig,
-    SgprsScheduler,
+    CompiledTask, ContextPoolSpec, RunMetrics, Scheduler, SchedulerKind, DEFAULT_WARMUP,
 };
-use sgprs_dnn::{models, CostModel};
+use sgprs_dnn::models;
+use sgprs_gpu_sim::{GpuSpec, DEFAULT_SEED};
 use sgprs_rt::{SimDuration, SimTime};
 
 /// The paper's task rate: 30 frames per second.
@@ -19,29 +20,6 @@ pub const PAPER_FPS: f64 = 30.0;
 
 /// The paper's stage count: each task is divided into six stages.
 pub const PAPER_STAGES: usize = 6;
-
-/// Which scheduler a scenario curve uses.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum SchedulerKind {
-    /// The naive spatial-partitioning baseline.
-    Naive,
-    /// SGPRS with the given over-subscription factor.
-    Sgprs {
-        /// The `os` level (1.0, 1.5, 2.0 in the paper).
-        oversubscription: f64,
-    },
-}
-
-impl core::fmt::Display for SchedulerKind {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            SchedulerKind::Naive => f.write_str("naive"),
-            SchedulerKind::Sgprs { oversubscription } => {
-                write!(f, "SGPRS {oversubscription:.1}")
-            }
-        }
-    }
-}
 
 /// One curve of Figures 3/4: a scheduler variant over a context pool,
 /// evaluated at varying task counts.
@@ -75,42 +53,28 @@ impl ScenarioSpec {
             stages: PAPER_STAGES,
             fps: PAPER_FPS,
             sim: SimDuration::from_secs(sim_secs),
-            seed: 0x5672_5053,
+            seed: DEFAULT_SEED,
         }
     }
 
     /// The task period implied by the frame rate.
     #[must_use]
     pub fn period(&self) -> SimDuration {
-        SimDuration::from_secs_f64(1.0 / self.fps)
+        SimDuration::from_fps(self.fps)
     }
 
     /// The context pool this scenario partitions the GPU into (SGPRS
     /// variants only; the naive baseline always uses an exact partition).
     #[must_use]
     pub fn pool(&self) -> ContextPoolSpec {
-        let os = match self.scheduler {
-            SchedulerKind::Naive => 1.0,
-            SchedulerKind::Sgprs { oversubscription } => oversubscription,
-        };
-        ContextPoolSpec::new(self.contexts, os)
+        ContextPoolSpec::new(self.contexts, self.scheduler.oversubscription())
     }
 
     /// Compiles `n` identical ResNet18 tasks for this scenario.
     #[must_use]
     pub fn compile_tasks(&self, n: usize) -> Vec<CompiledTask> {
         let net = models::resnet18(1, 224);
-        let cost = CostModel::calibrated();
-        let pool = self.pool();
-        let task = offline::compile_network_task(
-            "resnet18",
-            &net,
-            &cost,
-            self.stages,
-            self.period(),
-            &pool,
-        )
-        .expect("resnet18 always splits into the paper's stage counts");
+        let task = compile_model_task("resnet18", &net, self.fps, self.stages, &self.pool());
         (0..n)
             .map(|i| {
                 let mut t = task.clone();
@@ -124,17 +88,16 @@ impl ScenarioSpec {
     #[must_use]
     pub fn run(&self, n: usize) -> RunMetrics {
         let tasks = self.compile_tasks(n);
-        let end = SimTime::ZERO + self.sim;
-        match self.scheduler {
-            SchedulerKind::Naive => {
-                let cfg = NaiveConfig::new(self.contexts).with_seed(self.seed);
-                NaiveScheduler::new(cfg, tasks).run(end)
-            }
-            SchedulerKind::Sgprs { .. } => {
-                let cfg = SgprsConfig::new(self.pool()).with_seed(self.seed);
-                SgprsScheduler::new(cfg, tasks).run(end)
-            }
-        }
+        let gpu = GpuSpec::rtx_2080_ti();
+        Scheduler::new(
+            self.scheduler,
+            self.contexts,
+            gpu,
+            self.seed,
+            DEFAULT_WARMUP,
+            tasks,
+        )
+        .run(SimTime::ZERO + self.sim)
     }
 }
 
@@ -151,31 +114,13 @@ pub fn scenario2_variants(sim_secs: u64) -> Vec<ScenarioSpec> {
     variants_for(3, sim_secs)
 }
 
-fn variants_for(contexts: usize, sim_secs: u64) -> Vec<ScenarioSpec> {
-    vec![
-        ScenarioSpec::new(contexts, SchedulerKind::Naive, sim_secs),
-        ScenarioSpec::new(
-            contexts,
-            SchedulerKind::Sgprs {
-                oversubscription: 1.0,
-            },
-            sim_secs,
-        ),
-        ScenarioSpec::new(
-            contexts,
-            SchedulerKind::Sgprs {
-                oversubscription: 1.5,
-            },
-            sim_secs,
-        ),
-        ScenarioSpec::new(
-            contexts,
-            SchedulerKind::Sgprs {
-                oversubscription: 2.0,
-            },
-            sim_secs,
-        ),
-    ]
+/// The paper's four curves over `contexts` contexts.
+pub(crate) fn variants_for(contexts: usize, sim_secs: u64) -> Vec<ScenarioSpec> {
+    let sgprs = |oversubscription| SchedulerKind::Sgprs { oversubscription };
+    [SchedulerKind::Naive, sgprs(1.0), sgprs(1.5), sgprs(2.0)]
+        .into_iter()
+        .map(|kind| ScenarioSpec::new(contexts, kind, sim_secs))
+        .collect()
 }
 
 #[cfg(test)]
@@ -191,17 +136,12 @@ mod tests {
 
     #[test]
     fn variants_cover_naive_and_three_os_levels() {
-        let v = scenario1_variants(1);
-        assert_eq!(v.len(), 4);
-        assert_eq!(v[0].scheduler, SchedulerKind::Naive);
-        for (i, os) in [1.0, 1.5, 2.0].into_iter().enumerate() {
-            assert_eq!(
-                v[i + 1].scheduler,
-                SchedulerKind::Sgprs {
-                    oversubscription: os
-                }
-            );
-        }
+        let kinds: Vec<_> = scenario1_variants(1).iter().map(|s| s.scheduler).collect();
+        let sgprs = |oversubscription| SchedulerKind::Sgprs { oversubscription };
+        assert_eq!(
+            kinds,
+            [SchedulerKind::Naive, sgprs(1.0), sgprs(1.5), sgprs(2.0)]
+        );
         assert!(scenario2_variants(1).iter().all(|s| s.contexts == 3));
     }
 
@@ -230,13 +170,24 @@ mod tests {
 
     #[test]
     fn labels_are_descriptive() {
-        let s = ScenarioSpec::new(
-            3,
-            SchedulerKind::Sgprs {
-                oversubscription: 1.5,
-            },
-            1,
+        // The reports pick curves by these labels' prefixes.
+        let labels: Vec<String> = scenario1_variants(1)
+            .into_iter()
+            .chain(scenario2_variants(1))
+            .map(|s| s.label)
+            .collect();
+        assert_eq!(
+            labels,
+            [
+                "naive (np=2)",
+                "SGPRS 1.0 (np=2)",
+                "SGPRS 1.5 (np=2)",
+                "SGPRS 2.0 (np=2)",
+                "naive (np=3)",
+                "SGPRS 1.0 (np=3)",
+                "SGPRS 1.5 (np=3)",
+                "SGPRS 2.0 (np=3)",
+            ]
         );
-        assert_eq!(s.label, "SGPRS 1.5 (np=3)");
     }
 }
