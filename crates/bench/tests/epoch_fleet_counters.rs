@@ -87,7 +87,7 @@ fn epoch_fleet_counters_are_pinned() {
         Counters {
             arrivals: 14,
             released: 476,
-            allocs: 2_844,
+            allocs: 2_836,
             spans: [14, 1, 0, 0, 14, 0, 14, 0],
         },
         "fleet-epoch tiny shape, reference seed, one worker"

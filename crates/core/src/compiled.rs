@@ -14,11 +14,11 @@ use std::sync::Arc;
 /// offline priority), the latter the device view (operation mix).
 ///
 /// The release template (stage deadline offsets, offline priorities,
-/// sources) is built once by the offline phase, so attaching the task to
-/// a scheduler copies and sorts nothing. It is derived from `spec`'s
-/// deadline and stages: renaming or re-phasing the task keeps it valid,
-/// editing its timing does not (schedulers check [`ReleaseTemplate::fits`]
-/// in debug builds).
+/// sources, successor lists) is built once by the offline phase, so
+/// attaching the task to a scheduler copies and sorts nothing. It is
+/// derived from `spec`'s deadline and stages: renaming or re-phasing the
+/// task keeps it valid, editing its timing or edges does not (schedulers
+/// check [`ReleaseTemplate::fits`] in debug builds).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CompiledTask {
     /// The real-time task specification with all offline fields assigned.
@@ -51,7 +51,7 @@ impl CompiledTask {
     }
 
     /// What every release of the task shares: stage deadline offsets,
-    /// offline priorities and sources (§IV-B1).
+    /// offline priorities, sources and successor lists (§IV-B1).
     #[must_use]
     pub fn template(&self) -> &ReleaseTemplate {
         &self.template

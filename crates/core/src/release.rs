@@ -4,14 +4,14 @@
 //! grid, admit them under the same [`Admission`] rule and account
 //! finished jobs identically; they differ only in what they do with an
 //! admitted job. [`Driver`] owns everything they share — release
-//! generators, in-flight counts, frame buffers, admission sequence
+//! generators, in-flight flags, frame buffers, admission sequence
 //! numbers, the metrics collector — and runs the one event loop. Each
 //! scheduler supplies its own [`Policy`]: queueing, context assignment
 //! and dispatch.
 //!
 //! The task set may change while the driver runs. [`Driver::attach`]
 //! gives a task a slot and its first release instant; [`Driver::detach`]
-//! stops a slot's releases at an instant, lets its jobs in flight
+//! stops a slot's releases at an instant, lets its job in flight
 //! finish, then vacates the slot for the next attach. A scheduler built
 //! with tasks is the empty scheduler with each task attached at its
 //! phase, so construction and attach are one code path.
@@ -96,8 +96,11 @@ struct ReleaseSlot {
     /// The occupant's release grid.
     gen: ReleaseGenerator,
     phase: Phase,
-    /// Jobs in flight.
-    outstanding: u64,
+    /// A job of the slot is in flight. A task has at most one: a frame is
+    /// admitted only while this is unset, at its release or from
+    /// [`Driver::retire`] right after the job in flight cleared it. The
+    /// SGPRS task slot relies on this invariant to hold a single job.
+    in_flight: bool,
     /// Frame buffer: the release boundary of the freshest frame waiting
     /// while a job is in flight ([`Admission::FrameBuffer`]).
     buffered: Option<SimTime>,
@@ -179,7 +182,7 @@ impl Driver {
                 self.slots.push(ReleaseSlot {
                     gen,
                     phase: Phase::Attached,
-                    outstanding: 0,
+                    in_flight: false,
                     buffered: None,
                     admit_seq: 0,
                 });
@@ -296,7 +299,7 @@ impl Driver {
                 let release = self.slots[task].gen.next_release();
                 self.slots[task].gen.advance();
                 self.collector.record_release(task, release);
-                if self.slots[task].outstanding > 0 {
+                if self.slots[task].in_flight {
                     match self.admission {
                         Admission::SkipIfBusy => self.collector.record_skip(task, release),
                         Admission::FrameBuffer => {
@@ -324,9 +327,10 @@ impl Driver {
 
     fn admit<P: Policy>(&mut self, policy: &mut P, task: usize, release: SimTime) {
         let slot = &mut self.slots[task];
+        debug_assert!(!slot.in_flight, "invariant: one job in flight per task");
         let index = slot.admit_seq;
         slot.admit_seq += 1;
-        slot.outstanding += 1;
+        slot.in_flight = true;
         policy.admit(task, index, release);
     }
 
@@ -358,12 +362,14 @@ impl Driver {
         self.retire(policy, task, now);
     }
 
-    /// Frees a job slot of `task` at `at`. Frame-buffer admission then
-    /// grabs the freshest buffered frame right away (its deadline starts
-    /// at the grab), keeping the device work-conserving under overload.
+    /// Ends the job in flight of `task` at `at`. Frame-buffer admission
+    /// then grabs the freshest buffered frame right away (its deadline
+    /// starts at the grab), keeping the device work-conserving under
+    /// overload.
     fn retire<P: Policy>(&mut self, policy: &mut P, task: usize, at: SimTime) {
         let slot = &mut self.slots[task];
-        slot.outstanding = slot.outstanding.saturating_sub(1);
+        debug_assert!(slot.in_flight, "invariant: a retired job was in flight");
+        slot.in_flight = false;
         if let Some(boundary) = slot.buffered.take() {
             if policy.accept(task) {
                 self.admit(policy, task, at);
@@ -379,7 +385,7 @@ impl Driver {
     fn settle<P: Policy>(&mut self, policy: &mut P, slot: usize) {
         if let Phase::Detached(_) = self.slots[slot].phase {
             if self.pending_release(slot) == SimTime::MAX
-                && self.slots[slot].outstanding == 0
+                && !self.slots[slot].in_flight
                 && self.slots[slot].buffered.is_none()
             {
                 self.slots[slot].phase = Phase::Vacant;

@@ -31,6 +31,12 @@
 //! when a visit-every-context loop would have served it. Debug builds
 //! check that every skipped context has no idle stream with an eligible
 //! queued entry.
+//!
+//! Each step on a stage is O(1) in the task's job count: a task slot holds
+//! at most one job, because the release driver admits a frame only while
+//! its task has nothing in flight, so a queue entry finds its job by one
+//! comparison of release indices. A completion visits only the finished
+//! stage's successors, listed in the task's release template.
 
 use crate::release::{build_engine, Driver, Policy, TaskRef};
 use crate::{CompiledTask, QueueOrder, RunMetrics, SgprsConfig};
@@ -38,7 +44,6 @@ use sgprs_gpu_sim::{
     ContextId, DeviceEvent, GpuEngine, KernelDesc, KernelHandle, StreamClass, StreamId,
 };
 use sgprs_rt::{Job, PriorityBands, PriorityLevel, SimTime, StageInstance, TaskId};
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Identifies one stage instance of one released job.
@@ -58,49 +63,54 @@ struct InFlight {
     est_ns: f64,
 }
 
-/// One task slot: the attached task, its released jobs, the stage storage
-/// of finished ones and the task's isolated estimates.
+/// One task slot: the attached task, its job in flight, the stage storage
+/// of the last finished one and the task's isolated estimates.
+///
+/// A slot holds at most one job: the release driver admits a frame only
+/// while its task has nothing in flight (the driver's one-job
+/// invariant), and debug builds check it at every release. Admission
+/// indices run on across a slot's jobs and occupants, so a stale queue
+/// entry, of an aborted job or of an earlier occupant, finds no job.
 #[derive(Debug)]
 struct TaskSlot {
     /// The attached task; its release template stamps every release.
     task: TaskRef,
-    /// Released, not-yet-finished jobs in admission (release index) order.
-    live: VecDeque<Job>,
-    /// Stage storage of finished jobs, reused by the next release.
-    spare: Vec<Vec<StageInstance>>,
+    /// The released, not-yet-finished job, if any.
+    job: Option<Job>,
+    /// Stage storage of the last finished job, reused by the next release.
+    spare: Vec<StageInstance>,
     /// Isolated estimate of every (stage, context), stage-major.
     isolated_ns: Vec<f64>,
 }
 
 impl TaskSlot {
-    fn position(&self, index: u64) -> Option<usize> {
-        self.live
-            .binary_search_by_key(&index, |j| j.id.release_index)
-            .ok()
-    }
-
+    /// The job in flight, if it is job `index`.
     fn get(&self, index: u64) -> Option<&Job> {
-        self.position(index).map(|i| &self.live[i])
+        self.job.as_ref().filter(|j| j.id.release_index == index)
     }
 
-    /// Releases job `index` of slot `slot` at `release`; indices grow
-    /// per task, so the new job goes last.
+    /// Releases job `index` of slot `slot` at `release` into the idle
+    /// slot.
     fn release(&mut self, slot: usize, index: u64, release: SimTime) {
-        let storage = self.spare.pop().unwrap_or_default();
+        debug_assert!(
+            self.job.is_none(),
+            "invariant: a task has at most one job in flight"
+        );
+        let storage = std::mem::take(&mut self.spare);
         let job = self
             .task
             .template()
             .release(TaskId(slot), index, release, storage);
-        self.live.push_back(job);
+        self.job = Some(job);
     }
 
     /// Drops finished job `index`, keeping its stage storage; `false`
-    /// when no such job was live.
+    /// when it is not the job in flight.
     fn retire(&mut self, index: u64) -> bool {
-        let Some(job) = self.position(index).and_then(|i| self.live.remove(i)) else {
+        let Some(job) = self.job.take_if(|j| j.id.release_index == index) else {
             return false;
         };
-        self.spare.push(job.stages);
+        self.spare = job.stages;
         true
     }
 }
@@ -287,12 +297,12 @@ impl Policy for Sgprs {
             let row = task.stage_count() * self.sm_allocs.len();
             self.slots.push(TaskSlot {
                 task,
-                live: VecDeque::new(),
+                job: None,
                 spare: Vec::new(),
                 isolated_ns: Vec::with_capacity(row),
             });
         } else {
-            debug_assert!(self.slots[slot].live.is_empty(), "a recycled slot is idle");
+            debug_assert!(self.slots[slot].job.is_none(), "a recycled slot is idle");
             self.slots[slot].task = task;
         }
         let launch_ns = self.config.pool.gpu.launch_overhead_ns as f64;
@@ -328,7 +338,7 @@ impl Policy for Sgprs {
         // estimator fed (no shed-forever deadlock).
         debug_assert_eq!(
             self.live_jobs,
-            self.slots.iter().map(|s| s.live.len()).sum::<usize>(),
+            self.slots.iter().filter(|s| s.job.is_some()).count(),
             "live-job count drifted"
         );
         if self.live_jobs < self.slot_count + self.slot_count / 2 {
@@ -371,14 +381,22 @@ impl Policy for Sgprs {
         };
         let pending = &mut self.contexts[ev.context.0].pending_ns;
         *pending = (*pending - est_ns).max(0.0);
-        let slot = &mut self.slots[sref.task];
-        let Some(pos) = slot.position(sref.release_index) else {
+        let TaskSlot { task, job, .. } = &mut self.slots[sref.task];
+        let Some(job) = job
+            .as_mut()
+            .filter(|j| j.id.release_index == sref.release_index)
+        else {
             return;
         };
-        let job = &mut slot.live[pos];
         let missed_virtual = ev.finished_at > job.stages[sref.stage].absolute_deadline;
         let mut ready = std::mem::take(&mut self.ready);
-        job.complete_stage(sref.stage, ev.finished_at, &slot.task.spec, &mut ready);
+        job.complete_stage(
+            sref.stage,
+            ev.finished_at,
+            task.template(),
+            &task.spec,
+            &mut ready,
+        );
         let (completed, release, deadline) = (job.completed_at, job.release, job.absolute_deadline);
         for &stage in &ready {
             let mut priority = self.slots[sref.task].task.spec.stages[stage].priority;
@@ -620,7 +638,7 @@ impl Sgprs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{offline, ContextPoolSpec};
+    use crate::{offline, Admission, ContextPoolSpec};
     use sgprs_dnn::{models, CostModel};
     use sgprs_rt::SimDuration;
 
@@ -681,6 +699,31 @@ mod tests {
             m.dmr < 0.9,
             "SGPRS must degrade gracefully, dmr {:.2}",
             m.dmr
+        );
+    }
+
+    #[test]
+    fn a_task_slot_holds_at_most_one_job() {
+        // Past the pivot with hopeless jobs aborted: frames are buffered
+        // or skipped, and an abort re-admits a buffered frame at once.
+        // Debug builds assert at every release that the slot is idle.
+        let pool = ContextPoolSpec::new(3, 1.5);
+        let tasks = compile(&pool, 30);
+        let mut totals = Vec::new();
+        for admission in [Admission::FrameBuffer, Admission::SkipIfBusy] {
+            let mut cfg = SgprsConfig::new(pool.clone());
+            cfg.admission = admission;
+            cfg.abort_hopeless = true;
+            let mut s = SgprsScheduler::new(cfg, tasks.clone());
+            let m = s.run(SimTime::ZERO + SimDuration::from_secs(2));
+            let live = s.policy.slots.iter().filter(|s| s.job.is_some()).count();
+            assert_eq!(s.policy.live_jobs, live, "{admission:?}");
+            totals.push([m.released, m.completed, m.late, m.skipped, m.dropped]);
+        }
+        // [released, completed, late, skipped, dropped]
+        assert_eq!(
+            totals,
+            [[1_350, 646, 138, 0, 672], [1_350, 618, 68, 385, 317]]
         );
     }
 

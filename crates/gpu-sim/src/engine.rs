@@ -37,12 +37,16 @@
 //! the distinct shares of the pool (both fixed by the inputs, not the
 //! run length): 16 bytes an entry, plus one profile copy per row.
 //!
+//! The builder also tabulates every context's high and low share ids at
+//! each of its busy states `(busy_high, busy_low)`, from the stream-weight
+//! sum `busy_high · w_high + busy_low · w_low`: one engine-wide table,
+//! each context keeping the offset of its rows.
+//!
 //! A re-flow works only where the resident set changed. `submit` and
 //! retirement mark the context they touch; the re-flow then
 //!
-//! 1. gives each marked context its high and low share ids, from its
-//!    stream-weight sum `busy_high · w_high + busy_low · w_low`
-//!    (O(contexts));
+//! 1. gives each marked context its high and low share ids, read from
+//!    the table at its busy counts (O(contexts));
 //! 2. walks `running` once: a kernel whose context's share id for its
 //!    class moved reads its duration and occupancy term from the memo
 //!    (kernels elsewhere keep theirs), and every kernel's occupancy term
@@ -280,22 +284,42 @@ struct ShareMemo {
     shares: Vec<f64>,
     /// `profiles.len() × shares.len()` entries, profile-major.
     entries: Vec<MemoEntry>,
+    /// `(share_high, share_low)` of every context at every busy state,
+    /// context after context: a context's rows start at its
+    /// [`ContextState::share_rows`], and its row `busy_high ·
+    /// (low_streams + 1) + busy_low` holds the ids at those busy counts.
+    ids: Vec<(u32, u32)>,
 }
 
 impl ShareMemo {
-    /// A memo over every share a kernel can hold in `contexts`.
-    fn new(model: Cow<'static, SpeedupModel>, contexts: &[ContextState]) -> Self {
+    /// A memo over every share a kernel can hold in `contexts`, and the
+    /// share-id rows of each context, which learns where its rows start.
+    fn new(model: Cow<'static, SpeedupModel>, contexts: &mut [ContextState]) -> Self {
         let mut shares: Vec<f64> = Vec::new();
+        // The id [`Self::share_id`] gives share `m`, listing it on first
+        // sight.
+        let mut id_of = |m: f64, busy: usize| {
+            if busy == 0 {
+                return NO_SHARE;
+            }
+            let listed = shares.iter().position(|s| s.to_bits() == m.to_bits());
+            listed.unwrap_or_else(|| {
+                shares.push(m);
+                shares.len() - 1
+            }) as u32
+        };
+        let busy_states =
+            |c: &ContextState| (c.config.high_streams + 1) * (c.config.low_streams + 1);
+        let mut ids = Vec::with_capacity(contexts.iter().map(busy_states).sum());
         for c in contexts {
+            c.share_rows = ids.len();
             for high in 0..=c.config.high_streams {
                 for low in 0..=c.config.low_streams {
                     let weight_sum = c.config.weight_sum(high, low);
-                    for (class, busy) in [(StreamClass::High, high), (StreamClass::Low, low)] {
-                        let m = c.m_eff(class, weight_sum);
-                        if busy > 0 && !shares.iter().any(|s| s.to_bits() == m.to_bits()) {
-                            shares.push(m);
-                        }
-                    }
+                    ids.push((
+                        id_of(c.m_eff(StreamClass::High, weight_sum), high),
+                        id_of(c.m_eff(StreamClass::Low, weight_sum), low),
+                    ));
                 }
             }
         }
@@ -304,6 +328,7 @@ impl ShareMemo {
             profiles: Vec::new(),
             shares,
             entries: Vec::new(),
+            ids,
         }
     }
 
@@ -337,6 +362,25 @@ impl ShareMemo {
             .iter()
             .position(|s| s.to_bits() == m_eff.to_bits());
         id.expect("invariant: the builder lists every share the pool can give") as u32
+    }
+
+    /// Context `c`'s `(share_high, share_low)` at its busy counts, from the
+    /// table.
+    fn ids(&self, c: &ContextState) -> (u32, u32) {
+        let row = c.busy_high * (c.config.low_streams + 1) + c.busy_low;
+        let ids = self.ids[c.share_rows + row];
+        debug_assert_eq!(ids, self.fresh_ids(c), "tabulated share ids went stale");
+        ids
+    }
+
+    /// Context `c`'s `(share_high, share_low)` at its busy counts,
+    /// computed without the table.
+    fn fresh_ids(&self, c: &ContextState) -> (u32, u32) {
+        let weight_sum = c.config.weight_sum(c.busy_high, c.busy_low);
+        (
+            self.share_id(c.m_eff(StreamClass::High, weight_sum), c.busy_high),
+            self.share_id(c.m_eff(StreamClass::Low, weight_sum), c.busy_low),
+        )
     }
 
     /// The entry of `profile` at `share`, filled on first use.
@@ -389,6 +433,9 @@ struct ContextState {
     /// re-flow ([`NO_SHARE`] when none is resident).
     share_high: u32,
     share_low: u32,
+    /// Where the context's rows start in the share-id table
+    /// ([`ShareMemo::ids`]).
+    share_rows: usize,
     /// Cumulative busy nanoseconds (≥1 resident kernel).
     busy_ns: f64,
 }
@@ -403,6 +450,7 @@ impl ContextState {
             dirty: true,
             share_high: NO_SHARE,
             share_low: NO_SHARE,
+            share_rows: 0,
             busy_ns: 0.0,
         }
     }
@@ -588,7 +636,7 @@ impl GpuEngineBuilder {
     #[must_use]
     pub fn build(self) -> GpuEngine {
         let mut first_stream = 0;
-        let contexts: Vec<ContextState> = self
+        let mut contexts: Vec<ContextState> = self
             .contexts
             .into_iter()
             .map(|config| {
@@ -599,7 +647,7 @@ impl GpuEngineBuilder {
             .collect();
         let mut engine = GpuEngine {
             spec: self.spec,
-            memo: ShareMemo::new(self.speedup, &contexts),
+            memo: ShareMemo::new(self.speedup, &mut contexts),
             contention: self.contention,
             contexts,
             streams: vec![false; first_stream],
@@ -983,9 +1031,7 @@ impl GpuEngine {
             ..
         } = self;
         for c in contexts.iter_mut().filter(|c| c.dirty) {
-            let weight_sum = c.config.weight_sum(c.busy_high, c.busy_low);
-            c.share_high = memo.share_id(c.m_eff(StreamClass::High, weight_sum), c.busy_high);
-            c.share_low = memo.share_id(c.m_eff(StreamClass::Low, weight_sum), c.busy_low);
+            (c.share_high, c.share_low) = memo.ids(c);
             c.dirty = false;
         }
         // A clean context's shares did not move, so only kernels in the
@@ -1480,7 +1526,8 @@ mod tests {
         );
     }
 
-    /// The share memo against a from-scratch compute: the shares are
+    /// The share memo against a from-scratch compute: every context's
+    /// share ids are those of its kernels' fresh `m_eff`, the shares are
     /// distinct by bits, every filled entry holds its profile's duration
     /// and effective speedup at its share, and every running kernel has
     /// the profile it was submitted with and the duration and occupancy
@@ -1491,6 +1538,21 @@ mod tests {
         step: usize,
     ) {
         let memo = &e.memo;
+        for (i, c) in e.contexts.iter().enumerate() {
+            let ctx = ContextId(i);
+            let resident = |class| {
+                let on = |k: &&RunningKernel| k.stream.context == ctx && k.class == class;
+                e.running.iter().filter(on).count()
+            };
+            let weight_sum = e.fresh_weight_sum(ctx);
+            let fresh = [StreamClass::High, StreamClass::Low]
+                .map(|class| memo.share_id(c.m_eff(class, weight_sum), resident(class)));
+            assert_eq!(
+                [c.share_high, c.share_low],
+                fresh,
+                "step {step}: context {i}'s share ids went stale"
+            );
+        }
         let n = memo.shares.len();
         for (i, share) in memo.shares.iter().enumerate() {
             assert!(

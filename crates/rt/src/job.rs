@@ -8,6 +8,7 @@
 
 use crate::{PeriodicTaskSpec, PriorityLevel, SimDuration, SimTime, StageId, StageSpec, TaskId};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Globally unique job identifier: the releasing task plus the release
 /// index (0-based).
@@ -95,14 +96,18 @@ pub struct Job {
     pub stages: Vec<StageInstance>,
     /// Completion instant of the final stage, once known.
     pub completed_at: Option<SimTime>,
+    /// Stages not yet completed: [`Job::complete_stage`] finishes the job
+    /// when the count reaches zero.
+    unfinished: usize,
 }
 
 /// What every release of one task shares (§IV-B1): each stage's deadline
-/// offset from the release, its offline priority, and whether it is a DAG
-/// source. A pure function of the task's timing, built once by the
-/// offline phase, so a release only stamps times; the releasing task's id
-/// is passed at release, so one template serves every slot the task is
-/// attached to.
+/// offset from the release, its offline priority, its successors, and
+/// whether it is a DAG source. A pure function of the task's timing and
+/// edges, built once by the offline phase, so a release only stamps times
+/// and a completion visits only the finished stage's successors; the
+/// releasing task's id is passed at release, so one template serves every
+/// slot the task is attached to.
 ///
 /// Stage `j`'s offset is `Σ_{k ≤ j along its chain} D^k`. For general DAGs
 /// it is the maximum over its predecessors' offsets plus its own virtual
@@ -110,9 +115,28 @@ pub struct Job {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReleaseTemplate {
     deadline: SimDuration,
-    /// Per stage: (deadline offset, offline priority).
-    stages: Vec<(SimDuration, PriorityLevel)>,
+    stages: Vec<StageTemplate>,
     sources: Vec<usize>,
+    /// Every stage's successors, ascending, stage after stage; a stage's
+    /// [`StageTemplate::successors`] ranges over its own.
+    successors: Vec<usize>,
+}
+
+/// One stage of a [`ReleaseTemplate`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct StageTemplate {
+    /// Deadline offset from the release.
+    offset: SimDuration,
+    /// Offline priority.
+    priority: PriorityLevel,
+    /// The stage's successors in [`ReleaseTemplate::successors`].
+    successors: Range<usize>,
+}
+
+/// The stages of `task` that list `stage` among their predecessors,
+/// ascending.
+fn successors_of(task: &PeriodicTaskSpec, stage: usize) -> impl Iterator<Item = usize> + '_ {
+    (0..task.stages.len()).filter(move |&i| task.stages[i].predecessors.contains(&stage))
 }
 
 impl ReleaseTemplate {
@@ -129,14 +153,29 @@ impl ReleaseTemplate {
                 .unwrap_or(SimDuration::ZERO);
             offsets[i] = pred_max + task.stages[i].virtual_deadline;
         }
+        let edges = (0..task.stages.len())
+            .map(|p| successors_of(task, p).count())
+            .sum();
+        let mut successors = Vec::with_capacity(edges);
+        let stages = offsets
+            .into_iter()
+            .zip(&task.stages)
+            .enumerate()
+            .map(|(p, (offset, s))| {
+                let start = successors.len();
+                successors.extend(successors_of(task, p));
+                StageTemplate {
+                    offset,
+                    priority: s.priority,
+                    successors: start..successors.len(),
+                }
+            })
+            .collect();
         ReleaseTemplate {
             deadline: task.deadline,
-            stages: offsets
-                .into_iter()
-                .zip(&task.stages)
-                .map(|(offset, s)| (offset, s.priority))
-                .collect(),
+            stages,
             sources: task.source_stages(),
+            successors,
         }
     }
 
@@ -148,25 +187,36 @@ impl ReleaseTemplate {
 
     /// `true` when this is the template of `task`: [`Self::new`]`(task)`
     /// would rebuild it exactly. Checks every stage's offset against its
-    /// predecessors' (the recurrence has one solution on a DAG), so it
-    /// allocates nothing and may guard a path that must not.
+    /// predecessors' (the recurrence has one solution on a DAG) and its
+    /// successor list against the task's edges, so it allocates nothing
+    /// and may guard a path that must not.
     #[must_use]
     pub fn fits(&self, task: &PeriodicTaskSpec) -> bool {
-        let offset_of = |p: usize| self.stages.get(p).map(|&(offset, _)| offset);
-        let stage_fits = |(s, &(offset, priority)): (&StageSpec, &(SimDuration, PriorityLevel))| {
+        let offset_of = |p: usize| self.stages.get(p).map(|s| s.offset);
+        let stage_fits = |(s, t): (&StageSpec, &StageTemplate)| {
             let pred_max = s
                 .predecessors
                 .iter()
                 .try_fold(SimDuration::ZERO, |max, &p| {
                     offset_of(p).map(|o| max.max(o))
                 });
-            priority == s.priority && pred_max.is_some_and(|m| offset == m + s.virtual_deadline)
+            t.priority == s.priority && pred_max.is_some_and(|m| t.offset == m + s.virtual_deadline)
         };
         let sources = (0..task.stages.len()).filter(|&i| task.stages[i].predecessors.is_empty());
+        // The ranges tile the successor table in stage order.
+        let mut end = 0;
+        let successors_fit = self.stages.iter().enumerate().all(|(p, t)| {
+            let listed = self.successors.get(t.successors.clone());
+            let fits = t.successors.start == end
+                && listed.is_some_and(|l| l.iter().copied().eq(successors_of(task, p)));
+            end = t.successors.end;
+            fits
+        }) && end == self.successors.len();
         self.deadline == task.deadline
             && self.stages.len() == task.stages.len()
             && task.stages.iter().zip(&self.stages).all(stage_fits)
             && self.sources.iter().copied().eq(sources)
+            && successors_fit
     }
 
     /// Releases job `release_index` of task `task` at `release`, stamping
@@ -186,9 +236,7 @@ impl ReleaseTemplate {
             self.stages
                 .iter()
                 .enumerate()
-                .map(|(i, &(offset, priority))| {
-                    StageInstance::new(StageId(i), release + offset, priority)
-                }),
+                .map(|(i, s)| StageInstance::new(StageId(i), release + s.offset, s.priority)),
         );
         for &i in &self.sources {
             storage[i].state = StageState::Ready;
@@ -201,6 +249,7 @@ impl ReleaseTemplate {
             },
             release,
             absolute_deadline: release + self.deadline,
+            unfinished: storage.len(),
             stages: storage,
             completed_at: None,
         }
@@ -233,21 +282,28 @@ impl Job {
 
     /// Marks stage `index` complete at `now` and unblocks any successors
     /// whose predecessors are now all complete, replacing the contents of
-    /// `newly_ready` with their indices.
+    /// `newly_ready` with their indices, ascending. `template` is the
+    /// release template of `task` (the one that released the job): only
+    /// the finished stage's successors are visited. The job completes at
+    /// `now` once no stage is left unfinished.
     pub fn complete_stage(
         &mut self,
         index: usize,
         now: SimTime,
+        template: &ReleaseTemplate,
         task: &PeriodicTaskSpec,
         newly_ready: &mut Vec<usize>,
     ) {
-        self.stages[index].state = StageState::Completed;
-        self.stages[index].completed_at = Some(now);
+        let stage = &mut self.stages[index];
+        if !stage.is_completed() {
+            self.unfinished -= 1;
+        }
+        stage.state = StageState::Completed;
+        stage.completed_at = Some(now);
         newly_ready.clear();
-        for (i, spec) in task.stages.iter().enumerate() {
+        for &i in &template.successors[template.stages[index].successors.clone()] {
             if self.stages[i].state == StageState::Blocked
-                && spec.predecessors.contains(&index)
-                && spec
+                && task.stages[i]
                     .predecessors
                     .iter()
                     .all(|&p| self.stages[p].is_completed())
@@ -257,7 +313,7 @@ impl Job {
                 newly_ready.push(i);
             }
         }
-        if self.stages.iter().all(StageInstance::is_completed) {
+        if self.unfinished == 0 {
             self.completed_at = Some(now);
         }
     }
@@ -344,7 +400,7 @@ mod tests {
     /// Completes stage `index`, returning the newly ready stages.
     fn complete(job: &mut Job, index: usize, at: SimTime, t: &PeriodicTaskSpec) -> Vec<usize> {
         let mut ready = vec![usize::MAX]; // stale contents must be replaced
-        job.complete_stage(index, at, t, &mut ready);
+        job.complete_stage(index, at, &ReleaseTemplate::new(t), t, &mut ready);
         ready
     }
 
@@ -449,11 +505,14 @@ mod tests {
         let t = chain_task();
         let template = ReleaseTemplate::new(&t);
         assert!(template.fits(&t));
-        let edits: [fn(&mut PeriodicTaskSpec); 5] = [
+        let edits: [fn(&mut PeriodicTaskSpec); 6] = [
             |t| t.stages[1].virtual_deadline = ms(11),
             |t| t.stages[2].priority = PriorityLevel::Medium,
             |t| t.deadline = ms(31),
             |t| t.stages[2].predecessors = vec![0],
+            // Every offset holds (stage 1's dominates), only stage 0's
+            // successors change.
+            |t| t.stages[2].predecessors = vec![0, 1],
             |t| t.stages.truncate(2),
         ];
         for (i, edit) in edits.into_iter().enumerate() {
@@ -462,6 +521,112 @@ mod tests {
             assert!(!template.fits(&edited), "edit {i}");
             assert!(ReleaseTemplate::new(&edited).fits(&edited), "edit {i}");
         }
+    }
+
+    /// Reference completion by a full scan: marks stage `index` complete
+    /// and readies, ascending, every blocked stage that lists it among its
+    /// predecessors and has all of them complete; the job completes once
+    /// every stage has. Returns the readied stages and the completion.
+    fn scanned_completion(
+        job: &mut Job,
+        index: usize,
+        now: SimTime,
+        task: &PeriodicTaskSpec,
+    ) -> (Vec<usize>, Option<SimTime>) {
+        job.stages[index].state = StageState::Completed;
+        job.stages[index].completed_at = Some(now);
+        let mut ready = Vec::new();
+        for (i, spec) in task.stages.iter().enumerate() {
+            if job.stages[i].state == StageState::Blocked
+                && spec.predecessors.contains(&index)
+                && spec
+                    .predecessors
+                    .iter()
+                    .all(|&p| job.stages[p].is_completed())
+            {
+                job.stages[i].state = StageState::Ready;
+                job.stages[i].ready_at = Some(now);
+                ready.push(i);
+            }
+        }
+        if job.stages.iter().all(StageInstance::is_completed) {
+            job.completed_at = Some(now);
+        }
+        (ready, job.completed_at)
+    }
+
+    /// A random DAG of 1–8 stages: each stage's predecessors are a
+    /// random subset of the stages before it in a random order, so edges
+    /// run both up and down the index range.
+    fn random_dag(next: &mut impl FnMut(usize) -> usize) -> PeriodicTaskSpec {
+        let n = 1 + next(8);
+        let mut order: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            order.swap(i, next(i + 1));
+        }
+        let mut preds = vec![Vec::new(); n];
+        for (k, &stage) in order.iter().enumerate() {
+            preds[stage] = order[..k]
+                .iter()
+                .copied()
+                .filter(|_| next(3) == 0)
+                .collect();
+        }
+        let mut builder = PeriodicTaskSpec::builder("dag").period(ms(40));
+        for (i, p) in preds.into_iter().enumerate() {
+            let stage = StageSpec::new(format!("s{i}"), ms(1)).with_predecessors(p);
+            builder = builder.stage(stage);
+        }
+        let mut t = builder.build().expect("a DAG");
+        for (i, s) in t.stages.iter_mut().enumerate() {
+            s.virtual_deadline = ms(1 + i as u64);
+        }
+        t
+    }
+
+    #[test]
+    fn successor_completion_matches_a_full_scan_on_random_dags() {
+        let mut state = 0x5eed_u64;
+        let mut next = |bound: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % bound
+        };
+        let mut steps = 0;
+        for case in 0..500 {
+            let t = random_dag(&mut next);
+            let template = ReleaseTemplate::new(&t);
+            assert!(template.fits(&t), "case {case}");
+            let at = SimTime::ZERO + ms(case);
+            let mut job = template.release(TaskId(0), case, at, Vec::new());
+            let mut reference = job.clone();
+            let mut ready: Vec<usize> = template.sources().to_vec();
+            let mut newly_ready = Vec::new();
+            let mut clock = at;
+            // Complete a random ready stage until none is left: a random
+            // topological order.
+            while !ready.is_empty() {
+                let stage = ready.swap_remove(next(ready.len()));
+                clock += ms(1);
+                job.complete_stage(stage, clock, &template, &t, &mut newly_ready);
+                let expected = scanned_completion(&mut reference, stage, clock, &t);
+                assert_eq!(
+                    (newly_ready.clone(), job.completed_at),
+                    expected,
+                    "case {case}: completing stage {stage}"
+                );
+                assert_eq!(job.stages, reference.stages, "case {case}");
+                ready.extend(&newly_ready);
+                steps += 1;
+            }
+            assert_eq!(
+                job.completed_at,
+                Some(clock),
+                "case {case}: every stage ran"
+            );
+        }
+        assert!(steps > 1_500, "{steps} completions");
     }
 
     #[test]
