@@ -37,7 +37,7 @@ fn telemetry_windows_csv(scenario: &str, engine: &str, report: &TelemetryReport)
             w.counts.admitted,
             w.counts.degraded,
             w.counts.deferred,
-            w.counts.expired_total(),
+            w.counts.expired,
             w.counts.migrations,
             w.queue_depth_peak,
             w.utilization_mean,

@@ -198,17 +198,6 @@ impl FleetConfig {
         self.queue.repricing = true;
         self
     }
-
-    /// Enables demand-aware queue expiry (see
-    /// [`QueueConfig::demand_aware_expiry`]): waiters that provably can
-    /// never be admitted — no node could carry them even fully drained,
-    /// at any ladder step — are expired before their patience elapses
-    /// and counted in [`crate::FleetMetrics::expired_hopeless`].
-    #[must_use]
-    pub fn with_demand_aware_expiry(mut self) -> Self {
-        self.queue.demand_aware_expiry = true;
-        self
-    }
 }
 
 #[cfg(test)]

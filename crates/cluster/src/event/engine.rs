@@ -22,8 +22,8 @@
 //! step it compares the heap head's `(time, node, seq)` against the
 //! stream's next instant. Stream events are fleet-scope
 //! ([`NODE_FLEET`]), and on the materialised path they were all enqueued
-//! after the pre-trace seeds (resident releases, waiter expiries, the
-//! initial queue sweep) and before anything scheduled at runtime — so a
+//! after the pre-trace seeds (resident releases and waiter expiries)
+//! and before anything scheduled at runtime — so a
 //! heap event at an equal instant wins exactly when it is node-local or
 //! its seq lies below the *stream watermark* (the seq counter captured
 //! after seeding, before the first sample). This reproduces the
@@ -198,14 +198,6 @@ impl<'a> Engine<'a> {
         for patience in waiting_patience {
             self.schedule_expiry(SimTime::ZERO, patience);
         }
-        // Carried-over waiters get a demand-aware sweep at the start,
-        // matching the epoch path's first boundary: a provably hopeless
-        // pre-run waiter must not sit in the queue forever just because
-        // it arrived before this run.
-        if self.fleet.cfg.queue.demand_aware_expiry && self.fleet.queue.len() > 0 {
-            self.events
-                .push(SimTime::ZERO, NODE_FLEET, EventKind::QueueExpire);
-        }
         // The materialised path enqueued the whole trace exactly here;
         // lazily delivered stream events inherit this slot in the total
         // order via the watermark.
@@ -338,13 +330,6 @@ impl<'a> Engine<'a> {
             DispatchOutcome::Queued => {
                 if let Some(patience) = patience {
                     self.schedule_expiry(t, patience);
-                }
-                if self.fleet.cfg.queue.demand_aware_expiry {
-                    // Hopelessness is load-independent, so one sweep at
-                    // the enqueue instant decides the waiter's fate at
-                    // the same decision point the epoch path uses (its
-                    // next boundary sweep).
-                    self.events.push(t, NODE_FLEET, EventKind::QueueExpire);
                 }
             }
             DispatchOutcome::Infeasible | DispatchOutcome::Duplicate => {}
@@ -633,9 +618,8 @@ impl<'a> Engine<'a> {
         if t > self.end {
             return;
         }
-        // Patience expiry plus (when armed) the demand-aware
-        // provably-hopeless sweep — the same shared path the epoch
-        // engine runs at its boundaries.
+        // Patience expiry — the same shared path the epoch engine runs
+        // at its boundaries.
         self.fleet.expire_accounted();
     }
 

@@ -3,9 +3,9 @@
 //!
 //! This file is **orchestration only**. Every decision — admission and
 //! placement planning (flat, shard-scan, or power-of-two-choices), the
-//! re-pricing ladder walk, queue feasibility and demand-aware expiry,
-//! upgrade candidates, and migration victim/destination choice — lives
-//! in the shared [`crate::policy`] kernel, consumed identically by this
+//! re-pricing ladder walk, queue feasibility, upgrade candidates, and
+//! migration victim/destination choice — lives in the shared
+//! [`crate::policy`] kernel, consumed identically by this
 //! epoch path and the event engine ([`crate::event`]). Configuration
 //! lives in [`crate::config`]. What remains here is the epoch loop,
 //! dispatch replay (a run with no executor), and what all three share:
@@ -186,11 +186,6 @@ pub struct Fleet {
     /// Scratch of [`Self::upgrade_degraded`]: the degraded `(id,
     /// requested fps)` pairs of one pass, in name order.
     upgrade_order: Vec<(TenantId, f64)>,
-    /// Memoised [`policy::can_ever_fit`] answers per price point
-    /// `(model, stages, fps bits)` — the answer is load-independent, so
-    /// demand-aware expiry sweeps cost one map lookup per queued waiter
-    /// after the first.
-    hopeless_cache: HashMap<(crate::ModelKind, usize, u64), bool>,
     /// The telemetry recorder (see [`crate::telemetry`]): armed by
     /// `begin_run` when [`crate::TelemetryConfig::enabled`], a no-op on
     /// every hook otherwise. All recording happens on the
@@ -224,26 +219,6 @@ impl Degraded {
             failed_at: None,
         }
     }
-}
-
-/// Memoised [`policy::can_ever_fit`] per price point: the answer is
-/// load-independent (it tests against *emptied* nodes) and ignores the
-/// tenant's name and patience, so one evaluation per `(model, stages,
-/// fps)` serves the whole run and a cache miss only builds a throwaway
-/// probe spec.
-fn price_can_ever_fit(
-    cache: &mut HashMap<(crate::ModelKind, usize, u64), bool>,
-    state: &FleetState<'_>,
-    model: crate::ModelKind,
-    stages: usize,
-    fps: f64,
-) -> bool {
-    *cache
-        .entry((model, stages, fps.to_bits()))
-        .or_insert_with(|| {
-            let probe = TenantSpec::new("hopeless-probe", model, fps).with_stages(stages);
-            policy::can_ever_fit(state, &probe)
-        })
 }
 
 /// Who a recorded decision is about: an active tenant's id, or the name
@@ -288,7 +263,6 @@ impl Fleet {
             capacity_released: true,
             degraded: Vec::new(),
             upgrade_order: Vec::new(),
-            hopeless_cache: HashMap::new(),
             telemetry,
             totals: FleetMetricsBuilder::default(),
             event_counts: EventCounts::default(),
@@ -658,64 +632,14 @@ impl Fleet {
         admitted
     }
 
-    /// Drops and records queued tenants whose [`TenantSpec::max_wait`]
-    /// elapsed.
-    fn expire_queued(&mut self) {
+    /// The expiry path of both engines and of dispatch replay: drops and
+    /// records queued tenants whose [`TenantSpec::max_wait`] elapsed
+    /// (counted as [`FleetMetrics::expired`]). Expired in-run deferrals
+    /// fall through to the eventual-rejection count.
+    pub(crate) fn expire_accounted(&mut self) {
         for entry in self.queue.take_expired(self.now) {
             self.release(entry.id);
-            self.record(
-                TenantRef::Name(&entry.tenant.name),
-                Decision::Expiry { hopeless: false },
-            );
-        }
-    }
-
-    /// Demand-aware expiry sweep ([`crate::QueueConfig::demand_aware_expiry`]):
-    /// drops queued tenants that provably can never be admitted — no
-    /// node could carry them even fully drained, at any ladder step —
-    /// and records each. Waiting longer can never help such a waiter,
-    /// so expiring it before its patience elapses loses nothing. The
-    /// sweep reads each waiter's prices in place and allocates only
-    /// the list of the doomed.
-    fn expire_hopeless(&mut self) {
-        let repricing = self.cfg.queue.repricing;
-        let state = FleetState::new(&self.nodes, &self.admission);
-        let cache = &mut self.hopeless_cache;
-        let doomed: Vec<TenantId> = self
-            .queue
-            .entries()
-            .filter(|e| {
-                let t = &e.tenant;
-                !std::iter::once(t.fps)
-                    .chain(t.degrade_steps().filter(|_| repricing))
-                    .any(|fps| price_can_ever_fit(cache, &state, t.model, t.stages, fps))
-            })
-            .map(|e| e.id)
-            .collect();
-        for &id in &doomed {
-            self.queue
-                .remove_id(id)
-                .expect("invariant: hopeless waiters are still queued");
-        }
-        // Recorded once the sweep is done, so each record sees the queue
-        // depth the sweep left behind; the id still resolves to its name
-        // until it is released.
-        for id in doomed {
-            self.record(TenantRef::Id(id), Decision::Expiry { hopeless: true });
-            self.release(id);
-        }
-    }
-
-    /// The expiry path of both engines and of dispatch replay: patience
-    /// expiry first (counted as [`FleetMetrics::expired`]), then — with
-    /// [`crate::QueueConfig::demand_aware_expiry`] on — the
-    /// provably-hopeless sweep (counted separately as
-    /// [`FleetMetrics::expired_hopeless`]). Expired in-run deferrals
-    /// fall through to the eventual-rejection count either way.
-    pub(crate) fn expire_accounted(&mut self) {
-        self.expire_queued();
-        if self.cfg.queue.demand_aware_expiry {
-            self.expire_hopeless();
+            self.record(TenantRef::Name(&entry.tenant.name), Decision::Expiry);
         }
     }
 

@@ -1024,33 +1024,20 @@ fn expired_waiters_count_as_rejections() {
     let m = fleet.run(trace, SimDuration::from_secs(4));
     assert_eq!(m.deferred, 1);
     assert_eq!(m.expired, 1, "{m:?}");
-    assert_eq!(
-        m.expired_hopeless, 0,
-        "demand-aware expiry is off by default"
-    );
     assert_eq!(m.rejected, 1, "an expired waiter was never served");
     assert_eq!(m.still_queued, 0, "it left the queue");
     assert_eq!(fleet.queued(), 0);
 }
 
 #[test]
-fn hopeless_waiters_expire_early_under_demand_aware_expiry() {
+fn a_waiter_no_departure_can_admit_stays_queued() {
     // Conservative admission (utilisation bound 0.3 keeps heavy
     // headroom): a ResNet18@60fps feed passes the latency gate on a
     // 16-SM node — so it queues — but its steady-state demand exceeds
     // the node's admission budget *even empty* (≈5.4 vs ≈4.8
-    // SM-equivalents): no departure pattern can ever admit it. The
-    // classic behaviour parks it in the queue forever; demand-aware
-    // expiry proves the hopelessness and drops it early, in both
-    // engines, counted separately from patience expiry.
-    let cfg = |demand_aware: bool| {
-        let mut c = FleetConfig::new(vec![NodeSpec::sgprs("small", GpuSpec::synthetic(16))]);
-        c.admission.utilization_bound = 0.3;
-        if demand_aware {
-            c = c.with_demand_aware_expiry();
-        }
-        c
-    };
+    // SM-equivalents): no departure pattern can ever admit it. With no
+    // patience it leaves the queue only by admission or departure, so
+    // it waits out the run in both engines.
     let trace = || {
         let mut trace = ChurnTrace::new();
         trace.push(
@@ -1061,71 +1048,17 @@ fn hopeless_waiters_expire_early_under_demand_aware_expiry() {
     };
     let horizon = SimDuration::from_secs(2);
     for event_driven in [false, true] {
-        let run = |demand_aware: bool| {
-            let mut fleet = Fleet::new(cfg(demand_aware));
-            if event_driven {
-                fleet.run_events(trace(), horizon)
-            } else {
-                fleet.run(trace(), horizon)
-            }
-        };
-        let classic = run(false);
-        assert_eq!(classic.deferred, 1, "event={event_driven}: {classic:?}");
-        assert_eq!(
-            classic.still_queued, 1,
-            "event={event_driven}: the classic path waits forever: {classic:?}"
-        );
-        assert_eq!(classic.expired_hopeless, 0);
-        let aware = run(true);
-        assert_eq!(aware.deferred, 1, "event={event_driven}: {aware:?}");
-        assert_eq!(
-            aware.expired_hopeless, 1,
-            "event={event_driven}: provably hopeless, expired early: {aware:?}"
-        );
-        assert_eq!(aware.expired, 0, "patience expiry is counted separately");
-        assert_eq!(aware.still_queued, 0);
-        assert_eq!(
-            aware.rejected, 1,
-            "an expired-hopeless in-run deferral is an eventual rejection"
-        );
-        assert!(
-            aware.to_json().contains("\"expired_hopeless\": 1"),
-            "the optional field surfaces when nonzero"
-        );
-    }
-}
-
-#[test]
-fn pre_run_hopeless_waiters_are_swept_in_both_engines() {
-    // Regression: the event engine's seed() used to schedule patience
-    // expiries only, so a hopeless waiter queued *before* run_events
-    // started was never swept — the epoch path expired it at its first
-    // boundary, the event path parked it forever.
-    for event_driven in [false, true] {
-        let mut cfg = FleetConfig::new(vec![NodeSpec::sgprs("small", GpuSpec::synthetic(16))])
-            .with_demand_aware_expiry();
+        let mut cfg = FleetConfig::new(vec![NodeSpec::sgprs("small", GpuSpec::synthetic(16))]);
         cfg.admission.utilization_bound = 0.3;
         let mut fleet = Fleet::new(cfg);
-        assert_eq!(
-            fleet.dispatch(TenantSpec::new("doomed", ModelKind::ResNet18, 60.0)),
-            DispatchOutcome::Queued,
-            "latency-feasible but demand-hopeless: it queues pre-run"
-        );
-        let horizon = SimDuration::from_secs(2);
         let m = if event_driven {
-            fleet.run_events(ChurnTrace::new(), horizon)
+            fleet.run_events(trace(), horizon)
         } else {
-            fleet.run(ChurnTrace::new(), horizon)
+            fleet.run(trace(), horizon)
         };
-        assert_eq!(
-            m.expired_hopeless, 1,
-            "event={event_driven}: the carried-over waiter is swept: {m:?}"
-        );
-        assert_eq!(m.still_queued, 0, "event={event_driven}");
-        assert_eq!(
-            m.rejected, 0,
-            "event={event_driven}: a pre-run waiter is not this run's deferral"
-        );
+        assert_eq!(m.deferred, 1, "event={event_driven}: {m:?}");
+        assert_eq!(m.still_queued, 1, "event={event_driven}: {m:?}");
+        assert_eq!(m.expired, 0, "event={event_driven}: no patience, no expiry");
     }
 }
 
@@ -1185,7 +1118,6 @@ fn fifo_default_metrics_are_bit_identical_to_the_pre_queue_dispatcher() {
     assert_eq!(m.degraded, 0);
     assert_eq!(m.upgrades, 0);
     assert_eq!(m.expired, 0);
-    assert_eq!(m.expired_hopeless, 0);
     assert_eq!(m, run_once());
 }
 

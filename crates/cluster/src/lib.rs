@@ -23,7 +23,7 @@
 //! * [`policy`] — the **dispatch-policy kernel**: one backend-agnostic
 //!   home for admission+placement planning (flat, shard-scan, or
 //!   power-of-two-choices), the re-pricing ladder walk, queue
-//!   feasibility and demand-aware expiry, upgrade candidates, and
+//!   feasibility, upgrade candidates, and
 //!   migration victim (the most recently placed) / destination choice
 //!   — consumed identically by the epoch path, the event engine, and
 //!   sharded dispatch, so the engines cannot fork on decisions.

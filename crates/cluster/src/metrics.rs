@@ -24,9 +24,9 @@ pub const UTILIZATION_BINS: usize = 10;
 ///
 /// History: 1 — implicit pre-versioning schema (through PR 3);
 /// 2 — adds `schema_version`, `truncated_jobs`, `migration_stall_secs`.
-/// Within 2, `expired_hopeless` is an *optional* field emitted only when
-/// nonzero (demand-aware expiry is off by default), so default-path
-/// exports — and the golden snapshot pinning them — stay byte-stable.
+/// Within 2, an optional early-expiry count (emitted only when nonzero)
+/// was later removed with its option; every export the code still makes
+/// was already valid under the same version, so that bumps nothing.
 /// 3 — adds the `telemetry` block (windowed time-series, merged-sketch
 /// quantiles, profile counters, optional decision trace). A run with
 /// telemetry *off* — the default — still renders as
@@ -125,15 +125,6 @@ pub struct FleetMetrics {
     /// [`crate::TenantSpec::max_wait`] elapsed before capacity freed.
     /// Expired in-run deferrals count toward [`FleetMetrics::rejected`].
     pub expired: u64,
-    /// Queued tenants expired *early* by demand-aware expiry
-    /// ([`crate::QueueConfig::demand_aware_expiry`]): provably unable to
-    /// ever be admitted — no node could carry them even fully drained,
-    /// at any ladder step — so waiting out their patience could never
-    /// pay off. Counted separately from patience [`FleetMetrics::expired`];
-    /// in-run deferrals expired this way also count toward
-    /// [`FleetMetrics::rejected`]. Exported to JSON only when nonzero
-    /// (see [`METRICS_SCHEMA_VERSION`]).
-    pub expired_hopeless: u64,
     /// Mean wait (seconds) of this run's deferrals that were admitted
     /// out of the queue (0 when none were).
     pub queue_wait_mean_secs: f64,
@@ -167,12 +158,6 @@ impl FleetMetrics {
                 admitted_after_wait, still_queued, departures, migrations, truncated_jobs);
             o.fixed("migration_stall_secs", self.migration_stall_secs, 4);
             fields!(o, self; degraded, upgrades, expired);
-            if self.expired_hopeless > 0 {
-                // Optional field: emitted only when demand-aware expiry
-                // actually fired, keeping default-path exports (and the
-                // golden snapshot) byte-stable.
-                o.field("expired_hopeless", self.expired_hopeless);
-            }
             o.fixed("queue_wait_mean_secs", self.queue_wait_mean_secs, 4)
                 .fixed("queue_wait_max_secs", self.queue_wait_max_secs, 4)
                 .fixed("rejection_rate", self.rejection_rate, 4)
@@ -227,9 +212,8 @@ pub(crate) enum Decision {
         waited: SimDuration,
         carried_over: bool,
     },
-    /// A waiter left the queue unserved: patience elapsed, or (`hopeless`)
-    /// demand-aware expiry proved it can never fit.
-    Expiry { hopeless: bool },
+    /// A waiter left the queue unserved: its patience elapsed.
+    Expiry,
     /// A tenant departed, from a node (`resident`) or from the queue.
     Departure { resident: bool },
     /// A degraded resident stepped up its re-pricing ladder to `fps`.
@@ -264,8 +248,6 @@ pub struct DispatchCounts {
     pub admitted_after_wait: u64,
     /// Waiters whose patience elapsed.
     pub expired: u64,
-    /// Waiters expired early as provably hopeless.
-    pub expired_hopeless: u64,
     /// Re-pricing ladder steps back up.
     pub upgrades: u64,
     /// Successful migrations.
@@ -300,19 +282,11 @@ impl DispatchCounts {
                 self.degraded += u64::from(*degraded);
                 self.admitted_after_wait += u64::from(!carried_over);
             }
-            Decision::Expiry { hopeless: false } => self.expired += 1,
-            Decision::Expiry { hopeless: true } => self.expired_hopeless += 1,
+            Decision::Expiry => self.expired += 1,
             Decision::Departure { .. } => self.departures += 1,
             Decision::Upgrade { .. } => self.upgrades += 1,
             Decision::Migration { to, .. } => self.migrations += u64::from(to.is_some()),
         }
-    }
-
-    /// Waiters expired for either reason (the telemetry windows' single
-    /// `expired` column).
-    #[must_use]
-    pub fn expired_total(&self) -> u64 {
-        self.expired + self.expired_hopeless
     }
 }
 
@@ -516,7 +490,6 @@ impl FleetMetricsBuilder {
             degraded: c.degraded,
             upgrades: c.upgrades,
             expired: c.expired,
-            expired_hopeless: c.expired_hopeless,
             truncated_jobs,
             migration_stall_secs: self.migration_stall.as_secs_f64(),
             // Telemetry attaches afterwards (see `attach_telemetry`);
@@ -678,25 +651,6 @@ mod tests {
         assert!(json.starts_with("{\n  \"schema_version\": 3,"), "{json}");
         assert!(json.contains("\"telemetry\": {"));
         assert!(json.contains("\"window_secs\": 0.250"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn expired_hopeless_is_an_optional_json_field() {
-        // Zero (the default path) leaves the export byte-identical to
-        // the pinned schema; a nonzero count surfaces explicitly.
-        let b = FleetMetricsBuilder::new(vec!["a".into()], vec![68]);
-        let silent = b.finish(SimDuration::from_secs(1), &[0], 0);
-        assert!(
-            !silent.to_json().contains("expired_hopeless"),
-            "zero stays out of the pinned schema"
-        );
-        let mut b = FleetMetricsBuilder::new(vec!["a".into()], vec![68]);
-        b.counts.expired_hopeless = 2;
-        let m = b.finish(SimDuration::from_secs(1), &[0], 0);
-        assert_eq!(m.expired_hopeless, 2);
-        let json = m.to_json();
-        assert!(json.contains("\"expired_hopeless\": 2"), "{json}");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 

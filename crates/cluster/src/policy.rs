@@ -25,9 +25,6 @@
 //!   step first.
 //! * [`queue_feasible`] — whether queueing a tenant can ever pay off
 //!   (load-independent latency feasibility at any admissible price).
-//! * [`can_ever_fit`] — the demand-aware expiry test: a waiter no node
-//!   could admit *even empty*, at any ladder step, can never be served
-//!   and may be expired before its patience elapses.
 //! * [`upgrade_candidates`] — the ladder steps an upgrade pass tries,
 //!   best first.
 //! * [`select_migration_victim`] — which resident a shedding node gives
@@ -42,7 +39,7 @@
 //! `tests/fleet_invariants.rs` pin that they can no longer drift.
 
 use crate::shard::{ShardConfig, ShardDirectory};
-use crate::{AdmissionController, Aggregates, FleetNode, PlacementPolicy, Placer, TenantSpec};
+use crate::{AdmissionController, FleetNode, PlacementPolicy, Placer, TenantSpec};
 use sgprs_rt::SimDuration;
 
 /// A read-only view of the fleet the policy kernel decides over: the
@@ -250,25 +247,6 @@ pub fn queue_feasible(state: &FleetState<'_>, tenant: &TenantSpec, repricing: bo
     repricing && first_degraded(tenant, |probe| fits(probe).then_some(())).is_some()
 }
 
-/// Whether any node could admit `tenant` *with every resident gone* —
-/// the strongest capacity any future departure pattern can ever offer.
-/// Unlike [`queue_feasible`] (latency only), this runs the full
-/// admission test against each node's spec with no residents (the
-/// aggregates of an empty list), so it also catches tenants whose
-/// steady-state demand exceeds every node's admission budget outright.
-/// Load-independent: the answer never changes over a fleet's lifetime,
-/// which is what makes early expiry *provable*.
-#[must_use]
-pub fn can_ever_fit(state: &FleetState<'_>, tenant: &TenantSpec) -> bool {
-    let empty = Aggregates::of(&[]);
-    state.nodes.iter().any(|node| {
-        state
-            .admission
-            .evaluate_against(node, &empty, tenant)
-            .is_admit()
-    })
-}
-
 /// Candidate prices an upgrade pass tries for a degraded resident, best
 /// first: the requested rate, then every ladder step below it, keeping
 /// only steps strictly above the currently served rate.
@@ -364,20 +342,6 @@ mod tests {
         assert_eq!(upgrade_candidates(&half, 60.0), vec![60.0]);
         let full = t.clone();
         assert!(upgrade_candidates(&full, 60.0).is_empty());
-    }
-
-    #[test]
-    fn hopeless_needs_every_price_to_fail_even_on_empty_nodes() {
-        let ctl = AdmissionController::default();
-        let nodes = vec![node(68)];
-        let state = FleetState::new(&nodes, &ctl);
-        // A plain 30 fps feed fits an empty paper GPU.
-        assert!(can_ever_fit(&state, &tenant("ok", 30.0)));
-        // VGG-16@30fps is latency-infeasible even alone; its 15 fps
-        // ladder step is not — hopeless without re-pricing, saved by it.
-        let vgg = TenantSpec::new("vgg", ModelKind::Vgg16, 30.0).with_fps_ladder([15.0]);
-        assert!(!can_ever_fit(&state, &vgg));
-        assert!(can_ever_fit(&state, &vgg.at_fps(15.0)));
     }
 
     #[test]

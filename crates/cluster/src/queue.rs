@@ -59,16 +59,6 @@ pub struct QueueConfig {
     /// no stall. Disabled by default (tenants are served at the requested
     /// rate or not at all).
     pub repricing: bool,
-    /// Enable demand-aware queue expiry: a waiter that *provably* can
-    /// never be admitted — no node could carry it even fully drained, at
-    /// its requested rate or any ladder step
-    /// ([`crate::policy::can_ever_fit`]) — is expired before its
-    /// patience elapses instead of blocking the queue until `max_wait`
-    /// (or forever). Counted separately from patience expiry as
-    /// [`crate::FleetMetrics::expired_hopeless`]. Disabled by default:
-    /// the classic behaviour keeps hopeless waiters until their patience
-    /// runs out.
-    pub demand_aware_expiry: bool,
 }
 
 /// One waiting tenant, with the state the policies order by.

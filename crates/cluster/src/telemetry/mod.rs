@@ -172,8 +172,7 @@ impl SketchSummary {
 pub struct WindowReport {
     /// Window start, seconds from the run origin.
     pub start_secs: f64,
-    /// The dispatch decisions that fell inside the window (the export's
-    /// single `expired` column is [`DispatchCounts::expired_total`]).
+    /// The dispatch decisions that fell inside the window.
     pub counts: DispatchCounts,
     /// Peak wait-queue depth observed after any queue mutation.
     pub queue_depth_peak: u64,
@@ -257,8 +256,7 @@ impl TelemetryReport {
                             o.fixed("start_secs", w.start_secs, 3);
                             fields!(o, w.counts; arrivals, admitted, degraded, deferred,
                                 infeasible, duplicates, admitted_after_wait);
-                            o.field("expired", w.counts.expired_total());
-                            fields!(o, w.counts; upgrades, migrations, departures);
+                            fields!(o, w.counts; expired, upgrades, migrations, departures);
                             o.field("queue_depth_peak", w.queue_depth_peak)
                                 .fixed("utilization_mean", w.utilization_mean, 4)
                                 .nest("wait_ms", "{}", |o| w.wait.write_json(o));

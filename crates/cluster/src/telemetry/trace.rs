@@ -48,10 +48,7 @@ pub(crate) fn render(at: SimTime, tenant: &str, decision: &Decision) -> String {
             waited.as_secs_f64(),
             if degraded { " degraded" } else { "" }
         ),
-        Decision::Expiry { hopeless } => format!(
-            "{secs:.3}s queue-expire {tenant}: {}",
-            if hopeless { "hopeless" } else { "patience" }
-        ),
+        Decision::Expiry => format!("{secs:.3}s queue-expire {tenant}: patience"),
         Decision::Upgrade { fps } => format!("{secs:.3}s upgrade {tenant}: fps={fps:.1}"),
         Decision::Migration {
             from,
@@ -157,7 +154,7 @@ mod tests {
     fn zero_capacity_ring_records_nothing() {
         let mut ring = TraceRing::new(0);
         assert!(!ring.enabled());
-        ring.push(at(0), "t", Decision::Expiry { hopeless: false });
+        ring.push(at(0), "t", Decision::Expiry);
         assert_eq!(ring.recorded(), 0);
         assert_eq!(ring.dropped(), 0);
     }
@@ -211,11 +208,7 @@ mod tests {
                 "2.250s queue-admit q: waited=0.001s",
             ),
             (
-                (at(3_000), "w", Decision::Expiry { hopeless: true }),
-                "3.000s queue-expire w: hopeless",
-            ),
-            (
-                (at(3_001), "w", Decision::Expiry { hopeless: false }),
+                (at(3_001), "w", Decision::Expiry),
                 "3.001s queue-expire w: patience",
             ),
             (

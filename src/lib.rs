@@ -26,8 +26,7 @@
 //!   (`cluster::QueuePolicy`: FIFO or earliest queue deadline) with an
 //!   fps re-pricing ladder
 //!   (admit degraded instead of rejecting, upgrade back in place as
-//!   capacity frees) and demand-aware expiry (provably hopeless waiters
-//!   drop early), tenant churn with names interned to dense `u32` ids
+//!   capacity frees), tenant churn with names interned to dense `u32` ids
 //!   at the fleet boundary (`cluster::TenantInterner`: first-appearance
 //!   order, LIFO slot recycling, names resolved only at the JSON render
 //!   edge — the id table stays sized by the peak active population,

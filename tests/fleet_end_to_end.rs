@@ -256,7 +256,7 @@ fn id_table_is_bounded_by_active_tenants_not_trace_length() {
 }
 
 /// Replay follows the fleet's configuration like both engines: with
-/// re-pricing and demand-aware expiry armed, a departure's drain upgrades
+/// re-pricing armed, a departure's drain upgrades
 /// degraded residents, and every arrival is accounted for exactly once.
 #[test]
 fn replay_follows_the_repricing_config() {
@@ -271,9 +271,8 @@ fn replay_follows_the_repricing_config() {
         ..ChurnConfig::default()
     };
     let horizon = SimDuration::from_secs(5);
-    let cfg = FleetConfig::new(vec![NodeSpec::sgprs("gpu0", GpuSpec::rtx_2080_ti())])
-        .with_repricing()
-        .with_demand_aware_expiry();
+    let cfg =
+        FleetConfig::new(vec![NodeSpec::sgprs("gpu0", GpuSpec::rtx_2080_ti())]).with_repricing();
     let m = Fleet::new(cfg).replay_dispatch(ArrivalStream::generate(&churn, horizon, 7), horizon);
     assert!(m.upgrades > 0, "the drain ran the upgrade pass: {m:?}");
     assert_eq!(
@@ -539,16 +538,14 @@ fn fleet_metrics_json_schema_matches_golden_snapshot() {
          every downstream consumer of the JSON"
     );
 
-    // Schema v3: the same fold with a telemetry report attached, the
-    // optional `expired_hopeless` line in place, and a node name and a
-    // trace line that need escaping.
+    // Schema v3: the same fold with a telemetry report attached, and a
+    // node name and a trace line that need escaping.
     let mut b = FleetMetricsBuilder::new(vec!["gpu\"0\"\\a".into(), "gpu1".into()], vec![68, 34]);
     b.record_epoch(0, &epoch);
     b.record_utilization(0, 0.42);
     b.record_utilization(1, 0.95);
     b.record_wait(SimDuration::from_millis(1500));
     let mut m = b.finish(SimDuration::from_secs(2), &[1, 0], 1);
-    m.expired_hopeless = 2;
     let sketch = |count: u64, p50_ms: f64| SketchSummary {
         count,
         p50_ms,
@@ -568,8 +565,7 @@ fn fleet_metrics_json_schema_matches_golden_snapshot() {
                     deferred: 1,
                     infeasible: 1,
                     duplicates: 1,
-                    expired: 1,
-                    expired_hopeless: 1,
+                    expired: 2,
                     ..DispatchCounts::default()
                 },
                 queue_depth_peak: 2,
@@ -580,7 +576,7 @@ fn fleet_metrics_json_schema_matches_golden_snapshot() {
                 start_secs: 1.0,
                 counts: DispatchCounts {
                     admitted_after_wait: 1,
-                    expired_hopeless: 1,
+                    expired: 1,
                     upgrades: 1,
                     migrations: 1,
                     departures: 2,
@@ -629,7 +625,6 @@ fn fleet_metrics_json_schema_matches_golden_snapshot() {
   \"degraded\": 0,
   \"upgrades\": 0,
   \"expired\": 0,
-  \"expired_hopeless\": 2,
   \"queue_wait_mean_secs\": 1.5000,
   \"queue_wait_max_secs\": 1.5000,
   \"rejection_rate\": 0.0000,
@@ -1098,11 +1093,7 @@ fn assert_windows_sum_to_totals(label: &str, m: &FleetMetrics) {
             sum(|c| c.admitted_after_wait),
             m.admitted_after_wait,
         ),
-        (
-            "expired",
-            sum(DispatchCounts::expired_total),
-            m.expired + m.expired_hopeless,
-        ),
+        ("expired", sum(|c| c.expired), m.expired),
         ("upgrades", sum(|c| c.upgrades), m.upgrades),
         ("migrations", sum(|c| c.migrations), m.migrations),
         ("departures", sum(|c| c.departures), m.departures),
@@ -1118,10 +1109,9 @@ fn assert_windows_sum_to_totals(label: &str, m: &FleetMetrics) {
 /// The telemetry windows and the run totals fold the same decisions, so
 /// each windowed counter sums to its `FleetMetrics` total, in both
 /// engines. The scenarios between them defer, re-price, upgrade,
-/// migrate, and expire waiters both ways: an overloaded metro fleet, the
+/// migrate, and expire waiters: an overloaded metro fleet, the
 /// re-priced overload burst, and a burst onto one small node where
-/// 60 fps feeds queue but can never fit, so patience and demand-aware
-/// expiry both fire.
+/// 60 fps feeds queue but can never fit, so their patience runs out.
 #[test]
 fn window_counters_sum_to_run_totals_in_both_engines() {
     let mut overload = FleetScenario::metro_scale(8, 8).with_migration(0.1);
@@ -1145,7 +1135,6 @@ fn window_counters_sum_to_run_totals_in_both_engines() {
         for event_driven in [false, true] {
             let mut cfg = scenario
                 .config()
-                .with_demand_aware_expiry()
                 .with_telemetry(TelemetryConfig::windowed(SimDuration::from_millis(250)));
             cfg.event_driven = event_driven;
             let m = Fleet::new(cfg).run_configured(scenario.arrivals(), scenario.sim);
@@ -1156,7 +1145,6 @@ fn window_counters_sum_to_run_totals_in_both_engines() {
             seen.upgrades += m.upgrades;
             seen.migrations += m.migrations;
             seen.expired += m.expired;
-            seen.expired_hopeless += m.expired_hopeless;
             seen.departures += m.departures;
         }
     }
@@ -1165,5 +1153,5 @@ fn window_counters_sum_to_run_totals_in_both_engines() {
         "{seen:?}"
     );
     assert!(seen.migrations > 0 && seen.departures > 0, "{seen:?}");
-    assert!(seen.expired > 0 && seen.expired_hopeless > 0, "{seen:?}");
+    assert!(seen.expired > 0, "{seen:?}");
 }
