@@ -20,7 +20,7 @@
 
 use crate::release::{build_engine, Driver, Policy, TaskRef};
 use crate::{CompiledTask, NaiveConfig, RunMetrics};
-use sgprs_gpu_sim::{ContextId, DeviceEvent, GpuEngine, KernelDesc, KernelHandle, StreamClass};
+use sgprs_gpu_sim::{ContextId, DeviceEvent, GpuEngine, KernelHandle, ProfileId, StreamClass};
 use sgprs_rt::SimTime;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -48,8 +48,9 @@ pub struct NaiveScheduler {
 struct Naive {
     config: NaiveConfig,
     engine: GpuEngine,
-    /// The attached tasks, indexed by slot.
-    tasks: Vec<TaskRef>,
+    /// The attached tasks, indexed by slot, each with its whole-network
+    /// profile as interned in the engine.
+    tasks: Vec<(TaskRef, ProfileId)>,
     /// The kernel and job each partition runs, indexed by context.
     running: Vec<Option<(KernelHandle, Job)>>,
     /// Tenants (attached tasks, plus detached ones still finishing) per
@@ -148,10 +149,12 @@ impl Policy for Naive {
     fn attach(&mut self, slot: usize, task: TaskRef) {
         let ctx = self.partition_of(slot);
         self.tenants[ctx] += 1;
+        let profile = self.engine.intern(&task.whole_profile);
+        let attached = (task, profile);
         if slot == self.tasks.len() {
-            self.tasks.push(task);
+            self.tasks.push(attached);
         } else {
-            self.tasks[slot] = task;
+            self.tasks[slot] = attached;
         }
     }
 
@@ -170,7 +173,7 @@ impl Policy for Naive {
             task,
             release_index: index,
             release,
-            deadline: release + self.tasks[task].spec.deadline,
+            deadline: release + self.tasks[task].0.spec.deadline,
         };
         let ctx = self.partition_of(task);
         self.fifo[ctx].push_back(job);
@@ -206,11 +209,16 @@ impl Policy for Naive {
             } else {
                 String::new()
             };
-            let desc =
-                KernelDesc::new(label, self.tasks[job.task].whole_profile).with_extra_ns(switch_ns);
-            let handle = self
+            let profile = self.tasks[job.task].1;
+            let (handle, _) = self
                 .engine
-                .submit(ContextId(ctx), StreamClass::High, desc)
+                .submit_profile(
+                    ContextId(ctx),
+                    StreamClass::High,
+                    profile,
+                    switch_ns,
+                    &label,
+                )
                 .expect("partition was idle");
             self.running[ctx] = Some((handle, job));
         }

@@ -41,7 +41,7 @@
 use crate::release::{build_engine, Driver, Policy, TaskRef};
 use crate::{CompiledTask, QueueOrder, RunMetrics, SgprsConfig};
 use sgprs_gpu_sim::{
-    ContextId, DeviceEvent, GpuEngine, KernelDesc, KernelHandle, StreamClass, StreamId,
+    ContextId, DeviceEvent, GpuEngine, KernelHandle, ProfileId, StreamClass, StreamId,
 };
 use sgprs_rt::{Job, PriorityBands, PriorityLevel, SimTime, StageInstance, TaskId};
 use std::sync::Arc;
@@ -64,7 +64,7 @@ struct InFlight {
 }
 
 /// One task slot: the attached task, its job in flight, the stage storage
-/// of the last finished one and the task's isolated estimates.
+/// of the last finished one and the task's stage kernels.
 ///
 /// A slot holds at most one job: the release driver admits a frame only
 /// while its task has nothing in flight (the driver's one-job
@@ -79,8 +79,9 @@ struct TaskSlot {
     job: Option<Job>,
     /// Stage storage of the last finished job, reused by the next release.
     spare: Vec<StageInstance>,
-    /// Isolated estimate of every (stage, context), stage-major.
-    isolated_ns: Vec<f64>,
+    /// Every (stage, context), stage-major: the stage's work profile as
+    /// interned in the engine, and its isolated estimate on the context.
+    kernels: Vec<(ProfileId, f64)>,
 }
 
 impl TaskSlot {
@@ -232,8 +233,8 @@ impl SgprsScheduler {
 
     /// Attaches `task`, its first frame released at `at`, and returns its
     /// slot. The paper's zero-configuration switch: the task gets its
-    /// job list and its row of isolated estimates, and no context is
-    /// created, resized or stalled.
+    /// job list and its row of stage kernels, and no context is created,
+    /// resized or stalled.
     ///
     /// # Panics
     ///
@@ -281,9 +282,10 @@ impl Policy for Sgprs {
 
     /// Appends (or, in a recycled slot, rewrites) the task's slot: the
     /// task itself, whose offline release template every release reads,
-    /// and its isolated-estimate row. The context pool is untouched, and
-    /// a recycled slot reuses its row, so re-attaching a shared task
-    /// allocates nothing.
+    /// and its row of stage kernels, each stage's profile interned in the
+    /// engine once here. The context pool is untouched, and a recycled
+    /// slot reuses its row, so re-attaching a shared task allocates
+    /// nothing.
     fn attach(&mut self, slot: usize, task: TaskRef) {
         assert!(
             task.stage_count() > 0,
@@ -299,24 +301,23 @@ impl Policy for Sgprs {
                 task,
                 job: None,
                 spare: Vec::new(),
-                isolated_ns: Vec::with_capacity(row),
+                kernels: Vec::with_capacity(row),
             });
         } else {
             debug_assert!(self.slots[slot].job.is_none(), "a recycled slot is idle");
             self.slots[slot].task = task;
         }
         let launch_ns = self.config.pool.gpu.launch_overhead_ns as f64;
-        let speedup = self.engine.speedup_model();
-        let TaskSlot {
-            task, isolated_ns, ..
-        } = &mut self.slots[slot];
-        isolated_ns.clear();
+        let engine = &mut self.engine;
+        let TaskSlot { task, kernels, .. } = &mut self.slots[slot];
+        kernels.clear();
         for profile in &task.stage_profiles {
-            isolated_ns.extend(
-                self.sm_allocs
-                    .iter()
-                    .map(|&sm| launch_ns + profile.duration_ns_at(speedup, f64::from(sm))),
-            );
+            let id = engine.intern(profile);
+            let speedup = engine.speedup_model();
+            kernels.extend(self.sm_allocs.iter().map(|&sm| {
+                let isolated_ns = launch_ns + profile.duration_ns_at(speedup, f64::from(sm));
+                (id, isolated_ns)
+            }));
         }
     }
 
@@ -557,8 +558,14 @@ impl Sgprs {
     /// allocation (the scheduler's cheap WCET-like estimate), tabulated
     /// when the task is attached.
     fn isolated_estimate_ns(&self, ctx: usize, sref: StageRef) -> f64 {
+        self.kernel(ctx, sref).1
+    }
+
+    /// The stage's interned profile and isolated estimate on context
+    /// `ctx`, tabulated when the task is attached.
+    fn kernel(&self, ctx: usize, sref: StageRef) -> (ProfileId, f64) {
         let n_ctx = self.contexts.len();
-        self.slots[sref.task].isolated_ns[sref.stage * n_ctx + ctx]
+        self.slots[sref.task].kernels[sref.stage * n_ctx + ctx]
     }
 
     /// Estimated absolute finish instant (ns) if the stage were appended
@@ -617,16 +624,11 @@ impl Sgprs {
         } else {
             String::new()
         };
-        let profile = self.slots[sref.task].task.stage_profiles[sref.stage];
-        let est_ns = self.isolated_estimate_ns(ctx, sref);
-        let kernel = self
+        let (profile, est_ns) = self.kernel(ctx, sref);
+        let (kernel, stream) = self
             .engine
-            .submit(ContextId(ctx), class, KernelDesc::new(label, profile))
+            .submit_profile(ContextId(ctx), class, profile, 0.0, &label)
             .expect("invariant: dispatch checked an idle stream existed");
-        let stream = self
-            .engine
-            .stream_of(kernel)
-            .expect("invariant: a just-submitted kernel is running");
         self.running[slot_of(stream)] = Some(InFlight {
             kernel,
             stage: sref,
@@ -739,15 +741,17 @@ mod tests {
             .into_iter()
             .map(|stages| compile_staged(&pool, stages))
             .collect();
-        let s = SgprsScheduler::new(SgprsConfig::new(pool.clone()), tasks.clone());
+        let mut s = SgprsScheduler::new(SgprsConfig::new(pool.clone()), tasks.clone());
         let launch = pool.gpu.launch_overhead_ns as f64;
-        let model = s.engine().speedup_model();
         for (task, t) in tasks.iter().enumerate() {
             assert_eq!(
-                s.policy.slots[task].isolated_ns.len(),
+                s.policy.slots[task].kernels.len(),
                 t.stage_count() * allocs.len()
             );
             for (stage, profile) in t.stage_profiles.iter().enumerate() {
+                // Interning an attached stage's profile again finds its id.
+                let id = s.policy.engine.intern(profile);
+                let model = s.engine().speedup_model();
                 for (ctx, &sm) in allocs.iter().enumerate() {
                     let sref = StageRef {
                         task,
@@ -755,9 +759,10 @@ mod tests {
                         stage,
                     };
                     let fresh = launch + profile.duration_ns_at(model, f64::from(sm));
+                    let (kernel_id, est_ns) = s.policy.kernel(ctx, sref);
                     assert_eq!(
-                        s.policy.isolated_estimate_ns(ctx, sref).to_bits(),
-                        fresh.to_bits(),
+                        (kernel_id, est_ns.to_bits()),
+                        (id, fresh.to_bits()),
                         "task {task} stage {stage} ctx {ctx}"
                     );
                 }

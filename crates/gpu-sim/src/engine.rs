@@ -16,46 +16,70 @@
 //! advance to the next completion or to a chosen instant (e.g. the next
 //! job release).
 //!
-//! The re-flow also caches the resident set's total occupancy, which
-//! [`GpuEngine::submit`] reads to size the new kernel's jitter. The cache
-//! is exact because the resident set changes only in `submit` and in
-//! retirement, and both re-flow before returning. Steady-state stepping
-//! allocates nothing: re-flow and retirement reuse scratch buffers the
-//! engine owns, and [`GpuEngine::advance_into`] fills the caller's buffer.
+//! Schedulers may submit by [`KernelDesc`] or, without rebuilding one per
+//! kernel, by a [`ProfileId`]: [`GpuEngine::intern`] enters a
+//! [`WorkProfile`] into the engine's table once, and
+//! [`GpuEngine::submit_profile`] takes the id. Both paths share one submit
+//! body. Steady-state stepping allocates nothing: re-flow and retirement
+//! reuse scratch buffers the engine owns, and [`GpuEngine::advance_into`]
+//! fills the caller's buffer.
 //!
-//! Durations come from a memo per (profile, share). `submit` interns the
-//! kernel's [`WorkProfile`] into a table the engine owns (matched with
-//! `==`, which is bit equality for the positive finite segments
-//! [`WorkProfile::add`] admits), and the kernel keeps the profile's index.
-//! A kernel's effective SM share `m_eff = sm_alloc · (w_class / Σw)` takes
-//! only the values its context's busy-stream counts allow, so the builder
-//! lists every distinct share the pool can give, deduplicated by bits,
-//! and numbers them. The memo is a dense profile × share table of
+//! Durations come from a memo per (profile, share). Interning matches a
+//! profile with `==`, which is bit equality for the positive finite
+//! segments [`WorkProfile::add`] admits, and a kernel keeps its profile's
+//! id. A kernel's effective SM share `m_eff = sm_alloc · (w_class / Σw)`
+//! takes only the values its context's busy-stream counts allow, so the
+//! builder lists every distinct share the pool can give, deduplicated by
+//! bits, and numbers them. The memo is a dense profile × share table of
 //! `(duration, effective speedup)`, filled on first use by
 //! [`WorkProfile::duration_ns_at`] and [`WorkProfile::effective_speedup`]:
-//! a hit equals a fresh compute bit for bit. Its size is bounded by the distinct profiles submitted times
-//! the distinct shares of the pool (both fixed by the inputs, not the
-//! run length): 16 bytes an entry, plus one profile copy per row.
+//! a hit equals a fresh compute bit for bit. Its size is bounded by the
+//! distinct profiles interned times the distinct shares of the pool (both
+//! fixed by the inputs, not the run length): 16 bytes an entry, plus one
+//! profile copy per row.
 //!
 //! The builder also tabulates every context's high and low share ids at
 //! each of its busy states `(busy_high, busy_low)`, from the stream-weight
 //! sum `busy_high · w_high + busy_low · w_low`: one engine-wide table,
 //! each context keeping the offset of its rows.
 //!
-//! A re-flow works only where the resident set changed. `submit` and
-//! retirement mark the context they touch; the re-flow then
+//! A re-flow works only where the resident set changed. A submit and a
+//! retirement mark the context they touch and mark the re-flow due; they
+//! do not run it. A re-flow has two passes:
 //!
-//! 1. gives each marked context its high and low share ids, read from
-//!    the table at its busy counts (O(contexts));
-//! 2. walks `running` once: a kernel whose context's share id for its
-//!    class moved reads its duration and occupancy term from the memo
-//!    (kernels elsewhere keep theirs), and every kernel's occupancy term
-//!    is summed in `running` order;
-//! 3. derives the contention factor from the occupancy and walks
-//!    `running` again: it divides a kernel's rate anew only when the
-//!    factor's bits or the kernel's rate denominator
-//!    (`launch + extra + duration × jitter`) changed, and keeps the
-//!    earliest completion instant.
+//! 1. give each marked context its high and low share ids, read from the
+//!    table at its busy counts (O(contexts)); walk `running` once: a
+//!    kernel whose context's share id for its class moved reads its
+//!    duration and occupancy term from the memo (kernels elsewhere keep
+//!    theirs), and every kernel's occupancy term is summed in `running`
+//!    order, from `-0.0` as [`Iterator::sum`] does;
+//! 2. derive the contention factor from the occupancy and walk `running`
+//!    again: divide a kernel's rate anew only when the factor's bits or
+//!    the kernel's rate denominator (`launch + extra + duration × jitter`)
+//!    changed since the last pass 2, and keep the earliest completion
+//!    instant.
+//!
+//! Pass 1 runs at a submit only when the re-flow is due, to give the
+//! jitter draw the occupancy of the resident set as it stands. Both
+//! passes run when the next completion is first asked for. So a burst of
+//! submits at one instant, and the retirement before it, share one pass
+//! 2. This is exact, i.e. every rate and instant equals that of a re-flow
+//! after each change:
+//!
+//! * `rate = factor / denom` depends only on the final factor and
+//!   denominator, and a kernel whose denominator moved stays marked
+//!   stale until a pass 2 divides it anew.
+//! * Time moves only after a settled re-flow (the next completion is read
+//!   first), so progress between same-instant steps is zero and a rate
+//!   left stale in between is never used.
+//! * Advancing to `t`, a retirement *at* `t` returns at once, without
+//!   re-flowing. An eager loop would re-flow and go on only if some
+//!   kernel completed at that same instant. No kernel can then retire
+//!   (every survivor has work left, and `dt = 0` makes no progress), so
+//!   no later pass changes any state and the loop never ends. Every run
+//!   that finishes therefore never takes that branch. Its one way to
+//!   arise, a kernel with no work and no overhead, is rejected at submit
+//!   ([`GpuSimError::ZeroTimeKernel`]).
 //!
 //! Each context also counts its busy high and low streams, so
 //! [`GpuEngine::snapshot`] and the busy-time accounting never scan slots.
@@ -166,6 +190,11 @@ impl ContextConfig {
     }
 }
 
+/// A work profile interned in one engine's profile table (see
+/// [`GpuEngine::intern`]); only that engine may be given it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ProfileId(u32);
+
 /// Unique handle of a submitted kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct KernelHandle(pub u64);
@@ -207,8 +236,8 @@ struct RunningKernel {
     handle: KernelHandle,
     stream: StreamId,
     class: StreamClass,
-    /// Index of the kernel's work profile in the engine's [`ShareMemo`].
-    profile: u32,
+    /// The kernel's work profile in the engine's [`ShareMemo`].
+    profile: ProfileId,
     /// The share id `eff_speedup` and `denom_ns` were derived at.
     share: u32,
     /// Fixed serial overhead (see [`KernelDesc::extra_ns`]).
@@ -277,7 +306,7 @@ impl MemoEntry {
 #[derive(Debug)]
 struct ShareMemo {
     model: Cow<'static, SpeedupModel>,
-    /// Every distinct profile submitted so far, in first-submit order.
+    /// Every distinct profile interned so far, in first-intern order.
     profiles: Vec<WorkProfile>,
     /// Every distinct `m_eff` the pool can give, by bits; a share id
     /// indexes it.
@@ -332,9 +361,9 @@ impl ShareMemo {
         }
     }
 
-    /// The index of `work` in the profile table, interning it (with a
-    /// row of unfilled entries) on first sight.
-    fn intern(&mut self, work: &WorkProfile) -> u32 {
+    /// The id of `work` in the profile table, interning it (with a row of
+    /// unfilled entries) on first sight.
+    fn intern(&mut self, work: &WorkProfile) -> ProfileId {
         let index = match self.profiles.iter().position(|p| p == work) {
             Some(index) => index,
             None => {
@@ -348,7 +377,12 @@ impl ShareMemo {
                 self.profiles.len() - 1
             }
         };
-        index as u32
+        ProfileId(index as u32)
+    }
+
+    /// The profile interned as `id`.
+    fn profile(&self, id: ProfileId) -> &WorkProfile {
+        &self.profiles[id.0 as usize]
     }
 
     /// The id of share `m_eff`, or [`NO_SHARE`] when no kernel of the
@@ -384,8 +418,8 @@ impl ShareMemo {
     }
 
     /// The entry of `profile` at `share`, filled on first use.
-    fn entry(&mut self, profile: u32, share: u32) -> MemoEntry {
-        let i = profile as usize * self.shares.len() + share as usize;
+    fn entry(&mut self, profile: ProfileId, share: u32) -> MemoEntry {
+        let i = profile.0 as usize * self.shares.len() + share as usize;
         let entry = self.entries[i];
         if entry.duration_ns.is_nan() {
             let fresh = self.fresh(profile, share);
@@ -401,8 +435,8 @@ impl ShareMemo {
     }
 
     /// The entry of `profile` at `share`, computed without the memo.
-    fn fresh(&self, profile: u32, share: u32) -> MemoEntry {
-        let work = &self.profiles[profile as usize];
+    fn fresh(&self, profile: ProfileId, share: u32) -> MemoEntry {
+        let work = self.profile(profile);
         let t = work.duration_ns_at(&self.model, self.shares[share as usize]);
         // `WorkProfile::effective_speedup` without computing `t` twice.
         let eff_speedup = if t <= 0.0 || !t.is_finite() {
@@ -560,17 +594,19 @@ pub struct GpuEngine {
     /// Events already produced but not yet returned (simultaneous
     /// completions split by [`GpuEngine::run_next`]), oldest first.
     pending: VecDeque<DeviceEvent>,
+    /// Set by a submit or retirement: the re-flow is due (module docs).
+    reflow_due: bool,
     /// Total occupancy demanded by the resident kernels, in
-    /// SM-equivalents, as of the last re-flow (a kernel at speedup `s`
+    /// SM-equivalents, as of the last pass 1 (a kernel at speedup `s`
     /// keeps `s` SMs' worth of throughput busy — the rest of its
     /// allocation idles and is up for grabs, which is what makes
     /// over-subscription profitable; see [`ContentionModel`]).
     occupancy: f64,
-    /// The contention factor of the last re-flow, which every clean
+    /// The contention factor of the last pass 2, which every clean
     /// kernel's `rate` was divided from.
     factor: f64,
     /// The next completion instant (ns, infinite when idle) as of the
-    /// last re-flow or scan; `None` once time moved (module docs).
+    /// last pass 2 or scan; `None` once time moved (module docs).
     next_completion_ns: Option<f64>,
     /// Retirement scratch: kernels finishing at the current instant.
     retired: Vec<RunningKernel>,
@@ -645,7 +681,7 @@ impl GpuEngineBuilder {
                 c
             })
             .collect();
-        let mut engine = GpuEngine {
+        GpuEngine {
             spec: self.spec,
             memo: ShareMemo::new(self.speedup, &mut contexts),
             contention: self.contention,
@@ -663,13 +699,12 @@ impl GpuEngineBuilder {
             },
             completed_count: 0,
             pending: VecDeque::new(),
+            reflow_due: true,
             occupancy: 0.0,
             factor: f64::NAN,
             next_completion_ns: None,
             retired: Vec::new(),
-        };
-        engine.recompute_rates();
-        engine
+        }
     }
 }
 
@@ -733,30 +768,60 @@ impl GpuEngine {
         }
     }
 
-    /// The stream a running kernel occupies, or `None` once it finished.
-    #[must_use]
-    pub fn stream_of(&self, kernel: KernelHandle) -> Option<StreamId> {
-        // Most lookups are for the kernel just submitted, at the back.
-        self.running
-            .iter()
-            .rev()
-            .find(|k| k.handle == kernel)
-            .map(|k| k.stream)
+    /// Enters `work` into the engine's profile table and returns its id:
+    /// the same id for every profile equal to it (module docs). A
+    /// scheduler that submits the same work over and over interns it once
+    /// and submits by id ([`GpuEngine::submit_profile`]).
+    pub fn intern(&mut self, work: &WorkProfile) -> ProfileId {
+        self.memo.intern(work)
     }
 
-    /// Submits a kernel to an idle stream of `class` in context `ctx`.
+    /// Submits a kernel to an idle stream of `class` in context `ctx`:
+    /// [`GpuEngine::submit_profile`] with the descriptor's profile,
+    /// interned, and its overhead and label.
     ///
     /// # Errors
     ///
-    /// * [`GpuSimError::UnknownContext`] if `ctx` is out of range.
-    /// * [`GpuSimError::NoIdleStream`] if every stream of that class is
-    ///   busy — schedulers must check [`GpuEngine::snapshot`] first.
+    /// As [`GpuEngine::submit_profile`].
     pub fn submit(
         &mut self,
         ctx: ContextId,
         class: StreamClass,
         desc: KernelDesc,
     ) -> Result<KernelHandle, GpuSimError> {
+        let profile = self.intern(&desc.work);
+        self.submit_profile(ctx, class, profile, desc.extra_ns, &desc.label)
+            .map(|(handle, _)| handle)
+    }
+
+    /// Submits a kernel of the interned `profile` to an idle stream of
+    /// `class` in context `ctx`, with `extra_ns` of fixed serial overhead
+    /// (see [`KernelDesc::extra_ns`]) and a trace `label`, read only when
+    /// tracing is on. Returns the kernel's handle and the stream it took.
+    ///
+    /// A kernel that would take no time, with empty work and neither
+    /// launch overhead nor `extra_ns`, is rejected rather than completed
+    /// at its submit instant: its rate would be infinite, and the engine
+    /// would report a completion due *now* forever.
+    ///
+    /// # Errors
+    ///
+    /// * [`GpuSimError::UnknownContext`] if `ctx` is out of range.
+    /// * [`GpuSimError::NoIdleStream`] if every stream of that class is
+    ///   busy — schedulers must check [`GpuEngine::snapshot`] first.
+    /// * [`GpuSimError::ZeroTimeKernel`] if the kernel would take no time.
+    ///
+    /// # Panics
+    ///
+    /// May panic if `profile` was interned by another engine.
+    pub fn submit_profile(
+        &mut self,
+        ctx: ContextId,
+        class: StreamClass,
+        profile: ProfileId,
+        extra_ns: f64,
+        label: &str,
+    ) -> Result<(KernelHandle, StreamId), GpuSimError> {
         let state = self
             .contexts
             .get(ctx.0)
@@ -767,15 +832,16 @@ impl GpuEngine {
                 context: ctx.0,
                 class,
             })?;
+        let overhead_ns = self.spec.launch_overhead_ns as f64 + extra_ns;
+        if (overhead_ns.is_nan() || overhead_ns <= 0.0) && self.memo.profile(profile).is_empty() {
+            return Err(GpuSimError::ZeroTimeKernel { context: ctx.0 });
+        }
 
-        // Progress everyone to `now` under the old rates before the
-        // resident set changes.
-        self.progress_to(self.now);
-
-        let handle = KernelHandle(self.next_handle);
-        self.next_handle += 1;
-
-        // Jitter depends on the overcommit level at submit time.
+        // Jitter depends on the overcommit level at submit time: bring the
+        // occupancy up to the resident set as it stands (module docs).
+        if self.reflow_due {
+            self.reshare();
+        }
         debug_assert_eq!(
             self.occupancy.to_bits(),
             self.fresh_occupancy().to_bits(),
@@ -790,23 +856,25 @@ impl GpuEngine {
             1.0
         };
 
+        let handle = KernelHandle(self.next_handle);
+        self.next_handle += 1;
         self.contexts[ctx.0].occupy(&mut self.streams, slot, class);
         let stream = StreamId {
             context: ctx,
             index: slot,
         };
         if let Some(trace) = &mut self.trace {
-            trace.begin(handle, &desc.label, ctx, stream, self.now);
+            trace.begin(handle, label, ctx, stream, self.now);
         }
-        // The re-flow below gives the kernel its share: its context is
+        // The next re-flow gives the kernel its share: its context is
         // marked, and no share id equals `NO_SHARE`.
         self.running.push(RunningKernel {
             handle,
             stream,
             class,
-            profile: self.memo.intern(&desc.work),
+            profile,
             share: NO_SHARE,
-            extra_ns: desc.extra_ns,
+            extra_ns,
             jitter,
             remaining: 1.0,
             rate: 0.0,
@@ -815,8 +883,8 @@ impl GpuEngine {
             denom_ns: f64::NAN,
             rate_stale: true,
         });
-        self.recompute_rates();
-        Ok(handle)
+        self.reflow_due = true;
+        Ok((handle, stream))
     }
 
     /// The instant of the next kernel completion, if any kernel is running.
@@ -895,7 +963,8 @@ impl GpuEngine {
 
     /// Advances to `t` (no-op unless `t` is later than now), retiring
     /// kernels as they finish and appending their events to `out`.
-    /// Simultaneous completions come out in handle order.
+    /// Simultaneous completions come out in handle order. A retirement at
+    /// `t` returns at once and leaves the re-flow due (module docs).
     fn complete_until<E: Extend<DeviceEvent>>(&mut self, t: SimTime, out: &mut E) {
         if t <= self.now {
             return;
@@ -935,7 +1004,10 @@ impl GpuEngine {
                     finished_at: self.now,
                 }));
             }
-            self.recompute_rates();
+            self.reflow_due = true;
+            if self.now == t {
+                return;
+            }
         }
     }
 
@@ -964,15 +1036,19 @@ impl GpuEngine {
         self.running
             .iter()
             .map(|k| {
-                let work = &self.memo.profiles[k.profile as usize];
+                let work = self.memo.profile(k.profile);
                 work.effective_speedup(&self.memo.model, self.fresh_m_eff(k))
             })
             .sum()
     }
 
-    /// The next completion instant (ns; infinite when nothing runs), from
-    /// the cache unless time moved since the last re-flow or scan.
+    /// The next completion instant (ns; infinite when nothing runs), after
+    /// a due re-flow; from the cache unless time moved since the last
+    /// re-flow or scan.
     fn next_completion_ns(&mut self) -> f64 {
+        if self.reflow_due {
+            self.reflow();
+        }
         if let Some(ns) = self.next_completion_ns {
             debug_assert_eq!(
                 ns.to_bits(),
@@ -1019,10 +1095,10 @@ impl GpuEngine {
         }
     }
 
-    /// Re-derives the rates after a submit or retirement, working only
-    /// where the resident set changed, and caches the next completion
-    /// (module docs). Must be called after any submit/retire.
-    fn recompute_rates(&mut self) {
+    /// Pass 1 of the re-flow: gives the marked contexts their share ids,
+    /// reshares the kernels whose share moved and sums the occupancy
+    /// (module docs).
+    fn reshare(&mut self) {
         let launch_ns = self.spec.launch_overhead_ns as f64;
         let Self {
             contexts,
@@ -1045,11 +1121,17 @@ impl GpuEngine {
             }
             occupancy += k.eff_speedup;
         }
+        self.occupancy = occupancy;
+    }
+
+    /// The due re-flow: pass 1, then pass 2, which re-derives the stale
+    /// rates and caches the next completion (module docs).
+    fn reflow(&mut self) {
+        self.reshare();
         let factor = self
             .contention
-            .rate_factor(occupancy, f64::from(self.spec.total_sms));
+            .rate_factor(self.occupancy, f64::from(self.spec.total_sms));
         let factor_moved = factor.to_bits() != self.factor.to_bits();
-        self.occupancy = occupancy;
         self.factor = factor;
         let mut next = f64::INFINITY;
         for k in &mut self.running {
@@ -1064,6 +1146,7 @@ impl GpuEngine {
             next = next.min(k.completion_ns(self.last_reflow_ns));
         }
         self.next_completion_ns = Some(next);
+        self.reflow_due = false;
     }
 }
 
@@ -1373,34 +1456,50 @@ mod tests {
         assert!(err <= 2, "extra 0.5ms expected, got {diff}");
     }
 
+    /// Settles `e`'s re-flow the way a scheduler does, by asking for the
+    /// next completion.
+    fn settle(e: &mut GpuEngine) {
+        let _ = e.next_event_time();
+        assert!(
+            !e.reflow_due,
+            "a next-completion query runs the due re-flow"
+        );
+    }
+
     #[test]
     fn cached_occupancy_matches_a_fresh_recompute_after_every_step() {
         let mut e = GpuEngine::builder(quiet_spec())
             .context(ContextConfig::new(68))
             .context(ContextConfig::new(34))
             .build();
-        let check = |e: &GpuEngine| {
+        // Before the engine settles, a stale occupancy must be marked due;
+        // once settled, it must be fresh.
+        let check = |e: &mut GpuEngine| {
+            let fresh = e.occupancy.to_bits() == e.fresh_occupancy().to_bits();
+            assert!(fresh || e.reflow_due, "stale occupancy with no re-flow due");
+            settle(e);
             assert_eq!(e.occupancy.to_bits(), e.fresh_occupancy().to_bits());
         };
-        check(&e);
+        check(&mut e);
         let classes = [StreamClass::High, StreamClass::Low, StreamClass::High];
         for (i, class) in classes.into_iter().enumerate() {
             for ctx in 0..2 {
                 let work = 1e5 * (1 + i + ctx) as f64;
                 e.submit(ContextId(ctx), class, conv_kernel(work)).unwrap();
-                check(&e);
+                check(&mut e);
             }
         }
         assert!(e.occupancy > 0.0);
         while e.run_next().is_some() {
-            check(&e);
+            check(&mut e);
         }
         assert_eq!(e.occupancy, 0.0, "an idle device demands nothing");
     }
 
     /// Every incremental cache against a from-scratch recompute: the
-    /// per-context busy counts (via `snapshot`), the cached next completion
-    /// and every kernel's rate.
+    /// per-context busy counts (via `snapshot`), and, unless the re-flow
+    /// is due, the cached occupancy, the cached next completion and every
+    /// kernel's rate. A stale cache with no re-flow due fails.
     fn assert_bookkeeping_is_fresh(e: &GpuEngine, step: usize) {
         for (i, c) in e.contexts.iter().enumerate() {
             let slots = c.slots(&e.streams);
@@ -1414,6 +1513,14 @@ mod tests {
             };
             assert_eq!(e.snapshot(ContextId(i)), scanned, "step {step} ctx {i}");
         }
+        if e.reflow_due {
+            return;
+        }
+        assert_eq!(
+            e.occupancy.to_bits(),
+            e.fresh_occupancy().to_bits(),
+            "step {step}: stale occupancy"
+        );
         if let Some(ns) = e.next_completion_ns {
             assert_eq!(
                 ns.to_bits(),
@@ -1425,7 +1532,7 @@ mod tests {
             .contention
             .rate_factor(e.fresh_occupancy(), f64::from(e.spec.total_sms));
         for k in &e.running {
-            let work = &e.memo.profiles[k.profile as usize];
+            let work = e.memo.profile(k.profile);
             let denom = e.spec.launch_overhead_ns as f64
                 + k.extra_ns
                 + work.duration_ns_at(e.speedup_model(), e.fresh_m_eff(k)) * k.jitter;
@@ -1513,9 +1620,9 @@ mod tests {
         let mut contended = 0;
         let (submits, completions) = drive(&mut e, 0x5eed, 2_000, work, |e, step, _| {
             assert_bookkeeping_is_fresh(e, step);
-            // Fill the next-completion cache, so a mutation that forgets
-            // to drop it is caught at the next step.
-            let _ = e.next_event_time();
+            // Settle, which also fills the next-completion cache, so a
+            // mutation that forgets to drop it is caught at the next step.
+            settle(e);
             assert_bookkeeping_is_fresh(e, step);
             contended += usize::from(e.factor < 1.0);
         });
@@ -1526,19 +1633,20 @@ mod tests {
         );
     }
 
-    /// The share memo against a from-scratch compute: every context's
-    /// share ids are those of its kernels' fresh `m_eff`, the shares are
+    /// The share memo against a from-scratch compute: the shares are
     /// distinct by bits, every filled entry holds its profile's duration
     /// and effective speedup at its share, and every running kernel has
-    /// the profile it was submitted with and the duration and occupancy
-    /// term of its fresh `m_eff`.
+    /// the profile it was submitted with. Unless the re-flow is due, also
+    /// every context's share ids are those of its kernels' fresh `m_eff`,
+    /// and every running kernel has the duration and occupancy term of
+    /// its fresh `m_eff`.
     fn assert_memo_is_fresh(
         e: &GpuEngine,
         submitted: &HashMap<KernelHandle, WorkProfile>,
         step: usize,
     ) {
         let memo = &e.memo;
-        for (i, c) in e.contexts.iter().enumerate() {
+        for (i, c) in e.contexts.iter().enumerate().filter(|_| !e.reflow_due) {
             let ctx = ContextId(i);
             let resident = |class| {
                 let on = |k: &&RunningKernel| k.stream.context == ctx && k.class == class;
@@ -1579,9 +1687,12 @@ mod tests {
             }
         }
         for k in &e.running {
-            let work = &memo.profiles[k.profile as usize];
+            let work = memo.profile(k.profile);
             assert_eq!(work, &submitted[&k.handle], "step {step}: {:?}", k.handle);
-            let entry = memo.entries[k.profile as usize * n + k.share as usize];
+            if e.reflow_due {
+                continue;
+            }
+            let entry = memo.entries[k.profile.0 as usize * n + k.share as usize];
             assert_eq!(
                 (entry.duration_ns.to_bits(), k.eff_speedup.to_bits()),
                 bits(work, e.fresh_m_eff(k)),
@@ -1640,9 +1751,12 @@ mod tests {
             let mut hits = 0;
             let (submits, completions) = drive(&mut e, seed, 1_500, work, |e, step, new| {
                 submitted.extend(new);
+                assert_memo_is_fresh(e, &submitted, step);
+                assert_bookkeeping_is_fresh(e, step);
+                settle(e);
                 let n = e.memo.shares.len();
                 for k in &e.running {
-                    let entry = k.profile as usize * n + k.share as usize;
+                    let entry = k.profile.0 as usize * n + k.share as usize;
                     if shares.get(&k.handle) != Some(&k.share) && filled.get(entry) == Some(&true) {
                         hits += 1;
                     }
@@ -1711,9 +1825,14 @@ mod tests {
                 .map(|k| e.memo.shares[k.share as usize])
                 .collect()
         };
+        // The keys are stale until the engine settles, and marked so.
+        assert!(e.reflow_due);
+        settle(&mut e);
         let (ctx0, ctx1) = (keys(&e, 0), keys(&e, 1));
         e.submit(ContextId(1), StreamClass::High, conv_kernel(4e6))
             .unwrap();
+        assert!(e.reflow_due);
+        settle(&mut e);
         // The context-0 kernels kept their keys, so the re-flow skipped
         // their durations; the resident context-1 kernel's share halved.
         assert_eq!(keys(&e, 0), ctx0);
@@ -1730,5 +1849,181 @@ mod tests {
             e.run_next().unwrap();
         }
         assert_eq!(e.completed_count(), 3);
+    }
+
+    #[test]
+    fn a_zero_time_kernel_is_rejected_and_the_engine_drains() {
+        let mut e = GpuEngine::builder(quiet_spec())
+            .context(ContextConfig::new(68))
+            .build();
+        let err = e
+            .submit(
+                ContextId(0),
+                StreamClass::High,
+                KernelDesc::new("z", WorkProfile::new()),
+            )
+            .unwrap_err();
+        assert_eq!(err, GpuSimError::ZeroTimeKernel { context: 0 });
+        let id = e.intern(&WorkProfile::new());
+        let err = e
+            .submit_profile(ContextId(0), StreamClass::Low, id, 0.0, "z")
+            .unwrap_err();
+        assert_eq!(err, GpuSimError::ZeroTimeKernel { context: 0 });
+        assert_eq!(e.next_event_time(), None);
+        assert!(e.drain().is_empty());
+        // Overhead alone takes time: empty work with extra overhead, or
+        // under a launch overhead, runs for exactly that long.
+        e.submit_profile(ContextId(0), StreamClass::High, id, 1_000.0, "x")
+            .unwrap();
+        let done = e.drain();
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].finished_at, SimTime::from_nanos(1_000));
+        let mut launched = GpuEngine::builder(GpuSpec::rtx_2080_ti().with_launch_overhead_ns(700))
+            .contention_model(ContentionModel::ideal())
+            .context(ContextConfig::new(68))
+            .build();
+        launched
+            .submit(
+                ContextId(0),
+                StreamClass::High,
+                KernelDesc::new("l", WorkProfile::new()),
+            )
+            .unwrap();
+        assert_eq!(launched.drain()[0].finished_at, SimTime::from_nanos(700));
+    }
+
+    /// How [`burst_run`] submits.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Submit {
+        /// Through [`GpuEngine::submit`], interning on first submit.
+        Desc,
+        /// Through [`GpuEngine::submit_profile`], every profile interned
+        /// up front.
+        Id,
+    }
+
+    /// Drives a 2× pool of three contexts through `steps` seeded steps:
+    /// a burst of 1–4 submits at the current instant, each where a stream
+    /// of the drawn class is idle, then a run to the next completion or a
+    /// move of up to 10 µs. `eager` asks for the next completion after
+    /// every submit and every move, which runs each re-flow as soon as it
+    /// is due. Returns every event and the bursts of two or more submits.
+    fn burst_run(seed: u64, steps: usize, via: Submit, eager: bool) -> (Vec<DeviceEvent>, usize) {
+        let mut e = GpuEngine::builder(GpuSpec::rtx_2080_ti())
+            .seed(seed)
+            .context(ContextConfig::new(46))
+            .context(ContextConfig::new(45))
+            .context(ContextConfig::new(45))
+            .build();
+        let mut mixed = WorkProfile::single(OpClass::Convolution, 3e5);
+        mixed.add(OpClass::Activation, 4e4);
+        let profiles = [
+            WorkProfile::single(OpClass::Convolution, 2e5),
+            mixed,
+            WorkProfile::single(OpClass::MaxPool, 1e5),
+            WorkProfile::single(OpClass::BatchNorm, 5e4),
+        ];
+        // By descriptor, the table fills in first-submit order instead.
+        let ids: Vec<ProfileId> = match via {
+            Submit::Id => profiles.iter().map(|p| e.intern(p)).collect(),
+            Submit::Desc => Vec::new(),
+        };
+        let mut lcg = seed;
+        let mut draw = || {
+            lcg = lcg
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (lcg >> 33) as usize
+        };
+        let (mut events, mut bursts) = (Vec::new(), 0);
+        let mut streams = HashMap::new();
+        for _ in 0..steps {
+            let r = draw();
+            let mut submits = 0;
+            for _ in 0..=r % 4 {
+                let r = draw();
+                let ctx = ContextId(r % 3);
+                let (class, idle) = match e.snapshot(ctx) {
+                    s if (r / 3).is_multiple_of(2) => (StreamClass::High, s.idle_high),
+                    s => (StreamClass::Low, s.idle_low),
+                };
+                if idle == 0 {
+                    continue;
+                }
+                let p = r / 6 % profiles.len();
+                let extra_ns = if (r / 24).is_multiple_of(3) { 1e4 } else { 0.0 };
+                let handle = match via {
+                    Submit::Desc => {
+                        let desc = KernelDesc::new("k", profiles[p]).with_extra_ns(extra_ns);
+                        e.submit(ctx, class, desc).unwrap()
+                    }
+                    Submit::Id => {
+                        let (handle, stream) =
+                            e.submit_profile(ctx, class, ids[p], extra_ns, "k").unwrap();
+                        streams.insert(handle, stream);
+                        handle
+                    }
+                };
+                assert_eq!(handle, KernelHandle(e.next_handle - 1));
+                submits += 1;
+                if eager {
+                    settle(&mut e);
+                }
+            }
+            bursts += usize::from(submits >= 2);
+            if (r / 4).is_multiple_of(3) {
+                let to = SimTime::from_nanos(e.now().as_nanos() + 1 + (r / 12 % 9_973) as u64);
+                e.advance_into(to, &mut events);
+            } else {
+                events.extend(e.run_next());
+            }
+            if eager {
+                settle(&mut e);
+            }
+        }
+        events.extend(e.drain());
+        for ev in events.iter().filter(|_| via == Submit::Id) {
+            assert_eq!(ev.stream, streams[&ev.kernel], "{:?}", ev.kernel);
+        }
+        (events, bursts)
+    }
+
+    /// `a` and `b` event for event, bit for bit.
+    fn assert_same_events(a: &[DeviceEvent], b: &[DeviceEvent], what: &str) {
+        if let Some(i) = (0..a.len().max(b.len())).find(|&i| a.get(i) != b.get(i)) {
+            panic!(
+                "{what}: event {i} differs: {:?} vs {:?}",
+                a.get(i),
+                b.get(i)
+            );
+        }
+    }
+
+    #[test]
+    fn lazy_reflow_matches_an_eager_reflow_event_for_event() {
+        for seed in [0x1a2e_u64, 0xbee5, 0x0dd5] {
+            let (lazy, bursts) = burst_run(seed, 1_500, Submit::Id, false);
+            let (eager, _) = burst_run(seed, 1_500, Submit::Id, true);
+            assert_same_events(&lazy, &eager, &format!("seed {seed:#x}"));
+            assert!(
+                lazy.len() > 1_000 && bursts > 200,
+                "too little exercised: {} events, {bursts} bursts",
+                lazy.len()
+            );
+        }
+    }
+
+    #[test]
+    fn submit_by_profile_id_matches_submit_by_desc() {
+        for seed in [0x1d5_u64, 0xde5c] {
+            let (by_id, bursts) = burst_run(seed, 1_500, Submit::Id, false);
+            let (by_desc, _) = burst_run(seed, 1_500, Submit::Desc, false);
+            assert_same_events(&by_id, &by_desc, &format!("seed {seed:#x}"));
+            assert!(
+                by_id.len() > 1_000 && bursts > 200,
+                "too little exercised: {} events, {bursts} bursts",
+                by_id.len()
+            );
+        }
     }
 }

@@ -19,6 +19,12 @@ pub enum GpuSimError {
         /// The requested stream class.
         class: StreamClass,
     },
+    /// The kernel would take no time: its work is empty and it has
+    /// neither launch overhead nor extra overhead.
+    ZeroTimeKernel {
+        /// The context index.
+        context: usize,
+    },
 }
 
 impl fmt::Display for GpuSimError {
@@ -29,6 +35,12 @@ impl fmt::Display for GpuSimError {
             }
             GpuSimError::NoIdleStream { context, class } => {
                 write!(f, "no idle {class}-priority stream in context {context}")
+            }
+            GpuSimError::ZeroTimeKernel { context } => {
+                write!(
+                    f,
+                    "kernel for context {context} would take no time: empty work, no overhead"
+                )
             }
         }
     }

@@ -10,7 +10,9 @@
 //!   curves fitted to the paper's Figure 1 (convolution 32×, max-pool 14×,
 //!   every other op ≤ 7× at 68 SMs).
 //! * [`WorkProfile`] / [`KernelDesc`] — the unit of device work: a stage's
-//!   mix of operation classes with per-class single-SM execution time.
+//!   mix of operation classes with per-class single-SM execution time. A
+//!   scheduler that submits the same work over and over interns it once
+//!   and submits by [`ProfileId`].
 //! * [`GpuEngine`] — the discrete-event engine: contexts with SM
 //!   allocations, prioritised stream slots, weighted processor sharing
 //!   within a context, and a global contention model when the context pool
@@ -52,7 +54,7 @@ mod trace;
 pub use contention::ContentionModel;
 pub use engine::{
     ContextConfig, ContextId, ContextSnapshot, DeviceEvent, GpuEngine, GpuEngineBuilder,
-    KernelHandle, StreamClass, StreamId, DEFAULT_SEED,
+    KernelHandle, ProfileId, StreamClass, StreamId, DEFAULT_SEED,
 };
 pub use error::GpuSimError;
 pub use kernel::{KernelDesc, WorkProfile, WorkSegment};
