@@ -9,9 +9,7 @@ use sgprs_gpu_sim::{
     ContentionModel, ContextConfig, ContextId, GpuEngine, GpuSpec, KernelDesc, OpClass,
     StreamClass, WorkProfile,
 };
-use sgprs_rt::{
-    EdfQueue, PriorityBands, PriorityLevel, ReleaseTemplate, SimDuration, SimTime, TaskId,
-};
+use sgprs_rt::{EdfQueue, PriorityBands, PriorityLevel, ReleaseTemplate, SimDuration, SimTime};
 use std::hint::black_box;
 
 fn bench_queues(c: &mut Criterion) {
@@ -62,7 +60,7 @@ fn bench_release(c: &mut Criterion) {
     .expect("six stages");
     let template = ReleaseTemplate::new(&task.spec);
     c.bench_function("hot/job_release_with_deadlines", |b| {
-        b.iter(|| black_box(template.release(TaskId(0), 0, SimTime::from_nanos(12345), Vec::new())))
+        b.iter(|| black_box(template.release(0, SimTime::from_nanos(12345), Vec::new())))
     });
     c.bench_function("hot/offline_compile_resnet18_6_stages", |b| {
         b.iter(|| {

@@ -13,11 +13,11 @@ use std::sync::Arc;
 /// former carries the real-time view (WCET `Ci^j`, virtual deadline `Di^j`,
 /// offline priority), the latter the device view (operation mix).
 ///
-/// The release template (stage deadline offsets, offline priorities,
-/// sources, successor lists) is built once by the offline phase, so
-/// attaching the task to a scheduler copies and sorts nothing. It is
-/// derived from `spec`'s deadline and stages: renaming or re-phasing the
-/// task keeps it valid, editing its timing or edges does not (schedulers
+/// The release template (stage deadline offsets, sources, successor
+/// lists) is built once by the offline phase, so attaching the task to a
+/// scheduler copies and sorts nothing. It is derived from `spec`'s
+/// deadline and stages: renaming, re-phasing or re-prioritising the task
+/// keeps it valid, editing its timing or edges does not (schedulers
 /// check [`ReleaseTemplate::fits`] in debug builds).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CompiledTask {
@@ -51,7 +51,7 @@ impl CompiledTask {
     }
 
     /// What every release of the task shares: stage deadline offsets,
-    /// offline priorities, sources and successor lists (§IV-B1).
+    /// sources and successor lists (§IV-B1).
     #[must_use]
     pub fn template(&self) -> &ReleaseTemplate {
         &self.template

@@ -95,8 +95,7 @@ pub fn compile_stages(
         .period(period)
         .deadline(period);
     for (j, stage) in stages.iter().enumerate() {
-        let mut spec = StageSpec::new(stage.name.clone(), wcets[j])
-            .with_work(stage.profile.total_single_sm_ns());
+        let mut spec = StageSpec::new(stage.name.clone(), wcets[j]);
         if j > 0 {
             spec.predecessors = vec![j - 1];
         }

@@ -43,7 +43,7 @@ use crate::{CompiledTask, QueueOrder, RunMetrics, SgprsConfig};
 use sgprs_gpu_sim::{
     ContextId, DeviceEvent, GpuEngine, KernelHandle, ProfileId, StreamClass, StreamId,
 };
-use sgprs_rt::{Job, PriorityBands, PriorityLevel, SimTime, StageInstance, TaskId};
+use sgprs_rt::{Job, PriorityBands, PriorityLevel, SimTime, StageInstance};
 use std::sync::Arc;
 
 /// Identifies one stage instance of one released job.
@@ -87,28 +87,23 @@ struct TaskSlot {
 impl TaskSlot {
     /// The job in flight, if it is job `index`.
     fn get(&self, index: u64) -> Option<&Job> {
-        self.job.as_ref().filter(|j| j.id.release_index == index)
+        self.job.as_ref().filter(|j| j.release_index == index)
     }
 
-    /// Releases job `index` of slot `slot` at `release` into the idle
-    /// slot.
-    fn release(&mut self, slot: usize, index: u64, release: SimTime) {
+    /// Releases job `index` at `release` into the idle slot.
+    fn release(&mut self, index: u64, release: SimTime) {
         debug_assert!(
             self.job.is_none(),
             "invariant: a task has at most one job in flight"
         );
         let storage = std::mem::take(&mut self.spare);
-        let job = self
-            .task
-            .template()
-            .release(TaskId(slot), index, release, storage);
-        self.job = Some(job);
+        self.job = Some(self.task.template().release(index, release, storage));
     }
 
     /// Drops finished job `index`, keeping its stage storage; `false`
     /// when it is not the job in flight.
     fn retire(&mut self, index: u64) -> bool {
-        let Some(job) = self.job.take_if(|j| j.id.release_index == index) else {
+        let Some(job) = self.job.take_if(|j| j.release_index == index) else {
             return false;
         };
         self.spare = job.stages;
@@ -351,7 +346,7 @@ impl Policy for Sgprs {
     /// Admits a job of `task_idx` released (or grabbed) at `release`
     /// (§IV-B1: absolute stage deadlines are stamped at release).
     fn admit(&mut self, task_idx: usize, index: u64, release: SimTime) {
-        self.slots[task_idx].release(task_idx, index, release);
+        self.slots[task_idx].release(index, release);
         self.live_jobs += 1;
         // Source stages are immediately ready: assign contexts now.
         for i in 0..self.slots[task_idx].task.template().sources().len() {
@@ -385,7 +380,7 @@ impl Policy for Sgprs {
         let TaskSlot { task, job, .. } = &mut self.slots[sref.task];
         let Some(job) = job
             .as_mut()
-            .filter(|j| j.id.release_index == sref.release_index)
+            .filter(|j| j.release_index == sref.release_index)
         else {
             return;
         };

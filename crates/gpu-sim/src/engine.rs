@@ -586,7 +586,6 @@ pub struct GpuEngine {
     streams: Vec<bool>,
     running: Vec<RunningKernel>,
     now: SimTime,
-    last_reflow_ns: f64,
     next_handle: u64,
     rng: SmallRng,
     trace: Option<TraceRecorder>,
@@ -689,7 +688,6 @@ impl GpuEngineBuilder {
             streams: vec![false; first_stream],
             running: Vec::new(),
             now: SimTime::ZERO,
-            last_reflow_ns: 0.0,
             next_handle: 0,
             rng: SmallRng::seed_from_u64(self.seed),
             trace: if self.trace {
@@ -799,6 +797,11 @@ impl GpuEngine {
     /// (see [`KernelDesc::extra_ns`]) and a trace `label`, read only when
     /// tracing is on. Returns the kernel's handle and the stream it took.
     ///
+    /// A negative or NaN `extra_ns` counts as zero, as in
+    /// [`KernelDesc::with_extra_ns`]: the field is public, and a negative
+    /// overhead would give the kernel an infinite rate that never retires
+    /// it.
+    ///
     /// A kernel that would take no time, with empty work and neither
     /// launch overhead nor `extra_ns`, is rejected rather than completed
     /// at its submit instant: its rate would be infinite, and the engine
@@ -822,6 +825,7 @@ impl GpuEngine {
         extra_ns: f64,
         label: &str,
     ) -> Result<(KernelHandle, StreamId), GpuSimError> {
+        let extra_ns = extra_ns.max(0.0);
         let state = self
             .contexts
             .get(ctx.0)
@@ -833,7 +837,7 @@ impl GpuEngine {
                 class,
             })?;
         let overhead_ns = self.spec.launch_overhead_ns as f64 + extra_ns;
-        if (overhead_ns.is_nan() || overhead_ns <= 0.0) && self.memo.profile(profile).is_empty() {
+        if overhead_ns <= 0.0 && self.memo.profile(profile).is_empty() {
             return Err(GpuSimError::ZeroTimeKernel { context: ctx.0 });
         }
 
@@ -1066,33 +1070,28 @@ impl GpuEngine {
     fn fresh_next_completion_ns(&self) -> f64 {
         self.running
             .iter()
-            .map(|k| k.completion_ns(self.last_reflow_ns))
+            .map(|k| k.completion_ns(self.now.as_nanos() as f64))
             .fold(f64::INFINITY, f64::min)
     }
 
     /// Moves all running kernels' progress forward to instant `t` under the
     /// currently set rates and updates busy-time accounting.
     fn progress_to(&mut self, t: SimTime) {
-        let t_ns = t.as_nanos() as f64;
-        let dt = t_ns - self.last_reflow_ns;
-        if dt > 0.0 {
-            for k in &mut self.running {
-                k.remaining = (k.remaining - k.rate * dt).max(0.0);
+        if t <= self.now {
+            return;
+        }
+        let dt = t.as_nanos() as f64 - self.now.as_nanos() as f64;
+        for k in &mut self.running {
+            k.remaining = (k.remaining - k.rate * dt).max(0.0);
+        }
+        for c in &mut self.contexts {
+            if c.resident() > 0 {
+                c.busy_ns += dt;
             }
-            for c in &mut self.contexts {
-                if c.resident() > 0 {
-                    c.busy_ns += dt;
-                }
-            }
         }
-        if t_ns != self.last_reflow_ns {
-            // Completion instants are relative to the reference instant.
-            self.next_completion_ns = None;
-        }
-        self.last_reflow_ns = t_ns;
-        if t > self.now {
-            self.now = t;
-        }
+        // Completion instants are relative to now.
+        self.next_completion_ns = None;
+        self.now = t;
     }
 
     /// Pass 1 of the re-flow: gives the marked contexts their share ids,
@@ -1133,6 +1132,7 @@ impl GpuEngine {
             .rate_factor(self.occupancy, f64::from(self.spec.total_sms));
         let factor_moved = factor.to_bits() != self.factor.to_bits();
         self.factor = factor;
+        let now_ns = self.now.as_nanos() as f64;
         let mut next = f64::INFINITY;
         for k in &mut self.running {
             if factor_moved || k.rate_stale {
@@ -1143,7 +1143,7 @@ impl GpuEngine {
                 };
                 k.rate_stale = false;
             }
-            next = next.min(k.completion_ns(self.last_reflow_ns));
+            next = next.min(k.completion_ns(now_ns));
         }
         self.next_completion_ns = Some(next);
         self.reflow_due = false;
@@ -1890,6 +1890,33 @@ mod tests {
             )
             .unwrap();
         assert_eq!(launched.drain()[0].finished_at, SimTime::from_nanos(700));
+    }
+
+    #[test]
+    fn a_negative_extra_overhead_counts_as_zero_and_the_kernel_completes() {
+        let engine = || {
+            GpuEngine::builder(GpuSpec::rtx_2080_ti().with_launch_overhead_ns(700))
+                .contention_model(ContentionModel::ideal())
+                .context(ContextConfig::new(68))
+                .build()
+        };
+        let expected = isolated(&engine(), 0, &conv_kernel(1e6));
+        for extra_ns in [0.0, -1.0, -1e9, f64::NAN] {
+            let mut e = engine();
+            let mut desc = conv_kernel(1e6);
+            desc.extra_ns = extra_ns;
+            e.submit(ContextId(0), StreamClass::High, desc).unwrap();
+            // Steps at most twice, so a kernel that never retires fails the
+            // test instead of hanging it.
+            let done: Vec<_> = std::iter::from_fn(|| e.run_next()).take(2).collect();
+            assert_eq!(done.len(), 1, "extra_ns {extra_ns}");
+            let got = done[0].finished_at.duration_since(done[0].submitted_at);
+            let diff = got.as_nanos().abs_diff(expected.as_nanos());
+            assert!(
+                diff <= 2,
+                "extra_ns {extra_ns}: expected {expected}, got {got}"
+            );
+        }
     }
 
     /// How [`burst_run`] submits.

@@ -6,88 +6,35 @@
 //! offline virtual relative deadlines (§IV-B1); a task's
 //! [`ReleaseTemplate`] works out the offsets once and stamps each release.
 
-use crate::{PeriodicTaskSpec, PriorityLevel, SimDuration, SimTime, StageId, StageSpec, TaskId};
+use crate::{PeriodicTaskSpec, SimDuration, SimTime, StageSpec};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
-/// Globally unique job identifier: the releasing task plus the release
-/// index (0-based).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct JobId {
-    /// The releasing task.
-    pub task: TaskId,
-    /// 0-based release index of the task.
-    pub release_index: u64,
-}
-
-impl core::fmt::Display for JobId {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "{}#{}", self.task, self.release_index)
-    }
-}
-
-/// Lifecycle of a stage instance inside the online scheduler.
+/// Readiness of a stage instance inside the online scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum StageState {
     /// Waiting for one or more predecessor stages to complete.
     Blocked,
-    /// All predecessors done; sitting in a context queue.
+    /// All predecessors done; queued or running.
     Ready,
-    /// Currently occupying a stream slot on the device.
-    Running,
     /// Finished execution.
     Completed,
-    /// Abandoned (job aborted or dropped).
-    Aborted,
 }
 
 /// One stage `τi^j` of a released job.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StageInstance {
-    /// Which stage of the task this instance embodies.
-    pub stage: StageId,
-    /// Current lifecycle state.
+    /// Current readiness.
     pub state: StageState,
     /// Absolute deadline `di^j` assigned at release (§IV-B1).
     pub absolute_deadline: SimTime,
-    /// Effective priority (offline level, possibly promoted at run time).
-    pub priority: PriorityLevel,
-    /// Instant the stage became ready (predecessors all complete).
-    pub ready_at: Option<SimTime>,
-    /// Instant the stage started running on the device.
-    pub started_at: Option<SimTime>,
-    /// Instant the stage completed.
-    pub completed_at: Option<SimTime>,
-}
-
-impl StageInstance {
-    /// Creates a blocked instance with the given absolute deadline and
-    /// offline priority.
-    #[must_use]
-    pub fn new(stage: StageId, absolute_deadline: SimTime, priority: PriorityLevel) -> Self {
-        StageInstance {
-            stage,
-            state: StageState::Blocked,
-            absolute_deadline,
-            priority,
-            ready_at: None,
-            started_at: None,
-            completed_at: None,
-        }
-    }
-
-    /// `true` once the stage has completed.
-    #[must_use]
-    pub fn is_completed(&self) -> bool {
-        matches!(self.state, StageState::Completed)
-    }
 }
 
 /// A released instance of a periodic task.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Job {
-    /// Unique id (task, release index).
-    pub id: JobId,
+    /// 0-based release index of the releasing task.
+    pub release_index: u64,
     /// Release instant.
     pub release: SimTime,
     /// Absolute whole-job deadline `release + Di`.
@@ -102,12 +49,10 @@ pub struct Job {
 }
 
 /// What every release of one task shares (§IV-B1): each stage's deadline
-/// offset from the release, its offline priority, its successors, and
-/// whether it is a DAG source. A pure function of the task's timing and
-/// edges, built once by the offline phase, so a release only stamps times
-/// and a completion visits only the finished stage's successors; the
-/// releasing task's id is passed at release, so one template serves every
-/// slot the task is attached to.
+/// offset from the release, its successors, and whether it is a DAG
+/// source. A pure function of the task's timing and edges, built once by
+/// the offline phase, so a release only stamps times and a completion
+/// visits only the finished stage's successors.
 ///
 /// Stage `j`'s offset is `Σ_{k ≤ j along its chain} D^k`. For general DAGs
 /// it is the maximum over its predecessors' offsets plus its own virtual
@@ -127,8 +72,6 @@ pub struct ReleaseTemplate {
 struct StageTemplate {
     /// Deadline offset from the release.
     offset: SimDuration,
-    /// Offline priority.
-    priority: PriorityLevel,
     /// The stage's successors in [`ReleaseTemplate::successors`].
     successors: Range<usize>,
 }
@@ -159,14 +102,12 @@ impl ReleaseTemplate {
         let mut successors = Vec::with_capacity(edges);
         let stages = offsets
             .into_iter()
-            .zip(&task.stages)
             .enumerate()
-            .map(|(p, (offset, s))| {
+            .map(|(p, offset)| {
                 let start = successors.len();
                 successors.extend(successors_of(task, p));
                 StageTemplate {
                     offset,
-                    priority: s.priority,
                     successors: start..successors.len(),
                 }
             })
@@ -200,7 +141,7 @@ impl ReleaseTemplate {
                 .try_fold(SimDuration::ZERO, |max, &p| {
                     offset_of(p).map(|o| max.max(o))
                 });
-            t.priority == s.priority && pred_max.is_some_and(|m| t.offset == m + s.virtual_deadline)
+            pred_max.is_some_and(|m| t.offset == m + s.virtual_deadline)
         };
         let sources = (0..task.stages.len()).filter(|&i| task.stages[i].predecessors.is_empty());
         // The ranges tile the successor table in stage order.
@@ -219,34 +160,27 @@ impl ReleaseTemplate {
             && successors_fit
     }
 
-    /// Releases job `release_index` of task `task` at `release`, stamping
-    /// every stage's absolute deadline. The job's stages are built in
-    /// `storage`, whose contents are discarded: pass a finished job's
-    /// `stages` to reuse its allocation, or `Vec::new()`.
+    /// Releases job `release_index` of the template's task at `release`,
+    /// stamping every stage's absolute deadline. The job's stages are
+    /// built in `storage`, whose contents are discarded: pass a finished
+    /// job's `stages` to reuse its allocation, or `Vec::new()`.
     #[must_use]
     pub fn release(
         &self,
-        task: TaskId,
         release_index: u64,
         release: SimTime,
         mut storage: Vec<StageInstance>,
     ) -> Job {
         storage.clear();
-        storage.extend(
-            self.stages
-                .iter()
-                .enumerate()
-                .map(|(i, s)| StageInstance::new(StageId(i), release + s.offset, s.priority)),
-        );
+        storage.extend(self.stages.iter().map(|s| StageInstance {
+            state: StageState::Blocked,
+            absolute_deadline: release + s.offset,
+        }));
         for &i in &self.sources {
             storage[i].state = StageState::Ready;
-            storage[i].ready_at = Some(release);
         }
         Job {
-            id: JobId {
-                task,
-                release_index,
-            },
+            release_index,
             release,
             absolute_deadline: release + self.deadline,
             unfinished: storage.len(),
@@ -257,29 +191,6 @@ impl ReleaseTemplate {
 }
 
 impl Job {
-    /// `true` once every stage (or the monolithic job) has completed.
-    #[must_use]
-    pub fn is_completed(&self) -> bool {
-        self.completed_at.is_some()
-    }
-
-    /// The job's outcome relative to its whole-job deadline, if finished.
-    #[must_use]
-    pub fn outcome(&self) -> Option<JobOutcome> {
-        self.completed_at.map(|t| {
-            if t <= self.absolute_deadline {
-                JobOutcome::MetDeadline {
-                    response: t.duration_since(self.release),
-                }
-            } else {
-                JobOutcome::MissedDeadline {
-                    response: t.duration_since(self.release),
-                    tardiness: t.duration_since(self.absolute_deadline),
-                }
-            }
-        })
-    }
-
     /// Marks stage `index` complete at `now` and unblocks any successors
     /// whose predecessors are now all complete, replacing the contents of
     /// `newly_ready` with their indices, ascending. `template` is the
@@ -294,53 +205,26 @@ impl Job {
         task: &PeriodicTaskSpec,
         newly_ready: &mut Vec<usize>,
     ) {
-        let stage = &mut self.stages[index];
-        if !stage.is_completed() {
+        let stage = &mut self.stages[index].state;
+        if *stage != StageState::Completed {
             self.unfinished -= 1;
         }
-        stage.state = StageState::Completed;
-        stage.completed_at = Some(now);
+        *stage = StageState::Completed;
         newly_ready.clear();
         for &i in &template.successors[template.stages[index].successors.clone()] {
             if self.stages[i].state == StageState::Blocked
                 && task.stages[i]
                     .predecessors
                     .iter()
-                    .all(|&p| self.stages[p].is_completed())
+                    .all(|&p| self.stages[p].state == StageState::Completed)
             {
                 self.stages[i].state = StageState::Ready;
-                self.stages[i].ready_at = Some(now);
                 newly_ready.push(i);
             }
         }
         if self.unfinished == 0 {
             self.completed_at = Some(now);
         }
-    }
-}
-
-/// Terminal result of a job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum JobOutcome {
-    /// Completed at or before the absolute deadline.
-    MetDeadline {
-        /// Response time (completion − release).
-        response: SimDuration,
-    },
-    /// Completed after the absolute deadline.
-    MissedDeadline {
-        /// Response time (completion − release).
-        response: SimDuration,
-        /// Lateness beyond the deadline.
-        tardiness: SimDuration,
-    },
-}
-
-impl JobOutcome {
-    /// `true` when the deadline was met.
-    #[must_use]
-    pub fn met(&self) -> bool {
-        matches!(self, JobOutcome::MetDeadline { .. })
     }
 }
 
@@ -387,14 +271,14 @@ impl ReleaseGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{PriorityAssignment, StageSpec};
+    use crate::{PriorityAssignment, PriorityLevel};
 
     fn ms(v: u64) -> SimDuration {
         SimDuration::from_millis(v)
     }
 
     fn release(t: &PeriodicTaskSpec, at: SimTime) -> Job {
-        ReleaseTemplate::new(t).release(TaskId(0), 0, at, Vec::new())
+        ReleaseTemplate::new(t).release(0, at, Vec::new())
     }
 
     /// Completes stage `index`, returning the newly ready stages.
@@ -445,11 +329,10 @@ mod tests {
         assert_eq!(ready, vec![1]);
         let ready = complete(&mut job, 1, SimTime::ZERO + ms(12), &t);
         assert_eq!(ready, vec![2]);
-        assert!(!job.is_completed());
+        assert_eq!(job.completed_at, None);
         let ready = complete(&mut job, 2, SimTime::ZERO + ms(20), &t);
         assert!(ready.is_empty());
-        assert!(job.is_completed());
-        assert!(job.outcome().unwrap().met());
+        assert_eq!(job.completed_at, Some(SimTime::ZERO + ms(20)));
     }
 
     #[test]
@@ -457,21 +340,17 @@ mod tests {
         let t = chain_task();
         let template = ReleaseTemplate::new(&t);
         assert_eq!(template.sources(), &[0]);
-        let mut first = template.release(TaskId(3), 0, SimTime::ZERO, Vec::new());
+        let mut first = template.release(0, SimTime::ZERO, Vec::new());
         for i in 0..3 {
             complete(&mut first, i, SimTime::ZERO + ms(5), &t);
         }
         let storage = first.stages;
         let ptr = storage.as_ptr();
         let at = SimTime::ZERO + ms(30);
-        let second = template.release(TaskId(3), 1, at, storage);
+        let second = template.release(1, at, storage);
         assert_eq!(second.stages.as_ptr(), ptr, "stage storage is reused");
-        let id = JobId {
-            task: TaskId(3),
-            release_index: 1,
-        };
-        assert_eq!(second.id, id);
-        let fresh = template.release(TaskId(3), 1, at, Vec::new());
+        assert_eq!(second.release_index, 1);
+        let fresh = template.release(1, at, Vec::new());
         assert_eq!(second, fresh, "a reused job equals a fresh one");
         assert_eq!(second.stages[2].absolute_deadline, at + ms(30));
     }
@@ -505,9 +384,12 @@ mod tests {
         let t = chain_task();
         let template = ReleaseTemplate::new(&t);
         assert!(template.fits(&t));
-        let edits: [fn(&mut PeriodicTaskSpec); 6] = [
+        // Priorities are read from the task, not the template.
+        let mut reprioritised = t.clone();
+        reprioritised.stages[2].priority = PriorityLevel::Medium;
+        assert!(template.fits(&reprioritised));
+        let edits: [fn(&mut PeriodicTaskSpec); 5] = [
             |t| t.stages[1].virtual_deadline = ms(11),
-            |t| t.stages[2].priority = PriorityLevel::Medium,
             |t| t.deadline = ms(31),
             |t| t.stages[2].predecessors = vec![0],
             // Every offset holds (stage 1's dominates), only stage 0's
@@ -533,23 +415,19 @@ mod tests {
         now: SimTime,
         task: &PeriodicTaskSpec,
     ) -> (Vec<usize>, Option<SimTime>) {
+        let completed = |s: &StageInstance| s.state == StageState::Completed;
         job.stages[index].state = StageState::Completed;
-        job.stages[index].completed_at = Some(now);
         let mut ready = Vec::new();
         for (i, spec) in task.stages.iter().enumerate() {
             if job.stages[i].state == StageState::Blocked
                 && spec.predecessors.contains(&index)
-                && spec
-                    .predecessors
-                    .iter()
-                    .all(|&p| job.stages[p].is_completed())
+                && spec.predecessors.iter().all(|&p| completed(&job.stages[p]))
             {
                 job.stages[i].state = StageState::Ready;
-                job.stages[i].ready_at = Some(now);
                 ready.push(i);
             }
         }
-        if job.stages.iter().all(StageInstance::is_completed) {
+        if job.stages.iter().all(completed) {
             job.completed_at = Some(now);
         }
         (ready, job.completed_at)
@@ -599,7 +477,7 @@ mod tests {
             let template = ReleaseTemplate::new(&t);
             assert!(template.fits(&t), "case {case}");
             let at = SimTime::ZERO + ms(case);
-            let mut job = template.release(TaskId(0), case, at, Vec::new());
+            let mut job = template.release(case, at, Vec::new());
             let mut reference = job.clone();
             let mut ready: Vec<usize> = template.sources().to_vec();
             let mut newly_ready = Vec::new();
@@ -627,19 +505,6 @@ mod tests {
             );
         }
         assert!(steps > 1_500, "{steps} completions");
-    }
-
-    #[test]
-    fn missed_outcome_reports_tardiness() {
-        let t = chain_task();
-        let mut job = release(&t, SimTime::ZERO);
-        complete(&mut job, 0, SimTime::ZERO + ms(10), &t);
-        complete(&mut job, 1, SimTime::ZERO + ms(20), &t);
-        complete(&mut job, 2, SimTime::ZERO + ms(35), &t);
-        match job.outcome().unwrap() {
-            JobOutcome::MissedDeadline { tardiness, .. } => assert_eq!(tardiness, ms(5)),
-            other => panic!("expected a miss, got {other:?}"),
-        }
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //!   periodic DNN task `τi`, a DAG of stages `τi^j` with WCETs `Ci^j` and
 //!   virtual relative deadlines `Di^j`.
 //! * [`PriorityAssignment`] — the offline two-level stage priorities.
-//! * [`Job`] / [`StageInstance`] — run-time instances released every period.
+//! * [`Job`] / [`StageInstance`] — a job released every period: its
+//!   release index, release and completion instants, and each stage's
+//!   absolute deadline and DAG readiness.
 //! * [`PriorityLevel`] — the three-level (high/medium/low) priority space of
 //!   SGPRS's stage queuing.
 //! * [`EdfQueue`] / [`PriorityBands`] — an earliest-deadline-first ready
@@ -49,10 +51,8 @@ mod task;
 mod time;
 
 pub use error::RtError;
-pub use job::{
-    Job, JobId, JobOutcome, ReleaseGenerator, ReleaseTemplate, StageInstance, StageState,
-};
+pub use job::{Job, ReleaseGenerator, ReleaseTemplate, StageInstance, StageState};
 pub use priority::{PriorityAssignment, PriorityLevel};
 pub use queue::{EdfEntry, EdfQueue, PriorityBands};
-pub use task::{PeriodicTaskSpec, PeriodicTaskSpecBuilder, StageId, StageSpec, TaskId};
+pub use task::{PeriodicTaskSpec, PeriodicTaskSpecBuilder, StageSpec};
 pub use time::{SimDuration, SimTime};

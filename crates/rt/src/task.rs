@@ -9,26 +9,6 @@
 use crate::{PriorityLevel, RtError, SimDuration};
 use serde::{Deserialize, Serialize};
 
-/// Identifier of a task within a scheduler's task list (its index).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct TaskId(pub usize);
-
-/// Identifier of a stage within its task (index into the stage list).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct StageId(pub usize);
-
-impl core::fmt::Display for TaskId {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "τ{}", self.0)
-    }
-}
-
-impl core::fmt::Display for StageId {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "s{}", self.0)
-    }
-}
-
 /// One stage (sub-task) `τi^j` of a periodic DNN task.
 ///
 /// Stages are produced either by the offline phase of SGPRS (which splits a
@@ -47,9 +27,6 @@ pub struct StageSpec {
     pub priority: PriorityLevel,
     /// Indices of stages that must complete before this one may start.
     pub predecessors: Vec<usize>,
-    /// Abstract amount of GPU work (device-model units); the simulator
-    /// derives actual running time from this plus the SM allocation.
-    pub work: f64,
 }
 
 impl StageSpec {
@@ -63,7 +40,6 @@ impl StageSpec {
             virtual_deadline: SimDuration::ZERO,
             priority: PriorityLevel::Low,
             predecessors: Vec::new(),
-            work: wcet.as_nanos() as f64,
         }
     }
 
@@ -71,13 +47,6 @@ impl StageSpec {
     #[must_use]
     pub fn with_predecessors(mut self, preds: Vec<usize>) -> Self {
         self.predecessors = preds;
-        self
-    }
-
-    /// Sets the abstract GPU work amount.
-    #[must_use]
-    pub fn with_work(mut self, work: f64) -> Self {
-        self.work = work;
         self
     }
 }
