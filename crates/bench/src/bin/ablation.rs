@@ -5,7 +5,6 @@
 //! * `no-medium` — disable the medium-priority promotion rule (§IV-B3).
 //! * `fifo` — replace EDF with FIFO inside each priority band.
 //! * `1-stage` — no stage splitting (whole network as one sub-task).
-//! * `overflow` — allow high stages to borrow idle low-priority streams.
 //!
 //! Usage: `cargo run --release -p sgprs-bench --bin ablation [--sim-secs N]`
 
@@ -52,13 +51,6 @@ fn main() {
         run_with("no-medium", 6, |c| c.medium_promotion = false, n, sim_secs),
         run_with("fifo", 6, |c| c.queue_order = QueueOrder::Fifo, n, sim_secs),
         run_with("1-stage", 1, |_| {}, n, sim_secs),
-        run_with(
-            "overflow",
-            6,
-            |c| c.high_overflow_to_low = true,
-            n,
-            sim_secs,
-        ),
     ];
     for (label, m) in &variants {
         println!(

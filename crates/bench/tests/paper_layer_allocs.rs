@@ -29,7 +29,7 @@ use std::sync::Arc;
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Tasks per point: far past both pivots, so SGPRS's queueing,
-/// promotion, admission and abort paths all run.
+/// promotion and admission paths all run.
 const TASKS: usize = 30;
 
 fn at(millis: u64) -> SimTime {

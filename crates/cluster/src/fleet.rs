@@ -71,7 +71,7 @@
 //! source node. Scheduler state carries across boundaries, so no job is
 //! cut at one. At the horizon releases stop and every job in flight runs
 //! to completion, so [`FleetMetrics::truncated_jobs`] is zero and, on
-//! every node, released = completed + skipped + dropped (asserted). The
+//! every node, released = completed + skipped (asserted). The
 //! event-driven mode ([`Fleet::run_events`], see [`crate::event`]) runs
 //! a fluid model instead of the paper's schedulers, with no grid at
 //! all: migration at job-release boundaries paying a fixed 100 ms
@@ -968,9 +968,7 @@ impl Fleet {
             // fold in ascending node-index order so the metrics are
             // bit-identical to the sequential path.
             for (idx, m) in run_node_epochs(&mut self.execs, workers, |n| n.run(epoch_end)) {
-                if m.released > 0 {
-                    epoch_dmr[idx] = (m.late + m.skipped + m.dropped) as f64 / m.released as f64;
-                }
+                epoch_dmr[idx] = m.dmr;
                 self.fold_node_window(idx, &m);
             }
             // 4. Shed load from nodes that missed too much this epoch.
@@ -988,7 +986,7 @@ impl Fleet {
             assert_eq!(
                 self.totals.open_frames(idx),
                 0,
-                "node {idx}: released = completed + skipped + dropped once the horizon drained"
+                "node {idx}: released = completed + skipped once the horizon drained"
             );
         }
         self.execs = Vec::new();

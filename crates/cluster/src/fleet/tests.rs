@@ -119,7 +119,7 @@ fn epoch_churn_across_boundaries_truncates_nothing() {
         "{m:?}"
     );
     // `Fleet::run` itself asserts, node by node, that every released
-    // frame was completed, skipped or dropped once the horizon drained.
+    // frame was completed or skipped once the horizon drained.
     assert_eq!(m.truncated_jobs, 0, "{m:?}");
     assert!(m.nodes.iter().all(|n| n.released > 0), "{m:?}");
 

@@ -50,7 +50,7 @@ pub struct NodeReport {
     pub released: u64,
     /// Completions across all epochs.
     pub completed: u64,
-    /// Deadline misses (late + skipped + dropped) across all epochs.
+    /// Deadline misses (late + skipped) across all epochs.
     pub missed: u64,
     /// Achieved frames per second over the whole run window.
     pub fps: f64,
@@ -100,8 +100,8 @@ pub struct FleetMetrics {
     pub departures: u64,
     /// Tenants migrated off overloaded nodes.
     pub migrations: u64,
-    /// Released frames never resolved — neither completed, skipped nor
-    /// dropped — by the end of the run, accounted per frame across every
+    /// Released frames never resolved — neither completed nor skipped —
+    /// by the end of the run, accounted per frame across every
     /// window a node reported. Both paths keep scheduler state across
     /// epoch boundaries and let every job in flight at the horizon
     /// finish, so both assert that this stays zero.
@@ -372,15 +372,14 @@ impl FleetMetricsBuilder {
     }
 
     /// Folds one scheduler window of node `node`. A frame released in
-    /// one window may resolve — complete, be skipped or be dropped — in a
-    /// later one; frames still open after the last window are
+    /// one window may resolve — complete or be skipped — in a later one; frames still open after the last window are
     /// [`FleetMetrics::truncated_jobs`].
     pub fn record_epoch(&mut self, node: usize, m: &RunMetrics) {
         let n = &mut self.nodes[node];
         n.report.released += m.released;
         n.report.completed += m.completed;
-        n.report.missed += m.late + m.skipped + m.dropped;
-        n.open = (n.open + m.released).saturating_sub(m.completed + m.skipped + m.dropped);
+        n.report.missed += m.late + m.skipped;
+        n.open = (n.open + m.released).saturating_sub(m.completed + m.skipped);
     }
 
     /// Frames node `node` released that no window has resolved yet.

@@ -164,18 +164,8 @@ pub struct SgprsConfig {
     pub queue_order: QueueOrder,
     /// Enable the medium-priority promotion rule of §IV-B3.
     pub medium_promotion: bool,
-    /// Allow high-priority stages to overflow onto idle low-priority
-    /// streams when both high streams are busy (not in the paper; off by
-    /// default).
-    pub high_overflow_to_low: bool,
     /// Release policy when the previous job is unfinished.
     pub admission: Admission,
-    /// Abort queued jobs whose absolute deadline already passed. Off by
-    /// default: a marginally late frame is still worth delivering (it
-    /// counts toward total FPS), and aborting mid-chain wastes the GPU
-    /// time its earlier stages already consumed. The only source of
-    /// [`crate::RunMetrics::dropped`]; the paper-layer pins exercise it.
-    pub abort_hopeless: bool,
     /// Deterministic seed for the device's execution-time jitter.
     pub seed: u64,
     /// Measurement warm-up: jobs released before this offset are ignored
@@ -194,9 +184,7 @@ impl SgprsConfig {
             contention: ContentionModel::calibrated(),
             queue_order: QueueOrder::Edf,
             medium_promotion: true,
-            high_overflow_to_low: false,
             admission: Admission::FrameBuffer,
-            abort_hopeless: false,
             seed: DEFAULT_SEED,
             warmup: DEFAULT_WARMUP,
             tracing: false,
@@ -353,7 +341,6 @@ mod tests {
         let cfg = SgprsConfig::new(ContextPoolSpec::new(2, 1.5));
         assert_eq!(cfg.queue_order, QueueOrder::Edf);
         assert!(cfg.medium_promotion);
-        assert!(!cfg.high_overflow_to_low);
         assert_eq!(cfg.admission, Admission::FrameBuffer);
     }
 }

@@ -26,13 +26,14 @@ pub struct RunMetrics {
     pub late: u64,
     /// Releases skipped because the previous job was still in flight.
     pub skipped: u64,
-    /// Admitted jobs aborted because their deadline passed before they
-    /// finished (SGPRS drops hopeless frames instead of serving stale
-    /// work; the naive baseline never does — the domino effect).
+    /// Always 0: neither paper-layer scheduler aborts an admitted job, so
+    /// every admitted job completes. The field stays only because
+    /// perfbench hashes it into its `paper-sweep` digest; it goes with the
+    /// next change to perfbench.
     pub dropped: u64,
     /// Total frames per second: `completed / window`.
     pub total_fps: f64,
-    /// Deadline-miss rate: `(late + skipped + dropped) / released`.
+    /// Deadline-miss rate: `(late + skipped) / released`.
     pub dmr: f64,
     /// Median response time of completed jobs.
     pub response_p50: SimDuration,
@@ -56,7 +57,7 @@ impl RunMetrics {
     /// count for which this still holds).
     #[must_use]
     pub fn is_miss_free(&self) -> bool {
-        self.late == 0 && self.skipped == 0 && self.dropped == 0
+        self.late == 0 && self.skipped == 0
     }
 }
 
@@ -84,13 +85,12 @@ struct TaskCounts {
     met: u64,
     late: u64,
     skipped: u64,
-    dropped: u64,
 }
 
 /// Streaming collector turning per-job outcomes into [`RunMetrics`].
 ///
-/// Both schedulers (SGPRS and the naive baseline) feed it the same four
-/// event kinds — release, skip, drop, completion — through the shared
+/// Both schedulers (SGPRS and the naive baseline) feed it the same three
+/// event kinds — release, skip, completion — through the shared
 /// release driver, so the paper's metrics are computed identically for
 /// each.
 #[derive(Debug, Clone)]
@@ -144,14 +144,6 @@ impl MetricsCollector {
     pub fn record_skip(&mut self, task: usize, release: SimTime) {
         if self.in_window(release) {
             self.tasks[task].skipped += 1;
-        }
-    }
-
-    /// Records an admitted job of `task` (released at `release`) that was
-    /// aborted because its deadline passed before it could finish.
-    pub fn record_drop(&mut self, task: usize, release: SimTime) {
-        if self.in_window(release) {
-            self.tasks[task].dropped += 1;
         }
     }
 
@@ -223,7 +215,6 @@ impl MetricsCollector {
         let met = total(|t| t.met);
         let late = total(|t| t.late);
         let skipped = total(|t| t.skipped);
-        let dropped = total(|t| t.dropped);
         let mut responses_ns = std::mem::take(&mut self.responses_ns);
         responses_ns.sort_unstable();
         self.last_samples = responses_ns.len();
@@ -241,7 +232,7 @@ impl MetricsCollector {
                 name: t.name.clone(),
                 released: t.released,
                 completed: t.completed,
-                missed: t.late + t.skipped + t.dropped,
+                missed: t.late + t.skipped,
                 fps: if window_s > 0.0 {
                     t.completed as f64 / window_s
                 } else {
@@ -263,14 +254,14 @@ impl MetricsCollector {
             met,
             late,
             skipped,
-            dropped,
+            dropped: 0,
             total_fps: if window_s > 0.0 {
                 completed as f64 / window_s
             } else {
                 0.0
             },
             dmr: if released > 0 {
-                (late + skipped + dropped) as f64 / released as f64
+                (late + skipped) as f64 / released as f64
             } else {
                 0.0
             },
@@ -384,28 +375,6 @@ mod tests {
         assert_eq!(m.total_fps, 0.0);
         assert_eq!(m.dmr, 0.0);
         assert_eq!(m.response_max, SimDuration::ZERO);
-    }
-
-    #[test]
-    fn drops_count_as_misses_but_not_completions() {
-        let mut c = collector();
-        c.record_release(0, t(200));
-        c.record_drop(0, t(200));
-        let m = c.finish(t(1_100));
-        assert_eq!(m.dropped, 1);
-        assert_eq!(m.completed, 0);
-        assert!((m.dmr - 1.0).abs() < 1e-9);
-        assert!(!m.is_miss_free());
-        assert_eq!(m.per_task[0].missed, 1);
-    }
-
-    #[test]
-    fn drops_outside_the_window_are_ignored() {
-        let mut c = collector();
-        c.record_drop(0, t(50)); // before warm-up
-        let m = c.finish(t(1_100));
-        assert_eq!(m.dropped, 0);
-        assert!(m.is_miss_free());
     }
 
     #[test]

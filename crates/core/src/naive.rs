@@ -186,7 +186,7 @@ impl Policy for Naive {
         }
     }
 
-    fn dispatch(&mut self, _driver: &mut Driver, _now: SimTime) {
+    fn dispatch(&mut self) {
         for ctx in 0..self.fifo.len() {
             // Sequential: dispatch only when the partition is idle.
             if self.engine.snapshot(ContextId(ctx)).resident != 0 {

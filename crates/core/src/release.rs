@@ -74,8 +74,9 @@ pub(crate) trait Policy {
     /// [`Driver::complete`].
     fn on_event(&mut self, driver: &mut Driver, ev: &DeviceEvent);
 
-    /// Dispatches queued work at `now`, after the releases due then.
-    fn dispatch(&mut self, driver: &mut Driver, now: SimTime);
+    /// Dispatches queued work, after the releases due at the device's
+    /// current instant.
+    fn dispatch(&mut self);
 }
 
 /// Where a task slot is in its life.
@@ -98,14 +99,15 @@ struct ReleaseSlot {
     phase: Phase,
     /// A job of the slot is in flight. A task has at most one: a frame is
     /// admitted only while this is unset, at its release or from
-    /// [`Driver::retire`] right after the job in flight cleared it. The
+    /// [`Driver::complete`] right after the job in flight cleared it. The
     /// SGPRS task slot relies on this invariant to hold a single job.
     in_flight: bool,
     /// Frame buffer: the release boundary of the freshest frame waiting
     /// while a job is in flight ([`Admission::FrameBuffer`]).
     buffered: Option<SimTime>,
-    /// Monotone admission counter (job ids stay unique even when grabbed
-    /// frames are admitted off the period grid).
+    /// Monotone admission counter: the next job's index. It runs on
+    /// across occupants, and grabbed frames are admitted off the period
+    /// grid, so job indices are not release counts.
     admit_seq: u64,
 }
 
@@ -114,8 +116,8 @@ struct ReleaseSlot {
 /// A slot holds one task from [`Driver::attach`] until it goes idle after
 /// [`Driver::detach`]; then the next attach reuses it, the most recently
 /// vacated slot first. Per-slot admission counters run on across
-/// occupants, so a stale queue entry of an earlier occupant never matches
-/// a job of the next.
+/// occupants, so a job index (the `#n` of a trace label) names one job of
+/// its slot over the whole run.
 #[derive(Debug)]
 pub(crate) struct Driver {
     admission: Admission,
@@ -253,7 +255,7 @@ impl Driver {
             if next_release == next {
                 self.release_due(policy, next);
             }
-            policy.dispatch(self, next);
+            policy.dispatch();
         }
     }
 
@@ -334,8 +336,10 @@ impl Driver {
         policy.admit(task, index, release);
     }
 
-    /// Accounts a job of `task` released at `release` that finished at
-    /// `done` against `deadline`.
+    /// Accounts the job in flight of `task`, released at `release`, that
+    /// finished at `done` against `deadline`. Frame-buffer admission then
+    /// grabs the freshest buffered frame right away (its deadline starts
+    /// at the grab), keeping the device work-conserving under overload.
     pub(crate) fn complete<P: Policy>(
         &mut self,
         policy: &mut P,
@@ -346,33 +350,12 @@ impl Driver {
     ) {
         self.collector
             .record_completion(task, release, done, deadline);
-        self.retire(policy, task, done);
-    }
-
-    /// Accounts a job of `task` released at `release` that was aborted at
-    /// `now`.
-    pub(crate) fn abort<P: Policy>(
-        &mut self,
-        policy: &mut P,
-        task: usize,
-        release: SimTime,
-        now: SimTime,
-    ) {
-        self.collector.record_drop(task, release);
-        self.retire(policy, task, now);
-    }
-
-    /// Ends the job in flight of `task` at `at`. Frame-buffer admission
-    /// then grabs the freshest buffered frame right away (its deadline
-    /// starts at the grab), keeping the device work-conserving under
-    /// overload.
-    fn retire<P: Policy>(&mut self, policy: &mut P, task: usize, at: SimTime) {
         let slot = &mut self.slots[task];
-        debug_assert!(slot.in_flight, "invariant: a retired job was in flight");
+        debug_assert!(slot.in_flight, "invariant: a completed job was in flight");
         slot.in_flight = false;
         if let Some(boundary) = slot.buffered.take() {
             if policy.accept(task) {
-                self.admit(policy, task, at);
+                self.admit(policy, task, done);
             } else {
                 self.collector.record_skip(task, boundary);
             }
@@ -508,7 +491,6 @@ mod tests {
         sum.met += a.met;
         sum.late += a.late;
         sum.skipped += a.skipped;
-        sum.dropped += a.dropped;
         sum.response_samples_ns = samples;
         for (s, t) in sum.per_task.iter_mut().zip(&a.per_task) {
             s.released += t.released;
@@ -520,7 +502,7 @@ mod tests {
 
     /// The counts, per-task counts and raw response distribution of `m`.
     fn counts(m: &RunMetrics) -> Vec<u64> {
-        let mut c = vec![m.released, m.completed, m.met, m.late, m.skipped, m.dropped];
+        let mut c = vec![m.released, m.completed, m.met, m.late, m.skipped];
         for t in &m.per_task {
             c.extend([t.released, t.completed, t.missed]);
         }
@@ -606,15 +588,11 @@ mod tests {
         assert!(third.per_task[0].released > 25, "{third:?}");
         let last = s.finish(ms(2_000));
         assert_eq!(last.released, 0, "releases stop at the finish");
-        let total =
-            [first, second, third, last]
-                .iter()
-                .fold([0u64; 2], |[released, resolved], m| {
-                    [
-                        released + m.released,
-                        resolved + m.completed + m.skipped + m.dropped,
-                    ]
-                });
+        let total = [first, second, third, last]
+            .iter()
+            .fold([0u64; 2], |[released, resolved], m| {
+                [released + m.released, resolved + m.completed + m.skipped]
+            });
         assert_eq!(total[0], total[1], "every released frame is resolved");
     }
 

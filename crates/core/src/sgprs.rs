@@ -25,18 +25,14 @@
 //! can change that: a stage enqueued into the context, or a kernel
 //! completing there and freeing a stream. Both mark the context, and each
 //! dispatch call visits the marked ones in ascending index order,
-//! clearing the mark as it starts a visit. A context marked during the
-//! call (an abort re-admitting a buffered frame) is visited later in the
-//! same call if its index is still ahead, else on the next call — exactly
-//! when a visit-every-context loop would have served it. Debug builds
-//! check that every skipped context has no idle stream with an eligible
-//! queued entry.
+//! clearing the mark as it starts a visit. Debug builds check that every
+//! skipped context has no idle stream with an eligible queued entry.
 //!
 //! Each step on a stage is O(1) in the task's job count: a task slot holds
 //! at most one job, because the release driver admits a frame only while
-//! its task has nothing in flight, so a queue entry finds its job by one
-//! comparison of release indices. A completion visits only the finished
-//! stage's successors, listed in the task's release template.
+//! its task has nothing in flight, and every queued or running stage
+//! belongs to that job. A completion visits only the finished stage's
+//! successors, listed in the task's release template.
 
 use crate::release::{build_engine, Driver, Policy, TaskRef};
 use crate::{CompiledTask, QueueOrder, RunMetrics, SgprsConfig};
@@ -68,9 +64,10 @@ struct InFlight {
 ///
 /// A slot holds at most one job: the release driver admits a frame only
 /// while its task has nothing in flight (the driver's one-job
-/// invariant), and debug builds check it at every release. Admission
-/// indices run on across a slot's jobs and occupants, so a stale queue
-/// entry, of an aborted job or of an earlier occupant, finds no job.
+/// invariant), and debug builds check it at every release. Every queued
+/// or running stage of the slot belongs to that job: a job leaves only
+/// by completing, and a slot is recycled only once it is idle. Debug
+/// builds check that too, at every pop and every completion.
 #[derive(Debug)]
 struct TaskSlot {
     /// The attached task; its release template stamps every release.
@@ -85,9 +82,18 @@ struct TaskSlot {
 }
 
 impl TaskSlot {
-    /// The job in flight, if it is job `index`.
-    fn get(&self, index: u64) -> Option<&Job> {
-        self.job.as_ref().filter(|j| j.release_index == index)
+    /// The task and its job in flight, which a queued or running stage of
+    /// job `index` belongs to.
+    fn live(&mut self, index: u64) -> (&TaskRef, &mut Job) {
+        let job = self
+            .job
+            .as_mut()
+            .expect("invariant: a queued or running stage has a job in flight");
+        debug_assert_eq!(
+            job.release_index, index,
+            "invariant: a stage belongs to its slot's job in flight"
+        );
+        (&self.task, job)
     }
 
     /// Releases job `index` at `release` into the idle slot.
@@ -98,16 +104,6 @@ impl TaskSlot {
         );
         let storage = std::mem::take(&mut self.spare);
         self.job = Some(self.task.template().release(index, release, storage));
-    }
-
-    /// Drops finished job `index`, keeping its stage storage; `false`
-    /// when it is not the job in flight.
-    fn retire(&mut self, index: u64) -> bool {
-        let Some(job) = self.job.take_if(|j| j.release_index == index) else {
-            return false;
-        };
-        self.spare = job.stages;
-        true
     }
 }
 
@@ -148,8 +144,8 @@ pub struct SgprsScheduler {
     policy: Sgprs,
 }
 
-/// The SGPRS policy: admission test, §IV-B2 context assignment, band
-/// dispatch and abort.
+/// The SGPRS policy: admission test, §IV-B2 context assignment and band
+/// dispatch.
 #[derive(Debug)]
 struct Sgprs {
     config: SgprsConfig,
@@ -377,13 +373,7 @@ impl Policy for Sgprs {
         };
         let pending = &mut self.contexts[ev.context.0].pending_ns;
         *pending = (*pending - est_ns).max(0.0);
-        let TaskSlot { task, job, .. } = &mut self.slots[sref.task];
-        let Some(job) = job
-            .as_mut()
-            .filter(|j| j.release_index == sref.release_index)
-        else {
-            return;
-        };
+        let (task, job) = self.slots[sref.task].live(sref.release_index);
         let missed_virtual = ev.finished_at > job.stages[sref.stage].absolute_deadline;
         let mut ready = std::mem::take(&mut self.ready);
         job.complete_stage(
@@ -406,7 +396,7 @@ impl Policy for Sgprs {
         self.ready = ready;
         if let Some(done) = completed {
             self.note_completion(done.duration_since(release).as_nanos() as f64);
-            self.retire_job(sref);
+            self.retire_job(sref.task);
             driver.complete(self, sref.task, release, done, deadline);
         }
     }
@@ -415,7 +405,7 @@ impl Policy for Sgprs {
     /// band → high streams; medium and low bands → low streams. Visits
     /// only the contexts marked since their last visit, in index order
     /// (module docs).
-    fn dispatch(&mut self, driver: &mut Driver, _now: SimTime) {
+    fn dispatch(&mut self) {
         for ctx in 0..self.contexts.len() {
             if !std::mem::take(&mut self.contexts[ctx].dirty) {
                 debug_assert!(
@@ -428,21 +418,16 @@ impl Policy for Sgprs {
                 let snap = self.engine.snapshot(ContextId(ctx));
                 let mut dispatched = false;
                 if snap.idle_high > 0 {
-                    if let Some(sref) = self.pop_live(driver, ctx, PopBand::ExactHigh) {
+                    if let Some(sref) = self.pop(ctx, PopBand::ExactHigh) {
                         self.submit(ctx, StreamClass::High, sref);
                         dispatched = true;
                     }
                 }
                 let snap = self.engine.snapshot(ContextId(ctx));
                 if snap.idle_low > 0 {
-                    if let Some(sref) = self.pop_live(driver, ctx, PopBand::AtMostMedium) {
+                    if let Some(sref) = self.pop(ctx, PopBand::AtMostMedium) {
                         self.submit(ctx, StreamClass::Low, sref);
                         dispatched = true;
-                    } else if self.config.high_overflow_to_low {
-                        if let Some(sref) = self.pop_live(driver, ctx, PopBand::ExactHigh) {
-                            self.submit(ctx, StreamClass::Low, sref);
-                            dispatched = true;
-                        }
                     }
                 }
                 if !dispatched {
@@ -475,25 +460,27 @@ impl Sgprs {
         let bands = &self.contexts[ctx].bands;
         let high = bands.band_len(PriorityLevel::High) > 0;
         let below_high = bands.len() > bands.band_len(PriorityLevel::High);
-        (snap.idle_high > 0 && high)
-            || (snap.idle_low > 0 && (below_high || (self.config.high_overflow_to_low && high)))
+        (snap.idle_high > 0 && high) || (snap.idle_low > 0 && below_high)
     }
 
-    /// Drops finished or aborted job `sref.release_index` of `sref.task`.
-    fn retire_job(&mut self, sref: StageRef) {
-        let retired = self.slots[sref.task].retire(sref.release_index);
-        self.live_jobs -= usize::from(retired);
+    /// Drops the finished job of slot `task`, keeping its stage storage
+    /// for the next release.
+    fn retire_job(&mut self, task: usize) {
+        let slot = &mut self.slots[task];
+        let job = slot
+            .job
+            .take()
+            .expect("invariant: a finished job was in flight");
+        slot.spare = job.stages;
+        self.live_jobs -= 1;
     }
 
     /// §IV-B2 context assignment: empty queues first, then the
     /// deadline-meeting context with the shortest queue, else earliest
     /// estimated finish time.
     fn enqueue_stage(&mut self, sref: StageRef, priority: PriorityLevel) {
-        let deadline = self.slots[sref.task]
-            .get(sref.release_index)
-            .expect("invariant: queued stages belong to live jobs")
-            .stages[sref.stage]
-            .absolute_deadline;
+        let deadline =
+            self.slots[sref.task].live(sref.release_index).1.stages[sref.stage].absolute_deadline;
         let now_ns = self.engine.now().as_nanos() as f64;
         let n_ctx = self.contexts.len();
 
@@ -574,42 +561,22 @@ impl Sgprs {
         now_ns + backlog + self.isolated_estimate_ns(ctx, sref)
     }
 
-    /// Pops the next dispatchable stage from a context queue, discarding
-    /// stale entries (jobs already aborted) and — when
-    /// [`SgprsConfig::abort_hopeless`] is set — aborting jobs whose
-    /// absolute deadline has already passed rather than serving stale
-    /// frames.
-    fn pop_live(&mut self, driver: &mut Driver, ctx: usize, band: PopBand) -> Option<StageRef> {
-        loop {
-            let entry = match band {
-                PopBand::ExactHigh => self.contexts[ctx].bands.pop_exact(PriorityLevel::High),
-                PopBand::AtMostMedium => self.contexts[ctx]
-                    .bands
-                    .pop_at_most(PriorityLevel::Medium)
-                    .map(|(_, e)| e),
-            }?;
-            let sref = entry.item;
-            let hopeless = match self.slots[sref.task].get(sref.release_index) {
-                // The job was aborted while this stage sat in the queue.
-                None => None,
-                Some(job)
-                    if self.config.abort_hopeless && self.engine.now() > job.absolute_deadline =>
-                {
-                    Some(job.release)
-                }
-                Some(_) => return Some(sref),
-            };
-            let est = self.isolated_estimate_ns(ctx, sref);
-            let pending = &mut self.contexts[ctx].pending_ns;
-            *pending = (*pending - est).max(0.0);
-            if let Some(release) = hopeless {
-                // The frame is dropped; the task is free to take its
-                // freshest buffered frame right away.
-                self.retire_job(sref);
-                let now = self.engine.now();
-                driver.abort(self, sref.task, release, now);
-            }
-        }
+    /// Pops the next stage a `band` stream may serve from context `ctx`.
+    fn pop(&mut self, ctx: usize, band: PopBand) -> Option<StageRef> {
+        let bands = &mut self.contexts[ctx].bands;
+        let sref = match band {
+            PopBand::ExactHigh => bands.pop_exact(PriorityLevel::High),
+            PopBand::AtMostMedium => bands.pop_at_most(PriorityLevel::Medium).map(|(_, e)| e),
+        }?
+        .item;
+        debug_assert!(
+            self.slots[sref.task]
+                .job
+                .as_ref()
+                .is_some_and(|j| j.release_index == sref.release_index),
+            "invariant: a queued stage belongs to its slot's job in flight"
+        );
+        Some(sref)
     }
 
     fn submit(&mut self, ctx: usize, class: StreamClass, sref: StageRef) {
@@ -701,16 +668,15 @@ mod tests {
 
     #[test]
     fn a_task_slot_holds_at_most_one_job() {
-        // Past the pivot with hopeless jobs aborted: frames are buffered
-        // or skipped, and an abort re-admits a buffered frame at once.
-        // Debug builds assert at every release that the slot is idle.
+        // Past the pivot: frames are buffered or skipped, and a completion
+        // re-admits a buffered frame at once. Debug builds assert at every
+        // release that the slot is idle.
         let pool = ContextPoolSpec::new(3, 1.5);
         let tasks = compile(&pool, 30);
         let mut totals = Vec::new();
         for admission in [Admission::FrameBuffer, Admission::SkipIfBusy] {
             let mut cfg = SgprsConfig::new(pool.clone());
             cfg.admission = admission;
-            cfg.abort_hopeless = true;
             let mut s = SgprsScheduler::new(cfg, tasks.clone());
             let m = s.run(SimTime::ZERO + SimDuration::from_secs(2));
             let live = s.policy.slots.iter().filter(|s| s.job.is_some()).count();
@@ -720,8 +686,59 @@ mod tests {
         // [released, completed, late, skipped, dropped]
         assert_eq!(
             totals,
-            [[1_350, 646, 138, 0, 672], [1_350, 618, 68, 385, 317]]
+            [[1_350, 1_076, 432, 250, 0], [1_350, 940, 380, 380, 0]]
         );
+    }
+
+    #[test]
+    fn recycled_slots_under_overload_resolve_every_frame() {
+        // Every other slot is detached while every context queue holds
+        // work; 30 ms later, with the queues still busy, some of those
+        // slots have gone idle and new tasks take them while the other
+        // detached jobs are still in flight. Debug builds assert at every
+        // pop and completion that the stage belongs to its slot's job in
+        // flight, and at every attach that a recycled slot is idle.
+        let ms = |v: u64| SimTime::ZERO + SimDuration::from_millis(v);
+        let pool = ContextPoolSpec::new(3, 1.5);
+        let tasks = compile(&pool, 30);
+        let detached: Vec<usize> = (0..30).step_by(2).collect();
+        for admission in [Admission::FrameBuffer, Admission::SkipIfBusy] {
+            let mut cfg = SgprsConfig::new(pool.clone());
+            cfg.admission = admission;
+            cfg.warmup = SimDuration::ZERO;
+            let mut s = SgprsScheduler::new(cfg, tasks.clone());
+            let busy = |s: &SgprsScheduler| s.policy.contexts.iter().all(|c| !c.bands.is_empty());
+            let mut windows = vec![s.run(ms(1_000))];
+            assert!(busy(&s), "{admission:?}: the queues are busy at the detach");
+            for &slot in &detached {
+                s.detach(slot, ms(1_000));
+            }
+            windows.push(s.run(ms(1_030)));
+            assert!(busy(&s), "{admission:?}: the queues are busy at the attach");
+            let slots: Vec<usize> = (0..detached.len())
+                .map(|_| s.attach(compile_staged(&pool, 6), ms(1_030)))
+                .collect();
+            let recycled = slots.iter().filter(|&&slot| slot < 30).count();
+            assert!(
+                (1..detached.len()).contains(&recycled),
+                "{admission:?}: some detached slots are recycled, some still busy: {slots:?}"
+            );
+            assert!(slots[..recycled].iter().all(|slot| detached.contains(slot)));
+            windows.push(s.run(ms(2_000)));
+            windows.push(s.finish(ms(2_000)));
+            let live = s.policy.slots.iter().filter(|s| s.job.is_some()).count();
+            assert_eq!((s.policy.live_jobs, live), (0, 0), "{admission:?}");
+            let [released, resolved, dropped] = windows.iter().fold([0; 3], |t, m| {
+                [
+                    t[0] + m.released,
+                    t[1] + m.completed + m.skipped,
+                    t[2] + m.dropped,
+                ]
+            });
+            assert!(released > 1_500, "{admission:?}: {released}");
+            assert_eq!(resolved, released, "{admission:?}: every frame resolves");
+            assert_eq!(dropped, 0, "{admission:?}");
+        }
     }
 
     #[test]

@@ -43,7 +43,7 @@ fn main() {
     println!();
     println!(
         "SGPRS misses {} deadlines, the naive spatial partitioner misses {}",
-        sgprs_metrics.late + sgprs_metrics.skipped + sgprs_metrics.dropped,
-        naive_metrics.late + naive_metrics.skipped + naive_metrics.dropped,
+        sgprs_metrics.late + sgprs_metrics.skipped,
+        naive_metrics.late + naive_metrics.skipped,
     );
 }

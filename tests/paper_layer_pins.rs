@@ -1,13 +1,12 @@
 //! Exact-output pins for the paper-layer schedulers.
 //!
-//! Six configurations — SGPRS as the paper runs it, with abort-hopeless
-//! and with FIFO queues plus high-to-low overflow on two contexts, SGPRS
-//! as the paper runs it and with abort-hopeless on three unequal
-//! contexts, and the naive partitioner — each run under both admission
-//! rules (frame buffer and skip-if-busy) at an under-load and an
-//! overload point, and the resulting counters must equal the recorded
-//! values exactly. Abort-hopeless is the only source of `dropped`, and
-//! the three-context pool pins per-context dispatch order beyond two
+//! Four configurations — SGPRS as the paper runs it and with FIFO queues
+//! on two contexts, SGPRS as the paper runs it on three unequal contexts,
+//! and the naive partitioner — each run under both admission rules
+//! (frame buffer and skip-if-busy) at an under-load and an overload
+//! point, and the resulting counters must equal the recorded values
+//! exactly. No scheduler aborts a job, so `dropped` reads 0 everywhere,
+//! and the three-context pool pins per-context dispatch order beyond two
 //! contexts. A refactor of the shared release, admission or completion
 //! code that changes a single simulated decision fails here.
 
@@ -134,35 +133,12 @@ fn sgprs_three_context_pins() {
 }
 
 #[test]
-fn sgprs_three_context_abort_hopeless_pins() {
+fn sgprs_fifo_pins() {
     check(
-        "sgprs+abort@3x2.0",
-        &pool3(),
-        SGPRS_3CTX_ABORT,
-        run_sgprs(pool3(), |c| c.abort_hopeless = true),
-    );
-}
-
-#[test]
-fn sgprs_abort_hopeless_pins() {
-    check(
-        "sgprs+abort",
+        "sgprs+fifo",
         &pool(),
-        SGPRS_ABORT,
-        run_sgprs(pool(), |c| c.abort_hopeless = true),
-    );
-}
-
-#[test]
-fn sgprs_fifo_overflow_pins() {
-    check(
-        "sgprs+fifo+overflow",
-        &pool(),
-        SGPRS_FIFO_OVERFLOW,
-        run_sgprs(pool(), |c| {
-            c.queue_order = QueueOrder::Fifo;
-            c.high_overflow_to_low = true;
-        }),
+        SGPRS_FIFO,
+        run_sgprs(pool(), |c| c.queue_order = QueueOrder::Fifo),
     );
 }
 
@@ -191,26 +167,16 @@ const SGPRS_DEFAULT: &[(&str, Pin)] = &[
     ),
 ];
 
-const SGPRS_ABORT: &[(&str, Pin)] = &[
-    ("under/frame-buffer", [90, 84, 84, 0, 0, 0, 688084528]),
-    ("under/skip-if-busy", [90, 84, 84, 0, 0, 0, 688084528]),
-    ("over/frame-buffer", [450, 108, 62, 46, 0, 308, 3467580202]),
-    (
-        "over/skip-if-busy",
-        [450, 131, 124, 7, 148, 141, 2876633632],
-    ),
-];
-
-const SGPRS_FIFO_OVERFLOW: &[(&str, Pin)] = &[
-    ("under/frame-buffer", [90, 84, 84, 0, 0, 0, 682102109]),
-    ("under/skip-if-busy", [90, 84, 84, 0, 0, 0, 682102109]),
+const SGPRS_FIFO: &[(&str, Pin)] = &[
+    ("under/frame-buffer", [90, 84, 84, 0, 0, 0, 681733947]),
+    ("under/skip-if-busy", [90, 84, 84, 0, 0, 0, 681733947]),
     (
         "over/frame-buffer",
-        [450, 290, 130, 160, 130, 0, 9232776209],
+        [450, 290, 130, 160, 130, 0, 9232471981],
     ),
     (
         "over/skip-if-busy",
-        [450, 271, 122, 149, 149, 0, 9028050065],
+        [450, 271, 122, 149, 149, 0, 9027993594],
     ),
 ];
 
@@ -224,16 +190,6 @@ const SGPRS_3CTX_DEFAULT: &[(&str, Pin)] = &[
     (
         "over/skip-if-busy",
         [450, 293, 166, 127, 127, 0, 9149278196],
-    ),
-];
-
-const SGPRS_3CTX_ABORT: &[(&str, Pin)] = &[
-    ("under/frame-buffer", [90, 84, 84, 0, 0, 0, 674113886]),
-    ("under/skip-if-busy", [90, 84, 84, 0, 0, 0, 674113886]),
-    ("over/frame-buffer", [450, 218, 183, 35, 0, 200, 6774796113]),
-    (
-        "over/skip-if-busy",
-        [450, 183, 170, 13, 125, 112, 4360886851],
     ),
 ];
 
